@@ -95,6 +95,8 @@ def load_input(path, rule):
 
             field = ScalarField.from_json(obj.get("field", "Q"))
             verts = [parse_vector(v, field) for v in obj["vertices"]]
+            if not verts:
+                raise InputError("a polytope needs at least one vertex")
             kind = obj.get("fan", "face")
             if kind == "face":
                 fan, support = face_fan_with_support(verts, field=field)
@@ -157,19 +159,20 @@ def build_l(loaded, config):
     if src == "support":
         if loaded.support is None:
             raise InputError("--l support needs a polytope input")
-        l = loaded.support
+        desc = None
     elif src == "inline":
         if loaded.inline_l is None:
             raise InputError("no inline l in the input")
-        l = _l_from_desc(loaded.fan, loaded.inline_l)
+        desc = loaded.inline_l
     elif src.startswith("file="):
-        l = _l_from_desc(loaded.fan, _read_json(src[5:]))
+        desc = _read_json(src[5:])
     else:
         raise InputError(f"unknown l source: {src}")
     try:
+        l = loaded.support if desc is None else _l_from_desc(loaded.fan, desc)
         ok = is_strictly_convex(loaded.fan, l)
-    except ValueError as e:
-        raise InputError(str(e))
+    except (ValueError, TypeError) as e:
+        raise InputError(f"invalid l: {e}")
     if not ok:
         raise InputError("l is not strictly convex on the fan")
     return l
@@ -226,12 +229,12 @@ def run_checks(loaded, config, profile, l):
     if "oracle" in checks:
         passed["oracle"] = report["oracle_match"]
     if l is not None:
-        hl = hl_rank_report(profile, l, lkey="cli")
+        hl = hl_rank_report(profile, l)
         report["hl_ranks"] = {str(d): [got, wanted]
                               for d, (got, wanted) in sorted(hl.items())}
         if "hl" in checks:
             passed["hl"] = all(g == w for g, w in hl.values())
-        qr = hrm_check(profile, l, lkey="cli")
+        qr = hrm_check(profile, l)
         report["hrm"] = [{"d": r["d"],
                           "signature": list(r["signature"]),
                           "primitive_dim": r["primitive_dim"],

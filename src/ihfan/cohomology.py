@@ -10,13 +10,13 @@ Verification helpers compare them.
 
 from __future__ import annotations
 
-from .exactlin import Matrix, ONE, ZERO, sc, signature
+from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
-                   star_link, vdot)
+                   star_link)
 from .conewise import ConewiseFunction, Polynomial
-from .ihsheaf import (DistinguishedPair, GradedIH, _mat_inverse,
-                      _mul_pl, build_distinguished_pair, lift_over_span,
+from .ihsheaf import (DistinguishedPair, GradedIH, _mul_pl,
+                      build_distinguished_pair, lift_over_span,
                       projection_along)
 
 
@@ -255,24 +255,6 @@ def profile_for_fan(fan: Fan, rule="default"):
 # -- evaluation ------------------------------------------------------------
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    sign = ONE
-    for j in range(n):
-        c = rows[0][j]
-        if c:
-            minor = [tuple(r[k] for k in range(n) if k != j)
-                     for r in rows[1:]]
-            total = total + sign * c * _det(minor)
-        sign = -sign
-    return total
-
-
 class EvaluationContext:
     """Per maximal simplicial cone of the subdivision: the dual-basis facet
     forms (scaled so their wedge has determinant +-1 in the input
@@ -292,11 +274,9 @@ class EvaluationContext:
             rays = sub.cones[m].rays
             if len(rays) != n:
                 raise ValueError("evaluation needs full-dimensional cones")
-            r = Matrix(list(rays), ncols=n)
-            inv = _mat_inverse(tuple(tuple(row) for row in r.entries))
-            # row i of the inverse transpose is dual to ray i
-            duals = [tuple(inv[j][i] for j in range(n)) for i in range(n)]
-            d = _det([tuple(row) for row in r.entries])
+            inv, d = inverse(Matrix(list(rays), ncols=n))
+            # column i of the inverse is dual to ray i
+            duals = [inv.col(i) for i in range(n)]
             scale = abs(d)
             duals[0] = tuple(scale * x for x in duals[0])
             phi = Polynomial.constant(n, 1)
@@ -438,45 +418,40 @@ def pairing_matrix(profile: IHProfile, d):
             row.append(evaluate_fast(ctx, prod))
         rows.append(row)
     mat = Matrix(rows, ncols=len(right))
-    from .exactlin import rank as _rank
-
-    if _rank(mat) != min(len(left), len(right)) or len(left) != len(right):
+    r = rank(mat)
+    if r != min(len(left), len(right)) or len(left) != len(right):
         raise ValueError(
             f"duality pairing at grading {d} is degenerate "
-            f"({len(left)} x {len(right)}, rank {_rank(mat)})")
+            f"({len(left)} x {len(right)}, rank {r})")
     return mat
 
 
-def lefschetz_matrix(profile: IHProfile, l: PLFunction, d, lkey=None):
+def lefschetz_matrix(profile: IHProfile, l: PLFunction, d):
     """Matrix of the full Lefschetz power from grading d to 2n-d, computed
     by iterated degree-2 steps re-expressed in the stored bases."""
     n = profile.n
     if d % 2 or d < 0 or d > n:
         raise ValueError("Lefschetz matrices start at an even grading <= n")
-    return profile.gih.composed_steps(l, d, 2 * n - d,
-                                      lkey if lkey is not None else id(l))
+    return profile.gih.composed_steps(l, d, 2 * n - d)
 
 
-def hl_rank_report(profile: IHProfile, l: PLFunction, lkey=None):
+def hl_rank_report(profile: IHProfile, l: PLFunction):
     """rank of the full Lefschetz power per grading, with the rank demanded
     by the theorem."""
-    from .exactlin import rank as _rank
-
     out = {}
     for d in range(0, profile.n + 1, 2):
-        m = lefschetz_matrix(profile, l, d, lkey=lkey)
-        out[d] = (_rank(m), profile.h[d])
+        m = lefschetz_matrix(profile, l, d)
+        out[d] = (rank(m), profile.h[d])
     return out
 
 
-def primitive_basis(profile: IHProfile, l: PLFunction, d, lkey=None):
+def primitive_basis(profile: IHProfile, l: PLFunction, d):
     """Sections representing the kernel of one Lefschetz power beyond the
     pairing one (grading d -> 2n-d+2)."""
     n = profile.n
     if d % 2 or d < 0 or d > n:
         raise ValueError("primitive spaces live in even gradings <= n")
-    reps = profile.gih.primitive_reps(
-        d, l, lkey if lkey is not None else id(l))
+    reps = profile.gih.primitive_reps(d, l)
     sp = profile.gih.spaces[d]
     return [sp.as_function(v) for v in reps]
 
@@ -507,7 +482,7 @@ def _expected_signature(h, d):
     return (p, q)
 
 
-def hrm_check(profile: IHProfile, l: PLFunction, lkey=None):
+def hrm_check(profile: IHProfile, l: PLFunction):
     """Signature data of B_l(x, y) = <l^(n-d) x y> on each IH^d with even
     d <= n: the full signature must match the h-vector formula, and
     (-1)^(d/2) B_l must be positive definite on the primitive subspace."""
@@ -515,7 +490,6 @@ def hrm_check(profile: IHProfile, l: PLFunction, lkey=None):
     ctx = profile.context()
     hvec = profile.h_vector()
     l_on_piece = _coarse_l_on_piece(profile, l)
-    lk = lkey if lkey is not None else id(l)
     rows = []
     for d in range(0, n + 1, 2):
         reps = profile.rep_polys(d)
@@ -533,7 +507,7 @@ def hrm_check(profile: IHProfile, l: PLFunction, lkey=None):
         bmat = Matrix(mat, ncols=dim)
         sig = signature(bmat) if dim else (0, 0)
         expected = _expected_signature(hvec, d)
-        prim = profile.gih.primitive_coeffs(d, l, lk)
+        prim = profile.gih.primitive_coeffs(d, l)
         pdim = len(prim)
         if pdim:
             s = sc((-1) ** ((d // 2) % 2))
@@ -632,13 +606,12 @@ def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
               for rid in fan.ray_ids()}
     hat = PLFunction.from_ray_values(fan, values)
     _, closed, link = star_link(fan, ray_cid)
-    x, _, proj = projection_along(vrho, n)
+    _, _, proj = projection_along(vrho, n)
     link_max = [c for c in link.cones.values() if c.dim == n - 1]
     key_to_lam = {}
     lam_keys = []
     for c in link_max:
-        pk = tuple(sorted(canonical_direction(tuple(vdot(prow, r)
-                                                    for prow in proj))
+        pk = tuple(sorted(canonical_direction(proj.apply(r))
                           for r in c.rays))
         lam_keys.append(pk)
         key_to_lam[c.rays] = pk
@@ -715,9 +688,7 @@ def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
         mat = Matrix([[coords[j][i] for j in range(len(imgs))]
                       for i in range(star_rel.h[d + 2])],
                      ncols=len(imgs))
-        from .exactlin import rank as _rank
-
-        if _rank(mat) != star_abs.h[d] or \
+        if rank(mat) != star_abs.h[d] or \
                 star_abs.h[d] != star_rel.h[d + 2]:
             deg2_ok = False
     return LinkReport(lam_fan=lam_fan, lam_h=lam_h,

@@ -8,9 +8,19 @@ a^2 with m*b^2.  Rationals are gmpy2.mpq when available (much faster), else
 fractions.Fraction; both normalise by gcd so coefficient growth during
 elimination stays tame without Bareiss-style bookkeeping.
 
-Linear algebra entry points: rank, kernel_basis, solve, signature.  All use
-deterministic pivoting (first nonzero entry, scanning columns left to right),
-so bases come out identical from run to run.
+Linear algebra entry points:
+- echelon_insert, the one Gauss-Jordan step every elimination in the package
+  goes through: insert a sparse row {key: Scalar} into a reduced echelon and
+  report whether it was independent and its pivot value; echelon_reduce is
+  its reduction half;
+- sparse_eliminate and rref (reduced row echelon forms), first_independent
+  (the first-independent basis of a list of vectors), rank, kernel_basis,
+  sparse_kernel and solve, all built on echelon_insert;
+- inverse and det from one elimination (the determinant is the product of
+  the pivot values, signed by the pivot permutation);
+- signature, by congruence diagonalisation.
+The pivot of a row is its smallest key, so reduced echelons, bases and
+pivots are the same for any insertion order and from run to run.
 """
 
 from __future__ import annotations
@@ -362,48 +372,87 @@ def _rows_to_sparse(m):
     return out
 
 
-def sparse_eliminate(rows, ncols):
-    """Gauss-Jordan on rows given as {col: Scalar} dicts.
+# -- elimination -----------------------------------------------------------
+#
+# An echelon is a dict {pivot key: row} of sparse rows {key: Scalar}; each
+# row is 1 at its own pivot, 0 at every other pivot, and its pivot is its
+# smallest key.  Inserting rows one at a time keeps that invariant, so
+# whatever the insertion order the echelon is the reduced row echelon form
+# of the rows' span, which is unique for a given key order.
 
-    Pivots are chosen deterministically: columns scanned left to right, and
-    among candidate rows the one that entered the system first wins.  Returns
-    (pivot list [(col, reduced row)], ordered pivot columns).
-    """
-    active = [dict(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        prow = None
-        for idx, r in enumerate(active):
-            if r.get(c):
-                prow = idx
-                break
-        if prow is None:
-            continue
-        row = active.pop(prow)
-        inv = row[c].inverse()
-        row = {j: x * inv for j, x in row.items()}
-        for j, x in list(row.items()):
-            if x.is_zero():
-                del row[j]
-        for other in active + [r for _, r in pivots]:
-            f = other.get(c)
-            if f:
-                for j, x in row.items():
-                    v = other.get(j)
-                    nv = (v - f * x) if v is not None else -f * x
-                    if nv.is_zero():
-                        other.pop(j, None)
-                    else:
-                        other[j] = nv
-        pivots.append((c, row))
-    return pivots, [c for c, _ in pivots]
+
+def _sub_multiple(r, f, row):
+    """r -= f * row in place, dropping the entries that cancel."""
+    for k, x in row.items():
+        v = r.get(k)
+        nv = -f * x if v is None else v - f * x
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+
+
+def echelon_reduce(ech, row):
+    """The row minus its part in the echelon's span: a new sparse row that
+    is 0 at every pivot (the input is not modified)."""
+    r = {k: x for k, x in row.items() if x}
+    # subtracting a multiple of one echelon row leaves the entries at the
+    # other pivots alone, so one pass over the pivots r starts with suffices
+    for pk in [k for k in r if k in ech]:
+        _sub_multiple(r, r[pk], ech[pk])
+    return r
+
+
+def echelon_insert(ech, row):
+    """The one Gauss-Jordan step of the package: reduce the sparse row
+    against the echelon and, when something is left, add it with its
+    smallest key as pivot.  Returns (pivot key, pivot value), the value
+    being the leading entry before normalisation, or None when the row lies
+    in the echelon's span."""
+    r = echelon_reduce(ech, row)
+    if not r:
+        return None
+    pk = min(r)
+    piv = r[pk]
+    inv = piv.inverse()
+    r = {k: x * inv for k, x in r.items()}
+    for other in ech.values():
+        f = other.get(pk)
+        if f:
+            _sub_multiple(other, f, r)
+    ech[pk] = r
+    return pk, piv
+
+
+def sparse_eliminate(rows):
+    """Reduced row echelon form of sparse rows {col: Scalar} as a list
+    [(pivot col, reduced row)] in column order."""
+    ech = {}
+    for r in rows:
+        echelon_insert(ech, r)
+    return [(c, ech[c]) for c in sorted(ech)]
+
+
+def first_independent(vectors):
+    """The vectors (coordinate tuples) independent of those before them, in
+    order: a deterministic basis of their span."""
+    ech = {}
+    return [v for v in vectors
+            if echelon_insert(ech, {j: sc(x) for j, x in enumerate(v)})
+            is not None]
+
+
+def rref(m):
+    """Reduced row echelon form of a Matrix as [(pivot col, dense row)]."""
+    return [(c, tuple(row.get(j, ZERO) for j in range(m.ncols)))
+            for c, row in sparse_eliminate(_rows_to_sparse(m))]
 
 
 def sparse_kernel(rows, ncols):
     """Kernel basis of the system given by sparse rows; one vector per free
     column, with that free coordinate set to 1 and other free coordinates 0."""
-    pivots, pivot_cols = sparse_eliminate(rows, ncols)
-    pivot_set = set(pivot_cols)
+    pivots = sparse_eliminate(rows)
+    pivot_set = {c for c, _ in pivots}
     basis = []
     for f in range(ncols):
         if f in pivot_set:
@@ -418,8 +467,7 @@ def sparse_kernel(rows, ncols):
 
 
 def rank(m):
-    _, pivot_cols = sparse_eliminate(_rows_to_sparse(m), m.ncols)
-    return len(pivot_cols)
+    return len(sparse_eliminate(_rows_to_sparse(m)))
 
 
 def kernel_basis(m):
@@ -434,23 +482,61 @@ def solve(m, rhs):
     if len(rhs) != m.nrows:
         raise ValueError("right-hand side length does not match row count")
     sent = m.ncols  # extra column carrying the right-hand side
-    rows = []
+    ech = {}
     for r, b in zip(m.entries, rhs):
         d = {j: x for j, x in enumerate(r) if x}
         b = sc(b)
         if b:
             d[sent] = -b
-        if d:
-            rows.append(d)
-    pivots, pivot_cols = sparse_eliminate(rows, sent + 1)
-    if sent in pivot_cols:
+        echelon_insert(ech, d)
+    if sent in ech:
         return None
     x = [ZERO] * m.ncols
-    for c, row in pivots:
+    for c, row in ech.items():
         v = row.get(sent)
         if v:
             x[c] = -v
     return tuple(x)
+
+
+def _invert(m):
+    """Gauss-Jordan on [m | 1]: (inverse or None when singular, det).  The
+    determinant is the product of the pivot values times the sign of the
+    permutation taking each row to its pivot column."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("square matrix needed")
+    ech = {}
+    cols = []
+    d = ONE
+    for i, r in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(r) if x}
+        row[n + i] = ONE
+        c, piv = echelon_insert(ech, row)
+        if c >= n:
+            # the row's part in m lies in the span of the rows before it
+            return None, ZERO
+        cols.append(c)
+        d = d * piv
+    if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2:
+        d = -d
+    inv = Matrix([[ech[c].get(n + j, ZERO) for j in range(n)]
+                  for c in range(n)], ncols=n)
+    return inv, d
+
+
+def det(m):
+    """Determinant of a square matrix (zero when singular)."""
+    return _invert(m)[1]
+
+
+def inverse(m):
+    """(inverse, determinant) of a square matrix from one elimination;
+    raises ValueError when the matrix is singular."""
+    inv, d = _invert(m)
+    if inv is None:
+        raise ValueError("matrix is singular")
+    return inv, d
 
 
 def signature(m):

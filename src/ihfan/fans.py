@@ -24,10 +24,13 @@ from .exactlin import (
     ScalarField,
     ZERO,
     ONE,
+    echelon_reduce,
+    first_independent,
     format_scalar,
     kernel_basis,
     parse_scalar,
     rank,
+    rref,
     sc,
     solve,
 )
@@ -130,32 +133,6 @@ def _extreme_rays(gens, dim):
     return tuple(kept)
 
 
-def _reduce_mod_echelon(v, ech):
-    """Reduce a vector modulo an echelonized list of (pivot, row) pairs."""
-    v = list(v)
-    for p, row in ech:
-        f = v[p]
-        if f:
-            for j, x in enumerate(row):
-                if x:
-                    v[j] = v[j] - f * x
-    return tuple(v)
-
-
-def _echelonize(vectors, n):
-    """Echelon basis [(pivot column, normalized row)], deterministic."""
-    ech = []
-    for v in vectors:
-        v = _reduce_mod_echelon(v, ech)
-        p = next((j for j in range(n) if v[j]), None)
-        if p is None:
-            continue
-        v = vscale(v[p].inverse(), v)
-        ech.append((p, v))
-        ech.sort(key=lambda t: t[0])
-    return ech
-
-
 class _ConeGeometry:
     """Shared exact data for the cone with a given canonical ray set."""
 
@@ -166,11 +143,9 @@ class _ConeGeometry:
         self.n = n
         self.rays = rays
         gen_matrix = Matrix(list(rays), ncols=n)
-        self.dim = rank(gen_matrix) if rays else 0
-        # covectors vanishing on the span, as an echelon basis
-        self.equations = _echelonize(kernel_basis(gen_matrix), n) if rays \
-            else _echelonize([tuple(ONE if j == i else ZERO for j in range(n))
-                              for i in range(n)], n)
+        self.dim = rank(gen_matrix)
+        # covectors vanishing on the span, as a reduced echelon basis
+        self.equations = rref(Matrix(kernel_basis(gen_matrix), ncols=n))
         self.facet_forms, self.facet_ray_keys = self._facets()
         self._faces = None
 
@@ -179,15 +154,14 @@ class _ConeGeometry:
         if d == 0:
             return (), ()
         forms = {}
+        eqs = {p: {j: x for j, x in enumerate(row) if x}
+               for p, row in self.equations}
         idx = list(range(len(self.rays)))
         for sub in itertools.combinations(idx, d - 1):
-            sub_rays = [self.rays[i] for i in sub]
-            if sub_rays and rank(Matrix(sub_rays, ncols=self.n)) < d - 1:
+            sub_m = Matrix([self.rays[i] for i in sub], ncols=self.n)
+            if rank(sub_m) < d - 1:
                 continue
-            kb = kernel_basis(Matrix(sub_rays, ncols=self.n)) if sub_rays \
-                else [tuple(ONE if j == i else ZERO for j in range(self.n))
-                      for i in range(self.n)]
-            for w in kb:
+            for w in kernel_basis(sub_m):
                 vals = [vdot(w, r) for r in self.rays]
                 signs = {v.sign() for v in vals}
                 if signs <= {0}:
@@ -197,7 +171,10 @@ class _ConeGeometry:
                 if -1 in signs:
                     w = vneg(w)
                     vals = [-v for v in vals]
-                w = canonical_direction(_reduce_mod_echelon(w, self.equations))
+                # the facet form modulo the equations, zero at their pivots
+                w = echelon_reduce(eqs, dict(enumerate(w)))
+                w = canonical_direction(tuple(w.get(j, ZERO)
+                                              for j in range(self.n)))
                 on = tuple(sorted(self.rays[i] for i, v in enumerate(vals)
                                   if v.is_zero()))
                 forms[w] = on
@@ -288,11 +265,7 @@ class Cone:
 
     def span_basis(self):
         """Deterministic basis of the span: first-independent generators."""
-        basis = []
-        for r in self.rays:
-            if rank(Matrix(basis + [r], ncols=self.n)) > len(basis):
-                basis.append(r)
-        return basis
+        return first_independent(self.rays)
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={[format_vector(r) for r in self.rays]})"
@@ -321,8 +294,8 @@ def _intersect_keys(g1, g2, n):
     constraint subsets of the combined H-representation."""
     forms = sorted(set(g1.facet_forms) | set(g2.facet_forms)
                    | {vneg(w) for w in g2.facet_forms if w in g1.facet_forms})
-    eqs = _echelonize([row for _, row in g1.equations]
-                      + [row for _, row in g2.equations], n)
+    eqs = rref(Matrix([row for _, row in g1.equations]
+                      + [row for _, row in g2.equations], ncols=n))
     base_rank = len(eqs)
     found = set()
 
@@ -498,7 +471,12 @@ def fan_from_json_dict(obj, check=True):
     for r in rays:
         if len(r) != n:
             raise ValueError("ray length does not match dim")
-    gen_sets = [[rays[i] for i in c] for c in obj["maximal_cones"]]
+    gen_sets = []
+    for c in obj["maximal_cones"]:
+        if any(not 0 <= i < len(rays) for i in c):
+            raise ValueError(f"maximal cone {c} names a ray index outside "
+                             f"0..{len(rays) - 1}")
+        gen_sets.append([rays[i] for i in c])
     return build_fan(n, gen_sets, field=field, check=check)
 
 

@@ -18,9 +18,11 @@ from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    echelon_insert,
+    first_independent,
     format_scalar,
+    inverse,
     kernel_basis,
-    rank,
     sc,
     solve,
     sparse_eliminate,
@@ -31,47 +33,10 @@ from .fans import (
     Fan,
     canonical_direction,
     format_vector,
-    is_zero_vec,
     parse_vector,
     vdot,
 )
 from .conewise import ConewiseFunction, Polynomial, monomials
-
-# -- small exact matrix helpers (lists of row tuples) ----------------------
-
-
-def _mat_apply(rows, v):
-    return tuple(vdot(r, v) for r in rows)
-
-
-def _mat_mul(a, b):
-    # a: p x q rows, b: q x r rows -> p x r rows
-    if not b:
-        return tuple(() for _ in a)
-    r = len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))),
-                           start=ZERO) for j in range(r))
-                 for i in range(len(a)))
-
-
-def _mat_transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
-def _mat_inverse(a):
-    n = len(a)
-    m = Matrix([list(r) for r in a], ncols=n)
-    cols = []
-    for j in range(n):
-        e = [ONE if i == j else ZERO for i in range(n)]
-        x = solve(m, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return _mat_transpose(tuple(cols))
-
 
 # -- boundary flattening ---------------------------------------------------
 
@@ -79,8 +44,8 @@ def _mat_inverse(a):
 def projection_along(v, n, span_vectors=None):
     """Exact projection along the line through v onto a chosen complement
     inside span(span_vectors) (default the whole space): returns (x, basis,
-    rows) where x is a covector with x(v) = 1, basis spans the complement,
-    and rows give the projection matrix."""
+    proj) where x is a covector with x(v) = 1, basis spans the complement,
+    and proj is the projection Matrix."""
     v = fans.vec(v)
     i0 = next((i for i, c in enumerate(v) if c), None)
     if i0 is None:
@@ -90,39 +55,24 @@ def projection_along(v, n, span_vectors=None):
     if span_vectors is None:
         span_vectors = [tuple(ONE if j == i else ZERO for j in range(n))
                         for i in range(n)]
-    basis = []
-    for u in span_vectors:
-        w = fans.vsub(u, fans.vscale(vdot(x, u), v))
-        if is_zero_vec(w):
-            continue
-        if rank(Matrix(basis + [w], ncols=n)) == len(basis) + 1:
-            basis.append(w)
-    bt = _mat_transpose(tuple(basis))
-    g = _mat_mul(_mat_transpose(bt), bt)
-    c = _mat_mul(_mat_inverse(g), _mat_transpose(bt))
-    cv = _mat_apply(c, v)
-    proj = tuple(tuple(c[i][j] - cv[i] * x[j] for j in range(n))
-                 for i in range(len(basis)))
+    basis = first_independent(
+        [fans.vsub(u, fans.vscale(vdot(x, u), v)) for u in span_vectors])
+    b = Matrix(basis, ncols=n)
+    c = inverse(b.mul(b.transpose()))[0].mul(b)
+    cv = c.apply(v)
+    proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
+                   for i in range(len(basis))], ncols=n)
     return x, tuple(basis), proj
 
 
 def lift_over_span(proj, rays, n):
-    """Rows of the section of proj over span(rays): an (ambient x quotient)
-    matrix with proj . lift = identity on the projected span."""
-    m = len(proj)
-    geom = fans.cone_geometry(tuple(rays), n)
-    basis = []
-    for r in rays:
-        if len(basis) < geom.dim:
-            if rank(Matrix(basis + [r], ncols=n)) == len(basis) + 1:
-                basis.append(r)
-    if not basis:
-        return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-    bt = _mat_transpose(tuple(basis))
-    a = _mat_mul(proj, bt)
-    at = _mat_transpose(a)
-    g = _mat_mul(at, a)
-    return _mat_mul(bt, _mat_mul(_mat_inverse(g), at))
+    """Rows of the section of the projection Matrix proj over span(rays): an
+    (ambient x quotient) matrix with proj . lift = identity on the projected
+    span."""
+    bt = Matrix(first_independent(rays), ncols=n).transpose()
+    a = proj.mul(bt)
+    at = a.transpose()
+    return bt.mul(inverse(at.mul(a))[0].mul(at)).entries
 
 
 class FlattenedBoundary:
@@ -145,7 +95,7 @@ class FlattenedBoundary:
         self._lifts = {}
 
     def project(self, u):
-        return _mat_apply(self.proj, u)
+        return self.proj.apply(u)
 
     def lift_rows(self, face_key):
         """Rows of the section of the projection over span(face): an
@@ -171,14 +121,14 @@ def flatten_boundary(cone: fans.Cone, v):
     assert len(basis) == m
     facet_keys = sorted(k for k in cone.face_ray_keys()
                         if fans.cone_geometry(k, n).dim == cone.dim - 1)
-    gen_sets = [[_mat_apply(proj, r) for r in k] for k in facet_keys]
+    gen_sets = [[proj.apply(r) for r in k] for k in facet_keys]
     lam = Fan(m, cone_field_guess(cone),
               [tuple(sorted(canonical_direction(g) for g in gs))
                for gs in gen_sets], check=False)
     per_max = {}
     for k, gs in zip(facet_keys, gen_sets):
         key = tuple(sorted(canonical_direction(g) for g in gs))
-        rows = [list(_mat_apply(proj, r)) for r in k]
+        rows = [list(proj.apply(r)) for r in k]
         rhs = [vdot(x, r) for r in k]
         mu = solve(Matrix(rows, ncols=m), rhs)
         if mu is None:
@@ -190,7 +140,7 @@ def flatten_boundary(cone: fans.Cone, v):
     for k in cone.face_ray_keys():
         if k == cone.rays:
             continue
-        pk = tuple(sorted(canonical_direction(_mat_apply(proj, r))
+        pk = tuple(sorted(canonical_direction(proj.apply(r))
                           for r in k))
         face_to_lam[k] = lam.id_by_key[pk]
     return FlattenedBoundary(cone, v, x, tuple(basis), proj, lam, lam_l,
@@ -223,43 +173,6 @@ class StalkModule:
 
     def gradings(self):
         return tuple(g for g, _ in self.generators)
-
-
-def _sparse_reduce(vecm, ech):
-    """Reduce a dict-vector against an echelon list [(pivot key, vec)]."""
-    v = dict(vecm)
-    for pk, row in ech:
-        f = v.get(pk)
-        if f:
-            for k2, c2 in row.items():
-                s = v.get(k2, ZERO) - f * c2
-                if s:
-                    v[k2] = s
-                else:
-                    v.pop(k2, None)
-    return v
-
-
-def _ech_insert(ech, v):
-    """Insert into a fully reduced echelon (no row contains another row's
-    pivot); returns the reduced vector or None when dependent."""
-    r = _sparse_reduce(v, ech)
-    if not r:
-        return None
-    pk = min(r)
-    inv = r[pk].inverse()
-    r = {k: c * inv for k, c in r.items()}
-    for _, row in ech:
-        f = row.get(pk)
-        if f:
-            for k2, c2 in r.items():
-                s = row.get(k2, ZERO) - f * c2
-                if s:
-                    row[k2] = s
-                else:
-                    row.pop(k2, None)
-    ech.append((pk, r))
-    return r
 
 
 class _Sections:
@@ -566,17 +479,17 @@ class GradedIH:
         for d in range(0, self.cap + 1, 2):
             sp = pair.section_space(d, relative=relative)
             self.spaces[d] = sp
-            ech = []
+            ech = {}
             spanning = []
             comps = []
             if d - 2 in self.spaces:
                 for b in self.spaces[d - 2].basis:
                     for i in range(n):
                         w = _shift_var(b, i)
-                        if _ech_insert(ech, w) is not None:
+                        if echelon_insert(ech, w) is not None:
                             spanning.append(w)
             for b in sp.basis:
-                if _ech_insert(ech, b) is not None:
+                if echelon_insert(ech, b) is not None:
                     spanning.append(b)
                     comps.append(b)
             self.spanning[d] = spanning
@@ -599,7 +512,7 @@ class GradedIH:
             for coord, c in tvec.items():
                 rows_by_coord.setdefault(coord, {})[ns + ti] = -c
         rows = [rows_by_coord[k] for k in sorted(rows_by_coord)]
-        pivots, pivot_cols = sparse_eliminate(rows, ns + len(targets))
+        pivots = sparse_eliminate(rows)
         for col, _ in pivots:
             if col >= ns:
                 raise ValueError("section does not lie in the stored space")
@@ -620,10 +533,11 @@ class GradedIH:
         return [
             tuple(f.get(base + i, ZERO) for i in range(ncomp)) for f in full]
 
-    def step_matrix(self, d, l, lkey=None):
+    def step_matrix(self, d, l):
         """Matrix of multiplication by the conewise linear l from the
-        grading-d classes to the grading-(d+2) classes."""
-        key = (d, lkey if lkey is not None else id(l))
+        grading-d classes to the grading-(d+2) classes, cached by the value
+        of l (its linear form on each maximal cone)."""
+        key = (d, tuple(sorted(l.per_max.items())))
         m = self._step_cache.get(key)
         if m is None:
             imgs = [_mul_pl(r, l) for r in self.comps[d]]
@@ -634,20 +548,20 @@ class GradedIH:
             self._step_cache[key] = m
         return m
 
-    def composed_steps(self, l, d, upto, lkey=None):
+    def composed_steps(self, l, d, upto):
         """Matrix of multiplication by l^((upto-d)/2): grading d -> upto."""
         if upto == d:
             k = self.h[d]
             return Matrix([[ONE if i == j else ZERO for j in range(k)]
                            for i in range(k)], ncols=k)
-        m = self.step_matrix(d, l, lkey)
+        m = self.step_matrix(d, l)
         e = d + 2
         while e < upto:
-            m = self.step_matrix(e, l, lkey).mul(m)
+            m = self.step_matrix(e, l).mul(m)
             e += 2
         return m
 
-    def primitive_coeffs(self, d, l, lkey=None):
+    def primitive_coeffs(self, d, l):
         """Kernel of one Lefschetz power beyond the duality-pairing one, in
         class coordinates at grading d."""
         n2 = self.cap
@@ -658,12 +572,12 @@ class GradedIH:
             # primitive
             return [tuple(ONE if i == j else ZERO for j in range(k))
                     for i in range(k)]
-        mat = self.composed_steps(l, d, target, lkey)
+        mat = self.composed_steps(l, d, target)
         return kernel_basis(mat)
 
-    def primitive_reps(self, d, l, lkey=None):
+    def primitive_reps(self, d, l):
         reps = []
-        for coeff in self.primitive_coeffs(d, l, lkey):
+        for coeff in self.primitive_coeffs(d, l):
             vecm = {}
             for c, comp in zip(coeff, self.comps[d]):
                 if not c:
@@ -690,9 +604,8 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
     gih = GradedIH(lam_pair, cap=2 * m)
     gens = [(0, {bid: Polynomial.constant(n, 1)
                  for bid in lam_pair.subdivided.maximal_ids})]
-    proj_rows = fb.proj
     for d in range(2, m + 1, 2):
-        reps = gih.primitive_reps(d, fb.lam_l, lkey=("flatten", d))
+        reps = gih.primitive_reps(d, fb.lam_l)
         expected = gih.h[d] - gih.h.get(d - 2, 0)
         if len(reps) != expected:
             raise ValueError(
@@ -701,27 +614,9 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
                 f"{expected}")
         for r in reps:
             sec = gih.spaces[d].materialize(r)
-            amb = {bid: p.compose(proj_rows) for bid, p in sec.items()}
+            amb = {bid: p.compose(fb.proj.entries) for bid, p in sec.items()}
             gens.append((d, amb))
     return StalkModule(fb.cone.id, gens)
-
-
-def minimal_generators_mod_I(spaces, multiply_by_var, nvars):
-    """Generic minimal-generator extraction: spaces maps even gradings to
-    lists of dict-vectors; multiply_by_var(i, vec) realizes the action of
-    the i-th coordinate (degree +2).  Returns [(grading, vector)] for a
-    complement of the ideal multiples, first-independent rule."""
-    reps = []
-    for d in sorted(spaces):
-        ech = []
-        if d - 2 in spaces:
-            for b in spaces[d - 2]:
-                for i in range(nvars):
-                    _ech_insert(ech, multiply_by_var(i, b))
-        for b in spaces[d]:
-            if _ech_insert(ech, b) is not None:
-                reps.append((d, b))
-    return reps
 
 
 # -- public section spaces -------------------------------------------------

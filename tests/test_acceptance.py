@@ -179,8 +179,8 @@ def test_criterion_03_nonrational_prism(prism_fan_support):
             pairing_matrix(p, d)
     except ValueError as exc:
         pairing_error = str(exc)
-    hl = hl_rank_report(p, l, lkey="a3")
-    rep = hrm_check(p, l, lkey="a3")
+    hl = hl_rank_report(p, l)
+    rep = hrm_check(p, l)
     by_d = {r["d"]: r for r in rep.rows}
     _report(3, "nonrational prism", {
         "h": (p.h_vector(), h),
@@ -203,9 +203,9 @@ def test_corrected_03_nonrational_prism(prism_fan_support):
     assert ds_check(p)
     for d in range(0, 2 * fan.n + 1, 2):
         assert rank(pairing_matrix(p, d)) == p.h[d]
-    hl = hl_rank_report(p, l, lkey="a3")
+    hl = hl_rank_report(p, l)
     assert all(got == want for got, want in hl.values())
-    rep = hrm_check(p, l, lkey="a3")
+    rep = hrm_check(p, l)
     assert rep.ok
     assert {r["d"]: r for r in rep.rows}[2]["signature"] == (1, 4)
 
@@ -223,7 +223,7 @@ def test_criterion_05_hard_lefschetz(acceptance_suite):
     for name, fan, ls in acceptance_suite:
         p = profile_for_fan(fan)
         for j, l in enumerate(ls):
-            hl = hl_rank_report(p, l, lkey=f"a5-{name}-{j}")
+            hl = hl_rank_report(p, l)
             for d, (got, want) in hl.items():
                 if d < fan.n:
                     checks[f"{name} l{j} rank d={d}"] = (got, want)
@@ -234,7 +234,7 @@ def test_criterion_06_signature_formula(acceptance_suite):
     checks = {}
     for name, fan, ls in acceptance_suite:
         p = profile_for_fan(fan)
-        rep = hrm_check(p, ls[0], lkey=f"a6-{name}")
+        rep = hrm_check(p, ls[0])
         for r in rep.rows:
             checks[f"{name} signature d={r['d']}"] = (
                 r["signature"], r["signature_expected"])
@@ -360,8 +360,8 @@ def test_criterion_10_choice_independence(acceptance_suite):
         checks[f"{name} pairing ranks default vs alt"] = (
             [rank(pairing_matrix(pd, d)) for d in degrees],
             [rank(pairing_matrix(pa, d)) for d in degrees])
-        rd = hrm_check(pd, ls[0], lkey=f"a10-{name}")
-        ra = hrm_check(pa, ls[0], lkey=f"a10-{name}")
+        rd = hrm_check(pd, ls[0])
+        ra = hrm_check(pa, ls[0])
         checks[f"{name} signatures default vs alt"] = (
             [r["signature"] for r in rd.rows],
             [r["signature"] for r in ra.rows])

@@ -1,11 +1,13 @@
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import ihfan
 from ihfan.cli import main
 from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
@@ -73,6 +75,66 @@ def test_malformed_json_exit2_with_position(tmp_path, capsys):
 def test_unrecognized_input_exit2(tmp_path, capsys):
     path = write(tmp_path, "odd.json", {"something": 1})
     assert main(["hvector", path]) == 2
+
+
+def _triangle_fan(cones):
+    return {"field": "Q", "dim": 2,
+            "rays": [["1", "0"], ["0", "1"], ["-1", "-1"]],
+            "maximal_cones": cones}
+
+
+def _with_l(obj, l):
+    obj["l"] = l
+    return obj
+
+
+MALFORMED = {
+    "cone-index-past-rays": (
+        ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
+    "negative-cone-index": (
+        ["hvector"], _triangle_fan([[0, 1], [1, -1], [-1, 0]])),
+    "no-vertices": (
+        ["hvector"], {"field": "Q", "vertices": [], "fan": "face"}),
+    "ray-value-not-a-literal": (
+        ["report"], _with_l(quadrant_dict(),
+                            {"ray_values": ["1", "one", "1", "1"]})),
+    "per-cone-row-length": (
+        ["report"], _with_l(quadrant_dict(),
+                            {"per_cone": [["1", "1", "1"]] * 4})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit2(tmp_path, capsys, case):
+    argv, obj = MALFORMED[case]
+    path = write(tmp_path, "bad.json", obj)
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_new_l_on_cached_fan(tmp_path, capsys):
+    # a pentagonal bipyramid reported twice in one process with two strictly
+    # convex l: the second report must not reuse the first l's Lefschetz
+    # matrices.  Face fan of a 3-polytope with f0 = 7 vertices:
+    # h = (1, f0-3, f0-3, 1), HRM signature (h0, h1-h0) on IH^2.
+    fan = {"field": "Q", "dim": 3,
+           "rays": [[-1, 4, 0], [-4, 1, 0], [-2, -4, 0], [3, -2, 0],
+                    [4, 2, 0], [0, 0, 3], [0, 0, -3]],
+           "maximal_cones": [[i, (i + 1) % 5, apex] for apex in (5, 6)
+                             for i in range(5)]}
+    for values in (["-1/2", "3/2", "6", "-2/3", "4/3", "-4/3", "-1/4"],
+                   ["-7/8", "7/4", "51/8", "-25/24", "13/12", "-23/24",
+                    "-1/8"]):
+        path = write(tmp_path, "bipyramid.json",
+                     _with_l(dict(fan), {"ray_values": values}))
+        assert main(["report", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["h"] == [1, 4, 4, 1]
+        assert report["hl_ranks"] == {"0": [1, 1], "2": [4, 4]}
+        assert [(r["d"], r["signature"], r["primitive_dim"], r["definite"])
+                for r in report["hrm"]] == [(0, [1, 0], 1, True),
+                                            (2, [1, 3], 3, True)]
 
 
 def test_verify_inline_l(tmp_path, capsys):
@@ -217,8 +279,12 @@ def test_console_entry_point(tmp_path):
     path = write(tmp_path, "quad.json", quadrant_dict())
     exe = shutil.which("ihfan")
     cmd = [exe] if exe else [sys.executable, "-m", "ihfan.cli"]
+    # without an installed copy, the child imports the package under test
+    src = os.path.dirname(os.path.dirname(ihfan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(cmd + ["hvector", path, "--oracle"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "h = [1,2,1]" in proc.stdout
     assert "oracle match = true" in proc.stdout

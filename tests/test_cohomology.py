@@ -5,12 +5,12 @@ import types
 import pytest
 
 from ihfan.conewise import ConewiseFunction, Polynomial
-from ihfan.exactlin import ScalarField, rank, sc
+from ihfan.exactlin import Matrix, ScalarField, det, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
 from ihfan.ihsheaf import _shift_var, build_distinguished_pair
-from ihfan.cohomology import (EvaluationContext, FaceLattice, _det, ds_check,
+from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
                               convolve_h, evaluate, evaluate_fast,
                               exact_sequence_check, f_to_h, hl_rank_report,
                               hrm_check, kunneth_check, lefschetz_matrix,
@@ -161,7 +161,7 @@ def test_evaluate_wedge_normalization(orthant_fan):
     pair = build_distinguished_pair(orthant_fan)
     ctx = EvaluationContext(pair)
     for m, forms in ctx.forms.items():
-        d = _det([tuple(f) for f in forms])
+        d = det(Matrix(forms))
         assert d in (sc(1), sc(-1))
 
 
@@ -262,8 +262,8 @@ def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan):
         n = fan.n
         for d in range(0, 2 * n - 1, 2):
             dd = 2 * n - d - 2
-            a = p.gih.step_matrix(d, l, lkey="sa")
-            c = p.gih.step_matrix(dd, l, lkey="sa")
+            a = p.gih.step_matrix(d, l)
+            c = p.gih.step_matrix(dd, l)
             b2 = pairing_matrix(p, d + 2)
             b0 = pairing_matrix(p, d)
             assert a.transpose().mul(b2) == b0.mul(c)
@@ -277,7 +277,7 @@ def test_lefschetz_ranks(quadrant_fan, orthant_fan):
         p = profile_for_fan(fan)
         l = PLFunction.from_ray_values(fan, unit_ray_values(fan))
         assert is_strictly_convex(fan, l)
-        for d, (got, want) in hl_rank_report(p, l, lkey="hl").items():
+        for d, (got, want) in hl_rank_report(p, l).items():
             assert got == want == p.h[d]
 
 
@@ -285,7 +285,7 @@ def test_lefschetz_square_rank_one(quadrant_fan):
     p = profile_for_fan(quadrant_fan)
     l = PLFunction.from_ray_values(quadrant_fan,
                                    unit_ray_values(quadrant_fan))
-    m = lefschetz_matrix(p, l, 0, lkey="hl")
+    m = lefschetz_matrix(p, l, 0)
     assert m.nrows == 1 and m.ncols == 1
     assert rank(m) == 1
 
@@ -294,12 +294,12 @@ def test_global_linear_acts_as_zero(onedim_fan, quadrant_fan):
     one = PLFunction(onedim_fan, {m: (sc(1),)
                                   for m in onedim_fan.maximal_ids})
     p1 = profile_for_fan(onedim_fan)
-    z = lefschetz_matrix(p1, one, 0, lkey="lin1")
+    z = lefschetz_matrix(p1, one, 0)
     assert all(x == sc(0) for row in z.entries for x in row)
     diag = PLFunction(quadrant_fan, {m: (sc(1), sc(1))
                                      for m in quadrant_fan.maximal_ids})
     pq = profile_for_fan(quadrant_fan)
-    z = pq.gih.step_matrix(0, diag, lkey="lin2")
+    z = pq.gih.step_matrix(0, diag)
     assert all(x == sc(0) for row in z.entries for x in row)
 
 
@@ -313,7 +313,7 @@ def test_primitive_dimensions(quadrant_fan, orthant_fan, cube_fan):
         else:
             l = PLFunction.from_ray_values(fan, unit_ray_values(fan))
         for d, want in dims.items():
-            basis = primitive_basis(p, l, d, lkey="prim")
+            basis = primitive_basis(p, l, d)
             assert len(basis) == want
             for f in basis:
                 f.validate()
@@ -325,7 +325,7 @@ def test_primitive_dimensions(quadrant_fan, orthant_fan, cube_fan):
 def test_hrm_one_dim(onedim_fan):
     p = profile_for_fan(onedim_fan)
     l = PLFunction.from_ray_values(onedim_fan, unit_ray_values(onedim_fan))
-    rep = hrm_check(p, l, lkey="hrm")
+    rep = hrm_check(p, l)
     assert rep.ok
     row = rep.rows[0]
     assert row["d"] == 0
@@ -337,7 +337,7 @@ def test_hrm_quadrant(quadrant_fan):
     p = profile_for_fan(quadrant_fan)
     l = PLFunction.from_ray_values(quadrant_fan,
                                    unit_ray_values(quadrant_fan))
-    rep = hrm_check(p, l, lkey="hrm")
+    rep = hrm_check(p, l)
     assert rep.ok
     by_d = {r["d"]: r for r in rep.rows}
     assert by_d[0]["signature"] == (1, 0)
@@ -353,7 +353,7 @@ def test_hrm_suite(orthant_fan, cube_fan_support, prism_fan_support):
              (prism_fan_support[0], prism_fan_support[1], (1, 4))]
     for fan, l, want_sig2 in cases:
         p = profile_for_fan(fan)
-        rep = hrm_check(p, l, lkey="hrm")
+        rep = hrm_check(p, l)
         assert rep.ok
         by_d = {r["d"]: r for r in rep.rows}
         assert by_d[2]["signature"] == want_sig2

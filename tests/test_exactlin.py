@@ -1,12 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from ihfan.exactlin import (
+    ONE,
+    ZERO,
     Matrix,
     Scalar,
     ScalarField,
+    det,
+    echelon_insert,
     format_scalar,
+    inverse,
     kernel_basis,
     parse_scalar,
     rank,
@@ -235,3 +241,88 @@ def test_sparse_kernel_matches_dense():
         ks = sparse_kernel([r for r in rows if r], m.ncols)
         kd = kernel_basis(m)
         assert [tuple(v.get(j, sc(0)) for j in range(m.ncols)) for v in ks] == kd
+
+
+# -- the elimination primitive ---------------------------------------------
+
+
+def _leibniz_det(m):
+    n = m.nrows
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        term = sc(-1) if inversions % 2 else ONE
+        for i, j in enumerate(perm):
+            term = term * m.entries[i][j]
+        total = total + term
+    return total
+
+
+def _identity(n):
+    return Matrix([[ONE if i == j else ZERO for j in range(n)]
+                   for i in range(n)], ncols=n)
+
+
+def test_det_and_inverse_randomised():
+    rng = random.Random(19)
+    singular = 0
+    for trial in range(40):
+        field = ScalarField(2) if trial % 2 else ScalarField()
+        n = rng.randint(1, 4)
+        m = _random_matrix(rng, n, n, field)
+        if trial % 5 == 0 and n > 1:
+            # force a dependent row: the last is a combination of two others
+            rows = [list(r) for r in m.entries]
+            rows[-1] = [a * sc(2) - b for a, b in zip(rows[0], rows[1])] \
+                if n > 2 else [a * sc(3) for a in rows[0]]
+            m = Matrix(rows)
+        want = _leibniz_det(m)
+        assert det(m) == want
+        if want.is_zero():
+            singular += 1
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inv, d = inverse(m)
+        assert d == want
+        assert inv.mul(m) == _identity(n)
+        assert m.mul(inv) == _identity(n)
+    assert singular >= 4
+
+
+def test_det_of_empty_and_nonsquare():
+    assert det(Matrix([], ncols=0)) == ONE
+    with pytest.raises(ValueError):
+        det(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_echelon_independent_of_insertion_order():
+    rng = random.Random(23)
+    for trial in range(12):
+        field = ScalarField(2) if trial % 2 else ScalarField()
+        m = _random_matrix(rng, rng.randint(2, 4), rng.randint(1, 5), field)
+        rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+        if trial % 3 == 0:
+            rows.append({j: rows[0].get(j, ZERO) + rows[1].get(j, ZERO)
+                         for j in range(m.ncols)})
+        echelons = []
+        for order in itertools.permutations(rows):
+            ech = {}
+            kept = sum(echelon_insert(ech, r) is not None for r in order)
+            assert kept == len(ech) == rank(m)
+            echelons.append(sorted(ech.items()))
+        assert all(e == echelons[0] for e in echelons)
+        # reduced: 1 at its own pivot, 0 at every other pivot, nothing to the
+        # left of its pivot
+        for c, row in echelons[0]:
+            assert row[c] == ONE and min(row) == c
+            assert not any(row.get(c2) for c2, _ in echelons[0] if c2 != c)
+
+
+def test_echelon_insert_reports_pivot_value():
+    ech = {}
+    assert echelon_insert(ech, {1: sc(3), 2: sc(6)}) == (1, sc(3))
+    assert echelon_insert(ech, {1: sc(1), 2: sc(2)}) is None
+    assert echelon_insert(ech, {0: sc(0), 1: sc(2), 2: sc(5)}) == (2, sc(1))
+    assert ech == {1: {1: ONE}, 2: {2: ONE}}

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from ihfan.exactlin import ONE, ZERO, sc
+from ihfan.exactlin import ONE, ZERO, echelon_insert, sc
 from ihfan.fans import (Cone, build_fan, face_fan_with_support,
                         is_complete, is_strictly_convex, star_link)
-from ihfan.ihsheaf import (GradedIH, _ech_insert, build_distinguished_pair,
+from ihfan.ihsheaf import (GradedIH, build_distinguished_pair,
                            flatten_boundary, global_sections,
-                           minimal_generators_mod_I, pair_from_json_dict,
-                           pair_to_json_dict, relative_sections)
+                           pair_from_json_dict, pair_to_json_dict,
+                           relative_sections)
 from conftest import cached_pair, cube_vertices
 
 
@@ -265,7 +265,7 @@ def test_restriction_to_closed_star_is_onto(cube_fan):
     for d in (2, 4):
         sp = p.section_space(d)
         target = pstar.section_space(d)
-        ech = []
+        ech = {}
         rk = 0
         for v in sp.basis:
             mat = sp.materialize(v)
@@ -274,30 +274,9 @@ def test_restriction_to_closed_star_is_onto(cube_fan):
                 poly = mat[big[pstar.subdivided.cones[m].rays]]
                 for e, c in poly.coeffs.items():
                     w[(m, e)] = c
-            if _ech_insert(ech, w) is not None:
+            if echelon_insert(ech, w) is not None:
                 rk += 1
         assert rk == len(target.basis)
-
-
-def test_minimal_generators_utility():
-    # two-variable toy data: degree 0 spans 1, degree 2 spans {x, y} plus
-    # nothing new beyond the ideal multiples of 1 -> single generator
-    def mul(i, v):
-        out = {}
-        for e, c in v.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c
-        return out
-
-    spaces = {0: [{(0, 0): ONE}],
-              2: [{(1, 0): ONE}, {(0, 1): ONE}]}
-    gens = minimal_generators_mod_I(spaces, mul, 2)
-    assert [g for g, _ in gens] == [0]
-    # an extra degree-2 vector outside the ideal multiples is reported
-    spaces[2] = spaces[2] + [{(1, 0): ONE, (9, 9): ONE}]
-    gens = minimal_generators_mod_I(spaces, mul, 2)
-    assert [g for g, _ in gens] == [0, 2]
 
 
 # -- serialization ---------------------------------------------------------
