@@ -13,7 +13,7 @@ from __future__ import annotations
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
-                   star_link)
+                   star_link, vdot)
 from .conewise import ConewiseFunction, Polynomial
 from .ihsheaf import (DistinguishedPair, GradedIH, _mul_pl,
                       build_distinguished_pair, lift_over_span,
@@ -255,12 +255,17 @@ def profile_for_fan(fan: Fan, rule="default"):
 # -- evaluation ------------------------------------------------------------
 
 
+_GENERIC_TS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 class EvaluationContext:
     """Per maximal simplicial cone of the subdivision: the dual-basis facet
     forms (scaled so their wedge has determinant +-1 in the input
-    coordinates) and their product."""
+    coordinates) and their product phi; plus one generic point z, the first
+    point (1, t, ..., t^(n-1)) at which no phi vanishes, and 1/phi(z) per
+    cone (inv_phi_z, in the order of the subdivision's maximal ids)."""
 
-    __slots__ = ("pair", "forms", "phi", "adjacency")
+    __slots__ = ("pair", "forms", "phi", "adjacency", "z", "inv_phi_z")
 
     def __init__(self, pair: DistinguishedPair):
         sub = pair.subdivided
@@ -291,20 +296,28 @@ class EvaluationContext:
                 a, b = owners
                 self.adjacency[a].append(b)
                 self.adjacency[b].append(a)
+        for t in _GENERIC_TS:
+            z = tuple(sc(t) ** i for i in range(n))
+            vals = {m: self.phi[m].evaluate(z) for m in sub.maximal_ids}
+            if all(vals.values()):
+                break
+        else:
+            raise ValueError("no generic evaluation point found")
+        self.z = z
+        self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
 
 
 def _cancel(num, den):
-    changed = True
-    while changed and den:
-        changed = False
-        for i, g in enumerate(den):
-            q = num.divide_by_linear(g)
-            if q is not None:
-                num = q
-                den.pop(i)
-                changed = True
-                break
-    return num, den
+    # one pass suffices: a form that does not divide num does not divide
+    # num / g for any other form g either
+    left = []
+    for g in den:
+        q = num.divide_by_linear(g)
+        if q is None:
+            left.append(g)
+        else:
+            num = q
+    return num, left
 
 
 def evaluate(ctx: EvaluationContext, f: ConewiseFunction):
@@ -355,43 +368,41 @@ def evaluate(ctx: EvaluationContext, f: ConewiseFunction):
     return total
 
 
-_GENERIC_TS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-def _generic_point(ctx: EvaluationContext):
-    n = ctx.pair.fan.n
-    for t in _GENERIC_TS:
-        z = tuple(sc(t) ** i for i in range(n))
-        if all(ctx.phi[m].evaluate(z) for m in ctx.phi):
-            return z
-    raise ValueError("no generic evaluation point found")
-
-
 def evaluate_fast(ctx: EvaluationContext, per_max):
-    """Evaluation at one deterministic generic point; exact whenever the
+    """Evaluation at the context's generic point; exact whenever the
     rational-function sum is constant, which holds for honest grading-2n
     sections.  per_max: maximal cone id -> Polynomial (or a
     ConewiseFunction)."""
     if isinstance(per_max, ConewiseFunction):
         per_max = per_max.per_max
-    z = _generic_point(ctx)
     total = ZERO
     for m, poly in per_max.items():
         if poly.is_zero():
             continue
-        total = total + poly.evaluate(z) / ctx.phi[m].evaluate(z)
+        total = total + poly.evaluate(ctx.z) * ctx.inv_phi_z[m]
     return total
 
 
+def _rep_values(profile, d):
+    """The grading-d representatives evaluated at the generic point: a
+    Matrix with one row per representative and one column per subdivided
+    maximal cone, in the order of ctx.inv_phi_z."""
+    ctx = profile.context()
+    return Matrix([[polys[m].evaluate(ctx.z) for m in ctx.inv_phi_z]
+                   for polys in profile.rep_polys(d)],
+                  ncols=len(ctx.inv_phi_z))
+
+
+def _gram(left, weights, right):
+    """Matrix of sum_m left[i][m] * weights[m] * right[j][m]: the
+    evaluation of the products of two lists of evaluated representatives,
+    since evaluation at a point is a ring homomorphism."""
+    scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
+                     for r in left.entries], ncols=left.ncols)
+    return scaled.mul(right.transpose())
+
+
 # -- pairing, Lefschetz, signatures ----------------------------------------
-
-
-def _pl_pow_on_cone(l_form, k, n):
-    p = Polynomial.constant(n, 1)
-    lin = Polynomial.from_linear(l_form)
-    for _ in range(k):
-        p = p.mul(lin)
-    return p
 
 
 def _coarse_l_on_piece(profile, l: PLFunction):
@@ -407,22 +418,14 @@ def pairing_matrix(profile: IHProfile, d):
     n = profile.n
     if d % 2 or d < 0 or d > 2 * n:
         raise ValueError("pairing needs an even grading in [0, 2n]")
-    ctx = profile.context()
-    left = profile.rep_polys(d)
-    right = profile.rep_polys(2 * n - d)
-    rows = []
-    for a in left:
-        row = []
-        for b in right:
-            prod = {m: a[m].mul(b[m]) for m in a}
-            row.append(evaluate_fast(ctx, prod))
-        rows.append(row)
-    mat = Matrix(rows, ncols=len(right))
+    left = _rep_values(profile, d)
+    right = _rep_values(profile, 2 * n - d)
+    mat = _gram(left, profile.context().inv_phi_z.values(), right)
     r = rank(mat)
-    if r != min(len(left), len(right)) or len(left) != len(right):
+    if r != min(left.nrows, right.nrows) or left.nrows != right.nrows:
         raise ValueError(
             f"duality pairing at grading {d} is degenerate "
-            f"({len(left)} x {len(right)}, rank {r})")
+            f"({left.nrows} x {right.nrows}, rank {r})")
     return mat
 
 
@@ -490,40 +493,22 @@ def hrm_check(profile: IHProfile, l: PLFunction):
     ctx = profile.context()
     hvec = profile.h_vector()
     l_on_piece = _coarse_l_on_piece(profile, l)
+    l_z = [vdot(l_on_piece[m], ctx.z) for m in ctx.inv_phi_z]
     rows = []
     for d in range(0, n + 1, 2):
-        reps = profile.rep_polys(d)
-        k = n - d
-        lpow = {m: _pl_pow_on_cone(l_on_piece[m], k, n)
-                for m in l_on_piece}
-        dim = len(reps)
-        mat = []
-        for a in reps:
-            row = []
-            for b in reps:
-                prod = {m: a[m].mul(b[m]).mul(lpow[m]) for m in a}
-                row.append(evaluate_fast(ctx, prod))
-            mat.append(row)
-        bmat = Matrix(mat, ncols=dim)
-        sig = signature(bmat) if dim else (0, 0)
+        a = _rep_values(profile, d)
+        weights = [x ** (n - d) * w
+                   for x, w in zip(l_z, ctx.inv_phi_z.values())]
+        bmat = _gram(a, weights, a)
+        sig = signature(bmat) if a.nrows else (0, 0)
         expected = _expected_signature(hvec, d)
         prim = profile.gih.primitive_coeffs(d, l)
         pdim = len(prim)
         if pdim:
-            s = sc((-1) ** ((d // 2) % 2))
-            q_rows = []
-            for ci in prim:
-                row = []
-                for cj in prim:
-                    acc = ZERO
-                    for i, x in enumerate(ci):
-                        if x:
-                            for j, y in enumerate(cj):
-                                if y:
-                                    acc = acc + x * y * bmat.entries[i][j]
-                    row.append(s * acc)
-                q_rows.append(row)
-            definite = signature(Matrix(q_rows, ncols=pdim)) == (pdim, 0)
+            # (-1)^(d/2) B_l is positive definite on the primitives
+            p = Matrix(prim, ncols=a.nrows)
+            q = signature(p.mul(bmat).mul(p.transpose()))
+            definite = q == ((pdim, 0) if d % 4 == 0 else (0, pdim))
         else:
             definite = True
         rows.append({

@@ -56,9 +56,13 @@ class Scalar:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a, b=_Q0, m=None):
-        a = _Q(a)
-        b = _Q(b)
-        if b == 0:
+        # rationals of the backend type are kept as they are; re-wrapping
+        # would allocate a copy of each part of every scalar made
+        if type(a) is not _Q:
+            a = _Q(a)
+        if type(b) is not _Q:
+            b = _Q(b)
+        if not b:
             m = None
         elif m is None:
             raise ValueError("irrational part without a radicand")
@@ -95,15 +99,17 @@ class Scalar:
         return Scalar(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        other = Scalar.coerce(other)
+        m = self._join(other)
+        return Scalar(self.a - other.a, self.b - other.b, m)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        return Scalar.coerce(other) - self
 
     def __mul__(self, other):
         other = Scalar.coerce(other)
         m = self._join(other)
-        if self.b == 0 and other.b == 0:
+        if not self.b and not other.b:
             return Scalar(self.a * other.a)
         return Scalar(self.a * other.a + m * self.b * other.b,
                       self.a * other.b + self.b * other.a, m)
@@ -159,7 +165,7 @@ class Scalar:
         return 1 if d < 0 else (-1 if d > 0 else 0)
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def __bool__(self):
         return not self.is_zero()

@@ -463,7 +463,7 @@ class GradedIH:
     and matrices of multiplication operators."""
 
     __slots__ = ("pair", "cap", "relative", "spaces", "spanning", "comps",
-                 "h", "_express_cache", "_step_cache")
+                 "h", "_step_cache")
 
     def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
         self.pair = pair
@@ -474,8 +474,7 @@ class GradedIH:
         self.spanning = {}
         self.comps = {}
         self.h = {}
-        self._express_cache = {}
-        self._step_cache = {}
+        self._step_cache = (None, {})
         for d in range(0, self.cap + 1, 2):
             sp = pair.section_space(d, relative=relative)
             self.spaces[d] = sp
@@ -535,17 +534,22 @@ class GradedIH:
 
     def step_matrix(self, d, l):
         """Matrix of multiplication by the conewise linear l from the
-        grading-d classes to the grading-(d+2) classes, cached by the value
-        of l (its linear form on each maximal cone)."""
-        key = (d, tuple(sorted(l.per_max.items())))
-        m = self._step_cache.get(key)
+        grading-d classes to the grading-(d+2) classes.  Only the matrices
+        of the l last asked for are kept, keyed by the value of l (its
+        linear form on each maximal cone), so the cache holds at most one
+        matrix per grading step however many l a long-lived profile sees."""
+        key = tuple(sorted(l.per_max.items()))
+        if self._step_cache[0] != key:
+            self._step_cache = (key, {})
+        steps = self._step_cache[1]
+        m = steps.get(d)
         if m is None:
             imgs = [_mul_pl(r, l) for r in self.comps[d]]
             coords = self.class_coords(d + 2, imgs)
             m = Matrix([[coords[j][i] for j in range(len(imgs))]
                         for i in range(self.h[d + 2])],
                        ncols=len(imgs))
-            self._step_cache[key] = m
+            steps[d] = m
         return m
 
     def composed_steps(self, l, d, upto):

@@ -360,6 +360,104 @@ def test_hrm_suite(orthant_fan, cube_fan_support, prism_fan_support):
         assert by_d[2]["primitive_dim"] == p.h[2] - p.h[0]
 
 
+def _conewise_product(sub, a, b, lin, k):
+    """The grading-2n conewise function a * b * lin^k (per-cone products)."""
+    n = sub.n
+    per = {}
+    for m in a:
+        q = a[m].mul(b[m])
+        for _ in range(k):
+            q = q.mul(Polynomial.from_linear(lin[m]))
+        per[m] = q
+    return ConewiseFunction(sub, 2 * n, per, check=False)
+
+
+@pytest.fixture(scope="module")
+def gram_cases(quadrant_fan, orthant_fan, cube_fan_support,
+               prism_fan_support):
+    cases = [(fan, PLFunction.from_ray_values(fan, unit_ray_values(fan)))
+             for fan in (quadrant_fan, orthant_fan)]
+    return cases + [cube_fan_support, prism_fan_support]
+
+
+def test_pairing_gram_agrees_with_symbolic_evaluation(gram_cases):
+    # the pairing is a Gram product of the representatives' values at one
+    # point; the symbolic route sums the rational functions of the products
+    # and cancels their poles without choosing a point.  <a.b> = <b.a>, so
+    # the gradings above n are the transposes of those below.
+    for fan, _ in gram_cases:
+        p = profile_for_fan(fan)
+        ctx = p.context()
+        sub = p.pair.subdivided
+        n = fan.n
+        for d in range(0, n + 1, 2):
+            mat = pairing_matrix(p, d)
+            assert pairing_matrix(p, 2 * n - d) == mat.transpose()
+            for i, a in enumerate(p.rep_polys(d)):
+                for j, b in enumerate(p.rep_polys(2 * n - d)):
+                    assert mat.entries[i][j] == evaluate(
+                        ctx, _conewise_product(sub, a, b, None, 0))
+
+
+def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
+    # B_l(a, b) = <l^(n-d) a b> by the same two routes; the form is
+    # symmetric, so the upper triangle and symmetry cover every entry
+    for fan, l in gram_cases:
+        p = profile_for_fan(fan)
+        ctx = p.context()
+        sub = p.pair.subdivided
+        n = fan.n
+        lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
+        for row in hrm_check(p, l).rows:
+            d, mat = row["d"], row["matrix"]
+            assert mat.is_symmetric()
+            reps = p.rep_polys(d)
+            for i, a in enumerate(reps):
+                for j in range(i, len(reps)):
+                    assert mat.entries[i][j] == evaluate(
+                        ctx, _conewise_product(sub, a, reps[j], lin, n - d))
+
+
+def test_step_cache_keeps_only_the_last_l():
+    # twelve strictly convex l on one cached pentagonal bipyramid: the step
+    # matrices of earlier l are dropped, and each l is answered with its
+    # own matrices.  Face fan of a 3-polytope with f0 = 7 vertices:
+    # h = (1, f0-3, f0-3, 1), HL ranks h, HRM signature (h0, h1-h0) on IH^2.
+    rays = [(-1, 4, 0), (-4, 1, 0), (-2, -4, 0), (3, -2, 0), (4, 2, 0),
+            (0, 0, 3), (0, 0, -3)]
+    fan = build_fan(3, [[rays[i], rays[(i + 1) % 5], rays[apex]]
+                        for apex in (5, 6) for i in range(5)])
+    p = profile_for_fan(fan)
+    n = fan.n
+    ctx = p.context()
+    top = evaluate_fast(ctx, p.rep_polys(2 * n)[0])
+    rng = random.Random(5)
+    seen = set()
+    while len(seen) < 12:
+        # small perturbations of the gauge function (value 1 on each
+        # vertex) stay strictly convex; redraw the rare one that is not
+        values = {rid: sc(1) + sc(rng.randint(-6, 6)) / sc(50)
+                  for rid in fan.ray_ids()}
+        l = PLFunction.from_ray_values(fan, values)
+        key = tuple(sorted(l.per_max.items()))
+        if key in seen or not is_strictly_convex(fan, l):
+            continue
+        seen.add(key)
+        assert hl_rank_report(p, l) == {0: (1, 1), 2: (4, 4)}
+        rows = [(r["d"], r["signature"], r["primitive_dim"], r["definite"])
+                for r in hrm_check(p, l).rows]
+        assert rows == [(0, (1, 0), 1, True), (2, (1, 3), 3, True)]
+        # <l^n> = a <c> with a the Lefschetz matrix of this l from grading
+        # 0 and c the grading-2n representative
+        a = lefschetz_matrix(p, l, 0).entries[0][0]
+        sub = p.pair.subdivided
+        one = {m: Polynomial.constant(n, 1) for m in sub.maximal_ids}
+        lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
+        assert evaluate_fast(ctx, _conewise_product(sub, one, one, lin, n)) \
+            == a * top
+        assert len(p.gih._step_cache[1]) <= n
+
+
 # -- structural checks -----------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from ihfan.exactlin import (
+    _Q,
     ONE,
     ZERO,
     Matrix,
@@ -68,6 +70,42 @@ def test_rational_result_drops_radicand():
     x = S("1+1r2") * S("1-1r2")
     assert x == sc(-1)
     assert x.m is None
+
+
+def test_scalar_keeps_a_rational_of_the_backend_type():
+    assert Scalar(Fraction(3, 4)) == S("3/4")
+    q = _Q(3, 4)
+    x = Scalar(q)
+    # the rational is kept as it is, not copied
+    assert x.a is q and x == S("3/4") and x.b == 0 and x.m is None
+    assert Scalar(q, _Q(0), 2).m is None
+    assert Scalar(_Q(1), _Q(-1, 2), 2) == S("1-1/2r2")
+
+
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(11)
+
+    def draw(m):
+        a = _Q(rng.randint(-9, 9), rng.randint(1, 6))
+        if m is None or rng.random() < 0.3:
+            return Scalar(a)
+        return Scalar(a, _Q(rng.randint(-9, 9), rng.randint(1, 6)), m)
+
+    for m in (None, 2):
+        for _ in range(50):
+            x, y = draw(m), draw(m)
+            d = x - y
+            assert d == x + (-y)
+            assert d.m == (x + (-y)).m
+            assert d + y == x
+            assert 7 - x == sc(7) + (-x)
+
+
+def test_difference_with_vanishing_root_part_is_rational():
+    x = S("1+1r2") - S("0+1r2")
+    assert x.m is None and x.b == 0
+    assert x == ONE and hash(x) == hash(1)
+    assert (x - ONE).is_zero() and not (x - ONE)
 
 
 def test_literal_roundtrip():
