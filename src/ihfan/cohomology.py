@@ -10,6 +10,8 @@ Verification helpers compare them.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
@@ -207,9 +209,6 @@ class IHProfile:
     def h_vector(self):
         return self.gih.h_vector()
 
-    def rep_vectors(self, d):
-        return self.gih.comps[d]
-
     def rep_polys(self, d):
         """Materialized representatives: per grading a list of
         {subdivided max cone id: Polynomial}."""
@@ -239,16 +238,22 @@ def ih_profile(pair: DistinguishedPair, cap=None, relative=False):
     return prof
 
 
-_profile_cache = {}
+_PROFILE_CACHE_SIZE = 32
+_profile_cache = OrderedDict()
 
 
 def profile_for_fan(fan: Fan, rule="default"):
-    """Session cache over (canonical fan, rule); profiles are immutable."""
+    """Session cache over (canonical fan, rule) holding the 32 most recently
+    used profiles; profiles are immutable."""
     key = (fan.canonical_json(), rule)
     prof = _profile_cache.get(key)
     if prof is None:
         prof = ih_profile(build_distinguished_pair(fan, rule=rule))
         _profile_cache[key] = prof
+        if len(_profile_cache) > _PROFILE_CACHE_SIZE:
+            _profile_cache.popitem(last=False)
+    else:
+        _profile_cache.move_to_end(key)
     return prof
 
 

@@ -114,14 +114,6 @@ class Polynomial:
                     out.pop(e, None)
         return Polynomial(self.n, out)
 
-    def mul_var(self, i):
-        out = {}
-        for e, c in self.coeffs.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c
-        return Polynomial(self.n, out)
-
     def evaluate(self, point):
         total = ZERO
         for e, c in self.coeffs.items():
@@ -287,16 +279,6 @@ def multiply(f: ConewiseFunction, g: ConewiseFunction):
                             {m: f.per_max[m].mul(g.per_max[m])
                              for m in f.per_max},
                             check=False)
-
-
-def multiply_pl(l: fans.PLFunction, f: ConewiseFunction):
-    """Multiply by a conewise linear function given per coarse maximal
-    cone of the same fan."""
-    return ConewiseFunction(
-        f.fan, f.grading + 2,
-        {m: f.per_max[m].mul(Polynomial.from_linear(l.per_max[m]))
-         for m in f.per_max},
-        check=False)
 
 
 def sections_basis(fan: Fan, grading):

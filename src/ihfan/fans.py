@@ -5,9 +5,12 @@ products / skew products.
 Conventions.  A ray is stored by its canonical generator: the vector scaled
 so its first nonzero coordinate has absolute value 1 (positive rescaling
 preserves the ray, so this is a complete invariant).  A cone is identified
-by its sorted tuple of canonical extreme-ray generators.  All face, facet
-and intersection computations are exact brute force over generator subsets;
-ambient dimensions stay small (<= 5) so the exponential enumeration is fine.
+by its sorted tuple of canonical extreme-ray generators.  Facets, extreme
+rays and intersections all come from one exact hull, ``_dd``, an
+incremental double description over the scalar field: the facets of a cone
+are the extreme rays of its dual, a generator is extreme when the facets
+through it cut out a ray, and an intersection is the hull of both cones'
+facet inequalities.
 
 Fan cone ids are assigned by sorting all cones by (dimension, ray key), so
 ids are stable across runs and across re-parsing of emitted JSON.
@@ -15,7 +18,7 @@ ids are stable across runs and across re-parsing of emitted JSON.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 
 from .exactlin import (
@@ -24,8 +27,9 @@ from .exactlin import (
     ScalarField,
     ZERO,
     ONE,
-    echelon_reduce,
+    echelon_insert,
     first_independent,
+    inverse,
     format_scalar,
     kernel_basis,
     parse_scalar,
@@ -98,39 +102,54 @@ def format_vector(u):
 
 # -- cone geometry (cached by ray key) -------------------------------------
 
-_geom_cache = {}
 
-
-def _membership(x, gens, dim):
-    """Is x in the cone generated by gens?  Via Caratheodory: x is a
-    nonnegative combination of some independent subset of size <= dim."""
-    if is_zero_vec(x):
-        return True
-    if not gens:
-        return False
-    n = len(x)
-    idx = list(range(len(gens)))
-    for size in range(1, dim + 1):
-        for sub in itertools.combinations(idx, size):
-            cols = Matrix([[gens[i][r] for i in sub] for r in range(n)])
-            if rank(cols) < size:
-                continue
-            c = solve(cols, x)
-            if c is not None and all(t.sign() >= 0 for t in c):
-                return True
-    return False
-
-
-def _extreme_rays(gens, dim):
-    kept = list(gens)
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1:]
-        if _membership(kept[i], rest, dim):
-            kept.pop(i)
-        else:
-            i += 1
-    return tuple(kept)
+def _dd(rows, k):
+    """Extreme rays of the pointed cone {y in R^k : a . y >= 0 for every row
+    a}, each with the sorted indices of the rows it is zero on; the rows
+    must span R^k.  Incremental double description (Motzkin et al. 1953;
+    Fukuda and Prodon 1996): start from the simplicial cone of the first k
+    independent rows, whose rays are the columns of their inverse, then add
+    the other rows one at a time.  A new row keeps the rays on its
+    nonnegative side and joins each adjacent pair of rays on opposite sides
+    by the ray on its hyperplane; two rays are adjacent when they share at
+    least k - 2 zero rows and no third ray is zero on all of those."""
+    if k == 0:
+        return []
+    ech, basis = {}, []
+    for i, a in enumerate(rows):
+        if echelon_insert(ech, {j: x for j, x in enumerate(a) if x}):
+            basis.append(i)
+            if len(basis) == k:
+                break
+    inv, _ = inverse(Matrix([rows[i] for i in basis], ncols=k))
+    # zero sets are bit masks over row indices; column j of the inverse is
+    # zero on every basis row but the j-th
+    every = sum(1 << i for i in basis)
+    rays = [(inv.col(j), every & ~(1 << i)) for j, i in enumerate(basis)]
+    for i, a in enumerate(rows):
+        if every >> i & 1:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = vdot(a, r)
+            if v.sign() < 0:
+                neg.append((r, z, v))
+            else:
+                if v.sign() > 0:
+                    pos.append((r, z, v))
+                kept.append((r, z if v else z | bit))
+        for rp, zp, vp in pos:
+            for rm, zm, vm in neg:
+                z = zp & zm
+                if z.bit_count() < k - 2 or any(
+                        w & z == z and w != zp and w != zm for _, w in rays):
+                    continue
+                kept.append((canonical_direction(
+                    vsub(vscale(vp, rm), vscale(vm, rp))), z | bit))
+        rays = kept
+    return [(r, tuple(i for i in range(len(rows)) if z >> i & 1))
+            for r, z in rays]
 
 
 class _ConeGeometry:
@@ -150,34 +169,19 @@ class _ConeGeometry:
         self._faces = None
 
     def _facets(self):
-        d = self.dim
-        if d == 0:
-            return (), ()
+        """Facet forms are the extreme rays of the dual cone modulo the
+        equations.  Forms that are zero at the equations' pivots are a
+        complement to the equations, so the dual cone is hulled on the other
+        columns, and each ray, padded with zeros, is its facet form already
+        reduced modulo the equations."""
+        pivots = {p for p, _ in self.equations}
+        free = [j for j in range(self.n) if j not in pivots]
         forms = {}
-        eqs = {p: {j: x for j, x in enumerate(row) if x}
-               for p, row in self.equations}
-        idx = list(range(len(self.rays)))
-        for sub in itertools.combinations(idx, d - 1):
-            sub_m = Matrix([self.rays[i] for i in sub], ncols=self.n)
-            if rank(sub_m) < d - 1:
-                continue
-            for w in kernel_basis(sub_m):
-                vals = [vdot(w, r) for r in self.rays]
-                signs = {v.sign() for v in vals}
-                if signs <= {0}:
-                    continue  # an equation, not a facet form
-                if 1 in signs and -1 in signs:
-                    continue  # not supporting
-                if -1 in signs:
-                    w = vneg(w)
-                    vals = [-v for v in vals]
-                # the facet form modulo the equations, zero at their pivots
-                w = echelon_reduce(eqs, dict(enumerate(w)))
-                w = canonical_direction(tuple(w.get(j, ZERO)
-                                              for j in range(self.n)))
-                on = tuple(sorted(self.rays[i] for i, v in enumerate(vals)
-                                  if v.is_zero()))
-                forms[w] = on
+        for y, on in _dd([[r[j] for j in free] for r in self.rays], len(free)):
+            w = [ZERO] * self.n
+            for j, x in zip(free, y):
+                w[j] = x
+            forms[canonical_direction(w)] = tuple(self.rays[i] for i in on)
         keys = sorted(forms)
         return tuple(keys), tuple(forms[w] for w in keys)
 
@@ -206,12 +210,11 @@ class _ConeGeometry:
         return self._faces
 
 
+@functools.lru_cache(maxsize=4096)
 def cone_geometry(rays_key, n):
-    g = _geom_cache.get((rays_key, n))
-    if g is None:
-        g = _ConeGeometry(rays_key, n)
-        _geom_cache[(rays_key, n)] = g
-    return g
+    """The geometry of the cone with this ray key, from a process-wide cache
+    of the 4096 most recently used cones."""
+    return _ConeGeometry(rays_key, n)
 
 
 class Cone:
@@ -233,16 +236,20 @@ class Cone:
         for g in gens:
             if len(g) != n:
                 raise ValueError("generator length does not match ambient dim")
-        gens = [canonical_direction(g) for g in gens if not is_zero_vec(g)]
-        gens = sorted(set(gens))
-        d = rank(Matrix(gens, ncols=n)) if gens else 0
+        gens = tuple(sorted({canonical_direction(g) for g in gens
+                             if not is_zero_vec(g)}))
+        geom = cone_geometry(gens, n)
+        eqs = [row for _, row in geom.equations]
+        # pointed iff the facet forms and the equations span the dual space;
+        # g is extreme iff those vanishing on g span a hyperplane of it
+        if rank(Matrix(eqs + list(geom.facet_forms), ncols=n)) != n:
+            raise ValueError("cone is not pointed")
         for g in gens:
-            if _membership(vneg(g), gens, d):
-                raise ValueError("cone is not pointed")
-        extreme = tuple(sorted(_extreme_rays(gens, d)))
-        if len(extreme) != len(gens):
-            raise ValueError("redundant generator: not an extreme ray")
-        return Cone(extreme, n)
+            on = [w for w, key in zip(geom.facet_forms, geom.facet_ray_keys)
+                  if g in key]
+            if rank(Matrix(eqs + on, ncols=n)) != n - 1:
+                raise ValueError("redundant generator: not an extreme ray")
+        return Cone(gens, n)
 
     def contains(self, x):
         return self._geom.contains(x)
@@ -290,37 +297,16 @@ def _separating_form(g1, g2, n):
 
 
 def _intersect_keys(g1, g2, n):
-    """Extreme rays of the intersection, by brute force over supporting
-    constraint subsets of the combined H-representation."""
-    forms = sorted(set(g1.facet_forms) | set(g2.facet_forms)
-                   | {vneg(w) for w in g2.facet_forms if w in g1.facet_forms})
-    eqs = rref(Matrix([row for _, row in g1.equations]
-                      + [row for _, row in g2.equations], ncols=n))
-    base_rank = len(eqs)
-    found = set()
-
-    def ok(x):
-        return g1.contains(x) and g2.contains(x)
-
-    want = n - 1 - base_rank
-    if want < 0:
-        return ()
-    for sub in itertools.combinations(range(len(forms)), want):
-        rows = [row for _, row in eqs] + [forms[i] for i in sub]
-        if rows:
-            if rank(Matrix(rows, ncols=n)) != n - 1:
-                continue
-            kb = kernel_basis(Matrix(rows, ncols=n))
-        else:
-            continue
-        if len(kb) != 1:
-            continue
-        cand = kb[0]
-        if ok(cand):
-            found.add(canonical_direction(cand))
-        if ok(vneg(cand)):
-            found.add(canonical_direction(vneg(cand)))
-    return tuple(sorted(found))
+    """Extreme rays of the intersection: the double description of both
+    cones' facet inequalities on a basis of the kernel of their joint
+    equations."""
+    basis = kernel_basis(Matrix([row for _, row in g1.equations]
+                                + [row for _, row in g2.equations], ncols=n))
+    rows = [[vdot(w, b) for b in basis]
+            for w in sorted(set(g1.facet_forms) | set(g2.facet_forms))]
+    return tuple(sorted(
+        canonical_direction([vdot(y, col) for col in zip(*basis)])
+        for y, _ in _dd(rows, len(basis))))
 
 
 def _common_face_check(k1, k2, n, depth=0):
@@ -338,10 +324,6 @@ def _common_face_check(k1, k2, n, depth=0):
             return _common_face_check(f1, f2, n, depth + 1)
     inter = _intersect_keys(g1, g2, n)
     return inter in g1.face_ray_keys() and inter in g2.face_ray_keys()
-
-
-def intersect_cones(c1: Cone, c2: Cone):
-    return Cone(_intersect_keys(c1._geom, c2._geom, c1.n), c1.n)
 
 
 # -- fans ------------------------------------------------------------------
@@ -530,15 +512,6 @@ def boundary_facet_ids(fan: Fan):
     return out
 
 
-def boundary_subfan_ids(fan: Fan):
-    """All cone ids of the boundary subfan (faces of boundary facets)."""
-    ids = set()
-    for b in boundary_facet_ids(fan):
-        ids.add(b)
-        ids.update(fan.faces_of[b])
-    return sorted(ids)
-
-
 def is_complete(fan: Fan):
     """Completeness via the standard criterion for pure fans: every maximal
     cone has full dimension, every (n-1)-cone is a facet of exactly two
@@ -603,9 +576,6 @@ class PLFunction:
             if self.fan.cones[m].contains(x):
                 return vdot(self.per_max[m], x)
         raise ValueError("point outside the fan support")
-
-    def on_cone(self, m):
-        return self.per_max[m]
 
     @staticmethod
     def from_ray_values(fan: Fan, values):
@@ -751,14 +721,6 @@ def barycentric_subdivision(fan: Fan, barycenter_choice=None):
         current, _ = star_subdivision(current, v)
         steps.append((v, orig.rays))
     return current, tuple(steps)
-
-
-def apply_subdivision_steps(fan: Fan, centers):
-    """Replay a recorded sequence of star subdivisions."""
-    current = fan
-    for v in centers:
-        current, _ = star_subdivision(current, v)
-    return current
 
 
 # -- polytopes -------------------------------------------------------------

@@ -64,6 +64,30 @@ def prism_vertices():
     return [(x - cx, y - cy, sc(z)) for (x, y) in quad for z in (1, -1)], F
 
 
+def golden_field():
+    """Q(sqrt 5) and the golden ratio phi = (1 + sqrt 5)/2 in it."""
+    F = ScalarField(5)
+    return F, F.parse("1/2+1/2r5")
+
+
+def icosahedron_vertices():
+    """(0, +-1, +-phi) and its cyclic shifts: 12 vertices."""
+    _, phi = golden_field()
+    return [v[i:] + v[:i] for a in (1, -1) for b in (1, -1)
+            for v in [(sc(0), sc(a), b * phi)] for i in range(3)]
+
+
+def dodecahedron_vertices():
+    """(+-1, +-1, +-1) and the cyclic shifts of (0, +-1/phi, +-phi): 20
+    vertices."""
+    _, phi = golden_field()
+    cube = [(sc(a), sc(b), sc(c)) for a in (1, -1) for b in (1, -1)
+            for c in (1, -1)]
+    return cube + [v[i:] + v[:i] for a in (1, -1) for b in (1, -1)
+                   for v in [(sc(0), a * (phi - 1), b * phi)]
+                   for i in range(3)]
+
+
 @pytest.fixture(scope="session")
 def prism_fan_support():
     verts, field = prism_vertices()

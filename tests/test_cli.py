@@ -12,7 +12,7 @@ from ihfan.cli import main
 from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
 
-from conftest import prism_vertices
+from conftest import icosahedron_vertices, prism_vertices
 
 
 def write(tmp_path, name, obj):
@@ -135,6 +135,22 @@ def test_report_new_l_on_cached_fan(tmp_path, capsys):
         assert [(r["d"], r["signature"], r["primitive_dim"], r["definite"])
                 for r in report["hrm"]] == [(0, [1, 0], 1, True),
                                             (2, [1, 3], 3, True)]
+
+
+def test_report_icosahedron_face_fan(tmp_path, capsys):
+    # the paper's case: a polytope over Q(sqrt 5) with no rational model.
+    # f0 = 12 vertices: h = (1, f0-3, f0-3, 1), HL ranks equal to h, and
+    # signature (h0, h1-h0) on IH^2
+    path = write(tmp_path, "icosahedron.json", {
+        "field": {"sqrt": 5}, "fan": "face",
+        "vertices": [[format_scalar(x) for x in v]
+                     for v in icosahedron_vertices()]})
+    assert main(["report", path, "--l", "support"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h"] == report["oracle_h"] == [1, 9, 9, 1]
+    assert report["hl_ranks"] == {"0": [1, 1], "2": [9, 9]}
+    assert [(r["d"], r["signature"], r["definite"])
+            for r in report["hrm"]] == [(0, [1, 0], True), (2, [1, 8], True)]
 
 
 def test_verify_inline_l(tmp_path, capsys):

@@ -550,3 +550,21 @@ def test_hilbert_freeness(quadrant_fan, orthant_fan):
             want = sum(h * comb((d - j) // 2 + n - 1, n - 1)
                        for j, h in p.h.items() if j <= d)
             assert dim == want
+
+
+def test_profile_cache_is_bounded():
+    from ihfan import cohomology
+
+    def kite(k):
+        # complete 2-d fans, a new one for each k
+        return build_fan(2, [[(1, 0), (k, 1)], [(k, 1), (-1, 0)],
+                             [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+    first = profile_for_fan(kite(0))
+    for k in range(1, 34):
+        profile_for_fan(kite(k))
+        assert profile_for_fan(kite(0)) is first  # kept while in use
+        assert len(cohomology._profile_cache) <= 32
+    keys = {key for key, _ in cohomology._profile_cache}
+    assert kite(0).canonical_json() in keys
+    assert kite(1).canonical_json() not in keys  # least recently used
+    assert first.h_vector() == profile_for_fan(kite(1)).h_vector() == (1, 2, 1)

@@ -1,10 +1,13 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from ihfan import fans
-from ihfan.exactlin import ScalarField, sc
+from ihfan import cohomology, fans
+from ihfan.exactlin import ZERO, Matrix, ScalarField, kernel_basis, rank, sc
+
+from conftest import dodecahedron_vertices, icosahedron_vertices
 
 
 def quadrant_fan():
@@ -337,3 +340,133 @@ def test_subdivision_lattice_still_valid():
     rebuilt = fans.build_fan(3, [[list(r) for r in b.cones[m].rays]
                                  for m in b.maximal_ids], check=True)
     assert rebuilt == b
+
+
+# -- the hull against brute force --------------------------------------------
+
+
+def brute_facets(gens, d):
+    """Facets of a full-dimensional cone in R^d by brute force: a facet is a
+    supporting hyperplane through d - 1 independent generators.  Returns
+    {canonical inner facet form: sorted generators on it}."""
+    out = {}
+    for sub in itertools.combinations(gens, d - 1):
+        kb = kernel_basis(Matrix(list(sub), ncols=d))
+        if len(kb) != 1:
+            continue
+        vals = [fans.vdot(kb[0], g) for g in gens]
+        signs = {v.sign() for v in vals}
+        if {1, -1} <= signs:
+            continue
+        w = fans.vneg(kb[0]) if -1 in signs else kb[0]
+        out[fans.canonical_direction(w)] = tuple(
+            sorted(g for g, v in zip(gens, vals) if not v))
+    return out
+
+
+def round_points(rng, dim, coord):
+    """4 or 5 distinct points on the unit circle (dim 2) or the unit sphere
+    (dim 3), by inverse stereographic projection: in convex position."""
+    count, pts = rng.randint(4, 5), set()
+    while len(pts) < count:
+        t, u = coord(), coord() if dim == 3 else ZERO
+        q = t * t + u * u + 1
+        p = (2 * t / q, 2 * u / q, (t * t + u * u - 1) / q)
+        pts.add(p if dim == 3 else p[::2])
+    return list(pts)
+
+
+def convex_points(rng, dim, coord):
+    """Distinct points in convex position in R^dim (dim 2 to 4): round
+    points, or a prism over round points one dimension down, whose side
+    facets are not simplicial."""
+    if dim == 4 or dim == 3 and rng.random() < 0.5:
+        return [p + (sc(h),) for p in round_points(rng, dim - 1, coord)
+                for h in (1, -1)]
+    return round_points(rng, dim, coord)
+
+
+def random_cone(rng, d, field):
+    """Generators of a pointed full-dimensional cone in R^d, each an
+    extreme ray: points in convex position at height 1."""
+    def coord():
+        x = sc(rng.randint(-4, 4)) / sc(rng.randint(1, 3))
+        return x + sc(rng.randint(-2, 2)) * field.sqrt_gen() if field.m else x
+    return [fans.canonical_direction(p + (sc(1),))
+            for p in convex_points(rng, d - 1, coord)]
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+@pytest.mark.parametrize("m", (None, 2))
+def test_hull_matches_brute_force_facets(d, m):
+    rng = random.Random(f"hull:{d}:{m}")
+    for _ in range(6):
+        gens = sorted(set(random_cone(rng, d, ScalarField(m))))
+        c = fans.Cone.from_generators(gens, d)
+        assert c.rays == tuple(gens) and c.dim == d
+        geom = fans.cone_geometry(c.rays, d)
+        assert dict(zip(geom.facet_forms, geom.facet_ray_keys)) == \
+            brute_facets(gens, d)
+        g1, g2 = rng.sample(gens, 2)
+        with pytest.raises(ValueError, match="redundant generator"):
+            fans.Cone.from_generators(gens + [fans.vadd(g1, g2)], d)
+        with pytest.raises(ValueError, match="not pointed"):
+            fans.Cone.from_generators(gens + [fans.vneg(g1)], d)
+
+
+def brute_rays(rows, k):
+    """Extreme rays of {y : a . y >= 0 for every row a} by brute force: the
+    lines cut out by k - 1 independent rows, in the direction that meets
+    every row.  Returns {canonical ray: indices of the rows zero on it}."""
+    out = {}
+    for sub in itertools.combinations(rows, k - 1):
+        kb = kernel_basis(Matrix(list(sub), ncols=k))
+        if len(kb) != 1:
+            continue
+        for y in (kb[0], fans.vneg(kb[0])):
+            vals = [fans.vdot(a, y) for a in rows]
+            if all(v.sign() >= 0 for v in vals):
+                out[fans.canonical_direction(y)] = tuple(
+                    i for i, v in enumerate(vals) if not v)
+    return out
+
+
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+def test_dd_matches_brute_force_rays(k):
+    # random small rows plus the negation of the first, added right after
+    # the starting simplex: it confines the cone to a hyperplane, so later
+    # rays can share k - 2 zero rows without being adjacent
+    rng = random.Random(f"dd:{k}")
+    for _ in range(8):
+        rows = [tuple(sc(rng.randint(-2, 2)) for _ in range(k))
+                for _ in range(k + 4)]
+        rows.insert(1, fans.vneg(rows[0]))
+        if rank(Matrix(rows, ncols=k)) < k:
+            continue
+        got = {fans.canonical_direction(y): on for y, on in fans._dd(rows, k)}
+        assert got == brute_rays(rows, k)
+
+
+def test_cone_geometry_cache_is_bounded():
+    for k in range(4200):
+        fans.cone_geometry(((sc(1), sc(k) / sc(4201)),), 2)
+    info = fans.cone_geometry.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= 4096
+
+
+# -- the paper's nonrational case: Q(sqrt 5) ----------------------------------
+
+
+@pytest.mark.parametrize("vertices, f", [
+    (icosahedron_vertices, (12, 30, 20)),
+    (dodecahedron_vertices, (20, 30, 12)),
+])
+def test_golden_ratio_polytopes(vertices, f):
+    lattice = cohomology.polytope_face_lattice(vertices())
+    assert tuple(sum(1 for d, _ in lattice.faces if d == k)
+                 for k in range(3)) == f
+    # a 3-polytope with f0 vertices has toric h = (1, f0-3, f0-3, 1)
+    assert cohomology.toric_h_oracle(lattice) == (1, f[0] - 3, f[0] - 3, 1)
+    ff, l = fans.face_fan_with_support(vertices(), field=ScalarField(5))
+    assert len(ff.maximal_ids) == f[2]
+    assert fans.is_complete(ff) and fans.is_strictly_convex(ff, l)

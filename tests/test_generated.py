@@ -1,0 +1,60 @@
+"""CLI answers on the benchmark's generated inputs, checked with the
+benchmark's own checks against the expectations its generator derives from
+combinatorics (perfbench/gen.py), and a guard that every package name the
+traced benchmark wraps exists."""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ihfan.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
+import run as bench  # noqa: E402
+import spans  # noqa: E402
+
+SEEDS = (3, 17)
+
+
+def _run(tmp_path, capsys, make, argv, spec, seed, mirror):
+    job = make(gen.make_rng("shape", "tests", spec),
+               gen.make_rng(seed, "tests", spec), spec, mirror)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(job["doc"]))
+    code = main(argv + [str(path)])
+    return job["h"], code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mirror", (False, True))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", sorted(set(gen.FAN_COLD_CYCLE)), ids=str)
+def test_report_on_generated_fans(tmp_path, capsys, spec, seed, mirror):
+    h, code, out = _run(tmp_path, capsys, gen.fan_cold_job, ["report"],
+                        spec, seed, mirror)
+    assert code == 0 and bench.check_report(h, out), out
+
+
+@pytest.mark.parametrize("mirror", (False, True))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", sorted(set(gen.POLYTOPE_CYCLE)), ids=str)
+def test_hvector_on_generated_polytopes(tmp_path, capsys, spec, seed,
+                                        mirror):
+    h, code, out = _run(tmp_path, capsys, gen.polytope_job,
+                        ["hvector", "--oracle"], spec, seed, mirror)
+    assert code == 0 and bench.check_hvector(h, out), out
+
+
+def test_traced_names_resolve():
+    # a renamed function would otherwise read as 0 s in the traced run
+    for module, attr, _ in spans.SPANS:
+        assert callable(getattr(importlib.import_module(module), attr)), \
+            (module, attr)
+    names = {name for _, _, name in spans.SPANS} | {"job"}
+    for metric, span_names in spans.TIME_METRICS.items():
+        assert set(span_names) <= names, metric
+    from ihfan.conewise import Polynomial
+    assert callable(Polynomial.mul)
