@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from . import exactlin
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
@@ -193,9 +194,12 @@ def toric_h_of_fan(fan: Fan):
 
 class IHProfile:
     """Graded dimensions and stored representative bases of the cohomology
-    of a pair; representatives are complement sections modulo the ideal."""
+    of a pair; representatives are complement sections modulo the ideal.
+    grams holds the pairing matrices of the gradings d <= n when ih_profile
+    certified the representatives with them (else it is empty)."""
 
-    __slots__ = ("pair", "fan", "n", "gih", "h", "_rep_polys", "_ctx")
+    __slots__ = ("pair", "fan", "n", "gih", "h", "grams", "_rep_polys",
+                 "_ctx")
 
     def __init__(self, pair: DistinguishedPair, gih: GradedIH):
         self.pair = pair
@@ -203,6 +207,7 @@ class IHProfile:
         self.n = pair.fan.n
         self.gih = gih
         self.h = dict(gih.h)
+        self.grams = {}
         self._rep_polys = {}
         self._ctx = None
 
@@ -230,8 +235,25 @@ class IHProfile:
 
 
 def ih_profile(pair: DistinguishedPair, cap=None, relative=False):
-    gih = GradedIH(pair, cap=cap, relative=relative)
+    """The profile of a pair.  A complete fan's profile, uncapped and
+    absolute, selects its representatives mod p (GradedIH with modular=True,
+    which gives h_d <= len(comps[d])) and certifies them here: when the
+    pairing matrix between the representatives of gradings d and 2n - d is
+    square and nonsingular for every d <= n, the classes of both lists are
+    independent (the evaluation vanishes on ideal multiples), so h_d >=
+    len(comps[d]) and the representatives are bases.  The matrices are kept
+    for pairing_matrix.  When the check fails, the representatives are
+    selected again exactly and exactlin.modp_fallbacks goes up by 1."""
+    modular = cap is None and not relative and not pair.boundary_piece_ids()
+    gih = GradedIH(pair, cap=cap, relative=relative, modular=modular)
     prof = IHProfile(pair, gih)
+    if modular:
+        grams = _certifying_grams(prof)
+        if grams is None:
+            exactlin.record_fallback()
+            prof = IHProfile(pair, GradedIH(pair))
+        else:
+            prof.grams = grams
     if not relative and prof.h.get(0) != 1:
         raise ValueError("connected support must have a 1-dimensional "
                          "grading-0 cohomology")
@@ -417,12 +439,38 @@ def _coarse_l_on_piece(profile, l: PLFunction):
             for m in profile.pair.subdivided.maximal_ids}
 
 
+def _certifying_grams(profile):
+    """{d: pairing matrix at d} for every even d <= n when each is square
+    and nonsingular, else None."""
+    n = profile.n
+    try:
+        weights = profile.context().inv_phi_z.values()
+    except ValueError:
+        return None
+    grams = {}
+    for d in range(0, n + 1, 2):
+        left = _rep_values(profile, d)
+        right = _rep_values(profile, 2 * n - d)
+        if left.nrows != right.nrows:
+            return None
+        mat = _gram(left, weights, right)
+        if rank(mat) != left.nrows:
+            return None
+        grams[d] = mat
+    return grams
+
+
 def pairing_matrix(profile: IHProfile, d):
     """Matrix of the duality pairing IH^d x IH^(2n-d) in the stored bases;
-    raises when it is rank-deficient."""
+    raises when it is rank-deficient.  Read from the profile's certified
+    matrices when it has them (the pairing at d > n is the transpose of the
+    one at 2n - d)."""
     n = profile.n
     if d % 2 or d < 0 or d > 2 * n:
         raise ValueError("pairing needs an even grading in [0, 2n]")
+    grams = getattr(profile, "grams", None)
+    if grams:
+        return grams[d] if d <= n else grams[2 * n - d].transpose()
     left = _rep_values(profile, d)
     right = _rep_values(profile, 2 * n - d)
     mat = _gram(left, profile.context().inv_phi_z.values(), right)

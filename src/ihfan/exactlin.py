@@ -9,23 +9,50 @@ fractions.Fraction; both normalise by gcd so coefficient growth during
 elimination stays tame without Bareiss-style bookkeeping.
 
 Linear algebra entry points:
-- echelon_insert, the one Gauss-Jordan step every elimination in the package
-  goes through: insert a sparse row {key: Scalar} into a reduced echelon and
-  report whether it was independent and its pivot value; echelon_reduce is
-  its reduction half;
+- echelon_insert, the one exact Gauss-Jordan step every exact elimination
+  in the package goes through: insert a sparse row {key: Scalar} into a
+  reduced echelon and report whether it was independent and its pivot
+  value; echelon_reduce is its reduction half;
 - sparse_eliminate and rref (reduced row echelon forms), first_independent
   (the first-independent basis of a list of vectors), rank, kernel_basis,
-  sparse_kernel and solve, all built on echelon_insert;
+  and solve, all built on echelon_insert;
 - inverse and det from one elimination (the determinant is the product of
   the pivot values, signed by the pivot permutation);
-- signature, by congruence diagonalisation.
+- signature, by congruence diagonalisation;
+- the large systems, eliminated modulo primes and certified exactly:
+  sparse_kernel (kernel bases; kernel_basis calls it), coordinates (of
+  vectors over independent spanning vectors) and independent_modp (which
+  vectors are independent of those before them).
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
+
+Elimination mod p.  echelon_insert_modp is the same step with Python ints
+modulo a fixed 61-bit prime p = 3 mod 4; over Q(sqrt(m)) p is one in which
+m is a square, with sqrt(m) -> s, and a system is eliminated under both
+s and p - s, whose images of a + b*sqrt(m) give a and b.  Vectors are
+cleared of denominators first.  Values are recovered by Wang rational
+reconstruction from one prime, or from the Chinese remainder of the next
+ones when that fails, and each use is certified in exact integer
+arithmetic:
+- sparse_kernel reconstructs the reduced echelon and checks every row
+  against every kernel vector; with the identity on the free columns this
+  is the very basis the exact elimination returns;
+- coordinates reconstructs the coordinates and checks that they combine
+  the spanning vectors to the target;
+- independent_modp needs no check: vectors independent mod p are
+  independent.  Its callers certify that none were missed (GradedIH
+  counts them against the dimension; cohomology.ih_profile checks the
+  pairing).
+A system with no prime for its field, pivots that change from one prime to
+the next, or no reconstruction that passes the check before the primes run
+out is recomputed on the exact path, and modp_fallbacks goes up by 1.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from math import gcd, isqrt, lcm
 
 try:
     from gmpy2 import mpq as _Q
@@ -456,7 +483,16 @@ def rref(m):
 
 def sparse_kernel(rows, ncols):
     """Kernel basis of the system given by sparse rows; one vector per free
-    column, with that free coordinate set to 1 and other free coordinates 0."""
+    column, with that free coordinate set to 1 and other free coordinates 0.
+    Eliminated modulo primes and certified exactly (see _kernel_modp)."""
+    basis = _kernel_modp(rows, ncols)
+    if basis is None:
+        record_fallback()
+        basis = _kernel_exact(rows, ncols)
+    return basis
+
+
+def _kernel_exact(rows, ncols):
     pivots = sparse_eliminate(rows)
     pivot_set = {c for c, _ in pivots}
     basis = []
@@ -589,3 +625,389 @@ def signature(m):
             a[i][k] = ZERO
             a[k][i] = ZERO
     return p, q
+
+
+# -- certified elimination modulo primes --------------------------------------
+#
+# What holds mod p for every prime: vectors independent mod p are
+# independent (a minor nonzero mod p is nonzero), so a rank mod p is a lower
+# bound.  Everything else is checked exactly (see the module docstring).
+
+_PRIMES = (2305843009213693951, 2305843009213693907, 2305843009213693723,
+           2305843009213693487, 2305843009213693123, 2305843009213692967,
+           2305843009213692799, 2305843009213692671, 2305843009213692527,
+           2305843009213692463, 2305843009213692427, 2305843009213692419)
+
+modp_fallbacks = 0
+
+
+def record_fallback():
+    """Count one system recomputed on the exact path."""
+    global modp_fallbacks
+    modp_fallbacks += 1
+
+
+@functools.lru_cache(maxsize=64)
+def _embeddings(m):
+    """[(p, images of sqrt(m) mod p)] for the primes of _PRIMES in which m
+    is a square: (0,) over Q, (s, p - s) with s^2 = m mod p over
+    Q(sqrt(m))."""
+    if m is None:
+        return tuple((p, (0,)) for p in _PRIMES)
+    roots = ((p, pow(m, (p + 1) // 4, p)) for p in _PRIMES
+             if pow(m, (p - 1) // 2, p) == 1)
+    return tuple((p, (s, p - s)) for p, s in roots)
+
+
+def _field_primes(vectors):
+    """The radicand shared by the entries of the sparse vectors (None over
+    Q) and its primes; no primes when the entries mix two radicands."""
+    ms = {x.m for v in vectors for x in v.values()} - {None}
+    if len(ms) > 1:
+        return None, []
+    m = ms.pop() if ms else None
+    return m, _embeddings(m)
+
+
+def _cleared(vec):
+    """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0;
+    B is empty over Q.  Scaling a vector changes neither its independence
+    nor the kernel of a row system, and no denominator is left for p to
+    divide."""
+    den = lcm(*{x.a.denominator for x in vec.values()},
+              *{x.b.denominator for x in vec.values() if x.b})
+    a_part, b_part = {}, {}
+    for k, x in vec.items():
+        if x.a:
+            a_part[k] = x.a.numerator * (den // x.a.denominator)
+        if x.b:
+            b_part[k] = x.b.numerator * (den // x.b.denominator)
+    return a_part, b_part, den
+
+
+def _image(a_part, b_part, t, p):
+    """A + B*t mod p, without the entries that vanish."""
+    if not b_part:
+        return {k: y for k, x in a_part.items() if (y := x % p)}
+    keys = dict.fromkeys(a_part) | dict.fromkeys(b_part)
+    return {k: y for k in keys
+            if (y := (a_part.get(k, 0) + b_part.get(k, 0) * t) % p)}
+
+
+def echelon_insert_modp(ech, row, p):
+    """echelon_insert modulo p: row is {key: int in [1, p)}, ech a reduced
+    echelon of such rows, pivot = smallest key.  Returns the pivot key, or
+    None when the row lies in the echelon's span mod p."""
+    r = dict(row)
+    for pk in [k for k in r if k in ech]:
+        f = r[pk]
+        for k, x in ech[pk].items():
+            v = (r.get(k, 0) - f * x) % p
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
+    if not r:
+        return None
+    pk = min(r)
+    inv = pow(r[pk], -1, p)
+    r = {k: x * inv % p for k, x in r.items()}
+    for other in ech.values():
+        f = other.get(pk)
+        if f:
+            for k, x in r.items():
+                v = (other.get(k, 0) - f * x) % p
+                if v:
+                    other[k] = v
+                else:
+                    del other[k]
+    ech[pk] = r
+    return pk
+
+
+def _ratrec(x, mod, bound):
+    """Wang's rational reconstruction: (n, d) with n/d = x mod mod, |n| and
+    0 < d at most bound, or None."""
+    if x <= bound:
+        return x, 1
+    if mod - x <= bound:
+        return x - mod, 1
+    r0, r1, t0, t1 = mod, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+class _Residues:
+    """Field elements a + b*sqrt(m) known modulo a growing product of primes
+    (Chinese remaindering), keyed; lift() reconstructs them."""
+
+    def __init__(self):
+        self.mod = 1
+        self.res = {}   # key -> (a, b) mod self.mod
+
+    def add(self, p, ts, images):
+        """images: key -> the element's images under the embeddings ts."""
+        if len(ts) == 2:
+            half, half_root = (p + 1) // 2, pow(2 * ts[0], -1, p)
+            images = {k: ((x1 + x2) * half % p, (x1 - x2) * half_root % p)
+                      for k, (x1, x2) in images.items()}
+        else:
+            images = {k: (x, 0) for k, (x,) in images.items()}
+        mod = self.mod
+        if mod == 1:
+            self.res = images
+        else:
+            inv = pow(mod % p, -1, p)
+            res = self.res
+            for k in dict.fromkeys(res) | dict.fromkeys(images):
+                a0, b0 = res.get(k, (0, 0))
+                a1, b1 = images.get(k, (0, 0))
+                res[k] = (a0 + mod * ((a1 - a0) * inv % p),
+                          b0 + mod * ((b1 - b0) * inv % p))
+        self.mod = mod * p
+
+    def lift(self):
+        """key -> (n_a, d_a, n_b, d_b) with a = n_a/d_a and b = n_b/d_b, or
+        None when some element does not reconstruct."""
+        mod, bound, memo = self.mod, isqrt(self.mod // 2), {}
+        out = {}
+        for k, pair in self.res.items():
+            got = []
+            for x in pair:
+                q = memo.get(x)
+                if q is None:
+                    q = memo[x] = _ratrec(x, mod, bound)
+                    if q is None:
+                        return None
+                got += q
+            out[k] = tuple(got)
+        return out
+
+
+def _scalar(n_a, d_a, n_b, d_b, m):
+    return Scalar(_Q(n_a, d_a), _Q(n_b, d_b) if n_b else _Q0, m)
+
+
+def _kernel_modp(rows, ncols):
+    """sparse_kernel through primes, or None.  The kernel vector of free
+    column f is e_f - sum over pivots c of R[c][f] e_c, with R the reduced
+    echelon reconstructed from its images.  The check that every row is 0
+    on every such vector gives K in ker with |K| = ncols - rank mod p >=
+    dim ker, so K is a basis; R then has only entries right of its pivots,
+    so its pivots are those of the exact echelon and K is the very basis of
+    _kernel_exact."""
+    m, primes = _field_primes(rows)
+    # repeated rows add nothing to the kernel
+    cleared = list({(tuple(a.items()), tuple(b.items())): (a, b)
+                    for a, b, _ in map(_cleared, rows) if a or b}.values())
+    pivots = None
+    used = cleared
+    residues = _Residues()
+    for p, ts in primes:
+        echs = []
+        for t in ts:
+            ech, independent = {}, []
+            for a_part, b_part in used:
+                r = _image(a_part, b_part, t, p)
+                if r and echelon_insert_modp(ech, r, p) is not None:
+                    independent.append((a_part, b_part))
+            if pivots is None:
+                # the rows independent mod the first prime span the others
+                # unless the check below fails; later eliminations use them
+                pivots, used = sorted(ech), independent
+            elif sorted(ech) != pivots:
+                return None
+            echs.append(ech)
+        images = {}
+        for c in pivots:
+            rs = [e[c] for e in echs]
+            for f in dict.fromkeys(k for r in rs for k in r):
+                if f != c:
+                    images[(f, c)] = tuple(r.get(f, 0) for r in rs)
+        residues.add(p, ts, images)
+        entries = residues.lift()
+        if entries is not None:
+            basis = _checked_kernel(cleared, pivots, entries, ncols, m)
+            if basis is not None:
+                return basis
+    return None
+
+
+def _checked_kernel(cleared, pivots, entries, ncols, m):
+    """The kernel basis from the reconstructed entries {(free, pivot):
+    R[pivot][free]} when every row vanishes on it exactly, else None."""
+    by_free = {}
+    for (f, c), e in sorted(entries.items()):
+        by_free.setdefault(f, {})[c] = e
+    # integer form of each kernel vector: den_f * v_f, split into the
+    # rational (u) and sqrt(m) (w) parts on the pivots
+    den = {}
+    u_piv = {c: {} for c in pivots}
+    w_piv = {c: {} for c in pivots}
+    basis = []
+    pivot_set = set(pivots)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        col = by_free.get(f, {})
+        d = lcm(*(e[1] for e in col.values()), *(e[3] for e in col.values()))
+        den[f] = d
+        v = {f: ONE}
+        for c, (na, da, nb, db) in col.items():
+            u_piv[c][f] = -na * (d // da)
+            if nb:
+                w_piv[c][f] = -nb * (d // db)
+            v[c] = _scalar(-na, da, -nb, db, m)
+        basis.append(v)
+    for a_part, b_part in cleared:
+        # acc[f] = (row . den_f v_f), rational and sqrt(m) parts
+        acc_a, acc_b = {}, {}
+        for part, x_acc, y_acc, mult in ((a_part, acc_a, acc_b, 1),
+                                         (b_part, acc_b, acc_a, m)):
+            for k, x in part.items():
+                if k in den:
+                    x_acc[k] = x_acc.get(k, 0) + x * den[k]
+                    continue
+                for f, u in u_piv[k].items():
+                    x_acc[f] = x_acc.get(f, 0) + x * u
+                for f, w in w_piv[k].items():
+                    y_acc[f] = y_acc.get(f, 0) + mult * x * w
+        if any(acc_a.values()) or any(acc_b.values()):
+            return None
+    return basis
+
+
+def independent_modp(vectors):
+    """Indices of the sparse vectors independent of those before them modulo
+    the first prime for their field.  Independence mod p implies
+    independence, so they are independent, and they are all of
+    first_independent's when their number is the rank; None when the
+    entries have no prime."""
+    _, primes = _field_primes(vectors)
+    if not primes:
+        return None
+    p, ts = primes[0]
+    ech = {}
+    out = []
+    for i, v in enumerate(vectors):
+        a_part, b_part, _ = _cleared(v) if v else ({}, {}, 1)
+        r = _image(a_part, b_part, ts[0], p)
+        if r and echelon_insert_modp(ech, r, p) is not None:
+            out.append(i)
+    return out
+
+
+def coordinates(spanning, targets):
+    """Coordinates of each sparse target vector over independent sparse
+    spanning vectors, as dicts {index: Scalar}; raises ValueError when a
+    target is outside their span.  Eliminated through primes and accepted
+    after the exact check sum_i c_i spanning_i = target (unique, the
+    spanning vectors being independent)."""
+    out = _coordinates_modp(spanning, targets)
+    if out is None:
+        record_fallback()
+        out = _coordinates_exact(spanning, targets)
+    return out
+
+
+def _coordinates_exact(spanning, targets):
+    ns = len(spanning)
+    rows_by_coord = {}
+    for si, svec in enumerate(spanning):
+        for coord, c in svec.items():
+            rows_by_coord.setdefault(coord, {})[si] = c
+    for ti, tvec in enumerate(targets):
+        for coord, c in tvec.items():
+            rows_by_coord.setdefault(coord, {})[ns + ti] = -c
+    rows = [rows_by_coord[k] for k in sorted(rows_by_coord)]
+    pivots = sparse_eliminate(rows)
+    for col, _ in pivots:
+        if col >= ns:
+            raise ValueError("a target does not lie in the span")
+    out = [dict() for _ in targets]
+    for col, row in pivots:
+        for ti in range(len(targets)):
+            v = row.get(ns + ti)
+            if v:
+                out[ti][col] = -v
+    return out
+
+
+def _coordinates_modp(spanning, targets):
+    """coordinates through primes, or None.  With spanning_i = S_i / L_i and
+    target = T / M cleared of denominators, the system solved is
+    sum_i c'_i S_i = T, and c_i = c'_i L_i / M."""
+    m, primes = _field_primes(spanning + targets)
+    ns = len(spanning)
+    span_c = [_cleared(v) if v else ({}, {}, 1) for v in spanning]
+    targ_c = [_cleared(v) if v else ({}, {}, 1) for v in targets]
+    residues = _Residues()
+    used = None   # after the first elimination: the coordinates it used
+    for p, ts in primes:
+        echs = []
+        for t in ts:
+            rows_by_coord = {}
+            for si, (a_part, b_part, _) in enumerate(span_c):
+                for coord, x in _image(a_part, b_part, t, p).items():
+                    rows_by_coord.setdefault(coord, {})[si] = x
+            for ti, (a_part, b_part, _) in enumerate(targ_c):
+                for coord, x in _image(a_part, b_part, t, p).items():
+                    rows_by_coord.setdefault(coord, {})[ns + ti] = p - x
+            ech = {}
+            kept = [k for k in (used or sorted(rows_by_coord))
+                    if k in rows_by_coord and
+                    echelon_insert_modp(ech, rows_by_coord[k], p) is not None]
+            if sorted(ech) != list(range(ns)):
+                return None
+            used = kept
+            echs.append(ech)
+        images = {}
+        for ti in range(len(targets)):
+            for si in range(ns):
+                xs = tuple(-e[si].get(ns + ti, 0) % p for e in echs)
+                if any(xs):
+                    images[(ti, si)] = xs
+        residues.add(p, ts, images)
+        coeffs = residues.lift()
+        if coeffs is not None:
+            out = _checked_coordinates(span_c, targ_c, coeffs, m)
+            if out is not None:
+                return out
+    return None
+
+
+def _checked_coordinates(span_c, targ_c, coeffs, m):
+    """The coordinates from the reconstructed c'_i {(target, index): c'_i}
+    when sum_i c'_i S_i = T holds exactly for every target, else None."""
+    by_target = [{} for _ in targ_c]
+    for (ti, si), e in sorted(coeffs.items()):
+        by_target[ti][si] = e
+    out = []
+    for (t_a, t_b, t_den), cs in zip(targ_c, by_target):
+        # sum_i (d c'_i) S_i = d T with d clearing the c'_i
+        d = lcm(*(e[1] for e in cs.values()), *(e[3] for e in cs.values()))
+        acc_a, acc_b = {}, {}
+        for si, (na, da, nb, db) in cs.items():
+            ca, cb = na * (d // da), nb * (d // db)
+            s_a, s_b, _ = span_c[si]
+            for k, x in s_a.items():
+                acc_a[k] = acc_a.get(k, 0) + ca * x
+                if cb:
+                    acc_b[k] = acc_b.get(k, 0) + cb * x
+            for k, y in s_b.items():
+                acc_b[k] = acc_b.get(k, 0) + ca * y
+                if cb:
+                    acc_a[k] = acc_a.get(k, 0) + m * cb * y
+        for acc, part in ((acc_a, t_a), (acc_b, t_b)):
+            for k, x in part.items():
+                acc[k] = acc.get(k, 0) - d * x
+            if any(acc.values()):
+                return None
+        out.append({si: _scalar(na * span_c[si][2], da * t_den,
+                                nb * span_c[si][2], db * t_den, m)
+                    for si, (na, da, nb, db) in cs.items()})
+    return out

@@ -217,6 +217,14 @@ def cone_geometry(rays_key, n):
     return _ConeGeometry(rays_key, n)
 
 
+class RedundantGenerator(ValueError):
+    """A generator of a cone that is not an extreme ray of it (canonical)."""
+
+    def __init__(self, generator):
+        super().__init__("redundant generator: not an extreme ray")
+        self.generator = generator
+
+
 class Cone:
     """A pointed polyhedral cone inside some fan; geometry is shared through
     a cache keyed by the canonical ray set."""
@@ -248,7 +256,7 @@ class Cone:
             on = [w for w, key in zip(geom.facet_forms, geom.facet_ray_keys)
                   if g in key]
             if rank(Matrix(eqs + on, ncols=n)) != n - 1:
-                raise ValueError("redundant generator: not an extreme ray")
+                raise RedundantGenerator(g)
         return Cone(gens, n)
 
     def contains(self, x):
@@ -731,12 +739,15 @@ def _lifted_hull_facets(vertices, n):
     Returns (facet list as tuples of vertex indices, outer forms (beta, c)
     with beta . x <= c on the polytope, equality on the facet)."""
     lifted = [tuple(list(v) + [ONE]) for v in vertices]
-    c = Cone.from_generators(lifted, n + 1)
+    by_key = {canonical_direction(l): i for i, l in enumerate(lifted)}
+    try:
+        c = Cone.from_generators(lifted, n + 1)
+    except RedundantGenerator as e:
+        point = ", ".join(format_vector(vertices[by_key[e.generator]]))
+        raise ValueError(f"point ({point}) is not a vertex of the "
+                         "polytope") from None
     if c.dim != n + 1:
         raise ValueError("polytope is not full-dimensional")
-    by_key = {}
-    for i, l in enumerate(lifted):
-        by_key[canonical_direction(l)] = i
     facets = []
     forms = []
     for w in c.facet_forms():

@@ -14,18 +14,20 @@ All generator sections live on the subdivided fan; scalars stay exact.
 
 from __future__ import annotations
 
+from . import exactlin
 from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    coordinates,
     echelon_insert,
     first_independent,
     format_scalar,
+    independent_modp,
     inverse,
     kernel_basis,
     sc,
     solve,
-    sparse_eliminate,
     sparse_kernel,
 )
 from . import fans
@@ -460,12 +462,24 @@ def _mul_pl(vecm, l):
 class GradedIH:
     """Graded section spaces of a pair up to a grading cap, the ideal
     multiples, chosen complement representatives (the cohomology basis),
-    and matrices of multiplication operators."""
+    and matrices of multiplication operators.
+
+    The spanning list of grading d is the ideal multiples x_i * b (b in the
+    grading-(d-2) basis) and then the section basis vectors, each kept when
+    independent of those kept before it; the kept basis vectors are the
+    complement representatives.  With modular=True independence is decided
+    mod p (exactlin.independent_modp).  Vectors independent mod p are
+    independent, so when as many are kept as the section space has
+    dimensions they are a basis of it, and the representatives span the
+    grading-d cohomology: h_d <= len(comps[d]); a grading where fewer are
+    kept is selected exactly.  The reverse bound is the caller's to certify
+    (cohomology.ih_profile does it with the pairing)."""
 
     __slots__ = ("pair", "cap", "relative", "spaces", "spanning", "comps",
                  "h", "_step_cache")
 
-    def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
+    def __init__(self, pair: DistinguishedPair, cap=None, relative=False,
+                 modular=False):
         self.pair = pair
         n = pair.fan.n
         self.cap = 2 * n if cap is None else cap
@@ -478,22 +492,23 @@ class GradedIH:
         for d in range(0, self.cap + 1, 2):
             sp = pair.section_space(d, relative=relative)
             self.spaces[d] = sp
-            ech = {}
-            spanning = []
-            comps = []
+            multiples = []
             if d - 2 in self.spaces:
-                for b in self.spaces[d - 2].basis:
-                    for i in range(n):
-                        w = _shift_var(b, i)
-                        if echelon_insert(ech, w) is not None:
-                            spanning.append(w)
-            for b in sp.basis:
-                if echelon_insert(ech, b) is not None:
-                    spanning.append(b)
-                    comps.append(b)
-            self.spanning[d] = spanning
-            self.comps[d] = comps
-            self.h[d] = len(comps)
+                multiples = [_shift_var(b, i)
+                             for b in self.spaces[d - 2].basis
+                             for i in range(n)]
+            cands = multiples + sp.basis
+            kept = independent_modp(cands) if modular else None
+            if kept is not None and len(kept) != len(sp.basis):
+                kept = None
+                exactlin.record_fallback()
+            if kept is None:
+                ech = {}
+                kept = [i for i, v in enumerate(cands)
+                        if echelon_insert(ech, v) is not None]
+            self.spanning[d] = [cands[i] for i in kept]
+            self.comps[d] = [cands[i] for i in kept if i >= len(multiples)]
+            self.h[d] = len(self.comps[d])
 
     def h_vector(self):
         return tuple(self.h[d] for d in range(0, self.cap + 1, 2))
@@ -501,27 +516,7 @@ class GradedIH:
     def express(self, d, targets):
         """Coordinates of section vectors over the stored spanning list
         (ideal multiples first, then complement representatives)."""
-        spanning = self.spanning[d]
-        ns = len(spanning)
-        rows_by_coord = {}
-        for si, svec in enumerate(spanning):
-            for coord, c in svec.items():
-                rows_by_coord.setdefault(coord, {})[si] = c
-        for ti, tvec in enumerate(targets):
-            for coord, c in tvec.items():
-                rows_by_coord.setdefault(coord, {})[ns + ti] = -c
-        rows = [rows_by_coord[k] for k in sorted(rows_by_coord)]
-        pivots = sparse_eliminate(rows)
-        for col, _ in pivots:
-            if col >= ns:
-                raise ValueError("section does not lie in the stored space")
-        out = [dict() for _ in targets]
-        for col, row in pivots:
-            for ti in range(len(targets)):
-                v = row.get(ns + ti)
-                if v:
-                    out[ti][col] = -v
-        return out
+        return coordinates(self.spanning[d], targets)
 
     def class_coords(self, d, targets):
         """Coordinates over the complement representatives (the class

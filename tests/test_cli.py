@@ -101,6 +101,14 @@ MALFORMED = {
     "per-cone-row-length": (
         ["report"], _with_l(quadrant_dict(),
                             {"per_cone": [["1", "1", "1"]] * 4})),
+    "point-not-a-vertex": (
+        ["hvector"], {"field": "Q", "fan": "face",
+                      "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1],
+                                   [1, 0]]}),
+}
+# what the error line must say, where a case names the culprit
+MALFORMED_MESSAGES = {
+    "point-not-a-vertex": "point (1, 0) is not a vertex of the polytope",
 }
 
 
@@ -111,6 +119,7 @@ def test_malformed_input_exit2(tmp_path, capsys, case):
     assert main(argv + [path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert MALFORMED_MESSAGES.get(case, "") in err, err
 
 
 def test_report_new_l_on_cached_fan(tmp_path, capsys):

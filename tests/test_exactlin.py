@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ihfan import exactlin
 from ihfan.exactlin import (
     _Q,
     ONE,
@@ -11,8 +13,10 @@ from ihfan.exactlin import (
     Matrix,
     Scalar,
     ScalarField,
+    coordinates,
     det,
     echelon_insert,
+    independent_modp,
     format_scalar,
     inverse,
     kernel_basis,
@@ -364,3 +368,239 @@ def test_echelon_insert_reports_pivot_value():
     assert echelon_insert(ech, {1: sc(1), 2: sc(2)}) is None
     assert echelon_insert(ech, {0: sc(0), 1: sc(2), 2: sc(5)}) == (2, sc(1))
     assert ech == {1: {1: ONE}, 2: {2: ONE}}
+
+
+# -- certified elimination mod p -------------------------------------------
+#
+# sparse_kernel, coordinates and GradedIH's selection eliminate mod a prime
+# and accept a result only after an exact check; the exact path they fall
+# back on is the one the tests above were written for.
+
+
+def _is_prime(n):
+    # Miller-Rabin with the first twelve prime bases: exact below 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_and_square_roots():
+    assert all(_is_prime(p) and p % 4 == 3 and p.bit_length() == 61
+               for p in exactlin._PRIMES)
+    assert exactlin._embeddings(None) == tuple((p, (0,))
+                                               for p in exactlin._PRIMES)
+    for m in (2, 3, 5, 6, 7, 10, 11, 13):
+        primes = exactlin._embeddings(m)
+        assert primes and all(s * s % p == m and t == p - s
+                              for p, (s, t) in primes)
+
+
+LINEAR_ALGEBRA_TESTS = (
+    test_rank_rational, test_rank_quadratic_dependency, test_kernel_line,
+    test_kernel_quadratic, test_kernel_of_full_rank_is_empty,
+    test_solve_unique, test_solve_underdetermined_zeroes_free_vars,
+    test_solve_inconsistent, test_rank_nullity_randomised,
+    test_solve_randomised_consistency, test_sparse_kernel_matches_dense)
+
+
+def test_linear_algebra_tests_on_the_modular_path():
+    before = exactlin.modp_fallbacks
+    for test in LINEAR_ALGEBRA_TESTS:
+        test()
+    assert exactlin.modp_fallbacks == before
+
+
+def test_linear_algebra_tests_on_the_exact_path(monkeypatch):
+    # with no prime for any field every system falls back to the exact path
+    monkeypatch.setattr(exactlin, "_embeddings", lambda m: ())
+    before = exactlin.modp_fallbacks
+    for test in LINEAR_ALGEBRA_TESTS:
+        test()
+    assert exactlin.modp_fallbacks > before
+
+
+def test_kernel_falls_back_when_the_prime_divides_a_minor():
+    # det [[1, 1], [1, 1 + p]] = p: rank 2, but rank 1 mod p
+    p = exactlin._PRIMES[0]
+    rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
+    before = exactlin.modp_fallbacks
+    assert sparse_kernel(rows, 2) == exactlin._kernel_exact(rows, 2) == []
+    assert exactlin.modp_fallbacks == before + 1
+    # the same over Q(sqrt 2), with the prime in which 2 is a square
+    p2 = exactlin._embeddings(2)[0][0]
+    r2 = S("0+1r2")
+    rows = [{0: ONE, 1: r2, 2: ONE}, {0: ONE, 1: r2 + sc(p2), 2: ONE}]
+    want = exactlin._kernel_exact(rows, 3)
+    assert sparse_kernel(rows, 3) == want and len(want) == 1
+    assert exactlin.modp_fallbacks == before + 2
+    # coordinates over two vectors that are independent, but not mod p
+    spanning = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
+    assert coordinates(spanning, [{0: sc(2), 1: sc(2 + p)}]) == \
+        [{0: ONE, 1: ONE}]
+    assert exactlin.modp_fallbacks == before + 3
+
+
+def test_large_entries_reconstruct_from_several_primes():
+    # the kernel entry -big needs about 270 bits of modulus: more than one
+    # prime, fewer than all of them
+    big = 10 ** 40 + 7
+    rows = [{0: sc(1), 1: sc(big)}, {1: sc(1), 2: Scalar(1, 3, 2)}]
+    before = exactlin.modp_fallbacks
+    got = sparse_kernel(rows, 3)
+    assert got == exactlin._kernel_exact(rows, 3)
+    assert got[0][0] == Scalar(big, 3 * big, 2)
+    spanning = [{0: ONE}, {1: ONE}]
+    target = {0: sc(big), 1: sc(_Q(1, big))}
+    assert coordinates(spanning, [target]) == [target]
+    assert exactlin.modp_fallbacks == before
+
+
+def test_kernel_falls_back_when_reconstruction_fails():
+    # beyond what all primes together reconstruct
+    huge = 10 ** 400 + 3
+    rows = [{0: sc(1), 1: sc(huge)}, {1: sc(1), 2: Scalar(1, 3, 2)}]
+    before = exactlin.modp_fallbacks
+    got = sparse_kernel(rows, 3)
+    assert got == exactlin._kernel_exact(rows, 3)
+    assert got[0][0] == Scalar(huge, 3 * huge, 2)
+    assert exactlin.modp_fallbacks == before + 1
+    spanning = [{0: ONE}, {1: ONE}]
+    target = {0: sc(huge), 1: sc(_Q(1, huge))}
+    assert coordinates(spanning, [target]) == [target]
+    assert exactlin.modp_fallbacks == before + 2
+
+
+def _random_sparse_vectors(rng, count, ncols, m, spread=4):
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            # a combination of two earlier vectors
+            u, w = rng.choice(out), rng.choice(out)
+            f = _Q(rng.randint(-5, 5), rng.randint(1, 7))
+            v = {k: u.get(k, ZERO) + sc(f) * w.get(k, ZERO)
+                 for k in sorted(set(u) | set(w))}
+            out.append({k: x for k, x in v.items() if x})
+            continue
+        v = {}
+        for k in sorted(rng.sample(range(ncols),
+                                   rng.randint(1, min(spread, ncols)))):
+            b = _Q(rng.randint(-3, 3), rng.randint(1, 5)) \
+                if m and rng.random() < 0.5 else _Q(0)
+            x = Scalar(_Q(rng.randint(-9, 9), rng.randint(1, 6)), b,
+                       m if b else None)
+            if x:
+                v[k] = x
+        out.append(v)
+    return out
+
+
+def _exact_independent(vectors):
+    ech = {}
+    return [i for i, v in enumerate(vectors)
+            if echelon_insert(ech, v) is not None]
+
+
+def test_certified_paths_agree_with_the_exact_ones():
+    # entry for entry the exact path's answers, and none falls back (some
+    # entries here are beyond one prime's reconstruction bound of about 2^30)
+    rng = random.Random(29)
+    before = exactlin.modp_fallbacks
+    for trial in range(40):
+        m = 2 if trial % 2 else None
+        ncols = rng.randint(2, 12)
+        rows = _random_sparse_vectors(rng, rng.randint(1, 10), ncols, m)
+        got = sparse_kernel(rows, ncols)
+        want = exactlin._kernel_exact(rows, ncols)
+        # entry for entry, in the same order
+        assert [list(v.items()) for v in got] == \
+            [list(v.items()) for v in want]
+        vectors = _random_sparse_vectors(rng, rng.randint(1, 10), ncols, m)
+        kept = independent_modp(vectors)
+        assert kept == _exact_independent(vectors)
+        spanning = [vectors[i] for i in kept]
+        targets = []
+        for _ in range(3):
+            t = {}
+            for v in spanning:
+                f = sc(_Q(rng.randint(-4, 4), rng.randint(1, 3)))
+                for k, x in v.items():
+                    t[k] = t.get(k, ZERO) + f * x
+            targets.append({k: x for k, x in t.items() if x})
+        got = coordinates(spanning, targets)
+        assert [list(c.items()) for c in got] == \
+            [list(c.items()) for c in
+             exactlin._coordinates_exact(spanning, targets)]
+    assert exactlin.modp_fallbacks == before
+
+
+def test_coordinates_reject_a_target_outside_the_span():
+    spanning = [{0: ONE, 1: ONE}]
+    with pytest.raises(ValueError):
+        coordinates(spanning, [{0: ONE}])
+
+
+def _drop_last_rep(gih):
+    # one representative fewer at grading 2: the pairing with grading 2n - 2
+    # is no longer square
+    gih.comps[2].pop()
+    gih.spanning[2].pop()
+    gih.h[2] -= 1
+
+
+def _last_rep_in_ideal(gih):
+    # the last representative at grading 2 replaced by an ideal multiple:
+    # as many as before, but the pairing is singular
+    gih.comps[2][-1] = gih.spanning[2][0]
+
+
+@pytest.mark.parametrize("spoil", (_drop_last_rep, _last_rep_in_ideal))
+def test_failed_gram_check_selects_exactly(monkeypatch, tmp_path, capsys,
+                                           spoil):
+    from collections import OrderedDict
+
+    from ihfan import cohomology, ihsheaf
+    from ihfan.cli import main
+    from conftest import cube_vertices
+
+    # the cube's face fan, f0 = 8: h = (1, f0-3, f0-3, 1)
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({
+        "field": "Q", "fan": "face",
+        "vertices": [[format_scalar(sc(x)) for x in v]
+                     for v in cube_vertices()]}))
+    argv = ["report", str(path), "--l", "support"]
+    monkeypatch.setattr(cohomology, "_profile_cache", OrderedDict())
+    before = exactlin.modp_fallbacks
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert json.loads(want)["h"] == [1, 5, 5, 1]
+    assert exactlin.modp_fallbacks == before
+
+    init = ihsheaf.GradedIH.__init__
+
+    def spoiled(self, pair, cap=None, relative=False, modular=False):
+        init(self, pair, cap, relative, modular)
+        if modular:
+            spoil(self)
+
+    monkeypatch.setattr(ihsheaf.GradedIH, "__init__", spoiled)
+    monkeypatch.setattr(cohomology, "_profile_cache", OrderedDict())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert exactlin.modp_fallbacks == before + 1

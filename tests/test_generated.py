@@ -1,7 +1,7 @@
-"""CLI answers on the benchmark's generated inputs, checked with the
-benchmark's own checks against the expectations its generator derives from
-combinatorics (perfbench/gen.py), and a guard that every package name the
-traced benchmark wraps exists."""
+"""CLI answers on the benchmark's generated inputs and library answers on
+its relight fans, checked with the benchmark's own checks against the
+expectations its generator derives from combinatorics (perfbench/gen.py),
+and a guard that every package name the traced benchmark wraps exists."""
 
 import importlib
 import json
@@ -46,6 +46,28 @@ def test_hvector_on_generated_polytopes(tmp_path, capsys, spec, seed,
     h, code, out = _run(tmp_path, capsys, gen.polytope_job,
                         ["hvector", "--oracle"], spec, seed, mirror)
     assert code == 0 and bench.check_hvector(h, out), out
+
+
+@pytest.fixture(scope="module")
+def relight():
+    """The benchmark's relight jobs with their Q(sqrt 2) bipyramids and
+    profiles built once."""
+    mods, _ = bench.load_package()
+    jobs = bench.RelightJobs(gen.RELIGHT_FANS)
+    jobs.warm(mods, "tests")
+    return mods, jobs
+
+
+@pytest.mark.parametrize("mirror", (False, True))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", range(len(gen.RELIGHT_FANS)))
+def test_relight_on_generated_fans(relight, spec, seed, mirror):
+    # HL ranks, HRM signatures and <l^n> = a <c> for a fresh l on a cached
+    # profile: the only jobs that take HL and HRM through Q(sqrt 2)
+    # coordinates (GradedIH.express)
+    mods, jobs = relight
+    job = jobs.prepare(mods, (seed, "tests", spec), spec, None, mirror)
+    assert jobs.check(mods, job, jobs.run(mods, job)), job["values"]
 
 
 def test_traced_names_resolve():

@@ -238,6 +238,17 @@ def test_ih_choice_independent(cube_fan):
     assert g.h_vector() == (1, 5, 5, 1)
 
 
+def test_modular_selection_is_the_exact_one(quadrant_fan, orthant_fan,
+                                            cube_fan, prism_fan):
+    # independence mod p picks the same spanning vectors and representatives
+    # as the exact greedy pass, including over Q(sqrt 2) (the prism)
+    for fan in (quadrant_fan, orthant_fan, cube_fan, prism_fan):
+        pair = cached_pair(fan)
+        exact, modular = GradedIH(pair), GradedIH(pair, modular=True)
+        assert modular.spanning == exact.spanning
+        assert modular.comps == exact.comps
+
+
 def test_ih_relative_quadrant_cone():
     f = build_fan(2, [[(1, 0), (0, 1)]])
     g = GradedIH(cached_pair(f), cap=6, relative=True)
