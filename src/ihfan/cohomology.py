@@ -11,6 +11,7 @@ Verification helpers compare them.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import prod
 
 from . import exactlin
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
@@ -225,7 +226,7 @@ class IHProfile:
         return got
 
     def reps(self, d):
-        return [ConewiseFunction(self.pair.subdivided, d, polys, check=False)
+        return [ConewiseFunction(self.pair.subdivided, d, polys)
                 for polys in self.rep_polys(d)]
 
     def context(self):
@@ -288,11 +289,12 @@ _GENERIC_TS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 class EvaluationContext:
     """Per maximal simplicial cone of the subdivision: the dual-basis facet
     forms (scaled so their wedge has determinant +-1 in the input
-    coordinates) and their product phi; plus one generic point z, the first
-    point (1, t, ..., t^(n-1)) at which no phi vanishes, and 1/phi(z) per
-    cone (inv_phi_z, in the order of the subdivision's maximal ids)."""
+    coordinates), whose product is the cone's phi; plus one generic point
+    z, the first point (1, t, ..., t^(n-1)) at which no phi vanishes, and
+    1/phi(z) per cone (inv_phi_z, in the order of the subdivision's
+    maximal ids)."""
 
-    __slots__ = ("pair", "forms", "phi", "adjacency", "z", "inv_phi_z")
+    __slots__ = ("pair", "forms", "adjacency", "z", "inv_phi_z")
 
     def __init__(self, pair: DistinguishedPair):
         sub = pair.subdivided
@@ -301,7 +303,6 @@ class EvaluationContext:
             raise ValueError("evaluation needs the simplicial subdivision")
         self.pair = pair
         self.forms = {}
-        self.phi = {}
         for m in sub.maximal_ids:
             rays = sub.cones[m].rays
             if len(rays) != n:
@@ -311,11 +312,7 @@ class EvaluationContext:
             duals = [inv.col(i) for i in range(n)]
             scale = abs(d)
             duals[0] = tuple(scale * x for x in duals[0])
-            phi = Polynomial.constant(n, 1)
-            for f in duals:
-                phi = phi.mul(Polynomial.from_linear(f))
             self.forms[m] = tuple(duals)
-            self.phi[m] = phi
         self.adjacency = {m: [] for m in sub.maximal_ids}
         for tid in pair.facet_piece_ids():
             owners = pair.owners(tid)
@@ -325,7 +322,8 @@ class EvaluationContext:
                 self.adjacency[b].append(a)
         for t in _GENERIC_TS:
             z = tuple(sc(t) ** i for i in range(n))
-            vals = {m: self.phi[m].evaluate(z) for m in sub.maximal_ids}
+            vals = {m: prod((vdot(f, z) for f in self.forms[m]), start=ONE)
+                    for m in sub.maximal_ids}
             if all(vals.values()):
                 break
         else:
@@ -439,22 +437,26 @@ def _coarse_l_on_piece(profile, l: PLFunction):
             for m in profile.pair.subdivided.maximal_ids}
 
 
+def _pairing_and_rank(profile, d):
+    """The pairing matrix between the representatives of gradings d and
+    2n - d, and its rank."""
+    left = _rep_values(profile, d)
+    right = _rep_values(profile, 2 * profile.n - d)
+    mat = _gram(left, profile.context().inv_phi_z.values(), right)
+    return mat, rank(mat)
+
+
 def _certifying_grams(profile):
     """{d: pairing matrix at d} for every even d <= n when each is square
     and nonsingular, else None."""
-    n = profile.n
     try:
-        weights = profile.context().inv_phi_z.values()
+        profile.context()
     except ValueError:
         return None
     grams = {}
-    for d in range(0, n + 1, 2):
-        left = _rep_values(profile, d)
-        right = _rep_values(profile, 2 * n - d)
-        if left.nrows != right.nrows:
-            return None
-        mat = _gram(left, weights, right)
-        if rank(mat) != left.nrows:
+    for d in range(0, profile.n + 1, 2):
+        mat, r = _pairing_and_rank(profile, d)
+        if not mat.nrows == mat.ncols == r:
             return None
         grams[d] = mat
     return grams
@@ -468,17 +470,14 @@ def pairing_matrix(profile: IHProfile, d):
     n = profile.n
     if d % 2 or d < 0 or d > 2 * n:
         raise ValueError("pairing needs an even grading in [0, 2n]")
-    grams = getattr(profile, "grams", None)
+    grams = profile.grams
     if grams:
         return grams[d] if d <= n else grams[2 * n - d].transpose()
-    left = _rep_values(profile, d)
-    right = _rep_values(profile, 2 * n - d)
-    mat = _gram(left, profile.context().inv_phi_z.values(), right)
-    r = rank(mat)
-    if r != min(left.nrows, right.nrows) or left.nrows != right.nrows:
+    mat, r = _pairing_and_rank(profile, d)
+    if not mat.nrows == mat.ncols == r:
         raise ValueError(
             f"duality pairing at grading {d} is degenerate "
-            f"({left.nrows} x {right.nrows}, rank {r})")
+            f"({mat.nrows} x {mat.ncols}, rank {r})")
     return mat
 
 

@@ -9,9 +9,8 @@ agree on shared faces.
 
 from __future__ import annotations
 
-from .exactlin import ONE, ZERO, format_scalar, sc, sparse_kernel
-from . import fans
-from .fans import Fan, vdot
+from .exactlin import ZERO, format_scalar, sc
+from .fans import Fan
 
 
 # -- polynomials -----------------------------------------------------------
@@ -41,10 +40,6 @@ class Polynomial:
                 c = sc(c)
                 if c:
                     self.coeffs[tuple(e)] = c
-
-    @staticmethod
-    def zero(n):
-        return Polynomial(n)
 
     @staticmethod
     def constant(n, c):
@@ -203,15 +198,6 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def restrict_to_span(p: Polynomial, cone: fans.Cone):
-    """Restriction of p to span(cone) in the coordinates of the
-    deterministic span basis (first independent generators); returns a
-    polynomial in cone.dim variables."""
-    basis = cone.span_basis()
-    rows = [tuple(b[i] for b in basis) for i in range(cone.n)]
-    return p.compose(rows)
-
-
 # -- conewise functions ----------------------------------------------------
 
 
@@ -221,16 +207,16 @@ class ConewiseFunction:
 
     __slots__ = ("fan", "grading", "per_max")
 
-    def __init__(self, fan: Fan, grading, per_max, check=True):
+    def __init__(self, fan: Fan, grading, per_max):
         if grading % 2:
             raise ValueError("grading must be even")
         self.fan = fan
         self.grading = grading
         self.per_max = dict(per_max)
-        if check:
-            self.validate()
 
     def validate(self):
+        """Raise unless there is one polynomial per maximal cone, each of
+        degree grading/2, and any two agree on the shared face."""
         if set(self.per_max) != set(self.fan.maximal_ids):
             raise ValueError("need exactly one polynomial per maximal cone")
         k = self.grading // 2
@@ -248,156 +234,3 @@ class ConewiseFunction:
                     raise ValueError(
                         "polynomials disagree on the shared face of cones "
                         f"{a} and {b}")
-
-    def value(self, x):
-        for m in self.fan.maximal_ids:
-            if self.fan.cones[m].contains(x):
-                return self.per_max[m].evaluate(x)
-        raise ValueError("point outside the fan support")
-
-    def scale(self, c):
-        return ConewiseFunction(self.fan, self.grading,
-                                {m: p.scale(c) for m, p in self.per_max.items()},
-                                check=False)
-
-    def add(self, other):
-        if other.grading != self.grading or other.fan is not self.fan:
-            raise ValueError("grading or fan mismatch")
-        return ConewiseFunction(self.fan, self.grading,
-                                {m: p.add(other.per_max[m])
-                                 for m, p in self.per_max.items()},
-                                check=False)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.per_max.values())
-
-
-def multiply(f: ConewiseFunction, g: ConewiseFunction):
-    if f.fan is not g.fan and f.fan != g.fan:
-        raise ValueError("functions live on different fans")
-    return ConewiseFunction(f.fan, f.grading + g.grading,
-                            {m: f.per_max[m].mul(g.per_max[m])
-                             for m in f.per_max},
-                            check=False)
-
-
-def sections_basis(fan: Fan, grading):
-    """Deterministic basis of the conewise polynomial functions of the
-    given grading on a simplicial fan, via the face-compatibility kernel."""
-    if grading % 2:
-        raise ValueError("grading must be even")
-    if not fan.is_simplicial():
-        raise ValueError("sections_basis needs a simplicial fan")
-    k = grading // 2
-    mx = list(fan.maximal_ids)
-    monos = monomials(fan.n, k)
-    col = {}
-    for m in mx:
-        for e in monos:
-            col[(m, e)] = len(col)
-    rows = []
-    for i, a in enumerate(mx):
-        for b in mx[i + 1:]:
-            meet = fan.cones[fan.meet_id(a, b)]
-            if meet.dim == 0 and k > 0:
-                continue
-            eqs = meet.equations()
-            residual = {}
-            for m, sign in ((a, ONE), (b, sc(-1))):
-                for e in monos:
-                    red = Polynomial(fan.n, {e: ONE}).reduce_mod(eqs)
-                    for re, rc in red.coeffs.items():
-                        row = residual.setdefault(re, {})
-                        c = row.get(col[(m, e)], ZERO) + sign * rc
-                        if c:
-                            row[col[(m, e)]] = c
-                        else:
-                            row.pop(col[(m, e)], None)
-            rows.extend(residual.values())
-    kern = sparse_kernel(rows, len(col))
-    out = []
-    for v in kern:
-        per = {}
-        for m in mx:
-            coeffs = {}
-            for e in monos:
-                c = v.get(col[(m, e)])
-                if c:
-                    coeffs[e] = c
-            per[m] = Polynomial(fan.n, coeffs)
-        out.append(ConewiseFunction(fan, grading, per, check=False))
-    return out
-
-
-def pullback(f: ConewiseFunction, rows, target_fan: Fan):
-    """Pull back along the linear map x -> rows . x from the target fan's
-    ambient space to f's; every target cone must map into a single cone of
-    f's fan."""
-    per = {}
-    for m in target_fan.maximal_ids:
-        images = [tuple(vdot(r, ray) for r in rows)
-                  for ray in target_fan.cones[m].rays]
-        src = None
-        for s in f.fan.maximal_ids:
-            if all(f.fan.cones[s].contains(im) for im in images):
-                src = s
-                break
-        if src is None:
-            raise ValueError("a target cone does not map into a single "
-                             "source cone")
-        per[m] = f.per_max[src].compose(rows)
-    return ConewiseFunction(target_fan, f.grading, per, check=False)
-
-
-def vanishes_on_boundary(f: ConewiseFunction, boundary_ids):
-    """True when f restricts to zero on every listed cone of its fan."""
-    for bid in boundary_ids:
-        c = f.fan.cones[bid]
-        owner = next((m for m in f.fan.maximal_ids
-                      if bid == m or bid in f.fan.faces_of[m]), None)
-        if owner is None:
-            raise ValueError("boundary cone is not a face of a maximal cone")
-        if not f.per_max[owner].reduce_mod(c.equations()).is_zero():
-            return False
-    return True
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def _exp_key(e):
-    return ",".join(str(x) for x in e)
-
-
-def _parse_exp(s, n):
-    parts = [p for p in str(s).split(",") if p != ""]
-    e = tuple(int(p) for p in parts)
-    if len(e) != n or any(x < 0 for x in e):
-        raise ValueError(f"bad exponent tuple {s!r}")
-    return e
-
-
-def section_to_json_dict(f: ConewiseFunction):
-    per = {}
-    for m in sorted(f.per_max):
-        per[str(m)] = {_exp_key(e): format_scalar(c)
-                       for e, c in sorted(f.per_max[m].coeffs.items())}
-    return {"grading": f.grading, "per_cone": per}
-
-
-def section_from_json_dict(obj, fan: Fan):
-    grading = int(obj["grading"])
-    field = fan.field
-    per = {}
-    for key, entry in obj["per_cone"].items():
-        m = int(key)
-        if m not in fan.cones:
-            raise ValueError(f"unknown cone id {m}")
-        coeffs = {}
-        for es, cs in entry.items():
-            e = _parse_exp(es, fan.n)
-            coeffs[e] = field.parse(cs) if isinstance(cs, str) else sc(cs)
-        per[m] = Polynomial(fan.n, coeffs)
-    for m in fan.maximal_ids:
-        per.setdefault(m, Polynomial(fan.n))
-    return ConewiseFunction(fan, grading, per)

@@ -16,8 +16,8 @@ Linear algebra entry points:
 - sparse_eliminate and rref (reduced row echelon forms), first_independent
   (the first-independent basis of a list of vectors), rank, kernel_basis,
   and solve, all built on echelon_insert;
-- inverse and det from one elimination (the determinant is the product of
-  the pivot values, signed by the pivot permutation);
+- inverse, which also returns the determinant (the product of the pivot
+  values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
 - the large systems, eliminated modulo primes and certified exactly:
   sparse_kernel (kernel bases; kernel_basis calls it), coordinates (of
@@ -541,10 +541,11 @@ def solve(m, rhs):
     return tuple(x)
 
 
-def _invert(m):
-    """Gauss-Jordan on [m | 1]: (inverse or None when singular, det).  The
-    determinant is the product of the pivot values times the sign of the
-    permutation taking each row to its pivot column."""
+def inverse(m):
+    """(inverse, determinant) of a square matrix from one Gauss-Jordan
+    elimination on [m | 1]; raises ValueError when the matrix is singular.
+    The determinant is the product of the pivot values times the sign of
+    the permutation taking each row to its pivot column."""
     n = m.nrows
     if m.ncols != n:
         raise ValueError("square matrix needed")
@@ -557,27 +558,13 @@ def _invert(m):
         c, piv = echelon_insert(ech, row)
         if c >= n:
             # the row's part in m lies in the span of the rows before it
-            return None, ZERO
+            raise ValueError("matrix is singular")
         cols.append(c)
         d = d * piv
     if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2:
         d = -d
     inv = Matrix([[ech[c].get(n + j, ZERO) for j in range(n)]
                   for c in range(n)], ncols=n)
-    return inv, d
-
-
-def det(m):
-    """Determinant of a square matrix (zero when singular)."""
-    return _invert(m)[1]
-
-
-def inverse(m):
-    """(inverse, determinant) of a square matrix from one elimination;
-    raises ValueError when the matrix is singular."""
-    inv, d = _invert(m)
-    if inv is None:
-        raise ValueError("matrix is singular")
     return inv, d
 
 

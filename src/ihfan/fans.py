@@ -286,12 +286,6 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={[format_vector(r) for r in self.rays]})"
 
 
-def cone_faces(c: Cone):
-    """All faces of the cone, {0} and the cone itself included."""
-    keys = sorted(c.face_ray_keys(), key=lambda k: (cone_geometry(k, c.n).dim, k))
-    return [Cone(k, c.n) for k in keys]
-
-
 def _separating_form(g1, g2, n):
     """A facet form of g1 that is nonpositive on g2 (or the mirrored case,
     returned with sign making it >= 0 on g1)."""
@@ -760,13 +754,6 @@ def _lifted_hull_facets(vertices, n):
     return [facets[i] for i in order], [forms[i] for i in order]
 
 
-def face_fan(vertices, field=None):
-    """Fan of cones over the proper faces of conv(vertices); the origin must
-    be an interior point."""
-    fan, _ = face_fan_with_support(vertices, field)
-    return fan
-
-
 def face_fan_with_support(vertices, field=None):
     """Face fan plus its canonical strictly convex function: on the cone
     over a facet F, the unique linear form equal to 1 on F."""
@@ -813,18 +800,6 @@ def normal_fan(vertices, field=None):
         key = tuple(sorted(canonical_direction(g) for g in gens))
         per_max[fan.id_by_key[key]] = vertices[vi]
     return fan, PLFunction(fan, per_max)
-
-
-def polytope_from_json_dict(obj, check=True):
-    """Returns (fan, canonical strictly convex PLFunction)."""
-    field = ScalarField.from_json(obj["field"])
-    vertices = [parse_vector(v, field) for v in obj["vertices"]]
-    kind = obj.get("fan", "normal")
-    if kind == "normal":
-        return normal_fan(vertices, field=field)
-    if kind == "face":
-        return face_fan_with_support(vertices, field=field)
-    raise ValueError(f"unknown fan kind {kind!r}")
 
 
 # -- products --------------------------------------------------------------

@@ -257,7 +257,7 @@ class _Sections:
 
     def as_function(self, vecm):
         return ConewiseFunction(self.pair.subdivided, self.grading,
-                                self.materialize(vecm), check=False)
+                                self.materialize(vecm))
 
 
 class DistinguishedPair:
@@ -660,8 +660,19 @@ def relative_sections(pair: DistinguishedPair, boundary=None, cap=None):
 # -- pair serialization ----------------------------------------------------
 
 
+def _exp_key(e):
+    return ",".join(str(x) for x in e)
+
+
+def _parse_exp(s, n):
+    parts = [p for p in str(s).split(",") if p != ""]
+    e = tuple(int(p) for p in parts)
+    if len(e) != n or any(x < 0 for x in e):
+        raise ValueError(f"bad exponent tuple {s!r}")
+    return e
+
+
 def pair_to_json_dict(pair: DistinguishedPair):
-    from .conewise import _exp_key
     stalks = {}
     for cid in sorted(pair.stalks):
         gens = []
@@ -682,7 +693,6 @@ def pair_from_json_dict(obj):
     """Rebuild a pair from a dump: the fan is reconstructed, the recorded
     star subdivisions are replayed (ids are deterministic), and the stored
     generator sections are attached without recomputation."""
-    from .conewise import _parse_exp
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
     field = fan.field
     centers = [parse_vector(v, field) for v in obj.get("steps", [])]

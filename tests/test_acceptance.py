@@ -301,10 +301,12 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
         pair = build_distinguished_pair(fan)
         ctx = EvaluationContext(pair)
         for m in pair.subdivided.maximal_ids:
-            per = {k: (ctx.phi[m] if k == m else Polynomial(fan.n))
+            top = Polynomial.constant(fan.n, 1)
+            for form in ctx.forms[m]:
+                top = top.mul(Polynomial.from_linear(form))
+            per = {k: (top if k == m else Polynomial(fan.n))
                    for k in pair.subdivided.maximal_ids}
-            f = ConewiseFunction(pair.subdivided, 2 * fan.n, per,
-                                 check=False)
+            f = ConewiseFunction(pair.subdivided, 2 * fan.n, per)
             if evaluate(ctx, f) != sc(1):
                 not_one += 1
     _report(7, "evaluation functional contract", {

@@ -5,7 +5,7 @@ import types
 import pytest
 
 from ihfan.conewise import ConewiseFunction, Polynomial
-from ihfan.exactlin import Matrix, ScalarField, det, rank, sc
+from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
@@ -150,9 +150,12 @@ def test_evaluate_normalization_is_basis_free(quadrant_fan):
     ctx = EvaluationContext(pair)
     sub = pair.subdivided
     for m in sub.maximal_ids:
-        per = {k: (ctx.phi[m] if k == m else Polynomial(2))
+        top = Polynomial.constant(2, 1)
+        for form in ctx.forms[m]:
+            top = top.mul(Polynomial.from_linear(form))
+        per = {k: (top if k == m else Polynomial(2))
                for k in sub.maximal_ids}
-        f = ConewiseFunction(sub, 4, per, check=False)
+        f = ConewiseFunction(sub, 4, per)
         assert evaluate(ctx, f) == sc(1)
         assert evaluate_fast(ctx, f) == sc(1)
 
@@ -161,7 +164,7 @@ def test_evaluate_wedge_normalization(orthant_fan):
     pair = build_distinguished_pair(orthant_fan)
     ctx = EvaluationContext(pair)
     for m, forms in ctx.forms.items():
-        d = det(Matrix(forms))
+        d = inverse(Matrix(forms))[1]
         assert d in (sc(1), sc(-1))
 
 
@@ -210,7 +213,7 @@ def test_evaluate_rejects_non_sections(quadrant_fan):
     bad = ConewiseFunction(sub, 4,
                            {m: (Polynomial(2, {(2, 0): sc(1)})
                                 if m == m0 else Polynomial(2))
-                            for m in sub.maximal_ids}, check=False)
+                            for m in sub.maximal_ids})
     with pytest.raises(ValueError):
         evaluate(ctx, bad)
     with pytest.raises(ValueError):
@@ -248,7 +251,7 @@ def test_pairing_rejects_degenerate(quadrant_fan):
                             for m in p.pair.subdivided.maximal_ids}
                            for _ in range(p.h[d])]
     fake = types.SimpleNamespace(n=2, h=p.h, pair=p.pair, context=p.context,
-                                 rep_polys=zero_reps)
+                                 rep_polys=zero_reps, grams={})
     with pytest.raises(ValueError):
         pairing_matrix(fake, 2)
 
@@ -369,7 +372,7 @@ def _conewise_product(sub, a, b, lin, k):
         for _ in range(k):
             q = q.mul(Polynomial.from_linear(lin[m]))
         per[m] = q
-    return ConewiseFunction(sub, 2 * n, per, check=False)
+    return ConewiseFunction(sub, 2 * n, per)
 
 
 @pytest.fixture(scope="module")

@@ -1,37 +1,19 @@
-import json
 import random
 from math import comb
 
 import pytest
 
-from ihfan import conewise, fans
 from ihfan.conewise import ConewiseFunction, Polynomial
 from ihfan.exactlin import sc
+from ihfan.ihsheaf import global_sections
+from conftest import cached_pair
 
 
-def one_dim_fan():
-    return fans.build_fan(1, [[(1,)], [(-1,)]])
-
-
-def quadrant_fan():
-    return fans.build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)],
-                              [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
-
-
-def orthant_fan():
-    return fans.build_fan(3, [[(sc(a), 0, 0), (0, sc(b), 0), (0, 0, sc(c))]
-                              for a in (1, -1) for b in (1, -1)
-                              for c in (1, -1)])
-
-
-def abs_x(fan):
-    plus = next(m for m in fan.maximal_ids
-                if fan.cones[m].rays[0] == (sc(1),))
-    minus = next(m for m in fan.maximal_ids
-                 if fan.cones[m].rays[0] == (sc(-1),))
-    return ConewiseFunction(fan, 2, {
-        plus: Polynomial.from_linear((sc(1),)),
-        minus: Polynomial.from_linear((sc(-1),))})
+def product(f, g):
+    """The per-cone product of two conewise functions on one fan."""
+    return ConewiseFunction(f.fan, f.grading + g.grading,
+                            {m: p.mul(g.per_max[m])
+                             for m, p in f.per_max.items()})
 
 
 def test_polynomial_arithmetic():
@@ -54,108 +36,54 @@ def test_divide_by_linear():
     assert r.divide_by_linear(x_plus_y) is None
 
 
-def test_restrict_to_span_examples():
-    ray_e2 = fans.Cone.from_generators([(0, 1)], 2)
-    assert conewise.restrict_to_span(
-        Polynomial.from_linear((sc(1), sc(0))), ray_e2).is_zero()
-    ray_e1 = fans.Cone.from_generators([(1, 0)], 2)
-    q = Polynomial(2, {(2, 0): 1, (1, 1): 1})
-    assert conewise.restrict_to_span(q, ray_e1).coeffs == {(2,): sc(1)}
-
-
-def test_sections_basis_dims():
-    one = one_dim_fan()
-    assert len(conewise.sections_basis(one, 0)) == 1
-    assert len(conewise.sections_basis(one, 2)) == 2
-    assert len(conewise.sections_basis(one, 4)) == 2
-    quad = quadrant_fan()
-    assert len(conewise.sections_basis(quad, 4)) == 8
-
-
-def test_sections_hilbert_identity():
-    # dim of grading-d sections = sum_j h_j * C((d-j)/2 + n-1, n-1)
-    cases = [(quadrant_fan(), (1, 2, 1)), (orthant_fan(), (1, 3, 3, 1))]
+def test_sections_hilbert_identity(quadrant_fan, orthant_fan, cube_fan):
+    # dim of grading-d sections = sum_j h_j * C((d-j)/2 + n-1, n-1); the
+    # cube's face fan (f0 = 8) has h = (1, f0-3, f0-3, 1) and is not
+    # simplicial, so its sections go through the flattened stalks
+    cases = [(quadrant_fan, (1, 2, 1)), (orthant_fan, (1, 3, 3, 1)),
+             (cube_fan, (1, 5, 5, 1))]
     for fan, h in cases:
         n = fan.n
+        g = global_sections(cached_pair(fan))
         for d in range(0, 2 * n + 1, 2):
             expect = sum(h[j // 2] * comb((d - j) // 2 + n - 1, n - 1)
                          for j in range(0, d + 1, 2) if j // 2 < len(h))
-            assert len(conewise.sections_basis(fan, d)) == expect
+            assert len(g[d]) == expect
+    # g is the cube's: h = (1, 5, 5, 1)
+    assert [len(g[d]) for d in sorted(g)] == [1, 8, 26, 56]
 
 
-def test_sections_are_valid():
-    quad = quadrant_fan()
-    for f in conewise.sections_basis(quad, 4):
+def test_sections_are_valid(cube_fan):
+    # the continuity oracle accepts every section the nonsimplicial path
+    # solves for, past the linear ones
+    for f in global_sections(cached_pair(cube_fan), cap=4)[4]:
         f.validate()
 
 
-def test_multiply_grading_and_commutativity():
-    one = one_dim_fan()
-    f = abs_x(one)
-    basis = conewise.sections_basis(one, 2)
-    g = basis[0]
-    fg = conewise.multiply(f, g)
-    gf = conewise.multiply(g, f)
-    assert fg.grading == 4
-    for m in one.maximal_ids:
-        assert fg.per_max[m] == gf.per_max[m]
-    fg.validate()
+def test_multiply_grading_and_commutativity(quadrant_fan, cube_fan):
+    # the per-cone product of two sections is again continuous, in the
+    # summed grading
+    for fan in (quadrant_fan, cube_fan):
+        basis = global_sections(cached_pair(fan), cap=2)[2]
+        for f, g in ((basis[0], basis[-1]), (basis[1], basis[1])):
+            fg = product(f, g)
+            gf = product(g, f)
+            assert fg.grading == 4
+            assert fg.per_max == gf.per_max
+            fg.validate()
 
 
-def test_multiply_associativity():
-    quad = quadrant_fan()
+def test_multiply_associativity(quadrant_fan):
     rng = random.Random(3)
-    basis = conewise.sections_basis(quad, 2)
+    basis = global_sections(cached_pair(quadrant_fan), cap=2)[2]
     f, g, h = (basis[rng.randrange(len(basis))] for _ in range(3))
-    a = conewise.multiply(conewise.multiply(f, g), h)
-    b = conewise.multiply(f, conewise.multiply(g, h))
-    for m in quad.maximal_ids:
-        assert a.per_max[m] == b.per_max[m]
+    assert product(product(f, g), h).per_max == \
+        product(f, product(g, h)).per_max
 
 
-def test_pullback_projection():
-    one = one_dim_fan()
-    quad = quadrant_fan()
-    pb = conewise.pullback(abs_x(one), [(sc(1), sc(0))], quad)
-    pb.validate()
-    assert fans.format_scalar(pb.value((sc(-3), sc(5)))) == "3"
-    assert pb.grading == 2
-
-
-def test_pullback_needs_cone_image():
-    quad = quadrant_fan()
-    one = one_dim_fan()
-    # rotate the quadrant fan so cone images straddle two cones downstairs
-    with pytest.raises(ValueError):
-        conewise.pullback(abs_x(one), [(sc(1), sc(-1))], quad)
-
-
-def test_vanishes_on_boundary():
-    o2 = fans.build_fan(2, [[(1, 0), (0, 1)]])
-    m = o2.maximal_ids[0]
-    bd = fans.boundary_facet_ids(o2)
-    assert len(bd) == 2
-    xy = ConewiseFunction(o2, 4, {m: Polynomial(2, {(1, 1): 1})})
-    assert conewise.vanishes_on_boundary(xy, bd)
-    xx = ConewiseFunction(o2, 4, {m: Polynomial(2, {(2, 0): 1})})
-    assert not conewise.vanishes_on_boundary(xx, bd)
-
-
-def test_compatibility_validation_rejects():
-    quad = quadrant_fan()
+def test_compatibility_validation_rejects(quadrant_fan):
     per = {m: Polynomial.from_linear((sc(1), sc(0)))
-           for m in quad.maximal_ids}
-    per[quad.maximal_ids[0]] = Polynomial.from_linear((sc(1), sc(1)))
+           for m in quadrant_fan.maximal_ids}
+    per[quadrant_fan.maximal_ids[0]] = Polynomial.from_linear((sc(1), sc(1)))
     with pytest.raises(ValueError):
-        ConewiseFunction(quad, 2, per)
-
-
-def test_section_json_round_trip():
-    quad = quadrant_fan()
-    one = one_dim_fan()
-    pb = conewise.pullback(abs_x(one), [(sc(1), sc(0))], quad)
-    blob = json.dumps(conewise.section_to_json_dict(pb), sort_keys=True)
-    back = conewise.section_from_json_dict(json.loads(blob), quad)
-    assert back.grading == 2
-    for m in quad.maximal_ids:
-        assert back.per_max[m] == pb.per_max[m]
+        ConewiseFunction(quadrant_fan, 2, per).validate()

@@ -14,7 +14,6 @@ from ihfan.exactlin import (
     Scalar,
     ScalarField,
     coordinates,
-    det,
     echelon_insert,
     independent_modp,
     format_scalar,
@@ -320,7 +319,6 @@ def test_det_and_inverse_randomised():
                 if n > 2 else [a * sc(3) for a in rows[0]]
             m = Matrix(rows)
         want = _leibniz_det(m)
-        assert det(m) == want
         if want.is_zero():
             singular += 1
             with pytest.raises(ValueError):
@@ -334,9 +332,9 @@ def test_det_and_inverse_randomised():
 
 
 def test_det_of_empty_and_nonsquare():
-    assert det(Matrix([], ncols=0)) == ONE
+    assert inverse(Matrix([], ncols=0))[1] == ONE
     with pytest.raises(ValueError):
-        det(Matrix([[1, 2, 3], [4, 5, 6]]))
+        inverse(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_echelon_independent_of_insertion_order():

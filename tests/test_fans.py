@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ihfan import cohomology, fans
+from ihfan import cli, cohomology, fans
 from ihfan.exactlin import ZERO, Matrix, ScalarField, kernel_basis, rank, sc
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
@@ -64,13 +64,13 @@ def test_build_fan_rejects_redundant_generator():
 
 def test_cone_faces_counts():
     c = fans.Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert len(fans.cone_faces(c)) == 8
+    assert len(c.face_ray_keys()) == 8
     sq = fans.Cone.from_generators([(1, 1, 1), (-1, 1, 1), (-1, -1, 1),
                                     (1, -1, 1)], 3)
-    assert len(fans.cone_faces(sq)) == 10
+    assert len(sq.face_ray_keys()) == 10
     assert not sq.is_simplicial()
     r = fans.Cone.from_generators([(1, 0)], 2)
-    assert len(fans.cone_faces(r)) == 2
+    assert len(r.face_ray_keys()) == 2
 
 
 def test_star_link_on_ray():
@@ -98,7 +98,7 @@ def test_is_complete():
     assert fans.is_complete(quadrant_fan())
     assert not fans.is_complete(fans.build_fan(3, [[(1, 0, 0), (0, 1, 0),
                                                     (0, 0, 1)]]))
-    ff = fans.face_fan(cube_vertices())
+    ff = fans.face_fan_with_support(cube_vertices())[0]
     assert fans.is_complete(ff)
 
 
@@ -148,7 +148,7 @@ def test_barycentric_counts():
 
 
 def test_barycentric_cube_face_fan_48():
-    ff = fans.face_fan(cube_vertices())
+    ff = fans.face_fan_with_support(cube_vertices())[0]
     b, steps = fans.barycentric_subdivision(ff)
     assert len(b.maximal_ids) == 48
     assert len(steps) == 18
@@ -159,7 +159,7 @@ def test_barycentric_cube_face_fan_48():
 
 
 def test_subdivision_preserves_support():
-    ff = fans.face_fan(cube_vertices())
+    ff = fans.face_fan_with_support(cube_vertices())[0]
     b, _ = fans.barycentric_subdivision(ff)
     assert fans.is_complete(b)
     rng = random.Random(5)
@@ -180,11 +180,11 @@ def test_face_fan_of_cube():
 def test_face_fan_cross_polytope_is_orthants():
     octa = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
             (0, 0, -1)]
-    assert fans.face_fan(octa) == orthant_fan()
+    assert fans.face_fan_with_support(octa)[0] == orthant_fan()
 
 
 def test_face_fan_segment():
-    seg = fans.face_fan([(-1,), (2,)])
+    seg = fans.face_fan_with_support([(-1,), (2,)])[0]
     assert len(seg.maximal_ids) == 2
     keys = sorted(fans.format_scalar(r[0]) for r in seg.rays())
     assert keys == ["-1", "1"]
@@ -192,7 +192,7 @@ def test_face_fan_segment():
 
 def test_face_fan_requires_interior_origin():
     with pytest.raises(ValueError):
-        fans.face_fan([(0, 0), (1, 0), (0, 1)])
+        fans.face_fan_with_support([(0, 0), (1, 0), (0, 1)])[0]
 
 
 def test_normal_fan_square():
@@ -212,7 +212,7 @@ def test_normal_fan_octahedron_is_cube_face_fan():
     octa = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
             (0, 0, -1)]
     nf, l = fans.normal_fan(octa)
-    assert nf == fans.face_fan(cube_vertices())
+    assert nf == fans.face_fan_with_support(cube_vertices())[0]
     assert fans.is_strictly_convex(nf, l)
 
 
@@ -302,25 +302,28 @@ def test_sqrt2_prism_face_fan():
 
 
 def test_fan_json_round_trip():
-    pf = fans.face_fan(sqrt2_prism_vertices(), field=ScalarField(2))
+    pf = fans.face_fan_with_support(sqrt2_prism_vertices(),
+                                    field=ScalarField(2))[0]
     j = pf.canonical_json()
     pf2 = fans.fan_from_json_dict(json.loads(j))
     assert pf2 == pf
     assert pf2.canonical_json() == j
 
 
-def test_polytope_json():
+def test_polytope_json(tmp_path):
+    # a vertex list gives its face fan unless "fan" says otherwise, over Q
+    # unless "field" says otherwise
     pv = sqrt2_prism_vertices()
     obj = {"field": {"sqrt": 2},
-           "vertices": [[fans.format_scalar(x) for x in v] for v in pv],
-           "fan": "face"}
-    pf3, _ = fans.polytope_from_json_dict(obj)
-    assert pf3 == fans.face_fan(pv, field=ScalarField(2))
-    obj2 = {"field": "Q",
-            "vertices": [["1", "1"], ["-1", "1"], ["-1", "-1"], ["1", "-1"]],
+           "vertices": [[fans.format_scalar(x) for x in v] for v in pv]}
+    path = tmp_path / "prism.json"
+    path.write_text(json.dumps(obj))
+    pf3 = cli.load_input(str(path), "default").fan
+    assert pf3 == fans.face_fan_with_support(pv, field=ScalarField(2))[0]
+    obj2 = {"vertices": [["1", "1"], ["-1", "1"], ["-1", "-1"], ["1", "-1"]],
             "fan": "normal"}
-    nf, l = fans.polytope_from_json_dict(obj2)
-    assert nf == quadrant_fan()
+    path.write_text(json.dumps(obj2))
+    assert cli.load_input(str(path), "default").fan == quadrant_fan()
 
 
 def test_meet_and_locate():
@@ -335,7 +338,7 @@ def test_meet_and_locate():
 
 def test_subdivision_lattice_still_valid():
     # re-verify the fan axioms on a subdivided fan with the checker on
-    ff = fans.face_fan(cube_vertices())
+    ff = fans.face_fan_with_support(cube_vertices())[0]
     b, _ = fans.barycentric_subdivision(ff)
     rebuilt = fans.build_fan(3, [[list(r) for r in b.cones[m].rays]
                                  for m in b.maximal_ids], check=True)
