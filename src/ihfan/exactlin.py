@@ -26,14 +26,21 @@ Linear algebra entry points:
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
+Integer rows.  sparse_kernel takes its rows in integers: a pair (A, B) of
+dicts {col: int} for the row A + B*sqrt(m), with B empty over Q, and the
+radicand m (None over Q).  Scaling a row leaves the kernel alone, so a
+caller clears each row of denominators, as kernel_basis does with
+cleared and radicand, or builds it in integers from the start, as
+ihsheaf's section systems do.
+
 Elimination mod p.  echelon_insert_modp is the same step with Python ints
 modulo a fixed 61-bit prime p = 3 mod 4; over Q(sqrt(m)) p is one in which
 m is a square, with sqrt(m) -> s, and a system is eliminated under both
 s and p - s, whose images of a + b*sqrt(m) give a and b.  Vectors are
-cleared of denominators first.  Values are recovered by Wang rational
-reconstruction from one prime, or from the Chinese remainder of the next
-ones when that fails, and each use is certified in exact integer
-arithmetic:
+cleared of denominators first (kernel rows come cleared).  Values are
+recovered by Wang rational reconstruction from one prime, or from the
+Chinese remainder of the next ones when that fails, and each use is
+certified in exact integer arithmetic:
 - sparse_kernel reconstructs the reduced echelon and checks every row
   against every kernel vector; with the identity on the free columns this
   is the very basis the exact elimination returns;
@@ -45,7 +52,8 @@ arithmetic:
   pairing).
 A system with no prime for its field, pivots that change from one prime to
 the next, or no reconstruction that passes the check before the primes run
-out is recomputed on the exact path, and modp_fallbacks goes up by 1.
+out is recomputed on the exact path (for a kernel, on its rows rebuilt as
+Scalars), and modp_fallbacks goes up by 1.
 """
 
 from __future__ import annotations
@@ -296,11 +304,6 @@ class ScalarField:
     def parse(self, text):
         return parse_scalar(text, self)
 
-    def sqrt_gen(self):
-        if self.m is None:
-            raise ValueError("Q has no radical generator")
-        return Scalar(_Q0, _Q1, self.m)
-
     def to_json(self):
         return "Q" if self.m is None else {"sqrt": self.m}
 
@@ -481,14 +484,20 @@ def rref(m):
             for c, row in sparse_eliminate(_rows_to_sparse(m))]
 
 
-def sparse_kernel(rows, ncols):
-    """Kernel basis of the system given by sparse rows; one vector per free
-    column, with that free coordinate set to 1 and other free coordinates 0.
-    Eliminated modulo primes and certified exactly (see _kernel_modp)."""
-    basis = _kernel_modp(rows, ncols)
+def sparse_kernel(rows, ncols, m):
+    """Kernel basis of the system of integer rows (A, B), each the row
+    A + B*sqrt(m) of dicts {col: int} (B empty over Q, where m is None);
+    one vector per free column, with that free coordinate set to 1 and
+    other free coordinates 0.  Eliminated modulo primes and certified
+    exactly (see _kernel_modp); the exact fallback rebuilds the rows as
+    Scalars."""
+    basis = _kernel_modp(rows, ncols, m)
     if basis is None:
         record_fallback()
-        basis = _kernel_exact(rows, ncols)
+        basis = _kernel_exact(
+            [{k: Scalar(a.get(k, 0), b.get(k, 0), m)
+              for k in dict.fromkeys(a) | dict.fromkeys(b)}
+             for a, b in rows], ncols)
     return basis
 
 
@@ -514,7 +523,9 @@ def rank(m):
 
 def kernel_basis(m):
     """Basis of {x : m x = 0} as a list of coordinate tuples."""
-    basis = sparse_kernel(_rows_to_sparse(m), m.ncols)
+    rows = _rows_to_sparse(m)
+    basis = sparse_kernel([cleared(r)[:2] for r in rows], m.ncols,
+                          radicand(rows))
     return [tuple(v.get(j, ZERO) for j in range(m.ncols)) for v in basis]
 
 
@@ -646,17 +657,22 @@ def _embeddings(m):
     return tuple((p, (s, p - s)) for p, s in roots)
 
 
-def _field_primes(vectors):
-    """The radicand shared by the entries of the sparse vectors (None over
-    Q) and its primes; no primes when the entries mix two radicands."""
+def radicand(vectors):
+    """The radicand shared by the entries of the sparse vectors, None over
+    Q; raises ValueError when they mix two."""
     ms = {x.m for v in vectors for x in v.values()} - {None}
     if len(ms) > 1:
-        return None, []
-    m = ms.pop() if ms else None
+        raise ValueError(f"mixed radicands {sorted(ms)}")
+    return ms.pop() if ms else None
+
+
+def _field_primes(vectors):
+    """The radicand of the entries of the sparse vectors and its primes."""
+    m = radicand(vectors)
     return m, _embeddings(m)
 
 
-def _cleared(vec):
+def cleared(vec):
     """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0;
     B is empty over Q.  Scaling a vector changes neither its independence
     nor the kernel of a row system, and no denominator is left for p to
@@ -779,7 +795,7 @@ def _scalar(n_a, d_a, n_b, d_b, m):
     return Scalar(_Q(n_a, d_a), _Q(n_b, d_b) if n_b else _Q0, m)
 
 
-def _kernel_modp(rows, ncols):
+def _kernel_modp(rows, ncols, m):
     """sparse_kernel through primes, or None.  The kernel vector of free
     column f is e_f - sum over pivots c of R[c][f] e_c, with R the reduced
     echelon reconstructed from its images.  The check that every row is 0
@@ -787,14 +803,13 @@ def _kernel_modp(rows, ncols):
     dim ker, so K is a basis; R then has only entries right of its pivots,
     so its pivots are those of the exact echelon and K is the very basis of
     _kernel_exact."""
-    m, primes = _field_primes(rows)
     # repeated rows add nothing to the kernel
-    cleared = list({(tuple(a.items()), tuple(b.items())): (a, b)
-                    for a, b, _ in map(_cleared, rows) if a or b}.values())
+    distinct = list({(tuple(a.items()), tuple(b.items())): (a, b)
+                     for a, b in rows if a or b}.values())
     pivots = None
-    used = cleared
+    used = distinct
     residues = _Residues()
-    for p, ts in primes:
+    for p, ts in _embeddings(m):
         echs = []
         for t in ts:
             ech, independent = {}, []
@@ -818,13 +833,13 @@ def _kernel_modp(rows, ncols):
         residues.add(p, ts, images)
         entries = residues.lift()
         if entries is not None:
-            basis = _checked_kernel(cleared, pivots, entries, ncols, m)
+            basis = _checked_kernel(distinct, pivots, entries, ncols, m)
             if basis is not None:
                 return basis
     return None
 
 
-def _checked_kernel(cleared, pivots, entries, ncols, m):
+def _checked_kernel(rows, pivots, entries, ncols, m):
     """The kernel basis from the reconstructed entries {(free, pivot):
     R[pivot][free]} when every row vanishes on it exactly, else None."""
     by_free = {}
@@ -850,7 +865,7 @@ def _checked_kernel(cleared, pivots, entries, ncols, m):
                 w_piv[c][f] = -nb * (d // db)
             v[c] = _scalar(-na, da, -nb, db, m)
         basis.append(v)
-    for a_part, b_part in cleared:
+    for a_part, b_part in rows:
         # acc[f] = (row . den_f v_f), rational and sqrt(m) parts
         acc_a, acc_b = {}, {}
         for part, x_acc, y_acc, mult in ((a_part, acc_a, acc_b, 1),
@@ -881,7 +896,7 @@ def independent_modp(vectors):
     ech = {}
     out = []
     for i, v in enumerate(vectors):
-        a_part, b_part, _ = _cleared(v) if v else ({}, {}, 1)
+        a_part, b_part, _ = cleared(v) if v else ({}, {}, 1)
         r = _image(a_part, b_part, ts[0], p)
         if r and echelon_insert_modp(ech, r, p) is not None:
             out.append(i)
@@ -930,8 +945,8 @@ def _coordinates_modp(spanning, targets):
     sum_i c'_i S_i = T, and c_i = c'_i L_i / M."""
     m, primes = _field_primes(spanning + targets)
     ns = len(spanning)
-    span_c = [_cleared(v) if v else ({}, {}, 1) for v in spanning]
-    targ_c = [_cleared(v) if v else ({}, {}, 1) for v in targets]
+    span_c = [cleared(v) if v else ({}, {}, 1) for v in spanning]
+    targ_c = [cleared(v) if v else ({}, {}, 1) for v in targets]
     residues = _Residues()
     used = None   # after the first elimination: the coordinates it used
     for p, ts in primes:

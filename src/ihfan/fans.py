@@ -392,9 +392,6 @@ class Fan:
     def rays(self):
         return [self.cones[i].rays[0] for i in self.ray_ids()]
 
-    def zero_id(self):
-        return self.id_by_key[()]
-
     def meet_id(self, a, b):
         """Id of the intersection cone (largest common face)."""
         key = tuple(sorted(set(self.cones[a].rays) & set(self.cones[b].rays)))
@@ -573,12 +570,6 @@ class PLFunction:
                             "linear forms disagree on shared ray %s" %
                             (format_vector(r),))
 
-    def value(self, x):
-        for m in self.fan.maximal_ids:
-            if self.fan.cones[m].contains(x):
-                return vdot(self.per_max[m], x)
-        raise ValueError("point outside the fan support")
-
     @staticmethod
     def from_ray_values(fan: Fan, values):
         """Build from prescribed values on the canonical ray generators;
@@ -603,13 +594,18 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
     u outside sigma; ray generators suffice by conewise linearity."""
     if not is_complete(fan):
         raise ValueError("strict convexity is defined for complete fans here")
-    ray_vecs = fan.rays()
+    # l(u) from the first maximal cone having u as a ray
+    value = {}
+    for m in fan.maximal_ids:
+        for u in fan.cones[m].rays:
+            if u not in value:
+                value[u] = vdot(l.per_max[m], u)
     for m in fan.maximal_ids:
         c = fan.cones[m]
-        for u in ray_vecs:
+        for u, lu in value.items():
             if u in c.rays:
                 continue
-            if (vdot(l.per_max[m], u) - l.value(u)).sign() >= 0:
+            if (vdot(l.per_max[m], u) - lu).sign() >= 0:
                 return False
     return True
 

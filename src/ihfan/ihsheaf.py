@@ -7,18 +7,22 @@ cone's boundary is flattened along its subdivision center into a complete
 fan one dimension down, the lower-dimensional theory is computed there, and
 generator sections are pulled back from primitive representatives.  Global
 sections of any grading are then cut out by a sparse linear system in
-per-cone generator coefficients.
+per-cone generator coefficients, built in integer arithmetic (_Sections).
 
 All generator sections live on the subdivided fan; scalars stay exact.
 """
 
 from __future__ import annotations
 
+import functools
+from math import gcd
+
 from . import exactlin
 from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    cleared,
     coordinates,
     echelon_insert,
     first_independent,
@@ -26,6 +30,7 @@ from .exactlin import (
     independent_modp,
     inverse,
     kernel_basis,
+    radicand,
     sc,
     solve,
     sparse_kernel,
@@ -173,13 +178,119 @@ class StalkModule:
         self.generators = tuple(generators)
         self.free = free
 
-    def gradings(self):
-        return tuple(g for g, _ in self.generators)
+
+_EXP_BITS = 16
+
+
+def _pack(e):
+    """An exponent tuple as one int with a 16-bit digit per variable, so
+    that multiplying monomials adds their packed exponents."""
+    return sum(x << (_EXP_BITS * i) for i, x in enumerate(e))
+
+
+@functools.lru_cache(maxsize=64)
+def _packed_monomials(n, k):
+    return tuple(_pack(e) for e in monomials(n, k))
+
+
+def _int_mul(p, q, m):
+    """Product of two integer polynomials over Z[sqrt(m)], each a pair
+    (A, B) of dicts {packed exponent: int} standing for A + B*sqrt(m)."""
+    (pa, pb), (qa, qb) = p, q
+    a, b = {}, {}
+    for x, y, out, f in ((pa, qa, a, 1), (pb, qb, a, m), (pa, qb, b, 1),
+                         (pb, qa, b, 1)):
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + f * c1 * c2
+    return ({e: c for e, c in a.items() if c},
+            {e: c for e, c in b.items() if c})
+
+
+def _wall_images(eqs, n, k, m):
+    """images[e] = D^|e| * NF(x^e) for every packed exponent e of degree at
+    most k, as an integer pair over Z[sqrt(m)] (see _int_mul).  NF is the
+    normal form modulo the reduced echelon equations [(pivot, row)] of a
+    wall, which replaces each pivot variable by minus the rest of its row,
+    and D is their least common denominator.  NF is a ring map, so each
+    image is one of a degree lower times some D * NF(x_i)."""
+    a, b, den = cleared({(p, j): x for p, row in eqs
+                         for j, x in enumerate(row) if x and j != p})
+    units = [1 << (_EXP_BITS * i) for i in range(n)]
+    forms = {p: ({}, {}) for p, _ in eqs}
+    for (p, j), x in a.items():
+        forms[p][0][units[j]] = -x
+    for (p, j), x in b.items():
+        forms[p][1][units[j]] = -x
+    images = {0: ({0: 1}, {})}
+    level = [0]
+    for _ in range(k):
+        new = []
+        for e in level:
+            for i, u in enumerate(units):
+                if e + u in images:
+                    continue
+                if i in forms:
+                    images[e + u] = _int_mul(images[e], forms[i], m)
+                else:
+                    # D * x_i for a free variable: a shift and a scale
+                    images[e + u] = tuple({r + u: den * c
+                                           for r, c in part.items()}
+                                          for part in images[e])
+                new.append(e + u)
+        level = new
+    return images
+
+
+def _add_images(rows, images, col0, monos, f, c, m):
+    """Add c * images[e + f] to column col0 + i of the rows, for the i-th
+    packed exponent e of monos.  The coefficient c and the images are
+    integers over Z[sqrt(m)], pairs (rational part, sqrt(m) part), and so
+    are the rows: a pair of dicts {reduced exponent: {column: int}}."""
+    ca, cb = c
+    # (part of the image, part of the rows, factor)
+    terms = [t for t in ((0, 0, ca), (1, 1, ca), (0, 1, cb),
+                         (1, 0, cb * m if cb else 0)) if t[2]]
+    for col, e in enumerate(monos, col0):
+        img = images[e + f]
+        for src, dst, x in terms:
+            out = rows[dst]
+            for r, y in img[src].items():
+                row = out.get(r)
+                if row is None:
+                    out[r] = {col: x * y}
+                else:
+                    row[col] = row.get(col, 0) + x * y
+
+
+def _primitive(a, b):
+    """The integer row (A, B) without zero entries, divided by the gcd of
+    its entries; None when nothing is left."""
+    a = {k: x for k, x in a.items() if x}
+    b = {k: x for k, x in b.items() if x}
+    g = gcd(*a.values(), *b.values())
+    if not g:
+        return None
+    if g > 1:
+        a = {k: x // g for k, x in a.items()}
+        b = {k: x // g for k, x in b.items()}
+    return a, b
 
 
 class _Sections:
     """Solved space of grading-d sections of a pair, parametrized by
-    per-maximal-cone polynomial coefficients for each stalk generator."""
+    per-maximal-cone polynomial coefficients for each stalk generator.
+
+    The continuity system has one block of rows per wall: a subdivided
+    (n-1)-cone between two maximal cones with different carriers, or a
+    boundary piece for relative sections.  Each row is one coefficient of
+    the difference of the two sides' sections in the normal form modulo
+    the wall's equations.  The block is built in integers: with D clearing
+    the equations (_wall_images) and E the generator sections of both
+    sides, every entry is E * D^(d/2) times the exact one, which leaves the
+    kernel as it is.  Each row is then divided by the gcd of its entries,
+    so the kernel sees equal rows of the pieces of one wall as repeats."""
 
     __slots__ = ("pair", "grading", "cols", "basis")
 
@@ -188,50 +299,56 @@ class _Sections:
         self.grading = grading
         n = pair.fan.n
         cols = []
+        start = {}
         for mid in sorted(pair.fan.maximal_ids):
             for j, (g, _) in enumerate(pair.stalks[mid].generators):
                 if g <= grading:
-                    for e in monomials(n, (grading - g) // 2):
-                        cols.append((mid, j, e))
+                    start[(mid, j)] = len(cols)
+                    cols.extend((mid, j, e)
+                                for e in monomials(n, (grading - g) // 2))
         self.cols = cols
-        col_index = {c: i for i, c in enumerate(cols)}
         rows = []
+        rows_m = None   # the radicand of the rows' sqrt(m) parts
         sub = pair.subdivided
         for tid in pair.facet_piece_ids():
             owners = pair.owners(tid)
             if len(owners) == 2:
-                c1, c2 = pair.carrier(owners[0]), pair.carrier(owners[1])
-                if c1 == c2:
+                if pair.carrier(owners[0]) == pair.carrier(owners[1]):
                     continue
-                sides = ((owners[0], ONE), (owners[1], sc(-1)))
+                sides = ((owners[0], 1), (owners[1], -1))
             elif len(owners) == 1 and boundary_pieces is not None \
                     and tid in boundary_pieces:
-                sides = ((owners[0], ONE),)
+                sides = ((owners[0], 1),)
             else:
                 continue
-            eqs = sub.cones[tid].equations()
-            residual = {}
+            # the generator sections' coefficients keyed by (first column,
+            # degree of the generator's monomials, packed exponent)
+            coeffs = {}
             for hat, sign in sides:
                 mid = pair.carrier(hat)
                 for j, (g, sec) in enumerate(pair.stalks[mid].generators):
-                    if g > grading:
-                        continue
-                    base = sec[hat].reduce_mod(eqs)
-                    if base.is_zero():
-                        continue
-                    for e in monomials(n, (grading - g) // 2):
-                        mono = Polynomial(n, {e: sign}).reduce_mod(eqs)
-                        prod = mono.mul(base)
-                        ci = col_index[(mid, j, e)]
-                        for re, rc in prod.coeffs.items():
-                            row = residual.setdefault(re, {})
-                            s = row.get(ci, ZERO) + rc
-                            if s:
-                                row[ci] = s
-                            else:
-                                row.pop(ci, None)
-            rows.extend(residual.values())
-        kern = sparse_kernel(rows, len(cols))
+                    if g <= grading:
+                        key = (start[(mid, j)], (grading - g) // 2)
+                        for f, c in sec[hat].coeffs.items():
+                            coeffs[key + (_pack(f),)] = c if sign > 0 else -c
+            eqs = sub.cones[tid].equations()
+            m = radicand([coeffs] + [dict(enumerate(row)) for _, row in eqs])
+            images = _wall_images(eqs, n, grading // 2, m)
+            block = ({}, {})
+            a, b, _ = cleared(coeffs)
+            for key in coeffs:
+                col0, k, f = key
+                _add_images(block, images, col0, _packed_monomials(n, k), f,
+                            (a.get(key, 0), b.get(key, 0)), m)
+            for r in dict.fromkeys(block[0]) | dict.fromkeys(block[1]):
+                row = _primitive(block[0].get(r, {}), block[1].get(r, {}))
+                if row is not None:
+                    rows.append(row)
+                    if row[1]:
+                        # every scalar of a pair lies in its fan's field,
+                        # so the walls share one radicand
+                        rows_m = m
+        kern = sparse_kernel(rows, len(cols), rows_m)
         self.basis = [
             {cols[i]: c for i, c in v.items()} for v in kern]
 
@@ -277,19 +394,27 @@ class DistinguishedPair:
         for m in fan.maximal_ids:
             if fan.cones[m].dim != fan.n:
                 raise ValueError("maximal cones must have full dimension")
+        # the carrier of a subdivided cone is the smallest coarse cone
+        # containing it.  A ray's is located once, unless it is a coarse
+        # ray.  A cone's has each of its rays' carriers as a face, so it is
+        # the smallest coarse cone that does.  Ids go up with dimension, so
+        # rays come before the cones they span, and the smallest cone has
+        # the smallest id.
         self._carrier = {}
         self._pieces = {cid: [] for cid in fan.cones}
-        coarse_order = sorted(fan.cones, key=lambda i: (fan.cones[i].dim, i))
         for tid in sorted(subdivided.cones):
             tc = subdivided.cones[tid]
-            car = None
-            for cid in coarse_order:
-                cc = fan.cones[cid]
-                if cc.dim < tc.dim:
-                    continue
-                if all(cc.contains(r) for r in tc.rays):
-                    car = cid
-                    break
+            if tc.dim <= 1:
+                car = fan.id_by_key.get(tc.rays)
+                if car is None and tc.rays:
+                    car = fan.locate(tc.rays[0])
+            else:
+                ray_cars = {self._carrier[f] for f in subdivided.faces_of[tid]
+                            if subdivided.cones[f].dim == 1}
+                first = min(ray_cars)
+                car = min((c for c in fan.star_ids(first)
+                           if ray_cars.issubset(fan.faces_of[c] + (c,))),
+                          default=None)
             if car is None:
                 raise ValueError("subdivided cone escapes the coarse fan")
             self._carrier[tid] = car
@@ -321,19 +446,11 @@ class DistinguishedPair:
     def facet_piece_ids(self):
         return self._facet_pieces
 
-    def singular_ids(self):
-        """The subdivision is induced from the whole fan (no minimal
-        singular subfan), so every cone counts as singular."""
-        return tuple(sorted(self.fan.cones))
-
     def boundary_piece_ids(self):
         if self._boundary_pieces is None:
             self._boundary_pieces = frozenset(
                 t for t in self._facet_pieces if len(self._owners[t]) == 1)
         return self._boundary_pieces
-
-    def stalk(self, cid):
-        return self.stalks[cid]
 
     # -- section spaces ----------------------------------------------------
 
@@ -722,9 +839,13 @@ def pair_from_json_dict(obj):
                 pid = int(pid_s)
                 if pid not in pair.subdivided.cones:
                     raise ValueError(f"unknown subdivided cone id {pid}")
-                entry[pid] = Polynomial(n, {
+                poly = Polynomial(n, {
                     _parse_exp(es, n): field.parse(cs) if isinstance(cs, str)
                     else sc(cs) for es, cs in coeffs.items()})
+                if poly and poly.degree() != g // 2:
+                    raise ValueError("a stalk generator section is not of "
+                                     "degree grading/2")
+                entry[pid] = poly
             parsed.append((g, entry))
         pair.stalks[cid] = StalkModule(cid, parsed)
     for cid in fan.cones:

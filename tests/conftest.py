@@ -56,7 +56,7 @@ def prism_vertices():
     # prism over a trapezoid with an irrational slant, recentered so the
     # origin is the vertex centroid
     F = ScalarField(2)
-    r2 = F.sqrt_gen()
+    r2 = F.parse("0+1r2")
     quad = [(sc(0), sc(0)), (sc(1), sc(0)), (sc(1) + r2, sc(1)),
             (sc(0), sc(1))]
     cx = (sc(2) + r2) / sc(4)

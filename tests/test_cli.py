@@ -263,6 +263,22 @@ def test_verify_corrupted_pair_dump(tmp_path, capsys):
     assert "pd: FAIL" in capsys.readouterr().out
 
 
+def test_pair_dump_with_a_section_of_the_wrong_degree_exits_2(tmp_path,
+                                                              capsys):
+    src = write(tmp_path, "cube.json", cube_face_dict())
+    out = str(tmp_path / "pair.json")
+    assert main(["subdivide", src, "--emit-pair", "--out", out]) == 0
+    capsys.readouterr()
+    dump = json.loads((tmp_path / "pair.json").read_text())
+    # a grading-2 generator's section is linear; make one quadratic
+    gen = next(g for gens in dump["stalks"].values() for g in gens
+               if g[0] == 2)
+    gen[1][next(iter(gen[1]))] = {"2,0,0": "1"}
+    bad = write(tmp_path, "pair_bad.json", dump)
+    assert main(["hvector", bad]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
 def test_report_json_schema_and_determinism(tmp_path, capsys):
     obj = quadrant_dict()
     obj["l"] = {"ray_values": [1, 1, 1, 1]}

@@ -5,8 +5,9 @@ import pytest
 
 from ihfan.conewise import ConewiseFunction, Polynomial
 from ihfan.exactlin import sc
+from ihfan.fans import face_fan_with_support
 from ihfan.ihsheaf import global_sections
-from conftest import cached_pair
+from conftest import cached_pair, golden_field, icosahedron_vertices
 
 
 def product(f, g):
@@ -36,11 +37,17 @@ def test_divide_by_linear():
     assert r.divide_by_linear(x_plus_y) is None
 
 
-def test_sections_hilbert_identity(quadrant_fan, orthant_fan, cube_fan):
-    # dim of grading-d sections = sum_j h_j * C((d-j)/2 + n-1, n-1); the
-    # cube's face fan (f0 = 8) has h = (1, f0-3, f0-3, 1) and is not
-    # simplicial, so its sections go through the flattened stalks
+def test_sections_hilbert_identity(quadrant_fan, orthant_fan, cube_fan,
+                                   prism_fan):
+    # dim of grading-d sections = sum_j h_j * C((d-j)/2 + n-1, n-1).  A face
+    # fan of a 3-polytope with f0 vertices has h = (1, f0-3, f0-3, 1): the
+    # cube (f0 = 8) and the Q(sqrt 2) prism (f0 = 8) are not simplicial, so
+    # their sections go through the flattened stalks; the icosahedron
+    # (f0 = 12) is simplicial over Q(sqrt 5)
+    ico, _ = face_fan_with_support(icosahedron_vertices(),
+                                   field=golden_field()[0])
     cases = [(quadrant_fan, (1, 2, 1)), (orthant_fan, (1, 3, 3, 1)),
+             (prism_fan, (1, 5, 5, 1)), (ico, (1, 9, 9, 1)),
              (cube_fan, (1, 5, 5, 1))]
     for fan, h in cases:
         n = fan.n
@@ -53,11 +60,12 @@ def test_sections_hilbert_identity(quadrant_fan, orthant_fan, cube_fan):
     assert [len(g[d]) for d in sorted(g)] == [1, 8, 26, 56]
 
 
-def test_sections_are_valid(cube_fan):
+def test_sections_are_valid(cube_fan, prism_fan):
     # the continuity oracle accepts every section the nonsimplicial path
-    # solves for, past the linear ones
-    for f in global_sections(cached_pair(cube_fan), cap=4)[4]:
-        f.validate()
+    # solves for, past the linear ones, over Q and over Q(sqrt 2)
+    for fan in (cube_fan, prism_fan):
+        for f in global_sections(cached_pair(fan), cap=4)[4]:
+            f.validate()
 
 
 def test_multiply_grading_and_commutativity(quadrant_fan, cube_fan):

@@ -32,6 +32,12 @@ def S(text):
     return parse_scalar(text)
 
 
+def scalar_kernel(rows, ncols):
+    """sparse_kernel on sparse Scalar rows, given to it as integer rows."""
+    return sparse_kernel([exactlin.cleared(r)[:2] for r in rows], ncols,
+                         exactlin.radicand(rows))
+
+
 # -- scalar arithmetic and order ------------------------------------------
 
 
@@ -279,7 +285,7 @@ def test_sparse_kernel_matches_dense():
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6),
                            ScalarField())
         rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
-        ks = sparse_kernel([r for r in rows if r], m.ncols)
+        ks = scalar_kernel([r for r in rows if r], m.ncols)
         kd = kernel_basis(m)
         assert [tuple(v.get(j, sc(0)) for j in range(m.ncols)) for v in ks] == kd
 
@@ -438,14 +444,14 @@ def test_kernel_falls_back_when_the_prime_divides_a_minor():
     p = exactlin._PRIMES[0]
     rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
     before = exactlin.modp_fallbacks
-    assert sparse_kernel(rows, 2) == exactlin._kernel_exact(rows, 2) == []
+    assert scalar_kernel(rows, 2) == exactlin._kernel_exact(rows, 2) == []
     assert exactlin.modp_fallbacks == before + 1
     # the same over Q(sqrt 2), with the prime in which 2 is a square
     p2 = exactlin._embeddings(2)[0][0]
     r2 = S("0+1r2")
     rows = [{0: ONE, 1: r2, 2: ONE}, {0: ONE, 1: r2 + sc(p2), 2: ONE}]
     want = exactlin._kernel_exact(rows, 3)
-    assert sparse_kernel(rows, 3) == want and len(want) == 1
+    assert scalar_kernel(rows, 3) == want and len(want) == 1
     assert exactlin.modp_fallbacks == before + 2
     # coordinates over two vectors that are independent, but not mod p
     spanning = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
@@ -460,7 +466,7 @@ def test_large_entries_reconstruct_from_several_primes():
     big = 10 ** 40 + 7
     rows = [{0: sc(1), 1: sc(big)}, {1: sc(1), 2: Scalar(1, 3, 2)}]
     before = exactlin.modp_fallbacks
-    got = sparse_kernel(rows, 3)
+    got = scalar_kernel(rows, 3)
     assert got == exactlin._kernel_exact(rows, 3)
     assert got[0][0] == Scalar(big, 3 * big, 2)
     spanning = [{0: ONE}, {1: ONE}]
@@ -474,7 +480,7 @@ def test_kernel_falls_back_when_reconstruction_fails():
     huge = 10 ** 400 + 3
     rows = [{0: sc(1), 1: sc(huge)}, {1: sc(1), 2: Scalar(1, 3, 2)}]
     before = exactlin.modp_fallbacks
-    got = sparse_kernel(rows, 3)
+    got = scalar_kernel(rows, 3)
     assert got == exactlin._kernel_exact(rows, 3)
     assert got[0][0] == Scalar(huge, 3 * huge, 2)
     assert exactlin.modp_fallbacks == before + 1
@@ -523,7 +529,7 @@ def test_certified_paths_agree_with_the_exact_ones():
         m = 2 if trial % 2 else None
         ncols = rng.randint(2, 12)
         rows = _random_sparse_vectors(rng, rng.randint(1, 10), ncols, m)
-        got = sparse_kernel(rows, ncols)
+        got = scalar_kernel(rows, ncols)
         want = exactlin._kernel_exact(rows, ncols)
         # entry for entry, in the same order
         assert [list(v.items()) for v in got] == \

@@ -1,6 +1,7 @@
 """CLI answers on the benchmark's generated inputs and library answers on
 its relight fans, checked with the benchmark's own checks against the
-expectations its generator derives from combinatorics (perfbench/gen.py),
+expectations its generator derives from combinatorics (perfbench/gen.py)
+and with no system recomputed on the exact path (exactlin.modp_fallbacks),
 and a guard that every package name the traced benchmark wraps exists."""
 
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ihfan import exactlin
 from ihfan.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -25,7 +27,11 @@ def _run(tmp_path, capsys, make, argv, spec, seed, mirror):
                gen.make_rng(seed, "tests", spec), spec, mirror)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(job["doc"]))
+    before = exactlin.modp_fallbacks
     code = main(argv + [str(path)])
+    # a system sent to the exact path is answered right, only slowly, so
+    # nothing but this count shows it
+    assert exactlin.modp_fallbacks == before
     return job["h"], code, capsys.readouterr().out
 
 
@@ -67,7 +73,9 @@ def test_relight_on_generated_fans(relight, spec, seed, mirror):
     # coordinates (GradedIH.express)
     mods, jobs = relight
     job = jobs.prepare(mods, (seed, "tests", spec), spec, None, mirror)
+    before = exactlin.modp_fallbacks
     assert jobs.check(mods, job, jobs.run(mods, job)), job["values"]
+    assert exactlin.modp_fallbacks == before
 
 
 def test_traced_names_resolve():

@@ -1,11 +1,18 @@
 import json
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from ihfan.exactlin import ONE, ZERO, echelon_insert, sc
+from ihfan import ihsheaf
+from ihfan.conewise import Polynomial, monomials
+from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, echelon_insert, rref,
+                            sc)
 from ihfan.fans import (Cone, build_fan, face_fan_with_support,
                         is_complete, is_strictly_convex, star_link)
-from ihfan.ihsheaf import (GradedIH, build_distinguished_pair,
+from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
+                           build_distinguished_pair,
                            flatten_boundary, global_sections,
                            pair_from_json_dict, pair_to_json_dict,
                            relative_sections)
@@ -71,12 +78,16 @@ def test_flatten_rejects_bad_center():
 # -- distinguished pairs ---------------------------------------------------
 
 
+def stalk_gradings(stalk):
+    return tuple(g for g, _ in stalk.generators)
+
+
 def test_simplicial_pair_is_identity(quadrant_fan):
     p = cached_pair(quadrant_fan)
     assert p.subdivided is quadrant_fan
     assert p.steps == ()
     for cid in p.fan.cones:
-        assert p.stalks[cid].gradings() == (0,)
+        assert stalk_gradings(p.stalks[cid]) == (0,)
 
 
 def test_nonsimplicial_pair_subdivides(cube_fan):
@@ -85,9 +96,9 @@ def test_nonsimplicial_pair_subdivides(cube_fan):
     assert p.subdivided.is_simplicial()
     # stalks of the square-based cones gain a grading-2 generator
     for m in p.fan.maximal_ids:
-        assert p.stalks[m].gradings() == (0, 2)
+        assert stalk_gradings(p.stalks[m]) == (0, 2)
     for c in p.fan.cones_of_dim(2):
-        assert p.stalks[c.id].gradings() == (0,)
+        assert stalk_gradings(p.stalks[c.id]) == (0,)
 
 
 def test_pair_pieces_and_carriers(cube_fan):
@@ -100,10 +111,22 @@ def test_pair_pieces_and_carriers(cube_fan):
     assert total == len(p.subdivided.maximal_ids)
 
 
+def test_subdivided_cone_outside_the_coarse_fan_is_rejected():
+    upper = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]])
+    # a ray outside the support
+    below = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)],
+                          [(-1, 0), (0, -1)]])
+    # rays inside the support, but a cone across the coarse wall at (0, 1)
+    across = build_fan(2, [[(1, 0), (-1, 1)], [(-1, 1), (-1, 0)]])
+    for sub in (below, across):
+        with pytest.raises(ValueError, match="escapes the coarse fan"):
+            DistinguishedPair(upper, sub, ())
+
+
 def test_cone_over_square_stalk(cone_square_fan):
     p = cached_pair(cone_square_fan)
     sid = max(p.fan.cones, key=lambda i: p.fan.cones[i].dim)
-    assert p.stalks[sid].gradings() == (0, 2)
+    assert stalk_gradings(p.stalks[sid]) == (0, 2)
     g2 = p.stalks[sid].generators[1][1]
     # the grading-2 generator is not the restriction of one global linear
     # function: it takes at least two distinct linear forms on the pieces
@@ -114,15 +137,46 @@ def test_cone_over_square_stalk(cone_square_fan):
 def test_cone_over_cube_stalk(cone_cube_fan):
     p = cached_pair(cone_cube_fan)
     sid = max(p.fan.cones, key=lambda i: p.fan.cones[i].dim)
-    assert p.stalks[sid].gradings() == (0, 2, 2, 2, 2)
-
-
-def test_singular_ids_cover_everything(quadrant_fan):
-    p = cached_pair(quadrant_fan)
-    assert set(p.singular_ids()) == set(p.fan.cones)
+    assert stalk_gradings(p.stalks[sid]) == (0, 2, 2, 2, 2)
 
 
 # -- section spaces --------------------------------------------------------
+
+
+def _random_equations(rng, n, m):
+    """A reduced echelon equation set [(pivot, row)] of 1 to n - 1 random
+    rows over Q, or over Q(sqrt m) when m is given."""
+    def entry():
+        if rng.random() < 0.3:
+            return ZERO
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if m else 0
+        return Scalar(a, b, m if b else None)
+    k = rng.randint(1, n - 1)
+    return rref(Matrix([[entry() for _ in range(n)] for _ in range(k)],
+                       ncols=n))
+
+
+@pytest.mark.parametrize("m", (None, 2))
+@pytest.mark.parametrize("n", (3, 4))
+def test_wall_images_are_scaled_normal_forms(n, m):
+    # the integer image of x^e is D^|e| times the normal form that the
+    # reference reduce_mod gives, D the least common denominator of the
+    # equations' rational and sqrt(m) parts
+    rng = random.Random(100 * n + (m or 0))
+    for _ in range(12):
+        eqs = _random_equations(rng, n, m)
+        den = lcm(*(part.denominator for _, row in eqs for x in row
+                    for part in (x.a, x.b)))
+        images = ihsheaf._wall_images(eqs, n, 4, m)
+        for _ in range(15):
+            e = rng.choice(monomials(n, rng.randint(0, 4)))
+            want = Polynomial(n, {e: ONE}).reduce_mod(eqs)
+            img_a, img_b = images[ihsheaf._pack(e)]
+            got = {r: Scalar(img_a.get(r, 0), img_b.get(r, 0), m)
+                   for r in dict.fromkeys(img_a) | dict.fromkeys(img_b)}
+            assert got == {ihsheaf._pack(f): c * sc(den ** sum(e))
+                           for f, c in want.coeffs.items()}
 
 
 def test_global_sections_one_dim(onedim_fan):
@@ -202,7 +256,7 @@ def test_relative_sections_partial_boundary():
     # vanishing on the x-axis only: multiples of y
     assert [len(r[d]) for d in sorted(r)] == [0, 1]
     with pytest.raises(ValueError):
-        relative_sections(p, boundary=[f.zero_id()])
+        relative_sections(p, boundary=[f.id_by_key[()]])
     with pytest.raises(ValueError):
         quad = cached_pair(build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)],
                                          [(-1, 0), (0, -1)],
