@@ -86,9 +86,11 @@ def _is_squarefree(m):
 
 
 class Scalar:
-    """Element a + b*sqrt(m) of Q (m is None, b = 0) or Q(sqrt(m))."""
+    """Element a + b*sqrt(m) of Q (m is None, b = 0) or Q(sqrt(m)).
+    Immutable, so the hash is computed on the first hash() and kept in
+    _hash (left unset until then: most scalars are never hashed)."""
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ("a", "b", "m", "_hash")
 
     def __init__(self, a, b=_Q0, m=None):
         # rationals of the backend type are kept as they are; re-wrapping
@@ -213,9 +215,15 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.m == other.m
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # a rational hashes as its rational part: equal ints and Fractions
+        # compare equal to it, so they must hash alike
+        h = self._hash = hash(self.a) if self.b == 0 else \
+            hash((self.a, self.b, self.m))
+        return h
 
     def __lt__(self, other):
         return (self - Scalar.coerce(other)).sign() < 0

@@ -8,9 +8,10 @@ preserves the ray, so this is a complete invariant).  A cone is identified
 by its sorted tuple of canonical extreme-ray generators.  Facets, extreme
 rays and intersections all come from one exact hull, ``_dd``, an
 incremental double description over the scalar field: the facets of a cone
-are the extreme rays of its dual, a generator is extreme when the facets
-through it cut out a ray, and an intersection is the hull of both cones'
-facet inequalities.
+are the extreme rays of its dual, a generator g of a pointed cone is
+extreme when the generators on every facet through g have only g in
+common (every face of a pointed cone is an intersection of facets), and an
+intersection is the hull of both cones' facet inequalities.
 
 Fan cone ids are assigned by sorting all cones by (dimension, ray key), so
 ids are stable across runs and across re-parsing of emitted JSON.
@@ -161,10 +162,10 @@ class _ConeGeometry:
     def __init__(self, rays, n):
         self.n = n
         self.rays = rays
-        gen_matrix = Matrix(list(rays), ncols=n)
-        self.dim = rank(gen_matrix)
         # covectors vanishing on the span, as a reduced echelon basis
-        self.equations = rref(Matrix(kernel_basis(gen_matrix), ncols=n))
+        kernel = kernel_basis(Matrix(list(rays), ncols=n))
+        self.dim = n - len(kernel)
+        self.equations = rref(Matrix(kernel, ncols=n))
         self.facet_forms, self.facet_ray_keys = self._facets()
         self._faces = None
 
@@ -248,14 +249,14 @@ class Cone:
                              if not is_zero_vec(g)}))
         geom = cone_geometry(gens, n)
         eqs = [row for _, row in geom.equations]
-        # pointed iff the facet forms and the equations span the dual space;
-        # g is extreme iff those vanishing on g span a hyperplane of it
+        # pointed iff the facet forms and the equations span the dual space
         if rank(Matrix(eqs + list(geom.facet_forms), ncols=n)) != n:
             raise ValueError("cone is not pointed")
+        # g is extreme iff the facets through g meet in the ray of g: their
+        # intersection is the smallest face containing g
         for g in gens:
-            on = [w for w, key in zip(geom.facet_forms, geom.facet_ray_keys)
-                  if g in key]
-            if rank(Matrix(eqs + on, ncols=n)) != n - 1:
+            through = [key for key in geom.facet_ray_keys if g in key]
+            if set(gens).intersection(*through) != {g}:
                 raise RedundantGenerator(g)
         return Cone(gens, n)
 
@@ -275,6 +276,10 @@ class Cone:
     def facet_forms(self):
         return self._geom.facet_forms
 
+    def facet_ray_keys(self):
+        """Generators on each facet, in the order of facet_forms()."""
+        return self._geom.facet_ray_keys
+
     def face_ray_keys(self):
         return self._geom.face_ray_keys()
 
@@ -286,15 +291,24 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={[format_vector(r) for r in self.rays]})"
 
 
-def _separating_form(g1, g2, n):
-    """A facet form of g1 that is nonpositive on g2 (or the mirrored case,
-    returned with sign making it >= 0 on g1)."""
+def _sign(signs, w, r):
+    """Sign of w . r, computed once per table: the table is local to one
+    axiom check, which meets each (facet form, ray) pair many times."""
+    s = signs.get((w, r))
+    if s is None:
+        s = signs[w, r] = vdot(w, r).sign()
+    return s
+
+
+def _separating_form(g1, g2, signs):
+    """A facet form of g1 that is nonpositive on g2, or of g2 that is
+    nonpositive on g1: its hyperplane separates the two cones."""
     for w in g1.facet_forms:
-        if all(vdot(w, r).sign() <= 0 for r in g2.rays):
+        if all(_sign(signs, w, r) <= 0 for r in g2.rays):
             return w
     for w in g2.facet_forms:
-        if all(vdot(w, r).sign() <= 0 for r in g1.rays):
-            return vneg(w)
+        if all(_sign(signs, w, r) <= 0 for r in g1.rays):
+            return w
     return None
 
 
@@ -311,19 +325,19 @@ def _intersect_keys(g1, g2, n):
         for y, _ in _dd(rows, len(basis))))
 
 
-def _common_face_check(k1, k2, n, depth=0):
+def _common_face_check(k1, k2, n, signs, depth=0):
     """True when cone(k1) and cone(k2) intersect in a common face.  Fast
     path: peel off a separating facet form and recurse; falls back to a
-    brute-force intersection test."""
+    brute-force intersection test.  signs: the check's table for _sign."""
     if k1 == k2:
         return True
     g1, g2 = cone_geometry(k1, n), cone_geometry(k2, n)
     if depth < 6:
-        w = _separating_form(g1, g2, n)
+        w = _separating_form(g1, g2, signs)
         if w is not None:
-            f1 = tuple(r for r in k1 if vdot(w, r).is_zero())
-            f2 = tuple(r for r in k2 if vdot(w, r).is_zero())
-            return _common_face_check(f1, f2, n, depth + 1)
+            f1 = tuple(r for r in k1 if not _sign(signs, w, r))
+            f2 = tuple(r for r in k2 if not _sign(signs, w, r))
+            return _common_face_check(f1, f2, n, signs, depth + 1)
     inter = _intersect_keys(g1, g2, n)
     return inter in g1.face_ray_keys() and inter in g2.face_ray_keys()
 
@@ -370,10 +384,11 @@ class Fan:
 
     def _check_axioms(self):
         mx = self.maximal_ids
+        signs = {}
         for i, a in enumerate(mx):
             for b in mx[i + 1:]:
                 if not _common_face_check(self.cones[a].rays,
-                                          self.cones[b].rays, self.n):
+                                          self.cones[b].rays, self.n, signs):
                     raise ValueError(
                         "fan axiom violation: cones %r and %r do not meet in "
                         "a common face" % (self.cones[a], self.cones[b]))
@@ -560,15 +575,15 @@ class PLFunction:
             self._check_agreement()
 
     def _check_agreement(self):
-        mx = self.fan.maximal_ids
-        for i, a in enumerate(mx):
-            for b in mx[i + 1:]:
-                common = set(self.fan.cones[a].rays) & set(self.fan.cones[b].rays)
-                for r in common:
-                    if (vdot(self.per_max[a], r) - vdot(self.per_max[b], r)):
-                        raise ValueError(
-                            "linear forms disagree on shared ray %s" %
-                            (format_vector(r),))
+        # the forms agree on every shared face iff they agree on every ray
+        value = {}
+        for m in self.fan.maximal_ids:
+            for r in self.fan.cones[m].rays:
+                v = vdot(self.per_max[m], r)
+                if value.setdefault(r, v) != v:
+                    raise ValueError(
+                        "linear forms disagree on shared ray %s" %
+                        (format_vector(r),))
 
     @staticmethod
     def from_ray_values(fan: Fan, values):
@@ -740,33 +755,29 @@ def _lifted_hull_facets(vertices, n):
         raise ValueError("polytope is not full-dimensional")
     facets = []
     forms = []
-    for w in c.facet_forms():
-        idxs = tuple(sorted(by_key[r] for r in c.rays
-                            if vdot(w, r).is_zero()))
-        beta = vneg(w[:n])
-        facets.append(idxs)
-        forms.append((beta, w[n]))
+    for w, on in zip(c.facet_forms(), c.facet_ray_keys()):
+        facets.append(tuple(sorted(by_key[r] for r in on)))
+        forms.append((vneg(w[:n]), w[n]))
     order = sorted(range(len(facets)), key=lambda i: facets[i])
     return [facets[i] for i in order], [forms[i] for i in order]
 
 
 def face_fan_with_support(vertices, field=None):
     """Face fan plus its canonical strictly convex function: on the cone
-    over a facet F, the unique linear form equal to 1 on F."""
+    over a facet F, the unique linear form equal to 1 on F.  With the facet
+    beta . x <= c, that form is beta / c, and the origin is interior iff
+    every c is positive."""
     vertices = [vec(v) for v in vertices]
     n = len(vertices[0])
-    facets, _ = _lifted_hull_facets(vertices, n)
+    facets, forms = _lifted_hull_facets(vertices, n)
     cone_forms = []
-    for idxs in facets:
-        rows = [list(vertices[i]) for i in idxs]
-        alpha = solve(Matrix(rows, ncols=n), [ONE] * len(idxs))
-        if alpha is None:
+    for beta, c in forms:
+        if not c:
             raise ValueError("origin is not interior (a facet hyperplane "
                              "passes through it)")
-        for j, v in enumerate(vertices):
-            if j not in idxs and (ONE - vdot(alpha, v)).sign() <= 0:
-                raise ValueError("origin is not interior to the hull")
-        cone_forms.append(alpha)
+        if c.sign() < 0:
+            raise ValueError("origin is not interior to the hull")
+        cone_forms.append(vscale(c.inverse(), beta))
     gen_sets = [[vertices[i] for i in idxs] for idxs in facets]
     fan = build_fan(n, gen_sets, field=field)
     per_max = {}

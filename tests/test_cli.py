@@ -105,10 +105,19 @@ MALFORMED = {
         ["hvector"], {"field": "Q", "fan": "face",
                       "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1],
                                    [1, 0]]}),
+    "origin-on-facet-hyperplane": (
+        ["hvector"], {"field": "Q", "fan": "face",
+                      "vertices": [[-1, 0], [1, 0], [1, 2], [-1, 2]]}),
+    "origin-outside-hull": (
+        ["hvector"], {"field": {"sqrt": 2}, "fan": "face",
+                      "vertices": [["0+1r2", 1], [3, 1], [2, 4]]}),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
     "point-not-a-vertex": "point (1, 0) is not a vertex of the polytope",
+    "origin-on-facet-hyperplane":
+        "origin is not interior (a facet hyperplane passes through it)",
+    "origin-outside-hull": "origin is not interior to the hull",
 }
 
 

@@ -117,6 +117,33 @@ def test_difference_with_vanishing_root_part_is_rational():
     assert (x - ONE).is_zero() and not (x - ONE)
 
 
+def test_equal_scalars_hash_equal():
+    # the hash is cached on first use; equal values must hash equal however
+    # they were computed and whichever was hashed first
+    third = sc(1) / sc(3)
+    paths = [third, sc(2) / sc(6), ONE - sc(2) / sc(3), third * third * sc(3),
+             (sc(1) / sc(9)).inverse().inverse() * sc(3)]
+    assert all(x == third for x in paths)
+    assert len({hash(x) for x in paths}) == 1
+    # rational scalars against the equal int and Fraction
+    assert hash(sc(7) - sc(2)) == hash(5) and sc(7) - sc(2) == 5
+    assert hash(sc(3) / sc(4)) == hash(Fraction(3, 4))
+    assert {Fraction(3, 4): "f"}[sc(3) / sc(4)] == "f"
+    # a Q(sqrt m) product whose root part cancels, against the rational
+    r = S("1+1r2") * S("1-1r2")
+    assert r.m is None and r == -1 and hash(r) == hash(sc(-1)) == hash(-1)
+    s = S("1/2+3/4r5") + S("1/2-3/4r5")
+    assert s == ONE and hash(s) == hash(ONE)
+    # irrational values from two paths; hashed before and after keying a dict
+    x = S("1+1r2") * S("1+1r2")
+    y = S("3+2r2")
+    h = hash(x)
+    table = {x: "x"}
+    assert table[y] == "x" and hash(x) == h == hash(y)
+    z = S("2+1r2") + S("1+1r2")
+    assert z in table and hash(z) == h
+
+
 def test_literal_roundtrip():
     for text in ["0", "5", "-7/3", "1+1r2", "-3/2-1/2r5", "0+1r2"]:
         assert format_scalar(S(text)) == text

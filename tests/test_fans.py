@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -190,9 +192,36 @@ def test_face_fan_segment():
     assert keys == ["-1", "1"]
 
 
+ON_HYPERPLANE = "origin is not interior (a facet hyperplane passes through it)"
+OUTSIDE = "origin is not interior to the hull"
+
+
 def test_face_fan_requires_interior_origin():
-    with pytest.raises(ValueError):
-        fans.face_fan_with_support([(0, 0), (1, 0), (0, 1)])[0]
+    r2 = ScalarField(2).parse("0+1r2")
+    cube = list(itertools.product((sc(-1), sc(1)), repeat=3))
+    cases = [
+        # the origin is a vertex, on an edge, on a facet (over Q and Q(sqrt 2))
+        ([(0, 0), (1, 0), (0, 1)], ON_HYPERPLANE),
+        ([(-1, 0), (1, 0), (1, 2), (-1, 2)], ON_HYPERPLANE),
+        ([(-r2, 0), (1, 0), (1, r2), (-r2, 1)], ON_HYPERPLANE),
+        ([(x, y, z + 1) for x, y, z in cube], ON_HYPERPLANE),
+        ([(x * r2, y, z + 1) for x, y, z in cube], ON_HYPERPLANE),
+        # the origin outside the hull
+        ([(1, 1), (3, 1), (2, 4)], OUTSIDE),
+        ([(r2, 1), (3, 1), (2, 4)], OUTSIDE),
+        ([(x + 3, y, z) for x, y, z in cube], OUTSIDE),
+        ([(x, y, z + 1 + r2) for x, y, z in cube], OUTSIDE),
+    ]
+    for vertices, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fans.face_fan_with_support(vertices)
+
+
+def test_repeated_vertex_counts_once():
+    # a point listed twice is one vertex of the hull, for both fans
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    for build in (fans.face_fan_with_support, fans.normal_fan):
+        assert build(square + [(1, 1)])[0] == build(square)[0]
 
 
 def value_at(l, x):
@@ -374,6 +403,20 @@ def brute_facets(gens, d):
     return out
 
 
+def brute_faces(gens, d):
+    """Every face of a full-dimensional pointed cone as a sorted tuple of
+    its generators: the intersections of the brute-force facets, the cone
+    itself (no facet) and {0} (all of them) included."""
+    facets = [tuple(on) for on in brute_facets(gens, d).values()]
+    faces, stack = set(), [tuple(gens)]
+    while stack:
+        f = stack.pop()
+        if f not in faces:
+            faces.add(f)
+            stack.extend(tuple(g for g in f if g in on) for on in facets)
+    return faces
+
+
 def round_points(rng, dim, coord):
     """4 or 5 distinct points on the unit circle (dim 2) or the unit sphere
     (dim 3), by inverse stereographic projection: in convex position."""
@@ -419,9 +462,20 @@ def test_hull_matches_brute_force_facets(d, m):
         geom = fans.cone_geometry(c.rays, d)
         assert dict(zip(geom.facet_forms, geom.facet_ray_keys)) == \
             brute_facets(gens, d)
-        g1, g2 = rng.sample(gens, 2)
-        with pytest.raises(ValueError, match="redundant generator"):
-            fans.Cone.from_generators(gens + [fans.vadd(g1, g2)], d)
+        # the sum of the generators of a face lies in its relative interior:
+        # two random generators, then an edge (a face of dimension 2), a
+        # 2-face of the cross-section (dimension 3) and the interior
+        faces = brute_faces(gens, d)
+        inner = [fans.vadd(*rng.sample(gens, 2))]
+        for k in sorted({2, 3, d}):
+            face = rng.choice(sorted(f for f in faces if f and rank(
+                Matrix(list(f), ncols=d)) == k))
+            inner.append(functools.reduce(fans.vadd, face))
+        for g in inner:
+            with pytest.raises(ValueError, match="redundant generator") as e:
+                fans.Cone.from_generators(gens + [g], d)
+            assert e.value.generator == fans.canonical_direction(g)
+        g1 = rng.choice(gens)
         with pytest.raises(ValueError, match="not pointed"):
             fans.Cone.from_generators(gens + [fans.vneg(g1)], d)
 
@@ -441,6 +495,96 @@ def brute_rays(rows, k):
                 out[fans.canonical_direction(y)] = tuple(
                     i for i, v in enumerate(vals) if not v)
     return out
+
+
+def meet_in_common_face(k1, k2):
+    """The fan axiom for two full-dimensional cones in R^3 by brute force:
+    the intersection, whose rays brute_rays finds from both cones' facet
+    inequalities, is the cone on the rays they share, and that cone is a
+    face of both (the facets through the shared rays cut out no others)."""
+    f1, f2 = brute_facets(list(k1), 3), brute_facets(list(k2), 3)
+    shared = set(k1) & set(k2)
+
+    def is_face(gens, facets):
+        on = set(gens)
+        for key in facets.values():
+            if shared <= set(key):
+                on &= set(key)
+        return on == shared
+
+    return set(brute_rays(list(f1) + list(f2), 3)) == shared and \
+        is_face(k1, f1) and is_face(k2, f2)
+
+
+def random_simplicial_pair(rng, field, kind):
+    """Generators of two simplicial 3-cones: meeting in a shared face (of
+    dimension 0, 1 or 2), overlapping, with an edge of the second crossing a
+    facet of the first, or sliding along a facet plane of the first."""
+    def coord():
+        x = sc(rng.randint(-3, 3))
+        if field.m and rng.random() < 0.5:
+            x = x + sc(rng.choice((-1, 1))) * field.parse(f"0+1r{field.m}")
+        return x
+
+    def small():
+        return sc(rng.randint(0, 2))
+
+    while True:
+        a, b, c = gens = [tuple(coord() for _ in range(3)) for _ in range(3)]
+        if rank(Matrix(gens, ncols=3)) == 3:
+            break
+    add, neg, scale = fans.vadd, fans.vneg, fans.vscale
+    if kind == "face":
+        shared = rng.randint(0, 2)
+        if shared == 2:
+            other = [a, b, add(neg(c), add(scale(small(), a),
+                                           scale(small(), b)))]
+        elif shared == 1:
+            other = [a, add(neg(b), scale(small(), a)),
+                     add(neg(c), scale(small(), a))]
+        else:
+            other = [neg(a), neg(b), neg(c)]
+    elif kind == "overlap":
+        p = add(a, add(b, c))
+        other = [p, add(p, neg(scale(small() + 1, a))),
+                 add(p, neg(scale(small() + 1, b)))] \
+            if rng.random() < 0.5 else \
+            [a, b, add(c, add(scale(small(), a), neg(scale(small(), b))))]
+    elif kind == "crossing":
+        p, t = add(a, b), small() + 1
+        other = [add(p, scale(t, c)), add(p, neg(scale(t, c))),
+                 tuple(coord() for _ in range(3))]
+    else:
+        other = [add(scale(small() + 1, a), b), add(neg(a), scale(sc(2), b)),
+                 add(neg(c), scale(small(), a))]
+    return gens, other
+
+
+@pytest.mark.parametrize("m", (None, 2))
+def test_axiom_check_matches_brute_force(m):
+    rng = random.Random(f"axioms:{m}")
+    verdicts = {}
+    for kind in ("face", "overlap", "crossing", "sliding"):
+        for _ in range(8):
+            gens, other = random_simplicial_pair(rng, ScalarField(m), kind)
+            if rank(Matrix(other, ncols=3)) < 3:
+                continue
+            k1 = fans.Cone.from_generators(gens, 3).rays
+            k2 = fans.Cone.from_generators(other, 3).rays
+            if k1 == k2:
+                continue
+            expected = meet_in_common_face(k1, k2)
+            try:
+                fans.Fan(3, ScalarField(m), [k1, k2])
+                got = True
+            except ValueError as e:
+                assert "fan axiom violation" in str(e)
+                got = False
+            assert got == expected, (kind, k1, k2)
+            verdicts.setdefault(kind, set()).add(got)
+    assert verdicts["face"] == {True}
+    assert verdicts["overlap"] == verdicts["crossing"] == {False}
+    assert verdicts["sliding"] == {False}
 
 
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
