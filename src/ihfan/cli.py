@@ -83,7 +83,7 @@ class LoadedInput:
         self.inline_l = inline_l
 
 
-def load_input(path, rule):
+def load_input(path):
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
@@ -259,7 +259,7 @@ def run_checks(loaded, config, profile, l):
 
 
 def cmd_hvector(config):
-    loaded = load_input(config.path, config.rule)
+    loaded = load_input(config.path)
     profile = _profile(loaded, config)
     print("h = " + _fmt_h(profile.h_vector()))
     if config.oracle:
@@ -273,7 +273,7 @@ def cmd_hvector(config):
 
 
 def cmd_verify(config):
-    loaded = load_input(config.path, config.rule)
+    loaded = load_input(config.path)
     if not is_complete(loaded.fan):
         raise InputError("verification needs a complete fan")
     l = build_l(loaded, config)
@@ -294,7 +294,7 @@ def cmd_verify(config):
 
 
 def cmd_subdivide(config):
-    loaded = load_input(config.path, config.rule)
+    loaded = load_input(config.path)
     if loaded.pair is not None:
         pair = loaded.pair
     else:
@@ -356,7 +356,7 @@ def _render_md(report):
 
 
 def cmd_report(config):
-    loaded = load_input(config.path, config.rule)
+    loaded = load_input(config.path)
     if not is_complete(loaded.fan):
         raise InputError("reports need a complete fan")
     l = build_l(loaded, config)

@@ -19,10 +19,10 @@ Linear algebra entry points:
 - inverse, which also returns the determinant (the product of the pivot
   values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
-- the large systems, eliminated modulo primes and certified exactly:
-  sparse_kernel (kernel bases; kernel_basis calls it), coordinates (of
-  vectors over independent spanning vectors) and independent_modp (which
-  vectors are independent of those before them).
+- the large systems, eliminated modulo primes: sparse_kernel (kernel
+  bases, certified exactly; kernel_basis and coordinates, of vectors over
+  independent spanning vectors, are built on it) and independent_modp
+  (which vectors are independent of those before them).
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
@@ -39,21 +39,20 @@ m is a square, with sqrt(m) -> s, and a system is eliminated under both
 s and p - s, whose images of a + b*sqrt(m) give a and b.  Vectors are
 cleared of denominators first (kernel rows come cleared).  Values are
 recovered by Wang rational reconstruction from one prime, or from the
-Chinese remainder of the next ones when that fails, and each use is
-certified in exact integer arithmetic:
+Chinese remainder of the next ones when that fails.  Two entry points
+eliminate mod p, and each result is certified in exact integer arithmetic:
 - sparse_kernel reconstructs the reduced echelon and checks every row
   against every kernel vector; with the identity on the free columns this
-  is the very basis the exact elimination returns;
-- coordinates reconstructs the coordinates and checks that they combine
-  the spanning vectors to the target;
-- independent_modp needs no check: vectors independent mod p are
-  independent.  Its callers certify that none were missed (GradedIH
-  counts them against the dimension; cohomology.ih_profile checks the
-  pairing).
-A system with no prime for its field, pivots that change from one prime to
+  is the very basis the exact elimination returns.  For coordinates that
+  check is sum_i c_i spanning_i = target;
+- independent_modp reconstructs nothing and needs no check: vectors
+  independent mod p are independent.  Its callers certify that none were
+  missed (GradedIH counts them against the dimension;
+  cohomology.ih_profile checks the pairing).
+A kernel with no prime for its field, pivots that change from one prime to
 the next, or no reconstruction that passes the check before the primes run
-out is recomputed on the exact path (for a kernel, on its rows rebuilt as
-Scalars), and modp_fallbacks goes up by 1.
+out is recomputed on the exact path, on its rows rebuilt as Scalars, and
+modp_fallbacks goes up by 1.
 """
 
 from __future__ import annotations
@@ -674,12 +673,6 @@ def radicand(vectors):
     return ms.pop() if ms else None
 
 
-def _field_primes(vectors):
-    """The radicand of the entries of the sparse vectors and its primes."""
-    m = radicand(vectors)
-    return m, _embeddings(m)
-
-
 def cleared(vec):
     """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0;
     B is empty over Q.  Scaling a vector changes neither its independence
@@ -897,7 +890,7 @@ def independent_modp(vectors):
     independence, so they are independent, and they are all of
     first_independent's when their number is the rank; None when the
     entries have no prime."""
-    _, primes = _field_primes(vectors)
+    primes = _embeddings(radicand(vectors))
     if not primes:
         return None
     p, ts = primes[0]
@@ -914,110 +907,23 @@ def independent_modp(vectors):
 def coordinates(spanning, targets):
     """Coordinates of each sparse target vector over independent sparse
     spanning vectors, as dicts {index: Scalar}; raises ValueError when a
-    target is outside their span.  Eliminated through primes and accepted
-    after the exact check sum_i c_i spanning_i = target (unique, the
-    spanning vectors being independent)."""
-    out = _coordinates_modp(spanning, targets)
-    if out is None:
-        record_fallback()
-        out = _coordinates_exact(spanning, targets)
-    return out
-
-
-def _coordinates_exact(spanning, targets):
+    target is outside their span.  A kernel of sparse_kernel: its columns
+    are the spanning vectors, then the targets, and its rows the keys of
+    those vectors.  The spanning columns are its pivots, so the kernel
+    vector whose free column (its largest key) is target t is minus t's
+    coordinates there, unique as the spanning vectors are independent, and
+    the kernel's exact check is sum_i c_i spanning_i = t."""
     ns = len(spanning)
-    rows_by_coord = {}
-    for si, svec in enumerate(spanning):
-        for coord, c in svec.items():
-            rows_by_coord.setdefault(coord, {})[si] = c
-    for ti, tvec in enumerate(targets):
-        for coord, c in tvec.items():
-            rows_by_coord.setdefault(coord, {})[ns + ti] = -c
-    rows = [rows_by_coord[k] for k in sorted(rows_by_coord)]
-    pivots = sparse_eliminate(rows)
-    for col, _ in pivots:
-        if col >= ns:
-            raise ValueError("a target does not lie in the span")
-    out = [dict() for _ in targets]
-    for col, row in pivots:
-        for ti in range(len(targets)):
-            v = row.get(ns + ti)
-            if v:
-                out[ti][col] = -v
-    return out
-
-
-def _coordinates_modp(spanning, targets):
-    """coordinates through primes, or None.  With spanning_i = S_i / L_i and
-    target = T / M cleared of denominators, the system solved is
-    sum_i c'_i S_i = T, and c_i = c'_i L_i / M."""
-    m, primes = _field_primes(spanning + targets)
-    ns = len(spanning)
-    span_c = [cleared(v) if v else ({}, {}, 1) for v in spanning]
-    targ_c = [cleared(v) if v else ({}, {}, 1) for v in targets]
-    residues = _Residues()
-    used = None   # after the first elimination: the coordinates it used
-    for p, ts in primes:
-        echs = []
-        for t in ts:
-            rows_by_coord = {}
-            for si, (a_part, b_part, _) in enumerate(span_c):
-                for coord, x in _image(a_part, b_part, t, p).items():
-                    rows_by_coord.setdefault(coord, {})[si] = x
-            for ti, (a_part, b_part, _) in enumerate(targ_c):
-                for coord, x in _image(a_part, b_part, t, p).items():
-                    rows_by_coord.setdefault(coord, {})[ns + ti] = p - x
-            ech = {}
-            kept = [k for k in (used or sorted(rows_by_coord))
-                    if k in rows_by_coord and
-                    echelon_insert_modp(ech, rows_by_coord[k], p) is not None]
-            if sorted(ech) != list(range(ns)):
-                return None
-            used = kept
-            echs.append(ech)
-        images = {}
-        for ti in range(len(targets)):
-            for si in range(ns):
-                xs = tuple(-e[si].get(ns + ti, 0) % p for e in echs)
-                if any(xs):
-                    images[(ti, si)] = xs
-        residues.add(p, ts, images)
-        coeffs = residues.lift()
-        if coeffs is not None:
-            out = _checked_coordinates(span_c, targ_c, coeffs, m)
-            if out is not None:
-                return out
-    return None
-
-
-def _checked_coordinates(span_c, targ_c, coeffs, m):
-    """The coordinates from the reconstructed c'_i {(target, index): c'_i}
-    when sum_i c'_i S_i = T holds exactly for every target, else None."""
-    by_target = [{} for _ in targ_c]
-    for (ti, si), e in sorted(coeffs.items()):
-        by_target[ti][si] = e
+    by_key = {}
+    for j, vec in enumerate(spanning + targets):
+        for k, x in vec.items():
+            by_key.setdefault(k, {})[j] = x
+    rows = list(by_key.values())
+    by_free = {max(v): v for v in sparse_kernel(
+        [cleared(r)[:2] for r in rows], ns + len(targets), radicand(rows))}
     out = []
-    for (t_a, t_b, t_den), cs in zip(targ_c, by_target):
-        # sum_i (d c'_i) S_i = d T with d clearing the c'_i
-        d = lcm(*(e[1] for e in cs.values()), *(e[3] for e in cs.values()))
-        acc_a, acc_b = {}, {}
-        for si, (na, da, nb, db) in cs.items():
-            ca, cb = na * (d // da), nb * (d // db)
-            s_a, s_b, _ = span_c[si]
-            for k, x in s_a.items():
-                acc_a[k] = acc_a.get(k, 0) + ca * x
-                if cb:
-                    acc_b[k] = acc_b.get(k, 0) + cb * x
-            for k, y in s_b.items():
-                acc_b[k] = acc_b.get(k, 0) + ca * y
-                if cb:
-                    acc_a[k] = acc_a.get(k, 0) + m * cb * y
-        for acc, part in ((acc_a, t_a), (acc_b, t_b)):
-            for k, x in part.items():
-                acc[k] = acc.get(k, 0) - d * x
-            if any(acc.values()):
-                return None
-        out.append({si: _scalar(na * span_c[si][2], da * t_den,
-                                nb * span_c[si][2], db * t_den, m)
-                    for si, (na, da, nb, db) in cs.items()})
+    for t in range(ns, ns + len(targets)):
+        if t not in by_free:
+            raise ValueError("a target does not lie in the span")
+        out.append({i: -x for i, x in by_free[t].items() if i != t})
     return out

@@ -24,7 +24,6 @@ import json
 
 from .exactlin import (
     Matrix,
-    Scalar,
     ScalarField,
     ZERO,
     ONE,
@@ -186,10 +185,6 @@ class _ConeGeometry:
         keys = sorted(forms)
         return tuple(keys), tuple(forms[w] for w in keys)
 
-    def contains(self, x):
-        return all(vdot(e[1], x).is_zero() for e in self.equations) and \
-            all(vdot(w, x).sign() >= 0 for w in self.facet_forms)
-
     def contains_relint(self, x):
         if self.dim == 0:
             return is_zero_vec(x)
@@ -259,9 +254,6 @@ class Cone:
             if set(gens).intersection(*through) != {g}:
                 raise RedundantGenerator(g)
         return Cone(gens, n)
-
-    def contains(self, x):
-        return self._geom.contains(x)
 
     def contains_relint(self, x):
         return self._geom.contains_relint(x)

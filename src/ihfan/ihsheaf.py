@@ -171,12 +171,11 @@ class StalkModule:
     (grading, sections) pair where sections maps a subdivided-cone id to a
     homogeneous polynomial of degree grading/2."""
 
-    __slots__ = ("cone_id", "generators", "free")
+    __slots__ = ("cone_id", "generators")
 
-    def __init__(self, cone_id, generators, free=True):
+    def __init__(self, cone_id, generators):
         self.cone_id = cone_id
         self.generators = tuple(generators)
-        self.free = free
 
 
 _EXP_BITS = 16

@@ -1,5 +1,7 @@
-"""Every module-level function of the package has a caller in the package
-or the benchmark, or is public API (listed in ihfan.__all__)."""
+"""Every module-level function and every method of the package has a caller
+in the package or the benchmark, or is public API (listed in
+ihfan.__all__); every module-level import of a package module is used by
+that module."""
 
 import ast
 from collections import Counter
@@ -8,6 +10,9 @@ from pathlib import Path
 import ihfan
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# methods only the tests call, on purpose: the continuity oracle
+TEST_ORACLES = {"conewise:ConewiseFunction.validate"}
 
 
 def _references(node):
@@ -28,9 +33,25 @@ def _references(node):
     return out
 
 
+def _defs(tree):
+    """(qualified name, def node) of each module-level function and each
+    method of a module-level class; dunder methods are called by the
+    language, so they are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (sub.name.startswith("__") and
+                                 sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def uncalled_functions(root):
-    """module:name of each module-level def under root/src/ihfan that
-    nothing outside its own body refers to and __all__ does not list."""
+    """module:name of each module-level def and module:Class.name of each
+    method under root/src/ihfan that nothing outside its own body refers
+    to and __all__ does not list."""
     package = sorted((root / "src" / "ihfan").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p))
              for p in package + sorted((root / "perfbench").glob("*.py"))}
@@ -39,14 +60,53 @@ def uncalled_functions(root):
         used.update(_references(tree))
     out = []
     for p in package:
-        for node in trees[p].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                own = _references(node)[node.name]
-                if used[node.name] == own and \
-                        node.name not in ihfan.__all__:
-                    out.append(f"{p.stem}:{node.name}")
+        for qualname, node in _defs(trees[p]):
+            own = _references(node)[node.name]
+            if used[node.name] == own and \
+                    node.name not in ihfan.__all__:
+                out.append(f"{p.stem}:{qualname}")
+    return out
+
+
+def _module_imports(body):
+    """Import statements run at module level: in the body itself and in
+    the if and try blocks there, not in functions or classes."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            blocks = [node.body, node.orelse]
+            if isinstance(node, ast.Try):
+                blocks += [h.body for h in node.handlers] + [node.finalbody]
+            for block in blocks:
+                yield from _module_imports(block)
+
+
+def unused_imports(root):
+    """module:name of each name a module-level import binds in a module of
+    root/src/ihfan (the package's __init__ re-exports, so it is left out)
+    that the module never uses."""
+    out = []
+    for p in sorted((root / "src" / "ihfan").glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text(), str(p))
+        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in names:
+                    out.append(f"{p.stem}:{bound}")
     return out
 
 
 def test_every_function_has_a_caller():
-    assert uncalled_functions(ROOT) == []
+    assert [f for f in uncalled_functions(ROOT) if f not in TEST_ORACLES] \
+        == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(ROOT) == []

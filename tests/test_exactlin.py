@@ -565,25 +565,44 @@ def test_certified_paths_agree_with_the_exact_ones():
         kept = independent_modp(vectors)
         assert kept == _exact_independent(vectors)
         spanning = [vectors[i] for i in kept]
-        targets = []
+        targets, want = [], []
         for _ in range(3):
-            t = {}
-            for v in spanning:
+            t, coeffs = {}, []
+            for i, v in enumerate(spanning):
                 f = sc(_Q(rng.randint(-4, 4), rng.randint(1, 3)))
+                if f:
+                    coeffs.append((i, f))
                 for k, x in v.items():
                     t[k] = t.get(k, ZERO) + f * x
             targets.append({k: x for k, x in t.items() if x})
-        got = coordinates(spanning, targets)
-        assert [list(c.items()) for c in got] == \
-            [list(c.items()) for c in
-             exactlin._coordinates_exact(spanning, targets)]
+            want.append(coeffs)
+        # the spanning vectors are independent, so the coefficients each
+        # target is built with are its only coordinates
+        assert [list(c.items()) for c in coordinates(spanning, targets)] == \
+            want
     assert exactlin.modp_fallbacks == before
 
 
 def test_coordinates_reject_a_target_outside_the_span():
-    spanning = [{0: ONE, 1: ONE}]
-    with pytest.raises(ValueError):
-        coordinates(spanning, [{0: ONE}])
+    p = exactlin._PRIMES[0]
+    cases = (
+        ([{0: ONE, 1: ONE}], [{0: ONE}], 0),
+        # over Q(sqrt 2): 1 + sqrt 2 times the spanning vector is
+        # {0: 1+1r2, 1: 2+1r2}, and the target differs from it at key 1
+        ([{0: ONE, 1: S("0+1r2")}], [{0: S("1+1r2"), 1: S("3+1r2")}], 0),
+        # the first target lies in the span, the second does not
+        ([{0: ONE, 1: ONE}, {2: ONE}],
+         [{0: sc(2), 1: sc(2), 2: sc(-1)}, {1: ONE, 2: ONE}], 0),
+        # in the span mod p only: the kernel mod p has the target's column
+        # free, its exact check fails, and the exact path, counted as one
+        # fallback, finds the target outside the span
+        ([{0: ONE, 1: ONE}], [{0: ONE, 1: sc(1 + p)}], 1),
+    )
+    for spanning, targets, fallbacks in cases:
+        before = exactlin.modp_fallbacks
+        with pytest.raises(ValueError, match="does not lie in the span"):
+            coordinates(spanning, targets)
+        assert exactlin.modp_fallbacks == before + fallbacks
 
 
 def _drop_last_rep(gih):
