@@ -4,9 +4,10 @@ linear algebra on top of them.
 A scalar is a + b*sqrt(m) with rational a, b and a fixed squarefree m >= 2
 (b = 0 and m = None for plain rationals).  Signs, comparisons and therefore
 all pivoting decisions are exact: sign(a + b*sqrt(m)) reduces to comparing
-a^2 with m*b^2.  Rationals are gmpy2.mpq when available (much faster), else
-fractions.Fraction; both normalise by gcd so coefficient growth during
-elimination stays tame without Bareiss-style bookkeeping.
+a^2 with m*b^2.  A scalar is held in Python ints as (p + q*sqrt(m))/d, kept
+in lowest terms by one gcd per operation, so coefficient growth during
+elimination stays tame without Bareiss-style bookkeeping; fractions.Fraction
+appears only at the edges (the a and b properties, the constructor).
 
 Linear algebra entry points:
 - echelon_insert, the one exact Gauss-Jordan step every exact elimination
@@ -59,17 +60,12 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
+from fractions import Fraction as _Q
 from math import gcd, isqrt, lcm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-
-_Q0 = _Q(0)
-_Q1 = _Q(1)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_HASH_P = sys.hash_info.modulus
 
 
 def _is_squarefree(m):
@@ -84,34 +80,67 @@ def _is_squarefree(m):
     return True
 
 
+def _qhash(n, d):
+    """hash(Fraction(n, d)) for d > 0, without building the Fraction: the
+    numeric hash n/d mod the hash modulus depends on the value alone."""
+    if d == 1:
+        return hash(n)
+    if d % _HASH_P == 0:
+        return hash(_Q(n, d))
+    h = hash(abs(n) * pow(d, -1, _HASH_P))
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 class Scalar:
-    """Element a + b*sqrt(m) of Q (m is None, b = 0) or Q(sqrt(m)).
-    Immutable, so the hash is computed on the first hash() and kept in
-    _hash (left unset until then: most scalars are never hashed)."""
+    """Element a + b*sqrt(m) of Q (m is None, b = 0) or Q(sqrt(m)), held as
+    Python ints p, q, d with a + b*sqrt(m) = (p + q*sqrt(m))/d in canonical
+    form: d > 0, gcd(p, q, d) = 1, and q = 0 exactly when m is None.  So
+    equal scalars have equal (p, q, d, m), and every operation is integer
+    products and one gcd.  Immutable, so the hash is computed on the first
+    hash() and kept in _hash (left unset until then: most scalars are never
+    hashed)."""
 
-    __slots__ = ("a", "b", "m", "_hash")
+    __slots__ = ("p", "q", "d", "m", "_hash")
 
-    def __init__(self, a, b=_Q0, m=None):
-        # rationals of the backend type are kept as they are; re-wrapping
-        # would allocate a copy of each part of every scalar made
-        if type(a) is not _Q:
+    def __init__(self, a, b=0, m=None):
+        """a + b*sqrt(m) from rationals a and b (ints, Fractions or anything
+        Fraction accepts)."""
+        if not isinstance(a, (int, _Q)):
             a = _Q(a)
-        if type(b) is not _Q:
+        if not isinstance(b, (int, _Q)):
             b = _Q(b)
         if not b:
             m = None
         elif m is None:
             raise ValueError("irrational part without a radicand")
-        self.a = a
-        self.b = b
+        # a and b are in lowest terms, so over their lcm the three are
+        # coprime
+        da, db = a.denominator, b.denominator
+        d = lcm(da, db)
+        self.p = a.numerator * (d // da)
+        self.q = b.numerator * (d // db)
+        self.d = d
         self.m = m
+
+    @property
+    def a(self):
+        """The rational part, a Fraction."""
+        return _Q(self.p, self.d)
+
+    @property
+    def b(self):
+        """The coefficient of sqrt(m), a Fraction (0 over Q)."""
+        return _Q(self.q, self.d)
 
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, Scalar):
+        if type(x) is Scalar:
             return x
+        if type(x) is int:
+            return _raw(x, 0, 1, None)
         return Scalar(_Q(x))
 
     def _join(self, other):
@@ -125,43 +154,55 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        m = self._join(other)
-        return Scalar(self.a + other.a, self.b + other.b, m)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.p + other.p, self.q + other.q, d1, m)
+        return _reduced(self.p * d2 + other.p * d1,
+                        self.q * d2 + other.q * d1, d1 * d2, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.m)
+        return _raw(-self.p, -self.q, self.d, self.m)
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
-        m = self._join(other)
-        return Scalar(self.a - other.a, self.b - other.b, m)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.p - other.p, self.q - other.q, d1, m)
+        return _reduced(self.p * d2 - other.p * d1,
+                        self.q * d2 - other.q * d1, d1 * d2, m)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        m = self._join(other)
-        if not self.b and not other.b:
-            return Scalar(self.a * other.a)
-        return Scalar(self.a * other.a + m * self.b * other.b,
-                      self.a * other.b + self.b * other.a, m)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        m = self.m if self.m == other.m else self._join(other)
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        if m is None:
+            return _reduced(p1 * p2, 0, self.d * other.d, None)
+        return _reduced(p1 * p2 + m * q1 * q2, p1 * q2 + q1 * p2,
+                        self.d * other.d, m)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.b == 0:
-            if self.a == 0:
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            if not p:
                 raise ZeroDivisionError("scalar division by zero")
-            return Scalar(1 / self.a)
-        n = self.a * self.a - self.m * self.b * self.b
-        if n == 0:
-            # cannot happen for squarefree m >= 2 and rational a, b not both 0
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.a / n, -self.b / n, self.m)
+            # p and d are coprime already
+            return _raw(d, 0, p, None) if p > 0 else _raw(-d, 0, -p, None)
+        # d / (p + q sqrt(m)) = d (p - q sqrt(m)) / (p^2 - m q^2), and the
+        # norm is nonzero for squarefree m >= 2 and (p, q) != 0
+        return _reduced(d * p, -d * q, p * p - self.m * q * q, self.m)
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inverse()
@@ -172,7 +213,7 @@ class Scalar:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Scalar(_Q1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -184,44 +225,42 @@ class Scalar:
     # -- order ------------------------------------------------------------
 
     def sign(self):
-        """Exact sign in {-1, 0, 1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with m b^2 on the dominant side
-        d = a * a - self.m * b * b
-        if a > 0:
-            return -1 if d < 0 else (1 if d > 0 else 0)
-        return 1 if d < 0 else (-1 if d > 0 else 0)
+        """Exact sign in {-1, 0, 1}: that of p + q*sqrt(m), as d > 0."""
+        p, q = self.p, self.q
+        if not q:
+            return -1 if p < 0 else (1 if p > 0 else 0)
+        if not p or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        # opposite signs: the larger of p^2 and m q^2 decides (never equal
+        # for squarefree m >= 2)
+        return (1 if p > 0 else -1) if p * p > self.m * q * q else \
+            (1 if q > 0 else -1)
 
     def is_zero(self):
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.m == other.m
+        if type(other) is not Scalar:
+            try:
+                other = Scalar.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.p == other.p and self.q == other.q \
+            and self.d == other.d and self.m == other.m
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        # a rational hashes as its rational part: equal ints and Fractions
-        # compare equal to it, so they must hash alike
-        h = self._hash = hash(self.a) if self.b == 0 else \
-            hash((self.a, self.b, self.m))
+        # a rational hashes like the equal Fraction, so like the equal int
+        # too (they compare equal to it); a + b*sqrt(m) like (a, b, m)
+        p, d = self.p, self.d
+        h = self._hash = _qhash(p, d) if not self.q else \
+            hash((_qhash(p, d), _qhash(self.q, d), self.m))
         return h
 
     def __lt__(self, other):
@@ -248,13 +287,43 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar(_Q0)
-ONE = Scalar(_Q1)
+_new = object.__new__
+
+
+def _raw(p, q, d, m):
+    """The Scalar (p + q*sqrt(m))/d, already in canonical form."""
+    s = _new(Scalar)
+    s.p = p
+    s.q = q
+    s.d = d
+    s.m = m
+    return s
+
+
+def _reduced(p, q, d, m):
+    """The Scalar (p + q*sqrt(m))/d for any d != 0, made canonical by one
+    gcd (and m dropped when q = 0)."""
+    if not q:
+        m = None
+    if d == 1:
+        return _raw(p, q, 1, m)
+    g = gcd(p, q, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    return _raw(p, q, d, m)
+
+
+ZERO = _raw(0, 0, 1, None)
+ONE = _raw(1, 0, 1, None)
 
 
 def sc(x):
     """Shorthand coercion to Scalar."""
-    return Scalar.coerce(x)
+    return x if type(x) is Scalar else Scalar.coerce(x)
 
 
 # -- literal grammar -------------------------------------------------------
@@ -266,25 +335,24 @@ _LIT = re.compile(r"^(-?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?r(\d+))?$")
 
 
 def parse_scalar(text, field=None):
-    m = _LIT.match(text.strip())
-    if not m:
+    lit = _LIT.match(text.strip())
+    if not lit:
         raise ValueError(f"bad scalar literal: {text!r}")
-    an, ad, bn, bd, rad = m.groups()
-    a = _Q(int(an), int(ad)) if ad else _Q(int(an))
-    if rad is None:
-        s = Scalar(a)
-    else:
-        b = _Q(int(bn), int(bd)) if bd else _Q(int(bn))
-        s = Scalar(a, b, int(rad))
-        if s.m is not None and (s.m < 2 or not _is_squarefree(s.m)):
-            raise ValueError(f"radicand must be squarefree and >= 2: {s.m}")
+    an, ad, bn, bd, rad = lit.groups()
+    an, ad = int(an), int(ad or 1)
+    bn, bd = (int(bn), int(bd or 1)) if rad else (0, 1)
+    if not ad or not bd:
+        raise ValueError(f"bad scalar literal: {text!r} (zero denominator)")
+    s = _reduced(an * bd, bn * ad, ad * bd, int(rad) if rad else None)
+    if s.m is not None and (s.m < 2 or not _is_squarefree(s.m)):
+        raise ValueError(f"radicand must be squarefree and >= 2: {s.m}")
     if field is not None:
         field.check(s)
     return s
 
 
 def format_scalar(s):
-    if s.b == 0:
+    if not s.q:
         return str(s.a)
     b = str(s.b)
     if not b.startswith("-"):
@@ -678,14 +746,14 @@ def cleared(vec):
     B is empty over Q.  Scaling a vector changes neither its independence
     nor the kernel of a row system, and no denominator is left for p to
     divide."""
-    den = lcm(*{x.a.denominator for x in vec.values()},
-              *{x.b.denominator for x in vec.values() if x.b})
+    den = lcm(*{x.d for x in vec.values()})
     a_part, b_part = {}, {}
     for k, x in vec.items():
-        if x.a:
-            a_part[k] = x.a.numerator * (den // x.a.denominator)
-        if x.b:
-            b_part[k] = x.b.numerator * (den // x.b.denominator)
+        f = den // x.d
+        if x.p:
+            a_part[k] = x.p * f
+        if x.q:
+            b_part[k] = x.q * f
     return a_part, b_part, den
 
 
@@ -793,7 +861,12 @@ class _Residues:
 
 
 def _scalar(n_a, d_a, n_b, d_b, m):
-    return Scalar(_Q(n_a, d_a), _Q(n_b, d_b) if n_b else _Q0, m)
+    """The Scalar n_a/d_a + (n_b/d_b)*sqrt(m) from two fractions in lowest
+    terms (d_b = 1 when n_b = 0): over their lcm it is canonical as it
+    stands."""
+    den = lcm(d_a, d_b)
+    return _raw(n_a * (den // d_a), n_b * (den // d_b), den,
+                m if n_b else None)
 
 
 def _kernel_modp(rows, ncols, m):

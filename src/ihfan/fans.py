@@ -85,7 +85,8 @@ def canonical_direction(u):
 
 
 def _parse_coord(x, field):
-    if isinstance(x, int):
+    # a JSON true or false is an int to Python, but no coordinate
+    if isinstance(x, int) and not isinstance(x, bool):
         return sc(x)
     if isinstance(x, str):
         return field.parse(x) if field else parse_scalar(x)

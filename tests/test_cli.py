@@ -111,6 +111,26 @@ MALFORMED = {
     "origin-outside-hull": (
         ["hvector"], {"field": {"sqrt": 2}, "fan": "face",
                       "vertices": [["0+1r2", 1], [3, 1], [2, 4]]}),
+    "zero-denominator-vertex": (
+        ["hvector"], {"field": "Q", "fan": "face",
+                      "vertices": [[1, 1], [-1, "1/0"], [-1, -1], [1, -1]]}),
+    "zero-denominator-ray": (
+        ["hvector"], {"field": "Q", "dim": 2,
+                      "rays": [["1/0", "0"], ["0", "1"], ["-1", "-1"]],
+                      "maximal_cones": [[0, 1], [1, 2], [0, 2]]}),
+    "zero-denominator-ray-value": (
+        ["report"], _with_l(quadrant_dict(),
+                            {"ray_values": ["1", "1/0", "1", "1"]})),
+    "zero-denominator-per-cone": (
+        ["report"], _with_l(quadrant_dict(),
+                            {"per_cone": [["1", "1/0"]] * 4})),
+    "zero-denominator-sqrt2": (
+        ["hvector"], {"field": {"sqrt": 2}, "fan": "face",
+                      "vertices": [["1+1/0r2", 1], [-1, 1], [0, -1]]}),
+    "boolean-coordinate": (
+        ["hvector"], {"field": "Q", "dim": 2,
+                      "rays": [[True, 0], [0, 1], [-1, -1]],
+                      "maximal_cones": [[0, 1], [1, 2], [0, 2]]}),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -118,6 +138,12 @@ MALFORMED_MESSAGES = {
     "origin-on-facet-hyperplane":
         "origin is not interior (a facet hyperplane passes through it)",
     "origin-outside-hull": "origin is not interior to the hull",
+    "zero-denominator-vertex": "zero denominator",
+    "zero-denominator-ray": "zero denominator",
+    "zero-denominator-ray-value": "zero denominator",
+    "zero-denominator-per-cone": "zero denominator",
+    "zero-denominator-sqrt2": "zero denominator",
+    "boolean-coordinate": "bad coordinate True",
 }
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -81,14 +82,94 @@ def test_rational_result_drops_radicand():
     assert x.m is None
 
 
-def test_scalar_keeps_a_rational_of_the_backend_type():
-    assert Scalar(Fraction(3, 4)) == S("3/4")
-    q = _Q(3, 4)
-    x = Scalar(q)
-    # the rational is kept as it is, not copied
-    assert x.a is q and x == S("3/4") and x.b == 0 and x.m is None
-    assert Scalar(q, _Q(0), 2).m is None
+def _is_canonical(x):
+    """(p + q sqrt(m))/d with d > 0, gcd(p, q, d) = 1 and q = 0 exactly when
+    m is None."""
+    return (all(type(v) is int for v in (x.p, x.q, x.d)) and x.d > 0
+            and gcd(x.p, x.q, x.d) == 1 and (x.q == 0) == (x.m is None))
+
+
+def test_scalar_is_held_in_canonical_form():
+    made = [Scalar(3), Scalar(-4, 0, 2), Scalar(Fraction(6, -8)),
+            Scalar(_Q(3, 4), _Q(-1, 6), 2), Scalar(_Q(1), _Q(-1, 2), 2),
+            S("12/18-4/6r2"), Scalar(True), sc(Fraction(-10, 4)), S("0/7"),
+            S("-6/4+10/4r5"), S("4/6+0r3"), ZERO, ONE]
+    assert all(_is_canonical(x) for x in made)
+    assert [(x.p, x.q, x.d, x.m) for x in made[:6]] == [
+        (3, 0, 1, None), (-4, 0, 1, None), (-3, 0, 4, None),
+        (9, -2, 12, 2), (2, -1, 2, 2), (2, -2, 3, 2)]
+    # the parts read back as Fractions, equal to what was given; Fraction is
+    # the one rational type, at the edges only
+    assert _Q is Fraction
+    x = Scalar(_Q(3, 4), _Q(-1, 6), 2)
+    assert (x.a, x.b) == (Fraction(3, 4), Fraction(-1, 6))
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert Scalar(Fraction(3, 4)) == S("3/4") and Scalar(_Q(3, 4), 0, 2).m \
+        is None
     assert Scalar(_Q(1), _Q(-1, 2), 2) == S("1-1/2r2")
+    # equal p and q over another d is another value
+    assert S("1/2") != S("1/3") and S("1/2+1/2r2") != S("1/3+1/3r2")
+    rng = random.Random(5)
+    for m in (None, 2, 5):
+        pool = [x for x in made if x.m in (None, m)] + [
+            Scalar(_Q(rng.randint(-40, 40), rng.randint(1, 12)),
+                   _Q(rng.randint(-40, 40), rng.randint(1, 12))
+                   if m else 0, m) for _ in range(12)]
+        for x, y in itertools.product(pool, repeat=2):
+            got = [x + y, x - y, x * y, -x, x ** 3, x - x]
+            if y:
+                got += [x / y, y.inverse()]
+            assert all(_is_canonical(z) for z in got), (x, y)
+
+
+def _ref_sign(a, b, m):
+    """Sign of a + b sqrt(m) the textbook way: a^2 against m b^2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    d = a * a - m * b * b
+    return (d > 0) - (d < 0) if a > 0 else (d < 0) - (d > 0)
+
+
+def test_scalar_arithmetic_matches_fraction_pairs():
+    # a reference over pairs (a, b) of Fractions meaning a + b sqrt(m), with
+    # numerators and denominators past 2^64
+    rng = random.Random(20)
+    big = 2 ** 70
+
+    def draw_pair(m):
+        def rat():
+            if rng.random() < 0.2:
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return Fraction(rng.randint(-big, big), rng.randint(1, big))
+        return rat(), rat() if m and rng.random() < 0.8 else Fraction(0)
+
+    def check(x, ref, m):
+        a, b = ref
+        assert (x.a, x.b) == (a, b), (x, ref)
+        assert x.m == (m if b else None)
+
+    for m in (None, 2, 5):
+        pairs = [draw_pair(m) for _ in range(40)]
+        pairs += pairs[:5]     # repeats, so that == also meets equal values
+        for (a1, b1), (a2, b2) in itertools.product(pairs, repeat=2):
+            x, y = Scalar(a1, b1, m), Scalar(a2, b2, m)
+            mm = m or 0
+            check(x + y, (a1 + a2, b1 + b2), m)
+            check(x - y, (a1 - a2, b1 - b2), m)
+            check(x * y, (a1 * a2 + mm * b1 * b2, a1 * b2 + b1 * a2), m)
+            n = a2 * a2 - mm * b2 * b2
+            if n:
+                check(x / y, ((a1 * a2 - mm * b1 * b2) / n,
+                              (b1 * a2 - a1 * b2) / n), m)
+            assert x.sign() == _ref_sign(a1, b1, mm)
+            assert (x == y) == ((a1, b1) == (a2, b2))
+            assert (x < y) == (_ref_sign(a1 - a2, b1 - b2, mm) < 0)
+            if x == y:
+                assert hash(x) == hash(y)
+            if not b1:
+                assert hash(x) == hash(a1) and x == a1
 
 
 def test_subtraction_matches_adding_the_negation():
