@@ -1,6 +1,6 @@
-"""Pointed polyhedral cones, fans with explicit face lattices, star and
-barycentric subdivision, polytope ingestion (face fan and normal fan), and
-products / skew products.
+"""Pointed polyhedral cones, fans with explicit face lattices, barycentric
+subdivision (the flag complex), polytope ingestion (face fan and normal
+fan), and products / skew products.
 
 Conventions.  A ray is stored by its canonical generator: the vector scaled
 so its first nonzero coordinate has absolute value 1 (positive rescaling
@@ -621,66 +621,6 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
 # -- subdivision -----------------------------------------------------------
 
 
-def star_subdivision(fan: Fan, v):
-    """Star subdivision at the ray through v.
-
-    Returns (new fan, map old maximal id -> tuple of new maximal ids).  When
-    v lies in a cone of dimension < 2 the fan is returned unchanged.  Errors
-    when v = 0, v is outside the support, or some cone containing the
-    subdivided cone does not split off a complementary face.
-    """
-    v = vec(v)
-    if is_zero_vec(v):
-        raise ValueError("cannot subdivide at the zero vector")
-    home = fan.locate(v)
-    if home is None:
-        raise ValueError("subdivision center lies outside the fan support")
-    sigma = fan.cones[home]
-
-    def remap(newfan, pieces_by_old):
-        out = {}
-        for m in fan.maximal_ids:
-            if m in pieces_by_old:
-                out[m] = tuple(sorted(newfan.id_by_key[k]
-                                      for k in pieces_by_old[m]))
-            else:
-                out[m] = (newfan.id_by_key[fan.cones[m].rays],)
-        return out
-
-    if sigma.dim < 2:
-        return fan, remap(fan, {})
-
-    vray = canonical_direction(v)
-    srays = set(sigma.rays)
-    new_keys = []
-    pieces_by_old = {}
-    facets = [k for k in sigma.face_ray_keys()
-              if cone_geometry(k, fan.n).dim == sigma.dim - 1]
-    for m in fan.maximal_ids:
-        delta = fan.cones[m]
-        if home != m and home not in fan.faces_of[m]:
-            new_keys.append(delta.rays)
-            continue
-        comp = tuple(sorted(set(delta.rays) - srays))
-        if comp not in fan.id_by_key:
-            raise ValueError(
-                "no local product structure: complementary rays of %r over "
-                "%r do not span a face" % (delta, sigma))
-        rho = fan.cones[fan.id_by_key[comp]]
-        if rho.dim + sigma.dim != delta.dim:
-            raise ValueError(
-                "no local product structure at %r: dimensions do not split" %
-                (delta,))
-        pieces = []
-        for fk in sorted(facets):
-            piece = tuple(sorted(set(fk) | set(comp) | {vray}))
-            pieces.append(piece)
-            new_keys.append(piece)
-        pieces_by_old[m] = pieces
-    newfan = Fan(fan.n, fan.field, new_keys, check=False)
-    return newfan, remap(newfan, pieces_by_old)
-
-
 def barycenter_default(cone: Cone):
     """Sum of the generators, each scaled to coordinate-sum 1 when that sum
     is positive, else to unit sup-norm."""
@@ -709,24 +649,43 @@ def barycenter_alt(cone: Cone):
 
 
 def barycentric_subdivision(fan: Fan, barycenter_choice=None):
-    """Full barycentric subdivision: star subdivisions at a chosen relative
-    interior point of every cone of dim >= 2, by decreasing dimension.
+    """Full barycentric subdivision: the flag complex of the fan.
 
-    Returns (subdivided fan, steps); each step is (center vector, ray key of
-    the original cone it subdivides).  The result is simplicial.
+    A center is chosen in the relative interior of every cone of dim >= 2,
+    by decreasing dimension and then by id.  The subdivided fan has one
+    maximal cone per flag rho < tau_2 < ... < sigma, each cone a facet of
+    the next and sigma maximal, spanned by the ray rho and the centers of
+    tau_2, ..., sigma.  Returns (subdivided fan, steps); each step is
+    (center vector, ray key of its cone), in the order the centers were
+    chosen.  The result is simplicial; it is the fan itself when no cone
+    has dim >= 2.
     """
     choice = barycenter_choice or barycenter_default
-    current = fan
     steps = []
-    todo = sorted((c for c in fan.cones.values() if c.dim >= 2),
-                  key=lambda c: (-c.dim, c.id))
-    for orig in todo:
-        v = vec(choice(orig))
-        if not orig.contains_relint(v):
-            raise ValueError("barycenter choice left the relative interior")
-        current, _ = star_subdivision(current, v)
-        steps.append((v, orig.rays))
-    return current, tuple(steps)
+    center_ray = {}
+    for c in sorted((c for c in fan.cones.values() if c.dim >= 2),
+                    key=lambda c: (-c.dim, c.id)):
+        v = vec(choice(c))
+        if not c.contains_relint(v):
+            raise ValueError("a subdivision center is not in the relative "
+                             "interior of its cone")
+        steps.append((v, c.rays))
+        center_ray[c.id] = canonical_direction(v)
+    if not steps:
+        return fan, ()
+    # the rays of the flags ending at each cone; ids go up with dimension,
+    # so a cone's facets come before it
+    flags = {}
+    for cid, c in fan.cones.items():
+        if c.dim <= 1:
+            flags[cid] = [c.rays]
+        else:
+            flags[cid] = [flag + (center_ray[cid],)
+                          for f in fan.faces_of[cid]
+                          if fan.cones[f].dim == c.dim - 1
+                          for flag in flags[f]]
+    keys = [tuple(sorted(flag)) for m in fan.maximal_ids for flag in flags[m]]
+    return Fan(fan.n, fan.field, keys, check=False), tuple(steps)
 
 
 # -- polytopes -------------------------------------------------------------

@@ -464,8 +464,6 @@ class DistinguishedPair:
 
 
 def _barycenter_choice(rule):
-    if callable(rule):
-        return rule
     if rule == "default":
         return fans.barycenter_default
     if rule == "alt":
@@ -482,8 +480,7 @@ def build_distinguished_pair(fan: Fan, rule="default"):
         subdivided, steps = fan, ()
     else:
         subdivided, steps = fans.barycentric_subdivision(fan, choice)
-    pair = DistinguishedPair(fan, subdivided, steps,
-                             rule=rule if isinstance(rule, str) else "custom")
+    pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
     centers = {key: center for center, key in steps}
     n = fan.n
     for cid in sorted(fan.cones, key=lambda i: (fan.cones[i].dim, i)):
@@ -805,26 +802,42 @@ def pair_to_json_dict(pair: DistinguishedPair):
     }
 
 
+def _json_object(x, what):
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return x
+
+
 def pair_from_json_dict(obj):
-    """Rebuild a pair from a dump: the fan is reconstructed, the recorded
-    star subdivisions are replayed (ids are deterministic), and the stored
-    generator sections are attached without recomputation."""
+    """Rebuild a pair from a dump: the fan is reconstructed, its
+    subdivision is rebuilt from the recorded centers (ids are
+    deterministic), and the stored generator sections are attached without
+    recomputation.  The recorded steps are either empty, when the fan is
+    its own subdivision, or one center per cone of dim >= 2 in the order
+    ``fans.barycentric_subdivision`` takes the cones, each of length n and
+    in the relative interior of its cone; any other list raises
+    ValueError."""
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
     field = fan.field
-    centers = [parse_vector(v, field) for v in obj.get("steps", [])]
-    current = fan
-    steps = []
-    for v in centers:
-        home = current.locate(v)
-        if home is None:
-            raise ValueError("subdivision center outside the fan")
-        key = current.cones[home].rays
-        current, _ = fans.star_subdivision(current, v)
-        steps.append((v, key))
-    pair = DistinguishedPair(fan, current, steps,
-                             rule=obj.get("rule", "default"))
     n = fan.n
-    for cid_s, gens in obj["stalks"].items():
+    centers = [parse_vector(v, field) for v in obj.get("steps", [])]
+    if not centers:
+        subdivided, steps = fan, ()
+    else:
+        wanted = sum(1 for c in fan.cones.values() if c.dim >= 2)
+        if len(centers) != wanted:
+            raise ValueError(f"pair dump lists {len(centers)} subdivision "
+                             f"centers, but its fan has {wanted} cones of "
+                             "dim >= 2")
+        if any(len(v) != n for v in centers):
+            raise ValueError("a subdivision center's length does not match "
+                             "dim")
+        recorded = iter(centers)
+        subdivided, steps = fans.barycentric_subdivision(
+            fan, lambda cone: next(recorded))
+    pair = DistinguishedPair(fan, subdivided, steps,
+                             rule=obj.get("rule", "default"))
+    for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
         cid = int(cid_s)
         if cid not in fan.cones:
             raise ValueError(f"unknown cone id {cid} in pair dump")
@@ -834,10 +847,14 @@ def pair_from_json_dict(obj):
             if g % 2:
                 raise ValueError("stalk generator gradings must be even")
             entry = {}
+            sec = _json_object(
+                sec, f"a section map of the stalk of cone {cid}")
             for pid_s, coeffs in sec.items():
                 pid = int(pid_s)
                 if pid not in pair.subdivided.cones:
                     raise ValueError(f"unknown subdivided cone id {pid}")
+                coeffs = _json_object(
+                    coeffs, f"the coefficient map of a section on cone {pid}")
                 poly = Polynomial(n, {
                     _parse_exp(es, n): field.parse(cs) if isinstance(cs, str)
                     else sc(cs) for es, cs in coeffs.items()})

@@ -11,8 +11,9 @@ import ihfan
 from ihfan.cli import main
 from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
+from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
-from conftest import icosahedron_vertices, prism_vertices
+from conftest import cached_pair, icosahedron_vertices, prism_vertices
 
 
 def write(tmp_path, name, obj):
@@ -131,6 +132,13 @@ MALFORMED = {
         ["hvector"], {"field": "Q", "dim": 2,
                       "rays": [[True, 0], [0, 1], [-1, -1]],
                       "maximal_cones": [[0, 1], [1, 2], [0, 2]]}),
+    "pair-stalks-not-an-object": (
+        ["hvector"], {"fan": quadrant_dict(), "stalks": []}),
+    "pair-section-map-not-an-object": (
+        ["hvector"], {"fan": quadrant_dict(), "stalks": {"0": [[0, []]]}}),
+    "pair-coefficient-map-not-an-object": (
+        ["hvector"], {"fan": quadrant_dict(),
+                      "stalks": {"0": [[0, {"0": []}]]}}),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -144,6 +152,11 @@ MALFORMED_MESSAGES = {
     "zero-denominator-per-cone": "zero denominator",
     "zero-denominator-sqrt2": "zero denominator",
     "boolean-coordinate": "bad coordinate True",
+    "pair-stalks-not-an-object": "'stalks' must be a JSON object",
+    "pair-section-map-not-an-object":
+        "a section map of the stalk of cone 0 must be a JSON object",
+    "pair-coefficient-map-not-an-object":
+        "the coefficient map of a section on cone 0 must be a JSON object",
 }
 
 
@@ -312,6 +325,39 @@ def test_pair_dump_with_a_section_of_the_wrong_degree_exits_2(tmp_path,
     bad = write(tmp_path, "pair_bad.json", dump)
     assert main(["hvector", bad]) == 2
     assert "degree" in capsys.readouterr().err
+
+
+# a dump's steps must be the centers of the cones of dim >= 2, one each, in
+# the order the subdivision takes the cones (the cone first, then its four
+# facets); each case: how the steps are changed, what the error says
+OTHER_CENTERS = {
+    "extra-center": (
+        lambda steps: steps + steps[-1:], "6 subdivision centers"),
+    "missing-center": (
+        lambda steps: steps[:-1], "4 subdivision centers"),
+    "reversed-centers": (lambda steps: steps[::-1], "relative interior"),
+    "center-outside-its-cone": (
+        lambda steps: [["0", "0", "-1"]] + steps[1:], "relative interior"),
+    "center-of-length-n-1": (
+        lambda steps: [steps[0][:-1]] + steps[1:], "length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_CENTERS))
+def test_pair_dump_with_other_centers_exits_2(tmp_path, capsys,
+                                              cone_square_fan, case):
+    good = pair_to_json_dict(cached_pair(cone_square_fan))
+    assert len(good["steps"]) == 5
+    assert main(["hvector", write(tmp_path, "good.json", good)]) == 0
+    capsys.readouterr()
+    edit, message = OTHER_CENTERS[case]
+    bad = dict(good, steps=edit(good["steps"]))
+    with pytest.raises(ValueError, match=message):
+        pair_from_json_dict(bad)
+    assert main(["hvector", write(tmp_path, "bad.json", bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
 
 
 def test_report_json_schema_and_determinism(tmp_path, capsys):

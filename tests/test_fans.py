@@ -104,39 +104,36 @@ def test_is_complete():
     assert fans.is_complete(ff)
 
 
-def test_star_subdivision_cone_over_square():
+def test_barycentric_cone_over_square():
     cs = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]])
-    sub, cmap = fans.star_subdivision(cs, (0, 0, 1))
-    assert len(sub.maximal_ids) == 4
+    sub, steps = fans.barycentric_subdivision(cs)
+    # one piece per flag: 4 edges of the square, 2 rays on each
+    assert len(sub.maximal_ids) == 8
+    assert len(steps) == 5
     assert sub.is_simplicial()
-    old_max = cs.maximal_ids[0]
-    assert len(cmap[old_max]) == 4
     # every piece is contained in the original cone: each of its rays
     # lies in the relative interior of a face of that cone
-    for nid in cmap[old_max]:
+    old_max = cs.maximal_ids[0]
+    for nid in sub.maximal_ids:
         for r in sub.cones[nid].rays:
             assert cs.locate(r) in (old_max,) + cs.faces_of[old_max]
 
 
-def test_star_subdivision_on_existing_ray_unchanged():
-    cs = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]])
-    sub, cmap = fans.star_subdivision(cs, (2, 2, 2))
-    assert sub == cs
-    assert all(len(v) == 1 for v in cmap.values())
-
-
-def test_star_subdivision_orthant_interior():
+def test_barycentric_orthant():
+    # a simplicial cone is subdivided too: one piece per ordering of its
+    # 3 rays, and one new ray per face of dim >= 2
     o = fans.build_fan(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    sub, _ = fans.star_subdivision(o, (1, 1, 1))
-    assert len(sub.maximal_ids) == 3
+    sub, steps = fans.barycentric_subdivision(o)
+    assert len(sub.maximal_ids) == 6
+    assert len(sub.rays()) == 3 + 3 + 1
+    assert len(steps) == 4
 
 
-def test_star_subdivision_errors():
+def test_barycentric_rejects_a_center_outside_its_cone():
     o = fans.build_fan(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    with pytest.raises(ValueError):
-        fans.star_subdivision(o, (0, 0, 0))
-    with pytest.raises(ValueError):
-        fans.star_subdivision(o, (-1, -1, -7))
+    for center in ((0, 0, 0), (-1, -1, -7), (1, 1, 0)):
+        with pytest.raises(ValueError, match="relative interior"):
+            fans.barycentric_subdivision(o, lambda cone: center)
 
 
 def test_barycentric_counts():
@@ -627,3 +624,30 @@ def test_golden_ratio_polytopes(vertices, f):
     ff, l = fans.face_fan_with_support(vertices(), field=ScalarField(5))
     assert len(ff.maximal_ids) == f[2]
     assert fans.is_complete(ff) and fans.is_strictly_convex(ff, l)
+
+
+def test_barycentric_icosahedron_flag_counts():
+    ff = fans.face_fan_with_support(icosahedron_vertices(),
+                                    field=ScalarField(5))[0]
+    b, steps = fans.barycentric_subdivision(ff)
+    # flags of the icosahedron: 20 triangles, 3 edges each, 2 vertices
+    # each; one ray per face; one cone per chain of faces, the empty chain
+    # included: 1 + 62 + (60 + 60 + 60) + 120
+    assert len(b.maximal_ids) == 20 * 3 * 2
+    assert len(b.rays()) == 12 + 30 + 20
+    assert len(b.cones) == 363
+    assert len(steps) == 30 + 20
+
+
+def test_barycentric_icosahedron_pyramid_flag_counts():
+    # the icosahedron at x4 = -1 and the apex at (0, 0, 0, 3)
+    verts = [v + (sc(-1),) for v in icosahedron_vertices()]
+    verts.append((sc(0), sc(0), sc(0), sc(3)))
+    ff = fans.face_fan_with_support(verts, field=ScalarField(5))[0]
+    b, steps = fans.barycentric_subdivision(ff)
+    # flags of the pyramid: 4! through each of the 20 tetrahedra and the
+    # 120 of the base; one ray per face, f = (13, 42, 50, 21)
+    assert len(b.maximal_ids) == 20 * 24 + 120
+    assert len(b.rays()) == 13 + 42 + 50 + 21
+    assert len(steps) == 42 + 50 + 21
+    assert b.is_simplicial()
