@@ -14,15 +14,15 @@ from .fans import (Cone, Fan, PLFunction, build_fan, fan_from_json_dict,
                    skew_product, barycentric_subdivision, is_complete,
                    is_strictly_convex)
 from .conewise import ConewiseFunction, Polynomial
-from .ihsheaf import (DistinguishedPair, GradedIH, build_distinguished_pair,
-                      global_sections, relative_sections, pair_to_json_dict,
+from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
+                      build_distinguished_pair, global_sections,
+                      relative_sections, pair_to_json_dict,
                       pair_from_json_dict)
-from .cohomology import (EvaluationContext, IHProfile, QuadraticReport,
-                         ds_check, evaluate, evaluate_fast, f_to_h,
-                         hl_rank_report, hrm_check, ih_profile,
-                         kunneth_check, lefschetz_matrix, pairing_matrix,
-                         polytope_face_lattice, primitive_basis,
-                         profile_for_fan, restrict_to_link,
+from .cohomology import (IHProfile, QuadraticReport, ds_check, evaluate,
+                         evaluate_fast, f_to_h, hl_rank_report, hrm_check,
+                         ih_profile, kunneth_check, lefschetz_matrix,
+                         pairing_matrix, polytope_face_lattice,
+                         primitive_basis, profile_for_fan, restrict_to_link,
                          exact_sequence_check, toric_h_of_fan,
                          toric_h_oracle)
 

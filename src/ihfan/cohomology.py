@@ -6,21 +6,26 @@ Two independent routes exist for every headline number: the section-space
 engine computes dimensions from sheaf data, while the lattice recursions
 (f_to_h, toric_h_oracle, toric_h_of_fan) never look at a polynomial.
 Verification helpers compare them.
+
+The pairing, hard Lefschetz ranks, Hodge-Riemann forms, primitives and
+Lefschetz matrices all read ihsheaf.GradedIH.lefschetz_gram, the Gram of
+the representatives' values at one generic point.  The symbolic evaluate
+is the independent check on those values; class coordinates are solved
+for only in restrict_to_link.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from math import prod
 
 from . import exactlin
-from .exactlin import Matrix, ONE, ZERO, inverse, rank, sc, signature
+from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
-                   star_link, vdot)
+                   star_link)
 from .conewise import ConewiseFunction, Polynomial
-from .ihsheaf import (DistinguishedPair, GradedIH, _mul_pl,
-                      build_distinguished_pair, lift_over_span,
+from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
+                      _mul_pl, build_distinguished_pair, lift_over_span,
                       projection_along)
 
 
@@ -199,8 +204,7 @@ class IHProfile:
     grams holds the pairing matrices of the gradings d <= n when ih_profile
     certified the representatives with them (else it is empty)."""
 
-    __slots__ = ("pair", "fan", "n", "gih", "h", "grams", "_rep_polys",
-                 "_ctx")
+    __slots__ = ("pair", "fan", "n", "gih", "h", "grams")
 
     def __init__(self, pair: DistinguishedPair, gih: GradedIH):
         self.pair = pair
@@ -209,8 +213,6 @@ class IHProfile:
         self.gih = gih
         self.h = dict(gih.h)
         self.grams = {}
-        self._rep_polys = {}
-        self._ctx = None
 
     def h_vector(self):
         return self.gih.h_vector()
@@ -218,21 +220,14 @@ class IHProfile:
     def rep_polys(self, d):
         """Materialized representatives: per grading a list of
         {subdivided max cone id: Polynomial}."""
-        got = self._rep_polys.get(d)
-        if got is None:
-            sp = self.gih.spaces[d]
-            got = [sp.materialize(v) for v in self.gih.comps[d]]
-            self._rep_polys[d] = got
-        return got
+        return self.gih.rep_polys(d)
 
     def reps(self, d):
         return [ConewiseFunction(self.pair.subdivided, d, polys)
                 for polys in self.rep_polys(d)]
 
     def context(self):
-        if self._ctx is None:
-            self._ctx = EvaluationContext(self.pair)
-        return self._ctx
+        return self.gih.context()
 
 
 def ih_profile(pair: DistinguishedPair, cap=None, relative=False):
@@ -281,55 +276,6 @@ def profile_for_fan(fan: Fan, rule="default"):
 
 
 # -- evaluation ------------------------------------------------------------
-
-
-_GENERIC_TS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-class EvaluationContext:
-    """Per maximal simplicial cone of the subdivision: the dual-basis facet
-    forms (scaled so their wedge has determinant +-1 in the input
-    coordinates), whose product is the cone's phi; plus one generic point
-    z, the first point (1, t, ..., t^(n-1)) at which no phi vanishes, and
-    1/phi(z) per cone (inv_phi_z, in the order of the subdivision's
-    maximal ids)."""
-
-    __slots__ = ("pair", "forms", "adjacency", "z", "inv_phi_z")
-
-    def __init__(self, pair: DistinguishedPair):
-        sub = pair.subdivided
-        n = sub.n
-        if not sub.is_simplicial():
-            raise ValueError("evaluation needs the simplicial subdivision")
-        self.pair = pair
-        self.forms = {}
-        for m in sub.maximal_ids:
-            rays = sub.cones[m].rays
-            if len(rays) != n:
-                raise ValueError("evaluation needs full-dimensional cones")
-            inv, d = inverse(Matrix(list(rays), ncols=n))
-            # column i of the inverse is dual to ray i
-            duals = [inv.col(i) for i in range(n)]
-            scale = abs(d)
-            duals[0] = tuple(scale * x for x in duals[0])
-            self.forms[m] = tuple(duals)
-        self.adjacency = {m: [] for m in sub.maximal_ids}
-        for tid in pair.facet_piece_ids():
-            owners = pair.owners(tid)
-            if len(owners) == 2:
-                a, b = owners
-                self.adjacency[a].append(b)
-                self.adjacency[b].append(a)
-        for t in _GENERIC_TS:
-            z = tuple(sc(t) ** i for i in range(n))
-            vals = {m: prod((vdot(f, z) for f in self.forms[m]), start=ONE)
-                    for m in sub.maximal_ids}
-            if all(vals.values()):
-                break
-        else:
-            raise ValueError("no generic evaluation point found")
-        self.z = z
-        self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
 
 
 def _cancel(num, den):
@@ -408,25 +354,6 @@ def evaluate_fast(ctx: EvaluationContext, per_max):
     return total
 
 
-def _rep_values(profile, d):
-    """The grading-d representatives evaluated at the generic point: a
-    Matrix with one row per representative and one column per subdivided
-    maximal cone, in the order of ctx.inv_phi_z."""
-    ctx = profile.context()
-    return Matrix([[polys[m].evaluate(ctx.z) for m in ctx.inv_phi_z]
-                   for polys in profile.rep_polys(d)],
-                  ncols=len(ctx.inv_phi_z))
-
-
-def _gram(left, weights, right):
-    """Matrix of sum_m left[i][m] * weights[m] * right[j][m]: the
-    evaluation of the products of two lists of evaluated representatives,
-    since evaluation at a point is a ring homomorphism."""
-    scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
-                     for r in left.entries], ncols=left.ncols)
-    return scaled.mul(right.transpose())
-
-
 # -- pairing, Lefschetz, signatures ----------------------------------------
 
 
@@ -440,9 +367,7 @@ def _coarse_l_on_piece(profile, l: PLFunction):
 def _pairing_and_rank(profile, d):
     """The pairing matrix between the representatives of gradings d and
     2n - d, and its rank."""
-    left = _rep_values(profile, d)
-    right = _rep_values(profile, 2 * profile.n - d)
-    mat = _gram(left, profile.context().inv_phi_z.values(), right)
+    mat = profile.gih.lefschetz_gram(None, d, 2 * profile.n - d)
     return mat, rank(mat)
 
 
@@ -482,22 +407,23 @@ def pairing_matrix(profile: IHProfile, d):
 
 
 def lefschetz_matrix(profile: IHProfile, l: PLFunction, d):
-    """Matrix of the full Lefschetz power from grading d to 2n-d, computed
-    by iterated degree-2 steps re-expressed in the stored bases."""
+    """Matrix of the full Lefschetz power from grading d to 2n-d in the
+    stored bases: the Gram <a . l^(n-d) . b> over grading d is G A, with G
+    the pairing at d, so A = G^-1 (G A)."""
     n = profile.n
     if d % 2 or d < 0 or d > n:
         raise ValueError("Lefschetz matrices start at an even grading <= n")
-    return profile.gih.composed_steps(l, d, 2 * n - d)
+    return inverse(pairing_matrix(profile, d))[0].mul(
+        profile.gih.lefschetz_gram(l, d, d))
 
 
 def hl_rank_report(profile: IHProfile, l: PLFunction):
     """rank of the full Lefschetz power per grading, with the rank demanded
-    by the theorem."""
-    out = {}
-    for d in range(0, profile.n + 1, 2):
-        m = lefschetz_matrix(profile, l, d)
-        out[d] = (rank(m), profile.h[d])
-    return out
+    by the theorem.  The rank is that of the Gram G A (see
+    lefschetz_matrix): rank(G A) <= rank A, with equality when the pairing
+    at d is perfect, so a full rank proves hard Lefschetz at d."""
+    return {d: (rank(profile.gih.lefschetz_gram(l, d, d)), profile.h[d])
+            for d in range(0, profile.n + 1, 2)}
 
 
 def primitive_basis(profile: IHProfile, l: PLFunction, d):
@@ -541,24 +467,17 @@ def hrm_check(profile: IHProfile, l: PLFunction):
     """Signature data of B_l(x, y) = <l^(n-d) x y> on each IH^d with even
     d <= n: the full signature must match the h-vector formula, and
     (-1)^(d/2) B_l must be positive definite on the primitive subspace."""
-    n = profile.n
-    ctx = profile.context()
     hvec = profile.h_vector()
-    l_on_piece = _coarse_l_on_piece(profile, l)
-    l_z = [vdot(l_on_piece[m], ctx.z) for m in ctx.inv_phi_z]
     rows = []
-    for d in range(0, n + 1, 2):
-        a = _rep_values(profile, d)
-        weights = [x ** (n - d) * w
-                   for x, w in zip(l_z, ctx.inv_phi_z.values())]
-        bmat = _gram(a, weights, a)
-        sig = signature(bmat) if a.nrows else (0, 0)
+    for d in range(0, profile.n + 1, 2):
+        bmat = profile.gih.lefschetz_gram(l, d, d)
+        sig = signature(bmat) if bmat.nrows else (0, 0)
         expected = _expected_signature(hvec, d)
         prim = profile.gih.primitive_coeffs(d, l)
         pdim = len(prim)
         if pdim:
             # (-1)^(d/2) B_l is positive definite on the primitives
-            p = Matrix(prim, ncols=a.nrows)
+            p = Matrix(prim, ncols=bmat.nrows)
             q = signature(p.mul(bmat).mul(p.transpose()))
             definite = q == ((pdim, 0) if d % 4 == 0 else (0, pdim))
         else:

@@ -9,13 +9,23 @@ generator sections are pulled back from primitive representatives.  Global
 sections of any grading are then cut out by a sparse linear system in
 per-cone generator coefficients, built in integer arithmetic (_Sections).
 
+GradedIH picks representatives of the cohomology classes and reads every
+Lefschetz quantity (pairing, hard Lefschetz ranks, Hodge-Riemann forms,
+primitives, Lefschetz matrices) off one Gram matrix of their values at a
+generic point (EvaluationContext, GradedIH.lefschetz_gram).  The stalk
+generators of a nonsimplicial cone are the primitives of its flattened
+boundary, read off the same Gram one dimension down.  Class coordinates
+(GradedIH.class_coords) are solved for only by the relative-cohomology
+check of cohomology.restrict_to_link.
+
 All generator sections live on the subdivided fan; scalars stay exact.
 """
 
 from __future__ import annotations
 
 import functools
-from math import gcd
+import itertools
+from math import gcd, prod
 
 from . import exactlin
 from .exactlin import (
@@ -87,14 +97,10 @@ class FlattenedBoundary:
     fan in the quotient by the center's line, together with the projection
     and the induced strictly convex conewise linear function."""
 
-    __slots__ = ("cone", "v", "x", "basis", "proj", "lam", "lam_l",
-                 "face_to_lam", "_lifts")
+    __slots__ = ("cone", "proj", "lam", "lam_l", "face_to_lam", "_lifts")
 
-    def __init__(self, cone, v, x, basis, proj, lam, lam_l, face_to_lam):
+    def __init__(self, cone, proj, lam, lam_l, face_to_lam):
         self.cone = cone
-        self.v = v
-        self.x = x
-        self.basis = basis
         self.proj = proj
         self.lam = lam
         self.lam_l = lam_l
@@ -150,8 +156,7 @@ def flatten_boundary(cone: fans.Cone, v):
         pk = tuple(sorted(canonical_direction(proj.apply(r))
                           for r in k))
         face_to_lam[k] = lam.id_by_key[pk]
-    return FlattenedBoundary(cone, v, x, tuple(basis), proj, lam, lam_l,
-                             face_to_lam)
+    return FlattenedBoundary(cone, proj, lam, lam_l, face_to_lam)
 
 
 def cone_field_guess(cone):
@@ -171,10 +176,9 @@ class StalkModule:
     (grading, sections) pair where sections maps a subdivided-cone id to a
     homogeneous polynomial of degree grading/2."""
 
-    __slots__ = ("cone_id", "generators")
+    __slots__ = ("generators",)
 
-    def __init__(self, cone_id, generators):
-        self.cone_id = cone_id
+    def __init__(self, generators):
         self.generators = tuple(generators)
 
 
@@ -380,7 +384,7 @@ class DistinguishedPair:
     """A fan together with its distinguished simplicial subdivision, the
     subdivision step sequence, and the stalk modules of every cone."""
 
-    __slots__ = ("fan", "subdivided", "steps", "rule", "field", "stalks",
+    __slots__ = ("fan", "subdivided", "steps", "rule", "stalks",
                  "_carrier", "_pieces", "_owners", "_facet_pieces",
                  "_sections", "_boundary_pieces")
 
@@ -389,7 +393,6 @@ class DistinguishedPair:
         self.subdivided = subdivided
         self.steps = tuple(steps)
         self.rule = rule
-        self.field = fan.field
         for m in fan.maximal_ids:
             if fan.cones[m].dim != fan.n:
                 raise ValueError("maximal cones must have full dimension")
@@ -487,7 +490,7 @@ def build_distinguished_pair(fan: Fan, rule="default"):
         c = fan.cones[cid]
         if c.is_simplicial():
             sec = {pid: Polynomial.constant(n, 1) for pid in pair.pieces(cid)}
-            pair.stalks[cid] = StalkModule(cid, [(0, sec)])
+            pair.stalks[cid] = StalkModule([(0, sec)])
             continue
         v = centers[c.rays]
         fb = flatten_boundary(c, v)
@@ -505,7 +508,7 @@ def build_distinguished_pair(fan: Fan, rule="default"):
         for g, sec in link_mod.generators:
             gens.append((g, {pid: sec[remap[pid]]
                              for pid in pair.pieces(cid)}))
-        pair.stalks[cid] = StalkModule(cid, gens)
+        pair.stalks[cid] = StalkModule(gens)
     return pair
 
 
@@ -538,7 +541,7 @@ def _induced_lambda_pair(pair: DistinguishedPair, cid, fb: FlattenedBoundary):
             gens.append((g, {lam_sub.id_by_key[proj_key(pid)]:
                              poly.compose(lift)
                              for pid, poly in sec.items()}))
-        stalks[lamid] = StalkModule(lamid, gens)
+        stalks[lamid] = StalkModule(gens)
     return DistinguishedPair(fb.lam, lam_sub, (), rule=pair.rule,
                              stalks=stalks)
 
@@ -572,10 +575,64 @@ def _mul_pl(vecm, l):
     return out
 
 
+class EvaluationContext:
+    """Per maximal simplicial cone of the subdivision: the dual-basis facet
+    forms (scaled so their wedge has determinant +-1 in the input
+    coordinates), whose product is the cone's phi; plus one generic point
+    z, the first point (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which
+    no phi vanishes, and 1/phi(z) per cone (inv_phi_z, in the order of the
+    subdivision's maximal ids).  A form's value at such a point is a
+    nonzero polynomial in t, so the search ends."""
+
+    __slots__ = ("pair", "forms", "adjacency", "z", "inv_phi_z")
+
+    def __init__(self, pair: DistinguishedPair):
+        sub = pair.subdivided
+        n = sub.n
+        if not sub.is_simplicial():
+            raise ValueError("evaluation needs the simplicial subdivision")
+        self.pair = pair
+        self.forms = {}
+        for m in sub.maximal_ids:
+            rays = sub.cones[m].rays
+            if len(rays) != n:
+                raise ValueError("evaluation needs full-dimensional cones")
+            inv, d = inverse(Matrix(list(rays), ncols=n))
+            # column i of the inverse is dual to ray i
+            duals = [inv.col(i) for i in range(n)]
+            scale = abs(d)
+            duals[0] = tuple(scale * x for x in duals[0])
+            self.forms[m] = tuple(duals)
+        self.adjacency = {m: [] for m in sub.maximal_ids}
+        for tid in pair.facet_piece_ids():
+            owners = pair.owners(tid)
+            if len(owners) == 2:
+                a, b = owners
+                self.adjacency[a].append(b)
+                self.adjacency[b].append(a)
+        for t in itertools.count(2):
+            z = tuple(sc(t) ** i for i in range(n))
+            vals = {m: prod((vdot(f, z) for f in self.forms[m]), start=ONE)
+                    for m in sub.maximal_ids}
+            if all(vals.values()):
+                break
+        self.z = z
+        self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
+
+
+def _gram(left, weights, right):
+    """Matrix of sum_m left[i][m] * weights[m] * right[j][m]: the
+    evaluation of the products of two lists of evaluated representatives,
+    since evaluation at a point is a ring homomorphism."""
+    scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
+                     for r in left.entries], ncols=left.ncols)
+    return scaled.mul(right.transpose())
+
+
 class GradedIH:
     """Graded section spaces of a pair up to a grading cap, the ideal
     multiples, chosen complement representatives (the cohomology basis),
-    and matrices of multiplication operators.
+    and the evaluation Gram matrices of the representatives.
 
     The spanning list of grading d is the ideal multiples x_i * b (b in the
     grading-(d-2) basis) and then the section basis vectors, each kept when
@@ -586,22 +643,30 @@ class GradedIH:
     dimensions they are a basis of it, and the representatives span the
     grading-d cohomology: h_d <= len(comps[d]); a grading where fewer are
     kept is selected exactly.  The reverse bound is the caller's to certify
-    (cohomology.ih_profile does it with the pairing)."""
+    (cohomology.ih_profile does it with the pairing).
 
-    __slots__ = ("pair", "cap", "relative", "spaces", "spanning", "comps",
-                 "h", "_step_cache")
+    Two routes read the classes.  Everything about a Lefschetz operator l
+    (the pairing, HL ranks, HRM forms, primitives and the Lefschetz matrix
+    itself) comes from one Gram matrix, lefschetz_gram, built from the
+    representatives' values at the evaluation context's generic point.
+    class_coords solves for coordinates modulo the ideal; only the
+    relative-cohomology check of cohomology.restrict_to_link needs it."""
+
+    __slots__ = ("pair", "cap", "spaces", "spanning", "comps", "h", "_ctx",
+                 "_rep_polys", "_values")
 
     def __init__(self, pair: DistinguishedPair, cap=None, relative=False,
                  modular=False):
         self.pair = pair
         n = pair.fan.n
         self.cap = 2 * n if cap is None else cap
-        self.relative = relative
         self.spaces = {}
         self.spanning = {}
         self.comps = {}
         self.h = {}
-        self._step_cache = (None, {})
+        self._ctx = None
+        self._rep_polys = {}
+        self._values = {}
         for d in range(0, self.cap + 1, 2):
             sp = pair.section_space(d, relative=relative)
             self.spaces[d] = sp
@@ -640,52 +705,60 @@ class GradedIH:
         return [
             tuple(f.get(base + i, ZERO) for i in range(ncomp)) for f in full]
 
-    def step_matrix(self, d, l):
-        """Matrix of multiplication by the conewise linear l from the
-        grading-d classes to the grading-(d+2) classes.  Only the matrices
-        of the l last asked for are kept, keyed by the value of l (its
-        linear form on each maximal cone), so the cache holds at most one
-        matrix per grading step however many l a long-lived profile sees."""
-        key = tuple(sorted(l.per_max.items()))
-        if self._step_cache[0] != key:
-            self._step_cache = (key, {})
-        steps = self._step_cache[1]
-        m = steps.get(d)
-        if m is None:
-            imgs = [_mul_pl(r, l) for r in self.comps[d]]
-            coords = self.class_coords(d + 2, imgs)
-            m = Matrix([[coords[j][i] for j in range(len(imgs))]
-                        for i in range(self.h[d + 2])],
-                       ncols=len(imgs))
-            steps[d] = m
-        return m
+    def context(self):
+        if self._ctx is None:
+            self._ctx = EvaluationContext(self.pair)
+        return self._ctx
 
-    def composed_steps(self, l, d, upto):
-        """Matrix of multiplication by l^((upto-d)/2): grading d -> upto."""
-        if upto == d:
-            k = self.h[d]
-            return Matrix([[ONE if i == j else ZERO for j in range(k)]
-                           for i in range(k)], ncols=k)
-        m = self.step_matrix(d, l)
-        e = d + 2
-        while e < upto:
-            m = self.step_matrix(e, l).mul(m)
-            e += 2
-        return m
+    def rep_polys(self, d):
+        """Materialized representatives: per grading a list of
+        {subdivided max cone id: Polynomial}."""
+        got = self._rep_polys.get(d)
+        if got is None:
+            sp = self.spaces[d]
+            got = [sp.materialize(v) for v in self.comps[d]]
+            self._rep_polys[d] = got
+        return got
+
+    def values(self, d):
+        """The grading-d representatives evaluated at the generic point: a
+        Matrix with one row per representative and one column per
+        subdivided maximal cone, in the order of the context's inv_phi_z."""
+        got = self._values.get(d)
+        if got is None:
+            ctx = self.context()
+            got = Matrix([[polys[m].evaluate(ctx.z) for m in ctx.inv_phi_z]
+                          for polys in self.rep_polys(d)],
+                         ncols=len(ctx.inv_phi_z))
+            self._values[d] = got
+        return got
+
+    def lefschetz_gram(self, l, d, e):
+        """Matrix of <a . l^k . b> with k = n - (d+e)/2, a the
+        representatives of grading d (rows) and b those of grading e
+        (columns).  With k = 0 it is the pairing matrix and l is not read.
+        With e = d it is G A, for G the pairing at d and A the matrix of
+        l^(n-d) in the stored bases."""
+        ctx = self.context()
+        k = self.pair.fan.n - (d + e) // 2
+        weights = ctx.inv_phi_z.values()
+        if k:
+            carrier = self.pair.carrier
+            weights = [vdot(l.per_max[carrier(m)], ctx.z) ** k * w
+                       for m, w in ctx.inv_phi_z.items()]
+        return _gram(self.values(d), weights, self.values(e))
 
     def primitive_coeffs(self, d, l):
-        """Kernel of one Lefschetz power beyond the duality-pairing one, in
-        class coordinates at grading d."""
-        n2 = self.cap
-        target = n2 - d + 2
-        k = self.h[d]
-        if target > n2:
-            # the power lands above the top grading, so everything is
-            # primitive
+        """Kernel of one Lefschetz power beyond the duality-pairing one
+        (grading d -> 2n-d+2), in class coordinates at grading d: the
+        kernel of the Gram against grading d-2, which is the kernel of
+        l^(n-d+1) when the pairing at d-2 is perfect.  At d = 0 the power
+        lands above the top grading, so everything is primitive."""
+        if d == 0:
+            k = self.h[0]
             return [tuple(ONE if i == j else ZERO for j in range(k))
                     for i in range(k)]
-        mat = self.composed_steps(l, d, target)
-        return kernel_basis(mat)
+        return kernel_basis(self.lefschetz_gram(l, d - 2, d))
 
     def primitive_reps(self, d, l):
         reps = []
@@ -710,10 +783,13 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
     the lower-dimensional cohomology under the flattening projection.
     Sections are keyed by the subdivided cones of the flattened boundary;
     polynomials are already composed with the projection (ambient
-    variables).  Raises when a Lefschetz kernel has unexpected dimension."""
+    variables).  The primitives are read off the Gram of the flattened
+    boundary's pair, whose pairing is perfect by Poincare duality one
+    dimension down.  Raises when a Lefschetz kernel has unexpected
+    dimension."""
     m = fb.lam.n
     n = fb.cone.n
-    gih = GradedIH(lam_pair, cap=2 * m)
+    gih = GradedIH(lam_pair)
     gens = [(0, {bid: Polynomial.constant(n, 1)
                  for bid in lam_pair.subdivided.maximal_ids})]
     for d in range(2, m + 1, 2):
@@ -728,7 +804,7 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
             sec = gih.spaces[d].materialize(r)
             amb = {bid: p.compose(fb.proj.entries) for bid, p in sec.items()}
             gens.append((d, amb))
-    return StalkModule(fb.cone.id, gens)
+    return StalkModule(gens)
 
 
 # -- public section spaces -------------------------------------------------
@@ -863,7 +939,7 @@ def pair_from_json_dict(obj):
                                      "degree grading/2")
                 entry[pid] = poly
             parsed.append((g, entry))
-        pair.stalks[cid] = StalkModule(cid, parsed)
+        pair.stalks[cid] = StalkModule(parsed)
     for cid in fan.cones:
         if cid not in pair.stalks:
             raise ValueError(f"pair dump is missing the stalk of cone {cid}")

@@ -1,7 +1,7 @@
 """Every module-level function and every method of the package has a caller
 in the package or the benchmark, or is public API (listed in
 ihfan.__all__); every module-level import of a package module is used by
-that module."""
+that module; every slot of a package class is read somewhere."""
 
 import ast
 from collections import Counter
@@ -103,6 +103,35 @@ def unused_imports(root):
     return out
 
 
+def unread_slots(root):
+    """module:Class.slot of each __slots__ entry of a module-level class
+    under root/src/ihfan that no attribute load in src/ihfan, perfbench or
+    tests reads.  Like uncalled_functions it matches by name alone, so a
+    slot whose name another object's attribute shares (``basis``,
+    ``field``) counts as read even when nothing reads it."""
+    package = sorted((root / "src" / "ihfan").glob("*.py"))
+    others = sorted((root / "perfbench").glob("*.py")) + \
+        sorted((root / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in package + others}
+    loads = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and
+             isinstance(sub.ctx, ast.Load)}
+    out = []
+    for p in package:
+        for node in trees[p].body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    out += [f"{p.stem}:{node.name}.{c.value}"
+                            for c in ast.walk(stmt.value)
+                            if isinstance(c, ast.Constant) and
+                            c.value not in loads]
+    return out
+
+
 def test_every_function_has_a_caller():
     assert [f for f in uncalled_functions(ROOT) if f not in TEST_ORACLES] \
         == []
@@ -110,3 +139,7 @@ def test_every_function_has_a_caller():
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+def test_every_slot_is_read():
+    assert unread_slots(ROOT) == []

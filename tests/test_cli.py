@@ -377,6 +377,25 @@ def test_report_json_schema_and_determinism(tmp_path, capsys):
     assert report["pd_ranks"] == {"0": 1, "2": 2, "4": 1}
 
 
+def test_report_needs_a_generic_point_past_the_first_primes(tmp_path,
+                                                             capsys):
+    # the point (1, t) lies on the ray (1, t) for each prime t <= 29, so
+    # every cone's phi vanishes at one of them.  A complete 2D fan with r
+    # rays has h = (1, r-2, 1); here r = 14, and the pairing is perfect.
+    rays = [["1", "0"]] + [["1", str(p)]
+                           for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    rays += [["0", "1"], ["-1", "0"], ["0", "-1"]]
+    path = write(tmp_path, "primes.json", {
+        "field": "Q", "dim": 2, "rays": rays,
+        "maximal_cones": [[i, (i + 1) % 14] for i in range(14)]})
+    assert main(["report", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h"] == [1, 12, 1]
+    assert report["pd_ranks"] == {"0": 1, "2": 12, "4": 1}
+    assert main(["verify", path]) == 0
+    assert "pd: pass" in capsys.readouterr().out
+
+
 def test_report_markdown_mirror(tmp_path, capsys):
     obj = quadrant_dict()
     obj["l"] = {"ray_values": [1, 1, 1, 1]}

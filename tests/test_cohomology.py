@@ -9,7 +9,7 @@ from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
-from ihfan.ihsheaf import _shift_var, build_distinguished_pair
+from ihfan.ihsheaf import _mul_pl, _shift_var, build_distinguished_pair
 from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
                               convolve_h, evaluate, evaluate_fast,
                               exact_sequence_check, f_to_h, hl_rank_report,
@@ -246,30 +246,48 @@ def test_pairing_full_rank_suite(quadrant_fan, orthant_fan, cube_fan):
 
 
 def test_pairing_rejects_degenerate(quadrant_fan):
+    # representatives that all evaluate to zero give a zero Gram
     p = profile_for_fan(quadrant_fan)
-    zero_reps = lambda d: [{m: Polynomial(2)
-                            for m in p.pair.subdivided.maximal_ids}
-                           for _ in range(p.h[d])]
-    fake = types.SimpleNamespace(n=2, h=p.h, pair=p.pair, context=p.context,
-                                 rep_polys=zero_reps, grams={})
+    zero_gram = lambda l, d, e: Matrix(
+        [[sc(0)] * p.h[e] for _ in range(p.h[d])], ncols=p.h[e])
+    fake = types.SimpleNamespace(
+        n=2, h=p.h, grams={},
+        gih=types.SimpleNamespace(lefschetz_gram=zero_gram))
     with pytest.raises(ValueError):
         pairing_matrix(fake, 2)
 
 
-def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan):
-    # <(l.x).y> = <x.(l.y)> as a matrix identity between step and pairing
-    # matrices
-    for fan in (quadrant_fan, orthant_fan):
+def _module_step(gih, d, l):
+    """Matrix of multiplication by l from the grading-d classes to the
+    grading-(d+2) classes, by the module route: multiply the
+    representatives' coefficient vectors and solve for their classes."""
+    coords = gih.class_coords(d + 2, [_mul_pl(c, l) for c in gih.comps[d]])
+    return Matrix([[coords[j][i] for j in range(len(coords))]
+                   for i in range(gih.h[d + 2])], ncols=len(coords))
+
+
+def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan,
+                                        cube_fan_support, prism_fan_support):
+    # <(l.x).y> = <x.(l.y)> as a matrix identity between module-route step
+    # matrices and pairing matrices; and the Gram route's Lefschetz matrix
+    # is the product of the module-route steps
+    cases = [(fan, PLFunction.from_ray_values(fan, unit_ray_values(fan)))
+             for fan in (quadrant_fan, orthant_fan)]
+    for fan, l in cases + [cube_fan_support, prism_fan_support]:
         p = profile_for_fan(fan)
-        l = PLFunction.from_ray_values(fan, unit_ray_values(fan))
         n = fan.n
+        steps = {d: _module_step(p.gih, d, l) for d in range(0, 2 * n, 2)}
         for d in range(0, 2 * n - 1, 2):
-            dd = 2 * n - d - 2
-            a = p.gih.step_matrix(d, l)
-            c = p.gih.step_matrix(dd, l)
             b2 = pairing_matrix(p, d + 2)
             b0 = pairing_matrix(p, d)
-            assert a.transpose().mul(b2) == b0.mul(c)
+            assert steps[d].transpose().mul(b2) == \
+                b0.mul(steps[2 * n - d - 2])
+        for d in range(0, n + 1, 2):
+            a = Matrix([[sc(int(i == j)) for j in range(p.h[d])]
+                        for i in range(p.h[d])], ncols=p.h[d])
+            for e in range(d, 2 * n - d, 2):
+                a = steps[e].mul(a)
+            assert lefschetz_matrix(p, l, d) == a
 
 
 # -- Lefschetz and primitives ----------------------------------------------
@@ -302,7 +320,7 @@ def test_global_linear_acts_as_zero(onedim_fan, quadrant_fan):
     diag = PLFunction(quadrant_fan, {m: (sc(1), sc(1))
                                      for m in quadrant_fan.maximal_ids})
     pq = profile_for_fan(quadrant_fan)
-    z = pq.gih.step_matrix(0, diag)
+    z = lefschetz_matrix(pq, diag, 0)
     assert all(x == sc(0) for row in z.entries for x in row)
 
 
@@ -421,11 +439,11 @@ def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
                         ctx, _conewise_product(sub, a, reps[j], lin, n - d))
 
 
-def test_step_cache_keeps_only_the_last_l():
-    # twelve strictly convex l on one cached pentagonal bipyramid: the step
-    # matrices of earlier l are dropped, and each l is answered with its
-    # own matrices.  Face fan of a 3-polytope with f0 = 7 vertices:
-    # h = (1, f0-3, f0-3, 1), HL ranks h, HRM signature (h0, h1-h0) on IH^2.
+def test_each_l_gets_its_own_answers():
+    # twelve strictly convex l on one cached pentagonal bipyramid: each l
+    # is answered with its own matrices, never an earlier l's.  Face fan
+    # of a 3-polytope with f0 = 7 vertices: h = (1, f0-3, f0-3, 1), HL
+    # ranks h, HRM signature (h0, h1-h0) on IH^2.
     rays = [(-1, 4, 0), (-4, 1, 0), (-2, -4, 0), (3, -2, 0), (4, 2, 0),
             (0, 0, 3), (0, 0, -3)]
     fan = build_fan(3, [[rays[i], rays[(i + 1) % 5], rays[apex]]
@@ -458,7 +476,6 @@ def test_step_cache_keeps_only_the_last_l():
         lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
         assert evaluate_fast(ctx, _conewise_product(sub, one, one, lin, n)) \
             == a * top
-        assert len(p.gih._step_cache[1]) <= n
 
 
 # -- structural checks -----------------------------------------------------
