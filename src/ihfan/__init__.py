@@ -18,9 +18,9 @@ from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
                       build_distinguished_pair, global_sections,
                       relative_sections, pair_to_json_dict,
                       pair_from_json_dict)
-from .cohomology import (IHProfile, QuadraticReport, ds_check, evaluate,
+from .cohomology import (QuadraticReport, ds_check, evaluate,
                          evaluate_fast, f_to_h, hl_rank_report, hrm_check,
-                         ih_profile, kunneth_check, lefschetz_matrix,
+                         kunneth_check, lefschetz_matrix,
                          pairing_matrix, polytope_face_lattice,
                          primitive_basis, profile_for_fan, restrict_to_link,
                          exact_sequence_check, toric_h_of_fan,
@@ -38,9 +38,9 @@ __all__ = [
     "DistinguishedPair", "GradedIH", "build_distinguished_pair",
     "global_sections", "relative_sections", "pair_to_json_dict",
     "pair_from_json_dict",
-    "EvaluationContext", "IHProfile", "QuadraticReport", "ds_check",
+    "EvaluationContext", "QuadraticReport", "ds_check",
     "evaluate", "evaluate_fast", "f_to_h", "hl_rank_report", "hrm_check",
-    "ih_profile", "kunneth_check", "lefschetz_matrix", "pairing_matrix",
+    "kunneth_check", "lefschetz_matrix", "pairing_matrix",
     "polytope_face_lattice", "primitive_basis", "profile_for_fan",
     "restrict_to_link", "exact_sequence_check", "toric_h_of_fan",
     "toric_h_oracle",

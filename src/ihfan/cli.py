@@ -15,11 +15,10 @@ from .exactlin import rank, sc
 from .fans import (PLFunction, face_fan_with_support, fan_from_json_dict,
                    is_complete, is_strictly_convex, normal_fan, parse_vector,
                    product_fan)
-from .ihsheaf import (build_distinguished_pair, pair_from_json_dict,
-                      pair_to_json_dict)
-from .cohomology import (ds_check, hl_rank_report, hrm_check, ih_profile,
-                         kunneth_check, pairing_matrix, profile_for_fan,
-                         toric_h_of_fan)
+from .ihsheaf import (GradedIH, build_distinguished_pair,
+                      pair_from_json_dict, pair_to_json_dict)
+from .cohomology import (ds_check, hl_rank_report, hrm_check, kunneth_check,
+                         pairing_matrix, profile_for_fan, toric_h_of_fan)
 
 ALL_CHECKS = ("ds", "pd", "hl", "hrm", "kunneth", "oracle")
 
@@ -181,10 +180,10 @@ def build_l(loaded, config):
 def _profile(loaded, config):
     try:
         if loaded.pair is not None:
-            return ih_profile(loaded.pair, cap=config.cap)
+            return GradedIH(loaded.pair, cap=config.cap)
         if config.cap is not None:
             pair = build_distinguished_pair(loaded.fan, rule=config.rule)
-            return ih_profile(pair, cap=config.cap)
+            return GradedIH(pair, cap=config.cap)
         return profile_for_fan(loaded.fan, config.rule)
     except ValueError as e:
         raise MathFailure(str(e))

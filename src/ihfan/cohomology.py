@@ -7,25 +7,27 @@ engine computes dimensions from sheaf data, while the lattice recursions
 (f_to_h, toric_h_oracle, toric_h_of_fan) never look at a polynomial.
 Verification helpers compare them.
 
-The pairing, hard Lefschetz ranks, Hodge-Riemann forms, primitives and
-Lefschetz matrices all read ihsheaf.GradedIH.lefschetz_gram, the Gram of
-the representatives' values at one generic point.  The symbolic evaluate
-is the independent check on those values; class coordinates are solved
-for only in restrict_to_link.
+A profile is an ihsheaf.GradedIH, which certifies its own
+representatives.  The pairing, hard Lefschetz ranks, Hodge-Riemann forms,
+primitives and Lefschetz matrices all read GradedIH.lefschetz_gram, the
+Gram of the representatives' values at one generic point, and so does the
+reduct check of restrict_to_link.  The symbolic evaluate is the
+independent check on those values; class coordinates are solved for only
+in restrict_to_link's relative-cohomology check.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from . import exactlin
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
                    star_link)
 from .conewise import ConewiseFunction, Polynomial
-from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
-                      _mul_pl, build_distinguished_pair, lift_over_span,
+from . import ihsheaf
+from .ihsheaf import (EvaluationContext, GradedIH, _gram, _mul_pl,
+                      build_distinguished_pair, lift_over_span,
                       projection_along)
 
 
@@ -198,75 +200,18 @@ def toric_h_of_fan(fan: Fan):
 # -- profiles --------------------------------------------------------------
 
 
-class IHProfile:
-    """Graded dimensions and stored representative bases of the cohomology
-    of a pair; representatives are complement sections modulo the ideal.
-    grams holds the pairing matrices of the gradings d <= n when ih_profile
-    certified the representatives with them (else it is empty)."""
-
-    __slots__ = ("pair", "fan", "n", "gih", "h", "grams")
-
-    def __init__(self, pair: DistinguishedPair, gih: GradedIH):
-        self.pair = pair
-        self.fan = pair.fan
-        self.n = pair.fan.n
-        self.gih = gih
-        self.h = dict(gih.h)
-        self.grams = {}
-
-    def h_vector(self):
-        return self.gih.h_vector()
-
-    def rep_polys(self, d):
-        """Materialized representatives: per grading a list of
-        {subdivided max cone id: Polynomial}."""
-        return self.gih.rep_polys(d)
-
-    def reps(self, d):
-        return [ConewiseFunction(self.pair.subdivided, d, polys)
-                for polys in self.rep_polys(d)]
-
-    def context(self):
-        return self.gih.context()
-
-
-def ih_profile(pair: DistinguishedPair, cap=None, relative=False):
-    """The profile of a pair.  A complete fan's profile, uncapped and
-    absolute, selects its representatives mod p (GradedIH with modular=True,
-    which gives h_d <= len(comps[d])) and certifies them here: when the
-    pairing matrix between the representatives of gradings d and 2n - d is
-    square and nonsingular for every d <= n, the classes of both lists are
-    independent (the evaluation vanishes on ideal multiples), so h_d >=
-    len(comps[d]) and the representatives are bases.  The matrices are kept
-    for pairing_matrix.  When the check fails, the representatives are
-    selected again exactly and exactlin.modp_fallbacks goes up by 1."""
-    modular = cap is None and not relative and not pair.boundary_piece_ids()
-    gih = GradedIH(pair, cap=cap, relative=relative, modular=modular)
-    prof = IHProfile(pair, gih)
-    if modular:
-        grams = _certifying_grams(prof)
-        if grams is None:
-            exactlin.record_fallback()
-            prof = IHProfile(pair, GradedIH(pair))
-        else:
-            prof.grams = grams
-    if not relative and prof.h.get(0) != 1:
-        raise ValueError("connected support must have a 1-dimensional "
-                         "grading-0 cohomology")
-    return prof
-
-
 _PROFILE_CACHE_SIZE = 32
 _profile_cache = OrderedDict()
 
 
 def profile_for_fan(fan: Fan, rule="default"):
-    """Session cache over (canonical fan, rule) holding the 32 most recently
-    used profiles; profiles are immutable."""
+    """The GradedIH of a fan's distinguished pair, from a session cache over
+    (canonical fan, rule) holding the 32 most recently used profiles;
+    profiles are immutable."""
     key = (fan.canonical_json(), rule)
     prof = _profile_cache.get(key)
     if prof is None:
-        prof = ih_profile(build_distinguished_pair(fan, rule=rule))
+        prof = GradedIH(build_distinguished_pair(fan, rule=rule))
         _profile_cache[key] = prof
         if len(_profile_cache) > _PROFILE_CACHE_SIZE:
             _profile_cache.popitem(last=False)
@@ -357,48 +302,19 @@ def evaluate_fast(ctx: EvaluationContext, per_max):
 # -- pairing, Lefschetz, signatures ----------------------------------------
 
 
-def _coarse_l_on_piece(profile, l: PLFunction):
-    """The strictly convex function lives on the coarse fan; transport its
-    forms to the subdivided maximal cones through the carrier map."""
-    return {m: l.per_max[profile.pair.carrier(m)]
-            for m in profile.pair.subdivided.maximal_ids}
-
-
-def _pairing_and_rank(profile, d):
-    """The pairing matrix between the representatives of gradings d and
-    2n - d, and its rank."""
-    mat = profile.gih.lefschetz_gram(None, d, 2 * profile.n - d)
-    return mat, rank(mat)
-
-
-def _certifying_grams(profile):
-    """{d: pairing matrix at d} for every even d <= n when each is square
-    and nonsingular, else None."""
-    try:
-        profile.context()
-    except ValueError:
-        return None
-    grams = {}
-    for d in range(0, profile.n + 1, 2):
-        mat, r = _pairing_and_rank(profile, d)
-        if not mat.nrows == mat.ncols == r:
-            return None
-        grams[d] = mat
-    return grams
-
-
-def pairing_matrix(profile: IHProfile, d):
+def pairing_matrix(profile: GradedIH, d):
     """Matrix of the duality pairing IH^d x IH^(2n-d) in the stored bases;
     raises when it is rank-deficient.  Read from the profile's certified
     matrices when it has them (the pairing at d > n is the transpose of the
     one at 2n - d)."""
-    n = profile.n
+    n = profile.pair.fan.n
     if d % 2 or d < 0 or d > 2 * n:
         raise ValueError("pairing needs an even grading in [0, 2n]")
     grams = profile.grams
     if grams:
         return grams[d] if d <= n else grams[2 * n - d].transpose()
-    mat, r = _pairing_and_rank(profile, d)
+    mat = profile.lefschetz_gram(None, d, 2 * n - d)
+    r = rank(mat)
     if not mat.nrows == mat.ncols == r:
         raise ValueError(
             f"duality pairing at grading {d} is degenerate "
@@ -406,34 +322,32 @@ def pairing_matrix(profile: IHProfile, d):
     return mat
 
 
-def lefschetz_matrix(profile: IHProfile, l: PLFunction, d):
+def lefschetz_matrix(profile: GradedIH, l: PLFunction, d):
     """Matrix of the full Lefschetz power from grading d to 2n-d in the
     stored bases: the Gram <a . l^(n-d) . b> over grading d is G A, with G
     the pairing at d, so A = G^-1 (G A)."""
-    n = profile.n
-    if d % 2 or d < 0 or d > n:
+    if d % 2 or d < 0 or d > profile.pair.fan.n:
         raise ValueError("Lefschetz matrices start at an even grading <= n")
     return inverse(pairing_matrix(profile, d))[0].mul(
-        profile.gih.lefschetz_gram(l, d, d))
+        profile.lefschetz_gram(l, d, d))
 
 
-def hl_rank_report(profile: IHProfile, l: PLFunction):
+def hl_rank_report(profile: GradedIH, l: PLFunction):
     """rank of the full Lefschetz power per grading, with the rank demanded
     by the theorem.  The rank is that of the Gram G A (see
     lefschetz_matrix): rank(G A) <= rank A, with equality when the pairing
     at d is perfect, so a full rank proves hard Lefschetz at d."""
-    return {d: (rank(profile.gih.lefschetz_gram(l, d, d)), profile.h[d])
-            for d in range(0, profile.n + 1, 2)}
+    return {d: (rank(profile.lefschetz_gram(l, d, d)), profile.h[d])
+            for d in range(0, profile.pair.fan.n + 1, 2)}
 
 
-def primitive_basis(profile: IHProfile, l: PLFunction, d):
+def primitive_basis(profile: GradedIH, l: PLFunction, d):
     """Sections representing the kernel of one Lefschetz power beyond the
     pairing one (grading d -> 2n-d+2)."""
-    n = profile.n
-    if d % 2 or d < 0 or d > n:
+    if d % 2 or d < 0 or d > profile.pair.fan.n:
         raise ValueError("primitive spaces live in even gradings <= n")
-    reps = profile.gih.primitive_reps(d, l)
-    sp = profile.gih.spaces[d]
+    reps = profile.primitive_reps(d, l)
+    sp = profile.spaces[d]
     return [sp.as_function(v) for v in reps]
 
 
@@ -463,17 +377,17 @@ def _expected_signature(h, d):
     return (p, q)
 
 
-def hrm_check(profile: IHProfile, l: PLFunction):
+def hrm_check(profile: GradedIH, l: PLFunction):
     """Signature data of B_l(x, y) = <l^(n-d) x y> on each IH^d with even
     d <= n: the full signature must match the h-vector formula, and
     (-1)^(d/2) B_l must be positive definite on the primitive subspace."""
     hvec = profile.h_vector()
     rows = []
-    for d in range(0, profile.n + 1, 2):
-        bmat = profile.gih.lefschetz_gram(l, d, d)
+    for d in range(0, profile.pair.fan.n + 1, 2):
+        bmat = profile.lefschetz_gram(l, d, d)
         sig = signature(bmat) if bmat.nrows else (0, 0)
         expected = _expected_signature(hvec, d)
-        prim = profile.gih.primitive_coeffs(d, l)
+        prim = profile.primitive_coeffs(d, l)
         pdim = len(prim)
         if pdim:
             # (-1)^(d/2) B_l is positive definite on the primitives
@@ -498,7 +412,9 @@ def hrm_check(profile: IHProfile, l: PLFunction):
 
 
 def _h_of(profile_or_h):
-    if isinstance(profile_or_h, IHProfile):
+    # ihsheaf.GradedIH, not the name imported here: the traced benchmark
+    # rebinds that one to a plain function
+    if isinstance(profile_or_h, ihsheaf.GradedIH):
         return profile_or_h.h_vector()
     return tuple(profile_or_h)
 
@@ -535,7 +451,7 @@ class LinkReport:
         return self.loc_prod_ok and self.reduct_ok and self.deg2_ok
 
 
-def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
+def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
     """Restriction of cohomology classes to the flattened link of a ray,
     with the three local-structure checks: the closed star has the link's
     graded dimensions; the hat-function pairing factors through the link
@@ -544,7 +460,7 @@ def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
 
     Implemented for simplicial fans (the hat function needs free ray
     values)."""
-    fan = profile.fan
+    fan = profile.pair.fan
     n = fan.n
     if not fan.is_simplicial():
         raise ValueError("link restriction needs a simplicial fan")
@@ -573,19 +489,6 @@ def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
         key_to_lam[c.rays] = pk
     lam_fan = Fan(n - 1, fan.field, lam_keys, check=False)
     lam_profile = profile_for_fan(lam_fan, rule)
-    # restrictions of the stored representatives, per grading
-    m2 = 2 * (n - 1)
-
-    def restrict(polys_by_max):
-        out = {}
-        for c in link_max:
-            delta_key = tuple(sorted(set(c.rays) | {vrho}))
-            delta = fan.id_by_key[delta_key]
-            lift = lift_over_span(proj, c.rays, n)
-            out[lam_fan.id_by_key[key_to_lam[c.rays]]] = \
-                polys_by_max[delta].compose(lift)
-        return out
-
     star_pair = build_distinguished_pair(closed, rule=rule)
     star_abs = GradedIH(star_pair)
     star_h = star_abs.h_vector()
@@ -599,28 +502,37 @@ def restrict_to_link(profile: IHProfile, ray_cid, rule="default"):
 
     loc_prod_ok = pad(star_h) == pad(lam_h)
 
+    # <a . hat . b> against <a|link . b|link> for representatives a, b of
+    # complementary gradings, as two Gram matrices.  A representative
+    # restricted to the link is, on a link cone c, its polynomial on the
+    # cone c + rho composed with the lift over span(c), so its value at the
+    # link's generic point is that polynomial's value at the lifted point
     lam_ctx = lam_profile.context()
-    ctx = profile.context()
-    hat_on_piece = _coarse_l_on_piece(profile, hat)
+    lifted = {}
+    for c in link_max:
+        lift = Matrix(lift_over_span(proj, c.rays, n), ncols=n - 1)
+        lifted[lam_fan.id_by_key[key_to_lam[c.rays]]] = (
+            fan.id_by_key[tuple(sorted(set(c.rays) | {vrho}))],
+            lift.apply(lam_ctx.z))
+    points = [lifted[m] for m in lam_ctx.inv_phi_z]
+    m2 = 2 * (n - 1)
+    restricted = {
+        d: Matrix([[polys[cone].evaluate(z) for cone, z in points]
+                   for polys in profile.rep_polys(d)], ncols=len(points))
+        for d in range(0, m2 + 1, 2)}
     constant = None
     reduct_ok = True
     for d in range(0, m2 + 1, 2):
-        dprime = m2 - d
-        for a in profile.rep_polys(d):
-            ra = restrict(a)
-            for b in profile.rep_polys(dprime):
-                rb = restrict(b)
-                lhs = evaluate_fast(ctx, {
-                    m: a[m].mul(b[m]).mul(
-                        Polynomial.from_linear(hat_on_piece[m]))
-                    for m in a})
-                rhs = evaluate_fast(lam_ctx, {
-                    m: ra[m].mul(rb[m]) for m in ra})
-                if not rhs:
-                    if lhs:
+        lhs = profile.lefschetz_gram(hat, d, m2 - d)
+        rhs = _gram(restricted[d], lam_ctx.inv_phi_z.values(),
+                    restricted[m2 - d])
+        for lrow, rrow in zip(lhs.entries, rhs.entries):
+            for x, y in zip(lrow, rrow):
+                if not y:
+                    if x:
                         reduct_ok = False
                     continue
-                c = lhs / rhs
+                c = x / y
                 if constant is None:
                     constant = c
                 elif c != constant:

@@ -47,9 +47,10 @@ eliminate mod p, and each result is certified in exact integer arithmetic:
   is the very basis the exact elimination returns.  For coordinates that
   check is sum_i c_i spanning_i = target;
 - independent_modp reconstructs nothing and needs no check: vectors
-  independent mod p are independent.  Its callers certify that none were
-  missed (GradedIH counts them against the dimension;
-  cohomology.ih_profile checks the pairing).
+  independent mod p are independent.  Its one caller, ihsheaf.GradedIH,
+  certifies that none were missed: it counts them against the dimension
+  and checks that the pairing between complementary gradings is perfect,
+  and otherwise selects exactly, counted as one fallback.
 A kernel with no prime for its field, pivots that change from one prime to
 the next, or no reconstruction that passes the check before the primes run
 out is recomputed on the exact path, on its rows rebuilt as Scalars, and
@@ -360,6 +361,14 @@ def format_scalar(s):
     return f"{s.a}{b}r{s.m}"
 
 
+def json_int(x, what):
+    """x when it is a JSON integer; a bool (an int to Python), a float or a
+    string raises ValueError naming what x stands for."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 class ScalarField:
     """The coefficient field: plain Q, or Q(sqrt(m)) for squarefree m >= 2."""
 
@@ -387,7 +396,7 @@ class ScalarField:
         if obj == "Q":
             return ScalarField()
         if isinstance(obj, dict) and set(obj) == {"sqrt"}:
-            return ScalarField(int(obj["sqrt"]))
+            return ScalarField(json_int(obj["sqrt"], "the field's radicand"))
         raise ValueError(f"bad field description: {obj!r}")
 
     def __eq__(self, other):
@@ -423,9 +432,6 @@ class Matrix:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             self.ncols = ncols
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)

@@ -31,6 +31,7 @@ from .exactlin import (
     first_independent,
     inverse,
     format_scalar,
+    json_int,
     kernel_basis,
     parse_scalar,
     rank,
@@ -455,13 +456,14 @@ class Fan:
 
 def fan_from_json_dict(obj, check=True):
     field = ScalarField.from_json(obj["field"])
-    n = int(obj["dim"])
+    n = json_int(obj["dim"], "dim")
     rays = [parse_vector(r, field) for r in obj["rays"]]
     for r in rays:
         if len(r) != n:
             raise ValueError("ray length does not match dim")
     gen_sets = []
     for c in obj["maximal_cones"]:
+        c = [json_int(i, "a ray index") for i in c]
         if any(not 0 <= i < len(rays) for i in c):
             raise ValueError(f"maximal cone {c} names a ray index outside "
                              f"0..{len(rays) - 1}")

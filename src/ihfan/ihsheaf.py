@@ -9,14 +9,15 @@ generator sections are pulled back from primitive representatives.  Global
 sections of any grading are then cut out by a sparse linear system in
 per-cone generator coefficients, built in integer arithmetic (_Sections).
 
-GradedIH picks representatives of the cohomology classes and reads every
-Lefschetz quantity (pairing, hard Lefschetz ranks, Hodge-Riemann forms,
-primitives, Lefschetz matrices) off one Gram matrix of their values at a
-generic point (EvaluationContext, GradedIH.lefschetz_gram).  The stalk
-generators of a nonsimplicial cone are the primitives of its flattened
-boundary, read off the same Gram one dimension down.  Class coordinates
-(GradedIH.class_coords) are solved for only by the relative-cohomology
-check of cohomology.restrict_to_link.
+GradedIH is the cohomology of a pair.  It picks representatives of the
+classes, certifies a complete pair's mod-p choice by Poincare duality, and
+reads every Lefschetz quantity (pairing, hard Lefschetz ranks,
+Hodge-Riemann forms, primitives, Lefschetz matrices) off one Gram matrix
+of their values at a generic point (EvaluationContext,
+GradedIH.lefschetz_gram).  The stalk generators of a nonsimplicial cone
+are the primitives of its flattened boundary, read off the same Gram one
+dimension down.  Class coordinates (GradedIH.class_coords) are solved for
+only by the relative-cohomology check of cohomology.restrict_to_link.
 
 All generator sections live on the subdivided fan; scalars stay exact.
 """
@@ -39,8 +40,10 @@ from .exactlin import (
     format_scalar,
     independent_modp,
     inverse,
+    json_int,
     kernel_basis,
     radicand,
+    rank,
     sc,
     solve,
     sparse_kernel,
@@ -97,7 +100,7 @@ class FlattenedBoundary:
     fan in the quotient by the center's line, together with the projection
     and the induced strictly convex conewise linear function."""
 
-    __slots__ = ("cone", "proj", "lam", "lam_l", "face_to_lam", "_lifts")
+    __slots__ = ("cone", "proj", "lam", "lam_l", "face_to_lam")
 
     def __init__(self, cone, proj, lam, lam_l, face_to_lam):
         self.cone = cone
@@ -105,19 +108,9 @@ class FlattenedBoundary:
         self.lam = lam
         self.lam_l = lam_l
         self.face_to_lam = face_to_lam
-        self._lifts = {}
 
     def project(self, u):
         return self.proj.apply(u)
-
-    def lift_rows(self, face_key):
-        """Rows of the section of the projection over span(face): an
-        (ambient x quotient) matrix inverting proj on that span."""
-        lift = self._lifts.get(face_key)
-        if lift is None:
-            lift = lift_over_span(self.proj, face_key, self.cone.n)
-            self._lifts[face_key] = lift
-        return lift
 
 
 def flatten_boundary(cone: fans.Cone, v):
@@ -535,7 +528,7 @@ def _induced_lambda_pair(pair: DistinguishedPair, cid, fb: FlattenedBoundary):
     stalks = {}
     for fkey, lamid in fb.face_to_lam.items():
         tau_id = fan.id_by_key[fkey]
-        lift = fb.lift_rows(fkey)
+        lift = lift_over_span(fb.proj, fkey, cone.n)
         gens = []
         for g, sec in pair.stalks[tau_id].generators:
             gens.append((g, {lam_sub.id_by_key[proj_key(pid)]:
@@ -573,6 +566,12 @@ def _mul_pl(vecm, l):
                 else:
                     out.pop(k, None)
     return out
+
+
+def _independent_exact(vectors):
+    ech = {}
+    return [i for i, v in enumerate(vectors)
+            if echelon_insert(ech, v) is not None]
 
 
 class EvaluationContext:
@@ -630,20 +629,28 @@ def _gram(left, weights, right):
 
 
 class GradedIH:
-    """Graded section spaces of a pair up to a grading cap, the ideal
-    multiples, chosen complement representatives (the cohomology basis),
-    and the evaluation Gram matrices of the representatives.
+    """The cohomology of a pair up to a grading cap: graded section spaces,
+    the ideal multiples, chosen complement representatives (the cohomology
+    basis), and the evaluation Gram matrices of the representatives.
 
     The spanning list of grading d is the ideal multiples x_i * b (b in the
     grading-(d-2) basis) and then the section basis vectors, each kept when
     independent of those kept before it; the kept basis vectors are the
-    complement representatives.  With modular=True independence is decided
-    mod p (exactlin.independent_modp).  Vectors independent mod p are
-    independent, so when as many are kept as the section space has
-    dimensions they are a basis of it, and the representatives span the
-    grading-d cohomology: h_d <= len(comps[d]); a grading where fewer are
-    kept is selected exactly.  The reverse bound is the caller's to certify
-    (cohomology.ih_profile does it with the pairing).
+    complement representatives.
+
+    A complete pair (uncapped, absolute, without boundary pieces) decides
+    independence mod p (exactlin.independent_modp) and certifies the choice
+    by Poincare duality.  Vectors independent mod p are independent, so
+    when each grading keeps as many as its section space has dimensions
+    they are a basis of it and h_d <= len(comps[d]).  When the pairing
+    matrix between the representatives of gradings d and 2n - d is square
+    and nonsingular for every even d <= n, the classes of both lists are
+    independent (the evaluation vanishes on ideal multiples), so h_d >=
+    len(comps[d]) and the representatives are bases; those matrices are
+    kept as grams for cohomology.pairing_matrix.  When either part fails,
+    everything is selected again exactly and exactlin.modp_fallbacks goes
+    up by 1.  Every other pair selects exactly.  An absolute profile
+    raises ValueError unless h_0 = 1 (connected support).
 
     Two routes read the classes.  Everything about a Lefschetz operator l
     (the pairing, HL ranks, HRM forms, primitives and the Lefschetz matrix
@@ -652,41 +659,64 @@ class GradedIH:
     class_coords solves for coordinates modulo the ideal; only the
     relative-cohomology check of cohomology.restrict_to_link needs it."""
 
-    __slots__ = ("pair", "cap", "spaces", "spanning", "comps", "h", "_ctx",
-                 "_rep_polys", "_values")
+    __slots__ = ("pair", "cap", "spaces", "spanning", "comps", "h", "grams",
+                 "_ctx", "_rep_polys", "_values")
 
-    def __init__(self, pair: DistinguishedPair, cap=None, relative=False,
-                 modular=False):
+    def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
         self.pair = pair
-        n = pair.fan.n
-        self.cap = 2 * n if cap is None else cap
-        self.spaces = {}
-        self.spanning = {}
-        self.comps = {}
-        self.h = {}
+        self.cap = 2 * pair.fan.n if cap is None else cap
+        self.spaces = {d: pair.section_space(d, relative=relative)
+                       for d in range(0, self.cap + 1, 2)}
         self._ctx = None
-        self._rep_polys = {}
-        self._values = {}
-        for d in range(0, self.cap + 1, 2):
-            sp = pair.section_space(d, relative=relative)
-            self.spaces[d] = sp
+        complete = cap is None and not relative and \
+            not pair.boundary_piece_ids()
+        if not (complete and self._select(independent_modp) and
+                self._certify()):
+            if complete:
+                exactlin.record_fallback()
+            self._select(_independent_exact)
+        if not relative and self.h.get(0) != 1:
+            raise ValueError("connected support must have a 1-dimensional "
+                             "grading-0 cohomology")
+
+    def _select(self, independent):
+        """Choose the spanning lists and representatives afresh with
+        independent (the indices of the vectors independent of those before
+        them, or None), dropping whatever was read off an earlier choice;
+        False when a grading keeps fewer vectors than its section space has
+        dimensions."""
+        self.spanning, self.comps, self.h = {}, {}, {}
+        self.grams, self._rep_polys, self._values = {}, {}, {}
+        n = self.pair.fan.n
+        for d, sp in self.spaces.items():
             multiples = []
-            if d - 2 in self.spaces:
+            if d >= 2:
                 multiples = [_shift_var(b, i)
                              for b in self.spaces[d - 2].basis
                              for i in range(n)]
             cands = multiples + sp.basis
-            kept = independent_modp(cands) if modular else None
-            if kept is not None and len(kept) != len(sp.basis):
-                kept = None
-                exactlin.record_fallback()
-            if kept is None:
-                ech = {}
-                kept = [i for i, v in enumerate(cands)
-                        if echelon_insert(ech, v) is not None]
+            kept = independent(cands)
+            if kept is None or len(kept) != len(sp.basis):
+                return False
             self.spanning[d] = [cands[i] for i in kept]
             self.comps[d] = [cands[i] for i in kept if i >= len(multiples)]
             self.h[d] = len(self.comps[d])
+        return True
+
+    def _certify(self):
+        """Keep the pairing matrix of every even grading d <= n as grams[d];
+        False unless each is square and nonsingular."""
+        try:
+            self.context()
+        except ValueError:
+            return False
+        n = self.pair.fan.n
+        for d in range(0, n + 1, 2):
+            mat = self.lefschetz_gram(None, d, 2 * n - d)
+            if not mat.nrows == mat.ncols == rank(mat):
+                return False
+            self.grams[d] = mat
+        return True
 
     def h_vector(self):
         return tuple(self.h[d] for d in range(0, self.cap + 1, 2))
@@ -783,10 +813,11 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
     the lower-dimensional cohomology under the flattening projection.
     Sections are keyed by the subdivided cones of the flattened boundary;
     polynomials are already composed with the projection (ambient
-    variables).  The primitives are read off the Gram of the flattened
-    boundary's pair, whose pairing is perfect by Poincare duality one
-    dimension down.  Raises when a Lefschetz kernel has unexpected
-    dimension."""
+    variables).  The flattened boundary's pair is complete, so its
+    representatives are selected mod p and certified by its pairing, which
+    is perfect by Poincare duality one dimension down; the primitives are
+    read off the Gram of that pair.  Raises when a Lefschetz kernel has
+    unexpected dimension."""
     m = fb.lam.n
     n = fb.cone.n
     gih = GradedIH(lam_pair)
@@ -919,7 +950,7 @@ def pair_from_json_dict(obj):
             raise ValueError(f"unknown cone id {cid} in pair dump")
         parsed = []
         for g, sec in gens:
-            g = int(g)
+            g = json_int(g, "a stalk generator grading")
             if g % 2:
                 raise ValueError("stalk generator gradings must be even")
             entry = {}

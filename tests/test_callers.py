@@ -1,7 +1,9 @@
 """Every module-level function and every method of the package has a caller
 in the package or the benchmark, or is public API (listed in
 ihfan.__all__); every module-level import of a package module is used by
-that module; every slot of a package class is read somewhere."""
+that module; every slot of a package class is read somewhere.  A method
+counts as called only through an attribute or an identifier string: a bare
+name of the same spelling is some local variable."""
 
 import ast
 from collections import Counter
@@ -15,17 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ORACLES = {"conewise:ConewiseFunction.validate"}
 
 
-def _references(node):
-    """Identifiers that node refers to: names, attribute names, imported
-    names and identifier-shaped strings (the benchmark patches functions
-    by their name as a string)."""
+def _references(node, names=True):
+    """Identifiers that node refers to: attribute names, identifier-shaped
+    strings (the benchmark patches functions by their name as a string)
+    and, with names, bare names and imported names."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and names:
             out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and names:
             out[sub.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and sub.value.isidentifier():
@@ -51,18 +53,21 @@ def _defs(tree):
 def uncalled_functions(root):
     """module:name of each module-level def and module:Class.name of each
     method under root/src/ihfan that nothing outside its own body refers
-    to and __all__ does not list."""
+    to (a method through an attribute or a string) and __all__ does not
+    list."""
     package = sorted((root / "src" / "ihfan").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p))
              for p in package + sorted((root / "perfbench").glob("*.py"))}
-    used = Counter()
+    used = {True: Counter(), False: Counter()}
     for tree in trees.values():
-        used.update(_references(tree))
+        for names, counts in used.items():
+            counts.update(_references(tree, names))
     out = []
     for p in package:
         for qualname, node in _defs(trees[p]):
-            own = _references(node)[node.name]
-            if used[node.name] == own and \
+            names = "." not in qualname
+            own = _references(node, names)[node.name]
+            if used[names][node.name] == own and \
                     node.name not in ihfan.__all__:
                 out.append(f"{p.stem}:{qualname}")
     return out

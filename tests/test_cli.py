@@ -89,6 +89,16 @@ def _with_l(obj, l):
     return obj
 
 
+def _quadrant_pair(grading):
+    """The quadrant fan's pair dump with the grading of the last stalk's
+    generator replaced: each of its nine cones (the origin, four rays, four
+    quadrants) is simplicial, with the constant as its one generator."""
+    stalks = {str(c): [[0, {str(c): {"0,0": "1"}}]] for c in range(9)}
+    stalks["8"][0][0] = grading
+    return {"fan": quadrant_dict(), "rule": "default", "steps": [],
+            "stalks": stalks}
+
+
 MALFORMED = {
     "cone-index-past-rays": (
         ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
@@ -139,6 +149,17 @@ MALFORMED = {
     "pair-coefficient-map-not-an-object": (
         ["hvector"], {"fan": quadrant_dict(),
                       "stalks": {"0": [[0, {"0": []}]]}}),
+    # JSON numbers that are not integers, strings and booleans where an
+    # integer is due (a bool is an int to Python)
+    "radicand-not-an-integer": (
+        ["hvector"], dict(quadrant_dict(), field={"sqrt": 2.5})),
+    "dim-not-an-integer": (["hvector"], dict(quadrant_dict(), dim=2.9)),
+    "dim-a-string": (["hvector"], dict(quadrant_dict(), dim="2")),
+    "boolean-ray-index": (
+        ["hvector"], dict(quadrant_dict(), maximal_cones=[
+            [0, True], [True, 2], [2, 3], [0, 3]])),
+    "pair-grading-not-an-integer": (["hvector"], _quadrant_pair(0.0)),
+    "boolean-pair-grading": (["hvector"], _quadrant_pair(False)),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -157,7 +178,23 @@ MALFORMED_MESSAGES = {
         "a section map of the stalk of cone 0 must be a JSON object",
     "pair-coefficient-map-not-an-object":
         "the coefficient map of a section on cone 0 must be a JSON object",
+    "radicand-not-an-integer":
+        "the field's radicand must be an integer, got 2.5",
+    "dim-not-an-integer": "dim must be an integer, got 2.9",
+    "dim-a-string": "dim must be an integer, got '2'",
+    "boolean-ray-index": "a ray index must be an integer, got True",
+    "pair-grading-not-an-integer":
+        "a stalk generator grading must be an integer, got 0.0",
+    "boolean-pair-grading":
+        "a stalk generator grading must be an integer, got False",
 }
+
+
+def test_quadrant_pair_dump_is_well_formed(tmp_path, capsys):
+    # the malformed pair cases differ from this dump in one grading
+    assert main(["hvector", write(tmp_path, "pair.json",
+                                  _quadrant_pair(0))]) == 0
+    assert capsys.readouterr().out == "h = [1,2,1]\n"
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

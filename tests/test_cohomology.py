@@ -251,8 +251,8 @@ def test_pairing_rejects_degenerate(quadrant_fan):
     zero_gram = lambda l, d, e: Matrix(
         [[sc(0)] * p.h[e] for _ in range(p.h[d])], ncols=p.h[e])
     fake = types.SimpleNamespace(
-        n=2, h=p.h, grams={},
-        gih=types.SimpleNamespace(lefschetz_gram=zero_gram))
+        pair=types.SimpleNamespace(fan=types.SimpleNamespace(n=2)), h=p.h,
+        grams={}, lefschetz_gram=zero_gram)
     with pytest.raises(ValueError):
         pairing_matrix(fake, 2)
 
@@ -276,7 +276,7 @@ def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan,
     for fan, l in cases + [cube_fan_support, prism_fan_support]:
         p = profile_for_fan(fan)
         n = fan.n
-        steps = {d: _module_step(p.gih, d, l) for d in range(0, 2 * n, 2)}
+        steps = {d: _module_step(p, d, l) for d in range(0, 2 * n, 2)}
         for d in range(0, 2 * n - 1, 2):
             b2 = pairing_matrix(p, d + 2)
             b0 = pairing_matrix(p, d)

@@ -723,14 +723,16 @@ def test_failed_gram_check_selects_exactly(monkeypatch, tmp_path, capsys,
     assert json.loads(want)["h"] == [1, 5, 5, 1]
     assert exactlin.modp_fallbacks == before
 
-    init = ihsheaf.GradedIH.__init__
+    certify = ihsheaf.GradedIH._certify
 
-    def spoiled(self, pair, cap=None, relative=False, modular=False):
-        init(self, pair, cap, relative, modular)
-        if modular:
+    def spoiled(self):
+        # only the cube's own profile (n = 3); its flattened boundaries
+        # (n = 2) certify too, unspoiled
+        if self.pair.fan.n == 3:
             spoil(self)
+        return certify(self)
 
-    monkeypatch.setattr(ihsheaf.GradedIH, "__init__", spoiled)
+    monkeypatch.setattr(ihsheaf.GradedIH, "_certify", spoiled)
     monkeypatch.setattr(cohomology, "_profile_cache", OrderedDict())
     assert main(argv) == 0
     assert capsys.readouterr().out == want

@@ -2,16 +2,18 @@
 its relight fans, checked with the benchmark's own checks against the
 expectations its generator derives from combinatorics (perfbench/gen.py)
 and with no system recomputed on the exact path (exactlin.modp_fallbacks),
-and a guard that every package name the traced benchmark wraps exists."""
+the same answers under the traced benchmark's wrappers, and a guard that
+every package name the traced benchmark wraps exists."""
 
 import importlib
 import json
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from ihfan import exactlin
+from ihfan import cohomology, exactlin
 from ihfan.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -69,13 +71,38 @@ def relight():
 @pytest.mark.parametrize("spec", range(len(gen.RELIGHT_FANS)))
 def test_relight_on_generated_fans(relight, spec, seed, mirror):
     # HL ranks, HRM signatures and <l^n> = a <c> for a fresh l on a cached
-    # profile: the only jobs that take HL and HRM through Q(sqrt 2)
-    # coordinates (GradedIH.express)
+    # profile: the only jobs that read HL and HRM off Q(sqrt 2) Gram
+    # matrices (GradedIH.lefschetz_gram)
     mods, jobs = relight
     job = jobs.prepare(mods, (seed, "tests", spec), spec, None, mirror)
     before = exactlin.modp_fallbacks
     assert jobs.check(mods, job, jobs.run(mods, job)), job["values"]
     assert exactlin.modp_fallbacks == before
+
+
+def test_answers_do_not_change_under_the_tracer(tmp_path, capsys,
+                                                monkeypatch):
+    # the traced run rebinds the names in spans.SPANS to plain wrapper
+    # functions, so a package name used as a type, not only called, breaks
+    # there alone; the profile cache starts empty so that every profile is
+    # built under the wrappers
+    monkeypatch.setattr(cohomology, "_profile_cache", OrderedDict())
+    workloads = ((gen.fan_cold_job, ["report"], bench.check_report,
+                  gen.FAN_COLD_CYCLE),
+                 (gen.polytope_job, ["hvector", "--oracle"],
+                  bench.check_hvector, gen.POLYTOPE_CYCLE))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for make, argv, check, cycle in workloads:
+            for spec in sorted(set(cycle)):
+                for mirror in (False, True):
+                    h, code, out = _run(tmp_path, capsys, make, argv, spec,
+                                        SEEDS[0], mirror)
+                    assert code == 0 and check(h, out), (spec, out)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["ihsheaf.section_columns"] > 0
 
 
 def test_traced_names_resolve():

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from ihfan import ihsheaf
+from ihfan import exactlin, ihsheaf
 from ihfan.conewise import Polynomial, monomials
 from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, echelon_insert, rref,
                             sc)
@@ -14,6 +14,7 @@ from ihfan.fans import (Cone, build_fan, face_fan_with_support,
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            build_distinguished_pair,
                            flatten_boundary, global_sections,
+                           lift_over_span,
                            pair_from_json_dict, pair_to_json_dict,
                            relative_sections)
 from conftest import cached_pair, cube_vertices
@@ -58,7 +59,7 @@ def test_flatten_projection_kills_center():
     assert all(x.is_zero() for x in fb.project((0, 0, 1)))
     # and is the identity-like section over each facet: lift then project
     for fkey in fb.face_to_lam:
-        lift = fb.lift_rows(fkey)
+        lift = lift_over_span(fb.proj, fkey, 3)
         for r in fkey:
             p = fb.project(r)
             back = tuple(sum((lift[i][j] * p[j] for j in range(len(p))),
@@ -292,15 +293,37 @@ def test_ih_choice_independent(cube_fan):
     assert g.h_vector() == (1, 5, 5, 1)
 
 
-def test_modular_selection_is_the_exact_one(quadrant_fan, orthant_fan,
-                                            cube_fan, prism_fan):
+def test_modular_selection_is_the_exact_one(monkeypatch, quadrant_fan,
+                                            orthant_fan, cube_fan, prism_fan):
     # independence mod p picks the same spanning vectors and representatives
-    # as the exact greedy pass, including over Q(sqrt 2) (the prism)
+    # as the exact greedy pass, including over Q(sqrt 2) (the prism); with
+    # no prime for any field the selection falls back to the exact pass
     for fan in (quadrant_fan, orthant_fan, cube_fan, prism_fan):
         pair = cached_pair(fan)
-        exact, modular = GradedIH(pair), GradedIH(pair, modular=True)
+        before = exactlin.modp_fallbacks
+        modular = GradedIH(pair)
+        assert exactlin.modp_fallbacks == before
+        with monkeypatch.context() as mp:
+            mp.setattr(exactlin, "_embeddings", lambda m: ())
+            exact = GradedIH(pair)
+        assert exactlin.modp_fallbacks == before + 1
         assert modular.spanning == exact.spanning
         assert modular.comps == exact.comps
+
+
+def test_short_modular_selection_selects_exactly(monkeypatch, cube_fan):
+    # a grading that keeps fewer vectors mod p than its section space has
+    # dimensions sends the whole profile to the exact pass, counted once;
+    # an exact choice keeps no certified pairing matrices
+    pair = cached_pair(cube_fan)
+    want = GradedIH(pair)
+    modp = ihsheaf.independent_modp
+    monkeypatch.setattr(ihsheaf, "independent_modp", lambda v: modp(v)[:-1])
+    before = exactlin.modp_fallbacks
+    got = GradedIH(pair)
+    assert exactlin.modp_fallbacks == before + 1
+    assert got.spanning == want.spanning and got.comps == want.comps
+    assert got.grams == {} and want.grams
 
 
 def test_ih_relative_quadrant_cone():
