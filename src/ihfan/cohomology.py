@@ -19,6 +19,7 @@ in restrict_to_link's relative-cohomology check.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import comb
 
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
@@ -37,8 +38,6 @@ from .ihsheaf import (EvaluationContext, GradedIH, _gram, _mul_pl,
 def f_to_h(face_counts):
     """h-vector of a simple polytope from its face counts (f_0, ..., f_n);
     f_n = 1 is the polytope itself."""
-    from math import comb
-
     f = tuple(int(c) for c in face_counts)
     if not f or f[-1] != 1:
         raise ValueError("face counts must end with the polytope itself (1)")
@@ -105,17 +104,16 @@ def _check_graded(lattice: FaceLattice):
                 raise ValueError("face lattice is not graded")
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def convolve_h(h1, h2):
+    """Product of two polynomials given by their coefficient lists."""
+    out = [0] * (len(h1) + len(h2) - 1)
+    for i, a in enumerate(h1):
+        for j, b in enumerate(h2):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def _tminus1_pow(k):
-    from math import comb
-
     return [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
 
 
@@ -145,8 +143,8 @@ def toric_h_oracle(lattice: FaceLattice):
             return memo[elem]
         acc = [0] * (d + 1)
         for f in lattice.proper_faces_of(elem):
-            term = _poly_mul(_g_from_h(h_of(f), f[0]),
-                            _tminus1_pow(d - 1 - f[0]))
+            term = convolve_h(_g_from_h(h_of(f), f[0]),
+                              _tminus1_pow(d - 1 - f[0]))
             for i, c in enumerate(term):
                 acc[i] += c
         memo[elem] = acc
@@ -174,8 +172,8 @@ def _cone_lattice_h(key, n, memo):
         if fkey == key:
             continue
         fd = cone_geometry(fkey, n).dim
-        term = _poly_mul(_g_from_h(_cone_lattice_h(fkey, n, memo), fd - 1),
-                        _tminus1_pow(d - 1 - fd))
+        term = convolve_h(_g_from_h(_cone_lattice_h(fkey, n, memo), fd - 1),
+                          _tminus1_pow(d - 1 - fd))
         for i, c in enumerate(term):
             acc[i] += c
     memo[key] = acc
@@ -191,7 +189,7 @@ def toric_h_of_fan(fan: Fan):
     acc = [0] * (n + 1)
     for c in fan.cones.values():
         g = _g_from_h(_cone_lattice_h(c.rays, n, memo), c.dim - 1)
-        term = _poly_mul(g, _tminus1_pow(n - c.dim))
+        term = convolve_h(g, _tminus1_pow(n - c.dim))
         for i, x in enumerate(term):
             acc[i] += x
     return tuple(acc)
@@ -425,14 +423,6 @@ def ds_check(profile_or_h):
     return h == tuple(reversed(h))
 
 
-def convolve_h(h1, h2):
-    out = [0] * (len(h1) + len(h2) - 1)
-    for i, a in enumerate(h1):
-        for j, b in enumerate(h2):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def kunneth_check(p1, p2, pprod):
     """Product h-vector equals the convolution of the factors'."""
     return convolve_h(_h_of(p1), _h_of(p2)) == _h_of(pprod)
@@ -478,7 +468,7 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
               for rid in fan.ray_ids()}
     hat = PLFunction.from_ray_values(fan, values)
     _, closed, link = star_link(fan, ray_cid)
-    _, _, proj = projection_along(vrho, n)
+    _, proj = projection_along(vrho, n)
     link_max = [c for c in link.cones.values() if c.dim == n - 1]
     key_to_lam = {}
     lam_keys = []

@@ -389,9 +389,6 @@ class Fan:
 
     # -- structure ---------------------------------------------------------
 
-    def cone(self, cid):
-        return self.cones[cid]
-
     def cones_of_dim(self, d):
         return [c for c in self.cones.values() if c.dim == d]
 
@@ -412,9 +409,10 @@ class Fan:
 
     def locate(self, x):
         """Id of the unique cone containing x in its relative interior, or
-        None when x is outside the support."""
-        for cid in sorted(self.cones, key=lambda i: self.cones[i].dim):
-            if self.cones[cid].contains_relint(x):
+        None when x is outside the support.  Cones are tried in id order,
+        which is by dimension."""
+        for cid, c in self.cones.items():
+            if c.contains_relint(x):
                 return cid
         return None
 
@@ -511,14 +509,11 @@ def star_link(fan: Fan, cid):
 
 
 def boundary_facet_ids(fan: Fan):
-    """(n-1)-cones lying in exactly one maximal cone; empty for complete
+    """(n-1)-cones lying in exactly one maximal cone, themselves included
+    when maximal: those with at most one coface; empty for complete
     fans."""
-    out = []
-    for c in fan.cones_of_dim(fan.n - 1):
-        mx = [m for m in fan.maximal_ids if c.id == m or c.id in fan.faces_of[m]]
-        if len(mx) == 1:
-            out.append(c.id)
-    return out
+    return [c.id for c in fan.cones_of_dim(fan.n - 1)
+            if len(fan.cofaces_of[c.id]) <= 1]
 
 
 def is_complete(fan: Fan):
@@ -534,7 +529,8 @@ def is_complete(fan: Fan):
         return False
     adj = {m: [] for m in mx}
     for c in fan.cones_of_dim(fan.n - 1):
-        owners = [m for m in mx if c.id in fan.faces_of[m]]
+        # a coface of an (n-1)-cone has dim n, so it is maximal
+        owners = fan.cofaces_of[c.id]
         if len(owners) != 2:
             return False
         adj[owners[0]].append(owners[1])

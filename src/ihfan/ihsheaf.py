@@ -1,13 +1,16 @@
-"""Stalk modules and graded section spaces of the minimal conewise sheaf.
+"""Stalks and graded section spaces of the minimal conewise sheaf.
 
 The pipeline: a complete (or quasi-convex) fan gets a distinguished
 simplicial subdivision (identity for simplicial input, full barycentric
-otherwise).  Stalks are built by increasing cone dimension: a nonsimplicial
-cone's boundary is flattened along its subdivision center into a complete
-fan one dimension down, the lower-dimensional theory is computed there, and
-generator sections are pulled back from primitive representatives.  Global
-sections of any grading are then cut out by a sparse linear system in
-per-cone generator coefficients, built in integer arithmetic (_Sections).
+otherwise).  A stalk is a tuple of (grading, sections) generators.  Stalks
+are built by increasing cone dimension: a simplicial cone's is the
+constant, and a nonsimplicial cone's comes from one flattening of its
+boundary along its subdivision center over the pair's face lattice
+(flatten_boundary): the facets, their pieces and their stalks go down to a
+complete pair one dimension lower, whose primitive classes are pulled back
+to the cone's pieces (flattened_stalk).  Global sections of any grading
+are then cut out by a sparse linear system in per-cone generator
+coefficients, built in integer arithmetic (_Sections).
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -45,7 +48,6 @@ from .exactlin import (
     radicand,
     rank,
     sc,
-    solve,
     sparse_kernel,
 )
 from . import fans
@@ -63,9 +65,9 @@ from .conewise import ConewiseFunction, Polynomial, monomials
 
 def projection_along(v, n, span_vectors=None):
     """Exact projection along the line through v onto a chosen complement
-    inside span(span_vectors) (default the whole space): returns (x, basis,
-    proj) where x is a covector with x(v) = 1, basis spans the complement,
-    and proj is the projection Matrix."""
+    inside span(span_vectors) (default the whole space): returns (x, proj)
+    where x is a covector with x(v) = 1 and proj is the projection
+    Matrix."""
     v = fans.vec(v)
     i0 = next((i for i, c in enumerate(v) if c), None)
     if i0 is None:
@@ -82,7 +84,7 @@ def projection_along(v, n, span_vectors=None):
     cv = c.apply(v)
     proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
                    for i in range(len(basis))], ncols=n)
-    return x, tuple(basis), proj
+    return x, proj
 
 
 def lift_over_span(proj, rays, n):
@@ -95,84 +97,7 @@ def lift_over_span(proj, rays, n):
     return bt.mul(inverse(at.mul(a))[0].mul(at)).entries
 
 
-class FlattenedBoundary:
-    """The boundary of a cone flattened along an interior point: a complete
-    fan in the quotient by the center's line, together with the projection
-    and the induced strictly convex conewise linear function."""
-
-    __slots__ = ("cone", "proj", "lam", "lam_l", "face_to_lam")
-
-    def __init__(self, cone, proj, lam, lam_l, face_to_lam):
-        self.cone = cone
-        self.proj = proj
-        self.lam = lam
-        self.lam_l = lam_l
-        self.face_to_lam = face_to_lam
-
-    def project(self, u):
-        return self.proj.apply(u)
-
-
-def flatten_boundary(cone: fans.Cone, v):
-    """Flatten the boundary of a cone of dim >= 2 at an interior point v.
-    Errors when v is not in the relative interior."""
-    v = fans.vec(v)
-    if cone.dim < 2:
-        raise ValueError("flattening needs a cone of dimension >= 2")
-    if not cone.contains_relint(v):
-        raise ValueError("flattening center must be interior to the cone")
-    n = cone.n
-    m = cone.dim - 1
-    x, basis, proj = projection_along(v, n, span_vectors=cone.span_basis())
-    assert len(basis) == m
-    facet_keys = sorted(k for k in cone.face_ray_keys()
-                        if fans.cone_geometry(k, n).dim == cone.dim - 1)
-    gen_sets = [[proj.apply(r) for r in k] for k in facet_keys]
-    lam = Fan(m, cone_field_guess(cone),
-              [tuple(sorted(canonical_direction(g) for g in gs))
-               for gs in gen_sets], check=False)
-    per_max = {}
-    for k, gs in zip(facet_keys, gen_sets):
-        key = tuple(sorted(canonical_direction(g) for g in gs))
-        rows = [list(proj.apply(r)) for r in k]
-        rhs = [vdot(x, r) for r in k]
-        mu = solve(Matrix(rows, ncols=m), rhs)
-        if mu is None:
-            raise ValueError("flattening produced an inconsistent support "
-                             "value assignment")
-        per_max[lam.id_by_key[key]] = mu
-    lam_l = fans.PLFunction(lam, per_max, check=False)
-    face_to_lam = {}
-    for k in cone.face_ray_keys():
-        if k == cone.rays:
-            continue
-        pk = tuple(sorted(canonical_direction(proj.apply(r))
-                          for r in k))
-        face_to_lam[k] = lam.id_by_key[pk]
-    return FlattenedBoundary(cone, proj, lam, lam_l, face_to_lam)
-
-
-def cone_field_guess(cone):
-    from .exactlin import ScalarField
-    for r in cone.rays:
-        for c in r:
-            if c.m is not None:
-                return ScalarField(c.m)
-    return ScalarField()
-
-
-# -- stalk modules and distinguished pairs ---------------------------------
-
-
-class StalkModule:
-    """Free module of sections over one cone: a tuple of generators, each a
-    (grading, sections) pair where sections maps a subdivided-cone id to a
-    homogeneous polynomial of degree grading/2."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators):
-        self.generators = tuple(generators)
+# -- section spaces and distinguished pairs --------------------------------
 
 
 _EXP_BITS = 16
@@ -297,7 +222,7 @@ class _Sections:
         cols = []
         start = {}
         for mid in sorted(pair.fan.maximal_ids):
-            for j, (g, _) in enumerate(pair.stalks[mid].generators):
+            for j, (g, _) in enumerate(pair.stalks[mid]):
                 if g <= grading:
                     start[(mid, j)] = len(cols)
                     cols.extend((mid, j, e)
@@ -307,7 +232,7 @@ class _Sections:
         rows_m = None   # the radicand of the rows' sqrt(m) parts
         sub = pair.subdivided
         for tid in pair.facet_piece_ids():
-            owners = pair.owners(tid)
+            owners = sub.cofaces_of[tid]
             if len(owners) == 2:
                 if pair.carrier(owners[0]) == pair.carrier(owners[1]):
                     continue
@@ -322,7 +247,7 @@ class _Sections:
             coeffs = {}
             for hat, sign in sides:
                 mid = pair.carrier(hat)
-                for j, (g, sec) in enumerate(pair.stalks[mid].generators):
+                for j, (g, sec) in enumerate(pair.stalks[mid]):
                     if g <= grading:
                         key = (start[(mid, j)], (grading - g) // 2)
                         for f, c in sec[hat].coeffs.items():
@@ -357,7 +282,7 @@ class _Sections:
         for hat in pair.subdivided.maximal_ids:
             mid = pair.carrier(hat)
             total = Polynomial(n)
-            gens = pair.stalks[mid].generators
+            gens = pair.stalks[mid]
             blocks = {}
             for (m2, j, e), c in vecm.items():
                 if m2 == mid:
@@ -375,11 +300,15 @@ class _Sections:
 
 class DistinguishedPair:
     """A fan together with its distinguished simplicial subdivision, the
-    subdivision step sequence, and the stalk modules of every cone."""
+    subdivision step sequence, and the stalk of every cone: a tuple of
+    generators, each a (grading, sections) pair where sections maps the
+    cone's pieces (subdivided-cone ids) to homogeneous polynomials of degree
+    grading/2.  The owners of a facet piece are its cofaces in the
+    subdivision."""
 
     __slots__ = ("fan", "subdivided", "steps", "rule", "stalks",
-                 "_carrier", "_pieces", "_owners", "_facet_pieces",
-                 "_sections", "_boundary_pieces")
+                 "_carrier", "_pieces", "_facet_pieces", "_sections",
+                 "_boundary_pieces")
 
     def __init__(self, fan, subdivided, steps, rule="default", stalks=None):
         self.fan = fan
@@ -416,13 +345,8 @@ class DistinguishedPair:
             if fan.cones[car].dim == tc.dim:
                 self._pieces[car].append(tid)
         self._pieces = {cid: tuple(v) for cid, v in self._pieces.items()}
-        self._owners = {}
         self._facet_pieces = tuple(
             c.id for c in subdivided.cones_of_dim(fan.n - 1))
-        for tid in self._facet_pieces:
-            self._owners[tid] = tuple(
-                m for m in subdivided.maximal_ids
-                if tid in subdivided.faces_of[m])
         self.stalks = dict(stalks) if stalks else {}
         self._sections = {}
         self._boundary_pieces = None
@@ -435,16 +359,14 @@ class DistinguishedPair:
     def pieces(self, cid):
         return self._pieces[cid]
 
-    def owners(self, tid):
-        return self._owners[tid]
-
     def facet_piece_ids(self):
         return self._facet_pieces
 
     def boundary_piece_ids(self):
         if self._boundary_pieces is None:
             self._boundary_pieces = frozenset(
-                t for t in self._facet_pieces if len(self._owners[t]) == 1)
+                t for t in self._facet_pieces
+                if len(self.subdivided.cofaces_of[t]) == 1)
         return self._boundary_pieces
 
     # -- section spaces ----------------------------------------------------
@@ -470,7 +392,10 @@ def _barycenter_choice(rule):
 def build_distinguished_pair(fan: Fan, rule="default"):
     """Distinguished pair of a complete fan, a closed star, or a single
     full-dimensional cone with its faces.  Simplicial fans keep their own
-    cone structure; everything else gets the full barycentric subdivision."""
+    cone structure; everything else gets the full barycentric subdivision.
+    Stalks are built by increasing cone dimension (ids go up with it): the
+    constant on a simplicial cone, the pulled-back primitives of the
+    flattened boundary on any other (flattened_stalk)."""
     choice = _barycenter_choice(rule)
     if fan.is_simplicial():
         subdivided, steps = fan, ()
@@ -478,65 +403,67 @@ def build_distinguished_pair(fan: Fan, rule="default"):
         subdivided, steps = fans.barycentric_subdivision(fan, choice)
     pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
     centers = {key: center for center, key in steps}
-    n = fan.n
-    for cid in sorted(fan.cones, key=lambda i: (fan.cones[i].dim, i)):
-        c = fan.cones[cid]
+    for cid, c in fan.cones.items():
         if c.is_simplicial():
-            sec = {pid: Polynomial.constant(n, 1) for pid in pair.pieces(cid)}
-            pair.stalks[cid] = StalkModule([(0, sec)])
-            continue
-        v = centers[c.rays]
-        fb = flatten_boundary(c, v)
-        lam_pair = _induced_lambda_pair(pair, cid, fb)
-        link_mod = primitive_generator_lift(fb, lam_pair)
-        vray = canonical_direction(v)
-        remap = {}
-        for pid in pair.pieces(cid):
-            tkey = tuple(sorted(set(pair.subdivided.cones[pid].rays)
-                                - {vray}))
-            bkey = tuple(sorted(canonical_direction(fb.project(r))
-                                for r in tkey))
-            remap[pid] = lam_pair.subdivided.id_by_key[bkey]
-        gens = []
-        for g, sec in link_mod.generators:
-            gens.append((g, {pid: sec[remap[pid]]
-                             for pid in pair.pieces(cid)}))
-        pair.stalks[cid] = StalkModule(gens)
+            pair.stalks[cid] = ((0, {pid: Polynomial.constant(fan.n, 1)
+                                     for pid in pair.pieces(cid)}),)
+        else:
+            pair.stalks[cid] = flattened_stalk(pair, cid, centers[c.rays])
     return pair
 
 
-def _induced_lambda_pair(pair: DistinguishedPair, cid, fb: FlattenedBoundary):
-    """The distinguished pair on the flattened boundary induced by the
-    ambient pair: subdivision and stalks are pushed forward through the
-    flattening, so generator sections stay adapted to the ambient
-    subdivision."""
-    fan = pair.fan
+def flatten_boundary(pair: DistinguishedPair, cid, v):
+    """Flatten the boundary of the nonsimplicial cone cid of the pair along
+    its subdivision center v: the projection along v maps the boundary onto
+    a complete fan one dimension down, and the pair's subdivision of the
+    boundary and the stalks of the cone's facets go along with it.  The
+    subdivision has checked that v is interior to the cone.
+
+    Returns (pair, lam_l, proj, pieces): the flattened pair, whose stalks
+    are those of its maximal cones (the facets' images, the only stalks its
+    sections read), each pushed forward by the lift of its facet; the
+    strictly convex function equal to x . lift_F on the image of each facet
+    F, with x(v) = 1 the covector of projection_along; the projection
+    Matrix; and the map from each piece of the cone (the center's ray and a
+    piece of a facet) to the flattened piece it projects onto."""
+    fan, sub = pair.fan, pair.subdivided
     cone = fan.cones[cid]
-    m = cone.dim - 1
+    n, m = fan.n, cone.dim - 1
+    x, proj = projection_along(v, n, span_vectors=cone.span_basis())
+    facets = [f for f in fan.faces_of[cid] if fan.cones[f].dim == m]
+    # the image of each ray of the facets' pieces, which include the
+    # facets' own rays, projected once
+    image = {}
+    for f in facets:
+        for pid in pair.pieces(f):
+            for r in sub.cones[pid].rays:
+                if r not in image:
+                    image[r] = canonical_direction(proj.apply(r))
 
-    def proj_key(tid):
-        return tuple(sorted(canonical_direction(fb.project(r))
-                            for r in pair.subdivided.cones[tid].rays))
+    def key(rays):
+        return tuple(sorted(image[r] for r in rays))
 
-    keys = []
-    for fkey, lamid in fb.face_to_lam.items():
-        if fb.lam.cones[lamid].dim == m:
-            tau_id = fan.id_by_key[fkey]
-            for pid in pair.pieces(tau_id):
-                keys.append(proj_key(pid))
-    lam_sub = Fan(m, fb.lam.field, keys, check=False)
-    stalks = {}
-    for fkey, lamid in fb.face_to_lam.items():
-        tau_id = fan.id_by_key[fkey]
-        lift = lift_over_span(fb.proj, fkey, cone.n)
-        gens = []
-        for g, sec in pair.stalks[tau_id].generators:
-            gens.append((g, {lam_sub.id_by_key[proj_key(pid)]:
-                             poly.compose(lift)
-                             for pid, poly in sec.items()}))
-        stalks[lamid] = StalkModule(gens)
-    return DistinguishedPair(fb.lam, lam_sub, (), rule=pair.rule,
-                             stalks=stalks)
+    lam = Fan(m, fan.field, [key(fan.cones[f].rays) for f in facets],
+              check=False)
+    lam_sub = Fan(m, fan.field, [key(sub.cones[pid].rays) for f in facets
+                                 for pid in pair.pieces(f)], check=False)
+    stalks, forms = {}, {}
+    for f in facets:
+        rays = fan.cones[f].rays
+        lift = lift_over_span(proj, rays, n)
+        lid = lam.id_by_key[key(rays)]
+        forms[lid] = [vdot(x, col) for col in zip(*lift)]
+        stalks[lid] = tuple(
+            (g, {lam_sub.id_by_key[key(sub.cones[pid].rays)]:
+                 poly.compose(lift) for pid, poly in sec.items()})
+            for g, sec in pair.stalks[f])
+    vray = canonical_direction(v)
+    pieces = {pid: lam_sub.id_by_key[key(
+        r for r in sub.cones[pid].rays if r != vray)]
+        for pid in pair.pieces(cid)}
+    return (DistinguishedPair(lam, lam_sub, (), rule=pair.rule,
+                              stalks=stalks),
+            fans.PLFunction(lam, forms, check=False), proj, pieces)
 
 
 # -- graded section algebra -------------------------------------------------
@@ -604,7 +531,7 @@ class EvaluationContext:
             self.forms[m] = tuple(duals)
         self.adjacency = {m: [] for m in sub.maximal_ids}
         for tid in pair.facet_piece_ids():
-            owners = pair.owners(tid)
+            owners = sub.cofaces_of[tid]
             if len(owners) == 2:
                 a, b = owners
                 self.adjacency[a].append(b)
@@ -807,24 +734,20 @@ class GradedIH:
         return reps
 
 
-def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
-    """Stalk module of the flattened cone: the grading-0 constant plus, for
-    each grading up to the middle, pullbacks of primitive representatives of
-    the lower-dimensional cohomology under the flattening projection.
-    Sections are keyed by the subdivided cones of the flattened boundary;
-    polynomials are already composed with the projection (ambient
-    variables).  The flattened boundary's pair is complete, so its
-    representatives are selected mod p and certified by its pairing, which
-    is perfect by Poincare duality one dimension down; the primitives are
-    read off the Gram of that pair.  Raises when a Lefschetz kernel has
+def flattened_stalk(pair: DistinguishedPair, cid, v):
+    """The stalk of a nonsimplicial cone: the grading-0 constant plus, for
+    each grading d up to the middle, the pullbacks under the flattening
+    projection of the primitive classes of grading d of its flattened
+    boundary, keyed by the cone's pieces.  The flattened pair is complete,
+    so its representatives are selected mod p and certified by its pairing,
+    which is perfect by Poincare duality one dimension down; the primitives
+    are read off the Gram of that pair.  Raises when a Lefschetz kernel has
     unexpected dimension."""
-    m = fb.lam.n
-    n = fb.cone.n
+    lam_pair, lam_l, proj, pieces = flatten_boundary(pair, cid, v)
     gih = GradedIH(lam_pair)
-    gens = [(0, {bid: Polynomial.constant(n, 1)
-                 for bid in lam_pair.subdivided.maximal_ids})]
-    for d in range(2, m + 1, 2):
-        reps = gih.primitive_reps(d, fb.lam_l)
+    gens = [(0, {pid: Polynomial.constant(pair.fan.n, 1) for pid in pieces})]
+    for d in range(2, lam_pair.fan.n + 1, 2):
+        reps = gih.primitive_reps(d, lam_l)
         expected = gih.h[d] - gih.h.get(d - 2, 0)
         if len(reps) != expected:
             raise ValueError(
@@ -833,9 +756,9 @@ def primitive_generator_lift(fb: FlattenedBoundary, lam_pair):
                 f"{expected}")
         for r in reps:
             sec = gih.spaces[d].materialize(r)
-            amb = {bid: p.compose(fb.proj.entries) for bid, p in sec.items()}
-            gens.append((d, amb))
-    return StalkModule(gens)
+            gens.append((d, {pid: sec[bid].compose(proj.entries)
+                             for pid, bid in pieces.items()}))
+    return tuple(gens)
 
 
 # -- public section spaces -------------------------------------------------
@@ -896,7 +819,7 @@ def pair_to_json_dict(pair: DistinguishedPair):
     stalks = {}
     for cid in sorted(pair.stalks):
         gens = []
-        for g, sec in pair.stalks[cid].generators:
+        for g, sec in pair.stalks[cid]:
             gens.append([g, {str(pid): {_exp_key(e): format_scalar(c)
                                         for e, c in sorted(p.coeffs.items())}
                              for pid, p in sorted(sec.items())}])
@@ -923,7 +846,9 @@ def pair_from_json_dict(obj):
     its own subdivision, or one center per cone of dim >= 2 in the order
     ``fans.barycentric_subdivision`` takes the cones, each of length n and
     in the relative interior of its cone; any other list raises
-    ValueError."""
+    ValueError, and so does a rule other than "default" or "alt"."""
+    rule = obj.get("rule", "default")
+    _barycenter_choice(rule)
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
     field = fan.field
     n = fan.n
@@ -942,8 +867,7 @@ def pair_from_json_dict(obj):
         recorded = iter(centers)
         subdivided, steps = fans.barycentric_subdivision(
             fan, lambda cone: next(recorded))
-    pair = DistinguishedPair(fan, subdivided, steps,
-                             rule=obj.get("rule", "default"))
+    pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
     for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
         cid = int(cid_s)
         if cid not in fan.cones:
@@ -970,7 +894,7 @@ def pair_from_json_dict(obj):
                                      "degree grading/2")
                 entry[pid] = poly
             parsed.append((g, entry))
-        pair.stalks[cid] = StalkModule(parsed)
+        pair.stalks[cid] = tuple(parsed)
     for cid in fan.cones:
         if cid not in pair.stalks:
             raise ValueError(f"pair dump is missing the stalk of cone {cid}")

@@ -1,9 +1,10 @@
 """Every module-level function and every method of the package has a caller
 in the package or the benchmark, or is public API (listed in
 ihfan.__all__); every module-level import of a package module is used by
-that module; every slot of a package class is read somewhere.  A method
-counts as called only through an attribute or an identifier string: a bare
-name of the same spelling is some local variable."""
+that module, and every import of a package module is at module level;
+every slot of a package class is read somewhere.  A method counts as
+called only through an attribute or an identifier string: a bare name of
+the same spelling is some local variable."""
 
 import ast
 from collections import Counter
@@ -108,6 +109,19 @@ def unused_imports(root):
     return out
 
 
+def local_imports(root):
+    """module:function of each import statement inside a function or method
+    of a module under root/src/ihfan."""
+    out = []
+    for p in sorted((root / "src" / "ihfan").glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out += [f"{p.stem}:{node.name}" for sub in ast.walk(node)
+                        if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    return out
+
+
 def unread_slots(root):
     """module:Class.slot of each __slots__ entry of a module-level class
     under root/src/ihfan that no attribute load in src/ihfan, perfbench or
@@ -144,6 +158,10 @@ def test_every_function_has_a_caller():
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+def test_imports_are_at_module_level():
+    assert local_imports(ROOT) == []
 
 
 def test_every_slot_is_read():

@@ -13,7 +13,8 @@ from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
 from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
-from conftest import cached_pair, icosahedron_vertices, prism_vertices
+from conftest import (cached_pair, dodecahedron_vertices, icosahedron_vertices,
+                      prism_vertices)
 
 
 def write(tmp_path, name, obj):
@@ -160,6 +161,14 @@ MALFORMED = {
             [0, True], [True, 2], [2, 3], [0, 3]])),
     "pair-grading-not-an-integer": (["hvector"], _quadrant_pair(0.0)),
     "boolean-pair-grading": (["hvector"], _quadrant_pair(False)),
+    # a pair dump's rule must be "default" or "alt": an emitted dump
+    # repeats whatever rule it read
+    "pair-rule-unknown": (
+        ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule="bogus")),
+    "pair-rule-a-number": (["hvector"], dict(_quadrant_pair(0), rule=5)),
+    "pair-rule-null": (["hvector"], dict(_quadrant_pair(0), rule=None)),
+    "pair-rule-a-list": (
+        ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule=["alt"])),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -187,6 +196,10 @@ MALFORMED_MESSAGES = {
         "a stalk generator grading must be an integer, got 0.0",
     "boolean-pair-grading":
         "a stalk generator grading must be an integer, got False",
+    "pair-rule-unknown": "unknown barycenter rule 'bogus'",
+    "pair-rule-a-number": "unknown barycenter rule 5",
+    "pair-rule-null": "unknown barycenter rule None",
+    "pair-rule-a-list": "unknown barycenter rule ['alt']",
 }
 
 
@@ -245,6 +258,37 @@ def test_report_icosahedron_face_fan(tmp_path, capsys):
     assert report["hl_ranks"] == {"0": [1, 1], "2": [9, 9]}
     assert [(r["d"], r["signature"], r["definite"])
             for r in report["hrm"]] == [(0, [1, 0], True), (2, [1, 8], True)]
+
+
+def test_report_dodecahedron_face_fan(tmp_path, capsys):
+    # the paper's headline case, nonrational and nonsimplicial: a polytope
+    # over Q(sqrt 5) with 12 pentagonal facets.  f0 = 20 vertices:
+    # h = (1, f0-3, f0-3, 1), pairing and HL ranks equal to h, signatures
+    # (1, 0) and (h0, h1-h0) with primitive dims h0 and h1-h0.  A pentagon's
+    # fan has h = (1, 3, 1), so the stalk of each pentagonal cone has
+    # generators in gradings 0, 2 and 2.
+    path = write(tmp_path, "dodecahedron.json", {
+        "field": {"sqrt": 5}, "fan": "face",
+        "vertices": [[format_scalar(x) for x in v]
+                     for v in dodecahedron_vertices()]})
+    assert main(["report", path, "--l", "support"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h"] == report["oracle_h"] == [1, 17, 17, 1]
+    assert report["pd_ranks"] == {"0": 1, "2": 17, "4": 17, "6": 1}
+    assert report["hl_ranks"] == {"0": [1, 1], "2": [17, 17]}
+    assert [(r["d"], r["signature"], r["primitive_dim"], r["definite"])
+            for r in report["hrm"]] == [(0, [1, 0], 1, True),
+                                        (2, [1, 16], 16, True)]
+    dump = tmp_path / "pair.json"
+    assert main(["subdivide", path, "--emit-pair", "--out", str(dump)]) == 0
+    pair = pair_from_json_dict(json.loads(dump.read_text()))
+    fan = pair.fan
+    assert len(fan.maximal_ids) == 12
+    for m in fan.maximal_ids:
+        assert len(fan.cones[m].rays) == 5
+        assert tuple(g for g, _ in pair.stalks[m]) == (0, 2, 2)
+    assert main(["hvector", str(dump)]) == 0
+    assert capsys.readouterr().out == "h = [1,17,17,1]\n"
 
 
 def test_verify_inline_l(tmp_path, capsys):

@@ -9,7 +9,8 @@ from ihfan import exactlin, ihsheaf
 from ihfan.conewise import Polynomial, monomials
 from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, echelon_insert, rref,
                             sc)
-from ihfan.fans import (Cone, build_fan, face_fan_with_support,
+from ihfan.fans import (barycentric_subdivision, build_fan,
+                        canonical_direction, face_fan_with_support,
                         is_complete, is_strictly_convex, star_link)
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            build_distinguished_pair,
@@ -23,64 +24,78 @@ from conftest import cached_pair, cube_vertices
 # -- boundary flattening ---------------------------------------------------
 
 
+def flattened(generators):
+    """The fan of one cone, subdivided barycentrically (default rule), with
+    the constant stalk on each proper face, and flatten_boundary of the cone
+    along its subdivision center: (pair, cone id, center, flattening)."""
+    fan = build_fan(len(generators[0]), [generators])
+    sub, steps = barycentric_subdivision(fan)
+    pair = DistinguishedPair(fan, sub, steps)
+    top = fan.maximal_ids[0]
+    for cid in fan.faces_of[top]:
+        pair.stalks[cid] = ((0, {pid: Polynomial.constant(fan.n, 1)
+                                 for pid in pair.pieces(cid)}),)
+    # the cone's center is chosen first
+    v = steps[0][0]
+    return pair, top, v, flatten_boundary(pair, top, v)
+
+
 def test_flatten_orthant():
-    c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    fb = flatten_boundary(c, (1, 1, 1))
-    assert fb.lam.n == 2
-    assert len(fb.lam.maximal_ids) == 3
-    assert is_complete(fb.lam)
-    assert is_strictly_convex(fb.lam, fb.lam_l)
+    _, _, _, (lam_pair, lam_l, _, _) = flattened(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    lam = lam_pair.fan
+    assert lam.n == 2
+    assert len(lam.maximal_ids) == 3
+    assert is_complete(lam)
+    assert is_strictly_convex(lam, lam_l)
 
 
 def test_flatten_two_dim_cone():
-    c = Cone.from_generators([(1, 0), (1, 2)], 2)
-    fb = flatten_boundary(c, (1, 1))
-    assert fb.lam.n == 1
-    assert len(fb.lam.maximal_ids) == 2
-    assert is_complete(fb.lam)
-    assert is_strictly_convex(fb.lam, fb.lam_l)
+    _, _, _, (lam_pair, lam_l, _, _) = flattened([(1, 0), (1, 2)])
+    lam = lam_pair.fan
+    assert lam.n == 1
+    assert len(lam.maximal_ids) == 2
+    assert is_complete(lam)
+    assert is_strictly_convex(lam, lam_l)
 
 
 def test_flatten_cone_over_square():
-    c = Cone.from_generators(
-        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)], 3)
-    fb = flatten_boundary(c, (0, 0, 1))
-    assert len(fb.lam.maximal_ids) == 4
-    assert is_complete(fb.lam)
-    assert is_strictly_convex(fb.lam, fb.lam_l)
+    pair, top, _, (lam_pair, lam_l, proj, pieces) = flattened(
+        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)])
+    lam = lam_pair.fan
+    assert len(lam.maximal_ids) == 4
+    assert is_complete(lam)
+    assert is_strictly_convex(lam, lam_l)
     # every proper face is matched to a cone of the flattened fan
-    assert len(fb.face_to_lam) == len(fb.lam.cones)
+    images = {tuple(sorted(canonical_direction(proj.apply(r))
+                           for r in pair.fan.cones[f].rays))
+              for f in pair.fan.faces_of[top]}
+    assert images == set(lam.id_by_key)
+    # and every piece of the cone to a maximal cone of its subdivision
+    assert sorted(pieces.values()) == \
+        sorted(lam_pair.subdivided.maximal_ids)
 
 
 def test_flatten_projection_kills_center():
-    c = Cone.from_generators(
-        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)], 3)
-    fb = flatten_boundary(c, (0, 0, 1))
-    assert all(x.is_zero() for x in fb.project((0, 0, 1)))
-    # and is the identity-like section over each facet: lift then project
-    for fkey in fb.face_to_lam:
-        lift = lift_over_span(fb.proj, fkey, 3)
+    pair, top, v, (_, _, proj, _) = flattened(
+        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)])
+    assert all(x.is_zero() for x in proj.apply(v))
+    # and is the identity-like section over each face: lift then project
+    for f in pair.fan.faces_of[top]:
+        fkey = pair.fan.cones[f].rays
+        lift = lift_over_span(proj, fkey, 3)
         for r in fkey:
-            p = fb.project(r)
+            p = proj.apply(r)
             back = tuple(sum((lift[i][j] * p[j] for j in range(len(p))),
                              start=ZERO) for i in range(3))
-            assert tuple(fb.project(back)) == tuple(p)
-
-
-def test_flatten_rejects_bad_center():
-    c = Cone.from_generators(
-        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)], 3)
-    with pytest.raises(ValueError):
-        flatten_boundary(c, (1, 1, 1))  # on the boundary
-    with pytest.raises(ValueError):
-        flatten_boundary(Cone.from_generators([(1, 0)], 2), (1, 0))
+            assert tuple(proj.apply(back)) == tuple(p)
 
 
 # -- distinguished pairs ---------------------------------------------------
 
 
 def stalk_gradings(stalk):
-    return tuple(g for g, _ in stalk.generators)
+    return tuple(g for g, _ in stalk)
 
 
 def test_simplicial_pair_is_identity(quadrant_fan):
@@ -128,7 +143,7 @@ def test_cone_over_square_stalk(cone_square_fan):
     p = cached_pair(cone_square_fan)
     sid = max(p.fan.cones, key=lambda i: p.fan.cones[i].dim)
     assert stalk_gradings(p.stalks[sid]) == (0, 2)
-    g2 = p.stalks[sid].generators[1][1]
+    g2 = p.stalks[sid][1][1]
     # the grading-2 generator is not the restriction of one global linear
     # function: it takes at least two distinct linear forms on the pieces
     assert len({tuple(sorted(poly.coeffs.items()))
