@@ -24,12 +24,11 @@ from math import comb
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
 from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
-                   star_link)
+                   star_link, vdot)
 from .conewise import ConewiseFunction, Polynomial
 from . import ihsheaf
 from .ihsheaf import (EvaluationContext, GradedIH, _gram, _mul_pl,
-                      build_distinguished_pair, lift_over_span,
-                      projection_along)
+                      build_distinguished_pair, projection_along)
 
 
 # -- combinatorial oracles -------------------------------------------------
@@ -445,8 +444,10 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
     """Restriction of cohomology classes to the flattened link of a ray,
     with the three local-structure checks: the closed star has the link's
     graded dimensions; the hat-function pairing factors through the link
-    with one positive constant; and hat multiplication into relative
-    cohomology of the star has full rank.
+    with the constant 1/|det(v_rho, b)|; and hat multiplication into
+    relative cohomology of the star has full rank.  Classes restrict along
+    b^T, for (x, proj, b) from projection_along: the one section of proj
+    with image ker x, so that the terms with x vanish in cohomology.
 
     Implemented for simplicial fans (the hat function needs free ray
     values)."""
@@ -468,16 +469,11 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
               for rid in fan.ray_ids()}
     hat = PLFunction.from_ray_values(fan, values)
     _, closed, link = star_link(fan, ray_cid)
-    _, proj = projection_along(vrho, n)
-    link_max = [c for c in link.cones.values() if c.dim == n - 1]
-    key_to_lam = {}
-    lam_keys = []
-    for c in link_max:
-        pk = tuple(sorted(canonical_direction(proj.apply(r))
-                          for r in c.rays))
-        lam_keys.append(pk)
-        key_to_lam[c.rays] = pk
-    lam_fan = Fan(n - 1, fan.field, lam_keys, check=False)
+    _, proj, b = projection_along(vrho, n)
+    key_to_lam = {c.rays: tuple(sorted(canonical_direction(proj.apply(r))
+                                       for r in c.rays))
+                  for c in link.cones.values() if c.dim == n - 1}
+    lam_fan = Fan(n - 1, fan.field, list(key_to_lam.values()), check=False)
     lam_profile = profile_for_fan(lam_fan, rule)
     star_pair = build_distinguished_pair(closed, rule=rule)
     star_abs = GradedIH(star_pair)
@@ -492,23 +488,21 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
 
     loc_prod_ok = pad(star_h) == pad(lam_h)
 
-    # <a . hat . b> against <a|link . b|link> for representatives a, b of
+    # <a . hat . c> against <a|link . c|link> for representatives a, c of
     # complementary gradings, as two Gram matrices.  A representative
-    # restricted to the link is, on a link cone c, its polynomial on the
-    # cone c + rho composed with the lift over span(c), so its value at the
-    # link's generic point is that polynomial's value at the lifted point
+    # restricted to the link is, on a link cone, its polynomial on the cone
+    # plus rho composed with b^T, so its value at the link's generic point
+    # z is that polynomial's value at b^T z
     lam_ctx = lam_profile.context()
-    lifted = {}
-    for c in link_max:
-        lift = Matrix(lift_over_span(proj, c.rays, n), ncols=n - 1)
-        lifted[lam_fan.id_by_key[key_to_lam[c.rays]]] = (
-            fan.id_by_key[tuple(sorted(set(c.rays) | {vrho}))],
-            lift.apply(lam_ctx.z))
-    points = [lifted[m] for m in lam_ctx.inv_phi_z]
+    z = tuple(vdot(col, lam_ctx.z) for col in zip(*b))
+    star_of = {lam_fan.id_by_key[pk]:
+               fan.id_by_key[tuple(sorted(set(rays) | {vrho}))]
+               for rays, pk in key_to_lam.items()}
+    cones = [star_of[m] for m in lam_ctx.inv_phi_z]
     m2 = 2 * (n - 1)
     restricted = {
-        d: Matrix([[polys[cone].evaluate(z) for cone, z in points]
-                   for polys in profile.rep_polys(d)], ncols=len(points))
+        d: Matrix([[polys[cone].evaluate(z) for cone in cones]
+                   for polys in profile.rep_polys(d)], ncols=len(cones))
         for d in range(0, m2 + 1, 2)}
     constant = None
     reduct_ok = True
@@ -527,7 +521,7 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
                     constant = c
                 elif c != constant:
                     reduct_ok = False
-    if constant is None or constant.sign() <= 0:
+    if constant != abs(inverse(Matrix([vrho] + b, ncols=n))[1]).inverse():
         reduct_ok = False
 
     star_rel = GradedIH(star_pair, relative=True)

@@ -14,9 +14,9 @@ Linear algebra entry points:
   in the package goes through: insert a sparse row {key: Scalar} into a
   reduced echelon and report whether it was independent and its pivot
   value; echelon_reduce is its reduction half;
-- sparse_eliminate and rref (reduced row echelon forms), first_independent
-  (the first-independent basis of a list of vectors), rank, kernel_basis,
-  and solve, all built on echelon_insert;
+- sparse_eliminate (the reduced row echelon form), first_independent (the
+  first-independent basis of a list of vectors), rank, kernel_basis, and
+  solve, all built on echelon_insert;
 - inverse, which also returns the determinant (the product of the pivot
   values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
@@ -557,12 +557,6 @@ def first_independent(vectors):
     return [v for v in vectors
             if echelon_insert(ech, {j: sc(x) for j, x in enumerate(v)})
             is not None]
-
-
-def rref(m):
-    """Reduced row echelon form of a Matrix as [(pivot col, dense row)]."""
-    return [(c, tuple(row.get(j, ZERO) for j in range(m.ncols)))
-            for c, row in sparse_eliminate(_rows_to_sparse(m))]
 
 
 def sparse_kernel(rows, ncols, m):

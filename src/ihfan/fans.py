@@ -11,7 +11,9 @@ incremental double description over the scalar field: the facets of a cone
 are the extreme rays of its dual, a generator g of a pointed cone is
 extreme when the generators on every facet through g have only g in
 common (every face of a pointed cone is an intersection of facets), and an
-intersection is the hull of both cones' facet inequalities.
+intersection is the hull of both cones' facet inequalities.  A cone's
+dimension, equations, hull start and duals come from one inverse
+(``_dual_basis``).
 
 Fan cone ids are assigned by sorting all cones by (dimension, ray key), so
 ids are stable across runs and across re-parsing of emitted JSON.
@@ -32,10 +34,8 @@ from .exactlin import (
     inverse,
     format_scalar,
     json_int,
-    kernel_basis,
     parse_scalar,
     rank,
-    rref,
     sc,
     solve,
 )
@@ -105,29 +105,49 @@ def format_vector(u):
 # -- cone geometry (cached by ray key) -------------------------------------
 
 
-def _dd(rows, k):
-    """Extreme rays of the pointed cone {y in R^k : a . y >= 0 for every row
-    a}, each with the sorted indices of the rows it is zero on; the rows
-    must span R^k.  Incremental double description (Motzkin et al. 1953;
-    Fukuda and Prodon 1996): start from the simplicial cone of the first k
-    independent rows, whose rays are the columns of their inverse, then add
-    the other rows one at a time.  A new row keeps the rays on its
-    nonnegative side and joins each adjacent pair of rays on opposite sides
-    by the ray on its hyperplane; two rays are adjacent when they share at
-    least k - 2 zero rows and no third ray is zero on all of those."""
-    if k == 0:
-        return []
-    ech, basis = {}, []
+def _dual_basis(rows, k):
+    """(basis, comp, duals, det) for rows in R^k: the indices of the rows
+    independent of those before them, the first unit vectors that complete
+    them, and the columns and determinant of the inverse of that square
+    matrix.  The columns dual to the unit vectors are the kernel of the rows
+    as the reduced echelon with pivots comp; those dual to the basis rows
+    are zero at comp."""
+    ech, basis, comp = {}, [], []
     for i, a in enumerate(rows):
         if echelon_insert(ech, {j: x for j, x in enumerate(a) if x}):
             basis.append(i)
             if len(basis) == k:
                 break
-    inv, _ = inverse(Matrix([rows[i] for i in basis], ncols=k))
-    # zero sets are bit masks over row indices; column j of the inverse is
-    # zero on every basis row but the j-th
+    for c in range(k):
+        if len(basis) + len(comp) == k:
+            break
+        if echelon_insert(ech, {c: ONE}):
+            comp.append(c)
+    inv, det = inverse(Matrix(
+        [rows[i] for i in basis]
+        + [tuple(ONE if j == c else ZERO for j in range(k)) for c in comp],
+        ncols=k))
+    return basis, comp, [inv.col(j) for j in range(k)], det
+
+
+def _dd(rows, basis, duals):
+    """Extreme rays of the pointed cone {y in span(duals) : a . y >= 0 for
+    every row a}, each with the sorted indices of the rows it is zero on;
+    duals[j] is 1 on rows[basis[j]] and 0 on the other basis rows, as
+    _dual_basis gives them.  Incremental double description (Motzkin et al.
+    1953; Fukuda and Prodon 1996): start from the simplicial cone of the
+    basis rows, whose rays are the duals, then add the other rows one at a
+    time.  A new row keeps the rays on its nonnegative side and joins each
+    adjacent pair of rays on opposite sides by the ray on its hyperplane;
+    two rays are adjacent when they share at least k - 2 zero rows, k the
+    number of duals, and no third ray is zero on all of those."""
+    k = len(basis)
+    if k == 0:
+        return []
+    # zero sets are bit masks over row indices; the j-th dual is zero on
+    # every basis row but the j-th
     every = sum(1 << i for i in basis)
-    rays = [(inv.col(j), every & ~(1 << i)) for j, i in enumerate(basis)]
+    rays = [(y, every & ~(1 << i)) for y, i in zip(duals, basis)]
     for i, a in enumerate(rows):
         if every >> i & 1:
             continue
@@ -155,37 +175,27 @@ def _dd(rows, k):
 
 
 class _ConeGeometry:
-    """Shared exact data for the cone with a given canonical ray set."""
+    """Shared exact data for the cone with a given canonical ray set, read
+    off the dual basis of its rays.  The facet forms are the extreme rays of
+    the dual cone modulo the equations: the duals are zero at the
+    equations' pivots, so the hull started from them gives each form
+    already reduced."""
 
-    __slots__ = ("n", "rays", "dim", "equations", "facet_forms",
-                 "facet_ray_keys", "_faces")
+    __slots__ = ("n", "rays", "dim", "equations", "duals", "det",
+                 "facet_forms", "facet_ray_keys", "_faces")
 
     def __init__(self, rays, n):
         self.n = n
         self.rays = rays
-        # covectors vanishing on the span, as a reduced echelon basis
-        kernel = kernel_basis(Matrix(list(rays), ncols=n))
-        self.dim = n - len(kernel)
-        self.equations = rref(Matrix(kernel, ncols=n))
-        self.facet_forms, self.facet_ray_keys = self._facets()
+        basis, comp, cols, self.det = _dual_basis(rays, n)
+        self.dim = len(basis)
+        self.duals = tuple(cols[:self.dim])
+        self.equations = list(zip(comp, cols[self.dim:]))
+        forms = {canonical_direction(y): tuple(rays[i] for i in on)
+                 for y, on in _dd(rays, basis, self.duals)}
+        self.facet_forms = tuple(sorted(forms))
+        self.facet_ray_keys = tuple(forms[w] for w in self.facet_forms)
         self._faces = None
-
-    def _facets(self):
-        """Facet forms are the extreme rays of the dual cone modulo the
-        equations.  Forms that are zero at the equations' pivots are a
-        complement to the equations, so the dual cone is hulled on the other
-        columns, and each ray, padded with zeros, is its facet form already
-        reduced modulo the equations."""
-        pivots = {p for p, _ in self.equations}
-        free = [j for j in range(self.n) if j not in pivots]
-        forms = {}
-        for y, on in _dd([[r[j] for j in free] for r in self.rays], len(free)):
-            w = [ZERO] * self.n
-            for j, x in zip(free, y):
-                w[j] = x
-            forms[canonical_direction(w)] = tuple(self.rays[i] for i in on)
-        keys = sorted(forms)
-        return tuple(keys), tuple(forms[w] for w in keys)
 
     def contains_relint(self, x):
         if self.dim == 0:
@@ -308,15 +318,17 @@ def _separating_form(g1, g2, signs):
 
 def _intersect_keys(g1, g2, n):
     """Extreme rays of the intersection: the double description of both
-    cones' facet inequalities on a basis of the kernel of their joint
-    equations."""
-    basis = kernel_basis(Matrix([row for _, row in g1.equations]
-                                + [row for _, row in g2.equations], ncols=n))
-    rows = [[vdot(w, b) for b in basis]
-            for w in sorted(set(g1.facet_forms) | set(g2.facet_forms))]
+    cones' facet inequalities inside the kernel of their joint equations.
+    The intersection is pointed, so the equations and the forms span the
+    dual space, and the columns of their dual basis that are dual to forms
+    lie in that kernel: they start the hull."""
+    eqs = [row for _, row in g1.equations + g2.equations]
+    forms = sorted(set(g1.facet_forms) | set(g2.facet_forms))
+    basis, _, duals, _ = _dual_basis(eqs + forms, n)
+    start = [(i - len(eqs), y) for i, y in zip(basis, duals) if i >= len(eqs)]
     return tuple(sorted(
-        canonical_direction([vdot(y, col) for col in zip(*basis)])
-        for y, _ in _dd(rows, len(basis))))
+        canonical_direction(y)
+        for y, _ in _dd(forms, [i for i, _ in start], [y for _, y in start])))
 
 
 def _common_face_check(k1, k2, n, signs, depth=0):

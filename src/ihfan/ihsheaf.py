@@ -65,9 +65,10 @@ from .conewise import ConewiseFunction, Polynomial, monomials
 
 def projection_along(v, n, span_vectors=None):
     """Exact projection along the line through v onto a chosen complement
-    inside span(span_vectors) (default the whole space): returns (x, proj)
-    where x is a covector with x(v) = 1 and proj is the projection
-    Matrix."""
+    inside span(span_vectors) (default the whole space): returns (x, proj,
+    b) where x is a covector with x(v) = 1, b is a basis of the kernel of x
+    inside that span and proj is the projection Matrix onto coordinates in
+    b, so that b^T is a section of proj with image ker x."""
     v = fans.vec(v)
     i0 = next((i for i, c in enumerate(v) if c), None)
     if i0 is None:
@@ -84,17 +85,16 @@ def projection_along(v, n, span_vectors=None):
     cv = c.apply(v)
     proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
                    for i in range(len(basis))], ncols=n)
-    return x, proj
+    return x, proj, basis
 
 
 def lift_over_span(proj, rays, n):
-    """Rows of the section of the projection Matrix proj over span(rays): an
-    (ambient x quotient) matrix with proj . lift = identity on the projected
-    span."""
+    """Rows of the section of the projection Matrix proj over span(rays),
+    a span on which proj is one-to-one onto the quotient (a facet of the
+    flattened cone): bt (proj bt)^-1 for bt the first independent rays as
+    columns, an (ambient x quotient) matrix with proj . lift = identity."""
     bt = Matrix(first_independent(rays), ncols=n).transpose()
-    a = proj.mul(bt)
-    at = a.transpose()
-    return bt.mul(inverse(at.mul(a))[0].mul(at)).entries
+    return bt.mul(inverse(proj.mul(bt))[0]).entries
 
 
 # -- section spaces and distinguished pairs --------------------------------
@@ -429,7 +429,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     fan, sub = pair.fan, pair.subdivided
     cone = fan.cones[cid]
     n, m = fan.n, cone.dim - 1
-    x, proj = projection_along(v, n, span_vectors=cone.span_basis())
+    x, proj, _ = projection_along(v, n, span_vectors=cone.span_basis())
     facets = [f for f in fan.faces_of[cid] if fan.cones[f].dim == m]
     # the image of each ray of the facets' pieces, which include the
     # facets' own rays, projected once
@@ -503,8 +503,9 @@ def _independent_exact(vectors):
 
 class EvaluationContext:
     """Per maximal simplicial cone of the subdivision: the dual-basis facet
-    forms (scaled so their wedge has determinant +-1 in the input
-    coordinates), whose product is the cone's phi; plus one generic point
+    forms, read off the cone's geometry (fans.cone_geometry) and scaled by
+    its |det| so their wedge has determinant +-1 in the input coordinates,
+    whose product is the cone's phi; plus one generic point
     z, the first point (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which
     no phi vanishes, and 1/phi(z) per cone (inv_phi_z, in the order of the
     subdivision's maximal ids).  A form's value at such a point is a
@@ -523,12 +524,9 @@ class EvaluationContext:
             rays = sub.cones[m].rays
             if len(rays) != n:
                 raise ValueError("evaluation needs full-dimensional cones")
-            inv, d = inverse(Matrix(list(rays), ncols=n))
-            # column i of the inverse is dual to ray i
-            duals = [inv.col(i) for i in range(n)]
-            scale = abs(d)
-            duals[0] = tuple(scale * x for x in duals[0])
-            self.forms[m] = tuple(duals)
+            geom = fans.cone_geometry(rays, n)
+            self.forms[m] = (fans.vscale(abs(geom.det), geom.duals[0]),
+                             *geom.duals[1:])
         self.adjacency = {m: [] for m in sub.maximal_ids}
         for tid in pair.facet_piece_ids():
             owners = sub.cofaces_of[tid]

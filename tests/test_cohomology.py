@@ -9,7 +9,8 @@ from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
-from ihfan.ihsheaf import _mul_pl, _shift_var, build_distinguished_pair
+from ihfan.ihsheaf import (_mul_pl, _shift_var, build_distinguished_pair,
+                           projection_along)
 from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
                               convolve_h, evaluate, evaluate_fast,
                               exact_sequence_check, f_to_h, hl_rank_report,
@@ -533,6 +534,40 @@ def test_restrict_to_link_orthant(orthant_fan):
     assert rep.lam_h == (1, 2, 1)
     assert rep.star_h == (1, 2, 1, 0)
     assert rep.ok
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return sc(1)
+    return sum((sc((-1) ** j) * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, x in enumerate(rows[0]) if x), start=sc(0))
+
+
+def test_restrict_to_link_every_ray():
+    # every ray of P^2 and of a bipyramid whose link cones are not all
+    # unimodular: restricted along b^T, b the basis of ker x that
+    # projection_along builds, the hat pairing is the link's pairing times
+    # 1/|det(v_rho, b)|, since the rays of a cone rho + tau written in the
+    # basis (v_rho, b) have determinant det(v_rho, b) times that of their
+    # projections
+    p2 = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                       [(-1, -1), (1, 0)]])
+    bipyramid = face_fan_with_support(
+        [(2, 0, 0), (1, 2, 0), (-1, 2, 0), (-2, 0, 0), (0, -2, 0),
+         (0, 0, 3), (0, 0, -3)], field=ScalarField(2))[0]
+    got, want = {}, {}
+    for fan in (p2, bipyramid):
+        p = profile_for_fan(fan)
+        for rid in fan.ray_ids():
+            v = fan.cones[rid].rays[0]
+            rep = restrict_to_link(p, rid)
+            got[v] = (rep.loc_prod_ok, rep.reduct_ok, rep.deg2_ok,
+                      rep.constant)
+            b = projection_along(v, fan.n)[2]
+            want[v] = (True, True, True, abs(_det([v] + b)).inverse())
+    assert len(got) == 10
+    assert got == want
 
 
 def test_restrict_to_link_guards(cube_fan, quadrant_fan):

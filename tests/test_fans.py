@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from ihfan import cli, cohomology, fans
-from ihfan.exactlin import ZERO, Matrix, ScalarField, kernel_basis, rank, sc
+from ihfan import cli, cohomology, exactlin, fans
+from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
+                            sparse_eliminate)
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
 
@@ -478,6 +479,79 @@ def test_hull_matches_brute_force_facets(d, m):
             fans.Cone.from_generators(gens + [fans.vneg(g1)], d)
 
 
+def embedded_cone(rng, n, d, field):
+    """(generators in R^d, embedding A as n rows of length d): a pointed
+    cone of dimension d, whose generators are its extreme rays, and a
+    random injective linear map into R^n."""
+    def coord():
+        x = sc(rng.randint(-3, 3))
+        if field.m and rng.random() < 0.5:
+            x = x + sc(rng.choice((-1, 1))) * field.parse(f"0+1r{field.m}")
+        return x
+
+    if d >= 3:
+        gens = random_cone(rng, d, field)
+    else:
+        gens = [(sc(1),)] if d == 1 else [(sc(1), sc(0)),
+                                         (coord(), sc(rng.randint(1, 3)))]
+    while True:
+        a = [tuple(coord() for _ in range(d)) for _ in range(n)]
+        if rank(Matrix(a, ncols=d)) == d:
+            return gens, a
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("m", (None, 2))
+def test_lower_dimensional_hull_matches_brute_force(n, m):
+    # a cone of dimension d < n is a full-dimensional cone in R^d carried
+    # into R^n by an injective A: its equations annihilate the image of A,
+    # and its facets are the images of the facets in R^d, each facet form
+    # pulled back along A to the facet's form there
+    rng = random.Random(f"low:{n}:{m}")
+    field = ScalarField(m)
+    for d in range(1, n):
+        for _ in range(4):
+            gens, a = embedded_cone(rng, n, d, field)
+            image = {g: fans.canonical_direction(
+                [fans.vdot(row, g) for row in a]) for g in gens}
+            c = fans.Cone.from_generators(list(image.values()), n)
+            assert c.dim == d and set(c.rays) == set(image.values())
+            geom = fans.cone_geometry(c.rays, n)
+            annihilator = kernel_basis(Matrix(list(zip(*a)), ncols=n))
+            want = [(p, tuple(row.get(j, ZERO) for j in range(n)))
+                    for p, row in sparse_eliminate(
+                        [dict(enumerate(w)) for w in annihilator])]
+            assert geom.equations == want
+            pivots = [p for p, _ in want]
+            for w in geom.facet_forms:
+                assert fans.canonical_direction(w) == w
+                assert all(not w[p] for p in pivots)
+            got = {fans.canonical_direction(
+                [fans.vdot(w, col) for col in zip(*a)]): set(key)
+                for w, key in zip(geom.facet_forms, geom.facet_ray_keys)}
+            assert got == {w: {image[g] for g in on}
+                           for w, on in brute_facets(gens, d).items()}
+
+
+@pytest.mark.parametrize("m", (None, 2))
+def test_cone_geometry_stays_off_the_modular_path(monkeypatch, m):
+    # with no prime for any field a modular kernel would fall back to the
+    # exact path and count it; a cone's geometry and an intersection of two
+    # cones (these two overlap, with no separating facet) are exact already
+    monkeypatch.setattr(exactlin, "_embeddings", lambda m: ())
+    t = ScalarField(m).parse("1/9973+1r2" if m else "1/9973")
+    inner = ((sc(1), t, sc(0)), (sc(1), t + sc(1), sc(0)))
+    outer = ((sc(1), t, sc(0)), (sc(0), sc(1), sc(0)))
+    before = exactlin.modp_fallbacks
+    misses = fans.cone_geometry.cache_info().misses
+    geom = fans.cone_geometry(inner, 3)
+    assert fans.cone_geometry.cache_info().misses > misses
+    assert geom.dim == 2 and [p for p, _ in geom.equations] == [2]
+    with pytest.raises(ValueError, match="fan axiom violation"):
+        fans.Fan(3, ScalarField(m), [inner, outer])
+    assert exactlin.modp_fallbacks == before
+
+
 def brute_rays(rows, k):
     """Extreme rays of {y : a . y >= 0 for every row a} by brute force: the
     lines cut out by k - 1 independent rows, in the direction that meets
@@ -597,7 +671,9 @@ def test_dd_matches_brute_force_rays(k):
         rows.insert(1, fans.vneg(rows[0]))
         if rank(Matrix(rows, ncols=k)) < k:
             continue
-        got = {fans.canonical_direction(y): on for y, on in fans._dd(rows, k)}
+        basis, _, duals, _ = fans._dual_basis(rows, k)
+        got = {fans.canonical_direction(y): on
+               for y, on in fans._dd(rows, basis, duals)}
         assert got == brute_rays(rows, k)
 
 

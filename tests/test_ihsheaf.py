@@ -7,8 +7,8 @@ import pytest
 
 from ihfan import exactlin, ihsheaf
 from ihfan.conewise import Polynomial, monomials
-from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, echelon_insert, rref,
-                            sc)
+from ihfan.exactlin import (ONE, ZERO, Scalar, echelon_insert, sc,
+                            sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
                         is_complete, is_strictly_convex, star_link)
@@ -80,8 +80,12 @@ def test_flatten_projection_kills_center():
     pair, top, v, (_, _, proj, _) = flattened(
         [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)])
     assert all(x.is_zero() for x in proj.apply(v))
-    # and is the identity-like section over each face: lift then project
-    for f in pair.fan.faces_of[top]:
+    # and is the identity-like section over each facet: lift then project,
+    # and the lift of a projected ray of the facet is the ray itself; every
+    # ray of every proper face lies on a facet
+    facets = [f for f in pair.fan.faces_of[top] if pair.fan.cones[f].dim == 2]
+    assert len(facets) == 4
+    for f in facets:
         fkey = pair.fan.cones[f].rays
         lift = lift_over_span(proj, fkey, 3)
         for r in fkey:
@@ -89,6 +93,7 @@ def test_flatten_projection_kills_center():
             back = tuple(sum((lift[i][j] * p[j] for j in range(len(p))),
                              start=ZERO) for i in range(3))
             assert tuple(proj.apply(back)) == tuple(p)
+            assert back == r
 
 
 # -- distinguished pairs ---------------------------------------------------
@@ -169,8 +174,9 @@ def _random_equations(rng, n, m):
         b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if m else 0
         return Scalar(a, b, m if b else None)
     k = rng.randint(1, n - 1)
-    return rref(Matrix([[entry() for _ in range(n)] for _ in range(k)],
-                       ncols=n))
+    rows = [[entry() for _ in range(n)] for _ in range(k)]
+    return [(c, tuple(row.get(j, ZERO) for j in range(n)))
+            for c, row in sparse_eliminate([dict(enumerate(r)) for r in rows])]
 
 
 @pytest.mark.parametrize("m", (None, 2))
