@@ -42,6 +42,14 @@ class Polynomial:
                     self.coeffs[tuple(e)] = c
 
     @staticmethod
+    def _clean(n, coeffs):
+        """The polynomial of a dict {exponent tuple: nonzero Scalar} just
+        built by add, sub, mul or compose, taken as it is."""
+        p = Polynomial.__new__(Polynomial)
+        p.n, p.coeffs = n, coeffs
+        return p
+
+    @staticmethod
     def constant(n, c):
         return Polynomial(n, {tuple([0] * n): sc(c)})
 
@@ -86,16 +94,11 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.n, out)
+        return Polynomial._clean(self.n, out)
 
     def sub(self, other):
-        return self.add(other.scale(sc(-1)))
-
-    def scale(self, c):
-        c = sc(c)
-        if not c:
-            return Polynomial(self.n)
-        return Polynomial(self.n, {e: c * v for e, v in self.coeffs.items()})
+        return self.add(Polynomial._clean(
+            other.n, {e: -c for e, c in other.coeffs.items()}))
 
     def mul(self, other):
         out = {}
@@ -107,7 +110,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(self.n, out)
+        return Polynomial._clean(self.n, out)
 
     def evaluate(self, point):
         total = ZERO
@@ -139,7 +142,7 @@ class Polynomial:
         forms = [Polynomial.from_linear(r) for r in rows]
         out = Polynomial(m)
         for e, c in self.coeffs.items():
-            term = Polynomial.constant(m, c)
+            term = Polynomial._clean(m, {(0,) * m: c})
             for i, p in enumerate(e):
                 for _ in range(p):
                     term = term.mul(forms[i])

@@ -211,9 +211,13 @@ class _Sections:
     the equations (_wall_images) and E the generator sections of both
     sides, every entry is E * D^(d/2) times the exact one, which leaves the
     kernel as it is.  Each row is then divided by the gcd of its entries,
-    so the kernel sees equal rows of the pieces of one wall as repeats."""
+    so the kernel sees equal rows of the pieces of one wall as repeats.
+    The basis is the reduced kernel: basis[k] is 1 at its free column
+    cols[free[k]], free[k] being its largest index, and 0 at every other
+    free column, so restriction to the free columns is one-to-one on
+    sections."""
 
-    __slots__ = ("pair", "grading", "cols", "basis")
+    __slots__ = ("pair", "grading", "cols", "basis", "free")
 
     def __init__(self, pair, grading, boundary_pieces=None):
         self.pair = pair
@@ -270,6 +274,7 @@ class _Sections:
                         # so the walls share one radicand
                         rows_m = m
         kern = sparse_kernel(rows, len(cols), rows_m)
+        self.free = tuple(max(v) for v in kern)
         self.basis = [
             {cols[i]: c for i, c in v.items()} for v in kern]
 
@@ -561,7 +566,10 @@ class GradedIH:
     The spanning list of grading d is the ideal multiples x_i * b (b in the
     grading-(d-2) basis) and then the section basis vectors, each kept when
     independent of those kept before it; the kept basis vectors are the
-    complement representatives.
+    complement representatives.  Independence is read on the free columns
+    (see _Sections): vectors independent after a linear map are independent,
+    and restriction to the free columns is one-to-one on sections, so the
+    exact choice is the one on full-length vectors.
 
     A complete pair (uncapped, absolute, without boundary pieces) decides
     independence mod p (exactlin.independent_modp) and certifies the choice
@@ -614,17 +622,20 @@ class GradedIH:
         self.grams, self._rep_polys, self._values = {}, {}, {}
         n = self.pair.fan.n
         for d, sp in self.spaces.items():
-            multiples = []
-            if d >= 2:
-                multiples = [_shift_var(b, i)
-                             for b in self.spaces[d - 2].basis
-                             for i in range(n)]
-            cands = multiples + sp.basis
-            kept = independent(cands)
+            # on the free columns, keyed -f to pivot on the largest one
+            key = {sp.cols[f]: -f for f in sp.free}
+            below = self.spaces[d - 2].basis if d >= 2 else []
+            cands = [{k: c for (mid, j, e), c in b.items()
+                      if (k := key.get((mid, j, e[:i] + (e[i] + 1,) +
+                                        e[i + 1:]))) is not None}
+                     for b in below for i in range(n)]
+            nm = len(cands)
+            kept = independent(cands + [{-f: ONE} for f in sp.free])
             if kept is None or len(kept) != len(sp.basis):
                 return False
-            self.spanning[d] = [cands[i] for i in kept]
-            self.comps[d] = [cands[i] for i in kept if i >= len(multiples)]
+            self.comps[d] = [sp.basis[i - nm] for i in kept if i >= nm]
+            self.spanning[d] = [_shift_var(below[i // n], i % n)
+                                for i in kept if i < nm] + self.comps[d]
             self.h[d] = len(self.comps[d])
         return True
 

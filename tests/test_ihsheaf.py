@@ -11,14 +11,16 @@ from ihfan.exactlin import (ONE, ZERO, Scalar, echelon_insert, sc,
                             sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
-                        is_complete, is_strictly_convex, star_link)
+                        is_complete, is_strictly_convex, product_fan,
+                        star_link)
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            build_distinguished_pair,
                            flatten_boundary, global_sections,
                            lift_over_span,
                            pair_from_json_dict, pair_to_json_dict,
                            relative_sections)
-from conftest import cached_pair, cube_vertices
+from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
+                      golden_field)
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -330,6 +332,44 @@ def test_modular_selection_is_the_exact_one(monkeypatch, quadrant_fan,
         assert exactlin.modp_fallbacks == before + 1
         assert modular.spanning == exact.spanning
         assert modular.comps == exact.comps
+
+
+def _full_greedy(gih, d):
+    """The selection on full-length vectors: the ideal multiples x_i * b
+    (b in the grading-(d-2) basis), then the section basis, each kept when
+    independent mod p of those kept before it; (spanning, comps)."""
+    below = gih.spaces[d - 2].basis if d >= 2 else []
+    multiples = [{(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
+                  for (mid, j, e), c in b.items()}
+                 for b in below for i in range(gih.pair.fan.n)]
+    cands = multiples + gih.spaces[d].basis
+    kept = exactlin.independent_modp(cands)
+    return ([cands[i] for i in kept],
+            [cands[i] for i in kept if i >= len(multiples)])
+
+
+def test_selection_is_the_greedy_choice_on_full_vectors(
+        quadrant_fan, orthant_fan, cube_fan, prism_fan):
+    # GradedIH reads independence on the free columns of each section
+    # space; the choice must be the greedy one on the full-length
+    # candidates, over Q, Q(sqrt 2) (the prism) and Q(sqrt 5) (the
+    # dodecahedron), in dimension 4 too, with no fallback
+    triangle = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                             [(-1, -1), (1, 0)]])
+    field, _ = golden_field()
+    dodecahedron = face_fan_with_support(dodecahedron_vertices(),
+                                         field=field)[0]
+    for fan in (quadrant_fan, orthant_fan, cube_fan, prism_fan, dodecahedron,
+                product_fan(triangle, quadrant_fan)):
+        pair = cached_pair(fan)
+        before = exactlin.modp_fallbacks
+        gih = GradedIH(pair)
+        assert exactlin.modp_fallbacks == before
+        for d in gih.spaces:
+            spanning, comps = _full_greedy(gih, d)
+            assert gih.spanning[d] == spanning
+            assert gih.comps[d] == comps
+        assert exactlin.modp_fallbacks == before
 
 
 def test_short_modular_selection_selects_exactly(monkeypatch, cube_fan):
