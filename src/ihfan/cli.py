@@ -6,6 +6,7 @@ error.  The barycenter rule is taken from IHFAN_SEED_CHOICE (default or
 alt)."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -368,7 +369,9 @@ def cmd_report(config):
     return 0 if all(passed.values()) else 1
 
 
+@functools.cache
 def make_parser():
+    """One parser per process: its prog is fixed and parses leave it as is."""
     p = argparse.ArgumentParser(
         prog="ihfan",
         description="graded cohomology of complete fans: h-vectors, "

@@ -35,31 +35,33 @@ cleared and radicand, or builds it in integers from the start, as
 ihsheaf's section systems do.
 
 Elimination mod p.  echelon_insert_modp is the same step with Python ints
-modulo a fixed 61-bit prime p = 3 mod 4; over Q(sqrt(m)) p is one in which
-m is a square, with sqrt(m) -> s, and a system is eliminated under both
-s and p - s, whose images of a + b*sqrt(m) give a and b.  Vectors are
-cleared of denominators first (kernel rows come cleared).  Values are
-recovered by Wang rational reconstruction from one prime, or from the
-Chinese remainder of the next ones when that fails.  Two entry points
-eliminate mod p, and each result is certified in exact integer arithmetic:
+modulo a 61-bit prime p = 3 mod 4 from one endless sequence (_embedding);
+over Q(sqrt(m)) p is one in which m is a square, with sqrt(m) -> s, and a
+system is eliminated under both s and p - s, whose images of a + b*sqrt(m)
+give a and b.  Vectors are cleared of denominators first (kernel rows come
+cleared).  Values are recovered by Wang rational reconstruction from one
+prime, or from the Chinese remainder of the next ones when that fails.  Two
+entry points eliminate mod p, each result certified in exact integers:
 - sparse_kernel reconstructs the reduced echelon and checks every row
   against every kernel vector; with the identity on the free columns this
   is the very basis the exact elimination returns.  For coordinates that
-  check is sum_i c_i spanning_i = target;
+  check is sum_i c_i spanning_i = target.  sparse_kernel inserts rows by
+  descending smallest key: earlier rows then seldom hold a new pivot;
 - independent_modp reconstructs nothing and needs no check: vectors
   independent mod p are independent.  Its one caller, ihsheaf.GradedIH,
   certifies that none were missed: it counts them against the dimension
   and checks that the pairing between complementary gradings is perfect,
   and otherwise selects exactly, counted as one fallback.
-A kernel with no prime for its field, pivots that change from one prime to
-the next, or no reconstruction that passes the check before the primes run
-out is recomputed on the exact path, on its rows rebuilt as Scalars, and
-modp_fallbacks goes up by 1.
+A kernel's modular path gives up when its pivots change from one prime to
+the next or no reconstruction passes the check within _MAX_PRIMES primes;
+the kernel is then recomputed on the exact path, on its rows rebuilt as
+Scalars, and modp_fallbacks goes up by 1.  independent_modp never gives up.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import sys
 from fractions import Fraction as _Q
@@ -706,10 +708,7 @@ def signature(m):
 # independent (a minor nonzero mod p is nonzero), so a rank mod p is a lower
 # bound.  Everything else is checked exactly (see the module docstring).
 
-_PRIMES = (2305843009213693951, 2305843009213693907, 2305843009213693723,
-           2305843009213693487, 2305843009213693123, 2305843009213692967,
-           2305843009213692799, 2305843009213692671, 2305843009213692527,
-           2305843009213692463, 2305843009213692427, 2305843009213692419)
+_MAX_PRIMES = 12   # 732 bits of modulus: entries up to about 2^365
 
 modp_fallbacks = 0
 
@@ -720,16 +719,29 @@ def record_fallback():
     modp_fallbacks += 1
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1024)
+def _embedding(m, i):
+    """(p, images of sqrt(m) mod p) for the i-th prime p = 3 mod 4 below 2^61
+    counting down (i from 0): (0,) over Q, (s, p - s) with s^2 = m mod p over
+    Q(sqrt(m)), None if m is not a square mod p.  Deterministic Miller-Rabin:
+    such p below 3.3e24 is prime when a^((p-1)/2) = +-1 mod p for every a in
+    _SMALL_PRIMES."""
+    if m is not None:
+        p = _embedding(None, i)[0]
+        s = pow(m, (p + 1) // 4, p)   # s^2 = -m when m is not a square
+        return (p, (s, p - s)) if s and s * s % p == m % p else None
+    p = _embedding(None, i - 1)[0] if i else (1 << 61) + 3
+    while True:
+        p -= 4
+        if all(pow(a, (p - 1) // 2, p) in (1, p - 1) for a in _SMALL_PRIMES):
+            return p, (0,)
+
+
 def _embeddings(m):
-    """[(p, images of sqrt(m) mod p)] for the primes of _PRIMES in which m
-    is a square: (0,) over Q, (s, p - s) with s^2 = m mod p over
-    Q(sqrt(m))."""
-    if m is None:
-        return tuple((p, (0,)) for p in _PRIMES)
-    roots = ((p, pow(m, (p + 1) // 4, p)) for p in _PRIMES
-             if pow(m, (p - 1) // 2, p) == 1)
-    return tuple((p, (s, p - s)) for p, s in roots)
+    """The embeddings of m at each prime of _embedding in which it is a
+    square, without end: as -m is not a square, infinitely many serve."""
+    return filter(None, map(_embedding, itertools.repeat(m),
+                            itertools.count()))
 
 
 def radicand(vectors):
@@ -876,14 +888,18 @@ def _kernel_modp(rows, ncols, m):
     on every such vector gives K in ker with |K| = ncols - rank mod p >=
     dim ker, so K is a basis; R then has only entries right of its pivots,
     so its pivots are those of the exact echelon and K is the very basis of
-    _kernel_exact."""
+    _kernel_exact.  The distinct rows go in by descending smallest key, ties
+    in their given order: any order gives the same echelon, and in this one
+    the rows before a new row start at or right of its smallest key, so its
+    pivot is rarely cleared out of them."""
     # repeated rows add nothing to the kernel
-    distinct = list({(tuple(a.items()), tuple(b.items())): (a, b)
-                     for a, b in rows if a or b}.values())
+    distinct = sorted({(tuple(a.items()), tuple(b.items())): (a, b)
+                       for a, b in rows if a or b}.values(),
+                      key=lambda ab: min(itertools.chain(*ab)), reverse=True)
     pivots = None
     used = distinct
     residues = _Residues()
-    for p, ts in _embeddings(m):
+    for p, ts in itertools.islice(_embeddings(m), _MAX_PRIMES):
         echs = []
         for t in ts:
             ech, independent = {}, []
@@ -961,12 +977,11 @@ def independent_modp(vectors):
     """Indices of the sparse vectors independent of those before them modulo
     the first prime for their field.  Independence mod p implies
     independence, so they are independent, and they are all of
-    first_independent's when their number is the rank; None when the
-    entries have no prime."""
-    primes = _embeddings(radicand(vectors))
-    if not primes:
+    first_independent's when their number is the rank; None when
+    _embeddings yields no prime (the tests force the exact path so)."""
+    p, ts = next(iter(_embeddings(radicand(vectors))), (None, None))
+    if p is None:
         return None
-    p, ts = primes[0]
     ech = {}
     out = []
     for i, v in enumerate(vectors):

@@ -199,6 +199,32 @@ def _primitive(a, b):
     return a, b
 
 
+def _section_spaces(pair, gradings, boundary_pieces=None):
+    """The section spaces {d: _Sections} of the gradings, relative to the
+    boundary pieces when given: the one builder of section spaces, which
+    builds each wall's data once for all of them (see _Sections)."""
+    sub = pair.subdivided
+    k = max(gradings, default=0) // 2
+    walls = []
+    for tid in pair.facet_piece_ids():
+        owners = sub.cofaces_of[tid]
+        if len(owners) == 2:
+            if pair.carrier(owners[0]) == pair.carrier(owners[1]):
+                continue
+            sides = ((owners[0], 1), (owners[1], -1))
+        elif len(owners) == 1 and boundary_pieces is not None \
+                and tid in boundary_pieces:
+            sides = ((owners[0], 1),)
+        else:
+            continue
+        eqs = sub.cones[tid].equations()
+        m = radicand([sec[hat].coeffs for hat, _ in sides
+                      for _, sec in pair.stalks[pair.carrier(hat)]] +
+                     [dict(enumerate(row)) for _, row in eqs])
+        walls.append((sides, m, _wall_images(eqs, pair.fan.n, k, m)))
+    return {d: _Sections(pair, d, walls) for d in gradings}
+
+
 class _Sections:
     """Solved space of grading-d sections of a pair, parametrized by
     per-maximal-cone polynomial coefficients for each stalk generator.
@@ -215,11 +241,15 @@ class _Sections:
     The basis is the reduced kernel: basis[k] is 1 at its free column
     cols[free[k]], free[k] being its largest index, and 0 at every other
     free column, so restriction to the free columns is one-to-one on
-    sections."""
+    sections.  Each wall's (sides, radicand, images) in walls is shared by
+    the gradings of one _section_spaces call, and none of it depends on d:
+    the radicand is that of all generators of both sides and of the
+    equations, and rational data has no sqrt(m) parts whatever m is; the
+    images are built degree by degree, the same up to d/2 for any top."""
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
-    def __init__(self, pair, grading, boundary_pieces=None):
+    def __init__(self, pair, grading, walls):
         self.pair = pair
         self.grading = grading
         n = pair.fan.n
@@ -234,18 +264,7 @@ class _Sections:
         self.cols = cols
         rows = []
         rows_m = None   # the radicand of the rows' sqrt(m) parts
-        sub = pair.subdivided
-        for tid in pair.facet_piece_ids():
-            owners = sub.cofaces_of[tid]
-            if len(owners) == 2:
-                if pair.carrier(owners[0]) == pair.carrier(owners[1]):
-                    continue
-                sides = ((owners[0], 1), (owners[1], -1))
-            elif len(owners) == 1 and boundary_pieces is not None \
-                    and tid in boundary_pieces:
-                sides = ((owners[0], 1),)
-            else:
-                continue
+        for sides, m, images in walls:
             # the generator sections' coefficients keyed by (first column,
             # degree of the generator's monomials, packed exponent)
             coeffs = {}
@@ -256,9 +275,6 @@ class _Sections:
                         key = (start[(mid, j)], (grading - g) // 2)
                         for f, c in sec[hat].coeffs.items():
                             coeffs[key + (_pack(f),)] = c if sign > 0 else -c
-            eqs = sub.cones[tid].equations()
-            m = radicand([coeffs] + [dict(enumerate(row)) for _, row in eqs])
-            images = _wall_images(eqs, n, grading // 2, m)
             block = ({}, {})
             a, b, _ = cleared(coeffs)
             for key in coeffs:
@@ -376,14 +392,16 @@ class DistinguishedPair:
 
     # -- section spaces ----------------------------------------------------
 
-    def section_space(self, grading, relative=False):
-        key = (grading, bool(relative))
-        sp = self._sections.get(key)
-        if sp is None:
+    def section_spaces(self, gradings, relative=False):
+        """The section spaces {d: _Sections} of the gradings, relative to
+        every boundary piece or not, kept on the pair; one call builds those
+        missing."""
+        missing = [d for d in gradings if (d, relative) not in self._sections]
+        if missing:
             bp = self.boundary_piece_ids() if relative else None
-            sp = _Sections(self, grading, boundary_pieces=bp)
-            self._sections[key] = sp
-        return sp
+            for d, sp in _section_spaces(self, missing, bp).items():
+                self._sections[(d, relative)] = sp
+        return {d: self._sections[(d, relative)] for d in gradings}
 
 
 def _barycenter_choice(rule):
@@ -598,8 +616,7 @@ class GradedIH:
     def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
         self.pair = pair
         self.cap = 2 * pair.fan.n if cap is None else cap
-        self.spaces = {d: pair.section_space(d, relative=relative)
-                       for d in range(0, self.cap + 1, 2)}
+        self.spaces = pair.section_spaces(range(0, self.cap + 1, 2), relative)
         self._ctx = None
         complete = cap is None and not relative and \
             not pair.boundary_piece_ids()
@@ -778,11 +795,8 @@ def global_sections(pair: DistinguishedPair, cap=None):
     subdivided fan; gradings 0, 2, ..., cap (default twice the ambient
     dimension)."""
     cap = 2 * pair.fan.n if cap is None else cap
-    out = {}
-    for d in range(0, cap + 1, 2):
-        sp = pair.section_space(d)
-        out[d] = [sp.as_function(v) for v in sp.basis]
-    return out
+    return {d: [sp.as_function(v) for v in sp.basis] for d, sp in
+            pair.section_spaces(range(0, cap + 1, 2)).items()}
 
 
 def relative_sections(pair: DistinguishedPair, boundary=None, cap=None):
@@ -802,11 +816,8 @@ def relative_sections(pair: DistinguishedPair, boundary=None, cap=None):
             raise ValueError("listed cones are not boundary cones")
     else:
         bp = pair.boundary_piece_ids()
-    out = {}
-    for d in range(0, cap + 1, 2):
-        sp = _Sections(pair, d, boundary_pieces=bp)
-        out[d] = [sp.as_function(v) for v in sp.basis]
-    return out
+    return {d: [sp.as_function(v) for v in sp.basis] for d, sp in
+            _section_spaces(pair, range(0, cap + 1, 2), bp).items()}
 
 
 # -- pair serialization ----------------------------------------------------

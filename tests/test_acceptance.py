@@ -253,7 +253,7 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
         pair = build_distinguished_pair(fan)
         ctx = EvaluationContext(pair)
         n = fan.n
-        sp = pair.section_space(2 * n)
+        sp = pair.section_spaces([2 * n])[2 * n]
         for _ in range(k):
             vec = {}
             for b in sp.basis:
@@ -281,19 +281,18 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
         pair = build_distinguished_pair(fan)
         ctx = EvaluationContext(pair)
         n = fan.n
-        low = pair.section_space(2 * n - 2)
-        top = pair.section_space(2 * n)
+        low, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in low.basis:
             for i in range(n):
                 if evaluate(ctx, top.as_function(_shift_var(b, i))) != sc(0):
                     ideal_nonzero += 1
     cpair = build_distinguished_pair(cube_fan)
     cctx = EvaluationContext(cpair)
-    clow = cpair.section_space(4)
+    clow, ctop = cpair.section_spaces([4, 6]).values()
     for b in clow.basis:
         for i in range(3):
-            if evaluate_fast(cctx, cpair.section_space(6).materialize(
-                    _shift_var(b, i))) != sc(0):
+            if evaluate_fast(cctx, ctop.materialize(_shift_var(b, i))) \
+                    != sc(0):
                 ideal_nonzero += 1
     # each normalized facet-form product, extended by zero, evaluates to 1
     not_one = 0
@@ -378,7 +377,7 @@ def test_criterion_11_hilbert_freeness(acceptance_suite):
         p = profile_for_fan(fan)
         n = fan.n
         for d in range(0, 2 * n + 1, 2):
-            dim = len(p.pair.section_space(d).basis)
+            dim = len(p.pair.section_spaces([d])[d].basis)
             want = sum(h * comb((d - j) // 2 + n - 1, n - 1)
                        for j, h in p.h.items() if j <= d)
             checks[f"{name} section space dim d={d}"] = (dim, want)

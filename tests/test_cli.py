@@ -497,6 +497,27 @@ def test_seed_choice(tmp_path, capsys, monkeypatch):
     assert main(["hvector", path]) == 2
 
 
+def test_main_in_sequence_prints_what_fresh_processes_print(tmp_path,
+                                                           capsys):
+    # main reuses one parser: a failed parse, then two commands, each print
+    # and return what a new process does
+    quad = write(tmp_path, "quad.json", quadrant_dict())
+    cube = write(tmp_path, "cube.json", cube_face_dict())
+    src = os.path.dirname(os.path.dirname(ihfan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    codes = []
+    for argv in (["hvector", quad, "--bogus"], ["hvector", cube, "--oracle"],
+                 ["report", quad]):
+        codes.append(main(argv))
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "ihfan.cli"] + argv,
+                              capture_output=True, text=True, env=env)
+        assert (codes[-1], out, err) == \
+            (proc.returncode, proc.stdout, proc.stderr)
+    assert codes == [2, 0, 0]
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "quad.json", quadrant_dict())
     exe = shutil.which("ihfan")

@@ -174,8 +174,7 @@ def test_evaluate_kills_ideal_multiples(quadrant_fan, orthant_fan):
         pair = build_distinguished_pair(fan)
         ctx = EvaluationContext(pair)
         n = fan.n
-        sp = pair.section_space(2 * n - 2)
-        top = pair.section_space(2 * n)
+        sp, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in sp.basis:
             for i in range(n):
                 v = _shift_var(b, i)
@@ -189,7 +188,7 @@ def test_evaluate_random_sections_fast_agrees(quadrant_fan, orthant_fan):
     for fan in (quadrant_fan, orthant_fan):
         pair = build_distinguished_pair(fan)
         ctx = EvaluationContext(pair)
-        sp = pair.section_space(2 * fan.n)
+        sp = pair.section_spaces([2 * fan.n])[2 * fan.n]
         for _ in range(10):
             coeffs = [sc(rng.randint(-5, 5)) for _ in sp.basis]
             vec = {}
@@ -601,7 +600,7 @@ def test_hilbert_freeness(quadrant_fan, orthant_fan):
         p = profile_for_fan(fan)
         n = fan.n
         for d in range(0, 2 * n + 1, 2):
-            dim = len(p.pair.section_space(d).basis)
+            dim = len(p.pair.section_spaces([d])[d].basis)
             want = sum(h * comb((d - j) // 2 + n - 1, n - 1)
                        for j, h in p.h.items() if j <= d)
             assert dim == want

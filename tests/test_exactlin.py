@@ -513,14 +513,17 @@ def _is_prime(n):
 
 
 def test_primes_and_square_roots():
-    assert all(_is_prime(p) and p % 4 == 3 and p.bit_length() == 61
-               for p in exactlin._PRIMES)
-    assert exactlin._embeddings(None) == tuple((p, (0,))
-                                               for p in exactlin._PRIMES)
+    # the primes p = 3 mod 4 below 2^61 counting down, found by a scan of
+    # the test's own, and for each radicand those in which it is a square
+    want = [p for p in range(2 ** 61 - 1, 2 ** 61 - 4000, -4) if _is_prime(p)]
+    assert len(want) > 36
+    assert list(itertools.islice(exactlin._embeddings(None), len(want))) == \
+        [(p, (0,)) for p in want]
     for m in (2, 3, 5, 6, 7, 10, 11, 13):
-        primes = exactlin._embeddings(m)
-        assert primes and all(s * s % p == m and t == p - s
-                              for p, (s, t) in primes)
+        primes = list(itertools.islice(exactlin._embeddings(m), 12))
+        assert [p for p, _ in primes] == \
+            [p for p in want if pow(m, (p - 1) // 2, p) == 1][:12]
+        assert all(s * s % p == m and t == p - s for p, (s, t) in primes)
 
 
 LINEAR_ALGEBRA_TESTS = (
@@ -549,13 +552,13 @@ def test_linear_algebra_tests_on_the_exact_path(monkeypatch):
 
 def test_kernel_falls_back_when_the_prime_divides_a_minor():
     # det [[1, 1], [1, 1 + p]] = p: rank 2, but rank 1 mod p
-    p = exactlin._PRIMES[0]
+    p = exactlin._embedding(None, 0)[0]
     rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
     before = exactlin.modp_fallbacks
     assert scalar_kernel(rows, 2) == exactlin._kernel_exact(rows, 2) == []
     assert exactlin.modp_fallbacks == before + 1
     # the same over Q(sqrt 2), with the prime in which 2 is a square
-    p2 = exactlin._embeddings(2)[0][0]
+    p2 = next(exactlin._embeddings(2))[0]
     r2 = S("0+1r2")
     rows = [{0: ONE, 1: r2, 2: ONE}, {0: ONE, 1: r2 + sc(p2), 2: ONE}]
     want = exactlin._kernel_exact(rows, 3)
@@ -583,8 +586,21 @@ def test_large_entries_reconstruct_from_several_primes():
     assert exactlin.modp_fallbacks == before
 
 
+def test_kernel_over_sqrt5_reads_six_primes():
+    # 4 primes, 244 bits of modulus, reconstruct entries up to about 2^121;
+    # the kernel entry 10^50 (1 + 3 sqrt 5) has parts near 2^168 and needs
+    # 6 of the primes in which 5 is a square
+    big = 10 ** 50
+    rows = [{0: sc(1), 1: sc(big)}, {1: sc(1), 2: Scalar(1, 3, 5)}]
+    before = exactlin.modp_fallbacks
+    got = scalar_kernel(rows, 3)
+    assert got == exactlin._kernel_exact(rows, 3)
+    assert got[0][0] == Scalar(big, 3 * big, 5)
+    assert exactlin.modp_fallbacks == before
+
+
 def test_kernel_falls_back_when_reconstruction_fails():
-    # beyond what all primes together reconstruct
+    # beyond what exactlin._MAX_PRIMES primes reconstruct
     huge = 10 ** 400 + 3
     rows = [{0: sc(1), 1: sc(huge)}, {1: sc(1), 2: Scalar(1, 3, 2)}]
     before = exactlin.modp_fallbacks
@@ -664,8 +680,26 @@ def test_certified_paths_agree_with_the_exact_ones():
     assert exactlin.modp_fallbacks == before
 
 
+def test_sparse_kernel_independent_of_row_order():
+    # the kernel inserts its rows in an order of its own, so every order of
+    # the rows it is given, repeats included, yields the same basis
+    rng = random.Random(31)
+    before = exactlin.modp_fallbacks
+    for trial in range(24):
+        m = (None, 2, 5)[trial % 3]
+        ncols = rng.randint(2, 10)
+        rows = _random_sparse_vectors(rng, rng.randint(2, 9), ncols, m)
+        rows += rng.sample(rows, 2)
+        want = [list(v.items()) for v in exactlin._kernel_exact(rows, ncols)]
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert [list(v.items())
+                    for v in scalar_kernel(rows, ncols)] == want
+    assert exactlin.modp_fallbacks == before
+
+
 def test_coordinates_reject_a_target_outside_the_span():
-    p = exactlin._PRIMES[0]
+    p = exactlin._embedding(None, 0)[0]
     cases = (
         ([{0: ONE, 1: ONE}], [{0: ONE}], 0),
         # over Q(sqrt 2): 1 + sqrt 2 times the spanning vector is

@@ -243,7 +243,7 @@ def test_global_sections_free_over_polynomials(cone_square_fan,
 
 def test_cube_sections_validate(cube_fan):
     p = cached_pair(cube_fan)
-    sp = p.section_space(2)
+    sp = p.section_spaces([2])[2]
     assert len(sp.basis) == 8
     for v in sp.basis:
         sp.as_function(v).validate()
@@ -412,8 +412,8 @@ def test_restriction_to_closed_star_is_onto(cube_fan):
     assert all(pstar.subdivided.cones[m].rays in big
                for m in pstar.subdivided.maximal_ids)
     for d in (2, 4):
-        sp = p.section_space(d)
-        target = pstar.section_space(d)
+        sp = p.section_spaces([d])[d]
+        target = pstar.section_spaces([d])[d]
         ech = {}
         rk = 0
         for v in sp.basis:
@@ -426,6 +426,31 @@ def test_restriction_to_closed_star_is_onto(cube_fan):
             if echelon_insert(ech, w) is not None:
                 rk += 1
         assert rk == len(target.basis)
+
+
+def test_one_call_builds_each_grading_as_alone(cube_fan, prism_fan):
+    # the gradings of one call share each wall's data (see _Sections); every
+    # space must come out as a call for its grading alone builds it: the
+    # cube, the Q(sqrt 2) prism, a 4D polygon product and, relative to its
+    # boundary, a closed star of the cube
+    triangle = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                             [(-1, -1), (1, 0)]])
+    pentagon = build_fan(2, [[(1, 0), (1, 1)], [(1, 1), (-1, 2)],
+                             [(-1, 2), (-1, -1)], [(-1, -1), (1, -2)],
+                             [(1, -2), (1, 0)]])
+    _, closed, _ = star_link(cube_fan, cube_fan.ray_ids()[0])
+    star = cached_pair(closed)
+    for pair, bp in ((cached_pair(cube_fan), None),
+                     (cached_pair(prism_fan), None),
+                     (cached_pair(product_fan(triangle, pentagon)), None),
+                     (star, star.boundary_piece_ids())):
+        gradings = range(0, 2 * pair.fan.n + 1, 2)
+        together = ihsheaf._section_spaces(pair, gradings, bp)
+        for d in gradings:
+            alone = ihsheaf._section_spaces(pair, [d], bp)[d]
+            assert together[d].cols == alone.cols
+            assert together[d].basis == alone.basis
+            assert together[d].free == alone.free
 
 
 # -- serialization ---------------------------------------------------------
