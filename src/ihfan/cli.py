@@ -95,6 +95,9 @@ def load_input(path):
             verts = [parse_vector(v, field) for v in obj["vertices"]]
             if not verts:
                 raise InputError("a polytope needs at least one vertex")
+            if not verts[0]:
+                raise InputError("dim must be at least 1, got a vertex "
+                                 "with no coordinates")
             kind = obj.get("fan", "face")
             if kind == "face":
                 fan, support = face_fan_with_support(verts, field=field)

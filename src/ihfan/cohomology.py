@@ -23,8 +23,7 @@ from math import comb
 
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
-from .fans import (Fan, PLFunction, canonical_direction, cone_geometry,
-                   star_link, vdot)
+from .fans import Fan, PLFunction, canonical_direction, star_link, vdot
 from .conewise import ConewiseFunction, Polynomial
 from . import ihsheaf
 from .ihsheaf import (EvaluationContext, GradedIH, _gram, _mul_pl,
@@ -80,10 +79,9 @@ def polytope_face_lattice(vertices, field=None):
     back = {}
     for i, w in enumerate(lifted):
         back[canonical_direction(w)] = i
-    faces = []
-    for key in cone.face_ray_keys():
-        d = cone_geometry(key, n + 1).dim - 1
-        faces.append((d, frozenset(back[r] for r in key)))
+    lattice = Fan(n + 1, field, [cone.rays], check=False)
+    faces = [(c.dim - 1, frozenset(back[r] for r in c.rays))
+             for c in lattice.cones.values()]
     return FaceLattice(cone.dim - 1, faces)
 
 
@@ -156,26 +154,22 @@ def toric_h_oracle(lattice: FaceLattice):
     return tuple(h)
 
 
-def _cone_lattice_h(key, n, memo):
-    # h-polynomial of the cross-section lattice of the cone with this ray
-    # key; the zero cone plays the empty face (dim -1 cross-section)
-    got = memo.get(key)
+def _cone_lattice_h(fan, cid, memo):
+    # h-polynomial of the cross-section lattice of the cone cid, over its
+    # faces in the fan; the zero cone plays the empty face (dim -1
+    # cross-section)
+    got = memo.get(cid)
     if got is not None:
         return got
-    d = cone_geometry(key, n).dim
-    if d == 0:
-        memo[key] = [1]
-        return memo[key]
-    acc = [0] * d
-    for fkey in cone_geometry(key, n).face_ray_keys():
-        if fkey == key:
-            continue
-        fd = cone_geometry(fkey, n).dim
-        term = convolve_h(_g_from_h(_cone_lattice_h(fkey, n, memo), fd - 1),
+    d = fan.cones[cid].dim
+    acc = [0] * d if d else [1]
+    for f in fan.faces_of[cid]:
+        fd = fan.cones[f].dim
+        term = convolve_h(_g_from_h(_cone_lattice_h(fan, f, memo), fd - 1),
                           _tminus1_pow(d - 1 - fd))
         for i, c in enumerate(term):
             acc[i] += c
-    memo[key] = acc
+    memo[cid] = acc
     return acc
 
 
@@ -187,7 +181,7 @@ def toric_h_of_fan(fan: Fan):
     memo = {}
     acc = [0] * (n + 1)
     for c in fan.cones.values():
-        g = _g_from_h(_cone_lattice_h(c.rays, n, memo), c.dim - 1)
+        g = _g_from_h(_cone_lattice_h(fan, c.id, memo), c.dim - 1)
         term = convolve_h(g, _tminus1_pow(n - c.dim))
         for i, x in enumerate(term):
             acc[i] += x
@@ -463,7 +457,7 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
         c = fan.cones[m]
         comp = tuple(sorted(set(c.rays) - {vrho}))
         if comp not in fan.id_by_key or \
-                cone_geometry(comp, n).dim + 1 != c.dim:
+                fan.cones[fan.id_by_key[comp]].dim + 1 != c.dim:
             raise ValueError("no local product structure at the ray")
     values = {rid: (ONE if rid == ray_cid else ZERO)
               for rid in fan.ray_ids()}

@@ -233,7 +233,7 @@ class ConewiseFunction:
             for b in mx[i + 1:]:
                 meet = self.fan.cones[self.fan.meet_id(a, b)]
                 diff = self.per_max[a].sub(self.per_max[b])
-                if not diff.reduce_mod(meet.equations()).is_zero():
+                if not diff.reduce_mod(meet.geometry().equations).is_zero():
                     raise ValueError(
                         "polynomials disagree on the shared face of cones "
                         f"{a} and {b}")

@@ -174,15 +174,33 @@ def _dd(rows, basis, duals):
             for r, z in rays]
 
 
+def _face_masks(facets, full):
+    """The bit masks of every face of a pointed cone, the cone itself (full)
+    and {0} (0) included, from the masks of its facets: each face is an
+    intersection of facets (Ziegler 1995, Lectures on Polytopes, 2.2), and
+    the rays of an intersection of faces are the rays they share."""
+    faces = {full, 0}
+    stack = [full]
+    while stack:
+        f = stack.pop()
+        for m in facets:
+            g = f & m
+            if g not in faces:
+                faces.add(g)
+                stack.append(g)
+    return faces
+
+
 class _ConeGeometry:
     """Shared exact data for the cone with a given canonical ray set, read
     off the dual basis of its rays.  The facet forms are the extreme rays of
     the dual cone modulo the equations: the duals are zero at the
     equations' pivots, so the hull started from them gives each form
-    already reduced."""
+    already reduced.  facet_rows[i] lists the indices of the rays on the
+    i-th facet."""
 
     __slots__ = ("n", "rays", "dim", "equations", "duals", "det",
-                 "facet_forms", "facet_ray_keys", "_faces")
+                 "facet_forms", "facet_rows", "facet_ray_keys", "_faces")
 
     def __init__(self, rays, n):
         self.n = n
@@ -191,10 +209,12 @@ class _ConeGeometry:
         self.dim = len(basis)
         self.duals = tuple(cols[:self.dim])
         self.equations = list(zip(comp, cols[self.dim:]))
-        forms = {canonical_direction(y): tuple(rays[i] for i in on)
+        forms = {canonical_direction(y): on
                  for y, on in _dd(rays, basis, self.duals)}
         self.facet_forms = tuple(sorted(forms))
-        self.facet_ray_keys = tuple(forms[w] for w in self.facet_forms)
+        self.facet_rows = tuple(forms[w] for w in self.facet_forms)
+        self.facet_ray_keys = tuple(tuple(rays[i] for i in on)
+                                    for on in self.facet_rows)
         self._faces = None
 
     def contains_relint(self, x):
@@ -206,15 +226,12 @@ class _ConeGeometry:
     def face_ray_keys(self):
         """Ray keys of all faces, the cone itself and {0} included."""
         if self._faces is None:
-            seen = {self.rays, ()}
-            stack = list(self.facet_ray_keys)
-            while stack:
-                k = stack.pop()
-                if k in seen:
-                    continue
-                seen.add(k)
-                stack.extend(cone_geometry(k, self.n).facet_ray_keys)
-            self._faces = frozenset(seen)
+            masks = _face_masks(
+                [sum(1 << i for i in on) for on in self.facet_rows],
+                (1 << len(self.rays)) - 1)
+            self._faces = frozenset(
+                tuple(r for i, r in enumerate(self.rays) if f >> i & 1)
+                for f in masks)
         return self._faces
 
 
@@ -234,17 +251,18 @@ class RedundantGenerator(ValueError):
 
 
 class Cone:
-    """A pointed polyhedral cone inside some fan; geometry is shared through
-    a cache keyed by the canonical ray set."""
+    """A pointed polyhedral cone inside some fan.  Its dimension is given;
+    its geometry is computed the first time it is read, through the cache
+    keyed by the canonical ray set."""
 
     __slots__ = ("id", "rays", "dim", "n", "_geom")
 
-    def __init__(self, rays_key, n, cid=None):
+    def __init__(self, rays_key, n, dim, cid=None, geom=None):
         self.id = cid
         self.rays = rays_key
         self.n = n
-        self._geom = cone_geometry(rays_key, n)
-        self.dim = self._geom.dim
+        self.dim = dim
+        self._geom = geom
 
     @staticmethod
     def from_generators(gens, n, field=None):
@@ -265,27 +283,18 @@ class Cone:
             through = [key for key in geom.facet_ray_keys if g in key]
             if set(gens).intersection(*through) != {g}:
                 raise RedundantGenerator(g)
-        return Cone(gens, n)
+        return Cone(gens, n, geom.dim, geom=geom)
+
+    def geometry(self):
+        if self._geom is None:
+            self._geom = cone_geometry(self.rays, self.n)
+        return self._geom
 
     def contains_relint(self, x):
-        return self._geom.contains_relint(x)
+        return self.geometry().contains_relint(x)
 
     def is_simplicial(self):
         return len(self.rays) == self.dim
-
-    def equations(self):
-        """Echelon basis of covectors vanishing on the span."""
-        return self._geom.equations
-
-    def facet_forms(self):
-        return self._geom.facet_forms
-
-    def facet_ray_keys(self):
-        """Generators on each facet, in the order of facet_forms()."""
-        return self._geom.facet_ray_keys
-
-    def face_ray_keys(self):
-        return self._geom.face_ray_keys()
 
     def span_basis(self):
         """Deterministic basis of the span: first-independent generators."""
@@ -293,27 +302,6 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={[format_vector(r) for r in self.rays]})"
-
-
-def _sign(signs, w, r):
-    """Sign of w . r, computed once per table: the table is local to one
-    axiom check, which meets each (facet form, ray) pair many times."""
-    s = signs.get((w, r))
-    if s is None:
-        s = signs[w, r] = vdot(w, r).sign()
-    return s
-
-
-def _separating_form(g1, g2, signs):
-    """A facet form of g1 that is nonpositive on g2, or of g2 that is
-    nonpositive on g1: its hyperplane separates the two cones."""
-    for w in g1.facet_forms:
-        if all(_sign(signs, w, r) <= 0 for r in g2.rays):
-            return w
-    for w in g2.facet_forms:
-        if all(_sign(signs, w, r) <= 0 for r in g1.rays):
-            return w
-    return None
 
 
 def _intersect_keys(g1, g2, n):
@@ -331,21 +319,27 @@ def _intersect_keys(g1, g2, n):
         for y, _ in _dd(forms, [i for i, _ in start], [y for _, y in start])))
 
 
-def _common_face_check(k1, k2, n, signs, depth=0):
-    """True when cone(k1) and cone(k2) intersect in a common face.  Fast
-    path: peel off a separating facet form and recurse; falls back to a
-    brute-force intersection test.  signs: the check's table for _sign."""
-    if k1 == k2:
-        return True
-    g1, g2 = cone_geometry(k1, n), cone_geometry(k2, n)
-    if depth < 6:
-        w = _separating_form(g1, g2, signs)
-        if w is not None:
-            f1 = tuple(r for r in k1 if not _sign(signs, w, r))
-            f2 = tuple(r for r in k2 if not _sign(signs, w, r))
-            return _common_face_check(f1, f2, n, signs, depth + 1)
-    inter = _intersect_keys(g1, g2, n)
-    return inter in g1.face_ray_keys() and inter in g2.face_ray_keys()
+def _common_face_check(f1, f2, signs1, signs2, rays, n):
+    """True when two maximal cones, with ray masks f1 and f2 over rays and
+    (positive, zero) ray masks signs1 and signs2 of their facet forms, meet
+    in a common face.  A facet form of one that is <= 0 on the other's
+    current face and not zero on both faces cuts both down to its zero
+    set: it is >= 0 on its own cone, so the cuts are faces, and the cones'
+    intersection lies in its hyperplane.  The faces agree when the cones
+    meet in a common face; when no form cuts, the exact intersection
+    decides."""
+    while f1 != f2:
+        both = f1 | f2
+        cut = next((z for signs, other in ((signs1, f2), (signs2, f1))
+                    for p, z in signs if not p & other and both & ~z), None)
+        if cut is None:
+            g1, g2 = (cone_geometry(tuple(r for i, r in enumerate(rays)
+                                          if f >> i & 1), n) for f in (f1, f2))
+            inter = _intersect_keys(g1, g2, n)
+            return inter in g1.face_ray_keys() and inter in g2.face_ray_keys()
+        f1 &= cut
+        f2 &= cut
+    return True
 
 
 # -- fans ------------------------------------------------------------------
@@ -364,37 +358,64 @@ class Fan:
     def __init__(self, n, field, cone_keys, check=True):
         self.n = n
         self.field = field or ScalarField()
-        all_keys = set()
-        for k in cone_keys:
-            g = cone_geometry(k, n)
-            all_keys |= g.face_ray_keys()
-        ordered = sorted(all_keys, key=lambda k: (cone_geometry(k, n).dim, k))
+        listed = {k: cone_geometry(k, n) for k in cone_keys}
+        rays = sorted({r for k in listed for r in k})
+        bit = {r: 1 << i for i, r in enumerate(rays)}
+        # the lattice as bit masks over the rays, each listed cone's read
+        # off its facets: a face's proper faces are the listed cone's faces
+        # inside it, and its dim is one more than the largest of theirs
+        dims, below, geoms = {}, {}, {}
+        for k, g in listed.items():
+            bits = [bit[r] for r in k]
+            full = sum(bits)
+            lattice = sorted(_face_masks(
+                [sum(bits[i] for i in on) for on in g.facet_rows], full),
+                key=int.bit_count)
+            for f in lattice:
+                if f not in dims:
+                    below[f] = [h for h in lattice if h & f == h != f]
+                    dims[f] = 1 + max((dims[h] for h in below[f]), default=-1)
+            if dims[full] != g.dim:
+                raise ValueError("the face lattice of a cone disagrees with "
+                                 "its dimension")
+            geoms[full] = g
+        index = {f: [i for i, b in enumerate(bin(f)[:1:-1]) if b == "1"]
+                 for f in dims}
+        order = sorted(dims, key=lambda f: (dims[f], index[f]))
+        cid_of = {f: cid for cid, f in enumerate(order)}
         self.cones = {}
         self.id_by_key = {}
-        for cid, k in enumerate(ordered):
-            self.cones[cid] = Cone(k, n, cid)
-            self.id_by_key[k] = cid
         self.faces_of = {}
-        self.cofaces_of = {cid: [] for cid in self.cones}
-        for cid, c in self.cones.items():
-            fids = sorted(self.id_by_key[k] for k in c.face_ray_keys()
-                          if k != c.rays)
+        self.cofaces_of = {cid: [] for cid in range(len(order))}
+        for cid, f in enumerate(order):
+            key = tuple(rays[i] for i in index[f])
+            self.cones[cid] = Cone(key, n, dims[f], cid, geoms.get(f))
+            self.id_by_key[key] = cid
+            fids = sorted(cid_of[h] for h in below[f])
             self.faces_of[cid] = tuple(fids)
-            for f in fids:
-                self.cofaces_of[f].append(cid)
+            for h in fids:
+                self.cofaces_of[h].append(cid)
         self.cofaces_of = {cid: tuple(v) for cid, v in self.cofaces_of.items()}
         self.maximal_ids = tuple(sorted(
             cid for cid in self.cones if not self.cofaces_of[cid]))
         if check:
-            self._check_axioms()
+            self._check_axioms(order, rays)
 
-    def _check_axioms(self):
+    def _check_axioms(self, order, rays):
+        """The pairwise common-face axiom on the maximal cones, whose ray
+        sets are the bit masks order[id] over rays: each facet form's
+        positive and zero rays are found once (_common_face_check)."""
         mx = self.maximal_ids
-        signs = {}
+        signs = {a: [] for a in mx}
+        for a in mx:
+            for w in self.cones[a].geometry().facet_forms:
+                s = [vdot(w, r).sign() for r in rays]
+                signs[a].append((sum(1 << i for i, x in enumerate(s) if x > 0),
+                                 sum(1 << i for i, x in enumerate(s) if not x)))
         for i, a in enumerate(mx):
             for b in mx[i + 1:]:
-                if not _common_face_check(self.cones[a].rays,
-                                          self.cones[b].rays, self.n, signs):
+                if not _common_face_check(order[a], order[b], signs[a],
+                                          signs[b], rays, self.n):
                     raise ValueError(
                         "fan axiom violation: cones %r and %r do not meet in "
                         "a common face" % (self.cones[a], self.cones[b]))
@@ -429,7 +450,10 @@ class Fan:
         return None
 
     def subfan(self, cone_ids, check=False):
-        keys = [self.cones[i].rays for i in cone_ids]
+        # the listed cones that are no other's faces alone need a geometry
+        ids = set(cone_ids)
+        keys = [self.cones[i].rays for i in ids
+                if ids.isdisjoint(self.cofaces_of[i])]
         return Fan(self.n, self.field, keys, check=check)
 
     def is_simplicial(self):
@@ -467,6 +491,8 @@ class Fan:
 def fan_from_json_dict(obj, check=True):
     field = ScalarField.from_json(obj["field"])
     n = json_int(obj["dim"], "dim")
+    if n < 1:
+        raise ValueError(f"dim must be at least 1, got {n}")
     rays = [parse_vector(r, field) for r in obj["rays"]]
     for r in rays:
         if len(r) != n:
@@ -526,6 +552,17 @@ def boundary_facet_ids(fan: Fan):
     fans."""
     return [c.id for c in fan.cones_of_dim(fan.n - 1)
             if len(fan.cofaces_of[c.id]) <= 1]
+
+
+def wall_equations(fan: Fan, wid):
+    """The equations of the (n-1)-cone wid, as its geometry would give
+    them, read off its first owner, an n-cone: the owner's facet form
+    through it, scaled to 1 at its first nonzero coordinate, the unit
+    vector that completes the wall's rays in _dual_basis."""
+    owner = fan.cones[fan.cofaces_of[wid][0]].geometry()
+    w = owner.facet_forms[owner.facet_ray_keys.index(fan.cones[wid].rays)]
+    p = next(i for i, x in enumerate(w) if x)
+    return [(p, vscale(w[p].inverse(), w))]
 
 
 def is_complete(fan: Fan):
@@ -717,7 +754,8 @@ def _lifted_hull_facets(vertices, n):
         raise ValueError("polytope is not full-dimensional")
     facets = []
     forms = []
-    for w, on in zip(c.facet_forms(), c.facet_ray_keys()):
+    g = c.geometry()
+    for w, on in zip(g.facet_forms, g.facet_ray_keys):
         facets.append(tuple(sorted(by_key[r] for r in on)))
         forms.append((vneg(w[:n]), w[n]))
     order = sorted(range(len(facets)), key=lambda i: facets[i])

@@ -129,13 +129,15 @@ def _int_mul(p, q, m):
             {e: c for e, c in b.items() if c})
 
 
-def _wall_images(eqs, n, k, m):
-    """images[e] = D^|e| * NF(x^e) for every packed exponent e of degree at
-    most k, as an integer pair over Z[sqrt(m)] (see _int_mul).  NF is the
-    normal form modulo the reduced echelon equations [(pivot, row)] of a
-    wall, which replaces each pivot variable by minus the rest of its row,
-    and D is their least common denominator.  NF is a ring map, so each
-    image is one of a degree lower times some D * NF(x_i)."""
+def _wall_images(eqs, n, m):
+    """Yields, for j = 0, 1, 2, ..., the images {e: D^j * NF(x^e)} of the
+    packed exponents e of degree j, each an integer pair over Z[sqrt(m)]
+    (see _int_mul).  NF is the normal form modulo the reduced echelon
+    equations [(pivot, row)] of a wall, which replaces each pivot variable
+    by minus the rest of its row, and D is their least common denominator.
+    NF is a ring map, so each image is one of a degree lower times some
+    D * NF(x_i): each degree is built from the one before, which the
+    generator then lets go."""
     a, b, den = cleared({(p, j): x for p, row in eqs
                          for j, x in enumerate(row) if x and j != p})
     units = [1 << (_EXP_BITS * i) for i in range(n)]
@@ -144,24 +146,22 @@ def _wall_images(eqs, n, k, m):
         forms[p][0][units[j]] = -x
     for (p, j), x in b.items():
         forms[p][1][units[j]] = -x
-    images = {0: ({0: 1}, {})}
-    level = [0]
-    for _ in range(k):
-        new = []
-        for e in level:
+    level = {0: ({0: 1}, {})}
+    while True:
+        yield level
+        new = {}
+        for e, img in level.items():
             for i, u in enumerate(units):
-                if e + u in images:
+                if e + u in new:
                     continue
                 if i in forms:
-                    images[e + u] = _int_mul(images[e], forms[i], m)
+                    new[e + u] = _int_mul(img, forms[i], m)
                 else:
                     # D * x_i for a free variable: a shift and a scale
-                    images[e + u] = tuple({r + u: den * c
-                                           for r, c in part.items()}
-                                          for part in images[e])
-                new.append(e + u)
+                    new[e + u] = tuple({r + u: den * c
+                                        for r, c in part.items()}
+                                       for part in img)
         level = new
-    return images
 
 
 def _add_images(rows, images, col0, monos, f, c, m):
@@ -202,9 +202,11 @@ def _primitive(a, b):
 def _section_spaces(pair, gradings, boundary_pieces=None):
     """The section spaces {d: _Sections} of the gradings, relative to the
     boundary pieces when given: the one builder of section spaces, which
-    builds each wall's data once for all of them (see _Sections)."""
+    builds each wall's data once for all of them (see _Sections).  The
+    gradings are solved in ascending order, and grading d reads the wall
+    images of degree d/2 only, so each degree is built just before the
+    first grading that reads it and let go once a grading reads the next."""
     sub = pair.subdivided
-    k = max(gradings, default=0) // 2
     walls = []
     for tid in pair.facet_piece_ids():
         owners = sub.cofaces_of[tid]
@@ -217,12 +219,20 @@ def _section_spaces(pair, gradings, boundary_pieces=None):
             sides = ((owners[0], 1),)
         else:
             continue
-        eqs = sub.cones[tid].equations()
+        eqs = fans.wall_equations(sub, tid)
         m = radicand([sec[hat].coeffs for hat, _ in sides
                       for _, sec in pair.stalks[pair.carrier(hat)]] +
                      [dict(enumerate(row)) for _, row in eqs])
-        walls.append((sides, m, _wall_images(eqs, pair.fan.n, k, m)))
-    return {d: _Sections(pair, d, walls) for d in gradings}
+        walls.append((sides, m, _wall_images(eqs, pair.fan.n, m)))
+    spaces = {}
+    degree, levels = -1, None
+    for d in sorted(set(gradings)):
+        while degree < d // 2:
+            levels = [next(images) for _, _, images in walls]
+            degree += 1
+        spaces[d] = _Sections(pair, d, [(sides, m, level) for (sides, m, _),
+                                        level in zip(walls, levels)])
+    return {d: spaces[d] for d in gradings}
 
 
 class _Sections:
@@ -241,11 +251,12 @@ class _Sections:
     The basis is the reduced kernel: basis[k] is 1 at its free column
     cols[free[k]], free[k] being its largest index, and 0 at every other
     free column, so restriction to the free columns is one-to-one on
-    sections.  Each wall's (sides, radicand, images) in walls is shared by
-    the gradings of one _section_spaces call, and none of it depends on d:
-    the radicand is that of all generators of both sides and of the
-    equations, and rational data has no sqrt(m) parts whatever m is; the
-    images are built degree by degree, the same up to d/2 for any top."""
+    sections.  Each wall's sides and radicand in walls are shared by the
+    gradings of one _section_spaces call, and neither depends on d: the
+    radicand is that of all generators of both sides and of the equations,
+    and rational data has no sqrt(m) parts whatever m is.  Its images are
+    those of degree d/2, the only ones grading d reads, built degree by
+    degree as the gradings go up."""
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
@@ -526,7 +537,7 @@ def _independent_exact(vectors):
 
 class EvaluationContext:
     """Per maximal simplicial cone of the subdivision: the dual-basis facet
-    forms, read off the cone's geometry (fans.cone_geometry) and scaled by
+    forms, read off the cone's geometry (fans.Cone.geometry) and scaled by
     its |det| so their wedge has determinant +-1 in the input coordinates,
     whose product is the cone's phi; plus one generic point
     z, the first point (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which
@@ -547,7 +558,7 @@ class EvaluationContext:
             rays = sub.cones[m].rays
             if len(rays) != n:
                 raise ValueError("evaluation needs full-dimensional cones")
-            geom = fans.cone_geometry(rays, n)
+            geom = sub.cones[m].geometry()
             self.forms[m] = (fans.vscale(abs(geom.det), geom.duals[0]),
                              *geom.duals[1:])
         self.adjacency = {m: [] for m in sub.maximal_ids}

@@ -169,6 +169,13 @@ MALFORMED = {
     "pair-rule-null": (["hvector"], dict(_quadrant_pair(0), rule=None)),
     "pair-rule-a-list": (
         ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule=["alt"])),
+    # an ambient dimension below 1, as a fan's dim or as vertices with no
+    # coordinates
+    "dim-zero": (["hvector"], {"field": "Q", "dim": 0, "rays": [],
+                               "maximal_cones": [[]]}),
+    "dim-negative": (["report"], dict(quadrant_dict(), dim=-1)),
+    "vertices-without-coordinates": (
+        ["verify"], {"field": "Q", "vertices": [[], []]}),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -200,6 +207,9 @@ MALFORMED_MESSAGES = {
     "pair-rule-a-number": "unknown barycenter rule 5",
     "pair-rule-null": "unknown barycenter rule None",
     "pair-rule-a-list": "unknown barycenter rule ['alt']",
+    "dim-zero": "dim must be at least 1, got 0",
+    "dim-negative": "dim must be at least 1, got -1",
+    "vertices-without-coordinates": "dim must be at least 1",
 }
 
 

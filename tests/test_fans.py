@@ -67,13 +67,13 @@ def test_build_fan_rejects_redundant_generator():
 
 def test_cone_faces_counts():
     c = fans.Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert len(c.face_ray_keys()) == 8
+    assert len(c.geometry().face_ray_keys()) == 8
     sq = fans.Cone.from_generators([(1, 1, 1), (-1, 1, 1), (-1, -1, 1),
                                     (1, -1, 1)], 3)
-    assert len(sq.face_ray_keys()) == 10
+    assert len(sq.geometry().face_ray_keys()) == 10
     assert not sq.is_simplicial()
     r = fans.Cone.from_generators([(1, 0)], 2)
-    assert len(r.face_ray_keys()) == 2
+    assert len(r.geometry().face_ray_keys()) == 2
 
 
 def test_star_link_on_ray():
@@ -682,6 +682,123 @@ def test_cone_geometry_cache_is_bounded():
         fans.cone_geometry(((sc(1), sc(k) / sc(4201)),), 2)
     info = fans.cone_geometry.cache_info()
     assert info.maxsize == 4096 and info.currsize <= 4096
+
+
+# -- one face lattice: geometry for the maximal cones only ------------------
+
+
+def faces_by_recursion(key, n):
+    """The faces of a cone, itself and {0} included, by the earlier rule:
+    a recursion through each face's own facets, one geometry per face."""
+    seen, stack = {key, ()}, list(fans.cone_geometry(key, n).facet_ray_keys)
+    while stack:
+        k = stack.pop()
+        if k not in seen:
+            seen.add(k)
+            stack.extend(fans.cone_geometry(k, n).facet_ray_keys)
+    return seen
+
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+              (0, 0, -1)]
+
+
+def triangle_fan():
+    return fans.build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                              [(-1, -1), (1, 0)]])
+
+
+def cube_star_and_link():
+    ff = fans.face_fan_with_support(cube_vertices())[0]
+    _, closed, link = fans.star_link(ff, ff.ray_ids()[0])
+    return closed, link
+
+
+LATTICE_FANS = {
+    "cube-face": lambda: fans.face_fan_with_support(cube_vertices())[0],
+    "cube-normal": lambda: fans.normal_fan(cube_vertices())[0],
+    "octahedron-face": lambda: fans.face_fan_with_support(OCTAHEDRON)[0],
+    "octahedron-normal": lambda: fans.normal_fan(OCTAHEDRON)[0],
+    "icosahedron-face": lambda: fans.face_fan_with_support(
+        icosahedron_vertices(), field=ScalarField(5))[0],
+    "dodecahedron-face": lambda: fans.face_fan_with_support(
+        dodecahedron_vertices(), field=ScalarField(5))[0],
+    "sqrt2-prism-face": lambda: fans.face_fan_with_support(
+        sqrt2_prism_vertices(), field=ScalarField(2))[0],
+    "triangle-x-quadrant": lambda: fans.product_fan(triangle_fan(),
+                                                    quadrant_fan()),
+    "4-cube-face": lambda: fans.face_fan_with_support(
+        list(itertools.product((1, -1), repeat=4)))[0],
+    "cube-barycentric": lambda: fans.barycentric_subdivision(
+        fans.face_fan_with_support(cube_vertices())[0])[0],
+    "cube-closed-star": lambda: cube_star_and_link()[0],
+    "cube-link": lambda: cube_star_and_link()[1],
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_FANS)
+def test_fan_lattice_matches_each_face_geometry(name):
+    # the lattice read off the listed cones' facets has the cones, ids,
+    # dims and faces that one geometry per face gives
+    fan = LATTICE_FANS[name]()
+    n = fan.n
+    keys = set().union(*(faces_by_recursion(fan.cones[m].rays, n)
+                         for m in fan.maximal_ids))
+    assert [fan.cones[i].rays for i in sorted(fan.cones)] == sorted(
+        keys, key=lambda k: (fans.cone_geometry(k, n).dim, k))
+    for cid, c in fan.cones.items():
+        assert c.id == cid and fan.id_by_key[c.rays] == cid
+        assert c.dim == fans.cone_geometry(c.rays, n).dim
+        assert {fan.cones[f].rays for f in fan.faces_of[cid]} == \
+            faces_by_recursion(c.rays, n) - {c.rays}
+        assert fan.faces_of[cid] == tuple(sorted(fan.faces_of[cid]))
+        assert fan.cofaces_of[cid] == tuple(
+            d for d in sorted(fan.cones) if cid in fan.faces_of[d])
+
+
+@pytest.mark.parametrize("name", LATTICE_FANS)
+def test_wall_equations_read_off_the_owner(name):
+    fan = LATTICE_FANS[name]()
+    walls = [c for c in fan.cones_of_dim(fan.n - 1) if fan.cofaces_of[c.id]]
+    assert walls or name == "cube-link"
+    for c in walls:
+        assert fans.wall_equations(fan, c.id) == \
+            fans.cone_geometry(c.rays, fan.n).equations
+
+
+def test_fan_from_json_builds_one_geometry_per_maximal_cone():
+    # a bipyramid over a heptagon: 9 rays, 21 edges and 14 maximal cones,
+    # and with the zero cone 45 cones in all; only the maximal cones need
+    # their own geometry, the axiom check included
+    heptagon = [[3, 0, 0], [2, 2, 0], [0, 3, 0], [-2, 2, 0], [-3, 0, 0],
+                [-1, -3, 0], [2, -3, 0]]
+    obj = {"field": "Q", "dim": 3, "rays": heptagon + [[0, 0, 3], [0, 0, -3]],
+           "maximal_cones": [[i, (i + 1) % 7, apex] for apex in (7, 8)
+                             for i in range(7)]}
+    fans.cone_geometry.cache_clear()
+    fan = fans.fan_from_json_dict(obj, check=True)
+    assert len(fan.cones) == 45 and len(fan.maximal_ids) == 14
+    assert fans.cone_geometry.cache_info().misses == 14
+    assert fans.is_complete(fan)
+    # the star of an apex: its maximal cones are the fan's, and the link's
+    # are the seven edges of the heptagon, one geometry each
+    apex = next(c.id for c in fan.cones_of_dim(1) if c.rays[0][2].sign() > 0)
+    _, closed, link = fans.star_link(fan, apex)
+    assert len(closed.maximal_ids) == len(link.maximal_ids) == 7
+    assert fans.cone_geometry.cache_info().misses == 14 + 7
+
+
+def test_axiom_check_rejects_overlapping_4d_cones():
+    # the positive orthant and a simplicial cone whose interior holds
+    # (4, 4, 4, 3) + (1, 1, 1, -1)/2, an interior point of both: no facet
+    # form separates them, so the exact intersection decides
+    orthant = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    other = [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, -1)]
+    with pytest.raises(ValueError, match="fan axiom violation"):
+        fans.build_fan(4, [orthant, other])
+    # the orthant and its mirror in x4 meet in a common facet
+    mirror = orthant[:3] + [(0, 0, 0, -1)]
+    assert len(fans.build_fan(4, [orthant, mirror]).maximal_ids) == 2
 
 
 # -- the paper's nonrational case: Q(sqrt 5) ----------------------------------
