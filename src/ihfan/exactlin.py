@@ -371,6 +371,16 @@ def json_int(x, what):
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def json_scalar(x, field, what):
+    """x as a scalar of field when it is a JSON integer or a scalar literal
+    string; a bool, a float or null raises ValueError naming what x is."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return sc(x)
+    if isinstance(x, str):
+        return parse_scalar(x, field)
+    raise ValueError(f"bad {what} {x!r} (use integers or scalar literals)")
+
+
 class ScalarField:
     """The coefficient field: plain Q, or Q(sqrt(m)) for squarefree m >= 2."""
 

@@ -15,6 +15,9 @@ intersection is the hull of both cones' facet inequalities.  A cone's
 dimension, equations, hull start and duals come from one inverse
 (``_dual_basis``).
 
+Only a fan's listed cones get a hull: points are located and faces tested
+on the maximal cones' facets and the fan's lattice (``Fan.face_at``).
+
 Fan cone ids are assigned by sorting all cones by (dimension, ray key), so
 ids are stable across runs and across re-parsing of emitted JSON.
 """
@@ -34,7 +37,7 @@ from .exactlin import (
     inverse,
     format_scalar,
     json_int,
-    parse_scalar,
+    json_scalar,
     rank,
     sc,
     solve,
@@ -85,17 +88,8 @@ def canonical_direction(u):
     raise ValueError("zero vector has no direction")
 
 
-def _parse_coord(x, field):
-    # a JSON true or false is an int to Python, but no coordinate
-    if isinstance(x, int) and not isinstance(x, bool):
-        return sc(x)
-    if isinstance(x, str):
-        return field.parse(x) if field else parse_scalar(x)
-    raise ValueError(f"bad coordinate {x!r} (use integers or scalar literals)")
-
-
 def parse_vector(coords, field=None):
-    return tuple(_parse_coord(x, field) for x in coords)
+    return tuple(json_scalar(x, field, "coordinate") for x in coords)
 
 
 def format_vector(u):
@@ -200,7 +194,7 @@ class _ConeGeometry:
     i-th facet."""
 
     __slots__ = ("n", "rays", "dim", "equations", "duals", "det",
-                 "facet_forms", "facet_rows", "facet_ray_keys", "_faces")
+                 "facet_forms", "facet_rows", "facet_ray_keys")
 
     def __init__(self, rays, n):
         self.n = n
@@ -215,24 +209,6 @@ class _ConeGeometry:
         self.facet_rows = tuple(forms[w] for w in self.facet_forms)
         self.facet_ray_keys = tuple(tuple(rays[i] for i in on)
                                     for on in self.facet_rows)
-        self._faces = None
-
-    def contains_relint(self, x):
-        if self.dim == 0:
-            return is_zero_vec(x)
-        return all(vdot(e[1], x).is_zero() for e in self.equations) and \
-            all(vdot(w, x).sign() > 0 for w in self.facet_forms)
-
-    def face_ray_keys(self):
-        """Ray keys of all faces, the cone itself and {0} included."""
-        if self._faces is None:
-            masks = _face_masks(
-                [sum(1 << i for i in on) for on in self.facet_rows],
-                (1 << len(self.rays)) - 1)
-            self._faces = frozenset(
-                tuple(r for i, r in enumerate(self.rays) if f >> i & 1)
-                for f in masks)
-        return self._faces
 
 
 @functools.lru_cache(maxsize=4096)
@@ -290,9 +266,6 @@ class Cone:
             self._geom = cone_geometry(self.rays, self.n)
         return self._geom
 
-    def contains_relint(self, x):
-        return self.geometry().contains_relint(x)
-
     def is_simplicial(self):
         return len(self.rays) == self.dim
 
@@ -319,24 +292,20 @@ def _intersect_keys(g1, g2, n):
         for y, _ in _dd(forms, [i for i, _ in start], [y for _, y in start])))
 
 
-def _common_face_check(f1, f2, signs1, signs2, rays, n):
-    """True when two maximal cones, with ray masks f1 and f2 over rays and
-    (positive, zero) ray masks signs1 and signs2 of their facet forms, meet
-    in a common face.  A facet form of one that is <= 0 on the other's
-    current face and not zero on both faces cuts both down to its zero
-    set: it is >= 0 on its own cone, so the cuts are faces, and the cones'
-    intersection lies in its hyperplane.  The faces agree when the cones
-    meet in a common face; when no form cuts, the exact intersection
-    decides."""
+def _common_face_check(f1, f2, signs1, signs2):
+    """True when two maximal cones, with ray masks f1 and f2 and (positive,
+    zero) ray masks signs1 and signs2 of their facet forms, meet in a common
+    face; None when no form cuts.  A facet form of one that is <= 0 on the
+    other's current face and not zero on both faces cuts both down to its
+    zero set: it is >= 0 on its own cone, so the cuts are faces, and the
+    cones' intersection lies in its hyperplane.  The faces agree when the
+    cones meet in a common face."""
     while f1 != f2:
         both = f1 | f2
         cut = next((z for signs, other in ((signs1, f2), (signs2, f1))
                     for p, z in signs if not p & other and both & ~z), None)
         if cut is None:
-            g1, g2 = (cone_geometry(tuple(r for i, r in enumerate(rays)
-                                          if f >> i & 1), n) for f in (f1, f2))
-            inter = _intersect_keys(g1, g2, n)
-            return inter in g1.face_ray_keys() and inter in g2.face_ray_keys()
+            return None
         f1 &= cut
         f2 &= cut
     return True
@@ -404,7 +373,9 @@ class Fan:
     def _check_axioms(self, order, rays):
         """The pairwise common-face axiom on the maximal cones, whose ray
         sets are the bit masks order[id] over rays: each facet form's
-        positive and zero rays are found once (_common_face_check)."""
+        positive and zero rays are found once (_common_face_check).  When
+        no form cuts, the cones' exact intersection, which the cuts kept,
+        must be a face of both."""
         mx = self.maximal_ids
         signs = {a: [] for a in mx}
         for a in mx:
@@ -414,8 +385,13 @@ class Fan:
                                  sum(1 << i for i, x in enumerate(s) if not x)))
         for i, a in enumerate(mx):
             for b in mx[i + 1:]:
-                if not _common_face_check(order[a], order[b], signs[a],
-                                          signs[b], rays, self.n):
+                ok = _common_face_check(order[a], order[b], signs[a], signs[b])
+                if ok is None:
+                    inter = self.id_by_key.get(_intersect_keys(
+                        self.cones[a].geometry(), self.cones[b].geometry(),
+                        self.n))
+                    ok = inter in self.faces_of[a] and inter in self.faces_of[b]
+                if not ok:
                     raise ValueError(
                         "fan axiom violation: cones %r and %r do not meet in "
                         "a common face" % (self.cones[a], self.cones[b]))
@@ -440,14 +416,26 @@ class Fan:
         """Cones having cid as a face (cid itself included)."""
         return (cid,) + self.cofaces_of[cid]
 
+    def face_at(self, m, x):
+        """Id of the face of the maximal cone m whose relative interior
+        holds x, or None when x is not in m: the intersection of the facets
+        whose forms vanish on x (every face of a pointed cone is the
+        intersection of the facets containing it)."""
+        g = self.cones[m].geometry()
+        if any(vdot(e, x) for _, e in g.equations):
+            return None
+        signs = [vdot(w, x).sign() for w in g.facet_forms]
+        if min(signs, default=0) < 0:
+            return None
+        on = set(g.rays).intersection(
+            *(k for s, k in zip(signs, g.facet_ray_keys) if not s))
+        return self.id_by_key[tuple(r for r in g.rays if r in on)]
+
     def locate(self, x):
-        """Id of the unique cone containing x in its relative interior, or
-        None when x is outside the support.  Cones are tried in id order,
-        which is by dimension."""
-        for cid, c in self.cones.items():
-            if c.contains_relint(x):
-                return cid
-        return None
+        """Id of the cone whose relative interior holds x, or None outside
+        the support, read off the first maximal cone holding x (face_at)."""
+        found = (self.face_at(m, x) for m in self.maximal_ids)
+        return next((cid for cid in found if cid is not None), None)
 
     def subfan(self, cone_ids, check=False):
         # the listed cones that are no other's faces alone need a geometry
@@ -713,7 +701,8 @@ def barycentric_subdivision(fan: Fan, barycenter_choice=None):
     for c in sorted((c for c in fan.cones.values() if c.dim >= 2),
                     key=lambda c: (-c.dim, c.id)):
         v = vec(choice(c))
-        if not c.contains_relint(v):
+        # the last coface has the largest dim, so it is maximal
+        if fan.face_at(fan.star_ids(c.id)[-1], v) != c.id:
             raise ValueError("a subdivision center is not in the relative "
                              "interior of its cone")
         steps.append((v, c.rays))
@@ -752,12 +741,9 @@ def _lifted_hull_facets(vertices, n):
                          "polytope") from None
     if c.dim != n + 1:
         raise ValueError("polytope is not full-dimensional")
-    facets = []
-    forms = []
     g = c.geometry()
-    for w, on in zip(g.facet_forms, g.facet_ray_keys):
-        facets.append(tuple(sorted(by_key[r] for r in on)))
-        forms.append((vneg(w[:n]), w[n]))
+    facets = [tuple(sorted(by_key[r] for r in on)) for on in g.facet_ray_keys]
+    forms = [(vneg(w[:n]), w[n]) for w in g.facet_forms]
     order = sorted(range(len(facets)), key=lambda i: facets[i])
     return [facets[i] for i in order], [forms[i] for i in order]
 
@@ -795,15 +781,11 @@ def normal_fan(vertices, field=None):
     n = len(vertices[0])
     facets, forms = _lifted_hull_facets(vertices, n)
     hull_vertices = sorted({i for idxs in facets for i in idxs})
-    gen_sets = []
-    owners = []
-    for vi in hull_vertices:
-        normals = [forms[k][0] for k, idxs in enumerate(facets) if vi in idxs]
-        gen_sets.append(normals)
-        owners.append(vi)
+    gen_sets = [[forms[k][0] for k, idxs in enumerate(facets) if vi in idxs]
+                for vi in hull_vertices]
     fan = build_fan(n, gen_sets, field=field)
     per_max = {}
-    for gens, vi in zip(gen_sets, owners):
+    for gens, vi in zip(gen_sets, hull_vertices):
         key = tuple(sorted(canonical_direction(g) for g in gens))
         per_max[fan.id_by_key[key]] = vertices[vi]
     return fan, PLFunction(fan, per_max)

@@ -44,6 +44,7 @@ from .exactlin import (
     independent_modp,
     inverse,
     json_int,
+    json_scalar,
     kernel_basis,
     radicand,
     rank,
@@ -877,7 +878,9 @@ def pair_from_json_dict(obj):
     its own subdivision, or one center per cone of dim >= 2 in the order
     ``fans.barycentric_subdivision`` takes the cones, each of length n and
     in the relative interior of its cone; any other list raises
-    ValueError, and so does a rule other than "default" or "alt"."""
+    ValueError, and so does a rule other than "default" or "alt", a section
+    map that does not name exactly its cone's pieces, or a coefficient that
+    is neither a JSON integer nor a scalar literal."""
     rule = obj.get("rule", "default")
     _barycenter_choice(rule)
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
@@ -911,15 +914,18 @@ def pair_from_json_dict(obj):
             entry = {}
             sec = _json_object(
                 sec, f"a section map of the stalk of cone {cid}")
+            named = sorted(int(pid_s) for pid_s in sec)
+            if named != list(pair.pieces(cid)):
+                raise ValueError(f"a section map of the stalk of cone {cid} "
+                                 f"names cones {named}, not the cone's pieces "
+                                 f"{list(pair.pieces(cid))}")
             for pid_s, coeffs in sec.items():
                 pid = int(pid_s)
-                if pid not in pair.subdivided.cones:
-                    raise ValueError(f"unknown subdivided cone id {pid}")
                 coeffs = _json_object(
                     coeffs, f"the coefficient map of a section on cone {pid}")
                 poly = Polynomial(n, {
-                    _parse_exp(es, n): field.parse(cs) if isinstance(cs, str)
-                    else sc(cs) for es, cs in coeffs.items()})
+                    _parse_exp(es, n): json_scalar(cs, field, "coefficient")
+                    for es, cs in coeffs.items()})
                 if poly and poly.degree() != g // 2:
                     raise ValueError("a stalk generator section is not of "
                                      "degree grading/2")

@@ -100,6 +100,14 @@ def _quadrant_pair(grading):
             "stalks": stalks}
 
 
+def _quadrant_pair_sections(cid, sections):
+    """The quadrant fan's pair dump with the section map of cone cid's
+    generator replaced; each cone is its own one piece."""
+    obj = _quadrant_pair(0)
+    obj["stalks"][str(cid)][0][1] = sections
+    return obj
+
+
 MALFORMED = {
     "cone-index-past-rays": (
         ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
@@ -169,6 +177,21 @@ MALFORMED = {
     "pair-rule-null": (["hvector"], dict(_quadrant_pair(0), rule=None)),
     "pair-rule-a-list": (
         ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule=["alt"])),
+    # a section map names exactly its cone's pieces, and a coefficient is
+    # an integer or a scalar literal
+    "pair-section-missing-piece": (
+        ["hvector"], _quadrant_pair_sections(8, {})),
+    "pair-section-foreign-piece": (
+        ["hvector"], _quadrant_pair_sections(
+            8, {"7": {"0,0": "1"}, "8": {"0,0": "1"}})),
+    "pair-section-empty-on-a-ray": (
+        ["hvector"], _quadrant_pair_sections(3, {})),
+    "pair-coefficient-a-float": (
+        ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": 1.5}})),
+    "pair-coefficient-a-boolean": (
+        ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": True}})),
+    "pair-coefficient-null": (
+        ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": None}})),
     # an ambient dimension below 1, as a fan's dim or as vertices with no
     # coordinates
     "dim-zero": (["hvector"], {"field": "Q", "dim": 0, "rays": [],
@@ -207,6 +230,15 @@ MALFORMED_MESSAGES = {
     "pair-rule-a-number": "unknown barycenter rule 5",
     "pair-rule-null": "unknown barycenter rule None",
     "pair-rule-a-list": "unknown barycenter rule ['alt']",
+    "pair-section-missing-piece": "a section map of the stalk of cone 8 "
+    "names cones [], not the cone's pieces [8]",
+    "pair-section-foreign-piece": "a section map of the stalk of cone 8 "
+    "names cones [7, 8], not the cone's pieces [8]",
+    "pair-section-empty-on-a-ray": "a section map of the stalk of cone 3 "
+    "names cones [], not the cone's pieces [3]",
+    "pair-coefficient-a-float": "bad coefficient 1.5",
+    "pair-coefficient-a-boolean": "bad coefficient True",
+    "pair-coefficient-null": "bad coefficient None",
     "dim-zero": "dim must be at least 1, got 0",
     "dim-negative": "dim must be at least 1, got -1",
     "vertices-without-coordinates": "dim must be at least 1",

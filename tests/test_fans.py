@@ -9,6 +9,7 @@ import pytest
 from ihfan import cli, cohomology, exactlin, fans
 from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
                             sparse_eliminate)
+from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
 
@@ -67,13 +68,13 @@ def test_build_fan_rejects_redundant_generator():
 
 def test_cone_faces_counts():
     c = fans.Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    assert len(c.geometry().face_ray_keys()) == 8
+    assert len(fans.Fan(3, None, [c.rays]).cones) == 8
     sq = fans.Cone.from_generators([(1, 1, 1), (-1, 1, 1), (-1, -1, 1),
                                     (1, -1, 1)], 3)
-    assert len(sq.geometry().face_ray_keys()) == 10
+    assert len(fans.Fan(3, None, [sq.rays]).cones) == 10
     assert not sq.is_simplicial()
     r = fans.Cone.from_generators([(1, 0)], 2)
-    assert len(r.geometry().face_ray_keys()) == 2
+    assert len(fans.Fan(2, None, [r.rays]).cones) == 2
 
 
 def test_star_link_on_ray():
@@ -786,6 +787,56 @@ def test_fan_from_json_builds_one_geometry_per_maximal_cone():
     _, closed, link = fans.star_link(fan, apex)
     assert len(closed.maximal_ids) == len(link.maximal_ids) == 7
     assert fans.cone_geometry.cache_info().misses == 14 + 7
+
+
+def locate_by_each_face(fan, x):
+    """The earlier rule for Fan.locate, one geometry per face: the first
+    cone in id order whose equations vanish on x and whose facet forms are
+    all > 0 on x."""
+    for cid, c in fan.cones.items():
+        g = fans.cone_geometry(c.rays, fan.n)
+        if not any(fans.vdot(e, x) for _, e in g.equations) and \
+                all(fans.vdot(w, x).sign() > 0 for w in g.facet_forms):
+            return cid
+    return None
+
+
+@pytest.mark.parametrize("name", ["cube-face", "4-cube-face",
+                                  "dodecahedron-face", "triangle-x-quadrant",
+                                  "cube-barycentric", "cube-closed-star"])
+def test_locate_reads_the_maximal_cones(name):
+    # the sum of each cone's rays lies in its relative interior; the
+    # negated sums of the maximal cones leave a closed star's support
+    fan = LATTICE_FANS[name]()
+    zero = tuple(ZERO for _ in range(fan.n))
+    sums = {cid: functools.reduce(fans.vadd, c.rays, zero)
+            for cid, c in fan.cones.items()}
+    for cid, x in sums.items():
+        assert fan.locate(x) == cid == locate_by_each_face(fan, x)
+    outside = [fans.vneg(sums[m]) for m in fan.maximal_ids]
+    for x in outside:
+        assert fan.locate(x) == locate_by_each_face(fan, x)
+    assert any(fan.locate(x) is None for x in outside) == \
+        (name == "cube-closed-star")
+
+
+def test_distinguished_pair_builds_one_geometry_per_listed_cone(monkeypatch):
+    # the cube face fan's pair: its subdivision and the flattened pairs of
+    # its nonsimplicial cones compute a geometry for their listed cones
+    # only, once per distinct (key, n); locating a point and checking a
+    # subdivision center read the maximal cones
+    fan = fans.face_fan_with_support(cube_vertices())[0]
+    listed = set()
+    init = fans.Fan.__init__
+
+    def recording_init(self, n, field, cone_keys, check=True):
+        listed.update((k, n) for k in cone_keys)
+        init(self, n, field, cone_keys, check)
+
+    monkeypatch.setattr(fans.Fan, "__init__", recording_init)
+    fans.cone_geometry.cache_clear()
+    build_distinguished_pair(fan)
+    assert fans.cone_geometry.cache_info().misses == len(listed) == 67
 
 
 def test_axiom_check_rejects_overlapping_4d_cones():
