@@ -18,10 +18,10 @@ from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
                       build_distinguished_pair, global_sections,
                       relative_sections, pair_to_json_dict,
                       pair_from_json_dict)
-from .cohomology import (QuadraticReport, ds_check, evaluate,
-                         evaluate_fast, f_to_h, hl_rank_report, hrm_check,
-                         kunneth_check, lefschetz_matrix,
-                         pairing_matrix, polytope_face_lattice,
+from .cohomology import (QuadraticReport, ds_check, evaluate_fast, f_to_h,
+                         hl_rank_report, hrm_check, kunneth_check,
+                         lefschetz_matrix, pairing_matrix,
+                         polytope_face_lattice,
                          primitive_basis, profile_for_fan, restrict_to_link,
                          exact_sequence_check, toric_h_of_fan,
                          toric_h_oracle)
@@ -39,7 +39,7 @@ __all__ = [
     "global_sections", "relative_sections", "pair_to_json_dict",
     "pair_from_json_dict",
     "EvaluationContext", "QuadraticReport", "ds_check",
-    "evaluate", "evaluate_fast", "f_to_h", "hl_rank_report", "hrm_check",
+    "evaluate_fast", "f_to_h", "hl_rank_report", "hrm_check",
     "kunneth_check", "lefschetz_matrix", "pairing_matrix",
     "polytope_face_lattice", "primitive_basis", "profile_for_fan",
     "restrict_to_link", "exact_sequence_check", "toric_h_of_fan",

@@ -11,9 +11,9 @@ A profile is an ihsheaf.GradedIH, which certifies its own
 representatives.  The pairing, hard Lefschetz ranks, Hodge-Riemann forms,
 primitives and Lefschetz matrices all read GradedIH.lefschetz_gram, the
 Gram of the representatives' values at one generic point, and so does the
-reduct check of restrict_to_link.  The symbolic evaluate is the
-independent check on those values; class coordinates are solved for only
-in restrict_to_link's relative-cohomology check.
+reduct check of restrict_to_link.  Its relative-cohomology check is a rank
+count on the same exact elimination the selection of representatives
+uses; no class is ever solved for.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from math import comb
 from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
 from . import fans
 from .fans import Fan, PLFunction, canonical_direction, star_link, vdot
-from .conewise import ConewiseFunction, Polynomial
+from .conewise import ConewiseFunction
 from . import ihsheaf
-from .ihsheaf import (EvaluationContext, GradedIH, _gram, _mul_pl,
-                      build_distinguished_pair, projection_along)
+from .ihsheaf import (EvaluationContext, GradedIH, _gram,
+                      _independent_exact, _mul_pl, build_distinguished_pair,
+                      projection_along)
 
 
 # -- combinatorial oracles -------------------------------------------------
@@ -214,67 +215,6 @@ def profile_for_fan(fan: Fan, rule="default"):
 # -- evaluation ------------------------------------------------------------
 
 
-def _cancel(num, den):
-    # one pass suffices: a form that does not divide num does not divide
-    # num / g for any other form g either
-    left = []
-    for g in den:
-        q = num.divide_by_linear(g)
-        if q is None:
-            left.append(g)
-        else:
-            num = q
-    return num, left
-
-
-def evaluate(ctx: EvaluationContext, f: ConewiseFunction):
-    """The degree-2n evaluation functional: sum of f_sigma / Phi_sigma over
-    maximal cones as an exact rational function; all poles must cancel.
-    Raises on residual poles (the input was not a section of full grading)."""
-    pair = ctx.pair
-    n = pair.fan.n
-    if f.grading != 2 * n:
-        raise ValueError("evaluation is defined in grading 2n")
-    support = [m for m in pair.subdivided.maximal_ids
-               if not f.per_max[m].is_zero()]
-    sup_set = set(support)
-    total = ZERO
-    seen = set()
-    for start in support:
-        if start in seen:
-            continue
-        # breadth-first over the dual graph within the support
-        comp = []
-        queue = [start]
-        seen.add(start)
-        while queue:
-            m = queue.pop(0)
-            comp.append(m)
-            for nb in sorted(ctx.adjacency[m]):
-                if nb not in seen and nb in sup_set:
-                    seen.add(nb)
-                    queue.append(nb)
-        num = Polynomial(n)
-        den = []
-        for m in comp:
-            t_num = f.per_max[m]
-            t_den = list(ctx.forms[m])
-            prod_old = Polynomial.constant(n, 1)
-            for g in den:
-                prod_old = prod_old.mul(Polynomial.from_linear(g))
-            prod_new = Polynomial.constant(n, 1)
-            for g in t_den:
-                prod_new = prod_new.mul(Polynomial.from_linear(g))
-            num = num.mul(prod_new).add(t_num.mul(prod_old))
-            den = den + t_den
-            num, den = _cancel(num, den)
-        if den:
-            raise ValueError("residual poles: the input is not a global "
-                             "section of grading 2n")
-        total = total + (num.coeffs.get(tuple([0] * n), ZERO))
-    return total
-
-
 def evaluate_fast(ctx: EvaluationContext, per_max):
     """Evaluation at the context's generic point; exact whenever the
     rational-function sum is constant, which holds for honest grading-2n
@@ -439,9 +379,12 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
     with the three local-structure checks: the closed star has the link's
     graded dimensions; the hat-function pairing factors through the link
     with the constant 1/|det(v_rho, b)|; and hat multiplication into
-    relative cohomology of the star has full rank.  Classes restrict along
-    b^T, for (x, proj, b) from projection_along: the one section of proj
-    with image ker x, so that the terms with x vanish in cohomology.
+    relative cohomology of the star has full rank (each image is a relative
+    section, and the images independent of the relative ideal multiples
+    number h_d of the star, which is h_(d+2) of the relative star).
+    Classes restrict along b^T, for (x, proj, b) from projection_along: the
+    one section of proj with image ker x, so that the terms with x vanish
+    in cohomology.
 
     Implemented for simplicial fans (the hat function needs free ray
     values)."""
@@ -526,16 +469,20 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
     deg2_ok = True
     for d in range(0, 2 * n - 1, 2):
         imgs = [_mul_pl(v, hat_star) for v in star_abs.comps[d]]
-        try:
-            coords = star_rel.class_coords(d + 2, imgs)
-        except ValueError:
+        # every image is a relative section: it adds nothing to the
+        # relative section basis
+        top = star_rel.spaces[d + 2].basis
+        if len(_independent_exact(top + imgs)) != len(top):
             deg2_ok = False
             break
-        mat = Matrix([[coords[j][i] for j in range(len(imgs))]
-                      for i in range(star_rel.h[d + 2])],
-                     ncols=len(imgs))
-        if rank(mat) != star_abs.h[d] or \
-                star_abs.h[d] != star_rel.h[d + 2]:
+        # the rank of the images' classes: how many of them are independent
+        # of the relative ideal multiples x_i * b, b of grading d
+        multiples = [{(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
+                      for (mid, j, e), c in b.items()}
+                     for b in star_rel.spaces[d].basis for i in range(n)]
+        classes = sum(1 for i in _independent_exact(multiples + imgs)
+                      if i >= len(multiples))
+        if classes != star_abs.h[d] or star_abs.h[d] != star_rel.h[d + 2]:
             deg2_ok = False
     return LinkReport(lam_fan=lam_fan, lam_h=lam_h,
                       star_h=star_h, constant=constant,

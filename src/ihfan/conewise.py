@@ -4,7 +4,9 @@ simplicial fans.
 Grading convention: a conewise function built from polynomials of total
 degree k has grading 2k (linear forms sit in grading 2).  All per-cone
 polynomials of one function must be homogeneous of the same degree and
-agree on shared faces.
+agree on shared faces.  The package builds them only from solved section
+spaces (ihsheaf), so nothing here checks continuity; the tests check it
+with an oracle of their own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class Polynomial:
     @staticmethod
     def _clean(n, coeffs):
         """The polynomial of a dict {exponent tuple: nonzero Scalar} just
-        built by add, sub, mul or compose, taken as it is."""
+        built by add, mul or compose, taken as it is."""
         p = Polynomial.__new__(Polynomial)
         p.n, p.coeffs = n, coeffs
         return p
@@ -96,10 +98,6 @@ class Polynomial:
                 out.pop(e, None)
         return Polynomial._clean(self.n, out)
 
-    def sub(self, other):
-        return self.add(Polynomial._clean(
-            other.n, {e: -c for e, c in other.coeffs.items()}))
-
     def mul(self, other):
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -122,19 +120,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def substitute_var(self, i, repl):
-        """Replace x_i by the polynomial repl (in the same variables)."""
-        out = Polynomial(self.n)
-        for e, c in self.coeffs.items():
-            p = e[i]
-            base = list(e)
-            base[i] = 0
-            term = Polynomial(self.n, {tuple(base): c})
-            for _ in range(p):
-                term = term.mul(repl)
-            out = out.add(term)
-        return out
-
     def compose(self, rows):
         """Substitute x_i = rows[i] . y; rows has n covectors of length m.
         Returns a polynomial in m variables."""
@@ -148,46 +133,6 @@ class Polynomial:
                     term = term.mul(forms[i])
             out = out.add(term)
         return out
-
-    def reduce_mod(self, equations):
-        """Substitute away the pivot variables of an echelonized equation
-        list [(pivot, row)] (rows normalized so row[pivot] = 1); the result
-        is the canonical representative modulo the span's annihilator."""
-        p = self
-        for piv, row in equations:
-            if not any(e[piv] for e in p.coeffs):
-                continue
-            repl = {}
-            for j, c in enumerate(row):
-                if j != piv and c:
-                    e = [0] * self.n
-                    e[j] = 1
-                    repl[tuple(e)] = -c
-            p = p.substitute_var(piv, Polynomial(self.n, repl))
-        return p
-
-    def divide_by_linear(self, form):
-        """Exact division by a linear form; None when not divisible."""
-        j = next((i for i, c in enumerate(form) if c), None)
-        if j is None:
-            raise ValueError("division by the zero form")
-        cj = form[j]
-        q = Polynomial(self.n)
-        rem = self
-        while True:
-            top = max((e[j] for e in rem.coeffs), default=0)
-            if top == 0:
-                break
-            part = {}
-            for e, c in rem.coeffs.items():
-                if e[j] == top:
-                    e2 = list(e)
-                    e2[j] -= 1
-                    part[tuple(e2)] = c / cj
-            piece = Polynomial(self.n, part)
-            q = q.add(piece)
-            rem = rem.sub(piece.mul(Polynomial.from_linear(form)))
-        return q if rem.is_zero() else None
 
     def __repr__(self):
         if not self.coeffs:
@@ -216,24 +161,3 @@ class ConewiseFunction:
         self.fan = fan
         self.grading = grading
         self.per_max = dict(per_max)
-
-    def validate(self):
-        """Raise unless there is one polynomial per maximal cone, each of
-        degree grading/2, and any two agree on the shared face."""
-        if set(self.per_max) != set(self.fan.maximal_ids):
-            raise ValueError("need exactly one polynomial per maximal cone")
-        k = self.grading // 2
-        for p in self.per_max.values():
-            if p.n != self.fan.n:
-                raise ValueError("wrong variable count")
-            if not p.is_zero() and p.degree() != k:
-                raise ValueError("polynomial degree does not match grading")
-        mx = self.fan.maximal_ids
-        for i, a in enumerate(mx):
-            for b in mx[i + 1:]:
-                meet = self.fan.cones[self.fan.meet_id(a, b)]
-                diff = self.per_max[a].sub(self.per_max[b])
-                if not diff.reduce_mod(meet.geometry().equations).is_zero():
-                    raise ValueError(
-                        "polynomials disagree on the shared face of cones "
-                        f"{a} and {b}")

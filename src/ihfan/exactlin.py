@@ -21,9 +21,8 @@ Linear algebra entry points:
   values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
 - the large systems, eliminated modulo primes: sparse_kernel (kernel
-  bases, certified exactly; kernel_basis and coordinates, of vectors over
-  independent spanning vectors, are built on it) and independent_modp
-  (which vectors are independent of those before them).
+  bases, certified exactly; kernel_basis is built on it) and
+  independent_modp (which vectors are independent of those before them).
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
@@ -44,9 +43,9 @@ prime, or from the Chinese remainder of the next ones when that fails.  Two
 entry points eliminate mod p, each result certified in exact integers:
 - sparse_kernel reconstructs the reduced echelon and checks every row
   against every kernel vector; with the identity on the free columns this
-  is the very basis the exact elimination returns.  For coordinates that
-  check is sum_i c_i spanning_i = target.  sparse_kernel inserts rows by
-  descending smallest key: earlier rows then seldom hold a new pivot;
+  is the very basis the exact elimination returns.  sparse_kernel inserts
+  rows by descending smallest key: earlier rows then seldom hold a new
+  pivot;
 - independent_modp reconstructs nothing and needs no check: vectors
   independent mod p are independent.  Its one caller, ihsheaf.GradedIH,
   certifies that none were missed: it counts them against the dimension
@@ -999,29 +998,4 @@ def independent_modp(vectors):
         r = _image(a_part, b_part, ts[0], p)
         if r and echelon_insert_modp(ech, r, p) is not None:
             out.append(i)
-    return out
-
-
-def coordinates(spanning, targets):
-    """Coordinates of each sparse target vector over independent sparse
-    spanning vectors, as dicts {index: Scalar}; raises ValueError when a
-    target is outside their span.  A kernel of sparse_kernel: its columns
-    are the spanning vectors, then the targets, and its rows the keys of
-    those vectors.  The spanning columns are its pivots, so the kernel
-    vector whose free column (its largest key) is target t is minus t's
-    coordinates there, unique as the spanning vectors are independent, and
-    the kernel's exact check is sum_i c_i spanning_i = t."""
-    ns = len(spanning)
-    by_key = {}
-    for j, vec in enumerate(spanning + targets):
-        for k, x in vec.items():
-            by_key.setdefault(k, {})[j] = x
-    rows = list(by_key.values())
-    by_free = {max(v): v for v in sparse_kernel(
-        [cleared(r)[:2] for r in rows], ns + len(targets), radicand(rows))}
-    out = []
-    for t in range(ns, ns + len(targets)):
-        if t not in by_free:
-            raise ValueError("a target does not lie in the span")
-        out.append({i: -x for i, x in by_free[t].items() if i != t})
     return out

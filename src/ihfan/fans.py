@@ -241,7 +241,7 @@ class Cone:
         self._geom = geom
 
     @staticmethod
-    def from_generators(gens, n, field=None):
+    def from_generators(gens, n):
         gens = [vec(g) for g in gens]
         for g in gens:
             if len(g) != n:
@@ -407,11 +407,6 @@ class Fan:
     def rays(self):
         return [self.cones[i].rays[0] for i in self.ray_ids()]
 
-    def meet_id(self, a, b):
-        """Id of the intersection cone (largest common face)."""
-        key = tuple(sorted(set(self.cones[a].rays) & set(self.cones[b].rays)))
-        return self.id_by_key[key]
-
     def star_ids(self, cid):
         """Cones having cid as a face (cid itself included)."""
         return (cid,) + self.cofaces_of[cid]
@@ -504,7 +499,7 @@ def build_fan(ambient_dim, max_generator_sets, field=None, check=True):
     """
     keys = []
     for gens in max_generator_sets:
-        c = Cone.from_generators(gens, ambient_dim, field)
+        c = Cone.from_generators(gens, ambient_dim)
         keys.append(c.rays)
     if not keys:
         keys = [()]

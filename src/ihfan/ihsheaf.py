@@ -19,8 +19,7 @@ Hodge-Riemann forms, primitives, Lefschetz matrices) off one Gram matrix
 of their values at a generic point (EvaluationContext,
 GradedIH.lefschetz_gram).  The stalk generators of a nonsimplicial cone
 are the primitives of its flattened boundary, read off the same Gram one
-dimension down.  Class coordinates (GradedIH.class_coords) are solved for
-only by the relative-cohomology check of cohomology.restrict_to_link.
+dimension down.
 
 All generator sections live on the subdivided fan; scalars stay exact.
 """
@@ -37,7 +36,6 @@ from .exactlin import (
     ONE,
     ZERO,
     cleared,
-    coordinates,
     echelon_insert,
     first_independent,
     format_scalar,
@@ -504,15 +502,6 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
 # -- graded section algebra -------------------------------------------------
 
 
-def _shift_var(vecm, i):
-    out = {}
-    for (mid, j, e), c in vecm.items():
-        e2 = list(e)
-        e2[i] += 1
-        out[(mid, j, tuple(e2))] = c
-    return out
-
-
 def _mul_pl(vecm, l):
     out = {}
     for (mid, j, e), c in vecm.items():
@@ -537,42 +526,32 @@ def _independent_exact(vectors):
 
 
 class EvaluationContext:
-    """Per maximal simplicial cone of the subdivision: the dual-basis facet
-    forms, read off the cone's geometry (fans.Cone.geometry) and scaled by
-    its |det| so their wedge has determinant +-1 in the input coordinates,
-    whose product is the cone's phi; plus one generic point
-    z, the first point (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which
-    no phi vanishes, and 1/phi(z) per cone (inv_phi_z, in the order of the
-    subdivision's maximal ids).  A form's value at such a point is a
-    nonzero polynomial in t, so the search ends."""
+    """One generic point z of the subdivision, the first point
+    (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which no maximal cone's
+    phi vanishes, and 1/phi(z) per maximal cone (inv_phi_z, in the order
+    of the subdivision's maximal ids).  A maximal simplicial cone's phi is
+    |det| times the product of its dual-basis facet forms, read off the
+    cone's geometry (fans.Cone.geometry): the product of forms whose wedge
+    has determinant +-1 in the input coordinates.  A form's value at such
+    a point is a nonzero polynomial in t, so the search ends."""
 
-    __slots__ = ("pair", "forms", "adjacency", "z", "inv_phi_z")
+    __slots__ = ("z", "inv_phi_z")
 
     def __init__(self, pair: DistinguishedPair):
         sub = pair.subdivided
         n = sub.n
         if not sub.is_simplicial():
             raise ValueError("evaluation needs the simplicial subdivision")
-        self.pair = pair
-        self.forms = {}
+        geoms = {}
         for m in sub.maximal_ids:
-            rays = sub.cones[m].rays
-            if len(rays) != n:
+            if len(sub.cones[m].rays) != n:
                 raise ValueError("evaluation needs full-dimensional cones")
-            geom = sub.cones[m].geometry()
-            self.forms[m] = (fans.vscale(abs(geom.det), geom.duals[0]),
-                             *geom.duals[1:])
-        self.adjacency = {m: [] for m in sub.maximal_ids}
-        for tid in pair.facet_piece_ids():
-            owners = sub.cofaces_of[tid]
-            if len(owners) == 2:
-                a, b = owners
-                self.adjacency[a].append(b)
-                self.adjacency[b].append(a)
+            geoms[m] = sub.cones[m].geometry()
         for t in itertools.count(2):
             z = tuple(sc(t) ** i for i in range(n))
-            vals = {m: prod((vdot(f, z) for f in self.forms[m]), start=ONE)
-                    for m in sub.maximal_ids}
+            vals = {m: prod((vdot(f, z) for f in geom.duals),
+                            start=abs(geom.det))
+                    for m, geom in geoms.items()}
             if all(vals.values()):
                 break
         self.z = z
@@ -593,7 +572,7 @@ class GradedIH:
     the ideal multiples, chosen complement representatives (the cohomology
     basis), and the evaluation Gram matrices of the representatives.
 
-    The spanning list of grading d is the ideal multiples x_i * b (b in the
+    The candidates of grading d are the ideal multiples x_i * b (b in the
     grading-(d-2) basis) and then the section basis vectors, each kept when
     independent of those kept before it; the kept basis vectors are the
     complement representatives.  Independence is read on the free columns
@@ -615,15 +594,13 @@ class GradedIH:
     up by 1.  Every other pair selects exactly.  An absolute profile
     raises ValueError unless h_0 = 1 (connected support).
 
-    Two routes read the classes.  Everything about a Lefschetz operator l
-    (the pairing, HL ranks, HRM forms, primitives and the Lefschetz matrix
-    itself) comes from one Gram matrix, lefschetz_gram, built from the
-    representatives' values at the evaluation context's generic point.
-    class_coords solves for coordinates modulo the ideal; only the
-    relative-cohomology check of cohomology.restrict_to_link needs it."""
+    Everything about a Lefschetz operator l (the pairing, HL ranks, HRM
+    forms, primitives and the Lefschetz matrix itself) comes from one Gram
+    matrix, lefschetz_gram, built from the representatives' values at the
+    evaluation context's generic point."""
 
-    __slots__ = ("pair", "cap", "spaces", "spanning", "comps", "h", "grams",
-                 "_ctx", "_rep_polys", "_values")
+    __slots__ = ("pair", "cap", "spaces", "comps", "h", "grams", "_ctx",
+                 "_rep_polys", "_values")
 
     def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
         self.pair = pair
@@ -642,12 +619,11 @@ class GradedIH:
                              "grading-0 cohomology")
 
     def _select(self, independent):
-        """Choose the spanning lists and representatives afresh with
-        independent (the indices of the vectors independent of those before
-        them, or None), dropping whatever was read off an earlier choice;
-        False when a grading keeps fewer vectors than its section space has
-        dimensions."""
-        self.spanning, self.comps, self.h = {}, {}, {}
+        """Choose the representatives afresh with independent (the indices
+        of the vectors independent of those before them, or None), dropping
+        whatever was read off an earlier choice; False when a grading keeps
+        fewer vectors than its section space has dimensions."""
+        self.comps, self.h = {}, {}
         self.grams, self._rep_polys, self._values = {}, {}, {}
         n = self.pair.fan.n
         for d, sp in self.spaces.items():
@@ -663,8 +639,6 @@ class GradedIH:
             if kept is None or len(kept) != len(sp.basis):
                 return False
             self.comps[d] = [sp.basis[i - nm] for i in kept if i >= nm]
-            self.spanning[d] = [_shift_var(below[i // n], i % n)
-                                for i in kept if i < nm] + self.comps[d]
             self.h[d] = len(self.comps[d])
         return True
 
@@ -685,20 +659,6 @@ class GradedIH:
 
     def h_vector(self):
         return tuple(self.h[d] for d in range(0, self.cap + 1, 2))
-
-    def express(self, d, targets):
-        """Coordinates of section vectors over the stored spanning list
-        (ideal multiples first, then complement representatives)."""
-        return coordinates(self.spanning[d], targets)
-
-    def class_coords(self, d, targets):
-        """Coordinates over the complement representatives (the class
-        modulo ideal multiples)."""
-        full = self.express(d, targets)
-        ncomp = self.h[d]
-        base = len(self.spanning[d]) - ncomp
-        return [
-            tuple(f.get(base + i, ZERO) for i in range(ncomp)) for f in full]
 
     def context(self):
         if self._ctx is None:
@@ -745,10 +705,10 @@ class GradedIH:
 
     def primitive_coeffs(self, d, l):
         """Kernel of one Lefschetz power beyond the duality-pairing one
-        (grading d -> 2n-d+2), in class coordinates at grading d: the
-        kernel of the Gram against grading d-2, which is the kernel of
-        l^(n-d+1) when the pairing at d-2 is perfect.  At d = 0 the power
-        lands above the top grading, so everything is primitive."""
+        (grading d -> 2n-d+2), in coordinates over the representatives of
+        grading d: the kernel of the Gram against grading d-2, which is the
+        kernel of l^(n-d+1) when the pairing at d-2 is perfect.  At d = 0
+        the power lands above the top grading, so everything is primitive."""
         if d == 0:
             k = self.h[0]
             return [tuple(ONE if i == j else ZERO for j in range(k))
@@ -839,9 +799,19 @@ def _exp_key(e):
     return ",".join(str(x) for x in e)
 
 
-def _parse_exp(s, n):
+def _json_key(s, what):
+    """The integer an object key s spells; anything else raises ValueError
+    naming what s stands for."""
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {s!r}") from None
+
+
+def _parse_exp(s, n, pid):
     parts = [p for p in str(s).split(",") if p != ""]
-    e = tuple(int(p) for p in parts)
+    e = tuple(_json_key(p, f"an exponent of a section on cone {pid}")
+              for p in parts)
     if len(e) != n or any(x < 0 for x in e):
         raise ValueError(f"bad exponent tuple {s!r}")
     return e
@@ -878,9 +848,11 @@ def pair_from_json_dict(obj):
     its own subdivision, or one center per cone of dim >= 2 in the order
     ``fans.barycentric_subdivision`` takes the cones, each of length n and
     in the relative interior of its cone; any other list raises
-    ValueError, and so does a rule other than "default" or "alt", a section
-    map that does not name exactly its cone's pieces, or a coefficient that
-    is neither a JSON integer nor a scalar literal."""
+    ValueError, and so does a rule other than "default" or "alt", a stalk
+    that is not a list of [grading, section map] pairs, a cone id or an
+    exponent that is not an integer, a section map that does not name
+    exactly its cone's pieces, or a coefficient that is neither a JSON
+    integer nor a scalar literal."""
     rule = obj.get("rule", "default")
     _barycenter_choice(rule)
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
@@ -903,18 +875,27 @@ def pair_from_json_dict(obj):
             fan, lambda cone: next(recorded))
     pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
     for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
-        cid = int(cid_s)
+        cid = _json_key(cid_s, "a stalk's cone id")
         if cid not in fan.cones:
             raise ValueError(f"unknown cone id {cid} in pair dump")
+        if not isinstance(gens, list):
+            raise ValueError(f"the stalk of cone {cid} must be a list of "
+                             f"generators, got {gens!r}")
         parsed = []
-        for g, sec in gens:
+        for gen in gens:
+            if not (isinstance(gen, list) and len(gen) == 2):
+                raise ValueError(f"a stalk generator of cone {cid} must be a "
+                                 f"[grading, section map] pair, got {gen!r}")
+            g, sec = gen
             g = json_int(g, "a stalk generator grading")
             if g % 2:
                 raise ValueError("stalk generator gradings must be even")
             entry = {}
             sec = _json_object(
                 sec, f"a section map of the stalk of cone {cid}")
-            named = sorted(int(pid_s) for pid_s in sec)
+            named = sorted(_json_key(
+                pid_s, f"a section map key of the stalk of cone {cid}")
+                for pid_s in sec)
             if named != list(pair.pieces(cid)):
                 raise ValueError(f"a section map of the stalk of cone {cid} "
                                  f"names cones {named}, not the cone's pieces "
@@ -924,7 +905,8 @@ def pair_from_json_dict(obj):
                 coeffs = _json_object(
                     coeffs, f"the coefficient map of a section on cone {pid}")
                 poly = Polynomial(n, {
-                    _parse_exp(es, n): json_scalar(cs, field, "coefficient")
+                    _parse_exp(es, n, pid): json_scalar(cs, field,
+                                                        "coefficient")
                     for es, cs in coeffs.items()})
                 if poly and poly.degree() != g // 2:
                     raise ValueError("a stalk generator section is not of "

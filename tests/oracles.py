@@ -1,0 +1,248 @@
+"""Reference routes the tests check the package against.  The package never
+reaches them: each computes what the package computes by a different
+road.
+
+- The symbolic evaluation route (evaluate): the sum of f_sigma / phi_sigma
+  over the maximal cones as exact rational functions, with every pole
+  cancelled, at no chosen point.  The package evaluates at one generic
+  point (cohomology.evaluate_fast, ihsheaf.GradedIH.lefschetz_gram).
+- The continuity oracle (validate): two maximal cones' polynomials agree
+  on their shared face when their difference has normal form 0 modulo the
+  face's equations.  The package solves integer wall systems for its
+  sections (ihsheaf._Sections).
+- The selection on full-length vectors (full_greedy) and the module route
+  of multiplication by a conewise linear function (module_step), which
+  solves for classes over the spanning list that selection keeps.  The
+  package selects on the free columns and reads Lefschetz maps off a
+  Gram matrix.
+"""
+
+from ihfan import exactlin
+from ihfan.conewise import Polynomial
+from ihfan.exactlin import ZERO, Matrix, solve
+from ihfan.fans import vscale
+from ihfan.ihsheaf import _mul_pl
+
+
+# -- polynomials -----------------------------------------------------------
+
+
+def sub(p, q):
+    """The polynomial p - q."""
+    return p.add(Polynomial(q.n, {e: -c for e, c in q.coeffs.items()}))
+
+
+def substitute_var(p, i, repl):
+    """Replace x_i in p by the polynomial repl (in the same variables)."""
+    out = Polynomial(p.n)
+    for e, c in p.coeffs.items():
+        base = list(e)
+        base[i] = 0
+        term = Polynomial(p.n, {tuple(base): c})
+        for _ in range(e[i]):
+            term = term.mul(repl)
+        out = out.add(term)
+    return out
+
+
+def reduce_mod(p, equations):
+    """Substitute away the pivot variables of an echelonized equation list
+    [(pivot, row)] (rows normalized so row[pivot] = 1); the result is the
+    canonical representative of p modulo the span's annihilator."""
+    for piv, row in equations:
+        if not any(e[piv] for e in p.coeffs):
+            continue
+        repl = {}
+        for j, c in enumerate(row):
+            if j != piv and c:
+                e = [0] * p.n
+                e[j] = 1
+                repl[tuple(e)] = -c
+        p = substitute_var(p, piv, Polynomial(p.n, repl))
+    return p
+
+
+def divide_by_linear(p, form):
+    """Exact division of p by a linear form; None when not divisible."""
+    j = next((i for i, c in enumerate(form) if c), None)
+    if j is None:
+        raise ValueError("division by the zero form")
+    cj = form[j]
+    q = Polynomial(p.n)
+    rem = p
+    while True:
+        top = max((e[j] for e in rem.coeffs), default=0)
+        if top == 0:
+            break
+        part = {}
+        for e, c in rem.coeffs.items():
+            if e[j] == top:
+                e2 = list(e)
+                e2[j] -= 1
+                part[tuple(e2)] = c / cj
+        piece = Polynomial(p.n, part)
+        q = q.add(piece)
+        rem = sub(rem, piece.mul(Polynomial.from_linear(form)))
+    return q if rem.is_zero() else None
+
+
+# -- the continuity oracle -------------------------------------------------
+
+
+def meet_id(fan, a, b):
+    """Id of the intersection of the cones a and b of a simplicial fan
+    (their largest common face)."""
+    key = tuple(sorted(set(fan.cones[a].rays) & set(fan.cones[b].rays)))
+    return fan.id_by_key[key]
+
+
+def validate(f):
+    """Raise unless the conewise function f has one polynomial per maximal
+    cone, each of degree grading/2, and any two agree on the shared face."""
+    fan = f.fan
+    if set(f.per_max) != set(fan.maximal_ids):
+        raise ValueError("need exactly one polynomial per maximal cone")
+    k = f.grading // 2
+    for p in f.per_max.values():
+        if p.n != fan.n:
+            raise ValueError("wrong variable count")
+        if not p.is_zero() and p.degree() != k:
+            raise ValueError("polynomial degree does not match grading")
+    mx = fan.maximal_ids
+    for i, a in enumerate(mx):
+        for b in mx[i + 1:]:
+            meet = fan.cones[meet_id(fan, a, b)]
+            diff = sub(f.per_max[a], f.per_max[b])
+            if not reduce_mod(diff, meet.geometry().equations).is_zero():
+                raise ValueError(
+                    "polynomials disagree on the shared face of cones "
+                    f"{a} and {b}")
+
+
+# -- the symbolic evaluation route -----------------------------------------
+
+
+def dual_forms(pair):
+    """Per maximal cone of the subdivision, its dual-basis facet forms with
+    the first scaled by the cone's |det|: their wedge has determinant +-1
+    in the input coordinates, and their product is the cone's phi."""
+    sub_fan = pair.subdivided
+    out = {}
+    for m in sub_fan.maximal_ids:
+        geom = sub_fan.cones[m].geometry()
+        out[m] = (vscale(abs(geom.det), geom.duals[0]), *geom.duals[1:])
+    return out
+
+
+def _cancel(num, den):
+    # one pass suffices: a form that does not divide num does not divide
+    # num / g for any other form g either
+    left = []
+    for g in den:
+        q = divide_by_linear(num, g)
+        if q is None:
+            left.append(g)
+        else:
+            num = q
+    return num, left
+
+
+def evaluate(pair, f):
+    """The degree-2n evaluation functional on the pair's subdivision: the
+    sum of f_sigma / phi_sigma over maximal cones as an exact rational
+    function, summed along the dual graph; all poles must cancel.  Raises
+    on residual poles (f was not a section of full grading)."""
+    sub_fan = pair.subdivided
+    n = pair.fan.n
+    if f.grading != 2 * n:
+        raise ValueError("evaluation is defined in grading 2n")
+    forms = dual_forms(pair)
+    adjacency = {m: [] for m in sub_fan.maximal_ids}
+    for tid in pair.facet_piece_ids():
+        owners = sub_fan.cofaces_of[tid]
+        if len(owners) == 2:
+            a, b = owners
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    support = [m for m in sub_fan.maximal_ids if not f.per_max[m].is_zero()]
+    sup_set = set(support)
+    total = ZERO
+    seen = set()
+    for start in support:
+        if start in seen:
+            continue
+        # breadth-first over the dual graph within the support
+        comp = []
+        queue = [start]
+        seen.add(start)
+        while queue:
+            m = queue.pop(0)
+            comp.append(m)
+            for nb in sorted(adjacency[m]):
+                if nb not in seen and nb in sup_set:
+                    seen.add(nb)
+                    queue.append(nb)
+        num = Polynomial(n)
+        den = []
+        for m in comp:
+            t_den = list(forms[m])
+            prod_old = Polynomial.constant(n, 1)
+            for g in den:
+                prod_old = prod_old.mul(Polynomial.from_linear(g))
+            prod_new = Polynomial.constant(n, 1)
+            for g in t_den:
+                prod_new = prod_new.mul(Polynomial.from_linear(g))
+            num = num.mul(prod_new).add(f.per_max[m].mul(prod_old))
+            den = den + t_den
+            num, den = _cancel(num, den)
+        if den:
+            raise ValueError("residual poles: the input is not a global "
+                             "section of grading 2n")
+        total = total + num.coeffs.get(tuple([0] * n), ZERO)
+    return total
+
+
+# -- the module route ------------------------------------------------------
+
+
+def ideal_multiple(b, i):
+    """The coefficient vector of x_i * b, for b a coefficient vector of a
+    section space (keys (maximal cone, generator, exponent))."""
+    return {(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
+            for (mid, j, e), c in b.items()}
+
+
+def full_greedy(gih, d):
+    """The selection on full-length vectors: the ideal multiples x_i * b
+    (b in the grading-(d-2) basis), then the section basis, each kept when
+    independent mod p of those kept before it; (spanning, comps)."""
+    below = gih.spaces[d - 2].basis if d >= 2 else []
+    multiples = [ideal_multiple(b, i)
+                 for b in below for i in range(gih.pair.fan.n)]
+    cands = multiples + gih.spaces[d].basis
+    kept = exactlin.independent_modp(cands)
+    return ([cands[i] for i in kept],
+            [cands[i] for i in kept if i >= len(multiples)])
+
+
+def module_step(gih, d, l):
+    """Matrix of multiplication by l from the grading-d classes to the
+    grading-(d+2) classes, by the module route: multiply the
+    representatives' coefficient vectors, solve for each image over the
+    spanning list of grading d+2, and keep its coordinates on the
+    representatives."""
+    spanning, comps = full_greedy(gih, d + 2)
+    assert comps == gih.comps[d + 2]
+    images = [_mul_pl(c, l) for c in gih.comps[d]]
+    keys = list(dict.fromkeys(k for v in spanning + images for k in v))
+    mat = Matrix([[v.get(k, ZERO) for v in spanning] for k in keys],
+                 ncols=len(spanning))
+    base = len(spanning) - len(comps)
+    cols = []
+    for img in images:
+        x = solve(mat, [img.get(k, ZERO) for k in keys])
+        if x is None:
+            raise ValueError("an image is not a section")
+        cols.append(x[base:])
+    return Matrix([[col[i] for col in cols] for i in range(len(comps))],
+                  ncols=len(cols))

@@ -26,13 +26,14 @@ from ihfan.exactlin import rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
-from ihfan.ihsheaf import _shift_var, build_distinguished_pair
-from ihfan.cohomology import (EvaluationContext, ds_check, evaluate,
-                              evaluate_fast, f_to_h, hl_rank_report,
-                              hrm_check, kunneth_check, pairing_matrix,
+from ihfan.ihsheaf import build_distinguished_pair
+from ihfan.cohomology import (EvaluationContext, ds_check, evaluate_fast,
+                              f_to_h, hl_rank_report, hrm_check,
+                              kunneth_check, pairing_matrix,
                               polytope_face_lattice, profile_for_fan,
                               restrict_to_link, toric_h_oracle)
 from conftest import cube_vertices, prism_vertices
+from oracles import dual_forms, evaluate, ideal_multiple
 
 
 def _report(num, name, checks):
@@ -268,7 +269,7 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
                         vec.pop(kk, None)
             f = sp.as_function(vec)
             try:
-                val = evaluate(ctx, f)
+                val = evaluate(pair, f)
             except ValueError as exc:
                 errors.append(str(exc))
                 break
@@ -279,34 +280,34 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
     ideal_nonzero = 0
     for fan in (quadrant_fan, orthant_fan):
         pair = build_distinguished_pair(fan)
-        ctx = EvaluationContext(pair)
         n = fan.n
         low, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in low.basis:
             for i in range(n):
-                if evaluate(ctx, top.as_function(_shift_var(b, i))) != sc(0):
+                if evaluate(pair, top.as_function(ideal_multiple(b, i))) \
+                        != sc(0):
                     ideal_nonzero += 1
     cpair = build_distinguished_pair(cube_fan)
     cctx = EvaluationContext(cpair)
     clow, ctop = cpair.section_spaces([4, 6]).values()
     for b in clow.basis:
         for i in range(3):
-            if evaluate_fast(cctx, ctop.materialize(_shift_var(b, i))) \
+            if evaluate_fast(cctx, ctop.materialize(ideal_multiple(b, i))) \
                     != sc(0):
                 ideal_nonzero += 1
     # each normalized facet-form product, extended by zero, evaluates to 1
     not_one = 0
     for fan in (quadrant_fan, orthant_fan):
         pair = build_distinguished_pair(fan)
-        ctx = EvaluationContext(pair)
+        forms = dual_forms(pair)
         for m in pair.subdivided.maximal_ids:
             top = Polynomial.constant(fan.n, 1)
-            for form in ctx.forms[m]:
+            for form in forms[m]:
                 top = top.mul(Polynomial.from_linear(form))
             per = {k: (top if k == m else Polynomial(fan.n))
                    for k in pair.subdivided.maximal_ids}
             f = ConewiseFunction(pair.subdivided, 2 * fan.n, per)
-            if evaluate(ctx, f) != sc(1):
+            if evaluate(pair, f) != sc(1):
                 not_one += 1
     _report(7, "evaluation functional contract", {
         "evaluate errors": (errors, []),

@@ -2,7 +2,8 @@
 in the package or the benchmark, or is public API (listed in
 ihfan.__all__); every module-level import of a package module is used by
 that module, and every import of a package module is at module level;
-every slot of a package class is read somewhere.  A method counts as
+every slot of a package class is read somewhere; every function of the
+tests' oracle module has a caller in the tests.  A method counts as
 called only through an attribute or an identifier string: a bare name of
 the same spelling is some local variable."""
 
@@ -13,9 +14,6 @@ from pathlib import Path
 import ihfan
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# methods only the tests call, on purpose: the continuity oracle
-TEST_ORACLES = {"conewise:ConewiseFunction.validate"}
 
 
 def _references(node, names=True):
@@ -72,6 +70,20 @@ def uncalled_functions(root):
                     node.name not in ihfan.__all__:
                 out.append(f"{p.stem}:{qualname}")
     return out
+
+
+def uncalled_oracles(root):
+    """oracles:name of each module-level def of root/tests/oracles.py that
+    nothing under root/tests refers to outside its own body."""
+    modules = sorted((root / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in modules}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_references(tree))
+    oracles = trees[root / "tests" / "oracles.py"]
+    return [f"oracles:{node.name}" for node in oracles.body
+            if isinstance(node, ast.FunctionDef) and
+            used[node.name] == _references(node)[node.name]]
 
 
 def _module_imports(body):
@@ -152,8 +164,11 @@ def unread_slots(root):
 
 
 def test_every_function_has_a_caller():
-    assert [f for f in uncalled_functions(ROOT) if f not in TEST_ORACLES] \
-        == []
+    assert uncalled_functions(ROOT) == []
+
+
+def test_every_oracle_has_a_caller():
+    assert uncalled_oracles(ROOT) == []
 
 
 def test_every_import_is_used():

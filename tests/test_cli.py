@@ -100,6 +100,13 @@ def _quadrant_pair(grading):
             "stalks": stalks}
 
 
+def _quadrant_pair_stalk(cid, stalk):
+    """The quadrant fan's pair dump with the stalk of cone cid replaced."""
+    obj = _quadrant_pair(0)
+    obj["stalks"][str(cid)] = stalk
+    return obj
+
+
 def _quadrant_pair_sections(cid, sections):
     """The quadrant fan's pair dump with the section map of cone cid's
     generator replaced; each cone is its own one piece."""
@@ -192,6 +199,17 @@ MALFORMED = {
         ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": True}})),
     "pair-coefficient-null": (
         ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": None}})),
+    # a stalk is a list of [grading, section map] pairs, and a cone id or
+    # an exponent is an integer
+    "pair-stalk-key-not-an-integer": (
+        ["hvector"], dict(_quadrant_pair(0), stalks={"x": []})),
+    "pair-section-key-not-an-integer": (
+        ["hvector"], _quadrant_pair_sections(8, {"x": {"0,0": "1"}})),
+    "pair-exponent-not-an-integer": (
+        ["hvector"], _quadrant_pair_sections(8, {"8": {"0,x": "1"}})),
+    "pair-generator-not-a-pair": (
+        ["hvector"], _quadrant_pair_stalk(8, [[0]])),
+    "pair-stalk-not-a-list": (["hvector"], _quadrant_pair_stalk(8, 0)),
     # an ambient dimension below 1, as a fan's dim or as vertices with no
     # coordinates
     "dim-zero": (["hvector"], {"field": "Q", "dim": 0, "rays": [],
@@ -239,6 +257,16 @@ MALFORMED_MESSAGES = {
     "pair-coefficient-a-float": "bad coefficient 1.5",
     "pair-coefficient-a-boolean": "bad coefficient True",
     "pair-coefficient-null": "bad coefficient None",
+    "pair-stalk-key-not-an-integer":
+        "a stalk's cone id must be an integer, got 'x'",
+    "pair-section-key-not-an-integer": "a section map key of the stalk of "
+    "cone 8 must be an integer, got 'x'",
+    "pair-exponent-not-an-integer":
+        "an exponent of a section on cone 8 must be an integer, got 'x'",
+    "pair-generator-not-a-pair": "a stalk generator of cone 8 must be a "
+    "[grading, section map] pair, got [0]",
+    "pair-stalk-not-a-list":
+        "the stalk of cone 8 must be a list of generators, got 0",
     "dim-zero": "dim must be at least 1, got 0",
     "dim-negative": "dim must be at least 1, got -1",
     "vertices-without-coordinates": "dim must be at least 1",

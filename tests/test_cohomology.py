@@ -9,10 +9,10 @@ from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
-from ihfan.ihsheaf import (_mul_pl, _shift_var, build_distinguished_pair,
-                           projection_along)
+from ihfan import cohomology
+from ihfan.ihsheaf import build_distinguished_pair, projection_along
 from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
-                              convolve_h, evaluate, evaluate_fast,
+                              convolve_h, evaluate_fast,
                               exact_sequence_check, f_to_h, hl_rank_report,
                               hrm_check, kunneth_check, lefschetz_matrix,
                               pairing_matrix, polytope_face_lattice,
@@ -20,6 +20,8 @@ from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
                               restrict_to_link, toric_h_of_fan,
                               toric_h_oracle)
 from conftest import cube_vertices, prism_vertices
+from oracles import (dual_forms, evaluate, ideal_multiple, module_step,
+                     validate)
 
 
 def octahedron_vertices():
@@ -137,8 +139,8 @@ def test_evaluate_one_dim(onedim_fan):
     globx = ConewiseFunction(pair.subdivided, 2,
                              {m: Polynomial.from_linear((sc(1),))
                               for m in pair.subdivided.maximal_ids})
-    assert evaluate(ctx, absx) == sc(2)
-    assert evaluate(ctx, globx) == sc(0)
+    assert evaluate(pair, absx) == sc(2)
+    assert evaluate(pair, globx) == sc(0)
     assert evaluate_fast(ctx, absx) == sc(2)
     assert evaluate_fast(ctx, globx) == sc(0)
 
@@ -150,21 +152,21 @@ def test_evaluate_normalization_is_basis_free(quadrant_fan):
     pair = build_distinguished_pair(quadrant_fan)
     ctx = EvaluationContext(pair)
     sub = pair.subdivided
+    forms = dual_forms(pair)
     for m in sub.maximal_ids:
         top = Polynomial.constant(2, 1)
-        for form in ctx.forms[m]:
+        for form in forms[m]:
             top = top.mul(Polynomial.from_linear(form))
         per = {k: (top if k == m else Polynomial(2))
                for k in sub.maximal_ids}
         f = ConewiseFunction(sub, 4, per)
-        assert evaluate(ctx, f) == sc(1)
+        assert evaluate(pair, f) == sc(1)
         assert evaluate_fast(ctx, f) == sc(1)
 
 
 def test_evaluate_wedge_normalization(orthant_fan):
     pair = build_distinguished_pair(orthant_fan)
-    ctx = EvaluationContext(pair)
-    for m, forms in ctx.forms.items():
+    for m, forms in dual_forms(pair).items():
         d = inverse(Matrix(forms))[1]
         assert d in (sc(1), sc(-1))
 
@@ -177,9 +179,8 @@ def test_evaluate_kills_ideal_multiples(quadrant_fan, orthant_fan):
         sp, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in sp.basis:
             for i in range(n):
-                v = _shift_var(b, i)
-                f = top.as_function(v)
-                assert evaluate(ctx, f) == sc(0)
+                f = top.as_function(ideal_multiple(b, i))
+                assert evaluate(pair, f) == sc(0)
                 assert evaluate_fast(ctx, f) == sc(0)
 
 
@@ -202,12 +203,11 @@ def test_evaluate_random_sections_fast_agrees(quadrant_fan, orthant_fan):
                     else:
                         vec.pop(k, None)
             f = sp.as_function(vec)
-            assert evaluate(ctx, f) == evaluate_fast(ctx, f)
+            assert evaluate(pair, f) == evaluate_fast(ctx, f)
 
 
 def test_evaluate_rejects_non_sections(quadrant_fan):
     pair = build_distinguished_pair(quadrant_fan)
-    ctx = EvaluationContext(pair)
     sub = pair.subdivided
     m0 = sub.maximal_ids[0]
     bad = ConewiseFunction(sub, 4,
@@ -215,9 +215,9 @@ def test_evaluate_rejects_non_sections(quadrant_fan):
                                 if m == m0 else Polynomial(2))
                             for m in sub.maximal_ids})
     with pytest.raises(ValueError):
-        evaluate(ctx, bad)
+        evaluate(pair, bad)
     with pytest.raises(ValueError):
-        evaluate(ctx, ConewiseFunction(sub, 2, {m: Polynomial(2)
+        evaluate(pair, ConewiseFunction(sub, 2, {m: Polynomial(2)
                                                 for m in sub.maximal_ids}))
 
 
@@ -257,15 +257,6 @@ def test_pairing_rejects_degenerate(quadrant_fan):
         pairing_matrix(fake, 2)
 
 
-def _module_step(gih, d, l):
-    """Matrix of multiplication by l from the grading-d classes to the
-    grading-(d+2) classes, by the module route: multiply the
-    representatives' coefficient vectors and solve for their classes."""
-    coords = gih.class_coords(d + 2, [_mul_pl(c, l) for c in gih.comps[d]])
-    return Matrix([[coords[j][i] for j in range(len(coords))]
-                   for i in range(gih.h[d + 2])], ncols=len(coords))
-
-
 def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan,
                                         cube_fan_support, prism_fan_support):
     # <(l.x).y> = <x.(l.y)> as a matrix identity between module-route step
@@ -276,7 +267,7 @@ def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan,
     for fan, l in cases + [cube_fan_support, prism_fan_support]:
         p = profile_for_fan(fan)
         n = fan.n
-        steps = {d: _module_step(p, d, l) for d in range(0, 2 * n, 2)}
+        steps = {d: module_step(p, d, l) for d in range(0, 2 * n, 2)}
         for d in range(0, 2 * n - 1, 2):
             b2 = pairing_matrix(p, d + 2)
             b0 = pairing_matrix(p, d)
@@ -337,7 +328,7 @@ def test_primitive_dimensions(quadrant_fan, orthant_fan, cube_fan):
             basis = primitive_basis(p, l, d)
             assert len(basis) == want
             for f in basis:
-                f.validate()
+                validate(f)
 
 
 # -- signatures ------------------------------------------------------------
@@ -408,7 +399,6 @@ def test_pairing_gram_agrees_with_symbolic_evaluation(gram_cases):
     # the gradings above n are the transposes of those below.
     for fan, _ in gram_cases:
         p = profile_for_fan(fan)
-        ctx = p.context()
         sub = p.pair.subdivided
         n = fan.n
         for d in range(0, n + 1, 2):
@@ -417,7 +407,7 @@ def test_pairing_gram_agrees_with_symbolic_evaluation(gram_cases):
             for i, a in enumerate(p.rep_polys(d)):
                 for j, b in enumerate(p.rep_polys(2 * n - d)):
                     assert mat.entries[i][j] == evaluate(
-                        ctx, _conewise_product(sub, a, b, None, 0))
+                        p.pair, _conewise_product(sub, a, b, None, 0))
 
 
 def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
@@ -425,7 +415,6 @@ def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
     # symmetric, so the upper triangle and symmetry cover every entry
     for fan, l in gram_cases:
         p = profile_for_fan(fan)
-        ctx = p.context()
         sub = p.pair.subdivided
         n = fan.n
         lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
@@ -436,7 +425,7 @@ def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
             for i, a in enumerate(reps):
                 for j in range(i, len(reps)):
                     assert mat.entries[i][j] == evaluate(
-                        ctx, _conewise_product(sub, a, reps[j], lin, n - d))
+                        p.pair, _conewise_product(sub, a, reps[j], lin, n - d))
 
 
 def test_each_l_gets_its_own_answers():
@@ -569,6 +558,25 @@ def test_restrict_to_link_every_ray():
     assert got == want
 
 
+def test_restrict_to_link_rejects_images_outside_relative_sections(
+        monkeypatch):
+    # multiplying by the global form (1, 0) in place of the hat function of
+    # the ray (1, 0) of P^2: x_0 is -1 on the link ray (-1, -1), so the
+    # images do not vanish on the star's boundary and are no relative
+    # sections; the other two checks do not multiply and still pass
+    p2 = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                       [(-1, -1), (1, 0)]])
+    p = profile_for_fan(p2)
+    rid = p2.id_by_key[((sc(1), sc(0)),)]
+    mul_pl = cohomology._mul_pl
+    monkeypatch.setattr(cohomology, "_mul_pl", lambda v, l: mul_pl(
+        v, PLFunction(l.fan, {m: (1, 0) for m in l.per_max}, check=False)))
+    rep = restrict_to_link(p, rid)
+    assert rep.loc_prod_ok and rep.reduct_ok
+    assert not rep.deg2_ok
+    assert not rep.ok
+
+
 def test_restrict_to_link_guards(cube_fan, quadrant_fan):
     with pytest.raises(ValueError):
         restrict_to_link(profile_for_fan(cube_fan), cube_fan.ray_ids()[0])
@@ -607,8 +615,6 @@ def test_hilbert_freeness(quadrant_fan, orthant_fan):
 
 
 def test_profile_cache_is_bounded():
-    from ihfan import cohomology
-
     def kite(k):
         # complete 2-d fans, a new one for each k
         return build_fan(2, [[(1, 0), (k, 1)], [(k, 1), (-1, 0)],

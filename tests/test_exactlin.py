@@ -14,7 +14,6 @@ from ihfan.exactlin import (
     Matrix,
     Scalar,
     ScalarField,
-    coordinates,
     echelon_insert,
     independent_modp,
     format_scalar,
@@ -484,7 +483,7 @@ def test_echelon_insert_reports_pivot_value():
 
 # -- certified elimination mod p -------------------------------------------
 #
-# sparse_kernel, coordinates and GradedIH's selection eliminate mod a prime
+# sparse_kernel and GradedIH's selection eliminate mod a prime
 # and accept a result only after an exact check; the exact path they fall
 # back on is the one the tests above were written for.
 
@@ -564,11 +563,6 @@ def test_kernel_falls_back_when_the_prime_divides_a_minor():
     want = exactlin._kernel_exact(rows, 3)
     assert scalar_kernel(rows, 3) == want and len(want) == 1
     assert exactlin.modp_fallbacks == before + 2
-    # coordinates over two vectors that are independent, but not mod p
-    spanning = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(1 + p)}]
-    assert coordinates(spanning, [{0: sc(2), 1: sc(2 + p)}]) == \
-        [{0: ONE, 1: ONE}]
-    assert exactlin.modp_fallbacks == before + 3
 
 
 def test_large_entries_reconstruct_from_several_primes():
@@ -580,9 +574,6 @@ def test_large_entries_reconstruct_from_several_primes():
     got = scalar_kernel(rows, 3)
     assert got == exactlin._kernel_exact(rows, 3)
     assert got[0][0] == Scalar(big, 3 * big, 2)
-    spanning = [{0: ONE}, {1: ONE}]
-    target = {0: sc(big), 1: sc(_Q(1, big))}
-    assert coordinates(spanning, [target]) == [target]
     assert exactlin.modp_fallbacks == before
 
 
@@ -608,10 +599,6 @@ def test_kernel_falls_back_when_reconstruction_fails():
     assert got == exactlin._kernel_exact(rows, 3)
     assert got[0][0] == Scalar(huge, 3 * huge, 2)
     assert exactlin.modp_fallbacks == before + 1
-    spanning = [{0: ONE}, {1: ONE}]
-    target = {0: sc(huge), 1: sc(_Q(1, huge))}
-    assert coordinates(spanning, [target]) == [target]
-    assert exactlin.modp_fallbacks == before + 2
 
 
 def _random_sparse_vectors(rng, count, ncols, m, spread=4):
@@ -659,24 +646,7 @@ def test_certified_paths_agree_with_the_exact_ones():
         assert [list(v.items()) for v in got] == \
             [list(v.items()) for v in want]
         vectors = _random_sparse_vectors(rng, rng.randint(1, 10), ncols, m)
-        kept = independent_modp(vectors)
-        assert kept == _exact_independent(vectors)
-        spanning = [vectors[i] for i in kept]
-        targets, want = [], []
-        for _ in range(3):
-            t, coeffs = {}, []
-            for i, v in enumerate(spanning):
-                f = sc(_Q(rng.randint(-4, 4), rng.randint(1, 3)))
-                if f:
-                    coeffs.append((i, f))
-                for k, x in v.items():
-                    t[k] = t.get(k, ZERO) + f * x
-            targets.append({k: x for k, x in t.items() if x})
-            want.append(coeffs)
-        # the spanning vectors are independent, so the coefficients each
-        # target is built with are its only coordinates
-        assert [list(c.items()) for c in coordinates(spanning, targets)] == \
-            want
+        assert independent_modp(vectors) == _exact_independent(vectors)
     assert exactlin.modp_fallbacks == before
 
 
@@ -698,40 +668,19 @@ def test_sparse_kernel_independent_of_row_order():
     assert exactlin.modp_fallbacks == before
 
 
-def test_coordinates_reject_a_target_outside_the_span():
-    p = exactlin._embedding(None, 0)[0]
-    cases = (
-        ([{0: ONE, 1: ONE}], [{0: ONE}], 0),
-        # over Q(sqrt 2): 1 + sqrt 2 times the spanning vector is
-        # {0: 1+1r2, 1: 2+1r2}, and the target differs from it at key 1
-        ([{0: ONE, 1: S("0+1r2")}], [{0: S("1+1r2"), 1: S("3+1r2")}], 0),
-        # the first target lies in the span, the second does not
-        ([{0: ONE, 1: ONE}, {2: ONE}],
-         [{0: sc(2), 1: sc(2), 2: sc(-1)}, {1: ONE, 2: ONE}], 0),
-        # in the span mod p only: the kernel mod p has the target's column
-        # free, its exact check fails, and the exact path, counted as one
-        # fallback, finds the target outside the span
-        ([{0: ONE, 1: ONE}], [{0: ONE, 1: sc(1 + p)}], 1),
-    )
-    for spanning, targets, fallbacks in cases:
-        before = exactlin.modp_fallbacks
-        with pytest.raises(ValueError, match="does not lie in the span"):
-            coordinates(spanning, targets)
-        assert exactlin.modp_fallbacks == before + fallbacks
-
-
 def _drop_last_rep(gih):
     # one representative fewer at grading 2: the pairing with grading 2n - 2
     # is no longer square
     gih.comps[2].pop()
-    gih.spanning[2].pop()
     gih.h[2] -= 1
 
 
 def _last_rep_in_ideal(gih):
-    # the last representative at grading 2 replaced by an ideal multiple:
-    # as many as before, but the pairing is singular
-    gih.comps[2][-1] = gih.spanning[2][0]
+    # the last representative at grading 2 replaced by an ideal multiple,
+    # x_0 times the grading-0 basis vector: as many as before, but the
+    # pairing is singular
+    gih.comps[2][-1] = {(mid, j, (e[0] + 1,) + e[1:]): c for (mid, j, e), c
+                        in gih.spaces[0].basis[0].items()}
 
 
 @pytest.mark.parametrize("spoil", (_drop_last_rep, _last_rep_in_ideal))

@@ -12,6 +12,7 @@ from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
+from oracles import meet_id
 
 
 def quadrant_fan():
@@ -365,7 +366,7 @@ def test_polytope_json(tmp_path):
 def test_meet_and_locate():
     f = quadrant_fan()
     a, b = f.maximal_ids[0], f.maximal_ids[1]
-    meet = f.meet_id(a, b)
+    meet = meet_id(f, a, b)
     assert f.cones[meet].dim in (0, 1)
     assert f.locate((sc(2), sc(3))) in f.maximal_ids
     assert f.locate((sc(1), sc(0))) in f.ray_ids()

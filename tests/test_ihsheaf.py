@@ -22,6 +22,7 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            relative_sections)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       golden_field)
+from oracles import full_greedy, reduce_mod, validate
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -198,7 +199,7 @@ def test_wall_images_are_scaled_normal_forms(n, m):
             images.update(level)
         for _ in range(15):
             e = rng.choice(monomials(n, rng.randint(0, 4)))
-            want = Polynomial(n, {e: ONE}).reduce_mod(eqs)
+            want = reduce_mod(Polynomial(n, {e: ONE}), eqs)
             img_a, img_b = images[ihsheaf._pack(e)]
             got = {r: Scalar(img_a.get(r, 0), img_b.get(r, 0), m)
                    for r in dict.fromkeys(img_a) | dict.fromkeys(img_b)}
@@ -218,7 +219,7 @@ def test_global_sections_quadrant(quadrant_fan):
     assert [len(g[d]) for d in sorted(g)] == [1, 4, 8]
     for d in g:
         for f in g[d]:
-            f.validate()
+            validate(f)
 
 
 def test_global_sections_orthant_fan(orthant_fan):
@@ -249,7 +250,7 @@ def test_cube_sections_validate(cube_fan):
     sp = p.section_spaces([2])[2]
     assert len(sp.basis) == 8
     for v in sp.basis:
-        sp.as_function(v).validate()
+        validate(sp.as_function(v))
 
 
 def test_relative_sections_quadrant_cone():
@@ -321,8 +322,8 @@ def test_ih_choice_independent(cube_fan):
 
 def test_modular_selection_is_the_exact_one(monkeypatch, quadrant_fan,
                                             orthant_fan, cube_fan, prism_fan):
-    # independence mod p picks the same spanning vectors and representatives
-    # as the exact greedy pass, including over Q(sqrt 2) (the prism); with
+    # independence mod p picks the same representatives as the exact greedy
+    # pass, including over Q(sqrt 2) (the prism); with
     # no prime for any field the selection falls back to the exact pass
     for fan in (quadrant_fan, orthant_fan, cube_fan, prism_fan):
         pair = cached_pair(fan)
@@ -333,22 +334,7 @@ def test_modular_selection_is_the_exact_one(monkeypatch, quadrant_fan,
             mp.setattr(exactlin, "_embeddings", lambda m: ())
             exact = GradedIH(pair)
         assert exactlin.modp_fallbacks == before + 1
-        assert modular.spanning == exact.spanning
         assert modular.comps == exact.comps
-
-
-def _full_greedy(gih, d):
-    """The selection on full-length vectors: the ideal multiples x_i * b
-    (b in the grading-(d-2) basis), then the section basis, each kept when
-    independent mod p of those kept before it; (spanning, comps)."""
-    below = gih.spaces[d - 2].basis if d >= 2 else []
-    multiples = [{(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
-                  for (mid, j, e), c in b.items()}
-                 for b in below for i in range(gih.pair.fan.n)]
-    cands = multiples + gih.spaces[d].basis
-    kept = exactlin.independent_modp(cands)
-    return ([cands[i] for i in kept],
-            [cands[i] for i in kept if i >= len(multiples)])
 
 
 def test_selection_is_the_greedy_choice_on_full_vectors(
@@ -369,9 +355,7 @@ def test_selection_is_the_greedy_choice_on_full_vectors(
         gih = GradedIH(pair)
         assert exactlin.modp_fallbacks == before
         for d in gih.spaces:
-            spanning, comps = _full_greedy(gih, d)
-            assert gih.spanning[d] == spanning
-            assert gih.comps[d] == comps
+            assert gih.comps[d] == full_greedy(gih, d)[1]
         assert exactlin.modp_fallbacks == before
 
 
@@ -386,7 +370,7 @@ def test_short_modular_selection_selects_exactly(monkeypatch, cube_fan):
     before = exactlin.modp_fallbacks
     got = GradedIH(pair)
     assert exactlin.modp_fallbacks == before + 1
-    assert got.spanning == want.spanning and got.comps == want.comps
+    assert got.comps == want.comps
     assert got.grams == {} and want.grams
 
 
