@@ -477,9 +477,8 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
             break
         # the rank of the images' classes: how many of them are independent
         # of the relative ideal multiples x_i * b, b of grading d
-        multiples = [{(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
-                      for (mid, j, e), c in b.items()}
-                     for b in star_rel.spaces[d].basis for i in range(n)]
+        low = star_rel.spaces[d]
+        multiples = [x for b in low.basis for x in low.multiples(b)]
         classes = sum(1 for i in _independent_exact(multiples + imgs)
                       if i >= len(multiples))
         if classes != star_abs.h[d] or star_abs.h[d] != star_rel.h[d + 2]:

@@ -9,8 +9,12 @@ boundary along its subdivision center over the pair's face lattice
 (flatten_boundary): the facets, their pieces and their stalks go down to a
 complete pair one dimension lower, whose primitive classes are pulled back
 to the cone's pieces (flattened_stalk).  Global sections of any grading
-are then cut out by a sparse linear system in per-cone generator
-coefficients, built in integer arithmetic (_Sections).
+are then read off per-carrier columns (_Sections): on a simplicial
+carrier the monomials in the dual forms of its rays, which the walls
+between simplicial carriers join into classes (the face-supported
+monomials), and elsewhere the ambient monomials times the stalk
+generators; only walls that touch a nonsimplicial carrier give rows, a
+sparse linear system built in integer arithmetic.
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -163,16 +167,19 @@ def _wall_images(eqs, n, m):
         level = new
 
 
-def _add_images(rows, images, col0, monos, f, c, m):
-    """Add c * images[e + f] to column col0 + i of the rows, for the i-th
-    packed exponent e of monos.  The coefficient c and the images are
-    integers over Z[sqrt(m)], pairs (rational part, sqrt(m) part), and so
-    are the rows: a pair of dicts {reduced exponent: {column: int}}."""
+def _add_images(rows, images, slots, monos, f, c, m):
+    """Add c * images[e + f] to variable slots[i] of the rows, for the i-th
+    packed exponent e of monos, unless that slot is None.  The coefficient
+    c and the images are integers over Z[sqrt(m)], pairs (rational part,
+    sqrt(m) part), and so are the rows: a pair of dicts {reduced exponent:
+    {variable: int}}."""
     ca, cb = c
     # (part of the image, part of the rows, factor)
     terms = [t for t in ((0, 0, ca), (1, 1, ca), (0, 1, cb),
                          (1, 0, cb * m if cb else 0)) if t[2]]
-    for col, e in enumerate(monos, col0):
+    for col, e in zip(slots, monos):
+        if col is None:
+            continue
         img = images[e + f]
         for src, dst, x in terms:
             out = rows[dst]
@@ -198,15 +205,60 @@ def _primitive(a, b):
     return a, b
 
 
+@functools.lru_cache(maxsize=4096)
+def _dual_monomial(rays, e):
+    """The monomial prod_rho x_rho^e_rho in the dual forms x_rho of the
+    rays of a full-dimensional simplicial cone (x_rho is 1 on v_rho and 0
+    on the other rays) as an ambient Polynomial, from a process-wide cache
+    of the 4096 most recently used."""
+    n = len(rays)
+    return Polynomial(n, {e: ONE}).compose(
+        fans.cone_geometry(rays, n).duals)
+
+
+def _times(vecm, forms, width, on=None):
+    """The products l_0 * vecm, ..., l_(width-1) * vecm of the coefficient
+    vector vecm with linear forms given in the column variables of each
+    carrier mid: forms[mid][r] lists the pairs (i, coefficient of variable
+    r in l_i) that are not 0.  Those variables are the dual forms of the
+    rays on a simplicial carrier, where a form l reads (l . v_rho) per ray,
+    and the ambient coordinates elsewhere (see _Sections); multiplying by
+    variable r raises exponent r in either.  With on, only the columns in
+    it are kept, each keyed by on[column]."""
+    outs = [{} for _ in range(width)]
+    for (mid, j, e), c in vecm.items():
+        for r, coeffs in enumerate(forms[mid]):
+            if not coeffs:
+                continue
+            k = (mid, j, e[:r] + (e[r] + 1,) + e[r + 1:])
+            if on is not None:
+                k = on.get(k)
+                if k is None:
+                    continue
+            for i, x in coeffs:
+                out = outs[i]
+                s = out.get(k, ZERO) + x * c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return outs
+
+
 def _section_spaces(pair, gradings, boundary_pieces=None):
     """The section spaces {d: _Sections} of the gradings, relative to the
     boundary pieces when given: the one builder of section spaces, which
-    builds each wall's data once for all of them (see _Sections).  The
-    gradings are solved in ascending order, and grading d reads the wall
-    images of degree d/2 only, so each degree is built just before the
-    first grading that reads it and let go once a grading reads the next."""
-    sub = pair.subdivided
-    walls = []
+    builds each wall's data once for all of them (see _Sections).
+
+    A wall whose sides all have simplicial carriers is kept as a join, the
+    carriers with the positions in each carrier's rays of the coarse wall's
+    rays (the pieces of one coarse wall give one join); a boundary piece is
+    a one-sided join.  Every other wall keeps its equations.  The gradings
+    are solved in ascending order, and grading d reads the wall images of
+    degree d/2 only, so each degree is built just before the first grading
+    that reads it and let go once a grading reads the next."""
+    fan, sub = pair.fan, pair.subdivided
+    joins, walls = {}, []
     for tid in pair.facet_piece_ids():
         owners = sub.cofaces_of[tid]
         if len(owners) == 2:
@@ -218,68 +270,145 @@ def _section_spaces(pair, gradings, boundary_pieces=None):
             sides = ((owners[0], 1),)
         else:
             continue
+        cones = [fan.cones[pair.carrier(hat)] for hat, _ in sides]
+        if all(c.is_simplicial() for c in cones):
+            face = fan.cones[pair.carrier(tid)].rays
+            join = tuple((c.id, tuple(c.rays.index(r) for r in face))
+                         for c in cones)
+            joins[join] = None
+            continue
         eqs = fans.wall_equations(sub, tid)
-        m = radicand([sec[hat].coeffs for hat, _ in sides
-                      for _, sec in pair.stalks[pair.carrier(hat)]] +
-                     [dict(enumerate(row)) for _, row in eqs])
-        walls.append((sides, m, _wall_images(eqs, pair.fan.n, m)))
+        gens = [sec[hat].coeffs for (hat, _), c in zip(sides, cones)
+                if not c.is_simplicial()
+                for _, sec in pair.stalks[c.id]]
+        duals = [dict(enumerate(y)) for c in cones if c.is_simplicial()
+                 for y in c.geometry().duals]
+        m = radicand(gens + duals + [dict(enumerate(row)) for _, row in eqs])
+        walls.append((sides, m, _wall_images(eqs, fan.n, m)))
     spaces = {}
     degree, levels = -1, None
     for d in sorted(set(gradings)):
         while degree < d // 2:
             levels = [next(images) for _, _, images in walls]
             degree += 1
-        spaces[d] = _Sections(pair, d, [(sides, m, level) for (sides, m, _),
-                                        level in zip(walls, levels)])
+        spaces[d] = _Sections(pair, d, list(joins),
+                              [(sides, m, level) for (sides, m, _),
+                               level in zip(walls, levels)])
     return {d: spaces[d] for d in gradings}
+
+
+def _root(parent, i):
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 class _Sections:
     """Solved space of grading-d sections of a pair, parametrized by
     per-maximal-cone polynomial coefficients for each stalk generator.
 
-    The continuity system has one block of rows per wall: a subdivided
-    (n-1)-cone between two maximal cones with different carriers, or a
-    boundary piece for relative sections.  Each row is one coefficient of
-    the difference of the two sides' sections in the normal form modulo
-    the wall's equations.  The block is built in integers: with D clearing
-    the equations (_wall_images) and E the generator sections of both
-    sides, every entry is E * D^(d/2) times the exact one, which leaves the
-    kernel as it is.  Each row is then divided by the gcd of its entries,
-    so the kernel sees equal rows of the pieces of one wall as repeats.
-    The basis is the reduced kernel: basis[k] is 1 at its free column
-    cols[free[k]], free[k] being its largest index, and 0 at every other
-    free column, so restriction to the free columns is one-to-one on
-    sections.  Each wall's sides and radicand in walls are shared by the
-    gradings of one _section_spaces call, and neither depends on d: the
-    radicand is that of all generators of both sides and of the equations,
-    and rational data has no sqrt(m) parts whatever m is.  Its images are
-    those of degree d/2, the only ones grading d reads, built degree by
-    degree as the gradings go up."""
+    A carrier has one of two column conventions.  On a simplicial carrier
+    (whose stalk is the constant 1) the columns are the monomials of degree
+    d/2 in the dual forms x_rho of its rays (_dual_monomial); on any other
+    the columns are the ambient monomials times each stalk generator.
+
+    Across a wall tau between two simplicial carriers, the x_rho of both
+    sides restrict to the same form on span tau for rho in tau, and the
+    form of the ray opposite tau restricts to 0.  The two sides agree on tau
+    exactly when they have the same coefficient on every monomial in tau's
+    rays, so such a wall joins those columns of its sides (a union-find
+    over the columns), and a boundary piece of a relative space kills every
+    class it touches.  These are Billera's face-supported monomials
+    ("The algebra of continuous piecewise polynomials", 1989), but the
+    classes come from the actual walls.
+
+    Every other wall (one touching a nonsimplicial carrier) keeps one block
+    of rows: each row is one coefficient of the difference of the two
+    sides' sections in the normal form modulo the wall's equations, a
+    simplicial side entering through the ambient expansion of each of its
+    columns.  The block is built in integers: with D clearing the
+    equations (_wall_images) and E the polynomials of both sides, every
+    entry is E * D^(d/2) times the exact one, which leaves the kernel as it
+    is.  Each row is then divided by the gcd of its entries, so the kernel
+    sees equal rows of the pieces of one wall as repeats.  The rows are
+    written in the variables: the classes not killed, each standing for 1
+    on all its members, in the order of their largest members.
+
+    The basis is the reduced kernel over the variables (every variable when
+    there are no rows, and no kernel is solved), each variable spread over
+    its members: basis[k] is 1 at its free column cols[free[k]], free[k]
+    being its largest index, and 0 at every other free column, so
+    restriction to the free columns is one-to-one on sections.  Each wall's
+    sides and radicand in walls are shared by the gradings of one
+    _section_spaces call, and neither depends on d: the radicand is that of
+    all generators of both sides, of a simplicial side's dual forms and of
+    the equations, and rational data has no sqrt(m) parts whatever m is.
+    Its images are those of degree d/2, the only ones grading d reads,
+    built degree by degree as the gradings go up."""
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
-    def __init__(self, pair, grading, walls):
+    def __init__(self, pair, grading, joins, walls):
         self.pair = pair
         self.grading = grading
-        n = pair.fan.n
+        fan = pair.fan
+        n = fan.n
+        k = grading // 2
         cols = []
         start = {}
-        for mid in sorted(pair.fan.maximal_ids):
+        for mid in sorted(fan.maximal_ids):
             for j, (g, _) in enumerate(pair.stalks[mid]):
                 if g <= grading:
                     start[(mid, j)] = len(cols)
                     cols.extend((mid, j, e)
                                 for e in monomials(n, (grading - g) // 2))
         self.cols = cols
+        # classes of columns: joined across walls, killed on the boundary
+        parent = list(range(len(cols)))
+        killed = set()
+        index = {e: i for i, e in enumerate(monomials(n, k))}
+        for face in monomials(n - 1, k):
+            for join in joins:
+                placed = []
+                for mid, pos in join:
+                    e = [0] * n
+                    for p, x in zip(pos, face):
+                        e[p] = x
+                    placed.append(start[(mid, 0)] + index[tuple(e)])
+                if len(placed) == 1:
+                    killed.add(placed[0])
+                else:
+                    a, b = _root(parent, placed[0]), _root(parent, placed[1])
+                    parent[max(a, b)] = min(a, b)
+        killed = {_root(parent, c) for c in killed}
+        members = {}
+        for c in range(len(cols)):
+            r = _root(parent, c)
+            if r not in killed:
+                members.setdefault(r, []).append(c)
+        # members come in ascending order, so each class's last is its
+        # largest
+        classes = sorted(members.values(), key=lambda ms: ms[-1])
+        slot = [None] * len(cols)
+        for v, ms in enumerate(classes):
+            for c in ms:
+                slot[c] = v
         rows = []
         rows_m = None   # the radicand of the rows' sqrt(m) parts
         for sides, m, images in walls:
-            # the generator sections' coefficients keyed by (first column,
-            # degree of the generator's monomials, packed exponent)
+            # the polynomials' coefficients keyed by (first column, degree
+            # of the monomials they multiply, packed exponent)
             coeffs = {}
             for hat, sign in sides:
                 mid = pair.carrier(hat)
+                cone = fan.cones[mid]
+                if cone.is_simplicial():
+                    # each column's own polynomial, times the monomial 1
+                    for i, e in enumerate(monomials(n, k), start[(mid, 0)]):
+                        poly = _dual_monomial(cone.rays, e)
+                        for f, c in poly.coeffs.items():
+                            coeffs[(i, 0, _pack(f))] = c if sign > 0 else -c
+                    continue
                 for j, (g, sec) in enumerate(pair.stalks[mid]):
                     if g <= grading:
                         key = (start[(mid, j)], (grading - g) // 2)
@@ -288,9 +417,10 @@ class _Sections:
             block = ({}, {})
             a, b, _ = cleared(coeffs)
             for key in coeffs:
-                col0, k, f = key
-                _add_images(block, images, col0, _packed_monomials(n, k), f,
-                            (a.get(key, 0), b.get(key, 0)), m)
+                col0, kk, f = key
+                monos = _packed_monomials(n, kk)
+                _add_images(block, images, slot[col0:col0 + len(monos)],
+                            monos, f, (a.get(key, 0), b.get(key, 0)), m)
             for r in dict.fromkeys(block[0]) | dict.fromkeys(block[1]):
                 row = _primitive(block[0].get(r, {}), block[1].get(r, {}))
                 if row is not None:
@@ -299,26 +429,64 @@ class _Sections:
                         # every scalar of a pair lies in its fan's field,
                         # so the walls share one radicand
                         rows_m = m
-        kern = sparse_kernel(rows, len(cols), rows_m)
-        self.free = tuple(max(v) for v in kern)
-        self.basis = [
-            {cols[i]: c for i, c in v.items()} for v in kern]
+        if rows:
+            kern = sparse_kernel(rows, len(classes), rows_m)
+        else:
+            kern = [{v: ONE} for v in range(len(classes))]
+        self.free = tuple(classes[max(v)][-1] for v in kern)
+        self.basis = [{cols[i]: c for v, c in w.items() for i in classes[v]}
+                      for w in kern]
 
-    def materialize(self, vecm):
-        """Dict-vector in generator coordinates -> per-subdivided-max-cone
-        polynomials."""
+    def multiples(self, vecm, on=None):
+        """The ideal multiples x_0 * vecm, ..., x_(n-1) * vecm of a vector
+        of this space, in the columns of the grading above: on a simplicial
+        carrier x_i = sum_rho (v_rho)_i x_rho in its dual forms, elsewhere
+        x_i raises the ambient exponent.  With on, only the columns in it
+        are kept, each keyed by on[column] (see _times)."""
         pair = self.pair
         n = pair.fan.n
+        if pair._xs is None:
+            # per carrier and column variable r, the nonzero (i, coefficient
+            # of r in x_i), once per pair
+            pair._xs = {}
+            for mid in pair.fan.maximal_ids:
+                cone = pair.fan.cones[mid]
+                pair._xs[mid] = [
+                    [(i, x) for i, x in enumerate(v) if x]
+                    for v in cone.rays] if cone.is_simplicial() else [
+                    [(r, ONE)] for r in range(n)]
+        return _times(vecm, pair._xs, n, on)
+
+    def materialize(self, vecm):
+        """Dict-vector in column coordinates -> per-subdivided-max-cone
+        polynomials: on a simplicial carrier the sum of its columns' dual
+        monomials (one polynomial for all its pieces), elsewhere the ambient
+        monomials times the generators."""
+        pair = self.pair
+        fan = pair.fan
+        n = fan.n
+        blocks = {}
+        for (mid, j, e), c in vecm.items():
+            blocks.setdefault(mid, {}).setdefault(j, {})[e] = c
         out = {}
+        dual = {}
         for hat in pair.subdivided.maximal_ids:
             mid = pair.carrier(hat)
+            cone = fan.cones[mid]
+            if cone.is_simplicial():
+                total = dual.get(mid)
+                if total is None:
+                    total = Polynomial(n)
+                    for e, c in blocks.get(mid, {}).get(0, {}).items():
+                        p = _dual_monomial(cone.rays, e)
+                        total = total.add(Polynomial._clean(
+                            n, {f: c * x for f, x in p.coeffs.items()}))
+                    dual[mid] = total
+                out[hat] = total
+                continue
             total = Polynomial(n)
             gens = pair.stalks[mid]
-            blocks = {}
-            for (m2, j, e), c in vecm.items():
-                if m2 == mid:
-                    blocks.setdefault(j, {})[e] = c
-            for j, coeffs in blocks.items():
+            for j, coeffs in blocks.get(mid, {}).items():
                 q = Polynomial(n, coeffs)
                 total = total.add(q.mul(gens[j][1][hat]))
             out[hat] = total
@@ -334,12 +502,13 @@ class DistinguishedPair:
     subdivision step sequence, and the stalk of every cone: a tuple of
     generators, each a (grading, sections) pair where sections maps the
     cone's pieces (subdivided-cone ids) to homogeneous polynomials of degree
-    grading/2.  The owners of a facet piece are its cofaces in the
-    subdivision."""
+    grading/2; a simplicial cone's stalk is the constant 1, which its
+    section columns presume (_Sections).  The owners of a facet piece are
+    its cofaces in the subdivision."""
 
     __slots__ = ("fan", "subdivided", "steps", "rule", "stalks",
                  "_carrier", "_pieces", "_facet_pieces", "_sections",
-                 "_boundary_pieces")
+                 "_boundary_pieces", "_xs")
 
     def __init__(self, fan, subdivided, steps, rule="default", stalks=None):
         self.fan = fan
@@ -381,6 +550,7 @@ class DistinguishedPair:
         self.stalks = dict(stalks) if stalks else {}
         self._sections = {}
         self._boundary_pieces = None
+        self._xs = None   # kept by _Sections.multiples
 
     # -- structure ---------------------------------------------------------
 
@@ -503,20 +673,15 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
 
 
 def _mul_pl(vecm, l):
-    out = {}
-    for (mid, j, e), c in vecm.items():
-        form = l.per_max[mid]
-        for i, li in enumerate(form):
-            if li:
-                e2 = list(e)
-                e2[i] += 1
-                k = (mid, j, tuple(e2))
-                s = out.get(k, ZERO) + li * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return out
+    """The product of a coefficient vector of a section space of a pair on
+    l's fan with the conewise linear function l (see _times)."""
+    forms = {}
+    for mid, form in l.per_max.items():
+        cone = l.fan.cones[mid]
+        if cone.is_simplicial():
+            form = [vdot(form, r) for r in cone.rays]
+        forms[mid] = [[(0, x)] if x else [] for x in form]
+    return _times(vecm, forms, 1)[0]
 
 
 def _independent_exact(vectors):
@@ -533,9 +698,12 @@ class EvaluationContext:
     |det| times the product of its dual-basis facet forms, read off the
     cone's geometry (fans.Cone.geometry): the product of forms whose wedge
     has determinant +-1 in the input coordinates.  A form's value at such
-    a point is a nonzero polynomial in t, so the search ends."""
+    a point is a nonzero polynomial in t, so the search ends.  The values
+    at z of the dual forms of each simplicial maximal cone of the pair's
+    fan, the coordinates of z in that carrier's columns, are kept too
+    (duals_z); on a fan that is its own subdivision they are those of phi."""
 
-    __slots__ = ("z", "inv_phi_z")
+    __slots__ = ("z", "inv_phi_z", "duals_z")
 
     def __init__(self, pair: DistinguishedPair):
         sub = pair.subdivided
@@ -549,13 +717,19 @@ class EvaluationContext:
             geoms[m] = sub.cones[m].geometry()
         for t in itertools.count(2):
             z = tuple(sc(t) ** i for i in range(n))
-            vals = {m: prod((vdot(f, z) for f in geom.duals),
-                            start=abs(geom.det))
+            duals = {m: tuple(vdot(f, z) for f in geom.duals)
+                     for m, geom in geoms.items()}
+            vals = {m: prod(duals[m], start=abs(geom.det))
                     for m, geom in geoms.items()}
             if all(vals.values()):
                 break
         self.z = z
         self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
+        fan = pair.fan
+        self.duals_z = {
+            mid: duals[mid] if fan is sub else
+            tuple(vdot(f, z) for f in fan.cones[mid].geometry().duals)
+            for mid in fan.maximal_ids if fan.cones[mid].is_simplicial()}
 
 
 def _gram(left, weights, right):
@@ -573,12 +747,13 @@ class GradedIH:
     basis), and the evaluation Gram matrices of the representatives.
 
     The candidates of grading d are the ideal multiples x_i * b (b in the
-    grading-(d-2) basis) and then the section basis vectors, each kept when
-    independent of those kept before it; the kept basis vectors are the
-    complement representatives.  Independence is read on the free columns
-    (see _Sections): vectors independent after a linear map are independent,
-    and restriction to the free columns is one-to-one on sections, so the
-    exact choice is the one on full-length vectors.
+    grading-(d-2) basis, _Sections.multiples) and then the section basis
+    vectors, each kept when independent of those kept before it; the kept
+    basis vectors are the complement representatives.  Independence is
+    read on the free columns (see _Sections): vectors independent after a
+    linear map are independent, and restriction to the free columns is
+    one-to-one on sections, so the exact choice is the one on full-length
+    vectors.
 
     A complete pair (uncapped, absolute, without boundary pieces) decides
     independence mod p (exactlin.independent_modp) and certifies the choice
@@ -600,13 +775,14 @@ class GradedIH:
     evaluation context's generic point."""
 
     __slots__ = ("pair", "cap", "spaces", "comps", "h", "grams", "_ctx",
-                 "_rep_polys", "_values")
+                 "_mono_z", "_rep_polys", "_values")
 
     def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
         self.pair = pair
         self.cap = 2 * pair.fan.n if cap is None else cap
         self.spaces = pair.section_spaces(range(0, self.cap + 1, 2), relative)
         self._ctx = None
+        self._mono_z = {}   # (carrier, exponent) -> its dual monomial at z
         complete = cap is None and not relative and \
             not pair.boundary_piece_ids()
         if not (complete and self._select(independent_modp) and
@@ -625,15 +801,12 @@ class GradedIH:
         fewer vectors than its section space has dimensions."""
         self.comps, self.h = {}, {}
         self.grams, self._rep_polys, self._values = {}, {}, {}
-        n = self.pair.fan.n
         for d, sp in self.spaces.items():
             # on the free columns, keyed -f to pivot on the largest one
             key = {sp.cols[f]: -f for f in sp.free}
-            below = self.spaces[d - 2].basis if d >= 2 else []
-            cands = [{k: c for (mid, j, e), c in b.items()
-                      if (k := key.get((mid, j, e[:i] + (e[i] + 1,) +
-                                        e[i + 1:]))) is not None}
-                     for b in below for i in range(n)]
+            low = self.spaces.get(d - 2)
+            cands = [x for b in (low.basis if low else ())
+                     for x in low.multiples(b, key)]
             nm = len(cands)
             kept = independent(cands + [{-f: ONE} for f in sp.free])
             if kept is None or len(kept) != len(sp.basis):
@@ -682,11 +855,41 @@ class GradedIH:
         got = self._values.get(d)
         if got is None:
             ctx = self.context()
-            got = Matrix([[polys[m].evaluate(ctx.z) for m in ctx.inv_phi_z]
-                          for polys in self.rep_polys(d)],
-                         ncols=len(ctx.inv_phi_z))
+            sp = self.spaces[d]
+            got = Matrix([self._evaluate(sp, v, ctx)
+                          for v in self.comps[d]], ncols=len(ctx.inv_phi_z))
             self._values[d] = got
         return got
+
+    def _evaluate(self, sp, vecm, ctx):
+        """The values at z of the section vecm of sp on the subdivided
+        maximal cones, in the order of ctx.inv_phi_z.  On a simplicial
+        carrier each column is a product of the carrier's dual forms at z,
+        so no Polynomial is built; elsewhere the materialized polynomial is
+        evaluated.  The monomials' values are kept per carrier."""
+        pair = self.pair
+        sums, rest = {}, {}
+        for key, c in vecm.items():
+            mid, _, e = key
+            duals = ctx.duals_z.get(mid)
+            if duals is None:
+                rest[key] = c
+                continue
+            y = self._mono_z.get((mid, e))
+            if y is None:
+                y = prod((x ** p for x, p in zip(duals, e) if p), start=ONE)
+                self._mono_z[(mid, e)] = y
+            sums[mid] = sums.get(mid, ZERO) + c * y
+        polys = sp.materialize(rest) if rest else {}
+        out = []
+        for m in ctx.inv_phi_z:
+            mid = pair.carrier(m)
+            if mid in ctx.duals_z:
+                out.append(sums.get(mid, ZERO))
+            else:
+                poly = polys.get(m)
+                out.append(poly.evaluate(ctx.z) if poly else ZERO)
+        return out
 
     def lefschetz_gram(self, l, d, e):
         """Matrix of <a . l^k . b> with k = n - (d+e)/2, a the
@@ -851,8 +1054,9 @@ def pair_from_json_dict(obj):
     ValueError, and so does a rule other than "default" or "alt", a stalk
     that is not a list of [grading, section map] pairs, a cone id or an
     exponent that is not an integer, a section map that does not name
-    exactly its cone's pieces, or a coefficient that is neither a JSON
-    integer nor a scalar literal."""
+    exactly its cone's pieces, a coefficient that is neither a JSON
+    integer nor a scalar literal, or a simplicial cone's stalk other than
+    the constant 1."""
     rule = obj.get("rule", "default")
     _barycenter_choice(rule)
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
@@ -874,6 +1078,7 @@ def pair_from_json_dict(obj):
         subdivided, steps = fans.barycentric_subdivision(
             fan, lambda cone: next(recorded))
     pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
+    one = Polynomial.constant(n, 1)
     for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
         cid = _json_key(cid_s, "a stalk's cone id")
         if cid not in fan.cones:
@@ -913,6 +1118,13 @@ def pair_from_json_dict(obj):
                                      "degree grading/2")
                 entry[pid] = poly
             parsed.append((g, entry))
+        if fan.cones[cid].is_simplicial() and not (
+                len(parsed) == 1 and parsed[0][0] == 0 and
+                all(p == one for p in parsed[0][1].values())):
+            # the section spaces write a simplicial carrier in its own dual
+            # coordinates, which presumes this stalk (see _Sections)
+            raise ValueError(f"the stalk of the simplicial cone {cid} must "
+                             "be the constant 1")
         pair.stalks[cid] = tuple(parsed)
     for cid in fan.cones:
         if cid not in pair.stalks:

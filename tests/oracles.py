@@ -19,9 +19,8 @@ road.
 
 from ihfan import exactlin
 from ihfan.conewise import Polynomial
-from ihfan.exactlin import ZERO, Matrix, solve
+from ihfan.exactlin import ONE, ZERO, Matrix, solve
 from ihfan.fans import vscale
-from ihfan.ihsheaf import _mul_pl
 
 
 # -- polynomials -----------------------------------------------------------
@@ -205,20 +204,50 @@ def evaluate(pair, f):
 # -- the module route ------------------------------------------------------
 
 
-def ideal_multiple(b, i):
-    """The coefficient vector of x_i * b, for b a coefficient vector of a
-    section space (keys (maximal cone, generator, exponent))."""
-    return {(mid, j, e[:i] + (e[i] + 1,) + e[i + 1:]): c
-            for (mid, j, e), c in b.items()}
+def multiple(sp, b, forms):
+    """The coefficient vector of l * b, for b a coefficient vector of the
+    section space sp (keys (maximal cone, generator, exponent)) and l the
+    ambient linear form forms[mid] on each maximal cone mid.  On a
+    simplicial carrier it is read off b's materialized polynomial: that
+    polynomial times l, written in the dual forms of the carrier's rays by
+    substituting x = sum_rho y_rho v_rho.  On any other carrier each
+    exponent of b goes up by one in each variable of l."""
+    pair = sp.pair
+    fan = pair.fan
+    polys = sp.materialize(b)
+    out = {}
+    for (mid, j, e), c in b.items():
+        if fan.cones[mid].is_simplicial():
+            continue
+        for i, li in enumerate(forms[mid]):
+            if li:
+                k = (mid, j, e[:i] + (e[i] + 1,) + e[i + 1:])
+                out[k] = out.get(k, ZERO) + li * c
+    for mid in fan.maximal_ids:
+        cone = fan.cones[mid]
+        if cone.is_simplicial():
+            p = polys[pair.pieces(mid)[0]].mul(
+                Polynomial.from_linear(forms[mid]))
+            for e, c in p.compose(list(zip(*cone.rays))).coeffs.items():
+                out[(mid, 0, e)] = c
+    return {k: c for k, c in out.items() if c}
+
+
+def ideal_multiple(sp, b, i):
+    """The coefficient vector of x_i * b, for b a coefficient vector of the
+    section space sp (see multiple)."""
+    n = sp.pair.fan.n
+    unit = tuple(ONE if j == i else ZERO for j in range(n))
+    return multiple(sp, b, {mid: unit for mid in sp.pair.fan.maximal_ids})
 
 
 def full_greedy(gih, d):
     """The selection on full-length vectors: the ideal multiples x_i * b
     (b in the grading-(d-2) basis), then the section basis, each kept when
     independent mod p of those kept before it; (spanning, comps)."""
-    below = gih.spaces[d - 2].basis if d >= 2 else []
-    multiples = [ideal_multiple(b, i)
-                 for b in below for i in range(gih.pair.fan.n)]
+    low = gih.spaces.get(d - 2)
+    multiples = [ideal_multiple(low, b, i) for b in (low.basis if low else ())
+                 for i in range(gih.pair.fan.n)]
     cands = multiples + gih.spaces[d].basis
     kept = exactlin.independent_modp(cands)
     return ([cands[i] for i in kept],
@@ -233,7 +262,7 @@ def module_step(gih, d, l):
     representatives."""
     spanning, comps = full_greedy(gih, d + 2)
     assert comps == gih.comps[d + 2]
-    images = [_mul_pl(c, l) for c in gih.comps[d]]
+    images = [multiple(gih.spaces[d], c, l.per_max) for c in gih.comps[d]]
     keys = list(dict.fromkeys(k for v in spanning + images for k in v))
     mat = Matrix([[v.get(k, ZERO) for v in spanning] for k in keys],
                  ncols=len(spanning))

@@ -284,16 +284,16 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
         low, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in low.basis:
             for i in range(n):
-                if evaluate(pair, top.as_function(ideal_multiple(b, i))) \
-                        != sc(0):
+                f = top.as_function(ideal_multiple(low, b, i))
+                if evaluate(pair, f) != sc(0):
                     ideal_nonzero += 1
     cpair = build_distinguished_pair(cube_fan)
     cctx = EvaluationContext(cpair)
     clow, ctop = cpair.section_spaces([4, 6]).values()
     for b in clow.basis:
         for i in range(3):
-            if evaluate_fast(cctx, ctop.materialize(ideal_multiple(b, i))) \
-                    != sc(0):
+            f = ctop.materialize(ideal_multiple(clow, b, i))
+            if evaluate_fast(cctx, f) != sc(0):
                 ideal_nonzero += 1
     # each normalized facet-form product, extended by zero, evaluates to 1
     not_one = 0

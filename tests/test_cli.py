@@ -209,6 +209,12 @@ MALFORMED = {
         ["hvector"], _quadrant_pair_sections(8, {"8": {"0,x": "1"}})),
     "pair-generator-not-a-pair": (
         ["hvector"], _quadrant_pair_stalk(8, [[0]])),
+    # a simplicial cone's stalk is the constant 1, its one generator
+    "pair-simplicial-stalk-scaled": (
+        ["hvector"], _quadrant_pair_sections(8, {"8": {"0,0": "2"}})),
+    "pair-simplicial-stalk-two-generators": (
+        ["hvector"], _quadrant_pair_stalk(
+            8, [[0, {"8": {"0,0": "1"}}], [2, {"8": {"1,0": "1"}}]])),
     "pair-stalk-not-a-list": (["hvector"], _quadrant_pair_stalk(8, 0)),
     # an ambient dimension below 1, as a fan's dim or as vertices with no
     # coordinates
@@ -231,6 +237,8 @@ MALFORMED_MESSAGES = {
     "zero-denominator-sqrt2": "zero denominator",
     "boolean-coordinate": "bad coordinate True",
     "pair-stalks-not-an-object": "'stalks' must be a JSON object",
+    "pair-simplicial-stalk-scaled": "must be the constant 1",
+    "pair-simplicial-stalk-two-generators": "must be the constant 1",
     "pair-section-map-not-an-object":
         "a section map of the stalk of cone 0 must be a JSON object",
     "pair-coefficient-map-not-an-object":

@@ -179,7 +179,7 @@ def test_evaluate_kills_ideal_multiples(quadrant_fan, orthant_fan):
         sp, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in sp.basis:
             for i in range(n):
-                f = top.as_function(ideal_multiple(b, i))
+                f = top.as_function(ideal_multiple(sp, b, i))
                 assert evaluate(pair, f) == sc(0)
                 assert evaluate_fast(ctx, f) == sc(0)
 

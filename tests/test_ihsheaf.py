@@ -2,14 +2,14 @@ import json
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
-from ihfan import exactlin, ihsheaf
+from ihfan import exactlin, fans, ihsheaf
 from ihfan.conewise import Polynomial, monomials
-from ihfan.exactlin import (ONE, ZERO, Scalar, echelon_insert, sc,
-                            sparse_eliminate)
+from ihfan.exactlin import (ONE, ZERO, Scalar, ScalarField, echelon_insert,
+                            sc, sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
                         is_complete, is_strictly_convex, product_fan,
@@ -438,6 +438,164 @@ def test_one_call_builds_each_grading_as_alone(cube_fan, prism_fan):
             assert together[d].cols == alone.cols
             assert together[d].basis == alone.basis
             assert together[d].free == alone.free
+
+
+# -- face-ring section spaces ----------------------------------------------
+
+
+def _sheared_bipyramid():
+    """A square bipyramid, (+-1, 0, 0), (0, +-1, 0), (0, 0, +-2), under the
+    shear (x, y, z) -> (x + sqrt2 y, y, z + sqrt2 x): six vertices, eight
+    triangles, over Q(sqrt 2)."""
+    field = ScalarField(2)
+    r2 = field.parse("0+1r2")
+    base = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 2),
+            (0, 0, -2)]
+    verts = [(sc(x) + r2 * y, sc(y), sc(z) + r2 * x) for x, y, z in base]
+    return face_fan_with_support(verts, field=field)[0]
+
+
+def _octahedron():
+    return face_fan_with_support(
+        [tuple(s if j == i else 0 for j in range(3))
+         for i in range(3) for s in (1, -1)])[0]
+
+
+def _triangle():
+    return build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
+                         [(-1, -1), (1, 0)]])
+
+
+def _face_ring_dim(f, k):
+    """Monomials of degree k on the faces of a simplicial fan with f-vector
+    f, f[j] its cones with j + 1 rays: a cone with j rays carries
+    C(k-1, j-1) monomials with every ray in their support, and the origin
+    carries only the constant."""
+    if k == 0:
+        return 1
+    return sum(fj * comb(k - 1, j) for j, fj in enumerate(f))
+
+
+def _validate_space(sp):
+    for v in sp.basis:
+        validate(sp.as_function(v))
+
+
+def test_face_ring_sections_from_combinatorics(cube_fan):
+    # f-vectors from the polytopes: the octahedron and the sheared square
+    # bipyramid have 6 vertices, 12 edges and 8 triangles; the barycentric
+    # subdivision of the cube's boundary has a vertex per face (8 + 12 + 6),
+    # an edge per pair of nested faces (3 * 24) and a triangle per flag
+    # (48); the product of two triangle fans has 3 + 3 rays, 3 + 3 + 9
+    # 2-cones, 9 + 9 3-cones and 9 4-cones.  The cube's own face fan is not
+    # simplicial, so its subdivision stands in for it; its 48 cones make the
+    # pairwise continuity check slow, so it checks gradings up to 4 only.
+    cube_sub = cached_pair(cube_fan).subdivided
+    before = exactlin.modp_fallbacks
+    for fan, f, top in ((_octahedron(), (6, 12, 8), 3),
+                        (_sheared_bipyramid(), (6, 12, 8), 3),
+                        (cube_sub, (26, 72, 48), 2),
+                        (product_fan(_triangle(), _triangle()),
+                         (6, 15, 18, 9), 4)):
+        pair = build_distinguished_pair(fan)
+        gradings = range(0, 2 * fan.n + 1, 2)
+        spaces = pair.section_spaces(gradings)
+        for d in gradings:
+            assert len(spaces[d].basis) == _face_ring_dim(f, d // 2)
+            if d // 2 <= top:
+                _validate_space(spaces[d])
+    assert exactlin.modp_fallbacks == before
+
+
+def test_mixed_walls_sections_validate():
+    # the face fan of a prism over a triangle: two triangular cones and
+    # three square ones, so every wall between a triangle and a square is
+    # a mixed wall.  f0 = 6, so h = (1, 3, 3, 1), and the sections are free
+    # over the ambient polynomials on h_j generators of grading 2j
+    field = ScalarField(2)
+    r2 = field.parse("0+1r2")
+    tri = [(sc(2), sc(0)), (sc(-1), r2), (sc(-1), sc(-1) - r2)]
+    fan = face_fan_with_support([(x, y, sc(z)) for x, y in tri
+                                 for z in (1, -1)], field=field)[0]
+    kinds = sorted(len(fan.cones[m].rays) for m in fan.maximal_ids)
+    assert kinds == [3, 3, 4, 4, 4]
+    pair = build_distinguished_pair(fan)
+    h = (1, 3, 3, 1)
+    for d, sp in pair.section_spaces(range(0, 7, 2)).items():
+        want = sum(hj * comb(d // 2 - j + 2, 2)
+                   for j, hj in enumerate(h) if j <= d // 2)
+        assert len(sp.basis) == want
+        _validate_space(sp)
+    assert GradedIH(pair).h_vector() == h
+
+
+def test_relative_face_ring_of_a_closed_star():
+    # the closed star of a vertex v of the octahedron: four triangles
+    # around v.  A relative section vanishes on the boundary, the link's
+    # faces, so it is the monomials on the faces through v: v, its four
+    # edges and its four triangles
+    fan = _octahedron()
+    ray = fan.ray_ids()[0]
+    _, closed, _ = star_link(fan, ray)
+    pair = build_distinguished_pair(closed)
+    rel = relative_sections(pair, cap=6)
+    for d, funcs in rel.items():
+        k = d // 2
+        want = 0 if k == 0 else 1 + 4 * comb(k - 1, 1) + 4 * comb(k - 1, 2)
+        assert len(funcs) == want
+        sub = pair.subdivided
+        for f in funcs:
+            validate(f)
+            for t in pair.boundary_piece_ids():
+                poly = f.per_max[sub.cofaces_of[t][0]]
+                eqs = sub.cones[t].geometry().equations
+                assert reduce_mod(poly, eqs).is_zero()
+
+
+def test_simplicial_pair_solves_no_kernel(monkeypatch):
+    # every wall of the octahedron's face fan joins columns: no kernel
+    calls = []
+    kernel = ihsheaf.sparse_kernel
+    monkeypatch.setattr(ihsheaf, "sparse_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    gih = GradedIH(build_distinguished_pair(_octahedron()))
+    assert gih.h_vector() == (1, 3, 3, 1)
+    assert calls == []
+
+
+def test_walls_between_simplicial_carriers_give_no_rows(monkeypatch):
+    # the face fan of a square pyramid: four triangular cones around the
+    # apex and the square cone over the base.  Rows come only from walls
+    # whose equations are read, and those must be the square cone's four
+    # facets, never the four walls between triangular cones
+    fan = face_fan_with_support(
+        [(1, 1, -1), (-1, 1, -1), (-1, -1, -1), (1, -1, -1), (0, 0, 3)])[0]
+    square = next(m for m in fan.maximal_ids if len(fan.cones[m].rays) == 4)
+    assert sorted(len(fan.cones[m].rays) for m in fan.maximal_ids) == \
+        [3, 3, 3, 3, 4]
+    pair = build_distinguished_pair(fan)
+    read, calls = [], []
+    equations = fans.wall_equations
+    kernel = ihsheaf.sparse_kernel
+    monkeypatch.setattr(fans, "wall_equations",
+                        lambda sub, tid: read.append(tid) or
+                        equations(sub, tid))
+    monkeypatch.setattr(ihsheaf, "sparse_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    before = exactlin.modp_fallbacks
+    gih = GradedIH(pair)
+    # f0 = 5: h = (1, f0-3, f0-3, 1)
+    assert gih.h_vector() == (1, 2, 2, 1)
+    assert exactlin.modp_fallbacks == before
+    sub = pair.subdivided
+    facets = {f for f in fan.faces_of[square] if fan.cones[f].dim == 2}
+    assert read and {pair.carrier(t) for t in read} == facets
+    assert all(square in {pair.carrier(m) for m in sub.cofaces_of[t]}
+               for t in read)
+    # one kernel per grading, over fewer variables than columns: the
+    # triangular cones' columns are joined
+    assert [ncols < len(sp.cols) for (_, ncols, _), sp in
+            zip(calls, gih.spaces.values())] == [True] * 4
 
 
 # -- serialization ---------------------------------------------------------
