@@ -12,8 +12,10 @@ are the extreme rays of its dual, a generator g of a pointed cone is
 extreme when the generators on every facet through g have only g in
 common (every face of a pointed cone is an intersection of facets), and an
 intersection is the hull of both cones' facet inequalities.  A cone's
-dimension, equations, hull start and duals come from one inverse
-(``_dual_basis``).
+dimension, equations, hull start, duals and determinant come from one
+Gauss-Jordan elimination of its rays (``_dual_basis``).  Independent
+generators span a simplicial cone, which is pointed with every generator
+extreme, so only dependent generator sets are checked for both.
 
 Only a fan's listed cones get a hull: points are located and faces tested
 on the maximal cones' facets and the fan's lattice (``Fan.face_at``).
@@ -25,6 +27,7 @@ ids are stable across runs and across re-parsing of emitted JSON.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 from .exactlin import (
@@ -33,8 +36,8 @@ from .exactlin import (
     ZERO,
     ONE,
     echelon_insert,
+    echelon_reduce,
     first_independent,
-    inverse,
     format_scalar,
     json_int,
     json_scalar,
@@ -84,7 +87,8 @@ def canonical_direction(u):
     scale)."""
     for x in u:
         if x:
-            return vscale(abs(x).inverse(), u)
+            s = abs(x)
+            return tuple(u) if s == ONE else vscale(s.inverse(), u)
     raise ValueError("zero vector has no direction")
 
 
@@ -105,23 +109,30 @@ def _dual_basis(rows, k):
     them, and the columns and determinant of the inverse of that square
     matrix.  The columns dual to the unit vectors are the kernel of the rows
     as the reduced echelon with pivots comp; those dual to the basis rows
-    are zero at comp."""
-    ech, basis, comp = {}, [], []
-    for i, a in enumerate(rows):
-        if echelon_insert(ech, {j: x for j, x in enumerate(a) if x}):
-            basis.append(i)
-            if len(basis) == k:
-                break
-    for c in range(k):
-        if len(basis) + len(comp) == k:
+    are zero at comp.  One Gauss-Jordan pass on [rows | 1], as in
+    exactlin.inverse: the t-th row kept carries the tag column k + t, and a
+    row with nothing left below column k is skipped before it is tagged."""
+    ech, kept, pivots, det = {}, [], [], ONE
+    units = ({c: ONE} for c in range(k))
+    for i, a in enumerate(itertools.chain(
+            (dict(enumerate(a)) for a in rows), units)):
+        if len(kept) == k:
             break
-        if echelon_insert(ech, {c: ONE}):
-            comp.append(c)
-    inv, det = inverse(Matrix(
-        [rows[i] for i in basis]
-        + [tuple(ONE if j == c else ZERO for j in range(k)) for c in comp],
-        ncols=k))
-    return basis, comp, [inv.col(j) for j in range(k)], det
+        r = echelon_reduce(ech, a)
+        if not r or min(r) >= k:
+            continue
+        r[k + len(kept)] = ONE
+        c, piv = echelon_insert(ech, r)
+        kept.append(i)
+        pivots.append(c)
+        det = det * piv
+    if sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1:]) % 2:
+        det = -det
+    basis = [i for i in kept if i < len(rows)]
+    comp = [i - len(rows) for i in kept if i >= len(rows)]
+    duals = [tuple(ech[c].get(k + t, ZERO) for c in range(k))
+             for t in range(k)]
+    return basis, comp, duals, det
 
 
 def _dd(rows, basis, duals):
@@ -249,6 +260,10 @@ class Cone:
         gens = tuple(sorted({canonical_direction(g) for g in gens
                              if not is_zero_vec(g)}))
         geom = cone_geometry(gens, n)
+        if geom.dim == len(gens):
+            # independent generators span a simplicial cone: pointed, and
+            # each generator is extreme
+            return Cone(gens, n, geom.dim, geom=geom)
         eqs = [row for _, row in geom.equations]
         # pointed iff the facet forms and the equations span the dual space
         if rank(Matrix(eqs + list(geom.facet_forms), ncols=n)) != n:
@@ -373,16 +388,28 @@ class Fan:
     def _check_axioms(self, order, rays):
         """The pairwise common-face axiom on the maximal cones, whose ray
         sets are the bit masks order[id] over rays: each facet form's
-        positive and zero rays are found once (_common_face_check).  When
+        positive and zero rays are found once (_common_face_check).  On its
+        own cone's rays a form is zero on the facet's (facet_rows) and
+        positive on the others; only the rays outside are evaluated.  When
         no form cuts, the cones' exact intersection, which the cuts kept,
         must be a face of both."""
         mx = self.maximal_ids
+        bit = {r: 1 << i for i, r in enumerate(rays)}
         signs = {a: [] for a in mx}
         for a in mx:
-            for w in self.cones[a].geometry().facet_forms:
-                s = [vdot(w, r).sign() for r in rays]
-                signs[a].append((sum(1 << i for i, x in enumerate(s) if x > 0),
-                                 sum(1 << i for i, x in enumerate(s) if not x)))
+            full = order[a]
+            outside = [i for i in range(len(rays)) if not full >> i & 1]
+            g = self.cones[a].geometry()
+            for w, on in zip(g.facet_forms, g.facet_rows):
+                zero = sum(bit[g.rays[i]] for i in on)
+                pos = full & ~zero
+                for i in outside:
+                    x = vdot(w, rays[i]).sign()
+                    if x > 0:
+                        pos |= 1 << i
+                    elif not x:
+                        zero |= 1 << i
+                signs[a].append((pos, zero))
         for i, a in enumerate(mx):
             for b in mx[i + 1:]:
                 ok = _common_face_check(order[a], order[b], signs[a], signs[b])
@@ -477,9 +504,12 @@ def fan_from_json_dict(obj, check=True):
     if n < 1:
         raise ValueError(f"dim must be at least 1, got {n}")
     rays = [parse_vector(r, field) for r in obj["rays"]]
-    for r in rays:
+    for i, r in enumerate(rays):
         if len(r) != n:
             raise ValueError("ray length does not match dim")
+        if is_zero_vec(r):
+            raise ValueError(f"ray {i} is the zero vector")
+        rays[i] = canonical_direction(r)
     gen_sets = []
     for c in obj["maximal_cones"]:
         c = [json_int(i, "a ray index") for i in c]
@@ -726,8 +756,8 @@ def _lifted_hull_facets(vertices, n):
     """Facets of conv(vertices) via the cone over the lifted points.
     Returns (facet list as tuples of vertex indices, outer forms (beta, c)
     with beta . x <= c on the polytope, equality on the facet)."""
-    lifted = [tuple(list(v) + [ONE]) for v in vertices]
-    by_key = {canonical_direction(l): i for i, l in enumerate(lifted)}
+    lifted = [canonical_direction(tuple(v) + (ONE,)) for v in vertices]
+    by_key = {l: i for i, l in enumerate(lifted)}
     try:
         c = Cone.from_generators(lifted, n + 1)
     except RedundantGenerator as e:
@@ -759,12 +789,11 @@ def face_fan_with_support(vertices, field=None):
         if c.sign() < 0:
             raise ValueError("origin is not interior to the hull")
         cone_forms.append(vscale(c.inverse(), beta))
-    gen_sets = [[vertices[i] for i in idxs] for idxs in facets]
+    rays = [canonical_direction(v) for v in vertices]
+    gen_sets = [[rays[i] for i in idxs] for idxs in facets]
     fan = build_fan(n, gen_sets, field=field)
-    per_max = {}
-    for idxs, alpha in zip(facets, cone_forms):
-        key = tuple(sorted(canonical_direction(vertices[i]) for i in idxs))
-        per_max[fan.id_by_key[key]] = alpha
+    per_max = {fan.id_by_key[tuple(sorted(gens))]: alpha
+               for gens, alpha in zip(gen_sets, cone_forms)}
     return fan, PLFunction(fan, per_max)
 
 
@@ -776,13 +805,12 @@ def normal_fan(vertices, field=None):
     n = len(vertices[0])
     facets, forms = _lifted_hull_facets(vertices, n)
     hull_vertices = sorted({i for idxs in facets for i in idxs})
-    gen_sets = [[forms[k][0] for k, idxs in enumerate(facets) if vi in idxs]
+    normals = [canonical_direction(beta) for beta, _ in forms]
+    gen_sets = [[normals[k] for k, idxs in enumerate(facets) if vi in idxs]
                 for vi in hull_vertices]
     fan = build_fan(n, gen_sets, field=field)
-    per_max = {}
-    for gens, vi in zip(gen_sets, hull_vertices):
-        key = tuple(sorted(canonical_direction(g) for g in gens))
-        per_max[fan.id_by_key[key]] = vertices[vi]
+    per_max = {fan.id_by_key[tuple(sorted(gens))]: vertices[vi]
+               for gens, vi in zip(gen_sets, hull_vertices)}
     return fan, PLFunction(fan, per_max)
 
 

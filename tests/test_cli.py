@@ -118,6 +118,10 @@ def _quadrant_pair_sections(cid, sections):
 MALFORMED = {
     "cone-index-past-rays": (
         ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
+    "ray-zero": (
+        ["hvector"], {"field": "Q", "dim": 2,
+                      "rays": [[1, 0], [0, 1], [-1, -1], [0, 0]],
+                      "maximal_cones": [[0, 1], [1, 2], [2, 0, 3]]}),
     "negative-cone-index": (
         ["hvector"], _triangle_fan([[0, 1], [1, -1], [-1, 0]])),
     "no-vertices": (
@@ -226,6 +230,7 @@ MALFORMED = {
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
+    "ray-zero": "ray 3 is the zero vector",
     "point-not-a-vertex": "point (1, 0) is not a vertex of the polytope",
     "origin-on-facet-hyperplane":
         "origin is not interior (a facet hyperplane passes through it)",

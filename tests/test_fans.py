@@ -679,6 +679,87 @@ def test_dd_matches_brute_force_rays(k):
         assert got == brute_rays(rows, k)
 
 
+def completed_inverse(rows, k):
+    """(basis, comp, duals, det) of _dual_basis by its definition: the rows
+    that raise the rank, capped at k, the unit vectors that raise it
+    further, and exactlin.inverse of the square matrix they make."""
+    basis, comp, kept = [], [], []
+    units = [tuple(sc(int(j == c)) for j in range(k)) for c in range(k)]
+    for i, a in enumerate(list(rows) + units):
+        if len(kept) < k and rank(Matrix(kept + [a], ncols=k)) > len(kept):
+            kept.append(a)
+            (basis if i < len(rows) else comp).append(
+                i if i < len(rows) else i - len(rows))
+    inv, det = exactlin.inverse(Matrix(kept, ncols=k))
+    return basis, comp, [inv.col(j) for j in range(k)], det
+
+
+@pytest.mark.parametrize("m", (None, 2))
+def test_dual_basis_is_the_inverse_of_the_completed_rows(m):
+    # zero rows, repeated rows and combinations of earlier rows are skipped,
+    # and the unit vectors complete what is left
+    rng = random.Random(f"dual-basis:{m}")
+    field = ScalarField(m)
+
+    def coord():
+        x = sc(rng.randint(-3, 3)) / sc(rng.randint(1, 2))
+        if m and rng.random() < 0.5:
+            x = x + sc(rng.randint(-1, 1)) * field.parse(f"0+1r{m}")
+        return x
+
+    for k in range(1, 6):
+        for _ in range(12):
+            rows = [tuple(coord() for _ in range(k))
+                    for _ in range(rng.randint(0, k + 1))]
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(("zero", "repeat", "combination"))
+                if kind == "zero" or not rows:
+                    extra = tuple(ZERO for _ in range(k))
+                elif kind == "repeat":
+                    extra = rng.choice(rows)
+                else:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    extra = fans.vadd(fans.vscale(coord(), a),
+                                      fans.vscale(coord(), b))
+                rows.insert(rng.randint(0, len(rows)), extra)
+            assert fans._dual_basis(rows, k) == completed_inverse(rows, k)
+
+
+def test_independent_generators_need_no_pointedness_rank(monkeypatch):
+    # the lifted cone of a polytope with more vertices than dimensions + 1
+    # is checked for pointedness; its facet cones here are simplicial
+    calls = []
+    real = fans.rank
+
+    def counting(m):
+        calls.append(m.nrows)
+        return real(m)
+
+    monkeypatch.setattr(fans, "rank", counting)
+    r2 = ScalarField(2).parse("0+1r2")
+    square = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    bipyramid = [(sc(x), sc(y), sc(z) + r2 * sc(x))
+                 for x, y, z in square + [(0, 0, 3), (0, 0, -3)]]
+    for vertices, field in ((OCTAHEDRON, None), (bipyramid, ScalarField(2))):
+        calls.clear()
+        fan, _ = fans.face_fan_with_support(vertices, field=field)
+        assert len(fan.maximal_ids) == 8
+        assert len(calls) == 1
+
+
+def test_canonical_direction_of_canonical_input():
+    r2 = ScalarField(2).parse("0+1r2")
+    for u in ([sc(1), sc(-3), r2], [ZERO, sc(-1), sc(5) / sc(2)],
+              [ZERO, ZERO, sc(1)]):
+        got = fans.canonical_direction(u)
+        assert type(got) is tuple and got == tuple(u)
+        assert fans.canonical_direction(got) == got
+    assert fans.canonical_direction([ZERO, sc(-2), r2]) == \
+        (ZERO, sc(-1), r2 / sc(2))
+    with pytest.raises(ValueError, match="zero vector"):
+        fans.canonical_direction([ZERO, ZERO])
+
+
 def test_cone_geometry_cache_is_bounded():
     for k in range(4200):
         fans.cone_geometry(((sc(1), sc(k) / sc(4201)),), 2)
@@ -766,6 +847,19 @@ def test_wall_equations_read_off_the_owner(name):
     for c in walls:
         assert fans.wall_equations(fan, c.id) == \
             fans.cone_geometry(c.rays, fan.n).equations
+
+
+@pytest.mark.parametrize("name", sorted(set(LATTICE_FANS) - {"cube-link"}))
+def test_axiom_check_cuts_without_intersections(monkeypatch, name):
+    # the facet forms' positive and zero rays cut every pair of these
+    # fans' maximal cones down to a common face, so the check computes no
+    # exact intersection; a form read as positive on its own facet's rays
+    # cuts nothing there (the link's cones are lower-dimensional and are
+    # left out)
+    fan = LATTICE_FANS[name]()
+    keys = [fan.cones[m].rays for m in fan.maximal_ids]
+    monkeypatch.setattr(fans, "_intersect_keys", None)
+    assert fans.Fan(fan.n, fan.field, keys, check=True) == fan
 
 
 def test_fan_from_json_builds_one_geometry_per_maximal_cone():
