@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .exactlin import ScalarField, rank, sc
+from .exactlin import ScalarField, json_scalar, rank
 from .fans import (PLFunction, build_fan, face_fan_with_support,
                    fan_from_json_dict, is_complete, is_strictly_convex,
                    normal_fan, parse_vector, product_fan)
@@ -92,7 +92,8 @@ def load_input(path):
             return LoadedInput(pair=pair_from_json_dict(obj))
         if "vertices" in obj:
             field = ScalarField.from_json(obj.get("field", "Q"))
-            verts = [parse_vector(v, field) for v in obj["vertices"]]
+            verts = [parse_vector(v, field, f"vertex {i}")
+                     for i, v in enumerate(obj["vertices"])]
             if not verts:
                 raise InputError("a polytope needs at least one vertex")
             if not verts[0]:
@@ -125,10 +126,12 @@ def _l_from_desc(fan, desc):
     if "ray_values" in desc:
         order = fan.rays()
         vals = desc["ray_values"]
+        if not isinstance(vals, list):
+            raise InputError(f"ray_values must be a list, got {vals!r}")
         if len(vals) != len(order):
             raise InputError("ray_values length does not match the ray count")
         rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
-        values = {rid[r]: sc(fan.field.parse(str(v)))
+        values = {rid[r]: json_scalar(v, fan.field, "ray value")
                   for r, v in zip(order, vals)}
         return PLFunction.from_ray_values(fan, values)
     if "per_cone" in desc:
@@ -140,8 +143,8 @@ def _l_from_desc(fan, desc):
         if len(rows) != len(mx):
             raise InputError("per_cone length does not match the maximal "
                              "cone count")
-        per = {m: parse_vector(row, fan.field)
-               for m, row in zip(mx, rows)}
+        per = {m: parse_vector(row, fan.field, f"per_cone row {i}")
+               for i, (m, row) in enumerate(zip(mx, rows))}
         return PLFunction(fan, per)
     raise InputError("l descriptor needs 'ray_values' or 'per_cone'")
 

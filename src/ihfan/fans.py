@@ -92,7 +92,12 @@ def canonical_direction(u):
     raise ValueError("zero vector has no direction")
 
 
-def parse_vector(coords, field=None):
+def parse_vector(coords, field=None, what="a vector"):
+    """coords as a tuple of scalars of field; anything but a list or a
+    tuple (a string, say) raises ValueError naming what coords is."""
+    if not isinstance(coords, (list, tuple)):
+        raise ValueError(f"{what} must be a list of coordinates, got "
+                         f"{coords!r}")
     return tuple(json_scalar(x, field, "coordinate") for x in coords)
 
 
@@ -254,11 +259,12 @@ class Cone:
     @staticmethod
     def from_generators(gens, n):
         gens = [vec(g) for g in gens]
-        for g in gens:
+        for i, g in enumerate(gens):
             if len(g) != n:
                 raise ValueError("generator length does not match ambient dim")
-        gens = tuple(sorted({canonical_direction(g) for g in gens
-                             if not is_zero_vec(g)}))
+            if is_zero_vec(g):
+                raise ValueError(f"generator {i} of a cone is the zero vector")
+        gens = tuple(sorted({canonical_direction(g) for g in gens}))
         geom = cone_geometry(gens, n)
         if geom.dim == len(gens):
             # independent generators span a simplicial cone: pointed, and
@@ -503,7 +509,8 @@ def fan_from_json_dict(obj, check=True):
     n = json_int(obj["dim"], "dim")
     if n < 1:
         raise ValueError(f"dim must be at least 1, got {n}")
-    rays = [parse_vector(r, field) for r in obj["rays"]]
+    rays = [parse_vector(r, field, f"ray {i}")
+            for i, r in enumerate(obj["rays"])]
     for i, r in enumerate(rays):
         if len(r) != n:
             raise ValueError("ray length does not match dim")

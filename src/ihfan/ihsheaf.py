@@ -9,12 +9,13 @@ boundary along its subdivision center over the pair's face lattice
 (flatten_boundary): the facets, their pieces and their stalks go down to a
 complete pair one dimension lower, whose primitive classes are pulled back
 to the cone's pieces (flattened_stalk).  Global sections of any grading
-are then read off per-carrier columns (_Sections): on a simplicial
-carrier the monomials in the dual forms of its rays, which the walls
-between simplicial carriers join into classes (the face-supported
-monomials), and elsewhere the ambient monomials times the stalk
-generators; only walls that touch a nonsimplicial carrier give rows, a
-sparse linear system built in integer arithmetic.
+are then read off per-carrier columns (_Sections): the monomials in the
+carrier's frame variables times its stalk generators, the frame (_frame)
+being the dual forms of the rays on a simplicial carrier and the ambient
+coordinates elsewhere.  The walls between simplicial carriers join columns
+into classes (the face-supported monomials); only walls that touch a
+nonsimplicial carrier give rows, a sparse linear system built in integer
+arithmetic.
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -206,25 +207,34 @@ def _primitive(a, b):
 
 
 @functools.lru_cache(maxsize=4096)
-def _dual_monomial(rays, e):
-    """The monomial prod_rho x_rho^e_rho in the dual forms x_rho of the
-    rays of a full-dimensional simplicial cone (x_rho is 1 on v_rho and 0
-    on the other rays) as an ambient Polynomial, from a process-wide cache
-    of the 4096 most recently used."""
-    n = len(rays)
-    return Polynomial(n, {e: ONE}).compose(
-        fans.cone_geometry(rays, n).duals)
+def _frame(rays, n):
+    """The column frame of the carrier with these rays, the one place the
+    column convention of _Sections lives: (forms, vectors), the column
+    variables being y_r = forms[r] . x, so that x = sum_r y_r vectors[r].
+    On a simplicial carrier the forms are the dual forms of its rays and the
+    vectors the rays; on any other both are the unit vectors.  From a
+    process-wide cache of the 4096 most recently used."""
+    if len(rays) == n:
+        return fans.cone_geometry(rays, n).duals, rays
+    units = tuple(tuple(ONE if j == i else ZERO for j in range(n))
+                  for i in range(n))
+    return units, units
+
+
+@functools.lru_cache(maxsize=4096)
+def _frame_monomial(rays, e):
+    """The monomial y^e in the frame of the carrier with these rays as an
+    ambient Polynomial, from a process-wide cache of the 4096 last used."""
+    n = len(e)
+    return Polynomial(n, {e: ONE}).compose(_frame(rays, n)[0])
 
 
 def _times(vecm, forms, width, on=None):
     """The products l_0 * vecm, ..., l_(width-1) * vecm of the coefficient
-    vector vecm with linear forms given in the column variables of each
-    carrier mid: forms[mid][r] lists the pairs (i, coefficient of variable
-    r in l_i) that are not 0.  Those variables are the dual forms of the
-    rays on a simplicial carrier, where a form l reads (l . v_rho) per ray,
-    and the ambient coordinates elsewhere (see _Sections); multiplying by
-    variable r raises exponent r in either.  With on, only the columns in
-    it are kept, each keyed by on[column]."""
+    vector vecm with linear forms given in each carrier's frame (_frame):
+    forms[mid][r] lists the nonzero pairs (i, l_i . vectors[r]), the
+    coefficients of y_r, and multiplying by y_r raises exponent r.  With on,
+    only the columns in it are kept, each keyed by on[column]."""
     outs = [{} for _ in range(width)]
     for (mid, j, e), c in vecm.items():
         for r, coeffs in enumerate(forms[mid]):
@@ -279,11 +289,10 @@ def _section_spaces(pair, gradings, boundary_pieces=None):
             continue
         eqs = fans.wall_equations(sub, tid)
         gens = [sec[hat].coeffs for (hat, _), c in zip(sides, cones)
-                if not c.is_simplicial()
                 for _, sec in pair.stalks[c.id]]
-        duals = [dict(enumerate(y)) for c in cones if c.is_simplicial()
-                 for y in c.geometry().duals]
-        m = radicand(gens + duals + [dict(enumerate(row)) for _, row in eqs])
+        forms = [dict(enumerate(y)) for c in cones
+                 for y in _frame(c.rays, fan.n)[0]]
+        m = radicand(gens + forms + [dict(enumerate(row)) for _, row in eqs])
         walls.append((sides, m, _wall_images(eqs, fan.n, m)))
     spaces = {}
     degree, levels = -1, None
@@ -307,12 +316,12 @@ class _Sections:
     """Solved space of grading-d sections of a pair, parametrized by
     per-maximal-cone polynomial coefficients for each stalk generator.
 
-    A carrier has one of two column conventions.  On a simplicial carrier
-    (whose stalk is the constant 1) the columns are the monomials of degree
-    d/2 in the dual forms x_rho of its rays (_dual_monomial); on any other
-    the columns are the ambient monomials times each stalk generator.
+    A column (mid, j, e) stands for y^e times the j-th stalk generator of
+    the carrier mid, y being its frame variables (_frame).  A simplicial
+    carrier's stalk is the constant 1, so its columns are the monomials of
+    degree d/2 in the dual forms y_rho of its rays.
 
-    Across a wall tau between two simplicial carriers, the x_rho of both
+    Across a wall tau between two simplicial carriers, the y_rho of both
     sides restrict to the same form on span tau for rho in tau, and the
     form of the ray opposite tau restricts to 0.  The two sides agree on tau
     exactly when they have the same coefficient on every monomial in tau's
@@ -320,19 +329,23 @@ class _Sections:
     over the columns), and a boundary piece of a relative space kills every
     class it touches.  These are Billera's face-supported monomials
     ("The algebra of continuous piecewise polynomials", 1989), but the
-    classes come from the actual walls.
+    classes come from the actual walls.  The joins are simplicial
+    mathematics, so they stay outside the frame.
 
     Every other wall (one touching a nonsimplicial carrier) keeps one block
     of rows: each row is one coefficient of the difference of the two
-    sides' sections in the normal form modulo the wall's equations, a
-    simplicial side entering through the ambient expansion of each of its
-    columns.  The block is built in integers: with D clearing the
-    equations (_wall_images) and E the polynomials of both sides, every
-    entry is E * D^(d/2) times the exact one, which leaves the kernel as it
-    is.  Each row is then divided by the gcd of its entries, so the kernel
-    sees equal rows of the pieces of one wall as repeats.  The rows are
-    written in the variables: the classes not killed, each standing for 1
-    on all its members, in the order of their largest members.
+    sides' sections in the normal form modulo the wall's equations.  A
+    simplicial side enters through each column's ambient expansion
+    (_frame_monomial); a nonsimplicial side keeps one polynomial per
+    generator, times its columns' ambient monomials, so no product of a
+    monomial with a generator is expanded.  The block is built in integers:
+    with D clearing the equations (_wall_images) and E the polynomials of
+    both sides, every entry is E * D^(d/2) times the exact one, which leaves
+    the kernel as it is.  Each row is then divided by the gcd of its
+    entries, so the kernel sees equal rows of the pieces of one wall as
+    repeats.  The rows are written in the variables: the classes not
+    killed, each standing for 1 on all its members, in the order of their
+    largest members.
 
     The basis is the reduced kernel over the variables (every variable when
     there are no rows, and no kernel is solved), each variable spread over
@@ -341,10 +354,10 @@ class _Sections:
     restriction to the free columns is one-to-one on sections.  Each wall's
     sides and radicand in walls are shared by the gradings of one
     _section_spaces call, and neither depends on d: the radicand is that of
-    all generators of both sides, of a simplicial side's dual forms and of
-    the equations, and rational data has no sqrt(m) parts whatever m is.
-    Its images are those of degree d/2, the only ones grading d reads,
-    built degree by degree as the gradings go up."""
+    the frame forms and all generators of both sides and of the equations,
+    and rational data has no sqrt(m) parts whatever m is.  Its images are
+    those of degree d/2, the only ones grading d reads, built degree by
+    degree as the gradings go up."""
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
@@ -405,7 +418,7 @@ class _Sections:
                 if cone.is_simplicial():
                     # each column's own polynomial, times the monomial 1
                     for i, e in enumerate(monomials(n, k), start[(mid, 0)]):
-                        poly = _dual_monomial(cone.rays, e)
+                        poly = _frame_monomial(cone.rays, e)
                         for f, c in poly.coeffs.items():
                             coeffs[(i, 0, _pack(f))] = c if sign > 0 else -c
                     continue
@@ -439,57 +452,35 @@ class _Sections:
 
     def multiples(self, vecm, on=None):
         """The ideal multiples x_0 * vecm, ..., x_(n-1) * vecm of a vector
-        of this space, in the columns of the grading above: on a simplicial
-        carrier x_i = sum_rho (v_rho)_i x_rho in its dual forms, elsewhere
-        x_i raises the ambient exponent.  With on, only the columns in it
-        are kept, each keyed by on[column] (see _times)."""
+        of this space, in the columns of the grading above: x_i = sum_r
+        vectors[r]_i * y_r in each carrier's frame (_frame).  With on, only
+        the columns in it are kept, each keyed by on[column] (see _times)."""
         pair = self.pair
         n = pair.fan.n
         if pair._xs is None:
-            # per carrier and column variable r, the nonzero (i, coefficient
-            # of r in x_i), once per pair
-            pair._xs = {}
-            for mid in pair.fan.maximal_ids:
-                cone = pair.fan.cones[mid]
-                pair._xs[mid] = [
-                    [(i, x) for i, x in enumerate(v) if x]
-                    for v in cone.rays] if cone.is_simplicial() else [
-                    [(r, ONE)] for r in range(n)]
+            # per carrier and r, the nonzero (i, coefficient of y_r in x_i)
+            pair._xs = {
+                mid: [[(i, x) for i, x in enumerate(v) if x]
+                      for v in _frame(pair.fan.cones[mid].rays, n)[1]]
+                for mid in pair.fan.maximal_ids}
         return _times(vecm, pair._xs, n, on)
 
     def materialize(self, vecm):
         """Dict-vector in column coordinates -> per-subdivided-max-cone
-        polynomials: on a simplicial carrier the sum of its columns' dual
-        monomials (one polynomial for all its pieces), elsewhere the ambient
-        monomials times the generators."""
-        pair = self.pair
-        fan = pair.fan
-        n = fan.n
+        polynomials: each (carrier, generator) block of frame monomials
+        times that generator on each of the carrier's pieces."""
+        pair, fan = self.pair, self.pair.fan
+        one = Polynomial.constant(fan.n, 1)
         blocks = {}
         for (mid, j, e), c in vecm.items():
-            blocks.setdefault(mid, {}).setdefault(j, {})[e] = c
-        out = {}
-        dual = {}
-        for hat in pair.subdivided.maximal_ids:
-            mid = pair.carrier(hat)
-            cone = fan.cones[mid]
-            if cone.is_simplicial():
-                total = dual.get(mid)
-                if total is None:
-                    total = Polynomial(n)
-                    for e, c in blocks.get(mid, {}).get(0, {}).items():
-                        p = _dual_monomial(cone.rays, e)
-                        total = total.add(Polynomial._clean(
-                            n, {f: c * x for f, x in p.coeffs.items()}))
-                    dual[mid] = total
-                out[hat] = total
-                continue
-            total = Polynomial(n)
-            gens = pair.stalks[mid]
-            for j, coeffs in blocks.get(mid, {}).items():
-                q = Polynomial(n, coeffs)
-                total = total.add(q.mul(gens[j][1][hat]))
-            out[hat] = total
+            block = blocks.setdefault((mid, j), {})
+            for f, x in _frame_monomial(fan.cones[mid].rays, e).coeffs.items():
+                block[f] = block.get(f, ZERO) + c * x
+        out = {hat: Polynomial(fan.n) for hat in pair.subdivided.maximal_ids}
+        for (mid, j), block in blocks.items():
+            q = Polynomial(fan.n, block)
+            for hat, g in pair.stalks[mid][j][1].items():
+                out[hat] = out[hat].add(q if g == one else q.mul(g))
         return out
 
     def as_function(self, vecm):
@@ -677,10 +668,9 @@ def _mul_pl(vecm, l):
     l's fan with the conewise linear function l (see _times)."""
     forms = {}
     for mid, form in l.per_max.items():
-        cone = l.fan.cones[mid]
-        if cone.is_simplicial():
-            form = [vdot(form, r) for r in cone.rays]
-        forms[mid] = [[(0, x)] if x else [] for x in form]
+        _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
+        forms[mid] = [[(0, x)] if x else []
+                      for x in (vdot(form, v) for v in vectors)]
     return _times(vecm, forms, 1)[0]
 
 
@@ -698,12 +688,13 @@ class EvaluationContext:
     |det| times the product of its dual-basis facet forms, read off the
     cone's geometry (fans.Cone.geometry): the product of forms whose wedge
     has determinant +-1 in the input coordinates.  A form's value at such
-    a point is a nonzero polynomial in t, so the search ends.  The values
-    at z of the dual forms of each simplicial maximal cone of the pair's
-    fan, the coordinates of z in that carrier's columns, are kept too
-    (duals_z); on a fan that is its own subdivision they are those of phi."""
+    a point is a nonzero polynomial in t, so the search ends.  Kept for
+    evaluating sections: z's coordinates y(z) in each carrier's frame
+    (frame_z, see _frame), and per piece the values at z of its carrier's
+    stalk generators (gens_z, in the order of inv_phi_z), a value of 1 as
+    ONE itself, which GradedIH._evaluate does not multiply by."""
 
-    __slots__ = ("z", "inv_phi_z", "duals_z")
+    __slots__ = ("z", "inv_phi_z", "frame_z", "gens_z")
 
     def __init__(self, pair: DistinguishedPair):
         sub = pair.subdivided
@@ -726,10 +717,13 @@ class EvaluationContext:
         self.z = z
         self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
         fan = pair.fan
-        self.duals_z = {
+        self.frame_z = {
             mid: duals[mid] if fan is sub else
-            tuple(vdot(f, z) for f in fan.cones[mid].geometry().duals)
-            for mid in fan.maximal_ids if fan.cones[mid].is_simplicial()}
+            tuple(vdot(f, z) for f in _frame(fan.cones[mid].rays, n)[0])
+            for mid in fan.maximal_ids}
+        self.gens_z = {m: tuple(ONE if v == ONE else v for v in (
+            sec[m].evaluate(z) for _, sec in pair.stalks[pair.carrier(m)]))
+            for m in self.inv_phi_z}
 
 
 def _gram(left, weights, right):
@@ -782,7 +776,7 @@ class GradedIH:
         self.cap = 2 * pair.fan.n if cap is None else cap
         self.spaces = pair.section_spaces(range(0, self.cap + 1, 2), relative)
         self._ctx = None
-        self._mono_z = {}   # (carrier, exponent) -> its dual monomial at z
+        self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
         complete = cap is None and not relative and \
             not pair.boundary_piece_ids()
         if not (complete and self._select(independent_modp) and
@@ -855,40 +849,35 @@ class GradedIH:
         got = self._values.get(d)
         if got is None:
             ctx = self.context()
-            sp = self.spaces[d]
-            got = Matrix([self._evaluate(sp, v, ctx)
-                          for v in self.comps[d]], ncols=len(ctx.inv_phi_z))
+            got = Matrix([self._evaluate(v, ctx) for v in self.comps[d]],
+                         ncols=len(ctx.inv_phi_z))
             self._values[d] = got
         return got
 
-    def _evaluate(self, sp, vecm, ctx):
-        """The values at z of the section vecm of sp on the subdivided
-        maximal cones, in the order of ctx.inv_phi_z.  On a simplicial
-        carrier each column is a product of the carrier's dual forms at z,
-        so no Polynomial is built; elsewhere the materialized polynomial is
-        evaluated.  The monomials' values are kept per carrier."""
-        pair = self.pair
-        sums, rest = {}, {}
-        for key, c in vecm.items():
-            mid, _, e = key
-            duals = ctx.duals_z.get(mid)
-            if duals is None:
-                rest[key] = c
-                continue
+    def _evaluate(self, vecm, ctx):
+        """The values at z of the section vecm on the subdivided maximal
+        cones, in the order of ctx.inv_phi_z: on a piece m of mid, the sum
+        over its columns (mid, j, e) of c * y(z)^e * g_j[m](z), with no
+        Polynomial built and no product by a generator value of 1.  The
+        monomials' values are kept per carrier."""
+        sums = {}   # (carrier, generator) -> sum_e c * y(z)^e
+        for (mid, j, e), c in vecm.items():
             y = self._mono_z.get((mid, e))
             if y is None:
-                y = prod((x ** p for x, p in zip(duals, e) if p), start=ONE)
+                y = prod((x ** p for x, p in zip(ctx.frame_z[mid], e) if p),
+                         start=ONE)
                 self._mono_z[(mid, e)] = y
-            sums[mid] = sums.get(mid, ZERO) + c * y
-        polys = sp.materialize(rest) if rest else {}
+            sums[(mid, j)] = sums.get((mid, j), ZERO) + c * y
         out = []
-        for m in ctx.inv_phi_z:
-            mid = pair.carrier(m)
-            if mid in ctx.duals_z:
-                out.append(sums.get(mid, ZERO))
-            else:
-                poly = polys.get(m)
-                out.append(poly.evaluate(ctx.z) if poly else ZERO)
+        for m, gens in ctx.gens_z.items():
+            mid = self.pair.carrier(m)
+            total = None
+            for j, g in enumerate(gens):
+                s = sums.get((mid, j))
+                if s is not None:
+                    s = s if g is ONE else s * g
+                    total = s if total is None else total + s
+            out.append(ZERO if total is None else total)
         return out
 
     def lefschetz_gram(self, l, d, e):
@@ -1062,7 +1051,8 @@ def pair_from_json_dict(obj):
     fan = fans.fan_from_json_dict(obj["fan"], check=True)
     field = fan.field
     n = fan.n
-    centers = [parse_vector(v, field) for v in obj.get("steps", [])]
+    centers = [parse_vector(v, field, f"step {i} of the pair dump")
+               for i, v in enumerate(obj.get("steps", []))]
     if not centers:
         subdivided, steps = fan, ()
     else:

@@ -10,6 +10,11 @@ road.
   on their shared face when their difference has normal form 0 modulo the
   face's equations.  The package solves integer wall systems for its
   sections (ihsheaf._Sections).
+- The polynomial route of evaluation (materialized_values): each
+  representative materialized as one polynomial per piece and evaluated
+  at the generic point.  The package reads a section's values off the
+  frame coordinates of the point and the stalk generators' values there
+  (ihsheaf.GradedIH.values).
 - The selection on full-length vectors (full_greedy) and the module route
   of multiplication by a conewise linear function (module_step), which
   solves for classes over the spanning list that selection keeps.  The
@@ -199,6 +204,23 @@ def evaluate(pair, f):
                              "section of grading 2n")
         total = total + num.coeffs.get(tuple([0] * n), ZERO)
     return total
+
+
+# -- the polynomial route of evaluation -------------------------------------
+
+
+def materialized_values(gih, d):
+    """The values of the grading-d representatives of gih at the evaluation
+    point, a tuple of rows (one per representative) with an entry per
+    subdivided maximal cone in the order of the context's inv_phi_z: each
+    representative's polynomial on the piece, evaluated there."""
+    ctx = gih.context()
+    sp = gih.spaces[d]
+    rows = []
+    for v in gih.comps[d]:
+        polys = sp.materialize(v)
+        rows.append(tuple(polys[m].evaluate(ctx.z) for m in ctx.inv_phi_z))
+    return tuple(rows)
 
 
 # -- the module route ------------------------------------------------------

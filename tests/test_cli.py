@@ -227,6 +227,21 @@ MALFORMED = {
     "dim-negative": (["report"], dict(quadrant_dict(), dim=-1)),
     "vertices-without-coordinates": (
         ["verify"], {"field": "Q", "vertices": [[], []]}),
+    # a vector is a list of coordinates, never a string of digits
+    "ray-a-string": (
+        ["report"], {"field": "Q", "dim": 2,
+                     "rays": ["10", "01", [-1, -1]],
+                     "maximal_cones": [[0, 1], [1, 2], [2, 0]]}),
+    "vertex-a-string": (
+        ["hvector"], {"field": "Q", "fan": "face",
+                      "vertices": [[1, 0], "01", [-1, -1]]}),
+    "per-cone-row-a-string": (
+        ["report"], _with_l(quadrant_dict(), {"per_cone": ["11"] * 4})),
+    "ray-values-a-string": (
+        ["report"], _with_l(_triangle_fan([[0, 1], [1, 2], [2, 0]]),
+                            {"ray_values": "111"})),
+    "pair-step-a-string": (
+        ["hvector"], dict(_quadrant_pair(0), steps=["10"])),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -283,6 +298,13 @@ MALFORMED_MESSAGES = {
     "dim-zero": "dim must be at least 1, got 0",
     "dim-negative": "dim must be at least 1, got -1",
     "vertices-without-coordinates": "dim must be at least 1",
+    "ray-a-string": "ray 0 must be a list of coordinates, got '10'",
+    "vertex-a-string": "vertex 1 must be a list of coordinates, got '01'",
+    "per-cone-row-a-string":
+        "per_cone row 0 must be a list of coordinates, got '11'",
+    "ray-values-a-string": "ray_values must be a list, got '111'",
+    "pair-step-a-string":
+        "step 0 of the pair dump must be a list of coordinates, got '10'",
 }
 
 

@@ -67,6 +67,14 @@ def test_build_fan_rejects_redundant_generator():
         fans.build_fan(2, [[(1, 0), (1, 1), (0, 1)]])
 
 
+def test_build_fan_rejects_zero_generator():
+    # a zero generator names no ray: it is refused, not dropped
+    with pytest.raises(ValueError, match="generator 2 of a cone is the zero "
+                       "vector"):
+        fans.build_fan(2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (-1, -1)],
+                           [(-1, -1), (1, 0)]])
+
+
 def test_cone_faces_counts():
     c = fans.Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert len(fans.Fan(3, None, [c.rays]).cones) == 8

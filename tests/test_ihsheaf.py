@@ -22,7 +22,7 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            relative_sections)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       golden_field)
-from oracles import full_greedy, reduce_mod, validate
+from oracles import full_greedy, materialized_values, reduce_mod, validate
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -507,16 +507,23 @@ def test_face_ring_sections_from_combinatorics(cube_fan):
     assert exactlin.modp_fallbacks == before
 
 
-def test_mixed_walls_sections_validate():
-    # the face fan of a prism over a triangle: two triangular cones and
-    # three square ones, so every wall between a triangle and a square is
-    # a mixed wall.  f0 = 6, so h = (1, 3, 3, 1), and the sections are free
-    # over the ambient polynomials on h_j generators of grading 2j
+def _triangular_prism():
+    """The face fan of a prism over a triangle with an irrational vertex,
+    over Q(sqrt 2), and its support function: two triangular cones and
+    three square ones."""
     field = ScalarField(2)
     r2 = field.parse("0+1r2")
     tri = [(sc(2), sc(0)), (sc(-1), r2), (sc(-1), sc(-1) - r2)]
-    fan = face_fan_with_support([(x, y, sc(z)) for x, y in tri
-                                 for z in (1, -1)], field=field)[0]
+    return face_fan_with_support([(x, y, sc(z)) for x, y in tri
+                                  for z in (1, -1)], field=field)
+
+
+def test_mixed_walls_sections_validate():
+    # the face fan of a prism over a triangle: every wall between a
+    # triangle and a square is a mixed wall.  f0 = 6, so h = (1, 3, 3, 1),
+    # and the sections are free over the ambient polynomials on h_j
+    # generators of grading 2j
+    fan = _triangular_prism()[0]
     kinds = sorted(len(fan.cones[m].rays) for m in fan.maximal_ids)
     assert kinds == [3, 3, 4, 4, 4]
     pair = build_distinguished_pair(fan)
@@ -550,6 +557,46 @@ def test_relative_face_ring_of_a_closed_star():
                 poly = f.per_max[sub.cofaces_of[t][0]]
                 eqs = sub.cones[t].geometry().equations
                 assert reduce_mod(poly, eqs).is_zero()
+
+
+def _nonsimplicial_profiles(cube_fan_support):
+    """(pair, support function) of the Q(sqrt 2) triangular prism's and the
+    cube's face fans, both with nonsimplicial carriers whose stalks have
+    generators above grading 0."""
+    return [(cached_pair(fan), support)
+            for fan, support in (_triangular_prism(), cube_fan_support)]
+
+
+def test_evaluation_materializes_no_section(monkeypatch, cube_fan_support):
+    # a representative's value at z is read off the frame coordinates of z
+    # and its carrier's generator values there: once the pair is built, the
+    # selection, the certificate and every Lefschetz Gram need no
+    # polynomial of a section
+    profiles = _nonsimplicial_profiles(cube_fan_support)
+
+    def refuse(self, vecm):
+        raise AssertionError("a section was materialized")
+
+    monkeypatch.setattr(ihsheaf._Sections, "materialize", refuse)
+    for pair, l in profiles:
+        n = pair.fan.n
+        gih = GradedIH(pair)
+        # a 3-polytope's face fan with f0 vertices: h = (1, f0-3, f0-3, 1)
+        h1 = len(pair.fan.rays()) - 3
+        assert gih.h_vector() == (1, h1, h1, 1)
+        for d in range(0, 2 * n + 1, 2):
+            for e in range(0, 2 * n - d + 1, 2):
+                gram = gih.lefschetz_gram(l, d, e)
+                assert (gram.nrows, gram.ncols) == (gih.h[d], gih.h[e])
+
+
+def test_values_are_the_materialized_sections_at_z(cube_fan_support):
+    # one evaluation rule, sum_j (sum_e c y(z)^e) g_j(z) per piece, against
+    # the polynomial route: each representative materialized and evaluated
+    for pair, _ in _nonsimplicial_profiles(cube_fan_support):
+        gih = GradedIH(pair)
+        for d in range(0, 2 * pair.fan.n + 1, 2):
+            assert gih.values(d).entries == materialized_values(gih, d)
 
 
 def test_simplicial_pair_solves_no_kernel(monkeypatch):
