@@ -13,8 +13,7 @@ emptied before every command, so no command reads another's profile.
 files, or that only one of them has, and the fallbacks each file counts;
 it exits 0 when the files agree and no command fell back, 1 otherwise.
 
-The standard command set, each command once under ``IHFAN_SEED_CHOICE``
-default and once under alt:
+The standard command set, 778 commands, each run once:
 
 - the seed-1 inputs of both benchmark workloads, one cycle with twins, as
   ``perfbench/gen.py`` draws them (52 fans with an inline l and 52 vertex
@@ -45,7 +44,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402  (perfbench's input generator, used as it is)
 
-RULES = ("default", "alt")
 FAN_COMMANDS = (["report"], ["report", "--format", "md"], ["verify"],
                 ["hvector", "--oracle"], ["subdivide", "--emit-pair"])
 POLYTOPE_COMMANDS = (["hvector", "--oracle"], ["report", "--l", "support"],
@@ -141,8 +139,7 @@ def digest(cases, src=ROOT / "src"):
     input document, commands); see the module docstring."""
     cli, cohomology, exactlin = load(src)
 
-    def run(argv, rule):
-        os.environ["IHFAN_SEED_CHOICE"] = rule
+    def run(argv):
         cohomology._profile_cache.clear()
         before = exactlin.modp_fallbacks
         out, err = io.StringIO(), io.StringIO()
@@ -153,7 +150,7 @@ def digest(cases, src=ROOT / "src"):
             "exit": code, "modp_fallbacks": exactlin.modp_fallbacks - before}
 
     records = {}
-    old_rule, old_cwd = os.environ.get("IHFAN_SEED_CHOICE"), os.getcwd()
+    old_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative input paths, so that no message names the directory
         os.chdir(tmp)
@@ -162,23 +159,19 @@ def digest(cases, src=ROOT / "src"):
                 path = f"{name}.json"
                 with open(path, "w") as fh:
                     json.dump(doc, fh)
-                for rule, argv in itertools.product(RULES, commands):
-                    label = f"{rule} {' '.join(argv)} {path}"
-                    text, records[label] = run(argv + [path], rule)
+                for argv in commands:
+                    label = f"{' '.join(argv)} {path}"
+                    text, records[label] = run(argv + [path])
                     if "--emit-pair" not in argv:
                         continue
-                    dump = f"{name}.{rule}.pair.json"
+                    dump = f"{name}.pair.json"
                     with open(dump, "w") as fh:
                         fh.write(text)
                     for pair_argv in PAIR_COMMANDS:
-                        records[f"{rule} {' '.join(pair_argv)} {dump}"] = \
-                            run(pair_argv + [dump], rule)[1]
+                        records[f"{' '.join(pair_argv)} {dump}"] = \
+                            run(pair_argv + [dump])[1]
         finally:
             os.chdir(old_cwd)
-            if old_rule is None:
-                os.environ.pop("IHFAN_SEED_CHOICE", None)
-            else:
-                os.environ["IHFAN_SEED_CHOICE"] = old_rule
     return records
 
 

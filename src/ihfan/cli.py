@@ -2,17 +2,16 @@
 checks, emit reports.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 input or usage
-error.  The barycenter rule is taken from IHFAN_SEED_CHOICE (default or
-alt)."""
+error.  A nonsimplicial fan is subdivided at the sup-norm barycenters
+(fans.barycenter); a pair dump brings its own centers."""
 
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
-from .exactlin import ScalarField, json_scalar, rank
+from .exactlin import ScalarField, json_list, json_scalar, rank
 from .fans import (PLFunction, build_fan, face_fan_with_support,
                    fan_from_json_dict, is_complete, is_strictly_convex,
                    normal_fan, parse_vector, product_fan)
@@ -36,7 +35,6 @@ class JobConfig:
     l_source: str = None
     checks: tuple = None
     fmt: str = "json"
-    rule: str = "default"
     oracle: bool = False
     emit_pair: bool = False
     out: str = None
@@ -48,14 +46,6 @@ class JobConfig:
             for c in self.checks:
                 if c not in ALL_CHECKS:
                     raise InputError(f"unknown check: {c}")
-
-
-def _seed_rule():
-    got = os.environ.get("IHFAN_SEED_CHOICE", "default")
-    if got not in ("default", "alt"):
-        raise InputError(
-            f"IHFAN_SEED_CHOICE must be 'default' or 'alt', got {got!r}")
-    return got
 
 
 def _read_json(path):
@@ -93,7 +83,8 @@ def load_input(path):
         if "vertices" in obj:
             field = ScalarField.from_json(obj.get("field", "Q"))
             verts = [parse_vector(v, field, f"vertex {i}")
-                     for i, v in enumerate(obj["vertices"])]
+                     for i, v in enumerate(json_list(obj["vertices"],
+                                                     "vertices"))]
             if not verts:
                 raise InputError("a polytope needs at least one vertex")
             if not verts[0]:
@@ -125,9 +116,7 @@ def _l_from_desc(fan, desc):
         raise InputError("l descriptor must be a JSON object")
     if "ray_values" in desc:
         order = fan.rays()
-        vals = desc["ray_values"]
-        if not isinstance(vals, list):
-            raise InputError(f"ray_values must be a list, got {vals!r}")
+        vals = json_list(desc["ray_values"], "ray_values")
         if len(vals) != len(order):
             raise InputError("ray_values length does not match the ray count")
         rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
@@ -135,7 +124,7 @@ def _l_from_desc(fan, desc):
                   for r, v in zip(order, vals)}
         return PLFunction.from_ray_values(fan, values)
     if "per_cone" in desc:
-        rows = desc["per_cone"]
+        rows = json_list(desc["per_cone"], "per_cone")
         index = {r: i for i, r in enumerate(fan.rays())}
         mx = sorted(fan.maximal_ids,
                     key=lambda m: sorted(index[r]
@@ -187,9 +176,9 @@ def _profile(loaded, config):
         if loaded.pair is not None:
             return GradedIH(loaded.pair, cap=config.cap)
         if config.cap is not None:
-            pair = build_distinguished_pair(loaded.fan, rule=config.rule)
+            pair = build_distinguished_pair(loaded.fan)
             return GradedIH(pair, cap=config.cap)
-        return profile_for_fan(loaded.fan, config.rule)
+        return profile_for_fan(loaded.fan)
     except ValueError as e:
         raise MathFailure(str(e))
 
@@ -250,7 +239,7 @@ def run_checks(loaded, config, profile, l):
     if "kunneth" in checks:
         line = build_fan(1, [[(1,)], [(-1,)]], field=fan.field)
         prod = product_fan(fan, line)
-        pprof = profile_for_fan(prod, config.rule)
+        pprof = profile_for_fan(prod)
         passed["kunneth"] = kunneth_check(profile, (1, 1), pprof)
         report["kunneth"] = passed["kunneth"]
     return report, passed
@@ -307,7 +296,7 @@ def cmd_subdivide(config):
         pair = loaded.pair
     else:
         try:
-            pair = build_distinguished_pair(loaded.fan, rule=config.rule)
+            pair = build_distinguished_pair(loaded.fan)
         except ValueError as e:
             raise InputError(str(e))
     if config.emit_pair:
@@ -428,7 +417,6 @@ def main(argv=None):
             l_source=getattr(ns, "l_source", None),
             checks=checks,
             fmt=getattr(ns, "fmt", "json"),
-            rule=_seed_rule(),
             oracle=getattr(ns, "oracle", False),
             emit_pair=getattr(ns, "emit_pair", False),
             out=getattr(ns, "out", None),

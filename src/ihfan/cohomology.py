@@ -196,14 +196,14 @@ _PROFILE_CACHE_SIZE = 32
 _profile_cache = OrderedDict()
 
 
-def profile_for_fan(fan: Fan, rule="default"):
+def profile_for_fan(fan: Fan):
     """The GradedIH of a fan's distinguished pair, from a session cache over
-    (canonical fan, rule) holding the 32 most recently used profiles;
-    profiles are immutable."""
-    key = (fan.canonical_json(), rule)
+    the canonical fan holding the 32 most recently used profiles; profiles
+    are immutable."""
+    key = fan.canonical_json()
     prof = _profile_cache.get(key)
     if prof is None:
-        prof = GradedIH(build_distinguished_pair(fan, rule=rule))
+        prof = GradedIH(build_distinguished_pair(fan))
         _profile_cache[key] = prof
         if len(_profile_cache) > _PROFILE_CACHE_SIZE:
             _profile_cache.popitem(last=False)
@@ -374,7 +374,7 @@ class LinkReport:
         return self.loc_prod_ok and self.reduct_ok and self.deg2_ok
 
 
-def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
+def restrict_to_link(profile: GradedIH, ray_cid):
     """Restriction of cohomology classes to the flattened link of a ray,
     with the three local-structure checks: the closed star has the link's
     graded dimensions; the hat-function pairing factors through the link
@@ -411,8 +411,8 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
                                        for r in c.rays))
                   for c in link.cones.values() if c.dim == n - 1}
     lam_fan = Fan(n - 1, fan.field, list(key_to_lam.values()), check=False)
-    lam_profile = profile_for_fan(lam_fan, rule)
-    star_pair = build_distinguished_pair(closed, rule=rule)
+    lam_profile = profile_for_fan(lam_fan)
+    star_pair = build_distinguished_pair(closed)
     star_abs = GradedIH(star_pair)
     star_h = star_abs.h_vector()
     lam_h = lam_profile.h_vector()
@@ -489,7 +489,7 @@ def restrict_to_link(profile: GradedIH, ray_cid, rule="default"):
                       deg2_ok=deg2_ok)
 
 
-def exact_sequence_check(fan: Fan, cone_id, rule="default"):
+def exact_sequence_check(fan: Fan, cone_id):
     """Graded dimensions add along the decomposition into a closed star and
     the closure of its complement (relative to the common boundary)."""
     if cone_id not in fan.cones:
@@ -505,8 +505,8 @@ def exact_sequence_check(fan: Fan, cone_id, rule="default"):
     cb = {comp.cones[i].rays for i in fans.boundary_facet_ids(comp)}
     if sb != cb:
         raise ValueError("pieces do not meet along a common boundary")
-    whole = GradedIH(build_distinguished_pair(fan, rule=rule))
-    star = GradedIH(build_distinguished_pair(closed, rule=rule))
-    rel = GradedIH(build_distinguished_pair(comp, rule=rule), relative=True)
+    whole = GradedIH(build_distinguished_pair(fan))
+    star = GradedIH(build_distinguished_pair(closed))
+    rel = GradedIH(build_distinguished_pair(comp), relative=True)
     return all(whole.h[d] == star.h[d] + rel.h[d]
                for d in range(0, 2 * fan.n + 1, 2))

@@ -370,6 +370,13 @@ def json_int(x, what):
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def json_list(x, what):
+    """x when it is a JSON list; else ValueError naming what x stands for."""
+    if isinstance(x, list):
+        return x
+    raise ValueError(f"{what} must be a list, got {x!r}")
+
+
 def json_scalar(x, field, what):
     """x as a scalar of field when it is a JSON integer or a scalar literal
     string; a bool, a float or null raises ValueError naming what x is."""

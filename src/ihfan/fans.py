@@ -40,6 +40,7 @@ from .exactlin import (
     first_independent,
     format_scalar,
     json_int,
+    json_list,
     json_scalar,
     rank,
     sc,
@@ -465,12 +466,12 @@ class Fan:
         found = (self.face_at(m, x) for m in self.maximal_ids)
         return next((cid for cid in found if cid is not None), None)
 
-    def subfan(self, cone_ids, check=False):
+    def subfan(self, cone_ids):
         # the listed cones that are no other's faces alone need a geometry
         ids = set(cone_ids)
         keys = [self.cones[i].rays for i in ids
                 if ids.isdisjoint(self.cofaces_of[i])]
-        return Fan(self.n, self.field, keys, check=check)
+        return Fan(self.n, self.field, keys, check=False)
 
     def is_simplicial(self):
         return all(self.cones[i].is_simplicial() for i in self.maximal_ids)
@@ -504,13 +505,13 @@ class Fan:
                           separators=(",", ":"))
 
 
-def fan_from_json_dict(obj, check=True):
+def fan_from_json_dict(obj):
     field = ScalarField.from_json(obj["field"])
     n = json_int(obj["dim"], "dim")
     if n < 1:
         raise ValueError(f"dim must be at least 1, got {n}")
     rays = [parse_vector(r, field, f"ray {i}")
-            for i, r in enumerate(obj["rays"])]
+            for i, r in enumerate(json_list(obj["rays"], "rays"))]
     for i, r in enumerate(rays):
         if len(r) != n:
             raise ValueError("ray length does not match dim")
@@ -518,13 +519,14 @@ def fan_from_json_dict(obj, check=True):
             raise ValueError(f"ray {i} is the zero vector")
         rays[i] = canonical_direction(r)
     gen_sets = []
-    for c in obj["maximal_cones"]:
-        c = [json_int(i, "a ray index") for i in c]
+    for k, c in enumerate(json_list(obj["maximal_cones"], "maximal_cones")):
+        c = [json_int(i, "a ray index")
+             for i in json_list(c, f"maximal cone {k}")]
         if any(not 0 <= i < len(rays) for i in c):
             raise ValueError(f"maximal cone {c} names a ray index outside "
                              f"0..{len(rays) - 1}")
         gen_sets.append([rays[i] for i in c])
-    return build_fan(n, gen_sets, field=field, check=check)
+    return build_fan(n, gen_sets, field=field)
 
 
 def build_fan(ambient_dim, max_generator_sets, field=None, check=True):
@@ -688,25 +690,8 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
 # -- subdivision -----------------------------------------------------------
 
 
-def barycenter_default(cone: Cone):
-    """Sum of the generators, each scaled to coordinate-sum 1 when that sum
-    is positive, else to unit sup-norm."""
-    total = None
-    for g in cone.rays:
-        s = ZERO
-        for x in g:
-            s = s + x
-        if s.sign() > 0:
-            g = vscale(s.inverse(), g)
-        else:
-            m = max((abs(x) for x in g))
-            g = vscale(m.inverse(), g)
-        total = g if total is None else vadd(total, g)
-    return total
-
-
-def barycenter_alt(cone: Cone):
-    """Alternate rule: every generator scaled to unit sup-norm."""
+def barycenter(cone: Cone):
+    """Sum of the generators, each scaled to unit sup-norm."""
     total = None
     for g in cone.rays:
         m = max(abs(x) for x in g)
@@ -718,16 +703,16 @@ def barycenter_alt(cone: Cone):
 def barycentric_subdivision(fan: Fan, barycenter_choice=None):
     """Full barycentric subdivision: the flag complex of the fan.
 
-    A center is chosen in the relative interior of every cone of dim >= 2,
-    by decreasing dimension and then by id.  The subdivided fan has one
-    maximal cone per flag rho < tau_2 < ... < sigma, each cone a facet of
-    the next and sigma maximal, spanned by the ray rho and the centers of
-    tau_2, ..., sigma.  Returns (subdivided fan, steps); each step is
-    (center vector, ray key of its cone), in the order the centers were
-    chosen.  The result is simplicial; it is the fan itself when no cone
-    has dim >= 2.
+    A center (barycenter_choice, default barycenter) is chosen in the
+    relative interior of every cone of dim >= 2, by decreasing dimension
+    and then by id.  The subdivided fan has one maximal cone per flag
+    rho < tau_2 < ... < sigma, each cone a facet of the next and sigma
+    maximal, spanned by the ray rho and the centers of tau_2, ..., sigma.
+    Returns (subdivided fan, steps); each step is (center vector, ray key
+    of its cone), in the order the centers were chosen.  The result is
+    simplicial; it is the fan itself when no cone has dim >= 2.
     """
-    choice = barycenter_choice or barycenter_default
+    choice = barycenter_choice or barycenter
     steps = []
     center_ray = {}
     for c in sorted((c for c in fan.cones.values() if c.dim >= 2),

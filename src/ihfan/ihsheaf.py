@@ -47,6 +47,7 @@ from .exactlin import (
     independent_modp,
     inverse,
     json_int,
+    json_list,
     json_scalar,
     kernel_basis,
     radicand,
@@ -497,15 +498,14 @@ class DistinguishedPair:
     section columns presume (_Sections).  The owners of a facet piece are
     its cofaces in the subdivision."""
 
-    __slots__ = ("fan", "subdivided", "steps", "rule", "stalks",
+    __slots__ = ("fan", "subdivided", "steps", "stalks",
                  "_carrier", "_pieces", "_facet_pieces", "_sections",
                  "_boundary_pieces", "_xs")
 
-    def __init__(self, fan, subdivided, steps, rule="default", stalks=None):
+    def __init__(self, fan, subdivided, steps, stalks=None):
         self.fan = fan
         self.subdivided = subdivided
         self.steps = tuple(steps)
-        self.rule = rule
         for m in fan.maximal_ids:
             if fan.cones[m].dim != fan.n:
                 raise ValueError("maximal cones must have full dimension")
@@ -575,27 +575,18 @@ class DistinguishedPair:
         return {d: self._sections[(d, relative)] for d in gradings}
 
 
-def _barycenter_choice(rule):
-    if rule == "default":
-        return fans.barycenter_default
-    if rule == "alt":
-        return fans.barycenter_alt
-    raise ValueError(f"unknown barycenter rule {rule!r}")
-
-
-def build_distinguished_pair(fan: Fan, rule="default"):
+def build_distinguished_pair(fan: Fan):
     """Distinguished pair of a complete fan, a closed star, or a single
     full-dimensional cone with its faces.  Simplicial fans keep their own
     cone structure; everything else gets the full barycentric subdivision.
     Stalks are built by increasing cone dimension (ids go up with it): the
     constant on a simplicial cone, the pulled-back primitives of the
     flattened boundary on any other (flattened_stalk)."""
-    choice = _barycenter_choice(rule)
     if fan.is_simplicial():
         subdivided, steps = fan, ()
     else:
-        subdivided, steps = fans.barycentric_subdivision(fan, choice)
-    pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
+        subdivided, steps = fans.barycentric_subdivision(fan)
+    pair = DistinguishedPair(fan, subdivided, steps)
     centers = {key: center for center, key in steps}
     for cid, c in fan.cones.items():
         if c.is_simplicial():
@@ -655,8 +646,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     pieces = {pid: lam_sub.id_by_key[key(
         r for r in sub.cones[pid].rays if r != vray)]
         for pid in pair.pieces(cid)}
-    return (DistinguishedPair(lam, lam_sub, (), rule=pair.rule,
-                              stalks=stalks),
+    return (DistinguishedPair(lam, lam_sub, (), stalks=stalks),
             fans.PLFunction(lam, forms, check=False), proj, pieces)
 
 
@@ -1020,7 +1010,6 @@ def pair_to_json_dict(pair: DistinguishedPair):
         stalks[str(cid)] = gens
     return {
         "fan": pair.fan.to_json_dict(),
-        "rule": pair.rule,
         "steps": [format_vector(center) for center, _ in pair.steps],
         "stalks": stalks,
     }
@@ -1039,20 +1028,19 @@ def pair_from_json_dict(obj):
     recomputation.  The recorded steps are either empty, when the fan is
     its own subdivision, or one center per cone of dim >= 2 in the order
     ``fans.barycentric_subdivision`` takes the cones, each of length n and
-    in the relative interior of its cone; any other list raises
-    ValueError, and so does a rule other than "default" or "alt", a stalk
-    that is not a list of [grading, section map] pairs, a cone id or an
-    exponent that is not an integer, a section map that does not name
-    exactly its cone's pieces, a coefficient that is neither a JSON
-    integer nor a scalar literal, or a simplicial cone's stalk other than
-    the constant 1."""
-    rule = obj.get("rule", "default")
-    _barycenter_choice(rule)
-    fan = fans.fan_from_json_dict(obj["fan"], check=True)
+    in the relative interior of its cone; they fix the subdivision, so a
+    "rule" key, which earlier versions wrote, is ignored.  Steps that are
+    not such a list raise ValueError, and so does a stalk that is not a
+    list of [grading, section map] pairs, a cone id or an exponent that is
+    not an integer, a section map that does not name exactly its cone's
+    pieces, a coefficient that is neither a JSON integer nor a scalar
+    literal, or a simplicial cone's stalk other than the constant 1."""
+    fan = fans.fan_from_json_dict(obj["fan"])
     field = fan.field
     n = fan.n
     centers = [parse_vector(v, field, f"step {i} of the pair dump")
-               for i, v in enumerate(obj.get("steps", []))]
+               for i, v in enumerate(json_list(obj.get("steps", []),
+                                               "steps"))]
     if not centers:
         subdivided, steps = fan, ()
     else:
@@ -1067,7 +1055,7 @@ def pair_from_json_dict(obj):
         recorded = iter(centers)
         subdivided, steps = fans.barycentric_subdivision(
             fan, lambda cone: next(recorded))
-    pair = DistinguishedPair(fan, subdivided, steps, rule=rule)
+    pair = DistinguishedPair(fan, subdivided, steps)
     one = Polynomial.constant(n, 1)
     for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
         cid = _json_key(cid_s, "a stalk's cone id")

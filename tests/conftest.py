@@ -10,11 +10,11 @@ from ihfan.ihsheaf import build_distinguished_pair
 _pair_cache = {}
 
 
-def cached_pair(fan, rule="default"):
-    key = (fan.canonical_json(), rule)
+def cached_pair(fan):
+    key = fan.canonical_json()
     p = _pair_cache.get(key)
     if p is None:
-        p = build_distinguished_pair(fan, rule=rule)
+        p = build_distinguished_pair(fan)
         _pair_cache[key] = p
     return p
 

@@ -20,12 +20,17 @@ road.
   solves for classes over the spanning list that selection keeps.  The
   package selects on the free columns and reads Lefschetz maps off a
   Gram matrix.
+- A second subdivision rule (barycenter_sum_scaled, profile_with_centers):
+  each generator scaled to coordinate-sum 1 where that sum is positive.
+  The package subdivides at the sup-norm barycenters (fans.barycenter);
+  intersection cohomology does not depend on the subdivision.
 """
 
-from ihfan import exactlin
+from ihfan import exactlin, fans
 from ihfan.conewise import Polynomial
 from ihfan.exactlin import ONE, ZERO, Matrix, solve
-from ihfan.fans import vscale
+from ihfan.fans import vadd, vscale
+from ihfan.ihsheaf import GradedIH, build_distinguished_pair
 
 
 # -- polynomials -----------------------------------------------------------
@@ -297,3 +302,29 @@ def module_step(gih, d, l):
         cols.append(x[base:])
     return Matrix([[col[i] for col in cols] for i in range(len(comps))],
                   ncols=len(cols))
+
+
+# -- a second subdivision rule ---------------------------------------------
+
+
+def barycenter_sum_scaled(cone):
+    """Sum of the generators, each scaled to coordinate-sum 1 when that sum
+    is positive, else to unit sup-norm."""
+    total = None
+    for g in cone.rays:
+        s = sum(g, ZERO)
+        m = s if s.sign() > 0 else max(abs(x) for x in g)
+        g = vscale(m.inverse(), g)
+        total = g if total is None else vadd(total, g)
+    return total
+
+
+def profile_with_centers(fan, barycenter):
+    """The GradedIH of the fan's distinguished pair, built (past the
+    profile cache) with barycenter in place of fans.barycenter."""
+    kept = fans.barycenter
+    fans.barycenter = barycenter
+    try:
+        return GradedIH(build_distinguished_pair(fan))
+    finally:
+        fans.barycenter = kept

@@ -15,6 +15,7 @@ from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
 from conftest import (cached_pair, dodecahedron_vertices, icosahedron_vertices,
                       prism_vertices)
+from oracles import barycenter_sum_scaled, profile_with_centers
 
 
 def write(tmp_path, name, obj):
@@ -96,8 +97,7 @@ def _quadrant_pair(grading):
     quadrants) is simplicial, with the constant as its one generator."""
     stalks = {str(c): [[0, {str(c): {"0,0": "1"}}]] for c in range(9)}
     stalks["8"][0][0] = grading
-    return {"fan": quadrant_dict(), "rule": "default", "steps": [],
-            "stalks": stalks}
+    return {"fan": quadrant_dict(), "steps": [], "stalks": stalks}
 
 
 def _quadrant_pair_stalk(cid, stalk):
@@ -180,14 +180,6 @@ MALFORMED = {
             [0, True], [True, 2], [2, 3], [0, 3]])),
     "pair-grading-not-an-integer": (["hvector"], _quadrant_pair(0.0)),
     "boolean-pair-grading": (["hvector"], _quadrant_pair(False)),
-    # a pair dump's rule must be "default" or "alt": an emitted dump
-    # repeats whatever rule it read
-    "pair-rule-unknown": (
-        ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule="bogus")),
-    "pair-rule-a-number": (["hvector"], dict(_quadrant_pair(0), rule=5)),
-    "pair-rule-null": (["hvector"], dict(_quadrant_pair(0), rule=None)),
-    "pair-rule-a-list": (
-        ["subdivide", "--emit-pair"], dict(_quadrant_pair(0), rule=["alt"])),
     # a section map names exactly its cone's pieces, and a coefficient is
     # an integer or a scalar literal
     "pair-section-missing-piece": (
@@ -242,6 +234,21 @@ MALFORMED = {
                             {"ray_values": "111"})),
     "pair-step-a-string": (
         ["hvector"], dict(_quadrant_pair(0), steps=["10"])),
+    # a list is due at the top level too, and a string or an object in its
+    # place is named by its field, not by what iterating it yields
+    "rays-an-object": (
+        ["hvector"], dict(quadrant_dict(), rays={"0": [1, 0]})),
+    "vertices-a-string": (
+        ["hvector"], {"field": "Q", "fan": "face", "vertices": "0101"}),
+    "maximal-cones-a-string": (
+        ["hvector"], dict(quadrant_dict(), maximal_cones="01")),
+    "maximal-cone-a-string": (
+        ["hvector"], dict(quadrant_dict(), maximal_cones=[
+            [0, 1], "12", [2, 3], [0, 3]])),
+    "per-cone-a-string": (
+        ["report"], _with_l(quadrant_dict(), {"per_cone": "1111"})),
+    "pair-steps-a-string": (
+        ["hvector"], dict(_quadrant_pair(0), steps="10")),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -272,10 +279,6 @@ MALFORMED_MESSAGES = {
         "a stalk generator grading must be an integer, got 0.0",
     "boolean-pair-grading":
         "a stalk generator grading must be an integer, got False",
-    "pair-rule-unknown": "unknown barycenter rule 'bogus'",
-    "pair-rule-a-number": "unknown barycenter rule 5",
-    "pair-rule-null": "unknown barycenter rule None",
-    "pair-rule-a-list": "unknown barycenter rule ['alt']",
     "pair-section-missing-piece": "a section map of the stalk of cone 8 "
     "names cones [], not the cone's pieces [8]",
     "pair-section-foreign-piece": "a section map of the stalk of cone 8 "
@@ -305,6 +308,12 @@ MALFORMED_MESSAGES = {
     "ray-values-a-string": "ray_values must be a list, got '111'",
     "pair-step-a-string":
         "step 0 of the pair dump must be a list of coordinates, got '10'",
+    "rays-an-object": "rays must be a list, got {'0': [1, 0]}",
+    "vertices-a-string": "vertices must be a list, got '0101'",
+    "maximal-cones-a-string": "maximal_cones must be a list, got '01'",
+    "maximal-cone-a-string": "maximal cone 1 must be a list, got '12'",
+    "per-cone-a-string": "per_cone must be a list, got '1111'",
+    "pair-steps-a-string": "steps must be a list, got '10'",
 }
 
 
@@ -593,13 +602,27 @@ def test_report_markdown_mirror(tmp_path, capsys):
     assert "| 2 | (1, 1) | 1 | true |" in out
 
 
-def test_seed_choice(tmp_path, capsys, monkeypatch):
+def test_seed_choice_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # one subdivision rule: the variable that once chose between two is
+    # ignored, whatever its value
     path = write(tmp_path, "cube.json", cube_face_dict())
-    monkeypatch.setenv("IHFAN_SEED_CHOICE", "alt")
-    assert main(["hvector", path]) == 0
-    assert capsys.readouterr().out == "h = [1,5,5,1]\n"
-    monkeypatch.setenv("IHFAN_SEED_CHOICE", "bogus")
-    assert main(["hvector", path]) == 2
+    for value in ("alt", "bogus"):
+        monkeypatch.setenv("IHFAN_SEED_CHOICE", value)
+        assert main(["hvector", path]) == 0
+        assert capsys.readouterr().out == "h = [1,5,5,1]\n"
+
+
+def test_pair_dump_with_a_rule_key_loads(tmp_path, capsys, cube_fan):
+    # a dump as earlier versions wrote it: other centers than the
+    # package's, and a "rule" key, which is ignored; its steps fix the
+    # subdivision
+    profile = profile_with_centers(cube_fan, barycenter_sum_scaled)
+    dump = dict(pair_to_json_dict(profile.pair), rule="default")
+    path = write(tmp_path, "pair.json", dump)
+    assert pair_from_json_dict(dump).steps == profile.pair.steps
+    assert main(["hvector", "--oracle", path]) == 0
+    out = capsys.readouterr().out
+    assert "h = [1,5,5,1]\n" in out and "oracle match = true\n" in out
 
 
 def test_main_in_sequence_prints_what_fresh_processes_print(tmp_path,

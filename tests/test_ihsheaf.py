@@ -22,14 +22,16 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            relative_sections)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       golden_field)
-from oracles import full_greedy, materialized_values, reduce_mod, validate
+from oracles import (barycenter_sum_scaled, full_greedy,
+                     materialized_values, profile_with_centers, reduce_mod,
+                     validate)
 
 
 # -- boundary flattening ---------------------------------------------------
 
 
 def flattened(generators):
-    """The fan of one cone, subdivided barycentrically (default rule), with
+    """The fan of one cone, subdivided barycentrically, with
     the constant stalk on each proper face, and flatten_boundary of the cone
     along its subdivision center: (pair, cone id, center, flattening)."""
     fan = build_fan(len(generators[0]), [generators])
@@ -316,7 +318,9 @@ def test_ih_prism_fan(prism_fan):
 
 
 def test_ih_choice_independent(cube_fan):
-    g = GradedIH(cached_pair(cube_fan, rule="alt"))
+    # the coordinate-sum centers of tests/oracles.py, not the package's
+    g = profile_with_centers(cube_fan, barycenter_sum_scaled)
+    assert g.pair.steps != cached_pair(cube_fan).steps
     assert g.h_vector() == (1, 5, 5, 1)
 
 
