@@ -21,13 +21,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from math import comb
 
-from .exactlin import Matrix, ONE, ZERO, inverse, rank, signature
+from .exactlin import (Matrix, ONE, ZERO, inverse, rank, signature,
+                       sparse_eliminate)
 from . import fans
 from .fans import Fan, PLFunction, canonical_direction, star_link, vdot
 from .conewise import ConewiseFunction
 from . import ihsheaf
-from .ihsheaf import (EvaluationContext, GradedIH, _gram,
-                      _independent_exact, _mul_pl, build_distinguished_pair,
+from .ihsheaf import (EvaluationContext, GradedIH, _coordinate_forms,
+                      _gram, _mul_pl, _times, build_distinguished_pair,
                       projection_along)
 
 
@@ -467,20 +468,21 @@ def restrict_to_link(profile: GradedIH, ray_cid):
         m: hat.per_max[fan.id_by_key[closed.cones[m].rays]]
         for m in closed.maximal_ids}, check=False)
     deg2_ok = True
+    forms = _coordinate_forms(star_pair.fan)
     for d in range(0, 2 * n - 1, 2):
         imgs = [_mul_pl(v, hat_star) for v in star_abs.comps[d]]
         # every image is a relative section: it adds nothing to the
         # relative section basis
         top = star_rel.spaces[d + 2].basis
-        if len(_independent_exact(top + imgs)) != len(top):
+        if len(sparse_eliminate(top + imgs)) != len(top):
             deg2_ok = False
             break
-        # the rank of the images' classes: how many of them are independent
-        # of the relative ideal multiples x_i * b, b of grading d
-        low = star_rel.spaces[d]
-        multiples = [x for b in low.basis for x in low.multiples(b)]
-        classes = sum(1 for i in _independent_exact(multiples + imgs)
-                      if i >= len(multiples))
+        # the rank of the images' classes over the relative ideal multiples
+        # x_i * b (b of grading d), which span len(top) - h_(d+2) dimensions
+        multiples = [x for b in star_rel.spaces[d].basis
+                     for x in _times(b, forms, n)]
+        classes = len(sparse_eliminate(multiples + imgs)) - \
+            (len(top) - star_rel.h[d + 2])
         if classes != star_abs.h[d] or star_abs.h[d] != star_rel.h[d + 2]:
             deg2_ok = False
     return LinkReport(lam_fan=lam_fan, lam_h=lam_h,

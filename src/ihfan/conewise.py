@@ -11,6 +11,8 @@ with an oracle of their own.
 
 from __future__ import annotations
 
+import functools
+
 from .exactlin import ZERO, format_scalar, sc
 from .fans import Fan
 
@@ -18,15 +20,14 @@ from .fans import Fan
 # -- polynomials -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def monomials(n, k):
-    """All exponent tuples of total degree k in n variables, lex order."""
+    """All exponent tuples of total degree k in n variables, lex order, as a
+    tuple, from a process-wide cache of the 256 most recently used."""
     if n == 0:
-        return [()] if k == 0 else []
-    out = []
-    for e0 in range(k, -1, -1):
-        for rest in monomials(n - 1, k - e0):
-            out.append((e0,) + rest)
-    return out
+        return ((),) if k == 0 else ()
+    return tuple((e0,) + rest for e0 in range(k, -1, -1)
+                 for rest in monomials(n - 1, k - e0))
 
 
 class Polynomial:

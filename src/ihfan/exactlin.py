@@ -14,15 +14,15 @@ Linear algebra entry points:
   in the package goes through: insert a sparse row {key: Scalar} into a
   reduced echelon and report whether it was independent and its pivot
   value; echelon_reduce is its reduction half;
-- sparse_eliminate (the reduced row echelon form), first_independent (the
-  first-independent basis of a list of vectors), rank, kernel_basis, and
-  solve, all built on echelon_insert;
+- sparse_eliminate (the reduced row echelon form, exact or mod p),
+  first_independent (the first-independent basis of a list of vectors),
+  rank, kernel_basis, and solve, all built on echelon_insert;
 - inverse, which also returns the determinant (the product of the pivot
   values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
 - the large systems, eliminated modulo primes: sparse_kernel (kernel
-  bases, certified exactly; kernel_basis is built on it) and
-  independent_modp (which vectors are independent of those before them).
+  bases, certified exactly; kernel_basis is built on it), and the rows
+  of ihsheaf.GradedIH's selection, mapped to ints mod p by residue_map.
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
@@ -36,25 +36,24 @@ ihsheaf's section systems do.
 Elimination mod p.  echelon_insert_modp is the same step with Python ints
 modulo a 61-bit prime p = 3 mod 4 from one endless sequence (_embedding);
 over Q(sqrt(m)) p is one in which m is a square, with sqrt(m) -> s, and a
-system is eliminated under both s and p - s, whose images of a + b*sqrt(m)
-give a and b.  Vectors are cleared of denominators first (kernel rows come
-cleared).  Values are recovered by Wang rational reconstruction from one
-prime, or from the Chinese remainder of the next ones when that fails.  Two
-entry points eliminate mod p, each result certified in exact integers:
-- sparse_kernel reconstructs the reduced echelon and checks every row
-  against every kernel vector; with the identity on the free columns this
-  is the very basis the exact elimination returns.  sparse_kernel inserts
-  rows by descending smallest key: earlier rows then seldom hold a new
-  pivot;
-- independent_modp reconstructs nothing and needs no check: vectors
-  independent mod p are independent.  Its one caller, ihsheaf.GradedIH,
-  certifies that none were missed: it counts them against the dimension
-  and checks that the pairing between complementary gradings is perfect,
-  and otherwise selects exactly, counted as one fallback.
+kernel is eliminated under both s and p - s, whose images of a + b*sqrt(m)
+give a and b.  Values are recovered by Wang rational reconstruction from
+one prime, or from the Chinese remainder of the next ones when that fails.
+Two users eliminate mod p, each result certified in exact integers:
+- sparse_kernel takes its rows cleared of denominators, reconstructs the
+  reduced echelon and checks every row against every kernel vector; with
+  the identity on the free columns this is the very basis the exact
+  elimination returns.  sparse_kernel inserts rows by descending smallest
+  key: earlier rows then seldom hold a new pivot;
+- ihsheaf.GradedIH builds its candidate rows from residues (residue_map)
+  and reconstructs nothing: vectors independent mod p are independent.
+  It certifies that none were missed by checking that the pairing between
+  complementary gradings is perfect, and otherwise selects exactly,
+  counted as one fallback, as it does when p divides a denominator.
 A kernel's modular path gives up when its pivots change from one prime to
 the next or no reconstruction passes the check within _MAX_PRIMES primes;
 the kernel is then recomputed on the exact path, on its rows rebuilt as
-Scalars, and modp_fallbacks goes up by 1.  independent_modp never gives up.
+Scalars, and modp_fallbacks goes up by 1.
 """
 
 from __future__ import annotations
@@ -559,12 +558,15 @@ def echelon_insert(ech, row):
     return pk, piv
 
 
-def sparse_eliminate(rows):
-    """Reduced row echelon form of sparse rows {col: Scalar} as a list
-    [(pivot col, reduced row)] in column order."""
+def sparse_eliminate(rows, p=None):
+    """Reduced row echelon form of sparse rows {col: Scalar}, or mod p of
+    rows {col: int}, as a list [(pivot col, reduced row)] in column order."""
     ech = {}
     for r in rows:
-        echelon_insert(ech, r)
+        if p is None:
+            echelon_insert(ech, r)
+        else:
+            echelon_insert_modp(ech, r, p)
     return [(c, ech[c]) for c in sorted(ech)]
 
 
@@ -989,20 +991,20 @@ def _checked_kernel(rows, pivots, entries, ncols, m):
     return basis
 
 
-def independent_modp(vectors):
-    """Indices of the sparse vectors independent of those before them modulo
-    the first prime for their field.  Independence mod p implies
-    independence, so they are independent, and they are all of
-    first_independent's when their number is the rank; None when
-    _embeddings yields no prime (the tests force the exact path so)."""
-    p, ts = next(iter(_embeddings(radicand(vectors))), (None, None))
-    if p is None:
+def residue_map(m):
+    """(P, residue) for the field Q(sqrt(m)), Q when m is None: P is the
+    first prime of _embeddings(m), and residue maps (p + q*sqrt(m))/d to
+    (p + q*s) * d^-1 mod P, s the first image of sqrt(m), a ring map on the
+    field's scalars whose denominators P does not divide.  It raises
+    ValueError on any other scalar.  None when there is no prime."""
+    got = next(iter(_embeddings(m)), None)
+    if got is None:
         return None
-    ech = {}
-    out = []
-    for i, v in enumerate(vectors):
-        a_part, b_part, _ = cleared(v) if v else ({}, {}, 1)
-        r = _image(a_part, b_part, ts[0], p)
-        if r and echelon_insert_modp(ech, r, p) is not None:
-            out.append(i)
-    return out
+    prime, (s, *_) = got
+
+    def residue(x):
+        if not x.d % prime or x.q and x.m != m:
+            raise ValueError(f"{x!r} has no residue mod {prime}")
+        return (x.p + x.q * s) * pow(x.d, -1, prime) % prime
+
+    return prime, residue

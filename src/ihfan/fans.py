@@ -506,6 +506,9 @@ class Fan:
 
 
 def fan_from_json_dict(obj):
+    for k in ("field", "dim", "rays", "maximal_cones"):
+        if k not in obj:
+            raise ValueError(f"a fan needs the key '{k}'")
     field = ScalarField.from_json(obj["field"])
     n = json_int(obj["dim"], "dim")
     if n < 1:

@@ -41,10 +41,8 @@ from .exactlin import (
     ONE,
     ZERO,
     cleared,
-    echelon_insert,
     first_independent,
     format_scalar,
-    independent_modp,
     inverse,
     json_int,
     json_list,
@@ -53,6 +51,7 @@ from .exactlin import (
     radicand,
     rank,
     sc,
+    sparse_eliminate,
     sparse_kernel,
 )
 from . import fans
@@ -230,12 +229,13 @@ def _frame_monomial(rays, e):
     return Polynomial(n, {e: ONE}).compose(_frame(rays, n)[0])
 
 
-def _times(vecm, forms, width, on=None):
+def _times(vecm, forms, width, on=None, p=None):
     """The products l_0 * vecm, ..., l_(width-1) * vecm of the coefficient
     vector vecm with linear forms given in each carrier's frame (_frame):
     forms[mid][r] lists the nonzero pairs (i, l_i . vectors[r]), the
     coefficients of y_r, and multiplying by y_r raises exponent r.  With on,
-    only the columns in it are kept, each keyed by on[column]."""
+    only the columns in it are kept, each keyed by on[column].  Scalars, or
+    with p ints reduced mod p once; entries that vanish are dropped."""
     outs = [{} for _ in range(width)]
     for (mid, j, e), c in vecm.items():
         for r, coeffs in enumerate(forms[mid]):
@@ -248,12 +248,19 @@ def _times(vecm, forms, width, on=None):
                     continue
             for i, x in coeffs:
                 out = outs[i]
-                s = out.get(k, ZERO) + x * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return outs
+                s = out.get(k)
+                out[k] = x * c if s is None else s + x * c
+    if p is None:
+        return [{k: s for k, s in out.items() if s} for out in outs]
+    return [{k: r for k, s in out.items() if (r := s % p)} for out in outs]
+
+
+def _coordinate_forms(fan):
+    """The coordinates x_i = sum_r vectors[r]_i * y_r in each maximal cone's
+    frame, as forms for _times: the ideal multiples x_i * b of a section."""
+    return {mid: [[(i, x) for i, x in enumerate(v) if x]
+                  for v in _frame(fan.cones[mid].rays, fan.n)[1]]
+            for mid in fan.maximal_ids}
 
 
 def _section_spaces(pair, gradings, boundary_pieces=None):
@@ -451,21 +458,6 @@ class _Sections:
         self.basis = [{cols[i]: c for v, c in w.items() for i in classes[v]}
                       for w in kern]
 
-    def multiples(self, vecm, on=None):
-        """The ideal multiples x_0 * vecm, ..., x_(n-1) * vecm of a vector
-        of this space, in the columns of the grading above: x_i = sum_r
-        vectors[r]_i * y_r in each carrier's frame (_frame).  With on, only
-        the columns in it are kept, each keyed by on[column] (see _times)."""
-        pair = self.pair
-        n = pair.fan.n
-        if pair._xs is None:
-            # per carrier and r, the nonzero (i, coefficient of y_r in x_i)
-            pair._xs = {
-                mid: [[(i, x) for i, x in enumerate(v) if x]
-                      for v in _frame(pair.fan.cones[mid].rays, n)[1]]
-                for mid in pair.fan.maximal_ids}
-        return _times(vecm, pair._xs, n, on)
-
     def materialize(self, vecm):
         """Dict-vector in column coordinates -> per-subdivided-max-cone
         polynomials: each (carrier, generator) block of frame monomials
@@ -500,7 +492,7 @@ class DistinguishedPair:
 
     __slots__ = ("fan", "subdivided", "steps", "stalks",
                  "_carrier", "_pieces", "_facet_pieces", "_sections",
-                 "_boundary_pieces", "_xs")
+                 "_boundary_pieces")
 
     def __init__(self, fan, subdivided, steps, stalks=None):
         self.fan = fan
@@ -541,7 +533,6 @@ class DistinguishedPair:
         self.stalks = dict(stalks) if stalks else {}
         self._sections = {}
         self._boundary_pieces = None
-        self._xs = None   # kept by _Sections.multiples
 
     # -- structure ---------------------------------------------------------
 
@@ -664,12 +655,6 @@ def _mul_pl(vecm, l):
     return _times(vecm, forms, 1)[0]
 
 
-def _independent_exact(vectors):
-    ech = {}
-    return [i for i, v in enumerate(vectors)
-            if echelon_insert(ech, v) is not None]
-
-
 class EvaluationContext:
     """One generic point z of the subdivision, the first point
     (1, t, ..., t^(n-1)) with t = 2, 3, 4, ... at which no maximal cone's
@@ -731,26 +716,26 @@ class GradedIH:
     basis), and the evaluation Gram matrices of the representatives.
 
     The candidates of grading d are the ideal multiples x_i * b (b in the
-    grading-(d-2) basis, _Sections.multiples) and then the section basis
-    vectors, each kept when independent of those kept before it; the kept
-    basis vectors are the complement representatives.  Independence is
-    read on the free columns (see _Sections): vectors independent after a
-    linear map are independent, and restriction to the free columns is
-    one-to-one on sections, so the exact choice is the one on full-length
-    vectors.
+    grading-(d-2) basis) on the free columns (see _Sections), keyed -f for
+    the free column f.  A row of their reduced echelon with pivot -F, its
+    smallest key, writes e_F in smaller free columns modulo the candidates,
+    so the representatives are the basis vectors at the free columns that
+    are no pivot: the greedy choice that offers the candidates and then the
+    basis vectors, on full-length vectors too, as restriction to the free
+    columns is one-to-one on sections.
 
-    A complete pair (uncapped, absolute, without boundary pieces) decides
-    independence mod p (exactlin.independent_modp) and certifies the choice
-    by Poincare duality.  Vectors independent mod p are independent, so
-    when each grading keeps as many as its section space has dimensions
-    they are a basis of it and h_d <= len(comps[d]).  When the pairing
-    matrix between the representatives of gradings d and 2n - d is square
-    and nonsingular for every even d <= n, the classes of both lists are
-    independent (the evaluation vanishes on ideal multiples), so h_d >=
-    len(comps[d]) and the representatives are bases; those matrices are
-    kept as grams for cohomology.pairing_matrix.  When either part fails,
-    everything is selected again exactly and exactlin.modp_fallbacks goes
-    up by 1.  Every other pair selects exactly.  An absolute profile
+    A complete pair (uncapped, absolute, without boundary pieces) builds the
+    candidates mod P from residues (exactlin.residue_map) and certifies the
+    choice by Poincare duality.  The pivot rows and the representatives
+    fill the dimension and are independent mod P, so independent: h_d <=
+    len(comps[d]).  When the pairing matrix between the representatives of
+    gradings d and 2n - d is square and nonsingular for every even d <= n,
+    the classes of both lists are independent (the evaluation vanishes on
+    ideal multiples), so h_d >= len(comps[d]) and the representatives are
+    bases; those matrices are kept as grams for cohomology.pairing_matrix.
+    When there is no prime, a coefficient has no residue or the pairing
+    fails, everything is selected again exactly and exactlin.modp_fallbacks
+    goes up by 1.  Every other pair selects exactly.  An absolute profile
     raises ValueError unless h_0 = 1 (connected support).
 
     Everything about a Lefschetz operator l (the pairing, HL ranks, HRM
@@ -769,33 +754,40 @@ class GradedIH:
         self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
         complete = cap is None and not relative and \
             not pair.boundary_piece_ids()
-        if not (complete and self._select(independent_modp) and
-                self._certify()):
+        modp = complete and exactlin.residue_map(pair.fan.field.m)
+        if not (modp and self._select(*modp) and self._certify()):
             if complete:
                 exactlin.record_fallback()
-            self._select(_independent_exact)
+            self._select()
         if not relative and self.h.get(0) != 1:
             raise ValueError("connected support must have a 1-dimensional "
                              "grading-0 cohomology")
 
-    def _select(self, independent):
-        """Choose the representatives afresh with independent (the indices
-        of the vectors independent of those before them, or None), dropping
-        whatever was read off an earlier choice; False when a grading keeps
-        fewer vectors than its section space has dimensions."""
+    def _select(self, p=None, residue=None):
+        """Choose the representatives afresh, dropping whatever was read
+        off an earlier choice: exactly, or mod the prime p on the residues
+        of every coefficient (see exactlin.residue_map); False when one has
+        no residue."""
         self.comps, self.h = {}, {}
         self.grams, self._rep_polys, self._values = {}, {}, {}
+        n = self.pair.fan.n
+        coeff = residue or (lambda x: x)
+        try:
+            forms = {mid: [[(i, coeff(x)) for i, x in v] for v in vs]
+                     for mid, vs in _coordinate_forms(self.pair.fan).items()}
+            lows = {d + 2: [{k: coeff(c) for k, c in b.items()}
+                            for b in sp.basis]
+                    for d, sp in self.spaces.items() if d + 2 in self.spaces}
+        except ValueError:   # a coefficient without a residue
+            return False
         for d, sp in self.spaces.items():
             # on the free columns, keyed -f to pivot on the largest one
             key = {sp.cols[f]: -f for f in sp.free}
-            low = self.spaces.get(d - 2)
-            cands = [x for b in (low.basis if low else ())
-                     for x in low.multiples(b, key)]
-            nm = len(cands)
-            kept = independent(cands + [{-f: ONE} for f in sp.free])
-            if kept is None or len(kept) != len(sp.basis):
-                return False
-            self.comps[d] = [sp.basis[i - nm] for i in kept if i >= nm]
+            pivots = {c for c, _ in sparse_eliminate(
+                (row for b in lows.get(d, ())
+                 for row in _times(b, forms, n, key, p)), p)}
+            self.comps[d] = [b for b, f in zip(sp.basis, sp.free)
+                             if -f not in pivots]
             self.h[d] = len(self.comps[d])
         return True
 
@@ -1035,7 +1027,7 @@ def pair_from_json_dict(obj):
     not an integer, a section map that does not name exactly its cone's
     pieces, a coefficient that is neither a JSON integer nor a scalar
     literal, or a simplicial cone's stalk other than the constant 1."""
-    fan = fans.fan_from_json_dict(obj["fan"])
+    fan = fans.fan_from_json_dict(_json_object(obj.get("fan"), "'fan'"))
     field = fan.field
     n = fan.n
     centers = [parse_vector(v, field, f"step {i} of the pair dump")

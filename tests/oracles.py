@@ -15,11 +15,12 @@ road.
   at the generic point.  The package reads a section's values off the
   frame coordinates of the point and the stalk generators' values there
   (ihsheaf.GradedIH.values).
-- The selection on full-length vectors (full_greedy) and the module route
-  of multiplication by a conewise linear function (module_step), which
-  solves for classes over the spanning list that selection keeps.  The
-  package selects on the free columns and reads Lefschetz maps off a
-  Gram matrix.
+- The selection on full-length vectors (full_greedy, which offers the
+  ideal multiples and then the basis vectors to independent_modp) and the
+  module route of multiplication by a conewise linear function
+  (module_step), which solves for classes over the spanning list that
+  selection keeps.  The package reads its selection off the pivots of the
+  multiples on the free columns, and Lefschetz maps off a Gram matrix.
 - A second subdivision rule (barycenter_sum_scaled, profile_with_centers):
   each generator scaled to coordinate-sum 1 where that sum is positive.
   The package subdivides at the sup-norm barycenters (fans.barycenter);
@@ -268,6 +269,23 @@ def ideal_multiple(sp, b, i):
     return multiple(sp, b, {mid: unit for mid in sp.pair.fan.maximal_ids})
 
 
+def independent_modp(vectors):
+    """Indices of the sparse vectors independent of those before them modulo
+    the first prime for their field, each cleared of denominators first.
+    Independence mod p implies independence, so they are independent, and
+    they are all of the exact greedy choice's when their number is the
+    rank."""
+    p, ts = next(iter(exactlin._embeddings(exactlin.radicand(vectors))))
+    ech = {}
+    out = []
+    for i, v in enumerate(vectors):
+        a_part, b_part, _ = exactlin.cleared(v) if v else ({}, {}, 1)
+        r = exactlin._image(a_part, b_part, ts[0], p)
+        if r and exactlin.echelon_insert_modp(ech, r, p) is not None:
+            out.append(i)
+    return out
+
+
 def full_greedy(gih, d):
     """The selection on full-length vectors: the ideal multiples x_i * b
     (b in the grading-(d-2) basis), then the section basis, each kept when
@@ -276,7 +294,7 @@ def full_greedy(gih, d):
     multiples = [ideal_multiple(low, b, i) for b in (low.basis if low else ())
                  for i in range(gih.pair.fan.n)]
     cands = multiples + gih.spaces[d].basis
-    kept = exactlin.independent_modp(cands)
+    kept = independent_modp(cands)
     return ([cands[i] for i in kept],
             [cands[i] for i in kept if i >= len(multiples)])
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ihfan
+from ihfan import exactlin
 from ihfan.cli import main
 from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
@@ -249,6 +250,18 @@ MALFORMED = {
         ["report"], _with_l(quadrant_dict(), {"per_cone": "1111"})),
     "pair-steps-a-string": (
         ["hvector"], dict(_quadrant_pair(0), steps="10")),
+    # a pair dump's fan is an object, and a fan names each key it lacks
+    "pair-fan-a-list": (["hvector"], {"fan": [], "stalks": {}}),
+    "pair-without-fan": (["hvector"], {"stalks": {}}),
+    "fan-without-field": (["hvector"], {
+        k: v for k, v in quadrant_dict().items() if k != "field"}),
+    "fan-without-dim": (["report"], {
+        k: v for k, v in quadrant_dict().items() if k != "dim"}),
+    "fan-without-rays": (["hvector"], {
+        k: v for k, v in quadrant_dict().items() if k != "rays"}),
+    "pair-fan-without-maximal-cones": (["hvector"], dict(
+        _quadrant_pair(0), fan={k: v for k, v in quadrant_dict().items()
+                                if k != "maximal_cones"})),
 }
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
@@ -314,6 +327,12 @@ MALFORMED_MESSAGES = {
     "maximal-cone-a-string": "maximal cone 1 must be a list, got '12'",
     "per-cone-a-string": "per_cone must be a list, got '1111'",
     "pair-steps-a-string": "steps must be a list, got '10'",
+    "pair-fan-a-list": "'fan' must be a JSON object",
+    "pair-without-fan": "'fan' must be a JSON object",
+    "fan-without-field": "a fan needs the key 'field'",
+    "fan-without-dim": "a fan needs the key 'dim'",
+    "fan-without-rays": "a fan needs the key 'rays'",
+    "pair-fan-without-maximal-cones": "a fan needs the key 'maximal_cones'",
 }
 
 
@@ -403,6 +422,32 @@ def test_report_dodecahedron_face_fan(tmp_path, capsys):
         assert tuple(g for g, _ in pair.stalks[m]) == (0, 2, 2)
     assert main(["hvector", str(dump)]) == 0
     assert capsys.readouterr().out == "h = [1,17,17,1]\n"
+
+
+def test_report_pyramid_over_sqrt2_prism(tmp_path, capsys):
+    # Karu's theorem in dimension 4 on a nonrational, nonsimplicial fan: the
+    # pyramid over a Q(sqrt 2)-sheared triangular prism (v = 6 vertices at
+    # x4 = -1, apex (0, 0, 0, 3)).  Each side cone over a square pyramid
+    # flattens to a 3D fan with a square cone, whose stalk needs a second
+    # flattening.  Stanley's g(Pyr P) = g(P) gives h = (1, v-3, v-3, v-3, 1),
+    # HRM signatures (1, 0), (1, v-4), (1, v-4) and primitive dims 1, v-4, 0
+    prism = [["2", "0", "1+2r2"], ["2", "0", "-1+2r2"],
+             ["-1", "1", "1-1r2"], ["-1", "1", "-1-1r2"],
+             ["-1", "-1", "1-1r2"], ["-1", "-1", "-1-1r2"]]
+    path = write(tmp_path, "pyramid.json", {
+        "field": {"sqrt": 2}, "fan": "face",
+        "vertices": [v + ["-1"] for v in prism] + [["0", "0", "0", "3"]]})
+    before = exactlin.modp_fallbacks
+    assert main(["report", path, "--l", "support"]) == 0
+    assert exactlin.modp_fallbacks == before
+    report = json.loads(capsys.readouterr().out)
+    assert report["h"] == report["oracle_h"] == [1, 3, 3, 3, 1]
+    assert report["oracle_match"]
+    assert report["pd_ranks"] == {"0": 1, "2": 3, "4": 3, "6": 3, "8": 1}
+    assert report["hl_ranks"] == {"0": [1, 1], "2": [3, 3], "4": [3, 3]}
+    assert [(r["d"], r["signature"], r["primitive_dim"])
+            for r in report["hrm"]] == [(0, [1, 0], 1), (2, [1, 2], 2),
+                                        (4, [1, 2], 0)]
 
 
 def test_verify_inline_l(tmp_path, capsys):

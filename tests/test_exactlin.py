@@ -15,7 +15,6 @@ from ihfan.exactlin import (
     Scalar,
     ScalarField,
     echelon_insert,
-    independent_modp,
     format_scalar,
     inverse,
     kernel_basis,
@@ -26,6 +25,7 @@ from ihfan.exactlin import (
     solve,
     sparse_kernel,
 )
+from oracles import independent_modp
 
 
 def S(text):

@@ -364,18 +364,56 @@ def test_selection_is_the_greedy_choice_on_full_vectors(
 
 
 def test_short_modular_selection_selects_exactly(monkeypatch, cube_fan):
-    # a grading that keeps fewer vectors mod p than its section space has
-    # dimensions sends the whole profile to the exact pass, counted once;
-    # an exact choice keeps no certified pairing matrices
+    # a residue echelon without the last candidate row of its grading (the
+    # first grading with candidates, where x_0, x_1, x_2 are independent)
+    # leaves one more free column unpivoted: the extra representative makes
+    # a pairing matrix non-square, which sends the whole profile to the
+    # exact pass, counted once; an exact choice keeps no certified pairing
+    # matrices
     pair = cached_pair(cube_fan)
     want = GradedIH(pair)
-    modp = ihsheaf.independent_modp
-    monkeypatch.setattr(ihsheaf, "independent_modp", lambda v: modp(v)[:-1])
+    eliminate = ihsheaf.sparse_eliminate
+    dropped = []
+
+    def short(rows, p=None):
+        rows = list(rows)
+        if p is not None and rows and not dropped:
+            dropped.append(rows.pop())
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(ihsheaf, "sparse_eliminate", short)
     before = exactlin.modp_fallbacks
     got = GradedIH(pair)
     assert exactlin.modp_fallbacks == before + 1
     assert got.comps == want.comps
     assert got.grams == {} and want.grams
+
+
+def test_prime_dividing_a_denominator_selects_exactly():
+    # the ray (1, 1/P), P the first prime for Q, has no residue mod P, so
+    # the profile takes the exact pass, counted once.  A complete 2D fan
+    # with f0 = 4 rays has h = (1, f0 - 2, 1)
+    p = next(iter(exactlin._embeddings(None)))[0]
+    ray = (1, Fraction(1, p))
+    fan = build_fan(2, [[ray, (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                        [(0, -1), ray]])
+    before = exactlin.modp_fallbacks
+    gih = GradedIH(cached_pair(fan))
+    assert exactlin.modp_fallbacks == before + 1
+    assert gih.h_vector() == (1, 2, 1)
+
+
+def test_scalar_outside_the_field_selects_exactly():
+    # a fan over Q (no field given) with a ray over Q(sqrt 2): its
+    # coefficients have no residue in Q's prime, so the profile takes the
+    # exact pass, counted once; f0 = 4 rays, h = (1, f0 - 2, 1)
+    ray = (1, ScalarField(2).parse("0+1r2"))
+    fan = build_fan(2, [[ray, (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                        [(0, -1), ray]])
+    before = exactlin.modp_fallbacks
+    gih = GradedIH(cached_pair(fan))
+    assert exactlin.modp_fallbacks == before + 1
+    assert gih.h_vector() == (1, 2, 1)
 
 
 def test_ih_relative_quadrant_cone():
