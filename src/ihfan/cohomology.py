@@ -21,14 +21,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from math import comb
 
-from .exactlin import (Matrix, ONE, ZERO, inverse, rank, signature,
-                       sparse_eliminate)
+from .exactlin import (Matrix, ONE, ZERO, gram, inverse, rank, signature,
+                       sparse_eliminate, vdot)
 from . import fans
-from .fans import Fan, PLFunction, canonical_direction, star_link, vdot
+from .fans import Fan, PLFunction, canonical_direction, star_link
 from .conewise import ConewiseFunction
 from . import ihsheaf
 from .ihsheaf import (EvaluationContext, GradedIH, _coordinate_forms,
-                      _gram, _mul_pl, _times, build_distinguished_pair,
+                      _mul_pl, _times, build_distinguished_pair,
                       projection_along)
 
 
@@ -223,12 +223,8 @@ def evaluate_fast(ctx: EvaluationContext, per_max):
     ConewiseFunction)."""
     if isinstance(per_max, ConewiseFunction):
         per_max = per_max.per_max
-    total = ZERO
-    for m, poly in per_max.items():
-        if poly.is_zero():
-            continue
-        total = total + poly.evaluate(ctx.z) * ctx.inv_phi_z[m]
-    return total
+    return vdot([poly.evaluate(ctx.z) for poly in per_max.values()],
+                [ctx.inv_phi_z[m] for m in per_max])
 
 
 # -- pairing, Lefschetz, signatures ----------------------------------------
@@ -432,22 +428,21 @@ def restrict_to_link(profile: GradedIH, ray_cid):
     # plus rho composed with b^T, so its value at the link's generic point
     # z is that polynomial's value at b^T z
     lam_ctx = lam_profile.context()
-    z = tuple(vdot(col, lam_ctx.z) for col in zip(*b))
+    z = gram((lam_ctx.z,), None, zip(*b)).entries[0]
     star_of = {lam_fan.id_by_key[pk]:
                fan.id_by_key[tuple(sorted(set(rays) | {vrho}))]
                for rays, pk in key_to_lam.items()}
     cones = [star_of[m] for m in lam_ctx.inv_phi_z]
     m2 = 2 * (n - 1)
-    restricted = {
-        d: Matrix([[polys[cone].evaluate(z) for cone in cones]
-                   for polys in profile.rep_polys(d)], ncols=len(cones))
-        for d in range(0, m2 + 1, 2)}
+    restricted = {d: [[polys[cone].evaluate(z) for cone in cones]
+                      for polys in profile.rep_polys(d)]
+                  for d in range(0, m2 + 1, 2)}
+    weights = list(lam_ctx.inv_phi_z.values())
     constant = None
     reduct_ok = True
     for d in range(0, m2 + 1, 2):
         lhs = profile.lefschetz_gram(hat, d, m2 - d)
-        rhs = _gram(restricted[d], lam_ctx.inv_phi_z.values(),
-                    restricted[m2 - d])
+        rhs = gram(restricted[d], weights, restricted[m2 - d])
         for lrow, rrow in zip(lhs.entries, rhs.entries):
             for x, y in zip(lrow, rrow):
                 if not y:

@@ -12,8 +12,10 @@ with an oracle of their own.
 from __future__ import annotations
 
 import functools
+import operator
+from math import prod
 
-from .exactlin import ZERO, format_scalar, sc
+from .exactlin import ONE, ZERO, format_scalar, sc, vdot
 from .fans import Fan
 
 
@@ -100,26 +102,28 @@ class Polynomial:
         return Polynomial._clean(self.n, out)
 
     def mul(self, other):
-        out = {}
+        """The product: each coefficient is the inner product of the
+        coefficient pairs whose exponents add up to its own."""
+        pairs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                left, right = pairs.setdefault(
+                    tuple(map(operator.add, e1, e2)), ([], []))
+                left.append(c1)
+                right.append(c2)
+        out = {}
+        for e, (left, right) in pairs.items():
+            c = vdot(left, right)
+            if c:
+                out[e] = c
         return Polynomial._clean(self.n, out)
 
     def evaluate(self, point):
-        total = ZERO
-        for e, c in self.coeffs.items():
-            term = c
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * point[i]
-            total = total + term
-        return total
+        """The value at point: the inner product of the coefficients with
+        the monomials' values there."""
+        return vdot(list(self.coeffs.values()),
+                    [prod((x ** k for x, k in zip(point, e) if k), start=ONE)
+                     for e in self.coeffs])
 
     def compose(self, rows):
         """Substitute x_i = rows[i] . y; rows has n covectors of length m.

@@ -26,6 +26,13 @@ Linear algebra entry points:
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
+Sums of products.  Every dense sum of products of the package is one
+integer inner product: vdot, Matrix.apply, Matrix.mul and the weighted
+product gram (the matrix of sum_k left[i][k] * weights[k] * right[j][k])
+clear each row once to ints A + B*sqrt(m) over one denominator, sum the
+products as Python ints and reduce each result once, to the canonical
+Scalar that a loop of Scalar products and sums would give.
+
 Integer rows.  sparse_kernel takes its rows in integers: a pair (A, B) of
 dicts {col: int} for the row A + B*sqrt(m), with B empty over Q, and the
 radicand m (None over Q).  Scaling a row leaves the kernel alone, so a
@@ -60,11 +67,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 import sys
 from fractions import Fraction as _Q
 from math import gcd, isqrt, lcm
 
+_mul = operator.mul
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _HASH_P = sys.hash_info.modulus
 
@@ -430,7 +439,8 @@ class ScalarField:
 
 
 class Matrix:
-    """Dense matrix of Scalars; rows are tuples, entries immutable by habit."""
+    """Dense matrix of Scalars; rows are tuples, entries immutable by habit.
+    Products (mul, apply) are integer inner products (see gram)."""
 
     __slots__ = ("entries", "nrows", "ncols")
 
@@ -450,38 +460,27 @@ class Matrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.ncols = ncols
 
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
+    def columns(self):
+        """The columns as tuples (ncols empty ones when there are no rows)."""
+        return list(zip(*self.entries)) if self.entries else \
+            [()] * self.ncols
 
     def transpose(self):
-        return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix(self.columns(), ncols=self.nrows)
 
     def mul(self, other):
+        """The product self . other: the weighted product (gram) of the
+        rows of self and the columns of other, without weights."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        rows = []
-        for r in self.entries:
-            out = []
-            for j in range(other.ncols):
-                acc = ZERO
-                for k, x in enumerate(r):
-                    if x:
-                        acc = acc + x * other.entries[k][j]
-                out.append(acc)
-            rows.append(out)
-        return Matrix(rows, ncols=other.ncols)
+        return gram(self.entries, None, other.columns())
 
     def apply(self, vec):
+        """The vector self . vec: the inner product of each row with vec."""
         if self.ncols != len(vec):
             raise ValueError("dimension mismatch in matrix-vector product")
-        out = []
-        for r in self.entries:
-            acc = ZERO
-            for x, v in zip(r, vec):
-                if x:
-                    acc = acc + sc(v) * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(r[0] for r in
+                     gram(self.entries, None, [tuple(map(sc, vec))]).entries)
 
     def is_symmetric(self):
         if self.nrows != self.ncols:
@@ -495,6 +494,111 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[[repr(x) for x in r] for r in self.entries]})"
+
+
+# -- the integer inner product ------------------------------------------------
+#
+# Every dense sum of products of the package is one integer inner product:
+# each operand row is cleared once to ints A + B*sqrt(m) over one
+# denominator (_ints), the products are summed as Python ints (_inner), and
+# each sum is reduced once (_reduced), to the canonical Scalar that a loop
+# of Scalar products and sums would give.
+
+
+def _ints(row):
+    """(A, B, den, m) for a row of Scalars: int lists with row[k] = (A[k] +
+    B[k]*sqrt(m))/den, den > 0 the lcm of the row's denominators; B and m
+    are None on a rational row.  Raises ValueError when the row mixes two
+    radicands."""
+    a, b, ds = [], [], []
+    den, m = 1, None
+    for x in row:
+        a.append(x.p)
+        b.append(x.q)
+        d = x.d
+        ds.append(d)
+        if den % d:
+            den = lcm(den, d)
+        if x.q and x.m != m:
+            if m is not None:
+                raise ValueError(f"mixed radicands {m} and {x.m}")
+            m = x.m
+    if den != 1:
+        scale = [den // d for d in ds]
+        a = list(map(_mul, a, scale))
+        if m is not None:
+            b = list(map(_mul, b, scale))
+    return a, (None if m is None else b), den, m
+
+
+def _radicand_of(ms):
+    """The one radicand among ms, radicands of cleared rows, None when all
+    are (rational rows); raises ValueError when there are two."""
+    ms = set(ms)
+    ms.discard(None)
+    if len(ms) > 1:
+        raise ValueError(f"mixed radicands {sorted(ms)}")
+    return ms.pop() if ms else None
+
+
+def _inner(a, b, c, e, den, m):
+    """The Scalar sum_k (a[k] + b[k]*sqrt(m)) * (c[k] + e[k]*sqrt(m)) / den
+    of two cleared rows (b or e None for a rational row), over zip's
+    length: the products summed as ints and reduced once."""
+    p = sum(map(_mul, a, c))
+    if b is None:
+        if e is None:
+            return _reduced(p, 0, den, None)
+        return _reduced(p, sum(map(_mul, a, e)), den, m)
+    if e is None:
+        return _reduced(p, sum(map(_mul, b, c)), den, m)
+    return _reduced(p + m * sum(map(_mul, b, e)),
+                    sum(map(_mul, a, e)) + sum(map(_mul, b, c)), den, m)
+
+
+def vdot(u, v):
+    """The inner product sum_k u[k] * v[k] of two rows of Scalars, over
+    zip's length."""
+    a, b, du, mu = _ints(u)
+    c, e, dv, mv = _ints(v)
+    return _inner(a, b, c, e, du * dv,
+                  mu if mu == mv else _radicand_of((mu, mv)))
+
+
+def gram(left, weights, right):
+    """Matrix of sum_k left[i][k] * weights[k] * right[j][k], one row per
+    row of left and one column per row of right (rows of Scalars), with no
+    weights when weights is None.  Each row and the weights are cleared
+    once, the weights multiplied into the left rows as ints, and each entry
+    is one integer inner product, reduced once."""
+    lefts = [_ints(r) for r in left]
+    rights = [_ints(r) for r in right]
+    ms = [r[3] for r in lefts + rights]
+    if weights is None:
+        m = _radicand_of(ms)
+    else:
+        w, v, dw, mw = _ints(weights)
+        m = _radicand_of(ms + [mw])
+        lefts = [(*_weighted(a, b, w, v, m), den * dw, m)
+                 for a, b, den, _ in lefts]
+    out = _new(Matrix)
+    out.entries = tuple([tuple([_inner(a, b, c, e, da * dc, m)
+                                for c, e, dc, _ in rights])
+                         for a, b, da, _ in lefts])
+    out.nrows, out.ncols = len(lefts), len(rights)
+    return out
+
+
+def _weighted(a, b, w, v, m):
+    """(A, B) for the entrywise product of the cleared rows a + b*sqrt(m)
+    and w + v*sqrt(m) (b or v None for a rational row)."""
+    if v is None:
+        return (list(map(_mul, a, w)),
+                None if b is None else list(map(_mul, b, w)))
+    if b is None:
+        return list(map(_mul, a, w)), list(map(_mul, a, v))
+    return ([x * y + m * s * t for x, s, y, t in zip(a, b, w, v)],
+            [x * t + s * y for x, s, y, t in zip(a, b, w, v)])
 
 
 def _rows_to_sparse(m):

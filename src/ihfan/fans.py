@@ -39,6 +39,7 @@ from .exactlin import (
     echelon_reduce,
     first_independent,
     format_scalar,
+    gram,
     json_int,
     json_list,
     json_scalar,
@@ -64,14 +65,6 @@ def vsub(u, v):
 
 def vscale(c, u):
     return tuple(c * a for a in u)
-
-
-def vdot(u, v):
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def vneg(u):
@@ -164,8 +157,8 @@ def _dd(rows, basis, duals):
             continue
         bit = 1 << i
         pos, neg, kept = [], [], []
-        for r, z in rays:
-            v = vdot(a, r)
+        values = gram((a,), None, [r for r, _ in rays]).entries[0]
+        for (r, z), v in zip(rays, values):
             if v.sign() < 0:
                 neg.append((r, z, v))
             else:
@@ -397,9 +390,9 @@ class Fan:
         sets are the bit masks order[id] over rays: each facet form's
         positive and zero rays are found once (_common_face_check).  On its
         own cone's rays a form is zero on the facet's (facet_rows) and
-        positive on the others; only the rays outside are evaluated.  When
-        no form cuts, the cones' exact intersection, which the cuts kept,
-        must be a face of both."""
+        positive on the others; only the rays outside are evaluated, in one
+        product (exactlin.gram) per cone.  When no form cuts, the cones'
+        exact intersection, which the cuts kept, must be a face of both."""
         mx = self.maximal_ids
         bit = {r: 1 << i for i, r in enumerate(rays)}
         signs = {a: [] for a in mx}
@@ -407,11 +400,12 @@ class Fan:
             full = order[a]
             outside = [i for i in range(len(rays)) if not full >> i & 1]
             g = self.cones[a].geometry()
-            for w, on in zip(g.facet_forms, g.facet_rows):
+            values = gram(g.facet_forms, None, [rays[i] for i in outside])
+            for row, on in zip(values.entries, g.facet_rows):
                 zero = sum(bit[g.rays[i]] for i in on)
                 pos = full & ~zero
-                for i in outside:
-                    x = vdot(w, rays[i]).sign()
+                for i, v in zip(outside, row):
+                    x = v.sign()
                     if x > 0:
                         pos |= 1 << i
                     elif not x:
@@ -451,9 +445,9 @@ class Fan:
         whose forms vanish on x (every face of a pointed cone is the
         intersection of the facets containing it)."""
         g = self.cones[m].geometry()
-        if any(vdot(e, x) for _, e in g.equations):
+        if any(gram((x,), None, [e for _, e in g.equations]).entries[0]):
             return None
-        signs = [vdot(w, x).sign() for w in g.facet_forms]
+        signs = [v.sign() for v in gram((x,), None, g.facet_forms).entries[0]]
         if min(signs, default=0) < 0:
             return None
         on = set(g.rays).intersection(
@@ -643,8 +637,9 @@ class PLFunction:
         # the forms agree on every shared face iff they agree on every ray
         value = {}
         for m in self.fan.maximal_ids:
-            for r in self.fan.cones[m].rays:
-                v = vdot(self.per_max[m], r)
+            rays = self.fan.cones[m].rays
+            values = gram((self.per_max[m],), None, rays).entries[0]
+            for r, v in zip(rays, values):
                 if value.setdefault(r, v) != v:
                     raise ValueError(
                         "linear forms disagree on shared ray %s" %
@@ -674,18 +669,20 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
     u outside sigma; ray generators suffice by conewise linearity."""
     if not is_complete(fan):
         raise ValueError("strict convexity is defined for complete fans here")
+    mx = fan.maximal_ids
     # l(u) from the first maximal cone having u as a ray
-    value = {}
-    for m in fan.maximal_ids:
+    first = {}
+    for m in mx:
         for u in fan.cones[m].rays:
-            if u not in value:
-                value[u] = vdot(l.per_max[m], u)
-    for m in fan.maximal_ids:
+            first.setdefault(u, m)
+    rays = list(first)
+    values = dict(zip(mx, gram([l.per_max[m] for m in mx], None,
+                               rays).entries))
+    value = [values[m][i] for i, m in enumerate(first.values())]
+    for m in mx:
         c = fan.cones[m]
-        for u, lu in value.items():
-            if u in c.rays:
-                continue
-            if (vdot(l.per_max[m], u) - lu).sign() >= 0:
+        for u, lu, v in zip(rays, value, values[m]):
+            if u not in c.rays and (v - lu).sign() >= 0:
                 return False
     return True
 
@@ -834,16 +831,14 @@ def skew_product(f1: Fan, f2: Fan, phi=None):
             for b in mx[i + 1:]:
                 common = set(f1.cones[a].rays) & set(f1.cones[b].rays)
                 for r in common:
-                    va = tuple(vdot(row, r) for row in phi[a])
-                    vb = tuple(vdot(row, r) for row in phi[b])
-                    if va != vb:
+                    if gram((r,), None, phi[a]) != gram((r,), None, phi[b]):
                         raise ValueError("phi is incompatible on a shared face")
 
     def graph_gens(m):
         rows = phi[m]
         out = []
         for r in f1.cones[m].rays:
-            out.append(tuple(list(r) + [vdot(row, r) for row in rows]))
+            out.append(r + gram((r,), None, rows).entries[0])
         return out
 
     gen_sets = []

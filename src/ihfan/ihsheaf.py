@@ -43,6 +43,7 @@ from .exactlin import (
     cleared,
     first_independent,
     format_scalar,
+    gram,
     inverse,
     json_int,
     json_list,
@@ -53,6 +54,7 @@ from .exactlin import (
     sc,
     sparse_eliminate,
     sparse_kernel,
+    vdot,
 )
 from . import fans
 from .fans import (
@@ -60,7 +62,6 @@ from .fans import (
     canonical_direction,
     format_vector,
     parse_vector,
-    vdot,
 )
 from .conewise import ConewiseFunction, Polynomial, monomials
 
@@ -464,14 +465,17 @@ class _Sections:
         times that generator on each of the carrier's pieces."""
         pair, fan = self.pair, self.pair.fan
         one = Polynomial.constant(fan.n, 1)
-        blocks = {}
+        blocks = {}   # (carrier, generator) -> ([c], [y^e as a Polynomial])
         for (mid, j, e), c in vecm.items():
-            block = blocks.setdefault((mid, j), {})
-            for f, x in _frame_monomial(fan.cones[mid].rays, e).coeffs.items():
-                block[f] = block.get(f, ZERO) + c * x
+            cs, monos = blocks.setdefault((mid, j), ([], []))
+            cs.append(c)
+            monos.append(_frame_monomial(fan.cones[mid].rays, e).coeffs)
         out = {hat: Polynomial(fan.n) for hat in pair.subdivided.maximal_ids}
-        for (mid, j), block in blocks.items():
-            q = Polynomial(fan.n, block)
+        for (mid, j), (cs, monos) in blocks.items():
+            fs = list(dict.fromkeys(f for mono in monos for f in mono))
+            coeffs = gram((cs,), None, [[mono.get(f, ZERO) for mono in monos]
+                                        for f in fs]).entries[0]
+            q = Polynomial(fan.n, dict(zip(fs, coeffs)))
             for hat, g in pair.stalks[mid][j][1].items():
                 out[hat] = out[hat].add(q if g == one else q.mul(g))
         return out
@@ -628,7 +632,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
         rays = fan.cones[f].rays
         lift = lift_over_span(proj, rays, n)
         lid = lam.id_by_key[key(rays)]
-        forms[lid] = [vdot(x, col) for col in zip(*lift)]
+        forms[lid] = gram((x,), None, zip(*lift)).entries[0]
         stalks[lid] = tuple(
             (g, {lam_sub.id_by_key[key(sub.cones[pid].rays)]:
                  poly.compose(lift) for pid, poly in sec.items()})
@@ -651,8 +655,17 @@ def _mul_pl(vecm, l):
     for mid, form in l.per_max.items():
         _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
         forms[mid] = [[(0, x)] if x else []
-                      for x in (vdot(form, v) for v in vectors)]
+                      for x in gram((form,), None, vectors).entries[0]]
     return _times(vecm, forms, 1)[0]
+
+
+def _at(z, forms):
+    """{key: the values at z of its forms} for {key: forms}, off one
+    product (exactlin.gram) of z with all the forms."""
+    values = iter(gram((z,), None, [f for fs in forms.values() for f in fs])
+                  .entries[0])
+    return {key: tuple(itertools.islice(values, len(fs)))
+            for key, fs in forms.items()}
 
 
 class EvaluationContext:
@@ -683,8 +696,7 @@ class EvaluationContext:
             geoms[m] = sub.cones[m].geometry()
         for t in itertools.count(2):
             z = tuple(sc(t) ** i for i in range(n))
-            duals = {m: tuple(vdot(f, z) for f in geom.duals)
-                     for m, geom in geoms.items()}
+            duals = _at(z, {m: geom.duals for m, geom in geoms.items()})
             vals = {m: prod(duals[m], start=abs(geom.det))
                     for m, geom in geoms.items()}
             if all(vals.values()):
@@ -692,22 +704,11 @@ class EvaluationContext:
         self.z = z
         self.inv_phi_z = {m: v.inverse() for m, v in vals.items()}
         fan = pair.fan
-        self.frame_z = {
-            mid: duals[mid] if fan is sub else
-            tuple(vdot(f, z) for f in _frame(fan.cones[mid].rays, n)[0])
-            for mid in fan.maximal_ids}
+        self.frame_z = duals if fan is sub else _at(z, {
+            mid: _frame(fan.cones[mid].rays, n)[0] for mid in fan.maximal_ids})
         self.gens_z = {m: tuple(ONE if v == ONE else v for v in (
             sec[m].evaluate(z) for _, sec in pair.stalks[pair.carrier(m)]))
             for m in self.inv_phi_z}
-
-
-def _gram(left, weights, right):
-    """Matrix of sum_m left[i][m] * weights[m] * right[j][m]: the
-    evaluation of the products of two lists of evaluated representatives,
-    since evaluation at a point is a ring homomorphism."""
-    scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
-                     for r in left.entries], ncols=left.ncols)
-    return scaled.mul(right.transpose())
 
 
 class GradedIH:
@@ -865,17 +866,22 @@ class GradedIH:
     def lefschetz_gram(self, l, d, e):
         """Matrix of <a . l^k . b> with k = n - (d+e)/2, a the
         representatives of grading d (rows) and b those of grading e
-        (columns).  With k = 0 it is the pairing matrix and l is not read.
-        With e = d it is G A, for G the pairing at d and A the matrix of
-        l^(n-d) in the stored bases."""
+        (columns): the weighted product (exactlin.gram) of their values at
+        the generic point z, weighted on each piece by l(z)^k / phi(z).
+        l(z)^k is computed once per maximal cone of l's fan and multiplied
+        into 1/phi(z) once per piece of it.  With k = 0 it is the pairing
+        matrix and l is not read.  With e = d it is G A, for G the pairing
+        at d and A the matrix of l^(n-d) in the stored bases."""
         ctx = self.context()
         k = self.pair.fan.n - (d + e) // 2
-        weights = ctx.inv_phi_z.values()
+        weights = list(ctx.inv_phi_z.values())
         if k:
+            at_z = gram(l.per_max.values(), None, (ctx.z,)).entries
+            power = {mid: v ** k for mid, (v,) in zip(l.per_max, at_z)}
             carrier = self.pair.carrier
-            weights = [vdot(l.per_max[carrier(m)], ctx.z) ** k * w
+            weights = [power[carrier(m)] * w
                        for m, w in ctx.inv_phi_z.items()]
-        return _gram(self.values(d), weights, self.values(e))
+        return gram(self.values(d).entries, weights, self.values(e).entries)
 
     def primitive_coeffs(self, d, l):
         """Kernel of one Lefschetz power beyond the duality-pairing one
@@ -890,20 +896,14 @@ class GradedIH:
         return kernel_basis(self.lefschetz_gram(l, d - 2, d))
 
     def primitive_reps(self, d, l):
-        reps = []
-        for coeff in self.primitive_coeffs(d, l):
-            vecm = {}
-            for c, comp in zip(coeff, self.comps[d]):
-                if not c:
-                    continue
-                for k2, v2 in comp.items():
-                    s = vecm.get(k2, ZERO) + c * v2
-                    if s:
-                        vecm[k2] = s
-                    else:
-                        vecm.pop(k2, None)
-            reps.append(vecm)
-        return reps
+        """The primitives of grading d as coefficient vectors: the product
+        of their coordinates over the representatives with the
+        representatives' vectors."""
+        comps = self.comps[d]
+        keys = list(dict.fromkeys(k for comp in comps for k in comp))
+        mat = gram(self.primitive_coeffs(d, l), None,
+                   [[comp.get(k, ZERO) for comp in comps] for k in keys])
+        return [{k: x for k, x in zip(keys, row) if x} for row in mat.entries]
 
 
 def flattened_stalk(pair: DistinguishedPair, cid, v):

@@ -21,6 +21,10 @@ road.
   (module_step), which solves for classes over the spanning list that
   selection keeps.  The package reads its selection off the pivots of the
   multiples on the free columns, and Lefschetz maps off a Gram matrix.
+- Sums of products as loops of Scalar products and sums (vdot_loop,
+  mul_loop, gram_loop), one reduction per operation.  The package clears
+  each row to ints, sums the products as Python ints and reduces once
+  (exactlin.vdot, Matrix.mul, exactlin.gram).
 - A second subdivision rule (barycenter_sum_scaled, profile_with_centers):
   each generator scaled to coordinate-sum 1 where that sum is positive.
   The package subdivides at the sup-norm barycenters (fans.barycenter);
@@ -320,6 +324,43 @@ def module_step(gih, d, l):
         cols.append(x[base:])
     return Matrix([[col[i] for col in cols] for i in range(len(comps))],
                   ncols=len(cols))
+
+
+# -- sums of products as Scalar loops -----------------------------------------
+
+
+def vdot_loop(u, v):
+    """sum_k u[k] * v[k] over zip's length, one Scalar product and sum at a
+    time."""
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def mul_loop(a, b):
+    """The Matrix product a . b, row by column in Scalar loops."""
+    rows = []
+    for r in a.entries:
+        out = []
+        for j in range(b.ncols):
+            acc = ZERO
+            for k, x in enumerate(r):
+                if x:
+                    acc = acc + x * b.entries[k][j]
+            out.append(acc)
+        rows.append(out)
+    return Matrix(rows, ncols=b.ncols)
+
+
+def gram_loop(left, weights, right):
+    """Matrix of sum_k left[i][k] * weights[k] * right[j][k] for Matrices
+    left and right: the rows of left scaled by the weights, times the
+    transpose of right (mul_loop)."""
+    scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
+                     for r in left.entries], ncols=left.ncols)
+    return mul_loop(scaled, right.transpose())
 
 
 # -- a second subdivision rule ---------------------------------------------

@@ -16,6 +16,7 @@ from ihfan.exactlin import (
     ScalarField,
     echelon_insert,
     format_scalar,
+    gram,
     inverse,
     kernel_basis,
     parse_scalar,
@@ -24,8 +25,9 @@ from ihfan.exactlin import (
     signature,
     solve,
     sparse_kernel,
+    vdot,
 )
-from oracles import independent_modp
+from oracles import gram_loop, independent_modp, mul_loop, vdot_loop
 
 
 def S(text):
@@ -395,6 +397,80 @@ def test_sparse_kernel_matches_dense():
         ks = scalar_kernel([r for r in rows if r], m.ncols)
         kd = kernel_basis(m)
         assert [tuple(v.get(j, sc(0)) for j in range(m.ncols)) for v in ks] == kd
+
+
+# -- the integer inner product ------------------------------------------------
+
+
+def _entry(rng, m):
+    """A scalar of Q(sqrt m) (Q when m is None) with a denominator, zero a
+    third of the time and of either sign."""
+    if rng.random() < 1 / 3:
+        return ZERO
+    a = _Q(rng.randint(-9, 9), rng.randint(1, 12))
+    b = _Q(rng.randint(-5, 5), rng.randint(1, 8)) if m else 0
+    return Scalar(a, b, m if b else None)
+
+
+def _rows(rng, nrows, ncols, m):
+    return Matrix([[_entry(rng, m) for _ in range(ncols)]
+                   for _ in range(nrows)], ncols=ncols)
+
+
+@pytest.mark.parametrize("m", (None, 2, 5))
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_products_are_the_scalar_loops(m, seed):
+    # the kernel's dot, apply, mul and weighted product against loops of
+    # Scalar products and sums: the same canonical scalars, as Scalar
+    # equality compares the fields p, q, d and m
+    rng = random.Random(f"inner-{m}-{seed}")
+    for length in range(7):
+        u = _rows(rng, 1, length, m).entries[0] if length else ()
+        v = _rows(rng, 1, length, m).entries[0] if length else ()
+        assert vdot(u, v) == vdot_loop(u, v)
+    assert vdot((), ()) == ZERO
+    for r, k, c in itertools.product(range(4), repeat=3):
+        a, b = _rows(rng, r, k, m), _rows(rng, k, c, m)
+        assert a.mul(b) == mul_loop(a, b)
+        vec = _rows(rng, 1, k, m).entries[0] if k else ()
+        assert a.apply(vec) == tuple(vdot_loop(row, vec) for row in a.entries)
+        right = _rows(rng, c, k, m)
+        weights = _rows(rng, 1, k, m).entries[0] if k else ()
+        if k:
+            weights = (ZERO,) + weights[1:]   # a weight of zero
+        assert gram(a.entries, weights, right.entries) == \
+            gram_loop(a, weights, right)
+        assert gram(a.entries, None, right.entries) == \
+            mul_loop(a, right.transpose())
+
+
+def test_products_of_empty_shapes():
+    # 0 x k and k x 0 factors: the product has the outer shape, all zero
+    for r, k, c in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+        a = Matrix([[ONE] * k] * r, ncols=k)
+        b = Matrix([[ONE] * c] * k, ncols=c)
+        got = a.mul(b)
+        assert (got.nrows, got.ncols) == (r, c)
+        assert all(x == k for row in got.entries for x in row)
+        assert got.transpose() == b.transpose().mul(a.transpose())
+    assert Matrix([], ncols=2).apply((ONE, ONE)) == ()
+    assert Matrix([[], []], ncols=0).apply(()) == (ZERO, ZERO)
+
+
+def test_products_reject_mixed_radicands():
+    r2, r5 = S("0+1r2"), S("0+1r5")
+    with pytest.raises(ValueError):
+        vdot((r2, ONE), (r5, ONE))
+    with pytest.raises(ValueError):
+        vdot((r2, r5), (ONE, ONE))
+    with pytest.raises(ValueError):
+        Matrix([[r2, ONE]]).mul(Matrix([[r5], [ONE]]))
+    with pytest.raises(ValueError):
+        Matrix([[r2, ONE]]).apply((ONE, r5))
+    with pytest.raises(ValueError):
+        gram([(ONE, r2)], (r5, ONE), [(ONE, ONE)])
+    # one radicand with rationals is fine
+    assert vdot((r2, S("1/2")), (r2, S("2/3"))) == S("7/3")
 
 
 # -- the elimination primitive ---------------------------------------------

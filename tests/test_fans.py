@@ -8,7 +8,7 @@ import pytest
 
 from ihfan import cli, cohomology, exactlin, fans
 from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
-                            sparse_eliminate)
+                            sparse_eliminate, vdot)
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
@@ -237,7 +237,7 @@ def value_at(l, x):
     fan = l.fan
     star = fan.star_ids(fan.locate(x))
     m = next(m for m in fan.maximal_ids if m in star)
-    return fans.vdot(l.per_max[m], x)
+    return vdot(l.per_max[m], x)
 
 
 def test_normal_fan_square():
@@ -402,7 +402,7 @@ def brute_facets(gens, d):
         kb = kernel_basis(Matrix(list(sub), ncols=d))
         if len(kb) != 1:
             continue
-        vals = [fans.vdot(kb[0], g) for g in gens]
+        vals = [vdot(kb[0], g) for g in gens]
         signs = {v.sign() for v in vals}
         if {1, -1} <= signs:
             continue
@@ -523,7 +523,7 @@ def test_lower_dimensional_hull_matches_brute_force(n, m):
         for _ in range(4):
             gens, a = embedded_cone(rng, n, d, field)
             image = {g: fans.canonical_direction(
-                [fans.vdot(row, g) for row in a]) for g in gens}
+                [vdot(row, g) for row in a]) for g in gens}
             c = fans.Cone.from_generators(list(image.values()), n)
             assert c.dim == d and set(c.rays) == set(image.values())
             geom = fans.cone_geometry(c.rays, n)
@@ -537,7 +537,7 @@ def test_lower_dimensional_hull_matches_brute_force(n, m):
                 assert fans.canonical_direction(w) == w
                 assert all(not w[p] for p in pivots)
             got = {fans.canonical_direction(
-                [fans.vdot(w, col) for col in zip(*a)]): set(key)
+                [vdot(w, col) for col in zip(*a)]): set(key)
                 for w, key in zip(geom.facet_forms, geom.facet_ray_keys)}
             assert got == {w: {image[g] for g in on}
                            for w, on in brute_facets(gens, d).items()}
@@ -572,7 +572,7 @@ def brute_rays(rows, k):
         if len(kb) != 1:
             continue
         for y in (kb[0], fans.vneg(kb[0])):
-            vals = [fans.vdot(a, y) for a in rows]
+            vals = [vdot(a, y) for a in rows]
             if all(v.sign() >= 0 for v in vals):
                 out[fans.canonical_direction(y)] = tuple(
                     i for i, v in enumerate(vals) if not v)
@@ -699,7 +699,7 @@ def completed_inverse(rows, k):
             (basis if i < len(rows) else comp).append(
                 i if i < len(rows) else i - len(rows))
     inv, det = exactlin.inverse(Matrix(kept, ncols=k))
-    return basis, comp, [inv.col(j) for j in range(k)], det
+    return basis, comp, inv.columns(), det
 
 
 @pytest.mark.parametrize("m", (None, 2))
@@ -898,8 +898,8 @@ def locate_by_each_face(fan, x):
     all > 0 on x."""
     for cid, c in fan.cones.items():
         g = fans.cone_geometry(c.rays, fan.n)
-        if not any(fans.vdot(e, x) for _, e in g.equations) and \
-                all(fans.vdot(w, x).sign() > 0 for w in g.facet_forms):
+        if not any(vdot(e, x) for _, e in g.equations) and \
+                all(vdot(w, x).sign() > 0 for w in g.facet_forms):
             return cid
     return None
 

@@ -22,9 +22,9 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            relative_sections)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       golden_field)
-from oracles import (barycenter_sum_scaled, full_greedy,
+from oracles import (barycenter_sum_scaled, full_greedy, gram_loop,
                      materialized_values, profile_with_centers, reduce_mod,
-                     validate)
+                     validate, vdot_loop)
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -639,6 +639,26 @@ def test_values_are_the_materialized_sections_at_z(cube_fan_support):
         gih = GradedIH(pair)
         for d in range(0, 2 * pair.fan.n + 1, 2):
             assert gih.values(d).entries == materialized_values(gih, d)
+
+
+def test_lefschetz_gram_is_the_per_piece_gram(cube_fan_support):
+    # l(z)^k is taken once per maximal cone of the cube's face fan and
+    # multiplied into 1/phi(z) once per piece: the Gram is the reference
+    # one, with every piece's weight computed on its own, at every (d, e)
+    fan, l = cube_fan_support
+    gih = GradedIH(cached_pair(fan))
+    ctx = gih.context()
+    carrier = gih.pair.carrier
+    # the six square cones are subdivided, so pieces share carriers
+    assert len(ctx.inv_phi_z) > len(fan.maximal_ids) == 6
+    n = fan.n
+    for d in range(0, 2 * n + 1, 2):
+        for e in range(0, 2 * n - d + 1, 2):
+            k = n - (d + e) // 2
+            weights = [vdot_loop(l.per_max[carrier(m)], ctx.z) ** k * w
+                       for m, w in ctx.inv_phi_z.items()]
+            assert gih.lefschetz_gram(l, d, e) == \
+                gram_loop(gih.values(d), weights, gih.values(e))
 
 
 def test_simplicial_pair_solves_no_kernel(monkeypatch):
