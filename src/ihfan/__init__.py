@@ -13,18 +13,14 @@ from .fans import (Cone, Fan, PLFunction, build_fan, fan_from_json_dict,
                    face_fan_with_support, normal_fan, product_fan,
                    skew_product, barycentric_subdivision, is_complete,
                    is_strictly_convex)
-from .conewise import ConewiseFunction, Polynomial
+from .conewise import Polynomial
 from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
-                      build_distinguished_pair, global_sections,
-                      relative_sections, pair_to_json_dict,
+                      build_distinguished_pair, pair_to_json_dict,
                       pair_from_json_dict)
-from .cohomology import (QuadraticReport, ds_check, evaluate_fast, f_to_h,
+from .cohomology import (QuadraticReport, ds_check, evaluate_fast,
                          hl_rank_report, hrm_check, kunneth_check,
-                         lefschetz_matrix, pairing_matrix,
-                         polytope_face_lattice,
-                         primitive_basis, profile_for_fan, restrict_to_link,
-                         exact_sequence_check, toric_h_of_fan,
-                         toric_h_oracle)
+                         lefschetz_matrix, pairing_matrix, profile_for_fan,
+                         toric_h_of_fan)
 
 __version__ = "0.1.0"
 
@@ -34,15 +30,12 @@ __all__ = [
     "Cone", "Fan", "PLFunction", "build_fan", "fan_from_json_dict",
     "face_fan_with_support", "normal_fan", "product_fan", "skew_product",
     "barycentric_subdivision", "is_complete", "is_strictly_convex",
-    "ConewiseFunction", "Polynomial",
+    "Polynomial",
     "DistinguishedPair", "GradedIH", "build_distinguished_pair",
-    "global_sections", "relative_sections", "pair_to_json_dict",
-    "pair_from_json_dict",
+    "pair_to_json_dict", "pair_from_json_dict",
     "EvaluationContext", "QuadraticReport", "ds_check",
-    "evaluate_fast", "f_to_h", "hl_rank_report", "hrm_check",
+    "evaluate_fast", "hl_rank_report", "hrm_check",
     "kunneth_check", "lefschetz_matrix", "pairing_matrix",
-    "polytope_face_lattice", "primitive_basis", "profile_for_fan",
-    "restrict_to_link", "exact_sequence_check", "toric_h_of_fan",
-    "toric_h_oracle",
+    "profile_for_fan", "toric_h_of_fan",
     "__version__",
 ]

@@ -247,6 +247,9 @@ def run_checks(loaded, config, profile, l):
 
 def cmd_hvector(config):
     loaded = load_input(config.path)
+    if config.oracle and not is_complete(loaded.fan):
+        # toric_h_of_fan is the h-vector of complete fans only
+        raise InputError("the oracle needs a complete fan")
     profile = _profile(loaded, config)
     print("h = " + _fmt_h(profile.h_vector()))
     if config.oracle:
@@ -305,8 +308,11 @@ def cmd_subdivide(config):
         payload = pair.subdivided.to_json_dict()
     text = json.dumps(payload, sort_keys=True) + "\n"
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {config.out}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -375,7 +381,8 @@ def make_parser():
     hv = sub.add_parser("hvector", help="print the graded dimensions")
     hv.add_argument("input")
     hv.add_argument("--oracle", action="store_true",
-                    help="also run the lattice recursion and compare")
+                    help="also run the fan recursion and compare (complete "
+                         "fans only)")
     hv.add_argument("--cap", type=int, default=None,
                     help="top grading to compute (default 2n)")
     ve = sub.add_parser("verify", help="run verification checks")

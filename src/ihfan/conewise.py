@@ -1,12 +1,11 @@
-"""Exact multivariate polynomials and conewise polynomial functions on
-simplicial fans.
+"""Exact multivariate polynomials: the sections' pieces, stalk generators
+and evaluation.
 
-Grading convention: a conewise function built from polynomials of total
-degree k has grading 2k (linear forms sit in grading 2).  All per-cone
-polynomials of one function must be homogeneous of the same degree and
-agree on shared faces.  The package builds them only from solved section
-spaces (ihsheaf), so nothing here checks continuity; the tests check it
-with an oracle of their own.
+Grading convention: a polynomial of total degree k sits in grading 2k
+(linear forms in grading 2).  A section is one homogeneous polynomial per
+maximal cone of a subdivision, as a dict, and the package builds sections
+only from solved section spaces (ihsheaf), so nothing here checks their
+continuity; the tests check it with an oracle of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import operator
 from math import prod
 
 from .exactlin import ONE, ZERO, format_scalar, sc, vdot
-from .fans import Fan
 
 
 # -- polynomials -----------------------------------------------------------
@@ -149,20 +147,3 @@ class Polynomial:
             c = format_scalar(self.coeffs[e])
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-# -- conewise functions ----------------------------------------------------
-
-
-class ConewiseFunction:
-    """Per-maximal-cone polynomials on a simplicial fan, homogeneous of
-    degree grading/2 and compatible on shared faces."""
-
-    __slots__ = ("fan", "grading", "per_max")
-
-    def __init__(self, fan: Fan, grading, per_max):
-        if grading % 2:
-            raise ValueError("grading must be even")
-        self.fan = fan
-        self.grading = grading
-        self.per_max = dict(per_max)

@@ -460,13 +460,6 @@ class Fan:
         found = (self.face_at(m, x) for m in self.maximal_ids)
         return next((cid for cid in found if cid is not None), None)
 
-    def subfan(self, cone_ids):
-        # the listed cones that are no other's faces alone need a geometry
-        ids = set(cone_ids)
-        keys = [self.cones[i].rays for i in ids
-                if ids.isdisjoint(self.cofaces_of[i])]
-        return Fan(self.n, self.field, keys, check=False)
-
     def is_simplicial(self):
         return all(self.cones[i].is_simplicial() for i in self.maximal_ids)
 
@@ -547,30 +540,6 @@ def build_fan(ambient_dim, max_generator_sets, field=None, check=True):
                 "listed cone with rays %s is a face of another listed cone" %
                 ([format_vector(r) for r in k],))
     return fan
-
-
-def star_link(fan: Fan, cid):
-    """(Star as a tuple of cone ids, closed star as a Fan, link as a Fan)."""
-    if cid not in fan.cones:
-        raise ValueError(f"cone {cid} not in fan")
-    star = fan.star_ids(cid)
-    closed = fan.subfan(star)
-    srays = set(fan.cones[cid].rays)
-    link_ids = []
-    for did in star:
-        for f in (did,) + fan.faces_of[did]:
-            if not (set(fan.cones[f].rays) & srays):
-                link_ids.append(f)
-    link = fan.subfan(sorted(set(link_ids)))
-    return star, closed, link
-
-
-def boundary_facet_ids(fan: Fan):
-    """(n-1)-cones lying in exactly one maximal cone, themselves included
-    when maximal: those with at most one coface; empty for complete
-    fans."""
-    return [c.id for c in fan.cones_of_dim(fan.n - 1)
-            if len(fan.cofaces_of[c.id]) <= 1]
 
 
 def wall_equations(fan: Fan, wid):

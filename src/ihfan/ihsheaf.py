@@ -12,10 +12,11 @@ to the cone's pieces (flattened_stalk).  Global sections of any grading
 are then read off per-carrier columns (_Sections): the monomials in the
 carrier's frame variables times its stalk generators, the frame (_frame)
 being the dual forms of the rays on a simplicial carrier and the ambient
-coordinates elsewhere.  The walls between simplicial carriers join columns
-into classes (the face-supported monomials); only walls that touch a
-nonsimplicial carrier give rows, a sparse linear system built in integer
-arithmetic.
+coordinates elsewhere.  Sections are absolute: each wall the builder
+reads lies between two pieces, and a boundary piece constrains nothing.
+The walls between simplicial carriers join columns into classes (the
+face-supported monomials); only walls that touch a nonsimplicial carrier
+give rows, a sparse linear system built in integer arithmetic.
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -63,7 +64,7 @@ from .fans import (
     format_vector,
     parse_vector,
 )
-from .conewise import ConewiseFunction, Polynomial, monomials
+from .conewise import Polynomial, monomials
 
 # -- boundary flattening ---------------------------------------------------
 
@@ -264,32 +265,28 @@ def _coordinate_forms(fan):
             for mid in fan.maximal_ids}
 
 
-def _section_spaces(pair, gradings, boundary_pieces=None):
-    """The section spaces {d: _Sections} of the gradings, relative to the
-    boundary pieces when given: the one builder of section spaces, which
-    builds each wall's data once for all of them (see _Sections).
+def _section_spaces(pair, gradings):
+    """The section spaces {d: _Sections} of the gradings: the one builder
+    of section spaces, which builds each wall's data once for all of them
+    (see _Sections).
 
-    A wall whose sides all have simplicial carriers is kept as a join, the
-    carriers with the positions in each carrier's rays of the coarse wall's
-    rays (the pieces of one coarse wall give one join); a boundary piece is
-    a one-sided join.  Every other wall keeps its equations.  The gradings
-    are solved in ascending order, and grading d reads the wall images of
-    degree d/2 only, so each degree is built just before the first grading
-    that reads it and let go once a grading reads the next."""
+    The walls are the facet pieces with two owners of different carriers;
+    a boundary piece, with one owner, is no wall.  A wall whose two
+    carriers are simplicial is kept as a join, the carriers with the
+    positions in each carrier's rays of the coarse wall's rays (the pieces
+    of one coarse wall give one join).  Every other wall keeps its owners
+    and its equations.  The gradings are solved in ascending order, and
+    grading d reads the wall images of degree d/2 only, so each degree is
+    built just before the first grading that reads it and let go once a
+    grading reads the next."""
     fan, sub = pair.fan, pair.subdivided
     joins, walls = {}, []
     for tid in pair.facet_piece_ids():
         owners = sub.cofaces_of[tid]
-        if len(owners) == 2:
-            if pair.carrier(owners[0]) == pair.carrier(owners[1]):
-                continue
-            sides = ((owners[0], 1), (owners[1], -1))
-        elif len(owners) == 1 and boundary_pieces is not None \
-                and tid in boundary_pieces:
-            sides = ((owners[0], 1),)
-        else:
+        if len(owners) != 2 or \
+                pair.carrier(owners[0]) == pair.carrier(owners[1]):
             continue
-        cones = [fan.cones[pair.carrier(hat)] for hat, _ in sides]
+        cones = [fan.cones[pair.carrier(hat)] for hat in owners]
         if all(c.is_simplicial() for c in cones):
             face = fan.cones[pair.carrier(tid)].rays
             join = tuple((c.id, tuple(c.rays.index(r) for r in face))
@@ -297,12 +294,12 @@ def _section_spaces(pair, gradings, boundary_pieces=None):
             joins[join] = None
             continue
         eqs = fans.wall_equations(sub, tid)
-        gens = [sec[hat].coeffs for (hat, _), c in zip(sides, cones)
+        gens = [sec[hat].coeffs for hat, c in zip(owners, cones)
                 for _, sec in pair.stalks[c.id]]
         forms = [dict(enumerate(y)) for c in cones
                  for y in _frame(c.rays, fan.n)[0]]
         m = radicand(gens + forms + [dict(enumerate(row)) for _, row in eqs])
-        walls.append((sides, m, _wall_images(eqs, fan.n, m)))
+        walls.append((owners, m, _wall_images(eqs, fan.n, m)))
     spaces = {}
     degree, levels = -1, None
     for d in sorted(set(gradings)):
@@ -310,7 +307,7 @@ def _section_spaces(pair, gradings, boundary_pieces=None):
             levels = [next(images) for _, _, images in walls]
             degree += 1
         spaces[d] = _Sections(pair, d, list(joins),
-                              [(sides, m, level) for (sides, m, _),
+                              [(owners, m, level) for (owners, m, _),
                                level in zip(walls, levels)])
     return {d: spaces[d] for d in gradings}
 
@@ -335,8 +332,7 @@ class _Sections:
     form of the ray opposite tau restricts to 0.  The two sides agree on tau
     exactly when they have the same coefficient on every monomial in tau's
     rays, so such a wall joins those columns of its sides (a union-find
-    over the columns), and a boundary piece of a relative space kills every
-    class it touches.  These are Billera's face-supported monomials
+    over the columns).  These are Billera's face-supported monomials
     ("The algebra of continuous piecewise polynomials", 1989), but the
     classes come from the actual walls.  The joins are simplicial
     mathematics, so they stay outside the frame.
@@ -352,16 +348,16 @@ class _Sections:
     both sides, every entry is E * D^(d/2) times the exact one, which leaves
     the kernel as it is.  Each row is then divided by the gcd of its
     entries, so the kernel sees equal rows of the pieces of one wall as
-    repeats.  The rows are written in the variables: the classes not
-    killed, each standing for 1 on all its members, in the order of their
-    largest members.
+    repeats.  The rows are written in the variables: the classes, each
+    standing for 1 on all its members, in the order of their largest
+    members.
 
     The basis is the reduced kernel over the variables (every variable when
     there are no rows, and no kernel is solved), each variable spread over
     its members: basis[k] is 1 at its free column cols[free[k]], free[k]
     being its largest index, and 0 at every other free column, so
     restriction to the free columns is one-to-one on sections.  Each wall's
-    sides and radicand in walls are shared by the gradings of one
+    owners and radicand in walls are shared by the gradings of one
     _section_spaces call, and neither depends on d: the radicand is that of
     the frame forms and all generators of both sides and of the equations,
     and rational data has no sqrt(m) parts whatever m is.  Its images are
@@ -385,9 +381,8 @@ class _Sections:
                     cols.extend((mid, j, e)
                                 for e in monomials(n, (grading - g) // 2))
         self.cols = cols
-        # classes of columns: joined across walls, killed on the boundary
+        # classes of columns, joined across walls
         parent = list(range(len(cols)))
-        killed = set()
         index = {e: i for i, e in enumerate(monomials(n, k))}
         for face in monomials(n - 1, k):
             for join in joins:
@@ -396,18 +391,13 @@ class _Sections:
                     e = [0] * n
                     for p, x in zip(pos, face):
                         e[p] = x
-                    placed.append(start[(mid, 0)] + index[tuple(e)])
-                if len(placed) == 1:
-                    killed.add(placed[0])
-                else:
-                    a, b = _root(parent, placed[0]), _root(parent, placed[1])
-                    parent[max(a, b)] = min(a, b)
-        killed = {_root(parent, c) for c in killed}
+                    placed.append(
+                        _root(parent, start[(mid, 0)] + index[tuple(e)]))
+                a, b = placed
+                parent[max(a, b)] = min(a, b)
         members = {}
         for c in range(len(cols)):
-            r = _root(parent, c)
-            if r not in killed:
-                members.setdefault(r, []).append(c)
+            members.setdefault(_root(parent, c), []).append(c)
         # members come in ascending order, so each class's last is its
         # largest
         classes = sorted(members.values(), key=lambda ms: ms[-1])
@@ -417,11 +407,11 @@ class _Sections:
                 slot[c] = v
         rows = []
         rows_m = None   # the radicand of the rows' sqrt(m) parts
-        for sides, m, images in walls:
+        for owners, m, images in walls:
             # the polynomials' coefficients keyed by (first column, degree
             # of the monomials they multiply, packed exponent)
             coeffs = {}
-            for hat, sign in sides:
+            for hat, sign in zip(owners, (1, -1)):
                 mid = pair.carrier(hat)
                 cone = fan.cones[mid]
                 if cone.is_simplicial():
@@ -480,10 +470,6 @@ class _Sections:
                 out[hat] = out[hat].add(q if g == one else q.mul(g))
         return out
 
-    def as_function(self, vecm):
-        return ConewiseFunction(self.pair.subdivided, self.grading,
-                                self.materialize(vecm))
-
 
 class DistinguishedPair:
     """A fan together with its distinguished simplicial subdivision, the
@@ -495,8 +481,7 @@ class DistinguishedPair:
     its cofaces in the subdivision."""
 
     __slots__ = ("fan", "subdivided", "steps", "stalks",
-                 "_carrier", "_pieces", "_facet_pieces", "_sections",
-                 "_boundary_pieces")
+                 "_carrier", "_pieces", "_facet_pieces", "_sections")
 
     def __init__(self, fan, subdivided, steps, stalks=None):
         self.fan = fan
@@ -536,7 +521,6 @@ class DistinguishedPair:
             c.id for c in subdivided.cones_of_dim(fan.n - 1))
         self.stalks = dict(stalks) if stalks else {}
         self._sections = {}
-        self._boundary_pieces = None
 
     # -- structure ---------------------------------------------------------
 
@@ -549,31 +533,23 @@ class DistinguishedPair:
     def facet_piece_ids(self):
         return self._facet_pieces
 
-    def boundary_piece_ids(self):
-        if self._boundary_pieces is None:
-            self._boundary_pieces = frozenset(
-                t for t in self._facet_pieces
-                if len(self.subdivided.cofaces_of[t]) == 1)
-        return self._boundary_pieces
-
     # -- section spaces ----------------------------------------------------
 
-    def section_spaces(self, gradings, relative=False):
-        """The section spaces {d: _Sections} of the gradings, relative to
-        every boundary piece or not, kept on the pair; one call builds those
-        missing."""
-        missing = [d for d in gradings if (d, relative) not in self._sections]
+    def section_spaces(self, gradings):
+        """The section spaces {d: _Sections} of the gradings, kept on the
+        pair by grading; one call builds those missing."""
+        missing = [d for d in gradings if d not in self._sections]
         if missing:
-            bp = self.boundary_piece_ids() if relative else None
-            for d, sp in _section_spaces(self, missing, bp).items():
-                self._sections[(d, relative)] = sp
-        return {d: self._sections[(d, relative)] for d in gradings}
+            self._sections.update(_section_spaces(self, missing))
+        return {d: self._sections[d] for d in gradings}
 
 
 def build_distinguished_pair(fan: Fan):
-    """Distinguished pair of a complete fan, a closed star, or a single
-    full-dimensional cone with its faces.  Simplicial fans keep their own
-    cone structure; everything else gets the full barycentric subdivision.
+    """Distinguished pair of a fan whose maximal cones have full dimension:
+    a complete fan, or an incomplete one such as a single cone with its
+    faces, whose sections are absolute all the same (see _section_spaces).
+    Simplicial fans keep their own cone structure; everything else gets the
+    full barycentric subdivision.
     Stalks are built by increasing cone dimension (ids go up with it): the
     constant on a simplicial cone, the pulled-back primitives of the
     flattened boundary on any other (flattened_stalk)."""
@@ -648,17 +624,6 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
 # -- graded section algebra -------------------------------------------------
 
 
-def _mul_pl(vecm, l):
-    """The product of a coefficient vector of a section space of a pair on
-    l's fan with the conewise linear function l (see _times)."""
-    forms = {}
-    for mid, form in l.per_max.items():
-        _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
-        forms[mid] = [[(0, x)] if x else []
-                      for x in gram((form,), None, vectors).entries[0]]
-    return _times(vecm, forms, 1)[0]
-
-
 def _at(z, forms):
     """{key: the values at z of its forms} for {key: forms}, off one
     product (exactlin.gram) of z with all the forms."""
@@ -725,19 +690,19 @@ class GradedIH:
     basis vectors, on full-length vectors too, as restriction to the free
     columns is one-to-one on sections.
 
-    A complete pair (uncapped, absolute, without boundary pieces) builds the
-    candidates mod P from residues (exactlin.residue_map) and certifies the
-    choice by Poincare duality.  The pivot rows and the representatives
-    fill the dimension and are independent mod P, so independent: h_d <=
-    len(comps[d]).  When the pairing matrix between the representatives of
+    A complete pair (uncapped, every facet piece a wall between two pieces)
+    builds the candidates mod P from residues (exactlin.residue_map) and
+    certifies the choice by Poincare duality.  The pivot rows and the
+    representatives fill the dimension and are independent mod P, so
+    independent: h_d <= len(comps[d]).  When the pairing matrix between the representatives of
     gradings d and 2n - d is square and nonsingular for every even d <= n,
     the classes of both lists are independent (the evaluation vanishes on
     ideal multiples), so h_d >= len(comps[d]) and the representatives are
     bases; those matrices are kept as grams for cohomology.pairing_matrix.
     When there is no prime, a coefficient has no residue or the pairing
     fails, everything is selected again exactly and exactlin.modp_fallbacks
-    goes up by 1.  Every other pair selects exactly.  An absolute profile
-    raises ValueError unless h_0 = 1 (connected support).
+    goes up by 1.  Every other pair selects exactly.  A profile raises
+    ValueError unless h_0 = 1 (connected support).
 
     Everything about a Lefschetz operator l (the pairing, HL ranks, HRM
     forms, primitives and the Lefschetz matrix itself) comes from one Gram
@@ -747,20 +712,21 @@ class GradedIH:
     __slots__ = ("pair", "cap", "spaces", "comps", "h", "grams", "_ctx",
                  "_mono_z", "_rep_polys", "_values")
 
-    def __init__(self, pair: DistinguishedPair, cap=None, relative=False):
+    def __init__(self, pair: DistinguishedPair, cap=None):
         self.pair = pair
         self.cap = 2 * pair.fan.n if cap is None else cap
-        self.spaces = pair.section_spaces(range(0, self.cap + 1, 2), relative)
+        self.spaces = pair.section_spaces(range(0, self.cap + 1, 2))
         self._ctx = None
         self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
-        complete = cap is None and not relative and \
-            not pair.boundary_piece_ids()
+        cofaces = pair.subdivided.cofaces_of
+        complete = cap is None and all(
+            len(cofaces[t]) == 2 for t in pair.facet_piece_ids())
         modp = complete and exactlin.residue_map(pair.fan.field.m)
         if not (modp and self._select(*modp) and self._certify()):
             if complete:
                 exactlin.record_fallback()
             self._select()
-        if not relative and self.h.get(0) != 1:
+        if self.h.get(0) != 1:
             raise ValueError("connected support must have a 1-dimensional "
                              "grading-0 cohomology")
 
@@ -931,39 +897,6 @@ def flattened_stalk(pair: DistinguishedPair, cid, v):
             gens.append((d, {pid: sec[bid].compose(proj.entries)
                              for pid, bid in pieces.items()}))
     return tuple(gens)
-
-
-# -- public section spaces -------------------------------------------------
-
-
-def global_sections(pair: DistinguishedPair, cap=None):
-    """Graded bases of the section spaces, as conewise functions on the
-    subdivided fan; gradings 0, 2, ..., cap (default twice the ambient
-    dimension)."""
-    cap = 2 * pair.fan.n if cap is None else cap
-    return {d: [sp.as_function(v) for v in sp.basis] for d, sp in
-            pair.section_spaces(range(0, cap + 1, 2)).items()}
-
-
-def relative_sections(pair: DistinguishedPair, boundary=None, cap=None):
-    """Graded bases of the sections vanishing on the boundary subfan.
-    boundary: coarse (n-1)-cone ids, default the full topological boundary;
-    errors when the pair has no boundary and one was expected."""
-    cap = 2 * pair.fan.n if cap is None else cap
-    if boundary is not None:
-        allowed = set()
-        for cid in boundary:
-            c = pair.fan.cones[cid]
-            if c.dim != pair.fan.n - 1:
-                raise ValueError("boundary cones must have codimension 1")
-            allowed.update(pair.pieces(cid))
-        bp = frozenset(allowed)
-        if not bp <= pair.boundary_piece_ids():
-            raise ValueError("listed cones are not boundary cones")
-    else:
-        bp = pair.boundary_piece_ids()
-    return {d: [sp.as_function(v) for v in sp.basis] for d, sp in
-            _section_spaces(pair, range(0, cap + 1, 2), bp).items()}
 
 
 # -- pair serialization ----------------------------------------------------

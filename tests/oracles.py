@@ -29,13 +29,36 @@ road.
   each generator scaled to coordinate-sum 1 where that sum is positive.
   The package subdivides at the sup-norm barycenters (fans.barycenter);
   intersection cohomology does not depend on the subdivision.
+- The face-lattice recursion (f_to_h, polytope_face_lattice,
+  toric_h_oracle): the toric h-vector of a polytope from its vertex sets
+  alone.  The package's command line compares against the fan recursion
+  (cohomology.toric_h_of_fan), which walks ray keys.
+- Sections as conewise functions (ConewiseFunction, as_function,
+  global_sections, primitive_basis), the form the continuity oracle and
+  the symbolic route read.  The package keeps sections as coefficient
+  vectors and per-piece polynomial dicts.
+- The local structure of Karu's proof: closed stars and links
+  (star_link), relative sections and relative cohomology
+  (relative_bases, relative_sections, relative_ih), restriction to a
+  link (restrict_to_link, with _mul_pl for the hat function) and the
+  exact sequence of a closed star and its complement
+  (exact_sequence_check).  The package builds absolute sections only;
+  the relative ones are cut out of them here, each combination of the
+  absolute basis whose polynomial on every boundary piece's owner
+  reduces to zero modulo the piece's equations.
 """
 
+from math import comb
+
 from ihfan import exactlin, fans
+from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
+                              profile_for_fan)
 from ihfan.conewise import Polynomial
-from ihfan.exactlin import ONE, ZERO, Matrix, solve
-from ihfan.fans import vadd, vscale
-from ihfan.ihsheaf import GradedIH, build_distinguished_pair
+from ihfan.exactlin import (ONE, ZERO, Matrix, gram, inverse, solve,
+                            sparse_eliminate)
+from ihfan.fans import Fan, PLFunction, canonical_direction, vadd, vscale
+from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame, _times,
+                           build_distinguished_pair, projection_along)
 
 
 # -- polynomials -----------------------------------------------------------
@@ -387,3 +410,413 @@ def profile_with_centers(fan, barycenter):
         return GradedIH(build_distinguished_pair(fan))
     finally:
         fans.barycenter = kept
+
+
+# -- the face-lattice oracle -------------------------------------------------
+
+
+def f_to_h(face_counts):
+    """h-vector of a simple polytope from its face counts (f_0, ..., f_n);
+    f_n = 1 is the polytope itself."""
+    f = tuple(int(c) for c in face_counts)
+    if not f or f[-1] != 1:
+        raise ValueError("face counts must end with the polytope itself (1)")
+    n = len(f) - 1
+    h = []
+    for k in range(n + 1):
+        s = 0
+        for i in range(k, n + 1):
+            s += f[i] * (-1) ** (i - k) * comb(i, k)
+        h.append(s)
+    return tuple(h)
+
+
+class FaceLattice:
+    """Graded face lattice of a polytope: elements are (dim, vertex set),
+    with the empty face at dim -1 and the polytope itself on top."""
+
+    __slots__ = ("dim", "faces")
+
+    def __init__(self, dim, faces):
+        self.dim = dim
+        self.faces = tuple(sorted((d, frozenset(s)) for d, s in faces))
+
+    def proper_faces_of(self, elem):
+        d, s = elem
+        return [(d2, s2) for d2, s2 in self.faces if s2 < s]
+
+    def top(self):
+        return max(self.faces)
+
+
+def polytope_face_lattice(vertices, field=None):
+    """Face lattice from the vertex list, via the cone over the lifted
+    polytope."""
+    pts = [fans.vec(v) for v in vertices]
+    if not pts:
+        raise ValueError("need at least one vertex")
+    n = len(pts[0])
+    lifted = [tuple(list(p) + [ONE]) for p in pts]
+    cone = fans.Cone.from_generators(lifted, n + 1)
+    back = {}
+    for i, w in enumerate(lifted):
+        back[canonical_direction(w)] = i
+    lattice = Fan(n + 1, field, [cone.rays], check=False)
+    faces = [(c.dim - 1, frozenset(back[r] for r in c.rays))
+             for c in lattice.cones.values()]
+    return FaceLattice(cone.dim - 1, faces)
+
+
+def _check_graded(lattice):
+    faces = lattice.faces
+    bottoms = [f for f in faces if f[0] == -1]
+    if len(bottoms) != 1 or bottoms[0][1]:
+        raise ValueError("face lattice is not graded: missing empty face")
+    top = lattice.top()
+    if any(not (s <= top[1]) for _, s in faces):
+        raise ValueError("face lattice is not graded: no unique top")
+    for da, sa in faces:
+        covers = [(db, sb) for db, sb in faces
+                  if sa < sb and not any(sa < sm < sb for _, sm in faces)]
+        for db, _ in covers:
+            if db != da + 1:
+                raise ValueError("face lattice is not graded")
+
+
+def toric_h_oracle(lattice):
+    """Generalized h-vector by the lattice recursion
+    h(P, t) = sum over proper faces F of g(F, t) (t-1)^(dim P - 1 - dim F),
+    with g the half-degree difference truncation of h.  Matches the
+    classical h for simplicial polytopes."""
+    _check_graded(lattice)
+    memo = {}
+
+    def h_of(elem):
+        if elem in memo:
+            return memo[elem]
+        d, _ = elem
+        if d == -1:
+            memo[elem] = [1]
+            return memo[elem]
+        acc = [0] * (d + 1)
+        for f in lattice.proper_faces_of(elem):
+            term = convolve_h(_g_from_h(h_of(f), f[0]),
+                              _tminus1_pow(d - 1 - f[0]))
+            for i, c in enumerate(term):
+                acc[i] += c
+        memo[elem] = acc
+        return acc
+
+    top = lattice.top()
+    h = h_of(top)
+    if len(h) != lattice.dim + 1:
+        raise ValueError("face lattice dimensions are inconsistent")
+    return tuple(h)
+
+
+# -- sections as conewise functions ------------------------------------------
+
+
+class ConewiseFunction:
+    """Per-maximal-cone polynomials on a simplicial fan, homogeneous of
+    degree grading/2 and compatible on shared faces (validate checks
+    that)."""
+
+    __slots__ = ("fan", "grading", "per_max")
+
+    def __init__(self, fan, grading, per_max):
+        if grading % 2:
+            raise ValueError("grading must be even")
+        self.fan = fan
+        self.grading = grading
+        self.per_max = dict(per_max)
+
+
+def as_function(sp, vecm):
+    """The coefficient vector vecm of the section space sp as a conewise
+    function on its pair's subdivision."""
+    return ConewiseFunction(sp.pair.subdivided, sp.grading,
+                            sp.materialize(vecm))
+
+
+def global_sections(pair, cap=None):
+    """Graded bases of the section spaces, as conewise functions on the
+    subdivided fan; gradings 0, 2, ..., cap (default twice the ambient
+    dimension)."""
+    cap = 2 * pair.fan.n if cap is None else cap
+    return {d: [as_function(sp, v) for v in sp.basis] for d, sp in
+            pair.section_spaces(range(0, cap + 1, 2)).items()}
+
+
+def primitive_basis(profile, l, d):
+    """Sections representing the kernel of one Lefschetz power beyond the
+    pairing one (grading d -> 2n-d+2)."""
+    if d % 2 or d < 0 or d > profile.pair.fan.n:
+        raise ValueError("primitive spaces live in even gradings <= n")
+    sp = profile.spaces[d]
+    return [as_function(sp, v) for v in profile.primitive_reps(d, l)]
+
+
+# -- stars, links and relative sections ---------------------------------------
+
+
+def subfan(fan, cone_ids):
+    """The fan of the listed cones of fan and their faces; only the listed
+    cones that are no other's faces need a geometry."""
+    ids = set(cone_ids)
+    keys = [fan.cones[i].rays for i in ids
+            if ids.isdisjoint(fan.cofaces_of[i])]
+    return Fan(fan.n, fan.field, keys, check=False)
+
+
+def star_link(fan, cid):
+    """(Star as a tuple of cone ids, closed star as a Fan, link as a Fan)."""
+    if cid not in fan.cones:
+        raise ValueError(f"cone {cid} not in fan")
+    star = fan.star_ids(cid)
+    closed = subfan(fan, star)
+    srays = set(fan.cones[cid].rays)
+    link_ids = []
+    for did in star:
+        for f in (did,) + fan.faces_of[did]:
+            if not (set(fan.cones[f].rays) & srays):
+                link_ids.append(f)
+    link = subfan(fan, sorted(set(link_ids)))
+    return star, closed, link
+
+
+def boundary_facet_ids(fan):
+    """(n-1)-cones lying in exactly one maximal cone, themselves included
+    when maximal: those with at most one coface; empty for complete
+    fans."""
+    return [c.id for c in fan.cones_of_dim(fan.n - 1)
+            if len(fan.cofaces_of[c.id]) <= 1]
+
+
+def boundary_piece_ids(pair):
+    """The facet pieces of the pair's subdivision with one owner."""
+    return frozenset(t for t in pair.facet_piece_ids()
+                     if len(pair.subdivided.cofaces_of[t]) == 1)
+
+
+def relative_bases(pair, boundary=None, cap=None):
+    """{d: basis} of the sections of gradings 0, 2, ..., cap (default 2n)
+    that vanish on the boundary pieces (boundary: coarse (n-1)-cone ids
+    whose pieces are boundary pieces, default every boundary piece), in
+    the column coordinates of the absolute section spaces.  A combination of the
+    absolute basis vanishes on a piece when its polynomial on the piece's
+    owner reduces to zero modulo the piece's equations (reduce_mod); the
+    combinations that do are one exact kernel per grading."""
+    fan, sub = pair.fan, pair.subdivided
+    cap = 2 * fan.n if cap is None else cap
+    pieces = boundary_piece_ids(pair)
+    if boundary is not None:
+        allowed = set()
+        for cid in boundary:
+            if fan.cones[cid].dim != fan.n - 1:
+                raise ValueError("boundary cones must have codimension 1")
+            allowed.update(pair.pieces(cid))
+        if not allowed <= pieces:
+            raise ValueError("listed cones are not boundary cones")
+        pieces = allowed
+    bases = {}
+    for d, sp in pair.section_spaces(range(0, cap + 1, 2)).items():
+        polys = [sp.materialize(b) for b in sp.basis]
+        rows = {}
+        for t in sorted(pieces):
+            owner = sub.cofaces_of[t][0]
+            eqs = sub.cones[t].geometry().equations
+            for i, per in enumerate(polys):
+                for e, c in reduce_mod(per[owner], eqs).coeffs.items():
+                    rows.setdefault((t, e), {})[i] = c
+        bases[d] = []
+        for w in exactlin._kernel_exact(list(rows.values()), len(polys)):
+            vec = {}
+            for i, c in w.items():
+                for k, x in sp.basis[i].items():
+                    vec[k] = vec.get(k, ZERO) + c * x
+            bases[d].append({k: x for k, x in vec.items() if x})
+    return bases
+
+
+def relative_sections(pair, boundary=None, cap=None):
+    """Graded bases of the sections vanishing on the boundary subfan, as
+    conewise functions (see relative_bases)."""
+    bases = relative_bases(pair, boundary, cap)
+    spaces = pair.section_spaces(list(bases))
+    return {d: [as_function(spaces[d], v) for v in basis]
+            for d, basis in bases.items()}
+
+
+def relative_ih(pair, cap=None):
+    """(bases, h) of the cohomology relative to the whole boundary:
+    relative_bases, and h[d] the number of grading-d basis vectors less the
+    rank of the ideal multiples x_i * b of the grading-(d-2) ones."""
+    bases = relative_bases(pair, cap=cap)
+    forms = _coordinate_forms(pair.fan)
+    n = pair.fan.n
+    h = {d: len(basis) - len(sparse_eliminate(
+        [x for b in bases.get(d - 2, ()) for x in _times(b, forms, n)]))
+        for d, basis in bases.items()}
+    return bases, h
+
+
+def _mul_pl(vecm, l):
+    """The product of a coefficient vector of a section space of a pair on
+    l's fan with the conewise linear function l (see ihsheaf._times)."""
+    forms = {}
+    for mid, form in l.per_max.items():
+        _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
+        forms[mid] = [[(0, x)] if x else []
+                      for x in gram((form,), None, vectors).entries[0]]
+    return _times(vecm, forms, 1)[0]
+
+
+class LinkReport:
+    __slots__ = ("lam_fan", "lam_h", "star_h", "constant", "loc_prod_ok",
+                 "reduct_ok", "deg2_ok")
+
+    def __init__(self, **kw):
+        for k in self.__slots__:
+            setattr(self, k, kw[k])
+
+    @property
+    def ok(self):
+        return self.loc_prod_ok and self.reduct_ok and self.deg2_ok
+
+
+def restrict_to_link(profile, ray_cid):
+    """Restriction of cohomology classes to the flattened link of a ray,
+    with the three local-structure checks: the closed star has the link's
+    graded dimensions; the hat-function pairing factors through the link
+    with the constant 1/|det(v_rho, b)|; and hat multiplication into
+    relative cohomology of the star has full rank (each image is a relative
+    section, and the images independent of the relative ideal multiples
+    number h_d of the star, which is h_(d+2) of the relative star).
+    Classes restrict along b^T, for (x, proj, b) from projection_along: the
+    one section of proj with image ker x, so that the terms with x vanish
+    in cohomology.
+
+    Implemented for simplicial fans (the hat function needs free ray
+    values)."""
+    fan = profile.pair.fan
+    n = fan.n
+    if not fan.is_simplicial():
+        raise ValueError("link restriction needs a simplicial fan")
+    ray = fan.cones[ray_cid]
+    if ray.dim != 1:
+        raise ValueError("link restriction starts from a ray")
+    vrho = ray.rays[0]
+    for m in fan.cofaces_of[ray_cid]:
+        c = fan.cones[m]
+        comp = tuple(sorted(set(c.rays) - {vrho}))
+        if comp not in fan.id_by_key or \
+                fan.cones[fan.id_by_key[comp]].dim + 1 != c.dim:
+            raise ValueError("no local product structure at the ray")
+    values = {rid: (ONE if rid == ray_cid else ZERO)
+              for rid in fan.ray_ids()}
+    hat = PLFunction.from_ray_values(fan, values)
+    _, closed, link = star_link(fan, ray_cid)
+    _, proj, b = projection_along(vrho, n)
+    key_to_lam = {c.rays: tuple(sorted(canonical_direction(proj.apply(r))
+                                       for r in c.rays))
+                  for c in link.cones.values() if c.dim == n - 1}
+    lam_fan = Fan(n - 1, fan.field, list(key_to_lam.values()), check=False)
+    lam_profile = profile_for_fan(lam_fan)
+    star_pair = build_distinguished_pair(closed)
+    star_abs = GradedIH(star_pair)
+    star_h = star_abs.h_vector()
+    lam_h = lam_profile.h_vector()
+    # the ray factor of the product only contributes in grading 0, so the
+    # star profile is the link profile padded with zeros on top
+    width = max(len(star_h), len(lam_h))
+
+    def pad(h):
+        return tuple(h) + (0,) * (width - len(h))
+
+    loc_prod_ok = pad(star_h) == pad(lam_h)
+
+    # <a . hat . c> against <a|link . c|link> for representatives a, c of
+    # complementary gradings, as two Gram matrices.  A representative
+    # restricted to the link is, on a link cone, its polynomial on the cone
+    # plus rho composed with b^T, so its value at the link's generic point
+    # z is that polynomial's value at b^T z
+    lam_ctx = lam_profile.context()
+    z = gram((lam_ctx.z,), None, zip(*b)).entries[0]
+    star_of = {lam_fan.id_by_key[pk]:
+               fan.id_by_key[tuple(sorted(set(rays) | {vrho}))]
+               for rays, pk in key_to_lam.items()}
+    cones = [star_of[m] for m in lam_ctx.inv_phi_z]
+    m2 = 2 * (n - 1)
+    restricted = {d: [[polys[cone].evaluate(z) for cone in cones]
+                      for polys in profile.rep_polys(d)]
+                  for d in range(0, m2 + 1, 2)}
+    weights = list(lam_ctx.inv_phi_z.values())
+    constant = None
+    reduct_ok = True
+    for d in range(0, m2 + 1, 2):
+        lhs = profile.lefschetz_gram(hat, d, m2 - d)
+        rhs = gram(restricted[d], weights, restricted[m2 - d])
+        for lrow, rrow in zip(lhs.entries, rhs.entries):
+            for x, y in zip(lrow, rrow):
+                if not y:
+                    if x:
+                        reduct_ok = False
+                    continue
+                c = x / y
+                if constant is None:
+                    constant = c
+                elif c != constant:
+                    reduct_ok = False
+    if constant != abs(inverse(Matrix([vrho] + b, ncols=n))[1]).inverse():
+        reduct_ok = False
+
+    rel, rel_h = relative_ih(star_pair)
+    # transport by matching ray keys: closed star cones keep their rays
+    hat_star = PLFunction(closed, {
+        m: hat.per_max[fan.id_by_key[closed.cones[m].rays]]
+        for m in closed.maximal_ids}, check=False)
+    deg2_ok = True
+    forms = _coordinate_forms(star_pair.fan)
+    for d in range(0, 2 * n - 1, 2):
+        imgs = [_mul_pl(v, hat_star) for v in star_abs.comps[d]]
+        # every image is a relative section: it adds nothing to the
+        # relative section basis
+        top = rel[d + 2]
+        if len(sparse_eliminate(top + imgs)) != len(top):
+            deg2_ok = False
+            break
+        # the rank of the images' classes over the relative ideal multiples
+        # x_i * b (b of grading d), which span len(top) - h_(d+2) dimensions
+        multiples = [x for b in rel[d] for x in _times(b, forms, n)]
+        classes = len(sparse_eliminate(multiples + imgs)) - \
+            (len(top) - rel_h[d + 2])
+        if classes != star_abs.h[d] or star_abs.h[d] != rel_h[d + 2]:
+            deg2_ok = False
+    return LinkReport(lam_fan=lam_fan, lam_h=lam_h,
+                      star_h=star_h, constant=constant,
+                      loc_prod_ok=loc_prod_ok, reduct_ok=reduct_ok,
+                      deg2_ok=deg2_ok)
+
+
+def exact_sequence_check(fan, cone_id):
+    """Graded dimensions add along the decomposition into a closed star and
+    the closure of its complement (relative to the common boundary)."""
+    if cone_id not in fan.cones:
+        raise ValueError("unknown cone id")
+    _, closed, _ = star_link(fan, cone_id)
+    star_keys = closed.max_key_set()
+    comp_max = [m for m in fan.maximal_ids
+                if fan.cones[m].rays not in star_keys]
+    if not comp_max:
+        raise ValueError("complement is empty: not a decomposition")
+    comp = subfan(fan, comp_max)
+    sb = {closed.cones[i].rays for i in boundary_facet_ids(closed)}
+    cb = {comp.cones[i].rays for i in boundary_facet_ids(comp)}
+    if sb != cb:
+        raise ValueError("pieces do not meet along a common boundary")
+    whole = GradedIH(build_distinguished_pair(fan))
+    star = GradedIH(build_distinguished_pair(closed))
+    _, rel_h = relative_ih(build_distinguished_pair(comp))
+    return all(whole.h[d] == star.h[d] + rel_h[d]
+               for d in range(0, 2 * fan.n + 1, 2))

@@ -21,20 +21,20 @@ import random
 
 import pytest
 
-from ihfan.conewise import ConewiseFunction, Polynomial
+from ihfan.conewise import Polynomial
 from ihfan.exactlin import rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
 from ihfan.ihsheaf import build_distinguished_pair
 from ihfan.cohomology import (EvaluationContext, ds_check, evaluate_fast,
-                              f_to_h, hl_rank_report, hrm_check,
-                              kunneth_check, pairing_matrix,
-                              polytope_face_lattice, profile_for_fan,
-                              restrict_to_link, toric_h_oracle)
+                              hl_rank_report, hrm_check, kunneth_check,
+                              pairing_matrix, profile_for_fan)
 from conftest import cube_vertices, prism_vertices
-from oracles import (barycenter_sum_scaled, dual_forms, evaluate,
-                     ideal_multiple, profile_with_centers)
+from oracles import (ConewiseFunction, as_function, barycenter_sum_scaled,
+                     dual_forms, evaluate, f_to_h, ideal_multiple,
+                     polytope_face_lattice, profile_with_centers,
+                     restrict_to_link, toric_h_oracle)
 
 
 def _report(num, name, checks):
@@ -268,13 +268,13 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
                         vec[kk] = s
                     else:
                         vec.pop(kk, None)
-            f = sp.as_function(vec)
+            f = as_function(sp, vec)
             try:
                 val = evaluate(pair, f)
             except ValueError as exc:
                 errors.append(str(exc))
                 break
-            if val != evaluate_fast(ctx, f):
+            if val != evaluate_fast(ctx, f.per_max):
                 mismatches += 1
             total += 1
     # the ideal pairs to zero against everything in the top grading
@@ -285,7 +285,7 @@ def test_criterion_07_evaluation_contract(onedim_fan, quadrant_fan,
         low, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in low.basis:
             for i in range(n):
-                f = top.as_function(ideal_multiple(low, b, i))
+                f = as_function(top, ideal_multiple(low, b, i))
                 if evaluate(pair, f) != sc(0):
                     ideal_nonzero += 1
     cpair = build_distinguished_pair(cube_fan)

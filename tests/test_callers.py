@@ -1,6 +1,7 @@
 """Every module-level function and every method of the package has a caller
 in the package or the benchmark, or is public API (listed in
-ihfan.__all__); every module-level import of a package module is used by
+ihfan.__all__); every public name has a caller in the package or the
+benchmark too; every module-level import of a package module is used by
 that module, and every import of a package module is at module level;
 every slot of a package class is read somewhere; every function of the
 tests' oracle module has a caller in the tests.  A method counts as
@@ -70,6 +71,26 @@ def uncalled_functions(root):
                     node.name not in ihfan.__all__:
                 out.append(f"{p.stem}:{qualname}")
     return out
+
+
+def unreached_exports(root):
+    """Each name of ihfan.__all__ but __version__ that nothing in
+    root/src/ihfan or root/perfbench refers to, outside the package's
+    __init__ and outside the name's own module-level definition: public
+    API that only the tests reach, which belongs in tests/oracles.py."""
+    paths = [p for p in sorted((root / "src" / "ihfan").glob("*.py"))
+             if p.name != "__init__.py"] + \
+        sorted((root / "perfbench").glob("*.py"))
+    used = Counter()
+    for p in paths:
+        tree = ast.parse(p.read_text(), str(p))
+        used.update(_references(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                used[node.name] -= _references(node)[node.name]
+    return [name for name in ihfan.__all__
+            if name != "__version__" and used[name] <= 0]
 
 
 def uncalled_oracles(root):
@@ -165,6 +186,10 @@ def unread_slots(root):
 
 def test_every_function_has_a_caller():
     assert uncalled_functions(ROOT) == []
+
+
+def test_every_export_is_reached_outside_the_tests():
+    assert unreached_exports(ROOT) == []
 
 
 def test_every_oracle_has_a_caller():

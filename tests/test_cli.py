@@ -508,6 +508,31 @@ def test_verify_incomplete_fan_rejected(tmp_path, capsys):
     assert "complete" in capsys.readouterr().err
 
 
+def test_hvector_oracle_needs_a_complete_fan(tmp_path, capsys):
+    # the fan recursion is the h-vector of complete fans only: on the
+    # single quadrant cone it reads (0, 0, 1) against the sections' (1, 0,
+    # 0), so --oracle refuses the input; plain hvector still answers
+    obj = {"field": "Q", "dim": 2, "rays": [["1", "0"], ["0", "1"]],
+           "maximal_cones": [[0, 1]]}
+    path = write(tmp_path, "single.json", obj)
+    assert main(["hvector", "--oracle", path]) == 2
+    captured = capsys.readouterr()
+    assert "complete" in captured.err and captured.out == ""
+    assert main(["hvector", path]) == 0
+    assert capsys.readouterr().out == "h = [1,0,0]\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_subdivide_out_that_cannot_be_written_exits_2(tmp_path, capsys,
+                                                      target):
+    path = write(tmp_path, "quad.json", quadrant_dict())
+    out = str(tmp_path if target == "directory"
+              else tmp_path / "missing" / "dir" / "x.json")
+    assert main(["subdivide", "--out", out, path]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err and captured.out == ""
+
+
 def test_subdivide_cube_counts(tmp_path, capsys):
     path = write(tmp_path, "cube.json", cube_face_dict())
     assert main(["subdivide", path]) == 0

@@ -4,24 +4,24 @@ import types
 
 import pytest
 
-from ihfan.conewise import ConewiseFunction, Polynomial
+from ihfan.conewise import Polynomial
 from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan,
                         skew_product)
 from ihfan import cohomology
 from ihfan.ihsheaf import build_distinguished_pair, projection_along
-from ihfan.cohomology import (EvaluationContext, FaceLattice, ds_check,
-                              convolve_h, evaluate_fast,
-                              exact_sequence_check, f_to_h, hl_rank_report,
-                              hrm_check, kunneth_check, lefschetz_matrix,
-                              pairing_matrix, polytope_face_lattice,
-                              primitive_basis, profile_for_fan,
-                              restrict_to_link, toric_h_of_fan,
-                              toric_h_oracle)
+from ihfan.cohomology import (EvaluationContext, ds_check, convolve_h,
+                              evaluate_fast, hl_rank_report, hrm_check,
+                              kunneth_check, lefschetz_matrix,
+                              pairing_matrix, profile_for_fan,
+                              toric_h_of_fan)
 from conftest import cube_vertices, prism_vertices
-from oracles import (dual_forms, evaluate, ideal_multiple, module_step,
-                     validate)
+import oracles
+from oracles import (ConewiseFunction, FaceLattice, as_function, dual_forms,
+                     evaluate, exact_sequence_check, f_to_h, ideal_multiple,
+                     module_step, polytope_face_lattice, primitive_basis,
+                     restrict_to_link, toric_h_oracle, validate)
 
 
 def octahedron_vertices():
@@ -141,8 +141,8 @@ def test_evaluate_one_dim(onedim_fan):
                               for m in pair.subdivided.maximal_ids})
     assert evaluate(pair, absx) == sc(2)
     assert evaluate(pair, globx) == sc(0)
-    assert evaluate_fast(ctx, absx) == sc(2)
-    assert evaluate_fast(ctx, globx) == sc(0)
+    assert evaluate_fast(ctx, absx.per_max) == sc(2)
+    assert evaluate_fast(ctx, globx.per_max) == sc(0)
 
 
 def test_evaluate_normalization_is_basis_free(quadrant_fan):
@@ -161,7 +161,7 @@ def test_evaluate_normalization_is_basis_free(quadrant_fan):
                for k in sub.maximal_ids}
         f = ConewiseFunction(sub, 4, per)
         assert evaluate(pair, f) == sc(1)
-        assert evaluate_fast(ctx, f) == sc(1)
+        assert evaluate_fast(ctx, f.per_max) == sc(1)
 
 
 def test_evaluate_wedge_normalization(orthant_fan):
@@ -179,9 +179,9 @@ def test_evaluate_kills_ideal_multiples(quadrant_fan, orthant_fan):
         sp, top = pair.section_spaces([2 * n - 2, 2 * n]).values()
         for b in sp.basis:
             for i in range(n):
-                f = top.as_function(ideal_multiple(sp, b, i))
+                f = as_function(top, ideal_multiple(sp, b, i))
                 assert evaluate(pair, f) == sc(0)
-                assert evaluate_fast(ctx, f) == sc(0)
+                assert evaluate_fast(ctx, f.per_max) == sc(0)
 
 
 def test_evaluate_random_sections_fast_agrees(quadrant_fan, orthant_fan):
@@ -202,8 +202,8 @@ def test_evaluate_random_sections_fast_agrees(quadrant_fan, orthant_fan):
                         vec[k] = s
                     else:
                         vec.pop(k, None)
-            f = sp.as_function(vec)
-            assert evaluate(pair, f) == evaluate_fast(ctx, f)
+            f = as_function(sp, vec)
+            assert evaluate(pair, f) == evaluate_fast(ctx, f.per_max)
 
 
 def test_evaluate_rejects_non_sections(quadrant_fan):
@@ -463,8 +463,8 @@ def test_each_l_gets_its_own_answers():
         sub = p.pair.subdivided
         one = {m: Polynomial.constant(n, 1) for m in sub.maximal_ids}
         lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
-        assert evaluate_fast(ctx, _conewise_product(sub, one, one, lin, n)) \
-            == a * top
+        assert evaluate_fast(
+            ctx, _conewise_product(sub, one, one, lin, n).per_max) == a * top
 
 
 # -- structural checks -----------------------------------------------------
@@ -568,8 +568,8 @@ def test_restrict_to_link_rejects_images_outside_relative_sections(
                        [(-1, -1), (1, 0)]])
     p = profile_for_fan(p2)
     rid = p2.id_by_key[((sc(1), sc(0)),)]
-    mul_pl = cohomology._mul_pl
-    monkeypatch.setattr(cohomology, "_mul_pl", lambda v, l: mul_pl(
+    mul_pl = oracles._mul_pl
+    monkeypatch.setattr(oracles, "_mul_pl", lambda v, l: mul_pl(
         v, PLFunction(l.fan, {m: (1, 0) for m in l.per_max}, check=False)))
     rep = restrict_to_link(p, rid)
     assert rep.loc_prod_ok and rep.reduct_ok

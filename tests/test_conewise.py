@@ -3,12 +3,12 @@ from math import comb
 
 import pytest
 
-from ihfan.conewise import ConewiseFunction, Polynomial
+from ihfan.conewise import Polynomial
 from ihfan.exactlin import sc
 from ihfan.fans import face_fan_with_support
-from ihfan.ihsheaf import global_sections
 from conftest import cached_pair, golden_field, icosahedron_vertices
-from oracles import divide_by_linear, validate
+from oracles import (ConewiseFunction, divide_by_linear, global_sections,
+                     validate)
 
 
 def product(f, g):

@@ -6,13 +6,14 @@ import re
 
 import pytest
 
-from ihfan import cli, cohomology, exactlin, fans
+from ihfan import cli, exactlin, fans
 from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
                             sparse_eliminate, vdot)
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
-from oracles import barycenter_sum_scaled, meet_id
+from oracles import (barycenter_sum_scaled, meet_id, polytope_face_lattice,
+                     star_link, toric_h_oracle)
 
 
 def quadrant_fan():
@@ -89,7 +90,7 @@ def test_cone_faces_counts():
 def test_star_link_on_ray():
     f = quadrant_fan()
     e1 = next(i for i in f.ray_ids() if f.cones[i].rays[0] == (sc(1), sc(0)))
-    star, closed, link = fans.star_link(f, e1)
+    star, closed, link = star_link(f, e1)
     assert len(star) == 3
     assert len(closed.cones) == 6
     link_rays = sorted(tuple(fans.format_scalar(x) for x in r)
@@ -99,10 +100,10 @@ def test_star_link_on_ray():
 
 def test_star_link_of_zero_and_maximal():
     f = quadrant_fan()
-    _, closed, _ = fans.star_link(f, f.id_by_key[()])
+    _, closed, _ = star_link(f, f.id_by_key[()])
     assert closed == f
     m = f.maximal_ids[0]
-    star, _, link = fans.star_link(f, m)
+    star, _, link = star_link(f, m)
     assert star == (m,)
     assert len(link.cones) == 1  # just the zero cone
 
@@ -801,7 +802,7 @@ def triangle_fan():
 
 def cube_star_and_link():
     ff = fans.face_fan_with_support(cube_vertices())[0]
-    _, closed, link = fans.star_link(ff, ff.ray_ids()[0])
+    _, closed, link = star_link(ff, ff.ray_ids()[0])
     return closed, link
 
 
@@ -887,7 +888,7 @@ def test_fan_from_json_builds_one_geometry_per_maximal_cone():
     # the star of an apex: its maximal cones are the fan's, and the link's
     # are the seven edges of the heptagon, one geometry each
     apex = next(c.id for c in fan.cones_of_dim(1) if c.rays[0][2].sign() > 0)
-    _, closed, link = fans.star_link(fan, apex)
+    _, closed, link = star_link(fan, apex)
     assert len(closed.maximal_ids) == len(link.maximal_ids) == 7
     assert fans.cone_geometry.cache_info().misses == 14 + 7
 
@@ -967,11 +968,11 @@ def test_axiom_check_rejects_overlapping_4d_cones():
     (dodecahedron_vertices, (20, 30, 12)),
 ])
 def test_golden_ratio_polytopes(vertices, f):
-    lattice = cohomology.polytope_face_lattice(vertices())
+    lattice = polytope_face_lattice(vertices())
     assert tuple(sum(1 for d, _ in lattice.faces if d == k)
                  for k in range(3)) == f
     # a 3-polytope with f0 vertices has toric h = (1, f0-3, f0-3, 1)
-    assert cohomology.toric_h_oracle(lattice) == (1, f[0] - 3, f[0] - 3, 1)
+    assert toric_h_oracle(lattice) == (1, f[0] - 3, f[0] - 3, 1)
     ff, l = fans.face_fan_with_support(vertices(), field=ScalarField(5))
     assert len(ff.maximal_ids) == f[2]
     assert fans.is_complete(ff) and fans.is_strictly_convex(ff, l)

@@ -12,19 +12,18 @@ from ihfan.exactlin import (ONE, ZERO, Scalar, ScalarField, echelon_insert,
                             sc, sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
-                        is_complete, is_strictly_convex, product_fan,
-                        star_link)
+                        is_complete, is_strictly_convex, product_fan)
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
-                           build_distinguished_pair,
-                           flatten_boundary, global_sections,
-                           lift_over_span,
-                           pair_from_json_dict, pair_to_json_dict,
-                           relative_sections)
+                           build_distinguished_pair, flatten_boundary,
+                           lift_over_span, pair_from_json_dict,
+                           pair_to_json_dict)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       golden_field)
-from oracles import (barycenter_sum_scaled, full_greedy, gram_loop,
+from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
+                     full_greedy, global_sections, gram_loop,
                      materialized_values, profile_with_centers, reduce_mod,
-                     validate, vdot_loop)
+                     relative_ih, relative_sections, star_link, validate,
+                     vdot_loop)
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -252,7 +251,7 @@ def test_cube_sections_validate(cube_fan):
     sp = p.section_spaces([2])[2]
     assert len(sp.basis) == 8
     for v in sp.basis:
-        validate(sp.as_function(v))
+        validate(as_function(sp, v))
 
 
 def test_relative_sections_quadrant_cone():
@@ -418,8 +417,8 @@ def test_scalar_outside_the_field_selects_exactly():
 
 def test_ih_relative_quadrant_cone():
     f = build_fan(2, [[(1, 0), (0, 1)]])
-    g = GradedIH(cached_pair(f), cap=6, relative=True)
-    assert g.h_vector() == (0, 0, 1, 0)
+    _, h = relative_ih(cached_pair(f), cap=6)
+    assert tuple(h[d] for d in sorted(h)) == (0, 0, 1, 0)
 
 
 def test_subdivision_can_only_grow(cube_fan):
@@ -460,23 +459,18 @@ def test_restriction_to_closed_star_is_onto(cube_fan):
 def test_one_call_builds_each_grading_as_alone(cube_fan, prism_fan):
     # the gradings of one call share each wall's data (see _Sections); every
     # space must come out as a call for its grading alone builds it: the
-    # cube, the Q(sqrt 2) prism, a 4D polygon product and, relative to its
-    # boundary, a closed star of the cube
+    # cube, the Q(sqrt 2) prism and a 4D polygon product
     triangle = build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, -1)],
                              [(-1, -1), (1, 0)]])
     pentagon = build_fan(2, [[(1, 0), (1, 1)], [(1, 1), (-1, 2)],
                              [(-1, 2), (-1, -1)], [(-1, -1), (1, -2)],
                              [(1, -2), (1, 0)]])
-    _, closed, _ = star_link(cube_fan, cube_fan.ray_ids()[0])
-    star = cached_pair(closed)
-    for pair, bp in ((cached_pair(cube_fan), None),
-                     (cached_pair(prism_fan), None),
-                     (cached_pair(product_fan(triangle, pentagon)), None),
-                     (star, star.boundary_piece_ids())):
+    for pair in (cached_pair(cube_fan), cached_pair(prism_fan),
+                 cached_pair(product_fan(triangle, pentagon))):
         gradings = range(0, 2 * pair.fan.n + 1, 2)
-        together = ihsheaf._section_spaces(pair, gradings, bp)
+        together = ihsheaf._section_spaces(pair, gradings)
         for d in gradings:
-            alone = ihsheaf._section_spaces(pair, [d], bp)[d]
+            alone = ihsheaf._section_spaces(pair, [d])[d]
             assert together[d].cols == alone.cols
             assert together[d].basis == alone.basis
             assert together[d].free == alone.free
@@ -520,7 +514,7 @@ def _face_ring_dim(f, k):
 
 def _validate_space(sp):
     for v in sp.basis:
-        validate(sp.as_function(v))
+        validate(as_function(sp, v))
 
 
 def test_face_ring_sections_from_combinatorics(cube_fan):
@@ -595,7 +589,7 @@ def test_relative_face_ring_of_a_closed_star():
         sub = pair.subdivided
         for f in funcs:
             validate(f)
-            for t in pair.boundary_piece_ids():
+            for t in boundary_piece_ids(pair):
                 poly = f.per_max[sub.cofaces_of[t][0]]
                 eqs = sub.cones[t].geometry().equations
                 assert reduce_mod(poly, eqs).is_zero()
