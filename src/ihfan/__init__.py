@@ -11,8 +11,7 @@ from .exactlin import (Scalar, ScalarField, Matrix, sc, parse_scalar,
                        format_scalar)
 from .fans import (Cone, Fan, PLFunction, build_fan, fan_from_json_dict,
                    face_fan_with_support, normal_fan, product_fan,
-                   skew_product, barycentric_subdivision, is_complete,
-                   is_strictly_convex)
+                   barycentric_subdivision, is_complete, is_strictly_convex)
 from .conewise import Polynomial
 from .ihsheaf import (DistinguishedPair, EvaluationContext, GradedIH,
                       build_distinguished_pair, pair_to_json_dict,
@@ -28,7 +27,7 @@ __all__ = [
     "Scalar", "ScalarField", "Matrix", "sc", "parse_scalar",
     "format_scalar",
     "Cone", "Fan", "PLFunction", "build_fan", "fan_from_json_dict",
-    "face_fan_with_support", "normal_fan", "product_fan", "skew_product",
+    "face_fan_with_support", "normal_fan", "product_fan",
     "barycentric_subdivision", "is_complete", "is_strictly_convex",
     "Polynomial",
     "DistinguishedPair", "GradedIH", "build_distinguished_pair",

@@ -9,7 +9,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .exactlin import ScalarField, json_list, json_scalar, rank
 from .fans import (PLFunction, build_fan, face_fan_with_support,
@@ -25,27 +24,6 @@ ALL_CHECKS = ("ds", "pd", "hl", "hrm", "kunneth", "oracle")
 
 class InputError(Exception):
     pass
-
-
-@dataclass
-class JobConfig:
-    path: str
-    command: str
-    cap: int = None
-    l_source: str = None
-    checks: tuple = None
-    fmt: str = "json"
-    oracle: bool = False
-    emit_pair: bool = False
-    out: str = None
-
-    def __post_init__(self):
-        if self.cap is not None and (self.cap < 0 or self.cap % 2):
-            raise InputError("degree cap must be even and nonnegative")
-        if self.checks:
-            for c in self.checks:
-                if c not in ALL_CHECKS:
-                    raise InputError(f"unknown check: {c}")
 
 
 def _read_json(path):
@@ -138,10 +116,9 @@ def _l_from_desc(fan, desc):
     raise InputError("l descriptor needs 'ray_values' or 'per_cone'")
 
 
-def build_l(loaded, config):
-    """Resolve the conewise linear function for hl/hrm; validated strictly
-    convex."""
-    src = config.l_source
+def build_l(loaded, src):
+    """Resolve the conewise linear function for hl/hrm from the --l source
+    src (None: the input's own); validated strictly convex."""
     if src is None:
         if loaded.inline_l is not None:
             src = "inline"
@@ -171,13 +148,12 @@ def build_l(loaded, config):
     return l
 
 
-def _profile(loaded, config):
+def _profile(loaded, cap):
     try:
         if loaded.pair is not None:
-            return GradedIH(loaded.pair, cap=config.cap)
-        if config.cap is not None:
-            pair = build_distinguished_pair(loaded.fan)
-            return GradedIH(pair, cap=config.cap)
+            return GradedIH(loaded.pair, cap=cap)
+        if cap is not None:
+            return GradedIH(build_distinguished_pair(loaded.fan), cap=cap)
         return profile_for_fan(loaded.fan)
     except ValueError as e:
         raise MathFailure(str(e))
@@ -191,17 +167,18 @@ def _fmt_h(h):
     return "[" + ",".join(str(x) for x in h) + "]"
 
 
-def run_checks(loaded, config, profile, l):
-    """Run the selected checks; returns (report dict, per-check pass map)."""
+def run_checks(loaded, checks, profile, l):
+    """Run the selected checks (None: the default ones); returns (report
+    dict, per-check pass map)."""
     fan = loaded.fan
-    checks = config.checks
+    h = profile.h_vector()
     if checks is None:
         checks = ["ds", "pd", "oracle"]
         if l is not None:
             checks += ["hl", "hrm"]
     passed = {}
-    report = {"h": list(profile.h_vector())}
-    report["ds"] = ds_check(profile)
+    report = {"h": list(h)}
+    report["ds"] = ds_check(h)
     if "ds" in checks:
         passed["ds"] = report["ds"]
     pd_ranks = {}
@@ -217,7 +194,7 @@ def run_checks(loaded, config, profile, l):
         passed["pd"] = pd_ok
     oracle_h = list(toric_h_of_fan(fan))
     report["oracle_h"] = oracle_h
-    report["oracle_match"] = list(profile.h_vector()) == oracle_h
+    report["oracle_match"] = list(h) == oracle_h
     if "oracle" in checks:
         passed["oracle"] = report["oracle_match"]
     if l is not None:
@@ -239,52 +216,55 @@ def run_checks(loaded, config, profile, l):
     if "kunneth" in checks:
         line = build_fan(1, [[(1,)], [(-1,)]], field=fan.field)
         prod = product_fan(fan, line)
-        pprof = profile_for_fan(prod)
-        passed["kunneth"] = kunneth_check(profile, (1, 1), pprof)
+        passed["kunneth"] = kunneth_check(
+            h, (1, 1), profile_for_fan(prod).h_vector())
         report["kunneth"] = passed["kunneth"]
     return report, passed
 
 
-def cmd_hvector(config):
-    loaded = load_input(config.path)
-    if config.oracle and not is_complete(loaded.fan):
+def cmd_hvector(ns):
+    loaded = load_input(ns.input)
+    fan = loaded.fan
+    if ns.oracle and not is_complete(fan):
         # toric_h_of_fan is the h-vector of complete fans only
         raise InputError("the oracle needs a complete fan")
-    profile = _profile(loaded, config)
+    if any(fan.cones[m].dim != fan.n for m in fan.maximal_ids):
+        # the distinguished pair's own requirement, an input error here
+        raise InputError("maximal cones must have full dimension")
+    profile = _profile(loaded, ns.cap)
     print("h = " + _fmt_h(profile.h_vector()))
-    if config.oracle:
-        oracle_h = toric_h_of_fan(loaded.fan)
-        want = oracle_h if config.cap is None else \
-            oracle_h[:config.cap // 2 + 1]
+    if ns.oracle:
+        oracle_h = toric_h_of_fan(fan)
+        want = oracle_h if ns.cap is None else oracle_h[:ns.cap // 2 + 1]
         print("oracle h = " + _fmt_h(oracle_h))
         match = tuple(profile.h_vector()) == tuple(want)
         print("oracle match = " + ("true" if match else "false"))
     return 0
 
 
-def _checked(config, incomplete):
+def _checked(ns, incomplete):
     """The one path of verify and report: load the input, require a
     complete fan (raising InputError(incomplete) otherwise), resolve l, then
     build the profile and run the checks.  Returns (report, passed), or None
     after printing a failed mathematical check."""
-    loaded = load_input(config.path)
+    loaded = load_input(ns.input)
     if not is_complete(loaded.fan):
         raise InputError(incomplete)
-    l = build_l(loaded, config)
-    checks = config.checks
+    l = build_l(loaded, ns.l_source)
+    checks = ns.checks
     if checks is not None and ("hl" in checks or "hrm" in checks) \
             and l is None:
         raise InputError("checks hl and hrm need an l source "
                          "(--l support|file=PATH or an inline l)")
     try:
-        return run_checks(loaded, config, _profile(loaded, config), l)
+        return run_checks(loaded, checks, _profile(loaded, ns.cap), l)
     except MathFailure as e:
         print(f"check failed: {e}")
         return None
 
 
-def cmd_verify(config):
-    got = _checked(config, "verification needs a complete fan")
+def cmd_verify(ns):
+    got = _checked(ns, "verification needs a complete fan")
     if got is None:
         return 1
     _, passed = got
@@ -293,8 +273,8 @@ def cmd_verify(config):
     return 0 if all(passed.values()) else 1
 
 
-def cmd_subdivide(config):
-    loaded = load_input(config.path)
+def cmd_subdivide(ns):
+    loaded = load_input(ns.input)
     if loaded.pair is not None:
         pair = loaded.pair
     else:
@@ -302,17 +282,17 @@ def cmd_subdivide(config):
             pair = build_distinguished_pair(loaded.fan)
         except ValueError as e:
             raise InputError(str(e))
-    if config.emit_pair:
+    if ns.emit_pair:
         payload = pair_to_json_dict(pair)
     else:
         payload = pair.subdivided.to_json_dict()
     text = json.dumps(payload, sort_keys=True) + "\n"
-    if config.out:
+    if ns.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(ns.out, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise InputError(f"cannot write {config.out}: {e.strerror or e}")
+            raise InputError(f"cannot write {ns.out}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -358,12 +338,12 @@ def _render_md(report):
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(config):
-    got = _checked(config, "reports need a complete fan")
+def cmd_report(ns):
+    got = _checked(ns, "reports need a complete fan")
     if got is None:
         return 1
     report, passed = got
-    if config.fmt == "json":
+    if ns.fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
         sys.stdout.write(_render_md(report))
@@ -403,34 +383,28 @@ def make_parser():
                     default="json")
     rp.add_argument("--l", dest="l_source", default=None)
     rp.add_argument("--checks", default=None)
+    # main reads both for every command
+    p.set_defaults(cap=None, checks=None)
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = make_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        checks = None
-        if getattr(ns, "checks", None):
-            checks = tuple(c.strip() for c in ns.checks.split(",")
-                           if c.strip())
-        config = JobConfig(
-            path=ns.input,
-            command=ns.command,
-            cap=getattr(ns, "cap", None),
-            l_source=getattr(ns, "l_source", None),
-            checks=checks,
-            fmt=getattr(ns, "fmt", "json"),
-            oracle=getattr(ns, "oracle", False),
-            emit_pair=getattr(ns, "emit_pair", False),
-            out=getattr(ns, "out", None),
-        )
+        if ns.cap is not None and (ns.cap < 0 or ns.cap % 2):
+            raise InputError("degree cap must be even and nonnegative")
+        # an empty --checks runs the default checks, as no --checks does
+        ns.checks = tuple(c.strip() for c in ns.checks.split(",")
+                          if c.strip()) if ns.checks else None
+        for c in ns.checks or ():
+            if c not in ALL_CHECKS:
+                raise InputError(f"unknown check: {c}")
         handler = {"hvector": cmd_hvector, "verify": cmd_verify,
                    "subdivide": cmd_subdivide, "report": cmd_report}
-        return handler[config.command](config)
+        return handler[ns.command](ns)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

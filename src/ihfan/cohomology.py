@@ -21,7 +21,6 @@ from math import comb
 
 from .exactlin import Matrix, inverse, rank, signature, vdot
 from .fans import Fan, PLFunction
-from . import ihsheaf
 from .ihsheaf import EvaluationContext, GradedIH, build_distinguished_pair
 
 
@@ -221,20 +220,12 @@ def hrm_check(profile: GradedIH, l: PLFunction):
 # -- verification checks ---------------------------------------------------
 
 
-def _h_of(profile_or_h):
-    # ihsheaf.GradedIH, not the name imported here: the traced benchmark
-    # rebinds that one to a plain function
-    if isinstance(profile_or_h, ihsheaf.GradedIH):
-        return profile_or_h.h_vector()
-    return tuple(profile_or_h)
+def ds_check(h):
+    """Dehn-Sommerville symmetry h^d = h^(2n-d) of the h-vector h."""
+    return tuple(h) == tuple(reversed(h))
 
 
-def ds_check(profile_or_h):
-    """Dehn-Sommerville symmetry h^d = h^(2n-d)."""
-    h = _h_of(profile_or_h)
-    return h == tuple(reversed(h))
-
-
-def kunneth_check(p1, p2, pprod):
-    """Product h-vector equals the convolution of the factors'."""
-    return convolve_h(_h_of(p1), _h_of(p2)) == _h_of(pprod)
+def kunneth_check(h1, h2, hprod):
+    """The product's h-vector hprod is the convolution of the factors' h1
+    and h2."""
+    return convolve_h(h1, h2) == tuple(hprod)

@@ -67,9 +67,6 @@ class Polynomial:
                 coeffs[tuple(e)] = c
         return Polynomial(n, coeffs)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 

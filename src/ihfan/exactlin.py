@@ -143,16 +143,6 @@ class Scalar:
         """The coefficient of sqrt(m), a Fraction (0 over Q)."""
         return _Q(self.q, self.d)
 
-    # -- coercion ---------------------------------------------------------
-
-    @staticmethod
-    def coerce(x):
-        if type(x) is Scalar:
-            return x
-        if type(x) is int:
-            return _raw(x, 0, 1, None)
-        return Scalar(_Q(x))
-
     def _join(self, other):
         """Common radicand for a binary operation, or raise on a mismatch."""
         if self.m is None:
@@ -165,7 +155,7 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = sc(other)
         m = self.m if self.m == other.m else self._join(other)
         d1, d2 = self.d, other.d
         if d1 == d2:
@@ -180,7 +170,7 @@ class Scalar:
 
     def __sub__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = sc(other)
         m = self.m if self.m == other.m else self._join(other)
         d1, d2 = self.d, other.d
         if d1 == d2:
@@ -189,11 +179,11 @@ class Scalar:
                         self.q * d2 - other.q * d1, d1 * d2, m)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) - self
+        return sc(other) - self
 
     def __mul__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = sc(other)
         m = self.m if self.m == other.m else self._join(other)
         p1, q1, p2, q2 = self.p, self.q, other.p, other.q
         if m is None:
@@ -215,10 +205,10 @@ class Scalar:
         return _reduced(d * p, -d * q, p * p - self.m * q * q, self.m)
 
     def __truediv__(self, other):
-        return self * Scalar.coerce(other).inverse()
+        return self * sc(other).inverse()
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
+        return sc(other) * self.inverse()
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -255,7 +245,7 @@ class Scalar:
     def __eq__(self, other):
         if type(other) is not Scalar:
             try:
-                other = Scalar.coerce(other)
+                other = sc(other)
             except (TypeError, ValueError):
                 return NotImplemented
         return self.p == other.p and self.q == other.q \
@@ -274,16 +264,16 @@ class Scalar:
         return h
 
     def __lt__(self, other):
-        return (self - Scalar.coerce(other)).sign() < 0
+        return (self - sc(other)).sign() < 0
 
     def __le__(self, other):
-        return (self - Scalar.coerce(other)).sign() <= 0
+        return (self - sc(other)).sign() <= 0
 
     def __gt__(self, other):
-        return (self - Scalar.coerce(other)).sign() > 0
+        return (self - sc(other)).sign() > 0
 
     def __ge__(self, other):
-        return (self - Scalar.coerce(other)).sign() >= 0
+        return (self - sc(other)).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -332,8 +322,13 @@ ONE = _raw(1, 0, 1, None)
 
 
 def sc(x):
-    """Shorthand coercion to Scalar."""
-    return x if type(x) is Scalar else Scalar.coerce(x)
+    """x as a Scalar: a Scalar as it is, an int or anything Fraction
+    accepts as a rational."""
+    if type(x) is Scalar:
+        return x
+    if type(x) is int:
+        return _raw(x, 0, 1, None)
+    return Scalar(_Q(x))
 
 
 # -- literal grammar -------------------------------------------------------
@@ -531,9 +526,10 @@ def _ints(row):
     return a, (None if m is None else b), den, m
 
 
-def _radicand_of(ms):
-    """The one radicand among ms, radicands of cleared rows, None when all
-    are (rational rows); raises ValueError when there are two."""
+def radicand(ms):
+    """The one radicand among ms, the radicands of some scalars or of
+    cleared rows, None when all are (rational); raises ValueError when
+    there are two."""
     ms = set(ms)
     ms.discard(None)
     if len(ms) > 1:
@@ -562,7 +558,7 @@ def vdot(u, v):
     a, b, du, mu = _ints(u)
     c, e, dv, mv = _ints(v)
     return _inner(a, b, c, e, du * dv,
-                  mu if mu == mv else _radicand_of((mu, mv)))
+                  mu if mu == mv else radicand((mu, mv)))
 
 
 def gram(left, weights, right):
@@ -575,10 +571,10 @@ def gram(left, weights, right):
     rights = [_ints(r) for r in right]
     ms = [r[3] for r in lefts + rights]
     if weights is None:
-        m = _radicand_of(ms)
+        m = radicand(ms)
     else:
         w, v, dw, mw = _ints(weights)
-        m = _radicand_of(ms + [mw])
+        m = radicand(ms + [mw])
         lefts = [(*_weighted(a, b, w, v, m), den * dw, m)
                  for a, b, den, _ in lefts]
     out = _new(Matrix)
@@ -724,7 +720,7 @@ def kernel_basis(m):
     """Basis of {x : m x = 0} as a list of coordinate tuples."""
     rows = _rows_to_sparse(m)
     basis = sparse_kernel([cleared(r)[:2] for r in rows], m.ncols,
-                          radicand(rows))
+                          radicand(x.m for r in rows for x in r.values()))
     return [tuple(v.get(j, ZERO) for j in range(m.ncols)) for v in basis]
 
 
@@ -864,15 +860,6 @@ def _embeddings(m):
     square, without end: as -m is not a square, infinitely many serve."""
     return filter(None, map(_embedding, itertools.repeat(m),
                             itertools.count()))
-
-
-def radicand(vectors):
-    """The radicand shared by the entries of the sparse vectors, None over
-    Q; raises ValueError when they mix two."""
-    ms = {x.m for v in vectors for x in v.values()} - {None}
-    if len(ms) > 1:
-        raise ValueError(f"mixed radicands {sorted(ms)}")
-    return ms.pop() if ms else None
 
 
 def cleared(vec):

@@ -1,6 +1,6 @@
 """Pointed polyhedral cones, fans with explicit face lattices, barycentric
 subdivision (the flag complex), polytope ingestion (face fan and normal
-fan), and products / skew products.
+fan), and products.
 
 Conventions.  A ray is stored by its canonical generator: the vector scaled
 so its first nonzero coordinate has absolute value 1 (positive rescaling
@@ -519,12 +519,11 @@ def fan_from_json_dict(obj):
     return build_fan(n, gen_sets, field=field)
 
 
-def build_fan(ambient_dim, max_generator_sets, field=None, check=True):
+def build_fan(ambient_dim, max_generator_sets, field=None):
     """Build a fan from generator sets of its maximal cones.
 
-    Validates pointedness and that the listed generators are extreme; with
-    check=True also verifies the pairwise common-face axiom and reports the
-    offending pair on failure.
+    Validates pointedness, that the listed generators are extreme and the
+    pairwise common-face axiom, and reports the offending pair on failure.
     """
     keys = []
     for gens in max_generator_sets:
@@ -532,7 +531,7 @@ def build_fan(ambient_dim, max_generator_sets, field=None, check=True):
         keys.append(c.rays)
     if not keys:
         keys = [()]
-    fan = Fan(ambient_dim, field, keys, check=check)
+    fan = Fan(ambient_dim, field, keys)
     max_keys = {fan.cones[m].rays for m in fan.maximal_ids}
     for k in keys:
         if k not in max_keys:
@@ -778,56 +777,19 @@ def normal_fan(vertices, field=None):
 # -- products --------------------------------------------------------------
 
 
-def skew_product(f1: Fan, f2: Fan, phi=None):
-    """Fan with cones (graph of phi over sigma) + delta in R^{n1+n2}.
-
-    phi: maximal cone id of f1 -> tuple of n2 linear forms on R^{n1}
-    (conewise linear map into the second factor's ambient space), required
-    to agree on shared faces; phi = None means the zero map and recovers the
-    ordinary product.
-    """
-    n1, n2 = f1.n, f2.n
-    n = n1 + n2
-    if phi is None:
-        phi = {m: tuple(tuple(ZERO for _ in range(n1)) for _ in range(n2))
-               for m in f1.maximal_ids}
-    else:
-        phi = {m: tuple(vec(row) for row in rows) for m, rows in phi.items()}
-        if set(phi) != set(f1.maximal_ids):
-            raise ValueError("phi needs exactly one linear map per maximal cone")
-        mx = f1.maximal_ids
-        for i, a in enumerate(mx):
-            for b in mx[i + 1:]:
-                common = set(f1.cones[a].rays) & set(f1.cones[b].rays)
-                for r in common:
-                    if gram((r,), None, phi[a]) != gram((r,), None, phi[b]):
-                        raise ValueError("phi is incompatible on a shared face")
-
-    def graph_gens(m):
-        rows = phi[m]
-        out = []
-        for r in f1.cones[m].rays:
-            out.append(r + gram((r,), None, rows).entries[0])
-        return out
-
-    gen_sets = []
-    zero1 = [ZERO] * n1
-    f2_max = f2.maximal_ids or ()
-    for m1 in f1.maximal_ids:
-        g1 = graph_gens(m1)
-        if not f2_max:
-            gen_sets.append(g1)
-            continue
-        for m2 in f2_max:
-            g2 = [tuple(zero1 + list(w)) for w in f2.cones[m2].rays]
-            gen_sets.append(g1 + g2)
-    field = f1.field if f1.field.m is not None else f2.field
+def product_fan(f1: Fan, f2: Fan):
+    """The product fan in R^(n1+n2): one maximal cone sigma x delta per
+    pair of maximal cones, spanned by the rays of sigma padded with n2
+    zeros and those of delta behind n1 zeros.  A padded canonical ray stays
+    canonical, and a product of pointed cones is pointed with every ray
+    extreme, so the keys go to Fan as they are."""
     if f1.field.m is not None and f2.field.m is not None \
             and f1.field.m != f2.field.m:
         raise ValueError("factor fans live over different quadratic fields")
-    return build_fan(n, gen_sets, field=field, check=False)
-
-
-def product_fan(f1: Fan, f2: Fan):
-    """Ordinary product fan (the skew product along the zero map)."""
-    return skew_product(f1, f2, None)
+    n1, n2 = f1.n, f2.n
+    pad1, pad2 = (ZERO,) * n2, (ZERO,) * n1
+    keys = [tuple(sorted([r + pad1 for r in f1.cones[m1].rays]
+                         + [pad2 + w for w in f2.cones[m2].rays]))
+            for m1 in f1.maximal_ids for m2 in f2.maximal_ids]
+    field = f1.field if f1.field.m is not None else f2.field
+    return Fan(n1 + n2, field, keys, check=False)

@@ -69,21 +69,18 @@ from .conewise import Polynomial, monomials
 # -- boundary flattening ---------------------------------------------------
 
 
-def projection_along(v, n, span_vectors=None):
+def projection_along(v, n, span_vectors):
     """Exact projection along the line through v onto a chosen complement
-    inside span(span_vectors) (default the whole space): returns (x, proj,
-    b) where x is a covector with x(v) = 1, b is a basis of the kernel of x
-    inside that span and proj is the projection Matrix onto coordinates in
-    b, so that b^T is a section of proj with image ker x."""
+    inside span(span_vectors): returns (x, proj, b) where x is a covector
+    with x(v) = 1, b is a basis of the kernel of x inside that span and
+    proj is the projection Matrix onto coordinates in b, so that b^T is a
+    section of proj with image ker x."""
     v = fans.vec(v)
     i0 = next((i for i, c in enumerate(v) if c), None)
     if i0 is None:
         raise ValueError("cannot project along the zero vector")
     xi = v[i0].inverse()
     x = tuple(xi if j == i0 else ZERO for j in range(n))
-    if span_vectors is None:
-        span_vectors = [tuple(ONE if j == i else ZERO for j in range(n))
-                        for i in range(n)]
     basis = first_independent(
         [fans.vsub(u, fans.vscale(vdot(x, u), v)) for u in span_vectors])
     b = Matrix(basis, ncols=n)
@@ -231,23 +228,22 @@ def _frame_monomial(rays, e):
     return Polynomial(n, {e: ONE}).compose(_frame(rays, n)[0])
 
 
-def _times(vecm, forms, width, on=None, p=None):
+def _times(vecm, forms, width, on, p=None):
     """The products l_0 * vecm, ..., l_(width-1) * vecm of the coefficient
     vector vecm with linear forms given in each carrier's frame (_frame):
     forms[mid][r] lists the nonzero pairs (i, l_i . vectors[r]), the
-    coefficients of y_r, and multiplying by y_r raises exponent r.  With on,
-    only the columns in it are kept, each keyed by on[column].  Scalars, or
-    with p ints reduced mod p once; entries that vanish are dropped."""
+    coefficients of y_r, and multiplying by y_r raises exponent r.  Only
+    the columns that on.get keys are kept, each keyed by on.get(column).
+    Scalars, or with p ints reduced mod p once; entries that vanish are
+    dropped."""
     outs = [{} for _ in range(width)]
     for (mid, j, e), c in vecm.items():
         for r, coeffs in enumerate(forms[mid]):
             if not coeffs:
                 continue
-            k = (mid, j, e[:r] + (e[r] + 1,) + e[r + 1:])
-            if on is not None:
-                k = on.get(k)
-                if k is None:
-                    continue
+            k = on.get((mid, j, e[:r] + (e[r] + 1,) + e[r + 1:]))
+            if k is None:
+                continue
             for i, x in coeffs:
                 out = outs[i]
                 s = out.get(k)
@@ -296,9 +292,10 @@ def _section_spaces(pair, gradings):
         eqs = fans.wall_equations(sub, tid)
         gens = [sec[hat].coeffs for hat, c in zip(owners, cones)
                 for _, sec in pair.stalks[c.id]]
-        forms = [dict(enumerate(y)) for c in cones
-                 for y in _frame(c.rays, fan.n)[0]]
-        m = radicand(gens + forms + [dict(enumerate(row)) for _, row in eqs])
+        forms = [y for c in cones for y in _frame(c.rays, fan.n)[0]]
+        m = radicand([x.m for g in gens for x in g.values()]
+                     + [x.m for y in forms for x in y]
+                     + [x.m for _, row in eqs for x in row])
         walls.append((owners, m, _wall_images(eqs, fan.n, m)))
     spaces = {}
     degree, levels = -1, None
@@ -481,7 +478,7 @@ class DistinguishedPair:
     its cofaces in the subdivision."""
 
     __slots__ = ("fan", "subdivided", "steps", "stalks",
-                 "_carrier", "_pieces", "_facet_pieces", "_sections")
+                 "_carrier", "_pieces", "_facet_pieces")
 
     def __init__(self, fan, subdivided, steps, stalks=None):
         self.fan = fan
@@ -520,7 +517,6 @@ class DistinguishedPair:
         self._facet_pieces = tuple(
             c.id for c in subdivided.cones_of_dim(fan.n - 1))
         self.stalks = dict(stalks) if stalks else {}
-        self._sections = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -532,16 +528,6 @@ class DistinguishedPair:
 
     def facet_piece_ids(self):
         return self._facet_pieces
-
-    # -- section spaces ----------------------------------------------------
-
-    def section_spaces(self, gradings):
-        """The section spaces {d: _Sections} of the gradings, kept on the
-        pair by grading; one call builds those missing."""
-        missing = [d for d in gradings if d not in self._sections]
-        if missing:
-            self._sections.update(_section_spaces(self, missing))
-        return {d: self._sections[d] for d in gradings}
 
 
 def build_distinguished_pair(fan: Fan):
@@ -585,7 +571,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     fan, sub = pair.fan, pair.subdivided
     cone = fan.cones[cid]
     n, m = fan.n, cone.dim - 1
-    x, proj, _ = projection_along(v, n, span_vectors=cone.span_basis())
+    x, proj, _ = projection_along(v, n, cone.span_basis())
     facets = [f for f in fan.faces_of[cid] if fan.cones[f].dim == m]
     # the image of each ray of the facets' pieces, which include the
     # facets' own rays, projected once
@@ -715,7 +701,7 @@ class GradedIH:
     def __init__(self, pair: DistinguishedPair, cap=None):
         self.pair = pair
         self.cap = 2 * pair.fan.n if cap is None else cap
-        self.spaces = pair.section_spaces(range(0, self.cap + 1, 2))
+        self.spaces = _section_spaces(pair, range(0, self.cap + 1, 2))
         self._ctx = None
         self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
         cofaces = pair.subdivided.cofaces_of

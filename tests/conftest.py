@@ -4,7 +4,7 @@ stalk construction dominate the suite's runtime."""
 import pytest
 
 from ihfan.exactlin import ScalarField, sc
-from ihfan.fans import build_fan, face_fan_with_support, normal_fan
+from ihfan.fans import build_fan, face_fan_with_support
 from ihfan.ihsheaf import build_distinguished_pair
 
 _pair_cache = {}

@@ -46,6 +46,10 @@ road.
   the relative ones are cut out of them here, each combination of the
   absolute basis whose polynomial on every boundary piece's owner
   reduces to zero modulo the piece's equations.
+- Skew products (skew_product): the cones (graph of phi over sigma) +
+  delta for a conewise linear map phi, through the checked fan builder.
+  The package builds only the ordinary product, directly from the padded
+  ray keys (fans.product_fan); along the zero map the two agree.
 """
 
 from math import comb
@@ -56,9 +60,11 @@ from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
 from ihfan.conewise import Polynomial
 from ihfan.exactlin import (ONE, ZERO, Matrix, gram, inverse, solve,
                             sparse_eliminate)
-from ihfan.fans import Fan, PLFunction, canonical_direction, vadd, vscale
-from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame, _times,
-                           build_distinguished_pair, projection_along)
+from ihfan.fans import (Fan, PLFunction, build_fan, canonical_direction, vadd,
+                        vec, vscale)
+from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame,
+                           _section_spaces, _times, build_distinguished_pair,
+                           projection_along)
 
 
 # -- polynomials -----------------------------------------------------------
@@ -120,7 +126,7 @@ def divide_by_linear(p, form):
         piece = Polynomial(p.n, part)
         q = q.add(piece)
         rem = sub(rem, piece.mul(Polynomial.from_linear(form)))
-    return q if rem.is_zero() else None
+    return None if rem else q
 
 
 # -- the continuity oracle -------------------------------------------------
@@ -143,14 +149,14 @@ def validate(f):
     for p in f.per_max.values():
         if p.n != fan.n:
             raise ValueError("wrong variable count")
-        if not p.is_zero() and p.degree() != k:
+        if p and p.degree() != k:
             raise ValueError("polynomial degree does not match grading")
     mx = fan.maximal_ids
     for i, a in enumerate(mx):
         for b in mx[i + 1:]:
             meet = fan.cones[meet_id(fan, a, b)]
             diff = sub(f.per_max[a], f.per_max[b])
-            if not reduce_mod(diff, meet.geometry().equations).is_zero():
+            if reduce_mod(diff, meet.geometry().equations):
                 raise ValueError(
                     "polynomials disagree on the shared face of cones "
                     f"{a} and {b}")
@@ -201,7 +207,7 @@ def evaluate(pair, f):
             a, b = owners
             adjacency[a].append(b)
             adjacency[b].append(a)
-    support = [m for m in sub_fan.maximal_ids if not f.per_max[m].is_zero()]
+    support = [m for m in sub_fan.maximal_ids if f.per_max[m]]
     sup_set = set(support)
     total = ZERO
     seen = set()
@@ -302,7 +308,8 @@ def independent_modp(vectors):
     Independence mod p implies independence, so they are independent, and
     they are all of the exact greedy choice's when their number is the
     rank."""
-    p, ts = next(iter(exactlin._embeddings(exactlin.radicand(vectors))))
+    p, ts = next(iter(exactlin._embeddings(exactlin.radicand(
+        x.m for v in vectors for x in v.values()))))
     ech = {}
     out = []
     for i, v in enumerate(vectors):
@@ -545,7 +552,7 @@ def global_sections(pair, cap=None):
     dimension)."""
     cap = 2 * pair.fan.n if cap is None else cap
     return {d: [as_function(sp, v) for v in sp.basis] for d, sp in
-            pair.section_spaces(range(0, cap + 1, 2)).items()}
+            _section_spaces(pair, range(0, cap + 1, 2)).items()}
 
 
 def primitive_basis(profile, l, d):
@@ -620,7 +627,7 @@ def relative_bases(pair, boundary=None, cap=None):
             raise ValueError("listed cones are not boundary cones")
         pieces = allowed
     bases = {}
-    for d, sp in pair.section_spaces(range(0, cap + 1, 2)).items():
+    for d, sp in _section_spaces(pair, range(0, cap + 1, 2)).items():
         polys = [sp.materialize(b) for b in sp.basis]
         rows = {}
         for t in sorted(pieces):
@@ -643,9 +650,26 @@ def relative_sections(pair, boundary=None, cap=None):
     """Graded bases of the sections vanishing on the boundary subfan, as
     conewise functions (see relative_bases)."""
     bases = relative_bases(pair, boundary, cap)
-    spaces = pair.section_spaces(list(bases))
+    spaces = _section_spaces(pair, list(bases))
     return {d: [as_function(spaces[d], v) for v in basis]
             for d, basis in bases.items()}
+
+
+class _EveryColumn:
+    """The mapping that keys every column by itself (see ihsheaf._times)."""
+
+    @staticmethod
+    def get(column):
+        return column
+
+
+EVERY_COLUMN = _EveryColumn()
+
+
+def unit_vectors(n):
+    """The unit vectors of R^n, the span projection_along projects in."""
+    return [tuple(ONE if j == i else ZERO for j in range(n))
+            for i in range(n)]
 
 
 def relative_ih(pair, cap=None):
@@ -656,7 +680,8 @@ def relative_ih(pair, cap=None):
     forms = _coordinate_forms(pair.fan)
     n = pair.fan.n
     h = {d: len(basis) - len(sparse_eliminate(
-        [x for b in bases.get(d - 2, ()) for x in _times(b, forms, n)]))
+        [x for b in bases.get(d - 2, ())
+         for x in _times(b, forms, n, EVERY_COLUMN)]))
         for d, basis in bases.items()}
     return bases, h
 
@@ -669,7 +694,7 @@ def _mul_pl(vecm, l):
         _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
         forms[mid] = [[(0, x)] if x else []
                       for x in gram((form,), None, vectors).entries[0]]
-    return _times(vecm, forms, 1)[0]
+    return _times(vecm, forms, 1, EVERY_COLUMN)[0]
 
 
 class LinkReport:
@@ -717,7 +742,7 @@ def restrict_to_link(profile, ray_cid):
               for rid in fan.ray_ids()}
     hat = PLFunction.from_ray_values(fan, values)
     _, closed, link = star_link(fan, ray_cid)
-    _, proj, b = projection_along(vrho, n)
+    _, proj, b = projection_along(vrho, n, unit_vectors(n))
     key_to_lam = {c.rays: tuple(sorted(canonical_direction(proj.apply(r))
                                        for r in c.rays))
                   for c in link.cones.values() if c.dim == n - 1}
@@ -788,7 +813,8 @@ def restrict_to_link(profile, ray_cid):
             break
         # the rank of the images' classes over the relative ideal multiples
         # x_i * b (b of grading d), which span len(top) - h_(d+2) dimensions
-        multiples = [x for b in rel[d] for x in _times(b, forms, n)]
+        multiples = [x for b in rel[d]
+                     for x in _times(b, forms, n, EVERY_COLUMN)]
         classes = len(sparse_eliminate(multiples + imgs)) - \
             (len(top) - rel_h[d + 2])
         if classes != star_abs.h[d] or star_abs.h[d] != rel_h[d + 2]:
@@ -820,3 +846,55 @@ def exact_sequence_check(fan, cone_id):
     _, rel_h = relative_ih(build_distinguished_pair(comp))
     return all(whole.h[d] == star.h[d] + rel_h[d]
                for d in range(0, 2 * fan.n + 1, 2))
+
+
+# -- skew products -------------------------------------------------------------
+
+
+def skew_product(f1, f2, phi=None):
+    """Fan with cones (graph of phi over sigma) + delta in R^(n1+n2).
+
+    phi: maximal cone id of f1 -> tuple of n2 linear forms on R^(n1) (a
+    conewise linear map into the second factor's ambient space), required
+    to agree on shared faces; phi = None means the zero map and recovers
+    the ordinary product."""
+    n1, n2 = f1.n, f2.n
+    n = n1 + n2
+    if phi is None:
+        phi = {m: tuple(tuple(ZERO for _ in range(n1)) for _ in range(n2))
+               for m in f1.maximal_ids}
+    else:
+        phi = {m: tuple(vec(row) for row in rows) for m, rows in phi.items()}
+        if set(phi) != set(f1.maximal_ids):
+            raise ValueError("phi needs exactly one linear map per maximal cone")
+        mx = f1.maximal_ids
+        for i, a in enumerate(mx):
+            for b in mx[i + 1:]:
+                common = set(f1.cones[a].rays) & set(f1.cones[b].rays)
+                for r in common:
+                    if gram((r,), None, phi[a]) != gram((r,), None, phi[b]):
+                        raise ValueError("phi is incompatible on a shared face")
+
+    def graph_gens(m):
+        rows = phi[m]
+        out = []
+        for r in f1.cones[m].rays:
+            out.append(r + gram((r,), None, rows).entries[0])
+        return out
+
+    gen_sets = []
+    zero1 = [ZERO] * n1
+    f2_max = f2.maximal_ids or ()
+    for m1 in f1.maximal_ids:
+        g1 = graph_gens(m1)
+        if not f2_max:
+            gen_sets.append(g1)
+            continue
+        for m2 in f2_max:
+            g2 = [tuple(zero1 + list(w)) for w in f2.cones[m2].rays]
+            gen_sets.append(g1 + g2)
+    field = f1.field if f1.field.m is not None else f2.field
+    if f1.field.m is not None and f2.field.m is not None \
+            and f1.field.m != f2.field.m:
+        raise ValueError("factor fans live over different quadratic fields")
+    return build_fan(n, gen_sets, field=field)

@@ -1,8 +1,9 @@
 """Every module-level function and every method of the package has a caller
 in the package or the benchmark, or is public API (listed in
 ihfan.__all__); every public name has a caller in the package or the
-benchmark too; every module-level import of a package module is used by
-that module, and every import of a package module is at module level;
+benchmark too; every module-level import of a package or test module is
+used by that module, and every import of a package module is at module
+level;
 every slot of a package class is read somewhere; every function of the
 tests' oracle module has a caller in the tests.  A method counts as
 called only through an attribute or an identifier string: a bare name of
@@ -124,9 +125,10 @@ def _module_imports(body):
 def unused_imports(root):
     """module:name of each name a module-level import binds in a module of
     root/src/ihfan (the package's __init__ re-exports, so it is left out)
-    that the module never uses."""
+    or of root/tests that the module never uses."""
     out = []
-    for p in sorted((root / "src" / "ihfan").glob("*.py")):
+    for p in sorted((root / "src" / "ihfan").glob("*.py")) + \
+            sorted((root / "tests").glob("*.py")):
         if p.name == "__init__.py":
             continue
         tree = ast.parse(p.read_text(), str(p))

@@ -10,7 +10,6 @@ import pytest
 import ihfan
 from ihfan import exactlin
 from ihfan.cli import main
-from ihfan.exactlin import sc
 from ihfan.fans import fan_from_json_dict, format_scalar
 from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
@@ -220,6 +219,11 @@ MALFORMED = {
     "dim-negative": (["report"], dict(quadrant_dict(), dim=-1)),
     "vertices-without-coordinates": (
         ["verify"], {"field": "Q", "vertices": [[], []]}),
+    # hvector takes incomplete fans, but not a maximal cone of lower
+    # dimension
+    "maximal-cone-not-full-dimensional": (
+        ["hvector"], {"field": "Q", "dim": 2, "rays": [[1, 0]],
+                      "maximal_cones": [[0]]}),
     # a vector is a list of coordinates, never a string of digits
     "ray-a-string": (
         ["report"], {"field": "Q", "dim": 2,
@@ -314,6 +318,8 @@ MALFORMED_MESSAGES = {
     "dim-zero": "dim must be at least 1, got 0",
     "dim-negative": "dim must be at least 1, got -1",
     "vertices-without-coordinates": "dim must be at least 1",
+    "maximal-cone-not-full-dimensional":
+        "maximal cones must have full dimension",
     "ray-a-string": "ray 0 must be a list of coordinates, got '10'",
     "vertex-a-string": "vertex 1 must be a list of coordinates, got '01'",
     "per-cone-row-a-string":
@@ -351,6 +357,16 @@ def test_malformed_input_exit2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert MALFORMED_MESSAGES.get(case, "") in err, err
+
+
+@pytest.mark.parametrize("checks, out", [
+    ("", "ds: pass\noracle: pass\npd: pass\n"),   # the default checks
+    (" , ", ""),                                   # none of them
+], ids=["empty", "commas"])
+def test_verify_blank_checks(tmp_path, capsys, checks, out):
+    path = write(tmp_path, "quadrant.json", quadrant_dict())
+    assert main(["verify", path, "--checks", checks]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_report_new_l_on_cached_fan(tmp_path, capsys):

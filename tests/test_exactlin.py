@@ -37,7 +37,8 @@ def S(text):
 def scalar_kernel(rows, ncols):
     """sparse_kernel on sparse Scalar rows, given to it as integer rows."""
     return sparse_kernel([exactlin.cleared(r)[:2] for r in rows], ncols,
-                         exactlin.radicand(rows))
+                         exactlin.radicand(
+                             x.m for r in rows for x in r.values()))
 
 
 # -- scalar arithmetic and order ------------------------------------------

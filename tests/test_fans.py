@@ -13,7 +13,7 @@ from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
 from oracles import (barycenter_sum_scaled, meet_id, polytope_face_lattice,
-                     star_link, toric_h_oracle)
+                     skew_product, star_link, toric_h_oracle)
 
 
 def quadrant_fan():
@@ -299,12 +299,39 @@ def test_product_fans():
     assert fans.product_fan(one, quad) == orthant_fan()
 
 
+def _sqrt_triangle(m):
+    """The face fan of a triangle with the vertices (1, 0) and
+    (-1, +-sqrt m), over Q(sqrt m)."""
+    field = ScalarField(m)
+    r = field.parse(f"0+1r{m}")
+    return fans.face_fan_with_support([(sc(1), sc(0)), (sc(-1), r),
+                                       (sc(-1), -r)], field=field)[0]
+
+
+def test_product_is_the_skew_product_along_the_zero_map():
+    # the package pads the factors' ray keys; the oracle builds the graph
+    # of the zero map through the checked fan builder
+    one, quad = one_dim_fan(), quadrant_fan()
+    for f1, f2 in ((one, one), (one, quad), (quad, _sqrt_triangle(2)),
+                   (quad, fans.build_fan(0, [[]]))):
+        got, want = fans.product_fan(f1, f2), skew_product(f1, f2)
+        assert got.max_key_set() == want.max_key_set()
+        assert got.maximal_ids == want.maximal_ids
+        assert got.id_by_key == want.id_by_key
+        assert got.field == want.field
+
+
+def test_product_of_two_quadratic_fields_rejected():
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        fans.product_fan(_sqrt_triangle(2), _sqrt_triangle(5))
+
+
 def test_skew_product_hat():
     one = one_dim_fan()
     plus = next(m for m in one.maximal_ids if one.cones[m].rays[0] == (sc(1),))
     minus = next(m for m in one.maximal_ids
                  if one.cones[m].rays[0] == (sc(-1),))
-    sk = fans.skew_product(one, one, {plus: ((1,),), minus: ((-1,),)})
+    sk = skew_product(one, one, {plus: ((1,),), minus: ((-1,),)})
     got = sorted(sorted(tuple(fans.format_scalar(x) for x in r)
                         for r in sk.cones[m].rays)
                  for m in sk.maximal_ids)
@@ -324,7 +351,7 @@ def test_skew_product_incompatible_phi_rejected():
     m0 = quad.maximal_ids[0]
     phi[m0] = ((1, 2),)
     with pytest.raises(ValueError):
-        fans.skew_product(quad, one, phi)
+        skew_product(quad, one, phi)
 
 
 def sqrt2_prism_vertices():
@@ -387,7 +414,7 @@ def test_subdivision_lattice_still_valid():
     ff = fans.face_fan_with_support(cube_vertices())[0]
     b, _ = fans.barycentric_subdivision(ff)
     rebuilt = fans.build_fan(3, [[list(r) for r in b.cones[m].rays]
-                                 for m in b.maximal_ids], check=True)
+                                 for m in b.maximal_ids])
     assert rebuilt == b
 
 
