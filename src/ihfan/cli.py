@@ -396,9 +396,14 @@ def main(argv=None):
     try:
         if ns.cap is not None and (ns.cap < 0 or ns.cap % 2):
             raise InputError("degree cap must be even and nonnegative")
-        # an empty --checks runs the default checks, as no --checks does
-        ns.checks = tuple(c.strip() for c in ns.checks.split(",")
-                          if c.strip()) if ns.checks else None
+        # an empty --checks runs the default checks, as no --checks does;
+        # a list of blanks runs none, so it is refused: a verification
+        # that checked nothing must not read as a pass
+        given = ns.checks
+        ns.checks = tuple(c.strip() for c in given.split(",")
+                          if c.strip()) if given else None
+        if given and not ns.checks:
+            raise InputError("--checks names no check")
         for c in ns.checks or ():
             if c not in ALL_CHECKS:
                 raise InputError(f"unknown check: {c}")

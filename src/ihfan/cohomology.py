@@ -16,6 +16,7 @@ ever solved for.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from math import comb
 
@@ -36,8 +37,12 @@ def convolve_h(h1, h2):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
 def _tminus1_pow(k):
-    return [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
+    """The coefficients of (t - 1)^k, from a process-wide cache of the 64
+    most recently used k (a fan of dimension n reads k <= n), as a tuple
+    that every caller shares."""
+    return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
 
 
 def _g_from_h(h, dim):

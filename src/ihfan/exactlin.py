@@ -7,7 +7,9 @@ all pivoting decisions are exact: sign(a + b*sqrt(m)) reduces to comparing
 a^2 with m*b^2.  A scalar is held in Python ints as (p + q*sqrt(m))/d, kept
 in lowest terms by one gcd per operation, so coefficient growth during
 elimination stays tame without Bareiss-style bookkeeping; fractions.Fraction
-appears only at the edges (the a and b properties, the constructor).
+appears only at the edges (the a and b properties, the constructor).  A
+comparison builds no temporary: the sign of the integer cross-difference
+decides it, by the rule sign() applies to one scalar.
 
 Linear algebra entry points:
 - echelon_insert, the one exact Gauss-Jordan step every exact elimination
@@ -16,7 +18,7 @@ Linear algebra entry points:
   value; echelon_reduce is its reduction half;
 - sparse_eliminate (the reduced row echelon form, exact or mod p),
   first_independent (the first-independent basis of a list of vectors),
-  rank, kernel_basis, and solve, all built on echelon_insert;
+  rank and kernel_basis, all built on echelon_insert;
 - inverse, which also returns the determinant (the product of the pivot
   values, signed by the pivot permutation);
 - signature, by congruence diagonalisation;
@@ -211,30 +213,38 @@ class Scalar:
         return sc(other) * self.inverse()
 
     def __pow__(self, k):
+        """Square and multiply from the base: x**1 is x itself and no
+        square is taken past the top bit of k."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = ONE
-        base = self
-        while k:
+        if not k:
+            return ONE
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     # -- order ------------------------------------------------------------
 
     def sign(self):
         """Exact sign in {-1, 0, 1}: that of p + q*sqrt(m), as d > 0."""
-        p, q = self.p, self.q
-        if not q:
-            return -1 if p < 0 else (1 if p > 0 else 0)
-        if not p or (p > 0) == (q > 0):
-            return 1 if q > 0 else -1
-        # opposite signs: the larger of p^2 and m q^2 decides (never equal
-        # for squarefree m >= 2)
-        return (1 if p > 0 else -1) if p * p > self.m * q * q else \
-            (1 if q > 0 else -1)
+        return _sign(self.p, self.q, self.m)
+
+    def _cmp(self, other):
+        """The sign of self - other, from the integer cross-differences
+        (p1*d2 - p2*d1) + (q1*d2 - q2*d1)*sqrt(m) over d1*d2 > 0, with no
+        Scalar built; mixed radicands raise ValueError."""
+        if type(other) is not Scalar:
+            other = sc(other)
+        m = self.m if self.m == other.m else self._join(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _sign(self.p - other.p, self.q - other.q, m)
+        return _sign(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, m)
 
     def is_zero(self):
         return not self.p and not self.q
@@ -264,16 +274,16 @@ class Scalar:
         return h
 
     def __lt__(self, other):
-        return (self - sc(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - sc(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - sc(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - sc(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -288,6 +298,18 @@ class Scalar:
 
 
 _new = object.__new__
+
+
+def _sign(p, q, m):
+    """The sign of p + q*sqrt(m) in {-1, 0, 1} (q = 0 when m is None)."""
+    if not q:
+        return -1 if p < 0 else (1 if p > 0 else 0)
+    if not p or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs: the larger of p^2 and m q^2 decides (never equal for
+    # squarefree m >= 2)
+    return (1 if p > 0 else -1) if p * p > m * q * q else \
+        (1 if q > 0 else -1)
 
 
 def _raw(p, q, d, m):
@@ -305,16 +327,20 @@ def _reduced(p, q, d, m):
     gcd (and m dropped when q = 0)."""
     if not q:
         m = None
-    if d == 1:
-        return _raw(p, q, 1, m)
-    g = gcd(p, q, d)
-    if d < 0:
-        g = -g
-    if g != 1:
-        p //= g
-        q //= g
-        d //= g
-    return _raw(p, q, d, m)
+    if d != 1:
+        g = gcd(p, q, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    s = _new(Scalar)
+    s.p = p
+    s.q = q
+    s.d = d
+    s.m = m
+    return s
 
 
 ZERO = _raw(0, 0, 1, None)
@@ -724,29 +750,6 @@ def kernel_basis(m):
     return [tuple(v.get(j, ZERO) for j in range(m.ncols)) for v in basis]
 
 
-def solve(m, rhs):
-    """One exact solution of m x = rhs with free variables set to zero, or
-    None when the system is inconsistent."""
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    sent = m.ncols  # extra column carrying the right-hand side
-    ech = {}
-    for r, b in zip(m.entries, rhs):
-        d = {j: x for j, x in enumerate(r) if x}
-        b = sc(b)
-        if b:
-            d[sent] = -b
-        echelon_insert(ech, d)
-    if sent in ech:
-        return None
-    x = [ZERO] * m.ncols
-    for c, row in ech.items():
-        v = row.get(sent)
-        if v:
-            x[c] = -v
-    return tuple(x)
-
-
 def inverse(m):
     """(inverse, determinant) of a square matrix from one Gauss-Jordan
     elimination on [m | 1]; raises ValueError when the matrix is singular.
@@ -1094,8 +1097,13 @@ def residue_map(m):
     prime, (s, *_) = got
 
     def residue(x):
-        if not x.d % prime or x.q and x.m != m:
+        d = x.d
+        if not d % prime or x.q and x.m != m:
             raise ValueError(f"{x!r} has no residue mod {prime}")
-        return (x.p + x.q * s) * pow(x.d, -1, prime) % prime
+        # an integer, as every face-ring basis coefficient is, needs no
+        # modular inverse
+        if d == 1:
+            return (x.p + x.q * s) % prime
+        return (x.p + x.q * s) * pow(d, -1, prime) % prime
 
     return prime, residue

@@ -13,9 +13,11 @@ extreme when the generators on every facet through g have only g in
 common (every face of a pointed cone is an intersection of facets), and an
 intersection is the hull of both cones' facet inequalities.  A cone's
 dimension, equations, hull start, duals and determinant come from one
-Gauss-Jordan elimination of its rays (``_dual_basis``).  Independent
-generators span a simplicial cone, which is pointed with every generator
-extreme, so only dependent generator sets are checked for both.
+Gauss-Jordan elimination of its rays (``_dual_basis``), and so do the
+conewise linear forms with given ray values (``PLFunction.from_ray_values``).
+Independent generators span a simplicial cone, which is pointed with every
+generator extreme, so only dependent generator sets are checked for both,
+on the facets of their hull.
 
 Only a fan's listed cones get a hull: points are located and faces tested
 on the maximal cones' facets and the fan's lattice (``Fan.face_at``).
@@ -31,7 +33,6 @@ import itertools
 import json
 
 from .exactlin import (
-    Matrix,
     ScalarField,
     ZERO,
     ONE,
@@ -43,9 +44,7 @@ from .exactlin import (
     json_int,
     json_list,
     json_scalar,
-    rank,
     sc,
-    solve,
 )
 
 # -- vector helpers --------------------------------------------------------
@@ -197,19 +196,21 @@ def _face_masks(facets, full):
 
 class _ConeGeometry:
     """Shared exact data for the cone with a given canonical ray set, read
-    off the dual basis of its rays.  The facet forms are the extreme rays of
-    the dual cone modulo the equations: the duals are zero at the
-    equations' pivots, so the hull started from them gives each form
-    already reduced.  facet_rows[i] lists the indices of the rays on the
-    i-th facet."""
+    off the dual basis of its rays.  basis lists the indices of the rays
+    independent of those before them, and duals[t] is 1 on rays[basis[t]],
+    0 on the other basis rays and 0 at the equations' pivots.  The facet
+    forms are the extreme rays of the dual cone modulo the equations: the
+    hull started from the duals gives each form already reduced.
+    facet_rows[i] lists the indices of the rays on the i-th facet."""
 
-    __slots__ = ("n", "rays", "dim", "equations", "duals", "det",
+    __slots__ = ("n", "rays", "dim", "basis", "equations", "duals", "det",
                  "facet_forms", "facet_rows", "facet_ray_keys")
 
     def __init__(self, rays, n):
         self.n = n
         self.rays = rays
         basis, comp, cols, self.det = _dual_basis(rays, n)
+        self.basis = tuple(basis)
         self.dim = len(basis)
         self.duals = tuple(cols[:self.dim])
         self.equations = list(zip(comp, cols[self.dim:]))
@@ -252,6 +253,16 @@ class Cone:
 
     @staticmethod
     def from_generators(gens, n):
+        """The cone the nonzero generators span, checked to be pointed with
+        every generator extreme.  Dependent generators are checked on the
+        facets of their hull (facet_rows): the cone is pointed if and only
+        if no generator lies on every facet.  The lineality space L is the
+        minimal face, so it is generated by the generators it contains and
+        lies in every facet; every form the hull returns is zero on L, as
+        it is >= 0 on g and on -g for g in L.  So a cone that is not
+        pointed has a generator in L, on every facet (on all of none when
+        the cone is its whole span).  The facets of a pointed cone meet in
+        0, which holds no generator."""
         gens = [vec(g) for g in gens]
         for i, g in enumerate(gens):
             if len(g) != n:
@@ -264,9 +275,7 @@ class Cone:
             # independent generators span a simplicial cone: pointed, and
             # each generator is extreme
             return Cone(gens, n, geom.dim, geom=geom)
-        eqs = [row for _, row in geom.equations]
-        # pointed iff the facet forms and the equations span the dual space
-        if rank(Matrix(eqs + list(geom.facet_forms), ncols=n)) != n:
+        if set(range(len(gens))).intersection(*geom.facet_rows):
             raise ValueError("cone is not pointed")
         # g is extreme iff the facets through g meet in the ray of g: their
         # intersection is the smallest face containing g
@@ -616,16 +625,25 @@ class PLFunction:
     @staticmethod
     def from_ray_values(fan: Fan, values):
         """Build from prescribed values on the canonical ray generators;
-        values: ray cone id -> Scalar.  Errors when some maximal cone admits
-        no linear form with those ray values."""
+        values: ray cone id -> Scalar.  Each maximal cone's form is read
+        off the dual basis of its rays (_ConeGeometry): sum_t v(rays[
+        basis[t]]) * duals[t], one product per cone, the unique form on a
+        full-dimensional cone.  The rays outside the basis, only on a
+        cone that is not simplicial, are checked against their values in
+        one more product; a mismatch means that the cone admits no linear
+        form with those values, and raises ValueError."""
         per_max = {}
         rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
         for m in fan.maximal_ids:
             c = fan.cones[m]
-            rows = [list(r) for r in c.rays]
-            rhs = [sc(values[rid[r]]) for r in c.rays]
-            form = solve(Matrix(rows, ncols=fan.n), rhs)
-            if form is None:
+            g = c.geometry()
+            v = [sc(values[rid[r]]) for r in c.rays]
+            # the zero cone has no duals, and its form is zero
+            form = gram(([v[i] for i in g.basis],), None,
+                        list(zip(*g.duals)) or [()] * fan.n).entries[0]
+            rest = [i for i in range(len(v)) if i not in g.basis]
+            if rest and gram((form,), None, [c.rays[i] for i in rest]
+                             ).entries[0] != tuple(v[i] for i in rest):
                 raise ValueError(
                     "no linear form matches the ray values on cone %r" % c)
             per_max[m] = form
@@ -650,7 +668,7 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
     for m in mx:
         c = fan.cones[m]
         for u, lu, v in zip(rays, value, values[m]):
-            if u not in c.rays and (v - lu).sign() >= 0:
+            if u not in c.rays and v >= lu:
                 return False
     return True
 

@@ -488,20 +488,21 @@ class DistinguishedPair:
             if fan.cones[m].dim != fan.n:
                 raise ValueError("maximal cones must have full dimension")
         # the carrier of a subdivided cone is the smallest coarse cone
-        # containing it.  A ray's is located once, unless it is a coarse
-        # ray.  A cone's has each of its rays' carriers as a face, so it is
-        # the smallest coarse cone that does.  Ids go up with dimension, so
-        # rays come before the cones they span, and the smallest cone has
-        # the smallest id.
+        # containing it.  A subdivided cone with a coarse cone's ray key is
+        # that cone, so it is its own carrier: every cone of a simplicial
+        # fan, its own subdivision, costs one lookup.  Another ray is
+        # located once.  Another cone's carrier has each of its rays'
+        # carriers as a face, so it is the smallest coarse cone that does.
+        # Ids go up with dimension, so rays come before the cones they
+        # span, and the smallest cone has the smallest id.
         self._carrier = {}
         self._pieces = {cid: [] for cid in fan.cones}
         for tid in sorted(subdivided.cones):
             tc = subdivided.cones[tid]
-            if tc.dim <= 1:
-                car = fan.id_by_key.get(tc.rays)
-                if car is None and tc.rays:
-                    car = fan.locate(tc.rays[0])
-            else:
+            car = fan.id_by_key.get(tc.rays)
+            if car is None and tc.dim == 1:
+                car = fan.locate(tc.rays[0])
+            elif car is None and tc.dim > 1:
                 ray_cars = {self._carrier[f] for f in subdivided.faces_of[tid]
                             if subdivided.cones[f].dim == 1}
                 first = min(ray_cars)

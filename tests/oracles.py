@@ -46,6 +46,15 @@ road.
   the relative ones are cut out of them here, each combination of the
   absolute basis whose polynomial on every boundary piece's owner
   reduces to zero modulo the piece's equations.
+- Facts the package reads off data it holds, recomputed by elimination
+  (solve, forms_by_solve, pointed_by_rank, carriers_by_star_scan): a
+  conewise linear function's form on each maximal cone solved from its ray
+  values, pointedness as the rank of a cone's equations and facet forms,
+  and each subdivided cone's carrier found in the star of its first ray's
+  carrier.  The package reads the forms off each cone's dual basis
+  (fans.PLFunction.from_ray_values), pointedness off the facet rows of
+  the hull (fans.Cone.from_generators) and a carrier off the coarse fan's
+  key table where the keys agree (ihsheaf.DistinguishedPair).
 - Skew products (skew_product): the cones (graph of phi over sigma) +
   delta for a conewise linear map phi, through the checked fan builder.
   The package builds only the ordinary product, directly from the padded
@@ -58,8 +67,8 @@ from ihfan import exactlin, fans
 from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
                               profile_for_fan)
 from ihfan.conewise import Polynomial
-from ihfan.exactlin import (ONE, ZERO, Matrix, gram, inverse, solve,
-                            sparse_eliminate)
+from ihfan.exactlin import (ONE, ZERO, Matrix, echelon_insert, gram,
+                            inverse, rank, sc, sparse_eliminate)
 from ihfan.fans import (Fan, PLFunction, build_fan, canonical_direction, vadd,
                         vec, vscale)
 from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame,
@@ -391,6 +400,72 @@ def gram_loop(left, weights, right):
     scaled = Matrix([[x * w if x else ZERO for x, w in zip(r, weights)]
                      for r in left.entries], ncols=left.ncols)
     return mul_loop(scaled, right.transpose())
+
+
+# -- facts the package reads off, recomputed ---------------------------------
+
+
+def solve(m, rhs):
+    """One exact solution of m x = rhs with free variables set to zero, or
+    None when the system is inconsistent."""
+    if len(rhs) != m.nrows:
+        raise ValueError("right-hand side length does not match row count")
+    sent = m.ncols  # extra column carrying the right-hand side
+    ech = {}
+    for r, b in zip(m.entries, rhs):
+        d = {j: x for j, x in enumerate(r) if x}
+        b = sc(b)
+        if b:
+            d[sent] = -b
+        echelon_insert(ech, d)
+    if sent in ech:
+        return None
+    x = [ZERO] * m.ncols
+    for c, row in ech.items():
+        v = row.get(sent)
+        if v:
+            x[c] = -v
+    return tuple(x)
+
+
+def forms_by_solve(fan, values):
+    """{maximal cone id: the form solve gives for its ray values, or None
+    when there is none}, values as PLFunction.from_ray_values takes them."""
+    rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
+    return {m: solve(Matrix(fan.cones[m].rays, ncols=fan.n),
+                     [values[rid[r]] for r in fan.cones[m].rays])
+            for m in fan.maximal_ids}
+
+
+def pointed_by_rank(gens, n):
+    """Whether the cone the generators span is pointed: whether its
+    equations and facet forms span the dual space."""
+    g = fans.cone_geometry(tuple(sorted({canonical_direction(vec(x))
+                                         for x in gens})), n)
+    rows = [row for _, row in g.equations] + list(g.facet_forms)
+    return rank(Matrix(rows, ncols=n)) == n
+
+
+def carriers_by_star_scan(pair):
+    """{subdivided cone id: carrier} by the star rule alone: a ray's
+    carrier is its own coarse cone or the located one, and any other
+    cone's is the smallest coarse cone in the star of its first ray's
+    carrier that has all its rays' carriers as faces."""
+    fan, sub = pair.fan, pair.subdivided
+    out = {}
+    for tid in sorted(sub.cones):
+        tc = sub.cones[tid]
+        if tc.dim <= 1:
+            car = fan.id_by_key.get(tc.rays)
+            if car is None:
+                car = fan.locate(tc.rays[0])
+        else:
+            ray_cars = {out[f] for f in sub.faces_of[tid]
+                        if sub.cones[f].dim == 1}
+            car = min(c for c in fan.star_ids(min(ray_cars))
+                      if ray_cars.issubset(fan.faces_of[c] + (c,)))
+        out[tid] = car
+    return out
 
 
 # -- a second subdivision rule ---------------------------------------------

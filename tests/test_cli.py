@@ -359,14 +359,17 @@ def test_malformed_input_exit2(tmp_path, capsys, case):
     assert MALFORMED_MESSAGES.get(case, "") in err, err
 
 
-@pytest.mark.parametrize("checks, out", [
-    ("", "ds: pass\noracle: pass\npd: pass\n"),   # the default checks
-    (" , ", ""),                                   # none of them
-], ids=["empty", "commas"])
-def test_verify_blank_checks(tmp_path, capsys, checks, out):
+@pytest.mark.parametrize("command, checks, code, out", [
+    ("verify", "", 0, "ds: pass\noracle: pass\npd: pass\n"),  # the defaults
+    ("verify", " , ", 2, ""),                      # none of them: refused
+    ("report", " , ", 2, ""),
+], ids=["empty", "commas", "report-commas"])
+def test_verify_blank_checks(tmp_path, capsys, command, checks, code, out):
     path = write(tmp_path, "quadrant.json", quadrant_dict())
-    assert main(["verify", path, "--checks", checks]) == 0
-    assert capsys.readouterr().out == out
+    assert main([command, path, "--checks", checks]) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err == ("error: --checks names no check\n" if code else "")
 
 
 def test_report_new_l_on_cached_fan(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,11 +25,10 @@ from ihfan.exactlin import (
     rank,
     sc,
     signature,
-    solve,
     sparse_kernel,
     vdot,
 )
-from oracles import gram_loop, independent_modp, mul_loop, vdot_loop
+from oracles import gram_loop, independent_modp, mul_loop, solve, vdot_loop
 
 
 def S(text):
@@ -262,6 +263,86 @@ def test_power():
     assert S("1+1r2") ** 0 == sc(1)
     assert S("1+1r2") ** 3 == S("7+5r2")
     assert sc(3) ** 4 == sc(81)
+
+
+def _order_pool(m, seed):
+    """Seeded scalars of Q(sqrt m) (Q when m is None): zeros, negatives,
+    denominators past 2^64, the same values reached by two computations,
+    and values whose rational parts agree."""
+    rng = random.Random(seed)
+    big = 2 ** 70
+
+    def rat():
+        if rng.random() < 0.5:
+            return _Q(rng.randint(-4, 4), rng.randint(1, 4))
+        return _Q(rng.randint(-big, big), rng.randint(1, big))
+
+    pool = [ZERO, ONE, -ONE, sc(3) / sc(7)]
+    for _ in range(24):
+        pool.append(Scalar(rat(), rat() if m and rng.random() < 0.7 else 0,
+                           m))
+    if m:
+        r = Scalar(0, 1, m)
+        pool += [r, -r, sc(3) - r, (sc(1) / sc(3)) * r + sc(5) / sc(3),
+                 pool[-1] + r]
+    # equal values from other computations, and the rational parts alone
+    pool += [pool[-1] * sc(5) / sc(5), pool[-2] + ZERO, sc(6) / sc(14)]
+    pool += [sc(x.a) for x in pool[4:10]]
+    return pool
+
+
+@pytest.mark.parametrize("m", (None, 2, 5))
+def test_order_is_the_sign_of_the_difference(m):
+    # the rule the comparisons had: build a - b and take its sign
+    for seed in (1, 2):
+        pool = _order_pool(m, seed)
+        others = pool + [0, 2, -1, _Q(3, 7)]
+        for x, y in itertools.product(pool, others):
+            want = (x - sc(y)).sign()
+            assert (x < y, x <= y, x > y, x >= y) == \
+                (want < 0, want <= 0, want > 0, want >= 0), (x, y)
+        assert sorted(pool) == sorted(
+            pool, key=functools.cmp_to_key(lambda a, b: (a - b).sign()))
+
+
+def test_order_rejects_mixed_radicands():
+    x, y = S("1+1r2"), S("1+1r5")
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            compare(x, y)
+    # a rational compares with either field
+    assert S("3/2") < x and S("3/2") > S("-1+1r5")
+
+
+@pytest.mark.parametrize("m", (None, 2, 5))
+def test_power_is_the_product_of_its_factors(m):
+    for x in _order_pool(m, 3):
+        for k in range(8):
+            want = functools.reduce(operator.mul, [x] * k, ONE)
+            got = x ** k
+            assert got == want and _is_canonical(got), (x, k)
+    with pytest.raises(ValueError):
+        S("1+1r2") ** -1
+
+
+@pytest.mark.parametrize("m", (None, 2, 5))
+def test_residue_map_is_a_ring_map(m):
+    prime, residue = exactlin.residue_map(m)
+    pool = _order_pool(m, 4) + [sc(-7), sc(prime + 2)]
+    if m:
+        pool += [Scalar(-3, 2, m), Scalar(4, -9, m)]
+    for x in pool:
+        r = residue(x)
+        assert 0 <= r < prime, x
+        if x.d == 1 and not x.q:
+            assert r == x.p % prime
+        for y in pool[:12]:
+            assert residue(x + y) == (r + residue(y)) % prime
+            assert residue(x * y) == r * residue(y) % prime
+    with pytest.raises(ValueError, match="no residue"):
+        residue(sc(1) / sc(prime))
+    with pytest.raises(ValueError, match="no residue"):
+        residue(Scalar(1, 1, 3 if m != 3 else 7))
 
 
 # -- linear algebra --------------------------------------------------------

@@ -3,17 +3,23 @@ import itertools
 import json
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from ihfan import cli, exactlin, fans
-from ihfan.exactlin import (ZERO, Matrix, ScalarField, kernel_basis, rank, sc,
-                            sparse_eliminate, vdot)
+from ihfan.exactlin import (ONE, ZERO, Matrix, ScalarField, kernel_basis,
+                            parse_scalar, rank, sc, sparse_eliminate, vdot)
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
-from oracles import (barycenter_sum_scaled, meet_id, polytope_face_lattice,
-                     skew_product, star_link, toric_h_oracle)
+from oracles import (barycenter_sum_scaled, forms_by_solve, meet_id,
+                     pointed_by_rank, polytope_face_lattice, skew_product,
+                     star_link, toric_h_oracle)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator)
 
 
 def quadrant_fan():
@@ -763,24 +769,198 @@ def test_dual_basis_is_the_inverse_of_the_completed_rows(m):
 
 def test_independent_generators_need_no_pointedness_rank(monkeypatch):
     # the lifted cone of a polytope with more vertices than dimensions + 1
-    # is checked for pointedness; its facet cones here are simplicial
+    # is dependent, and its pointedness is read off its facet rows; the
+    # facet cones here are simplicial.  Every exact rank goes through
+    # sparse_eliminate.
     calls = []
-    real = fans.rank
-
-    def counting(m):
-        calls.append(m.nrows)
-        return real(m)
-
-    monkeypatch.setattr(fans, "rank", counting)
+    for name in ("rank", "sparse_eliminate"):
+        real = getattr(exactlin, name)
+        monkeypatch.setattr(exactlin, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    assert not hasattr(fans, "rank") and not hasattr(fans, "solve")
     r2 = ScalarField(2).parse("0+1r2")
     square = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
     bipyramid = [(sc(x), sc(y), sc(z) + r2 * sc(x))
                  for x, y, z in square + [(0, 0, 3), (0, 0, -3)]]
-    for vertices, field in ((OCTAHEDRON, None), (bipyramid, ScalarField(2))):
-        calls.clear()
+    for vertices, field in ((OCTAHEDRON, None), (bipyramid, ScalarField(2)),
+                            (cube_vertices(), None)):
         fan, _ = fans.face_fan_with_support(vertices, field=field)
-        assert len(fan.maximal_ids) == 8
-        assert len(calls) == 1
+        assert len(fan.maximal_ids) == (6 if len(vertices) == 8 else 8)
+        assert calls == []
+
+
+def _fan_cold_fans(seed=1):
+    """(fan, {ray id: value}) for each fan of one cycle of the fan-cold
+    workload with twins, drawn at the first attempt, with the ray values of
+    its inline l."""
+    out = []
+    for i, spec in enumerate(gen.FAN_COLD_CYCLE):
+        for twin in (False, True):
+            doc = gen.fan_cold_job(gen.make_rng("shape", "fan-cold", i, 0),
+                                   gen.make_rng(seed, "fan-cold", i, 0),
+                                   spec, twin)["doc"]
+            fan = fans.fan_from_json_dict(doc)
+            values = [parse_scalar(v) for v in doc["l"]["ray_values"]]
+            out.append((fan, dict(zip(fan.ray_ids(), values))))
+    return out
+
+
+def _sqrt2_bipyramid_face_fan():
+    job = gen.polytope_bipyramid_sqrt2(gen.make_rng("shape", "tests"),
+                                       gen.make_rng(1, "tests"), 5)
+    field = ScalarField(2)
+    vertices = [tuple(field.parse(x) for x in v)
+                for v in job["doc"]["vertices"]]
+    return fans.face_fan_with_support(vertices, field=field)[0]
+
+
+def _seeded_ray_values(fan, rng, m=None):
+    def value():
+        x = sc(rng.randint(-9, 9)) / sc(rng.randint(1, 5))
+        if m and rng.random() < 0.5:
+            x = x + sc(rng.randint(-3, 3)) * ScalarField(m).parse(f"0+1r{m}")
+        return x
+    return {rid: value() for rid in fan.ray_ids()}
+
+
+def test_from_ray_values_is_the_solved_form():
+    # on a full-dimensional cone the form with given ray values is unique,
+    # so the dual-basis read-off must give solve's form exactly
+    rng = random.Random(30)
+    cases = _fan_cold_fans()
+    assert {len(f.cones[m].rays) for f, _ in cases for m in f.maximal_ids} \
+        == {3, 4}           # the prisms' square cones are among them
+    bipyramid = _sqrt2_bipyramid_face_fan()
+    cases += [(bipyramid, _seeded_ray_values(bipyramid, rng, 2))]
+    r2 = ScalarField(2).parse("0+1r2")
+    pentagon = [(sc(1), sc(0)), (r2, sc(1)), (sc(-1), r2), (sc(-1), sc(-1)),
+                (sc(1), -r2)]
+    pentagon = fans.build_fan(2, [[pentagon[i - 1], pentagon[i]]
+                                  for i in range(5)], field=ScalarField(2))
+    square = fans.build_fan(2, [[(1, 0), (0, 1)], [(0, 1), (-1, 0)],
+                                [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+    product = fans.product_fan(pentagon, square)
+    assert product.n == 4 and len(product.maximal_ids) == 20
+    cases += [(product, _seeded_ray_values(product, rng, 2)),
+              (product, _seeded_ray_values(product, rng))]
+    checked = 0
+    for fan, values in cases:
+        want = forms_by_solve(fan, values)
+        assert None not in want.values()
+        got = fans.PLFunction.from_ray_values(fan, values).per_max
+        assert got == want
+        checked += len(want)
+    assert checked > 600
+
+
+def test_from_ray_values_rejects_inconsistent_values_on_a_square_cone():
+    fan = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (1, -1, 1),
+                              (-1, -1, 1)]])
+    rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
+    # the values of x + 2y + 3z, then one of them moved off that plane
+    values = {i: sc(r[0] + 2 * r[1] + 3 * r[2]) for r, i in rid.items()}
+    (m,) = fan.maximal_ids
+    assert fans.PLFunction.from_ray_values(fan, values).per_max[m] == \
+        (sc(1), sc(2), sc(3))
+    for r, i in rid.items():
+        moved = dict(values)
+        moved[i] = values[i] + sc(1) / sc(2)
+        assert forms_by_solve(fan, moved)[m] is None
+        with pytest.raises(ValueError, match="no linear form matches"):
+            fans.PLFunction.from_ray_values(fan, moved)
+
+
+def test_from_ray_values_on_a_lower_dimensional_cone():
+    # the duals' form takes the given ray values, simplicial or not; the
+    # form is not unique there, so only its values are asserted
+    rng = random.Random(31)
+    wedge = fans.build_fan(3, [[(1, 0, 0), (0, 1, 0)]])
+    square = fans.build_fan(4, [[(1, 1, 1, 0), (-1, 1, 1, 0), (1, -1, 1, 0),
+                                 (-1, -1, 1, 0)]])
+    for fan in (wedge, square):
+        (m,) = fan.maximal_ids
+        for _ in range(5):
+            if fan is wedge:    # any values on its two rays
+                values = _seeded_ray_values(fan, rng, 2)
+            else:               # the values of a form
+                form = tuple(sc(rng.randint(-5, 5)) for _ in range(fan.n))
+                values = {i: vdot(form, fan.cones[i].rays[0])
+                          for i in fan.ray_ids()}
+            got = fans.PLFunction.from_ray_values(fan, values)
+            for i in fan.ray_ids():
+                assert vdot(got.per_max[m], fan.cones[i].rays[0]) == \
+                    values[i]
+    rid = square.ray_ids()
+    values = {i: sc(1) for i in rid}
+    values[rid[0]] = sc(2)
+    with pytest.raises(ValueError, match="no linear form matches"):
+        fans.PLFunction.from_ray_values(square, values)
+
+
+def _random_generators(rng, n, m):
+    """A seeded generator set in R^n: random small vectors, sometimes a
+    pair g, -g, sometimes inside a coordinate hyperplane (lower
+    dimension), sometimes a combination of the others (dependent)."""
+    r = ScalarField(m).parse(f"0+1r{m}") if m else None
+
+    def coord():
+        x = sc(rng.randint(-2, 2))
+        if r is not None and rng.random() < 0.3:
+            x = x + sc(rng.randint(-1, 1)) * r
+        return x
+
+    gens = []
+    for _ in range(rng.randint(1, n + 3)):
+        g = [coord() for _ in range(n)]
+        if rng.random() < 0.3:
+            g[-1] = ZERO
+        gens.append(g)
+    if rng.random() < 0.3:
+        g = rng.choice(gens)
+        gens.append([-x for x in g])
+    if rng.random() < 0.3 and len(gens) > 1:
+        a, b = rng.sample(gens, 2)
+        gens.append([x + y for x, y in zip(a, b)])
+    return [g for g in gens if any(g)] or [[ONE] * n]
+
+
+@pytest.mark.parametrize("m", (None, 2))
+def test_pointedness_is_the_rank_criterion(m):
+    rng = random.Random(40 + (m or 0))
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        gens = _random_generators(rng, n, m)
+        pointed = pointed_by_rank(gens, n)
+        try:
+            fans.Cone.from_generators(gens, n)
+            got = "cone"
+        except fans.RedundantGenerator:
+            got = "redundant"
+        except ValueError as e:
+            assert str(e) == "cone is not pointed", e
+            got = "not pointed"
+        assert (got != "not pointed") == pointed, gens
+        geom = fans.cone_geometry(
+            tuple(sorted({fans.canonical_direction(fans.vec(g))
+                          for g in gens})), n)
+        seen.add((got, geom.dim < n))
+    # pointed, redundant and not pointed, in full and lower dimension
+    assert seen == {(got, low) for got in ("cone", "redundant", "not pointed")
+                    for low in (False, True)}
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 0), (-1, 0), (0, 1)],                      # the half-plane
+    [(1, 0), (-1, 0), (0, 1), (0, -1)],             # the plane
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)],  # a wedge with a line
+    [(1, 0, 0), (-1, 0, 0)],                        # a line in R^3
+], ids=["half-plane", "plane", "wedge", "line"])
+def test_nonpointed_cones_raise(gens):
+    n = len(gens[0])
+    assert not pointed_by_rank(gens, n)
+    with pytest.raises(ValueError, match="cone is not pointed"):
+        fans.Cone.from_generators(gens, n)
 
 
 def test_canonical_direction_of_canonical_input():

@@ -19,7 +19,7 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            pair_to_json_dict)
 from conftest import cached_pair, dodecahedron_vertices, golden_field
 from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
-                     full_greedy, global_sections, gram_loop,
+                     carriers_by_star_scan, full_greedy, global_sections, gram_loop,
                      materialized_values, profile_with_centers, reduce_mod,
                      relative_ih, relative_sections, star_link, validate,
                      vdot_loop)
@@ -134,6 +134,34 @@ def test_pair_pieces_and_carriers(cube_fan):
             assert p.carrier(pid) == m
     total = sum(len(p.pieces(m)) for m in p.fan.maximal_ids)
     assert total == len(p.subdivided.maximal_ids)
+
+
+def test_carriers_are_the_star_scan(orthant_fan, quadrant_fan, prism_fan):
+    # a subdivided cone with a coarse cone's key is its own carrier; every
+    # carrier must be the one the star rule alone finds
+    line = build_fan(1, [[(1,)], [(-1,)]])
+    cube_normal, _ = fans.normal_fan(
+        [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)])
+    pairs = [cached_pair(orthant_fan),
+             cached_pair(product_fan(quadrant_fan, quadrant_fan)),
+             cached_pair(prism_fan)]
+    for fan in (cube_normal, product_fan(prism_fan, line)):
+        pairs.append(DistinguishedPair(fan, *barycentric_subdivision(fan)))
+    prism = pairs[2]
+    centers = {key: v for v, key in prism.steps}
+    pairs += [flatten_boundary(prism, cid, centers[c.rays])[0]
+              for cid, c in prism_fan.cones.items() if not c.is_simplicial()]
+    own = 0
+    for pair in pairs:
+        want = carriers_by_star_scan(pair)
+        assert {t: pair.carrier(t) for t in pair.subdivided.cones} == want
+        own += sum(pair.fan.cones[want[t]].rays == c.rays
+                   for t, c in pair.subdivided.cones.items())
+        for cid in pair.fan.cones:
+            assert all(want[t] == cid for t in pair.pieces(cid))
+    # the 4D product's subdivision has 1,697 cones; the simplicial pairs
+    # give over a hundred cones their own carrier
+    assert len(pairs[4].subdivided.cones) > 1000 and own > 100
 
 
 def test_subdivided_cone_outside_the_coarse_fan_is_rejected():
