@@ -140,7 +140,7 @@ def digest(cases, src=ROOT / "src"):
     cli, cohomology, exactlin = load(src)
 
     def run(argv):
-        cohomology._profile_cache.clear()
+        cohomology.profile_for_fan.cache_clear()
         before = exactlin.modp_fallbacks
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

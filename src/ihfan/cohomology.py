@@ -17,7 +17,6 @@ ever solved for.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from math import comb
 
 from .exactlin import Matrix, inverse, rank, signature, vdot
@@ -54,22 +53,21 @@ def _g_from_h(h, dim):
     return g
 
 
-def _cone_lattice_h(fan, cid, memo):
-    # h-polynomial of the cross-section lattice of the cone cid, over its
-    # faces in the fan; the zero cone plays the empty face (dim -1
-    # cross-section)
-    got = memo.get(cid)
-    if got is not None:
-        return got
-    d = fan.cones[cid].dim
+def _cone_lattice_h(fan, d, faces, memo):
+    """The h-polynomial of the cross-section lattice of a cone of dim d
+    with these faces in the fan: the sum over the faces f of
+    g(f)(t-1)^(d-1-dim f), each face's own h kept in memo by id.  The zero
+    cone plays the empty face (a cross-section of dim -1), and the whole
+    fan is the cone of dim n + 1 whose faces are all its cones."""
     acc = [0] * d if d else [1]
-    for f in fan.faces_of[cid]:
+    for f in faces:
         fd = fan.cones[f].dim
-        term = convolve_h(_g_from_h(_cone_lattice_h(fan, f, memo), fd - 1),
-                          _tminus1_pow(d - 1 - fd))
+        h = memo.get(f)
+        if h is None:
+            h = memo[f] = _cone_lattice_h(fan, fd, fan.faces_of[f], memo)
+        term = convolve_h(_g_from_h(h, fd - 1), _tminus1_pow(d - 1 - fd))
         for i, c in enumerate(term):
             acc[i] += c
-    memo[cid] = acc
     return acc
 
 
@@ -78,38 +76,18 @@ def toric_h_of_fan(fan: Fan):
     g(cone)(t-1)^(n - dim); agrees with the section-space dimensions for
     complete fans, and on face fans with the face-lattice recursion of the
     tests' oracles."""
-    n = fan.n
-    memo = {}
-    acc = [0] * (n + 1)
-    for c in fan.cones.values():
-        g = _g_from_h(_cone_lattice_h(fan, c.id, memo), c.dim - 1)
-        term = convolve_h(g, _tminus1_pow(n - c.dim))
-        for i, x in enumerate(term):
-            acc[i] += x
-    return tuple(acc)
+    return tuple(_cone_lattice_h(fan, fan.n + 1, fan.cones, {}))
 
 
 # -- profiles --------------------------------------------------------------
 
 
-_PROFILE_CACHE_SIZE = 32
-_profile_cache = OrderedDict()
-
-
+@functools.lru_cache(maxsize=32)
 def profile_for_fan(fan: Fan):
-    """The GradedIH of a fan's distinguished pair, from a session cache over
-    the canonical fan holding the 32 most recently used profiles; profiles
-    are immutable."""
-    key = fan.canonical_json()
-    prof = _profile_cache.get(key)
-    if prof is None:
-        prof = GradedIH(build_distinguished_pair(fan))
-        _profile_cache[key] = prof
-        if len(_profile_cache) > _PROFILE_CACHE_SIZE:
-            _profile_cache.popitem(last=False)
-    else:
-        _profile_cache.move_to_end(key)
-    return prof
+    """The GradedIH of a fan's distinguished pair, from a process-wide cache
+    of the 32 most recently used fans, equal fans sharing one entry;
+    profiles are immutable."""
+    return GradedIH(build_distinguished_pair(fan))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -128,22 +106,13 @@ def evaluate_fast(ctx: EvaluationContext, per_max):
 
 def pairing_matrix(profile: GradedIH, d):
     """Matrix of the duality pairing IH^d x IH^(2n-d) in the stored bases;
-    raises when it is rank-deficient.  Read from the profile's certified
-    matrices when it has them (the pairing at d > n is the transpose of the
-    one at 2n - d)."""
+    raises when it is rank-deficient.  The profile's pairing at d <= n
+    (GradedIH.pairing), and its transpose at 2n - d for d > n."""
     n = profile.pair.fan.n
     if d % 2 or d < 0 or d > 2 * n:
         raise ValueError("pairing needs an even grading in [0, 2n]")
-    grams = profile.grams
-    if grams:
-        return grams[d] if d <= n else grams[2 * n - d].transpose()
-    mat = profile.lefschetz_gram(None, d, 2 * n - d)
-    r = rank(mat)
-    if not mat.nrows == mat.ncols == r:
-        raise ValueError(
-            f"duality pairing at grading {d} is degenerate "
-            f"({mat.nrows} x {mat.ncols}, rank {r})")
-    return mat
+    return profile.pairing(d) if d <= n else \
+        profile.pairing(2 * n - d).transpose()
 
 
 def lefschetz_matrix(profile: GradedIH, l: PLFunction, d):
@@ -152,7 +121,7 @@ def lefschetz_matrix(profile: GradedIH, l: PLFunction, d):
     the pairing at d, so A = G^-1 (G A)."""
     if d % 2 or d < 0 or d > profile.pair.fan.n:
         raise ValueError("Lefschetz matrices start at an even grading <= n")
-    return inverse(pairing_matrix(profile, d))[0].mul(
+    return inverse(pairing_matrix(profile, d)).mul(
         profile.lefschetz_gram(l, d, d))
 
 
@@ -199,7 +168,7 @@ def hrm_check(profile: GradedIH, l: PLFunction):
     rows = []
     for d in range(0, profile.pair.fan.n + 1, 2):
         bmat = profile.lefschetz_gram(l, d, d)
-        sig = signature(bmat) if bmat.nrows else (0, 0)
+        sig = signature(bmat)
         expected = _expected_signature(hvec, d)
         prim = profile.primitive_coeffs(d, l)
         pdim = len(prim)

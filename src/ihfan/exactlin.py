@@ -19,8 +19,10 @@ Linear algebra entry points:
 - sparse_eliminate (the reduced row echelon form, exact or mod p),
   first_independent (the first-independent basis of a list of vectors),
   rank and kernel_basis, all built on echelon_insert;
-- inverse, which also returns the determinant (the product of the pivot
-  values, signed by the pivot permutation);
+- dual_basis, the one tagged Gauss-Jordan pass: the rows independent of
+  those before them, completed by unit vectors, and the columns and the
+  determinant of the inverse of that square matrix; inverse reads a
+  square matrix's inverse off it;
 - signature, by congruence diagonalisation;
 - the large systems, eliminated modulo primes: sparse_kernel (kernel
   bases, certified exactly; kernel_basis is built on it), and the rows
@@ -245,9 +247,6 @@ class Scalar:
         if d1 == d2:
             return _sign(self.p - other.p, self.q - other.q, m)
         return _sign(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, m)
-
-    def is_zero(self):
-        return not self.p and not self.q
 
     def __bool__(self):
         return bool(self.p or self.q)
@@ -750,31 +749,51 @@ def kernel_basis(m):
     return [tuple(v.get(j, ZERO) for j in range(m.ncols)) for v in basis]
 
 
+def dual_basis(rows, k):
+    """(basis, comp, duals, det) for rows in R^k: the indices of the rows
+    independent of those before them, the first unit vectors that complete
+    them, and the columns and determinant of the inverse of that square
+    matrix.  The columns dual to the unit vectors are the kernel of the rows
+    as the reduced echelon with pivots comp; those dual to the basis rows
+    are zero at comp.  One Gauss-Jordan pass on [rows | 1], the only tagged
+    elimination of the package: the t-th row kept carries the tag column
+    k + t, and a row with nothing left below column k is skipped before it
+    is tagged.  The determinant is the product of the pivot values times
+    the sign of the permutation taking each kept row to its pivot column."""
+    ech, kept, pivots, det = {}, [], [], ONE
+    units = ({c: ONE} for c in range(k))
+    for i, a in enumerate(itertools.chain(
+            (dict(enumerate(a)) for a in rows), units)):
+        if len(kept) == k:
+            break
+        r = echelon_reduce(ech, a)
+        if not r or min(r) >= k:
+            continue
+        r[k + len(kept)] = ONE
+        c, piv = echelon_insert(ech, r)
+        kept.append(i)
+        pivots.append(c)
+        det = det * piv
+    if sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1:]) % 2:
+        det = -det
+    basis = [i for i in kept if i < len(rows)]
+    comp = [i - len(rows) for i in kept if i >= len(rows)]
+    duals = [tuple(ech[c].get(k + t, ZERO) for c in range(k))
+             for t in range(k)]
+    return basis, comp, duals, det
+
+
 def inverse(m):
-    """(inverse, determinant) of a square matrix from one Gauss-Jordan
-    elimination on [m | 1]; raises ValueError when the matrix is singular.
-    The determinant is the product of the pivot values times the sign of
-    the permutation taking each row to its pivot column."""
+    """The inverse of a square matrix, read off the dual basis of its rows
+    (its columns are the duals); raises ValueError when the matrix is
+    singular, that is when a unit vector completes its rows."""
     n = m.nrows
     if m.ncols != n:
         raise ValueError("square matrix needed")
-    ech = {}
-    cols = []
-    d = ONE
-    for i, r in enumerate(m.entries):
-        row = {j: x for j, x in enumerate(r) if x}
-        row[n + i] = ONE
-        c, piv = echelon_insert(ech, row)
-        if c >= n:
-            # the row's part in m lies in the span of the rows before it
-            raise ValueError("matrix is singular")
-        cols.append(c)
-        d = d * piv
-    if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2:
-        d = -d
-    inv = Matrix([[ech[c].get(n + j, ZERO) for j in range(n)]
-                  for c in range(n)], ncols=n)
-    return inv, d
+    basis, _, duals, _ = dual_basis(m.entries, n)
+    if len(basis) < n:
+        raise ValueError("matrix is singular")
+    return Matrix(zip(*duals), ncols=n)
 
 
 def signature(m):
@@ -786,7 +805,7 @@ def signature(m):
     a = [list(r) for r in m.entries]
     p = q = 0
     for k in range(n):
-        if a[k][k].is_zero():
+        if not a[k][k]:
             # bring a nonzero onto the diagonal: first try a later diagonal
             # entry, else fold in a row with a nonzero off-diagonal entry
             swap = next((i for i in range(k + 1, n) if a[i][i]), None)
@@ -803,7 +822,7 @@ def signature(m):
                 for t in range(n):
                     a[t][k] = a[t][k] + a[t][j]
         piv = a[k][k]
-        if piv.is_zero():
+        if not piv:
             continue
         if piv.sign() > 0:
             p += 1
@@ -866,19 +885,13 @@ def _embeddings(m):
 
 
 def cleared(vec):
-    """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0;
-    B is empty over Q.  Scaling a vector changes neither its independence
-    nor the kernel of a row system, and no denominator is left for p to
-    divide."""
-    den = lcm(*{x.d for x in vec.values()})
-    a_part, b_part = {}, {}
-    for k, x in vec.items():
-        f = den // x.d
-        if x.p:
-            a_part[k] = x.p * f
-        if x.q:
-            b_part[k] = x.q * f
-    return a_part, b_part, den
+    """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0,
+    without their zero entries; B is empty over Q.  _ints on vec's values.
+    Scaling a vector changes neither its independence nor the kernel of a
+    row system, and no denominator is left for p to divide."""
+    a, b, den, _ = _ints(vec.values())
+    return ({k: x for k, x in zip(vec, a) if x},
+            {k: x for k, x in zip(vec, b or ()) if x}, den)
 
 
 def _image(a_part, b_part, t, p):
@@ -1090,11 +1103,8 @@ def residue_map(m):
     first prime of _embeddings(m), and residue maps (p + q*sqrt(m))/d to
     (p + q*s) * d^-1 mod P, s the first image of sqrt(m), a ring map on the
     field's scalars whose denominators P does not divide.  It raises
-    ValueError on any other scalar.  None when there is no prime."""
-    got = next(iter(_embeddings(m)), None)
-    if got is None:
-        return None
-    prime, (s, *_) = got
+    ValueError on any other scalar."""
+    prime, (s, *_) = next(_embeddings(m))
 
     def residue(x):
         d = x.d

@@ -13,8 +13,9 @@ extreme when the generators on every facet through g have only g in
 common (every face of a pointed cone is an intersection of facets), and an
 intersection is the hull of both cones' facet inequalities.  A cone's
 dimension, equations, hull start, duals and determinant come from one
-Gauss-Jordan elimination of its rays (``_dual_basis``), and so do the
-conewise linear forms with given ray values (``PLFunction.from_ray_values``).
+Gauss-Jordan elimination of its rays (``exactlin.dual_basis``), and so do
+the conewise linear forms with given ray values
+(``PLFunction.from_ray_values``).
 Independent generators span a simplicial cone, which is pointed with every
 generator extreme, so only dependent generator sets are checked for both,
 on the facets of their hull.
@@ -29,15 +30,12 @@ ids are stable across runs and across re-parsing of emitted JSON.
 from __future__ import annotations
 
 import functools
-import itertools
-import json
 
 from .exactlin import (
     ScalarField,
     ZERO,
     ONE,
-    echelon_insert,
-    echelon_reduce,
+    dual_basis,
     first_independent,
     format_scalar,
     gram,
@@ -70,10 +68,6 @@ def vneg(u):
     return tuple(-a for a in u)
 
 
-def is_zero_vec(u):
-    return all(x.is_zero() for x in u)
-
-
 def canonical_direction(u):
     """Scale so the first nonzero coordinate has absolute value 1; this is
     the canonical representative of a ray (or of a covector up to positive
@@ -101,43 +95,11 @@ def format_vector(u):
 # -- cone geometry (cached by ray key) -------------------------------------
 
 
-def _dual_basis(rows, k):
-    """(basis, comp, duals, det) for rows in R^k: the indices of the rows
-    independent of those before them, the first unit vectors that complete
-    them, and the columns and determinant of the inverse of that square
-    matrix.  The columns dual to the unit vectors are the kernel of the rows
-    as the reduced echelon with pivots comp; those dual to the basis rows
-    are zero at comp.  One Gauss-Jordan pass on [rows | 1], as in
-    exactlin.inverse: the t-th row kept carries the tag column k + t, and a
-    row with nothing left below column k is skipped before it is tagged."""
-    ech, kept, pivots, det = {}, [], [], ONE
-    units = ({c: ONE} for c in range(k))
-    for i, a in enumerate(itertools.chain(
-            (dict(enumerate(a)) for a in rows), units)):
-        if len(kept) == k:
-            break
-        r = echelon_reduce(ech, a)
-        if not r or min(r) >= k:
-            continue
-        r[k + len(kept)] = ONE
-        c, piv = echelon_insert(ech, r)
-        kept.append(i)
-        pivots.append(c)
-        det = det * piv
-    if sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1:]) % 2:
-        det = -det
-    basis = [i for i in kept if i < len(rows)]
-    comp = [i - len(rows) for i in kept if i >= len(rows)]
-    duals = [tuple(ech[c].get(k + t, ZERO) for c in range(k))
-             for t in range(k)]
-    return basis, comp, duals, det
-
-
 def _dd(rows, basis, duals):
     """Extreme rays of the pointed cone {y in span(duals) : a . y >= 0 for
     every row a}, each with the sorted indices of the rows it is zero on;
     duals[j] is 1 on rows[basis[j]] and 0 on the other basis rows, as
-    _dual_basis gives them.  Incremental double description (Motzkin et al.
+    dual_basis gives them.  Incremental double description (Motzkin et al.
     1953; Fukuda and Prodon 1996): start from the simplicial cone of the
     basis rows, whose rays are the duals, then add the other rows one at a
     time.  A new row keeps the rays on its nonnegative side and joins each
@@ -209,7 +171,7 @@ class _ConeGeometry:
     def __init__(self, rays, n):
         self.n = n
         self.rays = rays
-        basis, comp, cols, self.det = _dual_basis(rays, n)
+        basis, comp, cols, self.det = dual_basis(rays, n)
         self.basis = tuple(basis)
         self.dim = len(basis)
         self.duals = tuple(cols[:self.dim])
@@ -267,7 +229,7 @@ class Cone:
         for i, g in enumerate(gens):
             if len(g) != n:
                 raise ValueError("generator length does not match ambient dim")
-            if is_zero_vec(g):
+            if not any(g):
                 raise ValueError(f"generator {i} of a cone is the zero vector")
         gens = tuple(sorted({canonical_direction(g) for g in gens}))
         geom = cone_geometry(gens, n)
@@ -309,7 +271,7 @@ def _intersect_keys(g1, g2, n):
     lie in that kernel: they start the hull."""
     eqs = [row for _, row in g1.equations + g2.equations]
     forms = sorted(set(g1.facet_forms) | set(g2.facet_forms))
-    basis, _, duals, _ = _dual_basis(eqs + forms, n)
+    basis, _, duals, _ = dual_basis(eqs + forms, n)
     start = [(i - len(eqs), y) for i, y in zip(basis, duals) if i >= len(eqs)]
     return tuple(sorted(
         canonical_direction(y)
@@ -479,6 +441,9 @@ class Fan:
         return isinstance(other, Fan) and self.n == other.n and \
             self.field == other.field and self.max_key_set() == other.max_key_set()
 
+    def __hash__(self):
+        return hash((self.n, self.field, self.max_key_set()))
+
     def __repr__(self):
         return f"Fan(n={self.n}, cones={len(self.cones)}, maximal={len(self.maximal_ids)})"
 
@@ -496,10 +461,6 @@ class Fan:
             "maximal_cones": mx,
         }
 
-    def canonical_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
 
 def fan_from_json_dict(obj):
     for k in ("field", "dim", "rays", "maximal_cones"):
@@ -514,7 +475,7 @@ def fan_from_json_dict(obj):
     for i, r in enumerate(rays):
         if len(r) != n:
             raise ValueError("ray length does not match dim")
-        if is_zero_vec(r):
+        if not any(r):
             raise ValueError(f"ray {i} is the zero vector")
         rays[i] = canonical_direction(r)
     gen_sets = []
@@ -554,7 +515,7 @@ def wall_equations(fan: Fan, wid):
     """The equations of the (n-1)-cone wid, as its geometry would give
     them, read off its first owner, an n-cone: the owner's facet form
     through it, scaled to 1 at its first nonzero coordinate, the unit
-    vector that completes the wall's rays in _dual_basis."""
+    vector that completes the wall's rays in dual_basis."""
     owner = fan.cones[fan.cofaces_of[wid][0]].geometry()
     w = owner.facet_forms[owner.facet_ray_keys.index(fan.cones[wid].rays)]
     p = next(i for i, x in enumerate(w) if x)

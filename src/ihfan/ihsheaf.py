@@ -84,7 +84,7 @@ def projection_along(v, n, span_vectors):
     basis = first_independent(
         [fans.vsub(u, fans.vscale(vdot(x, u), v)) for u in span_vectors])
     b = Matrix(basis, ncols=n)
-    c = inverse(b.mul(b.transpose()))[0].mul(b)
+    c = inverse(b.mul(b.transpose())).mul(b)
     cv = c.apply(v)
     proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
                    for i in range(len(basis))], ncols=n)
@@ -97,7 +97,7 @@ def lift_over_span(proj, rays, n):
     flattened cone): bt (proj bt)^-1 for bt the first independent rays as
     columns, an (ambient x quotient) matrix with proj . lift = identity."""
     bt = Matrix(first_independent(rays), ncols=n).transpose()
-    return bt.mul(inverse(proj.mul(bt))[0]).entries
+    return bt.mul(inverse(proj.mul(bt))).entries
 
 
 # -- section spaces and distinguished pairs --------------------------------
@@ -169,17 +169,14 @@ def _wall_images(eqs, n, m):
 
 def _add_images(rows, images, slots, monos, f, c, m):
     """Add c * images[e + f] to variable slots[i] of the rows, for the i-th
-    packed exponent e of monos, unless that slot is None.  The coefficient
-    c and the images are integers over Z[sqrt(m)], pairs (rational part,
-    sqrt(m) part), and so are the rows: a pair of dicts {reduced exponent:
-    {variable: int}}."""
+    packed exponent e of monos.  The coefficient c and the images are
+    integers over Z[sqrt(m)], pairs (rational part, sqrt(m) part), and so
+    are the rows: a pair of dicts {reduced exponent: {variable: int}}."""
     ca, cb = c
     # (part of the image, part of the rows, factor)
     terms = [t for t in ((0, 0, ca), (1, 1, ca), (0, 1, cb),
                          (1, 0, cb * m if cb else 0)) if t[2]]
     for col, e in zip(slots, monos):
-        if col is None:
-            continue
         img = images[e + f]
         for src, dst, x in terms:
             out = rows[dst]
@@ -277,14 +274,14 @@ def _section_spaces(pair, gradings):
     grading reads the next."""
     fan, sub = pair.fan, pair.subdivided
     joins, walls = {}, []
-    for tid in pair.facet_piece_ids():
+    for tid in pair.facet_piece_ids:
         owners = sub.cofaces_of[tid]
         if len(owners) != 2 or \
-                pair.carrier(owners[0]) == pair.carrier(owners[1]):
+                pair.carrier[owners[0]] == pair.carrier[owners[1]]:
             continue
-        cones = [fan.cones[pair.carrier(hat)] for hat in owners]
+        cones = [fan.cones[pair.carrier[hat]] for hat in owners]
         if all(c.is_simplicial() for c in cones):
-            face = fan.cones[pair.carrier(tid)].rays
+            face = fan.cones[pair.carrier[tid]].rays
             join = tuple((c.id, tuple(c.rays.index(r) for r in face))
                          for c in cones)
             joins[join] = None
@@ -409,7 +406,7 @@ class _Sections:
             # of the monomials they multiply, packed exponent)
             coeffs = {}
             for hat, sign in zip(owners, (1, -1)):
-                mid = pair.carrier(hat)
+                mid = pair.carrier[hat]
                 cone = fan.cones[mid]
                 if cone.is_simplicial():
                     # each column's own polynomial, times the monomial 1
@@ -474,11 +471,14 @@ class DistinguishedPair:
     generators, each a (grading, sections) pair where sections maps the
     cone's pieces (subdivided-cone ids) to homogeneous polynomials of degree
     grading/2; a simplicial cone's stalk is the constant 1, which its
-    section columns presume (_Sections).  The owners of a facet piece are
-    its cofaces in the subdivision."""
+    section columns presume (_Sections).  carrier maps each subdivided cone
+    to the smallest coarse cone containing it, pieces each coarse cone to
+    the subdivided cones of its dimension that it carries, and
+    facet_piece_ids lists the subdivided (n-1)-cones, whose owners are
+    their cofaces in the subdivision."""
 
-    __slots__ = ("fan", "subdivided", "steps", "stalks",
-                 "_carrier", "_pieces", "_facet_pieces")
+    __slots__ = ("fan", "subdivided", "steps", "stalks", "carrier",
+                 "pieces", "facet_piece_ids")
 
     def __init__(self, fan, subdivided, steps, stalks=None):
         self.fan = fan
@@ -495,15 +495,15 @@ class DistinguishedPair:
         # carriers as a face, so it is the smallest coarse cone that does.
         # Ids go up with dimension, so rays come before the cones they
         # span, and the smallest cone has the smallest id.
-        self._carrier = {}
-        self._pieces = {cid: [] for cid in fan.cones}
+        self.carrier = {}
+        self.pieces = {cid: [] for cid in fan.cones}
         for tid in sorted(subdivided.cones):
             tc = subdivided.cones[tid]
             car = fan.id_by_key.get(tc.rays)
             if car is None and tc.dim == 1:
                 car = fan.locate(tc.rays[0])
             elif car is None and tc.dim > 1:
-                ray_cars = {self._carrier[f] for f in subdivided.faces_of[tid]
+                ray_cars = {self.carrier[f] for f in subdivided.faces_of[tid]
                             if subdivided.cones[f].dim == 1}
                 first = min(ray_cars)
                 car = min((c for c in fan.star_ids(first)
@@ -511,24 +511,13 @@ class DistinguishedPair:
                           default=None)
             if car is None:
                 raise ValueError("subdivided cone escapes the coarse fan")
-            self._carrier[tid] = car
+            self.carrier[tid] = car
             if fan.cones[car].dim == tc.dim:
-                self._pieces[car].append(tid)
-        self._pieces = {cid: tuple(v) for cid, v in self._pieces.items()}
-        self._facet_pieces = tuple(
+                self.pieces[car].append(tid)
+        self.pieces = {cid: tuple(v) for cid, v in self.pieces.items()}
+        self.facet_piece_ids = tuple(
             c.id for c in subdivided.cones_of_dim(fan.n - 1))
         self.stalks = dict(stalks) if stalks else {}
-
-    # -- structure ---------------------------------------------------------
-
-    def carrier(self, tid):
-        return self._carrier[tid]
-
-    def pieces(self, cid):
-        return self._pieces[cid]
-
-    def facet_piece_ids(self):
-        return self._facet_pieces
 
 
 def build_distinguished_pair(fan: Fan):
@@ -549,7 +538,7 @@ def build_distinguished_pair(fan: Fan):
     for cid, c in fan.cones.items():
         if c.is_simplicial():
             pair.stalks[cid] = ((0, {pid: Polynomial.constant(fan.n, 1)
-                                     for pid in pair.pieces(cid)}),)
+                                     for pid in pair.pieces[cid]}),)
         else:
             pair.stalks[cid] = flattened_stalk(pair, cid, centers[c.rays])
     return pair
@@ -578,7 +567,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     # facets' own rays, projected once
     image = {}
     for f in facets:
-        for pid in pair.pieces(f):
+        for pid in pair.pieces[f]:
             for r in sub.cones[pid].rays:
                 if r not in image:
                     image[r] = canonical_direction(proj.apply(r))
@@ -589,7 +578,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     lam = Fan(m, fan.field, [key(fan.cones[f].rays) for f in facets],
               check=False)
     lam_sub = Fan(m, fan.field, [key(sub.cones[pid].rays) for f in facets
-                                 for pid in pair.pieces(f)], check=False)
+                                 for pid in pair.pieces[f]], check=False)
     stalks, forms = {}, {}
     for f in facets:
         rays = fan.cones[f].rays
@@ -603,7 +592,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     vray = canonical_direction(v)
     pieces = {pid: lam_sub.id_by_key[key(
         r for r in sub.cones[pid].rays if r != vray)]
-        for pid in pair.pieces(cid)}
+        for pid in pair.pieces[cid]}
     return (DistinguishedPair(lam, lam_sub, (), stalks=stalks),
             fans.PLFunction(lam, forms, check=False), proj, pieces)
 
@@ -659,7 +648,7 @@ class EvaluationContext:
         self.frame_z = duals if fan is sub else _at(z, {
             mid: _frame(fan.cones[mid].rays, n)[0] for mid in fan.maximal_ids})
         self.gens_z = {m: tuple(ONE if v == ONE else v for v in (
-            sec[m].evaluate(z) for _, sec in pair.stalks[pair.carrier(m)]))
+            sec[m].evaluate(z) for _, sec in pair.stalks[pair.carrier[m]]))
             for m in self.inv_phi_z}
 
 
@@ -681,14 +670,15 @@ class GradedIH:
     builds the candidates mod P from residues (exactlin.residue_map) and
     certifies the choice by Poincare duality.  The pivot rows and the
     representatives fill the dimension and are independent mod P, so
-    independent: h_d <= len(comps[d]).  When the pairing matrix between the representatives of
-    gradings d and 2n - d is square and nonsingular for every even d <= n,
-    the classes of both lists are independent (the evaluation vanishes on
-    ideal multiples), so h_d >= len(comps[d]) and the representatives are
-    bases; those matrices are kept as grams for cohomology.pairing_matrix.
-    When there is no prime, a coefficient has no residue or the pairing
-    fails, everything is selected again exactly and exactlin.modp_fallbacks
-    goes up by 1.  Every other pair selects exactly.  A profile raises
+    independent: h_d <= len(comps[d]).  When the pairing matrix between the
+    representatives of gradings d and 2n - d (pairing) is square and
+    nonsingular for every even d <= n, the classes of both lists are
+    independent (the evaluation vanishes on ideal multiples), so
+    h_d >= len(comps[d]) and the representatives are bases.  When a
+    coefficient has no residue or the pairing fails, everything is
+    selected again exactly and exactlin.modp_fallbacks goes up by 1.  Every
+    other pair selects exactly.  Either way grams keeps each pairing matrix
+    once it is built, for cohomology.pairing_matrix.  A profile raises
     ValueError unless h_0 = 1 (connected support).
 
     Everything about a Lefschetz operator l (the pairing, HL ranks, HRM
@@ -707,9 +697,10 @@ class GradedIH:
         self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
         cofaces = pair.subdivided.cofaces_of
         complete = cap is None and all(
-            len(cofaces[t]) == 2 for t in pair.facet_piece_ids())
-        modp = complete and exactlin.residue_map(pair.fan.field.m)
-        if not (modp and self._select(*modp) and self._certify()):
+            len(cofaces[t]) == 2 for t in pair.facet_piece_ids)
+        if not (complete and
+                self._select(*exactlin.residue_map(pair.fan.field.m)) and
+                self._certify()):
             if complete:
                 exactlin.record_fallback()
             self._select()
@@ -746,19 +737,30 @@ class GradedIH:
         return True
 
     def _certify(self):
-        """Keep the pairing matrix of every even grading d <= n as grams[d];
-        False unless each is square and nonsingular."""
+        """Build the pairing of every even grading d <= n (pairing); False
+        unless each is square and nonsingular, or when the evaluation
+        context cannot be built."""
         try:
-            self.context()
+            for d in range(0, self.pair.fan.n + 1, 2):
+                self.pairing(d)
         except ValueError:
             return False
-        n = self.pair.fan.n
-        for d in range(0, n + 1, 2):
-            mat = self.lefschetz_gram(None, d, 2 * n - d)
-            if not mat.nrows == mat.ncols == rank(mat):
-                return False
-            self.grams[d] = mat
         return True
+
+    def pairing(self, d):
+        """The pairing matrix between the representatives of the gradings
+        d <= n (rows) and 2n - d (columns), kept in grams; raises ValueError
+        when it is not square and nonsingular."""
+        mat = self.grams.get(d)
+        if mat is None:
+            mat = self.lefschetz_gram(None, d, 2 * self.pair.fan.n - d)
+            r = rank(mat)
+            if not mat.nrows == mat.ncols == r:
+                raise ValueError(
+                    f"duality pairing at grading {d} is degenerate "
+                    f"({mat.nrows} x {mat.ncols}, rank {r})")
+            self.grams[d] = mat
+        return mat
 
     def h_vector(self):
         return tuple(self.h[d] for d in range(0, self.cap + 1, 2))
@@ -806,7 +808,7 @@ class GradedIH:
             sums[(mid, j)] = sums.get((mid, j), ZERO) + c * y
         out = []
         for m, gens in ctx.gens_z.items():
-            mid = self.pair.carrier(m)
+            mid = self.pair.carrier[m]
             total = None
             for j, g in enumerate(gens):
                 s = sums.get((mid, j))
@@ -832,7 +834,7 @@ class GradedIH:
             at_z = gram(l.per_max.values(), None, (ctx.z,)).entries
             power = {mid: v ** k for mid, (v,) in zip(l.per_max, at_z)}
             carrier = self.pair.carrier
-            weights = [power[carrier(m)] * w
+            weights = [power[carrier[m]] * w
                        for m, w in ctx.inv_phi_z.items()]
         return gram(self.values(d).entries, weights, self.values(e).entries)
 
@@ -991,10 +993,10 @@ def pair_from_json_dict(obj):
             named = sorted(_json_key(
                 pid_s, f"a section map key of the stalk of cone {cid}")
                 for pid_s in sec)
-            if named != list(pair.pieces(cid)):
+            if named != list(pair.pieces[cid]):
                 raise ValueError(f"a section map of the stalk of cone {cid} "
                                  f"names cones {named}, not the cone's pieces "
-                                 f"{list(pair.pieces(cid))}")
+                                 f"{list(pair.pieces[cid])}")
             for pid_s, coeffs in sec.items():
                 pid = int(pid_s)
                 coeffs = _json_object(

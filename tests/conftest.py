@@ -1,22 +1,29 @@
 """Shared fan fixtures; pairs are cached per session since subdivision and
 stalk construction dominate the suite's runtime."""
 
+import functools
+
 import pytest
 
-from ihfan.exactlin import ScalarField, sc
+from ihfan.exactlin import ScalarField, residue_map, sc
 from ihfan.fans import build_fan, face_fan_with_support
 from ihfan.ihsheaf import build_distinguished_pair
 
-_pair_cache = {}
 
-
+@functools.cache
 def cached_pair(fan):
-    key = fan.canonical_json()
-    p = _pair_cache.get(key)
-    if p is None:
-        p = build_distinguished_pair(fan)
-        _pair_cache[key] = p
-    return p
+    return build_distinguished_pair(fan)
+
+
+def no_residue(m):
+    """exactlin.residue_map(m) with a residue that has no value: every
+    coefficient lacks a residue, so a complete profile selects exactly."""
+    prime, _ = residue_map(m)
+
+    def residue(x):
+        raise ValueError(f"{x!r} has no residue mod {prime}")
+
+    return prime, residue
 
 
 @pytest.fixture(scope="session")

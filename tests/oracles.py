@@ -47,28 +47,35 @@ road.
   absolute basis whose polynomial on every boundary piece's owner
   reduces to zero modulo the piece's equations.
 - Facts the package reads off data it holds, recomputed by elimination
-  (solve, forms_by_solve, pointed_by_rank, carriers_by_star_scan): a
-  conewise linear function's form on each maximal cone solved from its ray
-  values, pointedness as the rank of a cone's equations and facet forms,
-  and each subdivided cone's carrier found in the star of its first ray's
-  carrier.  The package reads the forms off each cone's dual basis
+  (solve, forms_by_solve, pointed_by_rank, carriers_by_star_scan,
+  tagged_inverse): a conewise linear function's form on each maximal cone
+  solved from its ray values, pointedness as the rank of a cone's
+  equations and facet forms, each subdivided cone's carrier found in the
+  star of its first ray's carrier, and a square matrix's inverse and
+  determinant from a Gauss-Jordan pass on [m | 1] that stops at the first
+  dependent row.  The package reads the forms off each cone's dual basis
   (fans.PLFunction.from_ray_values), pointedness off the facet rows of
-  the hull (fans.Cone.from_generators) and a carrier off the coarse fan's
-  key table where the keys agree (ihsheaf.DistinguishedPair).
+  the hull (fans.Cone.from_generators), a carrier off the coarse fan's
+  key table where the keys agree (ihsheaf.DistinguishedPair) and an
+  inverse off the dual basis of its rows (exactlin.inverse).
+- Fans as canonical JSON strings (canonical_json), equal exactly for
+  equal fans.  The package keys its profile cache by the fan itself
+  (fans.Fan.__eq__ and __hash__).
 - Skew products (skew_product): the cones (graph of phi over sigma) +
   delta for a conewise linear map phi, through the checked fan builder.
   The package builds only the ordinary product, directly from the padded
   ray keys (fans.product_fan); along the zero map the two agree.
 """
 
+import json
 from math import comb
 
 from ihfan import exactlin, fans
 from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
                               profile_for_fan)
 from ihfan.conewise import Polynomial
-from ihfan.exactlin import (ONE, ZERO, Matrix, echelon_insert, gram,
-                            inverse, rank, sc, sparse_eliminate)
+from ihfan.exactlin import (ONE, ZERO, Matrix, echelon_insert, gram, rank,
+                            sc, sparse_eliminate)
 from ihfan.fans import (Fan, PLFunction, build_fan, canonical_direction, vadd,
                         vec, vscale)
 from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame,
@@ -210,7 +217,7 @@ def evaluate(pair, f):
         raise ValueError("evaluation is defined in grading 2n")
     forms = dual_forms(pair)
     adjacency = {m: [] for m in sub_fan.maximal_ids}
-    for tid in pair.facet_piece_ids():
+    for tid in pair.facet_piece_ids:
         owners = sub_fan.cofaces_of[tid]
         if len(owners) == 2:
             a, b = owners
@@ -296,7 +303,7 @@ def multiple(sp, b, forms):
     for mid in fan.maximal_ids:
         cone = fan.cones[mid]
         if cone.is_simplicial():
-            p = polys[pair.pieces(mid)[0]].mul(
+            p = polys[pair.pieces[mid][0]].mul(
                 Polynomial.from_linear(forms[mid]))
             for e, c in p.compose(list(zip(*cone.rays))).coeffs.items():
                 out[(mid, 0, e)] = c
@@ -466,6 +473,41 @@ def carriers_by_star_scan(pair):
                       if ray_cars.issubset(fan.faces_of[c] + (c,)))
         out[tid] = car
     return out
+
+
+def tagged_inverse(m):
+    """(inverse, determinant) of a square matrix from one Gauss-Jordan
+    elimination on [m | 1]; raises ValueError when the matrix is singular.
+    The determinant is the product of the pivot values times the sign of
+    the permutation taking each row to its pivot column."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("square matrix needed")
+    ech = {}
+    cols = []
+    d = ONE
+    for i, r in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(r) if x}
+        row[n + i] = ONE
+        c, piv = echelon_insert(ech, row)
+        if c >= n:
+            # the row's part in m lies in the span of the rows before it
+            raise ValueError("matrix is singular")
+        cols.append(c)
+        d = d * piv
+    if sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2:
+        d = -d
+    inv = Matrix([[ech[c].get(n + j, ZERO) for j in range(n)]
+                  for c in range(n)], ncols=n)
+    return inv, d
+
+
+def canonical_json(fan):
+    """The fan's JSON form as one string with sorted keys and no spaces:
+    its rays in id order and its maximal cones as sorted index lists, so
+    two fans give the same string exactly when they are equal."""
+    return json.dumps(fan.to_json_dict(), sort_keys=True,
+                      separators=(",", ":"))
 
 
 # -- a second subdivision rule ---------------------------------------------
@@ -677,7 +719,7 @@ def boundary_facet_ids(fan):
 
 def boundary_piece_ids(pair):
     """The facet pieces of the pair's subdivision with one owner."""
-    return frozenset(t for t in pair.facet_piece_ids()
+    return frozenset(t for t in pair.facet_piece_ids
                      if len(pair.subdivided.cofaces_of[t]) == 1)
 
 
@@ -697,7 +739,7 @@ def relative_bases(pair, boundary=None, cap=None):
         for cid in boundary:
             if fan.cones[cid].dim != fan.n - 1:
                 raise ValueError("boundary cones must have codimension 1")
-            allowed.update(pair.pieces(cid))
+            allowed.update(pair.pieces[cid])
         if not allowed <= pieces:
             raise ValueError("listed cones are not boundary cones")
         pieces = allowed
@@ -868,7 +910,8 @@ def restrict_to_link(profile, ray_cid):
                     constant = c
                 elif c != constant:
                     reduct_ok = False
-    if constant != abs(inverse(Matrix([vrho] + b, ncols=n))[1]).inverse():
+    det = tagged_inverse(Matrix([vrho] + b, ncols=n))[1]
+    if constant != abs(det).inverse():
         reduct_ok = False
 
     rel, rel_h = relative_ih(star_pair)

@@ -1,21 +1,20 @@
 import random
-import types
 
 import pytest
 
 from ihfan.conewise import Polynomial
-from ihfan.exactlin import Matrix, ScalarField, inverse, rank, sc
+from ihfan import exactlin
+from ihfan.exactlin import ZERO, Matrix, ScalarField, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan)
-from ihfan import cohomology
-from ihfan.ihsheaf import (_section_spaces, build_distinguished_pair,
+from ihfan.ihsheaf import (GradedIH, _section_spaces, build_distinguished_pair,
                            projection_along)
 from ihfan.cohomology import (EvaluationContext, ds_check, convolve_h,
                               evaluate_fast, hl_rank_report, hrm_check,
                               kunneth_check, lefschetz_matrix,
                               pairing_matrix, profile_for_fan,
                               toric_h_of_fan)
-from conftest import cube_vertices, prism_vertices
+from conftest import cached_pair, cube_vertices, no_residue, prism_vertices
 import oracles
 from oracles import (ConewiseFunction, FaceLattice, as_function, dual_forms,
                      evaluate, exact_sequence_check, f_to_h, ideal_multiple,
@@ -167,7 +166,7 @@ def test_evaluate_normalization_is_basis_free(quadrant_fan):
 def test_evaluate_wedge_normalization(orthant_fan):
     pair = build_distinguished_pair(orthant_fan)
     for m, forms in dual_forms(pair).items():
-        d = inverse(Matrix(forms))[1]
+        d = oracles.tagged_inverse(Matrix(forms))[1]
         assert d in (sc(1), sc(-1))
 
 
@@ -245,16 +244,45 @@ def test_pairing_full_rank_suite(quadrant_fan, orthant_fan, cube_fan):
             assert rank(mat) == p.h[d]
 
 
+class _ZeroGram(GradedIH):
+    """A profile whose representatives all evaluate to zero: every Gram,
+    the pairing included, is zero."""
+
+    __slots__ = ()
+
+    def lefschetz_gram(self, l, d, e):
+        return Matrix([[ZERO] * self.h[e] for _ in range(self.h[d])],
+                      ncols=self.h[e])
+
+
 def test_pairing_rejects_degenerate(quadrant_fan):
-    # representatives that all evaluate to zero give a zero Gram
-    p = profile_for_fan(quadrant_fan)
-    zero_gram = lambda l, d, e: Matrix(
-        [[sc(0)] * p.h[e] for _ in range(p.h[d])], ncols=p.h[e])
-    fake = types.SimpleNamespace(
-        pair=types.SimpleNamespace(fan=types.SimpleNamespace(n=2)), h=p.h,
-        grams={}, lefschetz_gram=zero_gram)
-    with pytest.raises(ValueError):
-        pairing_matrix(fake, 2)
+    # the zero pairing fails the certificate, so the profile selects
+    # exactly, and it raises at every grading, below and above n
+    before = exactlin.modp_fallbacks
+    p = _ZeroGram(cached_pair(quadrant_fan))
+    assert exactlin.modp_fallbacks == before + 1
+    assert p.h_vector() == (1, 2, 1) and p.grams == {}
+    for d in (0, 2, 4):
+        with pytest.raises(ValueError, match="degenerate"):
+            pairing_matrix(p, d)
+    assert p.grams == {}
+
+
+def test_fallback_profile_keeps_its_pairing(monkeypatch, cube_fan):
+    # a profile selected exactly has no certificate: its pairing is built
+    # on the first call, kept, and read back (transposed above n)
+    pair = cached_pair(cube_fan)
+    with monkeypatch.context() as mp:
+        mp.setattr(exactlin, "residue_map", no_residue)
+        p = GradedIH(pair)
+    certified = GradedIH(pair)
+    assert p.grams == {} and sorted(certified.grams) == [0, 2]
+    for d in (0, 2):
+        mat = pairing_matrix(p, d)
+        assert p.grams[d] is mat
+        assert pairing_matrix(p, d) is mat
+        assert pairing_matrix(p, 6 - d) == mat.transpose()
+        assert mat == pairing_matrix(certified, d)
 
 
 def test_multiplication_is_self_adjoint(quadrant_fan, orthant_fan,
@@ -417,7 +445,7 @@ def test_hrm_gram_agrees_with_symbolic_evaluation(gram_cases):
         p = profile_for_fan(fan)
         sub = p.pair.subdivided
         n = fan.n
-        lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
+        lin = {m: l.per_max[p.pair.carrier[m]] for m in sub.maximal_ids}
         for row in hrm_check(p, l).rows:
             d, mat = row["d"], row["matrix"]
             assert mat.is_symmetric()
@@ -462,7 +490,7 @@ def test_each_l_gets_its_own_answers():
         a = lefschetz_matrix(p, l, 0).entries[0][0]
         sub = p.pair.subdivided
         one = {m: Polynomial.constant(n, 1) for m in sub.maximal_ids}
-        lin = {m: l.per_max[p.pair.carrier(m)] for m in sub.maximal_ids}
+        lin = {m: l.per_max[p.pair.carrier[m]] for m in sub.maximal_ids}
         assert evaluate_fast(
             ctx, _conewise_product(sub, one, one, lin, n).per_max) == a * top
 
@@ -615,17 +643,39 @@ def test_hilbert_freeness(quadrant_fan, orthant_fan):
             assert dim == want
 
 
+def _kite(k):
+    # complete 2-d fans, a new one for each k
+    return build_fan(2, [[(1, 0), (k, 1)], [(k, 1), (-1, 0)],
+                         [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
+
+
 def test_profile_cache_is_bounded():
-    def kite(k):
-        # complete 2-d fans, a new one for each k
-        return build_fan(2, [[(1, 0), (k, 1)], [(k, 1), (-1, 0)],
-                             [(-1, 0), (0, -1)], [(0, -1), (1, 0)]])
-    first = profile_for_fan(kite(0))
-    for k in range(1, 34):
-        profile_for_fan(kite(k))
-        assert profile_for_fan(kite(0)) is first  # kept while in use
-        assert len(cohomology._profile_cache) <= 32
-    keys = set(cohomology._profile_cache)
-    assert kite(0).canonical_json() in keys
-    assert kite(1).canonical_json() not in keys  # least recently used
-    assert first.h_vector() == profile_for_fan(kite(1)).h_vector() == (1, 2, 1)
+    info = profile_for_fan.cache_info
+    assert info().maxsize == 32
+    first = profile_for_fan(_kite(0))
+    second = profile_for_fan(_kite(1))
+    for k in range(2, 34):
+        profile_for_fan(_kite(k))
+        hits = info().hits
+        assert profile_for_fan(_kite(0)) is first  # kept while in use
+        assert info().hits == hits + 1
+        assert info().currsize <= 32
+    assert info().currsize == 32
+    misses = info().misses
+    again = profile_for_fan(_kite(1))  # least recently used: rebuilt
+    assert info().misses == misses + 1 and again is not second
+    assert first.h_vector() == again.h_vector() == (1, 2, 1)
+
+
+def test_equal_fans_share_one_profile():
+    # the cache keys by fan equality: the same cones from rays listed in
+    # another order and scale give the same profile, another field another
+    a = _kite(40)
+    b = build_fan(2, [[(0, -1), (1, 0)], [(0, -3), (-2, 0)],
+                      [(-1, 0), (40, 1)], [(80, 2), (1, 0)]])
+    assert a is not b and a == b
+    assert profile_for_fan(a) is profile_for_fan(b)
+    c = build_fan(2, [[(1, 0), (40, 1)], [(40, 1), (-1, 0)],
+                      [(-1, 0), (0, -1)], [(0, -1), (1, 0)]],
+                  field=ScalarField(2))
+    assert c != a and profile_for_fan(c) is not profile_for_fan(a)

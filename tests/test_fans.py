@@ -14,9 +14,9 @@ from ihfan.exactlin import (ONE, ZERO, Matrix, ScalarField, kernel_basis,
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import dodecahedron_vertices, icosahedron_vertices
-from oracles import (barycenter_sum_scaled, forms_by_solve, meet_id,
-                     pointed_by_rank, polytope_face_lattice, skew_product,
-                     star_link, toric_h_oracle)
+from oracles import (barycenter_sum_scaled, canonical_json, forms_by_solve,
+                     meet_id, pointed_by_rank, polytope_face_lattice,
+                     skew_product, star_link, tagged_inverse, toric_h_oracle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
@@ -383,10 +383,40 @@ def test_sqrt2_prism_face_fan():
 def test_fan_json_round_trip():
     pf = fans.face_fan_with_support(sqrt2_prism_vertices(),
                                     field=ScalarField(2))[0]
-    j = pf.canonical_json()
+    j = canonical_json(pf)
     pf2 = fans.fan_from_json_dict(json.loads(j))
-    assert pf2 == pf
-    assert pf2.canonical_json() == j
+    assert pf2 == pf and hash(pf2) == hash(pf)
+    assert canonical_json(pf2) == j
+
+
+def test_fan_equality_is_canonical_json_equality():
+    # a fan is equal to another, with the same hash, exactly when their
+    # canonical JSON strings agree: the same rays given in another order or
+    # scale and the maximal cones listed in another order give an equal
+    # fan; another field, dimension or cone set gives another one
+    def quadrants(field=None, scale=1, reverse=False):
+        cones = [[(scale, 0), (0, 1)], [(0, 1), (-1, 0)],
+                 [(-1, 0), (0, -scale)], [(0, -1), (1, 0)]]
+        if reverse:
+            cones = [c[::-1] for c in reversed(cones)]
+        return fans.build_fan(2, cones, field=field)
+
+    fs = [quadrants(), quadrants(scale=3), quadrants(reverse=True),
+          quadrants(field=ScalarField(2)), quadrants(field=ScalarField(3)),
+          fans.build_fan(2, [[(1, 0), (1, 1)], [(1, 1), (0, 1)],
+                             [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                             [(0, -1), (1, 0)]]),
+          fans.build_fan(2, [[(1, 0), (0, 1)]]),
+          fans.build_fan(1, [[(1,)], [(-1,)]]),
+          fans.product_fan(fans.build_fan(1, [[(1,)], [(-1,)]]),
+                           fans.build_fan(1, [[(1,)], [(-1,)]]))]
+    for a in fs:
+        for b in fs:
+            same = canonical_json(a) == canonical_json(b)
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+    assert fs[0] == fs[1] == fs[2] == fs[-1] != fs[3] != fs[4]
 
 
 def test_polytope_json(tmp_path):
@@ -715,16 +745,17 @@ def test_dd_matches_brute_force_rays(k):
         rows.insert(1, fans.vneg(rows[0]))
         if rank(Matrix(rows, ncols=k)) < k:
             continue
-        basis, _, duals, _ = fans._dual_basis(rows, k)
+        basis, _, duals, _ = exactlin.dual_basis(rows, k)
         got = {fans.canonical_direction(y): on
                for y, on in fans._dd(rows, basis, duals)}
         assert got == brute_rays(rows, k)
 
 
 def completed_inverse(rows, k):
-    """(basis, comp, duals, det) of _dual_basis by its definition: the rows
-    that raise the rank, capped at k, the unit vectors that raise it
-    further, and exactlin.inverse of the square matrix they make."""
+    """(basis, comp, duals, det) of exactlin.dual_basis by its definition:
+    the rows that raise the rank, capped at k, the unit vectors that raise
+    it further, and the tests' reference inverse (tagged_inverse) of the
+    square matrix they make."""
     basis, comp, kept = [], [], []
     units = [tuple(sc(int(j == c)) for j in range(k)) for c in range(k)]
     for i, a in enumerate(list(rows) + units):
@@ -732,7 +763,7 @@ def completed_inverse(rows, k):
             kept.append(a)
             (basis if i < len(rows) else comp).append(
                 i if i < len(rows) else i - len(rows))
-    inv, det = exactlin.inverse(Matrix(kept, ncols=k))
+    inv, det = tagged_inverse(Matrix(kept, ncols=k))
     return basis, comp, inv.columns(), det
 
 
@@ -764,7 +795,7 @@ def test_dual_basis_is_the_inverse_of_the_completed_rows(m):
                     extra = fans.vadd(fans.vscale(coord(), a),
                                       fans.vscale(coord(), b))
                 rows.insert(rng.randint(0, len(rows)), extra)
-            assert fans._dual_basis(rows, k) == completed_inverse(rows, k)
+            assert exactlin.dual_basis(rows, k) == completed_inverse(rows, k)
 
 
 def test_independent_generators_need_no_pointedness_rank(monkeypatch):

@@ -8,7 +8,6 @@ every package name the traced benchmark wraps exists."""
 import importlib
 import json
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -86,7 +85,7 @@ def test_answers_do_not_change_under_the_tracer(tmp_path, capsys,
     # functions, so a package name used as a type, not only called, breaks
     # there alone; the profile cache starts empty so that every profile is
     # built under the wrappers
-    monkeypatch.setattr(cohomology, "_profile_cache", OrderedDict())
+    cohomology.profile_for_fan.cache_clear()
     workloads = ((gen.fan_cold_job, ["report"], bench.check_report,
                   gen.FAN_COLD_CYCLE),
                  (gen.polytope_job, ["hvector", "--oracle"],
