@@ -231,11 +231,13 @@ def cmd_hvector(ns):
     if any(fan.cones[m].dim != fan.n for m in fan.maximal_ids):
         # the distinguished pair's own requirement, an input error here
         raise InputError("maximal cones must have full dimension")
-    profile = _profile(loaded, ns.cap)
+    # a cap at or above the top grading 2n caps nothing
+    cap = ns.cap if ns.cap is not None and ns.cap < 2 * fan.n else None
+    profile = _profile(loaded, cap)
     print("h = " + _fmt_h(profile.h_vector()))
     if ns.oracle:
         oracle_h = toric_h_of_fan(fan)
-        want = oracle_h if ns.cap is None else oracle_h[:ns.cap // 2 + 1]
+        want = oracle_h if cap is None else oracle_h[:cap // 2 + 1]
         print("oracle h = " + _fmt_h(oracle_h))
         match = tuple(profile.h_vector()) == tuple(want)
         print("oracle match = " + ("true" if match else "false"))
@@ -364,7 +366,8 @@ def make_parser():
                     help="also run the fan recursion and compare (complete "
                          "fans only)")
     hv.add_argument("--cap", type=int, default=None,
-                    help="top grading to compute (default 2n)")
+                    help="top grading to compute (default 2n; a larger "
+                         "cap caps nothing)")
     ve = sub.add_parser("verify", help="run verification checks")
     ve.add_argument("input")
     ve.add_argument("--l", dest="l_source", default=None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from math import comb
 
-from .exactlin import Matrix, inverse, rank, signature, vdot
+from .exactlin import inverse, rank, signature, vdot
 from .fans import Fan, PLFunction
 from .ihsheaf import EvaluationContext, GradedIH, build_distinguished_pair
 
@@ -163,29 +163,21 @@ def _expected_signature(h, d):
 def hrm_check(profile: GradedIH, l: PLFunction):
     """Signature data of B_l(x, y) = <l^(n-d) x y> on each IH^d with even
     d <= n: the full signature must match the h-vector formula, and
-    (-1)^(d/2) B_l must be positive definite on the primitive subspace."""
+    (-1)^(d/2) B_l must be positive definite on the primitive subspace
+    (GradedIH.hodge_riemann)."""
     hvec = profile.h_vector()
     rows = []
     for d in range(0, profile.pair.fan.n + 1, 2):
-        bmat = profile.lefschetz_gram(l, d, d)
+        bmat, prim, definite = profile.hodge_riemann(l, d)
         sig = signature(bmat)
         expected = _expected_signature(hvec, d)
-        prim = profile.primitive_coeffs(d, l)
-        pdim = len(prim)
-        if pdim:
-            # (-1)^(d/2) B_l is positive definite on the primitives
-            p = Matrix(prim, ncols=bmat.nrows)
-            q = signature(p.mul(bmat).mul(p.transpose()))
-            definite = q == ((pdim, 0) if d % 4 == 0 else (0, pdim))
-        else:
-            definite = True
         rows.append({
             "d": d,
             "matrix": bmat,
             "signature": sig,
             "signature_expected": expected,
             "signature_ok": sig == expected,
-            "primitive_dim": pdim,
+            "primitive_dim": len(prim),
             "definite": definite,
         })
     return QuadraticReport(rows)

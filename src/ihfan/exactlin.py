@@ -16,17 +16,18 @@ Linear algebra entry points:
   in the package goes through: insert a sparse row {key: Scalar} into a
   reduced echelon and report whether it was independent and its pivot
   value; echelon_reduce is its reduction half;
-- sparse_eliminate (the reduced row echelon form, exact or mod p),
-  first_independent (the first-independent basis of a list of vectors),
-  rank and kernel_basis, all built on echelon_insert;
+- sparse_eliminate (the reduced row echelon form, exact or mod p), rank
+  and kernel_basis (the small dense systems, solved exactly), all built on
+  echelon_insert;
 - dual_basis, the one tagged Gauss-Jordan pass: the rows independent of
   those before them, completed by unit vectors, and the columns and the
   determinant of the inverse of that square matrix; inverse reads a
   square matrix's inverse off it;
 - signature, by congruence diagonalisation;
-- the large systems, eliminated modulo primes: sparse_kernel (kernel
-  bases, certified exactly; kernel_basis is built on it), and the rows
-  of ihsheaf.GradedIH's selection, mapped to ints mod p by residue_map.
+- the large systems, eliminated modulo primes: sparse_kernel (the kernel
+  bases of ihsheaf's integer section systems, certified exactly), and the
+  rows of ihsheaf.GradedIH's selection, mapped to ints mod p by
+  residue_map.
 The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
@@ -40,9 +41,8 @@ Scalar that a loop of Scalar products and sums would give.
 Integer rows.  sparse_kernel takes its rows in integers: a pair (A, B) of
 dicts {col: int} for the row A + B*sqrt(m), with B empty over Q, and the
 radicand m (None over Q).  Scaling a row leaves the kernel alone, so a
-caller clears each row of denominators, as kernel_basis does with
-cleared and radicand, or builds it in integers from the start, as
-ihsheaf's section systems do.
+caller builds its rows in integers from the start, as ihsheaf's section
+systems do.
 
 Elimination mod p.  echelon_insert_modp is the same step with Python ints
 modulo a 61-bit prime p = 3 mod 4 from one endless sequence (_embedding);
@@ -695,15 +695,6 @@ def sparse_eliminate(rows, p=None):
     return [(c, ech[c]) for c in sorted(ech)]
 
 
-def first_independent(vectors):
-    """The vectors (coordinate tuples) independent of those before them, in
-    order: a deterministic basis of their span."""
-    ech = {}
-    return [v for v in vectors
-            if echelon_insert(ech, {j: sc(x) for j, x in enumerate(v)})
-            is not None]
-
-
 def sparse_kernel(rows, ncols, m):
     """Kernel basis of the system of integer rows (A, B), each the row
     A + B*sqrt(m) of dicts {col: int} (B empty over Q, where m is None);
@@ -742,11 +733,10 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Basis of {x : m x = 0} as a list of coordinate tuples."""
-    rows = _rows_to_sparse(m)
-    basis = sparse_kernel([cleared(r)[:2] for r in rows], m.ncols,
-                          radicand(x.m for r in rows for x in r.values()))
-    return [tuple(v.get(j, ZERO) for j in range(m.ncols)) for v in basis]
+    """Basis of {x : m x = 0} as a list of coordinate tuples, solved
+    exactly: the basis sparse_kernel's modular route reproduces."""
+    return [tuple(v.get(j, ZERO) for j in range(m.ncols))
+            for v in _kernel_exact(_rows_to_sparse(m), m.ncols)]
 
 
 def dual_basis(rows, k):

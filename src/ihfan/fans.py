@@ -36,7 +36,6 @@ from .exactlin import (
     ZERO,
     ONE,
     dual_basis,
-    first_independent,
     format_scalar,
     gram,
     json_int,
@@ -254,10 +253,6 @@ class Cone:
 
     def is_simplicial(self):
         return len(self.rays) == self.dim
-
-    def span_basis(self):
-        """Deterministic basis of the span: first-independent generators."""
-        return first_independent(self.rays)
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={[format_vector(r) for r in self.rays]})"

@@ -7,8 +7,9 @@ are built by increasing cone dimension: a simplicial cone's is the
 constant, and a nonsimplicial cone's comes from one flattening of its
 boundary along its subdivision center over the pair's face lattice
 (flatten_boundary): the facets, their pieces and their stalks go down to a
-complete pair one dimension lower, whose primitive classes are pulled back
-to the cone's pieces (flattened_stalk).  Global sections of any grading
+complete pair one dimension lower, on which hard Lefschetz and
+Hodge-Riemann are checked and whose primitive classes are pulled back to
+the cone's pieces (flattened_stalk).  Global sections of any grading
 are then read off per-carrier columns (_Sections): the monomials in the
 carrier's frame variables times its stalk generators, the frame (_frame)
 being the dual forms of the rays on a simplicial carrier and the ambient
@@ -42,7 +43,7 @@ from .exactlin import (
     ONE,
     ZERO,
     cleared,
-    first_independent,
+    dual_basis,
     format_scalar,
     gram,
     inverse,
@@ -53,6 +54,7 @@ from .exactlin import (
     radicand,
     rank,
     sc,
+    signature,
     sparse_eliminate,
     sparse_kernel,
     vdot,
@@ -81,23 +83,14 @@ def projection_along(v, n, span_vectors):
         raise ValueError("cannot project along the zero vector")
     xi = v[i0].inverse()
     x = tuple(xi if j == i0 else ZERO for j in range(n))
-    basis = first_independent(
-        [fans.vsub(u, fans.vscale(vdot(x, u), v)) for u in span_vectors])
+    rows = [fans.vsub(u, fans.vscale(vdot(x, u), v)) for u in span_vectors]
+    basis = [rows[i] for i in dual_basis(rows, n)[0]]
     b = Matrix(basis, ncols=n)
     c = inverse(b.mul(b.transpose())).mul(b)
     cv = c.apply(v)
     proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
                    for i in range(len(basis))], ncols=n)
     return x, proj, basis
-
-
-def lift_over_span(proj, rays, n):
-    """Rows of the section of the projection Matrix proj over span(rays),
-    a span on which proj is one-to-one onto the quotient (a facet of the
-    flattened cone): bt (proj bt)^-1 for bt the first independent rays as
-    columns, an (ambient x quotient) matrix with proj . lift = identity."""
-    bt = Matrix(first_independent(rays), ncols=n).transpose()
-    return bt.mul(inverse(proj.mul(bt))).entries
 
 
 # -- section spaces and distinguished pairs --------------------------------
@@ -551,6 +544,13 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     boundary and the stalks of the cone's facets go along with it.  The
     subdivision has checked that v is interior to the cone.
 
+    The lift of a facet F, the section of the projection over span F, is
+    lift_F(y) = b^T y + t(y) v with t(y) = -eta_F(b^T y) / eta_F(v), for b
+    the basis of projection_along and eta_F the cone's facet form through
+    F: the projection kills v and is the identity on b^T, and eta_F
+    vanishes on the cone's span exactly on span F.  As x kills b^T and
+    x(v) = 1, x . lift_F = t.
+
     Returns (pair, lam_l, proj, pieces): the flattened pair, whose stalks
     are those of its maximal cones (the facets' images, the only stalks its
     sections read), each pushed forward by the lift of its facet; the
@@ -560,8 +560,9 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     piece of a facet) to the flattened piece it projects onto."""
     fan, sub = pair.fan, pair.subdivided
     cone = fan.cones[cid]
+    geom = cone.geometry()
     n, m = fan.n, cone.dim - 1
-    x, proj, _ = projection_along(v, n, cone.span_basis())
+    _, proj, b = projection_along(v, n, [cone.rays[i] for i in geom.basis])
     facets = [f for f in fan.faces_of[cid] if fan.cones[f].dim == m]
     # the image of each ray of the facets' pieces, which include the
     # facets' own rays, projected once
@@ -582,9 +583,12 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     stalks, forms = {}, {}
     for f in facets:
         rays = fan.cones[f].rays
-        lift = lift_over_span(proj, rays, n)
+        eta = geom.facet_forms[geom.facet_ray_keys.index(rays)]
+        s = -vdot(eta, v).inverse()
+        t = [s * e for e in gram((eta,), None, b).entries[0]]
+        lift = [[bi[j] + ti * v[j] for bi, ti in zip(b, t)] for j in range(n)]
         lid = lam.id_by_key[key(rays)]
-        forms[lid] = gram((x,), None, zip(*lift)).entries[0]
+        forms[lid] = t
         stalks[lid] = tuple(
             (g, {lam_sub.id_by_key[key(sub.cones[pid].rays)]:
                  poly.compose(lift) for pid, poly in sec.items()})
@@ -838,27 +842,25 @@ class GradedIH:
                        for m, w in ctx.inv_phi_z.items()]
         return gram(self.values(d).entries, weights, self.values(e).entries)
 
-    def primitive_coeffs(self, d, l):
-        """Kernel of one Lefschetz power beyond the duality-pairing one
-        (grading d -> 2n-d+2), in coordinates over the representatives of
-        grading d: the kernel of the Gram against grading d-2, which is the
-        kernel of l^(n-d+1) when the pairing at d-2 is perfect.  At d = 0
-        the power lands above the top grading, so everything is primitive."""
-        if d == 0:
-            k = self.h[0]
-            return [tuple(ONE if i == j else ZERO for j in range(k))
-                    for i in range(k)]
-        return kernel_basis(self.lefschetz_gram(l, d - 2, d))
-
-    def primitive_reps(self, d, l):
-        """The primitives of grading d as coefficient vectors: the product
-        of their coordinates over the representatives with the
-        representatives' vectors."""
-        comps = self.comps[d]
-        keys = list(dict.fromkeys(k for comp in comps for k in comp))
-        mat = gram(self.primitive_coeffs(d, l), None,
-                   [[comp.get(k, ZERO) for comp in comps] for k in keys])
-        return [{k: x for k, x in zip(keys, row) if x} for row in mat.entries]
+    def hodge_riemann(self, l, d):
+        """(B, prim, definite) for an even grading d <= n: the Matrix B of
+        the Lefschetz form <a . l^(n-d) . b> on the representatives of
+        grading d (lefschetz_gram); the coordinates over them of a basis of
+        the primitives, the kernel of one Lefschetz power beyond the
+        pairing one (grading d -> 2n-d+2), which is the kernel of the Gram
+        against grading d-2 when the pairing at d-2 is perfect; and whether
+        (-1)^(d/2) B is positive definite on the primitives, the
+        Hodge-Riemann relation (no primitives give a 0 x 0 form, of
+        signature (0, 0)).  At d = 0 the power lands above the top grading,
+        so everything is primitive, and h_0 = 1."""
+        bmat = self.lefschetz_gram(l, d, d)
+        prim = kernel_basis(self.lefschetz_gram(l, d - 2, d)) if d \
+            else [(ONE,)]
+        # P B P^T, B being symmetric
+        form = gram(gram(prim, None, bmat.entries).entries, None, prim)
+        pdim = len(prim)
+        definite = signature(form) == ((pdim, 0) if d % 4 == 0 else (0, pdim))
+        return bmat, prim, definite
 
 
 def flattened_stalk(pair: DistinguishedPair, cid, v):
@@ -868,21 +870,33 @@ def flattened_stalk(pair: DistinguishedPair, cid, v):
     boundary, keyed by the cone's pieces.  The flattened pair is complete,
     so its representatives are selected mod p and certified by its pairing,
     which is perfect by Poincare duality one dimension down; the primitives
-    are read off the Gram of that pair.  Raises when a Lefschetz kernel has
-    unexpected dimension."""
+    are read off the Gram of that pair (GradedIH.hodge_riemann).  Karu's
+    induction hypothesis is checked at every grading up to the middle: it
+    raises when a primitive space has unexpected dimension (hard
+    Lefschetz) or the Lefschetz form is not definite on it (Hodge-Riemann)."""
     lam_pair, lam_l, proj, pieces = flatten_boundary(pair, cid, v)
     gih = GradedIH(lam_pair)
     gens = [(0, {pid: Polynomial.constant(pair.fan.n, 1) for pid in pieces})]
-    for d in range(2, lam_pair.fan.n + 1, 2):
-        reps = gih.primitive_reps(d, lam_l)
+    for d in range(0, lam_pair.fan.n + 1, 2):
+        _, prim, definite = gih.hodge_riemann(lam_l, d)
         expected = gih.h[d] - gih.h.get(d - 2, 0)
-        if len(reps) != expected:
+        if len(prim) != expected or not definite:
             raise ValueError(
-                "hard Lefschetz failure in a flattened boundary: primitive "
-                f"space at grading {d} has dim {len(reps)}, expected "
-                f"{expected}")
-        for r in reps:
-            sec = gih.spaces[d].materialize(r)
+                "Karu's induction hypothesis fails on a flattened boundary "
+                f"at grading {d}: primitive dim {len(prim)}, expected "
+                f"{expected} (hard Lefschetz); form definite on the "
+                f"primitives: {definite} (Hodge-Riemann)")
+        if not d:
+            continue   # the constant above
+        # each primitive as a coefficient vector: its coordinates times the
+        # representatives' vectors
+        comps = gih.comps[d]
+        keys = list(dict.fromkeys(k for comp in comps for k in comp))
+        mat = gram(prim, None,
+                   [[comp.get(k, ZERO) for comp in comps] for k in keys])
+        for row in mat.entries:
+            sec = gih.spaces[d].materialize(
+                {k: x for k, x in zip(keys, row) if x})
             gens.append((d, {pid: sec[bid].compose(proj.entries)
                              for pid, bid in pieces.items()}))
     return tuple(gens)

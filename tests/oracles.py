@@ -48,16 +48,18 @@ road.
   reduces to zero modulo the piece's equations.
 - Facts the package reads off data it holds, recomputed by elimination
   (solve, forms_by_solve, pointed_by_rank, carriers_by_star_scan,
-  tagged_inverse): a conewise linear function's form on each maximal cone
-  solved from its ray values, pointedness as the rank of a cone's
-  equations and facet forms, each subdivided cone's carrier found in the
-  star of its first ray's carrier, and a square matrix's inverse and
+  tagged_inverse, lift_over_span): a conewise linear function's form on
+  each maximal cone solved from its ray values, pointedness as the rank of
+  a cone's equations and facet forms, each subdivided cone's carrier found
+  in the star of its first ray's carrier, a square matrix's inverse and
   determinant from a Gauss-Jordan pass on [m | 1] that stops at the first
-  dependent row.  The package reads the forms off each cone's dual basis
-  (fans.PLFunction.from_ray_values), pointedness off the facet rows of
-  the hull (fans.Cone.from_generators), a carrier off the coarse fan's
-  key table where the keys agree (ihsheaf.DistinguishedPair) and an
-  inverse off the dual basis of its rows (exactlin.inverse).
+  dependent row, and a flattened facet's lift by inverting the projection
+  on the facet's span.  The package reads the forms off each cone's dual
+  basis (fans.PLFunction.from_ray_values), pointedness off the facet rows
+  of the hull (fans.Cone.from_generators), a carrier off the coarse fan's
+  key table where the keys agree (ihsheaf.DistinguishedPair), an inverse
+  off the dual basis of its rows (exactlin.inverse) and a lift off the
+  cone's facet form (ihsheaf.flatten_boundary).
 - Fans as canonical JSON strings (canonical_json), equal exactly for
   equal fans.  The package keys its profile cache by the fan itself
   (fans.Fan.__eq__ and __hash__).
@@ -674,11 +676,19 @@ def global_sections(pair, cap=None):
 
 def primitive_basis(profile, l, d):
     """Sections representing the kernel of one Lefschetz power beyond the
-    pairing one (grading d -> 2n-d+2)."""
+    pairing one (grading d -> 2n-d+2): the primitive coordinates of
+    GradedIH.hodge_riemann, summed over the representatives' vectors one
+    Scalar product at a time."""
     if d % 2 or d < 0 or d > profile.pair.fan.n:
         raise ValueError("primitive spaces live in even gradings <= n")
-    sp = profile.spaces[d]
-    return [as_function(sp, v) for v in profile.primitive_reps(d, l)]
+    out = []
+    for coords in profile.hodge_riemann(l, d)[1]:
+        vecm = {}
+        for c, comp in zip(coords, profile.comps[d]):
+            for k, x in comp.items():
+                vecm[k] = vecm.get(k, ZERO) + c * x
+        out.append(as_function(profile.spaces[d], vecm))
+    return out
 
 
 # -- stars, links and relative sections ---------------------------------------
@@ -787,6 +797,19 @@ def unit_vectors(n):
     """The unit vectors of R^n, the span projection_along projects in."""
     return [tuple(ONE if j == i else ZERO for j in range(n))
             for i in range(n)]
+
+
+def lift_over_span(proj, rays, n):
+    """Rows of the section of the projection Matrix proj over span(rays),
+    a span on which proj is one-to-one onto the quotient (a facet of the
+    flattened cone): bt (proj bt)^-1 for bt the rays independent of those
+    before them as columns, an (ambient x quotient) matrix with
+    proj . lift = identity."""
+    ech = {}
+    basis = [r for r in rays
+             if echelon_insert(ech, dict(enumerate(r))) is not None]
+    bt = Matrix(basis, ncols=n).transpose()
+    return bt.mul(exactlin.inverse(proj.mul(bt))).entries
 
 
 def relative_ih(pair, cap=None):

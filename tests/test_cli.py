@@ -65,6 +65,11 @@ def test_hvector_cap(tmp_path, capsys):
     assert main(["hvector", path, "--cap", "2"]) == 0
     assert capsys.readouterr().out == "h = [1,2]\n"
     assert main(["hvector", path, "--cap", "3"]) == 2
+    # a cap at or above 2n = 4 caps nothing: the whole h-vector, compared
+    # with the whole oracle
+    assert main(["hvector", path, "--oracle", "--cap", "8"]) == 0
+    assert capsys.readouterr().out == \
+        "h = [1,2,1]\noracle h = [1,2,1]\noracle match = true\n"
 
 
 def test_malformed_json_exit2_with_position(tmp_path, capsys):

@@ -472,14 +472,18 @@ def test_signature_congruence_invariance():
 
 
 def test_sparse_kernel_matches_dense():
+    # the modular route against the exact one, over Q, Q(sqrt 2) and
+    # Q(sqrt 5)
     rng = random.Random(17)
-    for _ in range(10):
-        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6),
-                           ScalarField())
-        rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
-        ks = scalar_kernel([r for r in rows if r], m.ncols)
-        kd = kernel_basis(m)
-        assert [tuple(v.get(j, sc(0)) for j in range(m.ncols)) for v in ks] == kd
+    for field in (ScalarField(), ScalarField(2), ScalarField(5)):
+        for _ in range(10):
+            m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6),
+                               field)
+            rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+            ks = scalar_kernel([r for r in rows if r], m.ncols)
+            kd = kernel_basis(m)
+            assert [tuple(v.get(j, sc(0)) for j in range(m.ncols))
+                    for v in ks] == kd
 
 
 # -- the integer inner product ------------------------------------------------

@@ -8,22 +8,23 @@ import pytest
 
 from ihfan import exactlin, fans, ihsheaf
 from ihfan.conewise import Polynomial, monomials
-from ihfan.exactlin import (ONE, ZERO, Scalar, ScalarField, echelon_insert,
-                            sc, sparse_eliminate)
+from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, ScalarField,
+                            echelon_insert, gram, sc, signature,
+                            sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
                         is_complete, is_strictly_convex, product_fan)
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            build_distinguished_pair, flatten_boundary,
-                           lift_over_span, pair_from_json_dict,
-                           pair_to_json_dict)
-from conftest import (cached_pair, dodecahedron_vertices, golden_field,
-                      no_residue)
+                           pair_from_json_dict, pair_to_json_dict,
+                           projection_along)
+from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
+                      golden_field, no_residue)
 from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
                      carriers_by_star_scan, full_greedy, global_sections, gram_loop,
-                     materialized_values, profile_with_centers, reduce_mod,
-                     relative_ih, relative_sections, star_link, validate,
-                     vdot_loop)
+                     lift_over_span, materialized_values, profile_with_centers,
+                     reduce_mod, relative_ih, relative_sections, star_link,
+                     unit_vectors, validate, vdot_loop)
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -99,6 +100,123 @@ def test_flatten_projection_kills_center():
                              start=ZERO) for i in range(3))
             assert tuple(proj.apply(back)) == tuple(p)
             assert back == r
+
+
+def sqrt2_triangle_prism():
+    """A Q(sqrt 2)-sheared prism over a triangle, centred at the origin."""
+    F = ScalarField(2)
+    return [tuple(F.parse(x) for x in v) for v in (
+        ("2", "0", "1+2r2"), ("2", "0", "-1+2r2"), ("-1", "1", "1-1r2"),
+        ("-1", "1", "-1-1r2"), ("-1", "-1", "1-1r2"),
+        ("-1", "-1", "-1-1r2"))], F
+
+
+def four_cube_fan():
+    return face_fan_with_support(list(itertools.product((1, -1), repeat=4)))[0]
+
+
+def nonsimplicial_centers(pair):
+    """(cone id, subdivision center) for each nonsimplicial cone."""
+    centers = {key: c for c, key in pair.steps}
+    return [(cid, centers[c.rays]) for cid, c in pair.fan.cones.items()
+            if not c.is_simplicial()]
+
+
+def test_flattened_lifts_match_the_projection_inverse():
+    # each facet's lift, read off the cone's facet form, is the section of
+    # the projection over the facet's span, which inverting the projection
+    # there also gives.  The stalks are replaced by the coordinates x_j, so
+    # the flattened stalks are the rows of the lift, and l = x . lift
+    prism, F = sqrt2_triangle_prism()
+    pyramid = [v + (sc(-1),) for v in prism] + [(ZERO, ZERO, ZERO, sc(3))]
+    facets = 0
+    for fan in (face_fan_with_support(cube_vertices())[0],
+                face_fan_with_support(prism, field=F)[0],
+                four_cube_fan(),
+                face_fan_with_support(pyramid, field=F)[0]):
+        pair = cached_pair(fan)
+        n = fan.n
+        coords = [Polynomial.from_linear(u) for u in unit_vectors(n)]
+        probe = DistinguishedPair(fan, pair.subdivided, pair.steps, {
+            cid: tuple((2, {pid: x for pid in pair.pieces[cid]})
+                       for x in coords)
+            for cid in fan.cones})
+        for cid, v in nonsimplicial_centers(pair):
+            lam_pair, lam_l, proj, _ = flatten_boundary(probe, cid, v)
+            x = projection_along(v, n, unit_vectors(n))[0]
+            for f in fan.faces_of[cid]:
+                if fan.cones[f].dim != fan.cones[cid].dim - 1:
+                    continue
+                rays = fan.cones[f].rays
+                lift = lift_over_span(proj, rays, n)
+                lid = lam_pair.fan.id_by_key[tuple(sorted(
+                    canonical_direction(proj.apply(r)) for r in rays))]
+                assert len(lam_pair.stalks[lid]) == len(lift) == n
+                for (g, sec), row in zip(lam_pair.stalks[lid], lift):
+                    assert g == 2
+                    assert set(sec.values()) == {Polynomial.from_linear(row)}
+                assert lam_l.per_max[lid] == \
+                    gram((x,), None, zip(*lift)).entries[0]
+                facets += 1
+    # 6 * 4 on the cube, 3 * 4 on the prism, 24 * 4 + 8 * 6 on the 4-cube
+    # (its square cones and cubic cones), and 3 * 4 + 5 + 3 * 5 on the
+    # pyramid (its square cones, the prism and the square pyramids)
+    assert facets == 24 + 12 + 144 + 32
+
+
+def test_flattened_pentagons_satisfy_hodge_riemann():
+    # each cone over a pentagon of the dodecahedron flattens to a complete
+    # fan of f0 = 5 rays in the plane: h = (1, f0-2, 1) = (1, 3, 1), so the
+    # signatures are (h0, 0) = (1, 0) at d = 0 and (h0, h1-h0) = (1, 2) at
+    # d = 2, with primitive dims h0 = 1 and h1 - h0 = 2
+    F, _ = golden_field()
+    pair = cached_pair(face_fan_with_support(dodecahedron_vertices(),
+                                             field=F)[0])
+    flattened = nonsimplicial_centers(pair)
+    assert len(flattened) == 12
+    for cid, v in flattened:
+        lam_pair, lam_l, _, _ = flatten_boundary(pair, cid, v)
+        gih = GradedIH(lam_pair)
+        assert gih.h_vector() == (1, 3, 1)
+        for d, sig, pdim in ((0, (1, 0), 1), (2, (1, 2), 2)):
+            bmat, prim, definite = gih.hodge_riemann(lam_l, d)
+            assert signature(bmat) == sig
+            assert len(prim) == pdim
+            assert definite
+
+
+def test_flattened_cubes_satisfy_hodge_riemann():
+    # each cubic cone of the 4-cube's face fan flattens to a cube's face
+    # fan, f0 = 8: h = (1, f0-3, f0-3, 1) = (1, 5, 5, 1), and at d = 2 the
+    # signature is (h0, h1-h0) = (1, 4) with primitive dim 4
+    pair = cached_pair(four_cube_fan())
+    cubes = [(cid, v) for cid, v in nonsimplicial_centers(pair)
+             if pair.fan.cones[cid].dim == 4]
+    assert len(cubes) == 8
+    for cid, v in cubes:
+        lam_pair, lam_l, _, _ = flatten_boundary(pair, cid, v)
+        gih = GradedIH(lam_pair)
+        assert gih.h_vector() == (1, 5, 5, 1)
+        bmat, prim, definite = gih.hodge_riemann(lam_l, 2)
+        assert signature(bmat) == (1, 4)
+        assert len(prim) == 4
+        assert definite
+
+
+def test_flattened_boundary_must_satisfy_hodge_riemann(monkeypatch):
+    # with every Gram negated the pairing stays perfect and the primitives
+    # keep their dimensions, but no Lefschetz form is definite with the
+    # right sign: Karu's induction hypothesis fails on the cube's squares
+    gram_of = GradedIH.lefschetz_gram
+
+    def negated(self, l, d, e):
+        mat = gram_of(self, l, d, e)
+        return Matrix([[-x for x in row] for row in mat.entries],
+                      ncols=mat.ncols)
+
+    monkeypatch.setattr(GradedIH, "lefschetz_gram", negated)
+    with pytest.raises(ValueError, match="Hodge-Riemann"):
+        build_distinguished_pair(face_fan_with_support(cube_vertices())[0])
 
 
 # -- distinguished pairs ---------------------------------------------------
