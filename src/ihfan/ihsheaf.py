@@ -15,9 +15,9 @@ carrier's frame variables times its stalk generators, the frame (_frame)
 being the dual forms of the rays on a simplicial carrier and the ambient
 coordinates elsewhere.  Sections are absolute: each wall the builder
 reads lies between two pieces, and a boundary piece constrains nothing.
-The walls between simplicial carriers join columns into classes (the
-face-supported monomials); only walls that touch a nonsimplicial carrier
-give rows, a sparse linear system built in integer arithmetic.
+A simplicial carrier's columns are keyed by their face-supported
+monomials, one class per key; only walls that touch a nonsimplicial
+carrier give rows, a sparse linear system built in integer arithmetic.
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -257,27 +257,19 @@ def _section_spaces(pair, gradings):
     (see _Sections).
 
     The walls are the facet pieces with two owners of different carriers;
-    a boundary piece, with one owner, is no wall.  A wall whose two
-    carriers are simplicial is kept as a join, the carriers with the
-    positions in each carrier's rays of the coarse wall's rays (the pieces
-    of one coarse wall give one join).  Every other wall keeps its owners
-    and its equations.  The gradings are solved in ascending order, and
-    grading d reads the wall images of degree d/2 only, so each degree is
-    built just before the first grading that reads it and let go once a
-    grading reads the next."""
+    a boundary piece, with one owner, is no wall, and neither is one whose
+    two carriers are simplicial (their columns are keyed by monomial).
+    Every other wall keeps its owners and its equations.  The gradings are
+    solved in ascending order, and grading d reads the wall images of
+    degree d/2 only, so each degree is built just before the first grading
+    that reads it and let go once a grading reads the next."""
     fan, sub = pair.fan, pair.subdivided
-    joins, walls = {}, []
+    walls = []
     for tid in pair.facet_piece_ids:
         owners = sub.cofaces_of[tid]
-        if len(owners) != 2 or \
-                pair.carrier[owners[0]] == pair.carrier[owners[1]]:
-            continue
         cones = [fan.cones[pair.carrier[hat]] for hat in owners]
-        if all(c.is_simplicial() for c in cones):
-            face = fan.cones[pair.carrier[tid]].rays
-            join = tuple((c.id, tuple(c.rays.index(r) for r in face))
-                         for c in cones)
-            joins[join] = None
+        if len(cones) != 2 or cones[0] is cones[1] or \
+                all(c.is_simplicial() for c in cones):
             continue
         eqs = fans.wall_equations(sub, tid)
         gens = [sec[hat].coeffs for hat, c in zip(owners, cones)
@@ -293,16 +285,22 @@ def _section_spaces(pair, gradings):
         while degree < d // 2:
             levels = [next(images) for _, _, images in walls]
             degree += 1
-        spaces[d] = _Sections(pair, d, list(joins),
-                              [(owners, m, level) for (owners, m, _),
-                               level in zip(walls, levels)])
+        spaces[d] = _Sections(pair, d, [(owners, m, level) for (owners, m, _),
+                                        level in zip(walls, levels)])
     return {d: spaces[d] for d in gradings}
 
 
-def _root(parent, i):
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
+def _classes(fan, cols):
+    """The classes of the columns (see _Sections), each in ascending order,
+    in the order of their largest members."""
+    members = {}
+    for c, (mid, _, e) in enumerate(cols):
+        rays = fan.cones[mid].rays
+        # each cone's rays are sorted, so equal monomials get equal keys
+        key = tuple((rays[r], x) for r, x in enumerate(e) if x) \
+            if len(rays) == fan.n else c
+        members.setdefault(key, []).append(c)
+    return sorted(members.values(), key=lambda ms: ms[-1])
 
 
 class _Sections:
@@ -314,30 +312,30 @@ class _Sections:
     carrier's stalk is the constant 1, so its columns are the monomials of
     degree d/2 in the dual forms y_rho of its rays.
 
-    Across a wall tau between two simplicial carriers, the y_rho of both
-    sides restrict to the same form on span tau for rho in tau, and the
-    form of the ray opposite tau restricts to 0.  The two sides agree on tau
-    exactly when they have the same coefficient on every monomial in tau's
-    rays, so such a wall joins those columns of its sides (a union-find
-    over the columns).  These are Billera's face-supported monomials
-    ("The algebra of continuous piecewise polynomials", 1989), but the
-    classes come from the actual walls.  The joins are simplicial
-    mathematics, so they stay outside the frame.
+    On a simplicial carrier holding a face S, the y_rho of S's rays restrict
+    to S's own dual basis on span S and the other rays' forms vanish there,
+    so every section has the same coefficient on each monomial supported on
+    S on every simplicial carrier holding S: Billera's face-supported
+    monomials ("The algebra of continuous piecewise polynomials", 1989).
+    Each column of a simplicial carrier is keyed by its monomial, the pairs
+    (ray, exponent) with a positive exponent; equal keys form one class, and
+    every other column is a class of its own.  Two simplicial sides of a
+    wall agree on it exactly when these classes do, so such a wall gives no
+    rows.
 
-    Every other wall (one touching a nonsimplicial carrier) keeps one block
-    of rows: each row is one coefficient of the difference of the two
-    sides' sections in the normal form modulo the wall's equations.  A
-    simplicial side enters through each column's ambient expansion
-    (_frame_monomial); a nonsimplicial side keeps one polynomial per
-    generator, times its columns' ambient monomials, so no product of a
-    monomial with a generator is expanded.  The block is built in integers:
-    with D clearing the equations (_wall_images) and E the polynomials of
-    both sides, every entry is E * D^(d/2) times the exact one, which leaves
-    the kernel as it is.  Each row is then divided by the gcd of its
-    entries, so the kernel sees equal rows of the pieces of one wall as
-    repeats.  The rows are written in the variables: the classes, each
-    standing for 1 on all its members, in the order of their largest
-    members.
+    Every wall that touches a nonsimplicial carrier keeps one block of
+    rows: each row is one coefficient of the difference of the two sides'
+    sections in the normal form modulo the wall's equations.  A simplicial
+    side enters through each column's ambient expansion (_frame_monomial);
+    a nonsimplicial side keeps one polynomial per generator, times its
+    columns' ambient monomials, so no product of a monomial with a
+    generator is expanded.  The block is built in integers: with D clearing
+    the equations (_wall_images) and E the polynomials of both sides, every
+    entry is E * D^(d/2) times the exact one, which leaves the kernel as it
+    is.  Each row is then divided by the gcd of its entries, so the kernel
+    sees equal rows of the pieces of one wall as repeats.  The rows are
+    written in the variables: the classes, each standing for 1 on all its
+    members, in the order of their largest members.
 
     The basis is the reduced kernel over the variables (every variable when
     there are no rows, and no kernel is solved), each variable spread over
@@ -353,7 +351,7 @@ class _Sections:
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
-    def __init__(self, pair, grading, joins, walls):
+    def __init__(self, pair, grading, walls):
         self.pair = pair
         self.grading = grading
         fan = pair.fan
@@ -368,26 +366,7 @@ class _Sections:
                     cols.extend((mid, j, e)
                                 for e in monomials(n, (grading - g) // 2))
         self.cols = cols
-        # classes of columns, joined across walls
-        parent = list(range(len(cols)))
-        index = {e: i for i, e in enumerate(monomials(n, k))}
-        for face in monomials(n - 1, k):
-            for join in joins:
-                placed = []
-                for mid, pos in join:
-                    e = [0] * n
-                    for p, x in zip(pos, face):
-                        e[p] = x
-                    placed.append(
-                        _root(parent, start[(mid, 0)] + index[tuple(e)]))
-                a, b = placed
-                parent[max(a, b)] = min(a, b)
-        members = {}
-        for c in range(len(cols)):
-            members.setdefault(_root(parent, c), []).append(c)
-        # members come in ascending order, so each class's last is its
-        # largest
-        classes = sorted(members.values(), key=lambda ms: ms[-1])
+        classes = _classes(fan, cols)
         slot = [None] * len(cols)
         for v, ms in enumerate(classes):
             for c in ms:
@@ -954,15 +933,16 @@ def pair_from_json_dict(obj):
     subdivision is rebuilt from the recorded centers (ids are
     deterministic), and the stored generator sections are attached without
     recomputation.  The recorded steps are either empty, when the fan is
-    its own subdivision, or one center per cone of dim >= 2 in the order
-    ``fans.barycentric_subdivision`` takes the cones, each of length n and
-    in the relative interior of its cone; they fix the subdivision, so a
-    "rule" key, which earlier versions wrote, is ignored.  Steps that are
-    not such a list raise ValueError, and so does a stalk that is not a
-    list of [grading, section map] pairs, a cone id or an exponent that is
-    not an integer, a section map that does not name exactly its cone's
-    pieces, a coefficient that is neither a JSON integer nor a scalar
-    literal, or a simplicial cone's stalk other than the constant 1."""
+    simplicial and so its own subdivision, or one center per cone of
+    dim >= 2 in the order ``fans.barycentric_subdivision`` takes the cones,
+    each of length n and in the relative interior of its cone; they fix
+    the subdivision, so a "rule" key, which earlier versions wrote, is
+    ignored.  Steps that are not such a list raise ValueError, and so does
+    a stalk that is not a list of [grading, section map] pairs, a cone id
+    or an exponent that is not an integer, a section map that does not
+    name exactly its cone's pieces, a coefficient that is neither a JSON
+    integer nor a scalar literal, or a simplicial cone's stalk other than
+    the constant 1."""
     fan = fans.fan_from_json_dict(_json_object(obj.get("fan"), "'fan'"))
     field = fan.field
     n = fan.n
@@ -970,6 +950,9 @@ def pair_from_json_dict(obj):
                for i, v in enumerate(json_list(obj.get("steps", []),
                                                "steps"))]
     if not centers:
+        if not fan.is_simplicial():
+            raise ValueError("pair dump lists no subdivision centers in "
+                             "'steps', but its fan is not simplicial")
         subdivided, steps = fan, ()
     else:
         wanted = sum(1 for c in fan.cones.values() if c.dim >= 2)

@@ -2,17 +2,38 @@
 stalk construction dominate the suite's runtime."""
 
 import functools
+import sys
+from pathlib import Path
 
 import pytest
 
-from ihfan.exactlin import ScalarField, residue_map, sc
-from ihfan.fans import build_fan, face_fan_with_support
+from ihfan.exactlin import ScalarField, parse_scalar, residue_map, sc
+from ihfan.fans import build_fan, face_fan_with_support, fan_from_json_dict
 from ihfan.ihsheaf import build_distinguished_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator)
 
 
 @functools.cache
 def cached_pair(fan):
     return build_distinguished_pair(fan)
+
+
+def fan_cold_fans(seed=1):
+    """(fan, {ray id: value}) for each fan of one cycle of the fan-cold
+    workload with twins, drawn at the first attempt, with the ray values of
+    its inline l."""
+    out = []
+    for i, spec in enumerate(gen.FAN_COLD_CYCLE):
+        for twin in (False, True):
+            doc = gen.fan_cold_job(gen.make_rng("shape", "fan-cold", i, 0),
+                                   gen.make_rng(seed, "fan-cold", i, 0),
+                                   spec, twin)["doc"]
+            fan = fan_from_json_dict(doc)
+            values = [parse_scalar(v) for v in doc["l"]["ray_values"]]
+            out.append((fan, dict(zip(fan.ray_ids(), values))))
+    return out
 
 
 def no_residue(m):

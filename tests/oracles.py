@@ -60,6 +60,11 @@ road.
   key table where the keys agree (ihsheaf.DistinguishedPair), an inverse
   off the dual basis of its rows (exactlin.inverse) and a lift off the
   cone's facet form (ihsheaf.flatten_boundary).
+- Section columns joined across the actual walls (classes_by_wall_joins):
+  a union-find over the columns, each wall between two simplicial
+  carriers joining the columns of its sides with equal monomials in the
+  wall's rays.  The package keys each simplicial carrier's column by its
+  face-supported monomial (ihsheaf._classes).
 - Fans as canonical JSON strings (canonical_json), equal exactly for
   equal fans.  The package keys its profile cache by the fan itself
   (fans.Fan.__eq__ and __hash__).
@@ -75,7 +80,7 @@ from math import comb
 from ihfan import exactlin, fans
 from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
                               profile_for_fan)
-from ihfan.conewise import Polynomial
+from ihfan.conewise import Polynomial, monomials
 from ihfan.exactlin import (ONE, ZERO, Matrix, echelon_insert, gram, rank,
                             sc, sparse_eliminate)
 from ihfan.fans import (Fan, PLFunction, build_fan, canonical_direction, vadd,
@@ -475,6 +480,42 @@ def carriers_by_star_scan(pair):
                       if ray_cars.issubset(fan.faces_of[c] + (c,)))
         out[tid] = car
     return out
+
+
+def classes_by_wall_joins(pair, cols):
+    """The classes of one grading's section columns cols, (mid, j, e) in
+    the order of ihsheaf._Sections, by a union-find over them: each wall
+    piece whose two owners have different simplicial carriers joins the
+    columns of both carriers that carry the same monomial in the rays of
+    the coarse wall (its carrier).  As ihsheaf._classes returns them, each
+    class lists its column indices in ascending order, and the classes
+    come in the order of their largest members."""
+    fan, sub, n = pair.fan, pair.subdivided, pair.fan.n
+    index = {col: i for i, col in enumerate(cols)}
+    k = max((sum(e) for mid, _, e in cols
+             if fan.cones[mid].is_simplicial()), default=0)
+    parent = list(range(len(cols)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for tid in pair.facet_piece_ids:
+        cones = [fan.cones[pair.carrier[hat]] for hat in sub.cofaces_of[tid]]
+        if len(cones) != 2 or cones[0] is cones[1] or \
+                not all(c.is_simplicial() for c in cones):
+            continue
+        wall = fan.cones[pair.carrier[tid]].rays
+        for mono in monomials(n - 1, k):
+            on = dict(zip(wall, mono))
+            a, b = (root(index[(c.id, 0, tuple(on.get(r, 0) for r in c.rays))])
+                    for c in cones)
+            parent[max(a, b)] = min(a, b)
+    members = {}
+    for c in range(len(cols)):
+        members.setdefault(root(c), []).append(c)
+    return sorted(members.values(), key=lambda ms: ms[-1])
 
 
 def tagged_inverse(m):

@@ -120,6 +120,17 @@ def _quadrant_pair_sections(cid, sections):
     return obj
 
 
+def _stepless_square_cone_pair():
+    """A pair dump of the cone over a square that lists no subdivision
+    centers, each of its ten cones (the origin, four rays, four 2-cones and
+    the cone) its own one piece with the constant as its one generator."""
+    fan = {"field": "Q", "dim": 3,
+           "rays": [[1, 1, 1], [1, -1, 1], [-1, -1, 1], [-1, 1, 1]],
+           "maximal_cones": [[0, 1, 2, 3]]}
+    stalks = {str(c): [[0, {str(c): {"0,0,0": "1"}}]] for c in range(10)}
+    return {"fan": fan, "steps": [], "stalks": stalks}
+
+
 MALFORMED = {
     "cone-index-past-rays": (
         ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
@@ -259,6 +270,10 @@ MALFORMED = {
         ["report"], _with_l(quadrant_dict(), {"per_cone": "1111"})),
     "pair-steps-a-string": (
         ["hvector"], dict(_quadrant_pair(0), steps="10")),
+    # empty steps leave the fan as its own subdivision, which only a
+    # simplicial fan is
+    "pair-nonsimplicial-without-steps": (
+        ["hvector"], _stepless_square_cone_pair()),
     # a pair dump's fan is an object, and a fan names each key it lacks
     "pair-fan-a-list": (["hvector"], {"fan": [], "stalks": {}}),
     "pair-without-fan": (["hvector"], {"stalks": {}}),
@@ -338,6 +353,8 @@ MALFORMED_MESSAGES = {
     "maximal-cone-a-string": "maximal cone 1 must be a list, got '12'",
     "per-cone-a-string": "per_cone must be a list, got '1111'",
     "pair-steps-a-string": "steps must be a list, got '10'",
+    "pair-nonsimplicial-without-steps": "pair dump lists no subdivision "
+    "centers in 'steps', but its fan is not simplicial",
     "pair-fan-a-list": "'fan' must be a JSON object",
     "pair-without-fan": "'fan' must be a JSON object",
     "fan-without-field": "a fan needs the key 'field'",

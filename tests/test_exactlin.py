@@ -471,7 +471,7 @@ def test_signature_congruence_invariance():
         assert signature(sym) == signature(conj)
 
 
-def test_sparse_kernel_matches_dense():
+def _sparse_kernel_against_dense():
     # the modular route against the exact one, over Q, Q(sqrt 2) and
     # Q(sqrt 5)
     rng = random.Random(17)
@@ -484,6 +484,26 @@ def test_sparse_kernel_matches_dense():
             kd = kernel_basis(m)
             assert [tuple(v.get(j, sc(0)) for j in range(m.ncols))
                     for v in ks] == kd
+
+
+def test_sparse_kernel_matches_dense():
+    _sparse_kernel_against_dense()
+
+
+def test_linear_algebra_tests_on_the_modular_path():
+    # with the primes every kernel is certified, and none falls back
+    before = exactlin.modp_fallbacks
+    _sparse_kernel_against_dense()
+    assert exactlin.modp_fallbacks == before
+
+
+def test_sparse_kernel_matches_dense_on_the_exact_path(monkeypatch):
+    # with no prime for any field, the systems with a row fall back to the
+    # exact path
+    monkeypatch.setattr(exactlin, "_embeddings", lambda m: ())
+    before = exactlin.modp_fallbacks
+    _sparse_kernel_against_dense()
+    assert exactlin.modp_fallbacks > before
 
 
 # -- the integer inner product ------------------------------------------------
@@ -701,30 +721,6 @@ def test_primes_and_square_roots():
         assert [p for p, _ in primes] == \
             [p for p in want if pow(m, (p - 1) // 2, p) == 1][:12]
         assert all(s * s % p == m and t == p - s for p, (s, t) in primes)
-
-
-LINEAR_ALGEBRA_TESTS = (
-    test_rank_rational, test_rank_quadratic_dependency, test_kernel_line,
-    test_kernel_quadratic, test_kernel_of_full_rank_is_empty,
-    test_solve_unique, test_solve_underdetermined_zeroes_free_vars,
-    test_solve_inconsistent, test_rank_nullity_randomised,
-    test_solve_randomised_consistency, test_sparse_kernel_matches_dense)
-
-
-def test_linear_algebra_tests_on_the_modular_path():
-    before = exactlin.modp_fallbacks
-    for test in LINEAR_ALGEBRA_TESTS:
-        test()
-    assert exactlin.modp_fallbacks == before
-
-
-def test_linear_algebra_tests_on_the_exact_path(monkeypatch):
-    # with no prime for any field every system falls back to the exact path
-    monkeypatch.setattr(exactlin, "_embeddings", lambda m: ())
-    before = exactlin.modp_fallbacks
-    for test in LINEAR_ALGEBRA_TESTS:
-        test()
-    assert exactlin.modp_fallbacks > before
 
 
 def test_kernel_falls_back_when_the_prime_divides_a_minor():

@@ -10,10 +10,11 @@ import pytest
 
 from ihfan import cli, exactlin, fans
 from ihfan.exactlin import (ONE, ZERO, Matrix, ScalarField, kernel_basis,
-                            parse_scalar, rank, sc, sparse_eliminate, vdot)
+                            rank, sc, sparse_eliminate, vdot)
 from ihfan.ihsheaf import build_distinguished_pair
 
-from conftest import dodecahedron_vertices, icosahedron_vertices
+from conftest import (dodecahedron_vertices, fan_cold_fans,
+                      icosahedron_vertices)
 from oracles import (barycenter_sum_scaled, canonical_json, forms_by_solve,
                      meet_id, pointed_by_rank, polytope_face_lattice,
                      skew_product, star_link, tagged_inverse, toric_h_oracle)
@@ -820,22 +821,6 @@ def test_independent_generators_need_no_pointedness_rank(monkeypatch):
         assert calls == []
 
 
-def _fan_cold_fans(seed=1):
-    """(fan, {ray id: value}) for each fan of one cycle of the fan-cold
-    workload with twins, drawn at the first attempt, with the ray values of
-    its inline l."""
-    out = []
-    for i, spec in enumerate(gen.FAN_COLD_CYCLE):
-        for twin in (False, True):
-            doc = gen.fan_cold_job(gen.make_rng("shape", "fan-cold", i, 0),
-                                   gen.make_rng(seed, "fan-cold", i, 0),
-                                   spec, twin)["doc"]
-            fan = fans.fan_from_json_dict(doc)
-            values = [parse_scalar(v) for v in doc["l"]["ray_values"]]
-            out.append((fan, dict(zip(fan.ray_ids(), values))))
-    return out
-
-
 def _sqrt2_bipyramid_face_fan():
     job = gen.polytope_bipyramid_sqrt2(gen.make_rng("shape", "tests"),
                                        gen.make_rng(1, "tests"), 5)
@@ -858,7 +843,7 @@ def test_from_ray_values_is_the_solved_form():
     # on a full-dimensional cone the form with given ray values is unique,
     # so the dual-basis read-off must give solve's form exactly
     rng = random.Random(30)
-    cases = _fan_cold_fans()
+    cases = fan_cold_fans()
     assert {len(f.cones[m].rays) for f, _ in cases for m in f.maximal_ids} \
         == {3, 4}           # the prisms' square cones are among them
     bipyramid = _sqrt2_bipyramid_face_fan()

@@ -19,9 +19,10 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            pair_from_json_dict, pair_to_json_dict,
                            projection_along)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
-                      golden_field, no_residue)
+                      fan_cold_fans, golden_field, no_residue)
 from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
-                     carriers_by_star_scan, full_greedy, global_sections, gram_loop,
+                     carriers_by_star_scan, classes_by_wall_joins,
+                     full_greedy, global_sections, gram_loop,
                      lift_over_span, materialized_values, profile_with_centers,
                      reduce_mod, relative_ih, relative_sections, star_link,
                      unit_vectors, validate, vdot_loop)
@@ -804,7 +805,8 @@ def test_lefschetz_gram_is_the_per_piece_gram(cube_fan_support):
 
 
 def test_simplicial_pair_solves_no_kernel(monkeypatch):
-    # every wall of the octahedron's face fan joins columns: no kernel
+    # the octahedron's face fan is simplicial, so its columns are classes
+    # by monomial and no wall gives rows: no kernel
     calls = []
     kernel = ihsheaf.sparse_kernel
     monkeypatch.setattr(ihsheaf, "sparse_kernel",
@@ -844,9 +846,69 @@ def test_walls_between_simplicial_carriers_give_no_rows(monkeypatch):
     assert all(square in {pair.carrier[m] for m in sub.cofaces_of[t]}
                for t in read)
     # one kernel per grading, over fewer variables than columns: the
-    # triangular cones' columns are joined
+    # triangular cones' columns share classes
     assert [ncols < len(sp.cols) for (_, ncols, _), sp in
             zip(calls, gih.spaces.values())] == [True] * 4
+
+
+def test_wall_joins_give_the_same_section_spaces(monkeypatch, cube_fan):
+    # keying columns by face-supported monomial joins every class that the
+    # walls between simplicial carriers join, and exactly those on a
+    # simplicial fan, whose walls connect the cones around every face.
+    # Where only walls through a nonsimplicial carrier connect two
+    # simplicial ones (the two triangles of a triangular prism), those
+    # walls' rows force the rest, so with the wall joins each grading's
+    # columns, basis and free columns come out the same: the Q(sqrt 2)
+    # octahedron, the cube (square carriers only), the Q(sqrt 2)
+    # triangular prism (triangles and squares), the 4-cube, the product of
+    # two triangle fans and one cycle of the fan-cold workload
+    fans_ = [_sheared_bipyramid(), cube_fan, _triangular_prism()[0],
+             four_cube_fan(), product_fan(_triangle(), _triangle())]
+    fans_ += [fan for fan, _ in fan_cold_fans()]
+    coarser = set()
+    for fan in fans_:
+        pair = cached_pair(fan)
+        gradings = range(0, 2 * fan.n + 1, 2)
+        spaces = ihsheaf._section_spaces(pair, gradings)
+        for sp in spaces.values():
+            classes = ihsheaf._classes(fan, sp.cols)
+            joined = classes_by_wall_joins(pair, sp.cols)
+            owner = {c: v for v, ms in enumerate(classes) for c in ms}
+            assert all(len({owner[c] for c in ms}) == 1 for ms in joined)
+            if classes != joined:
+                assert not fan.is_simplicial()
+                coarser.add(fan)
+        with monkeypatch.context() as m:
+            m.setattr(ihsheaf, "_classes",
+                      lambda _, cols: classes_by_wall_joins(pair, cols))
+            by_walls = ihsheaf._section_spaces(pair, gradings)
+        for d in gradings:
+            assert by_walls[d].cols == spaces[d].cols
+            assert by_walls[d].basis == spaces[d].basis
+            assert by_walls[d].free == spaces[d].free
+    assert _triangular_prism()[0] in coarser
+
+
+@pytest.mark.parametrize("rays, cones, h", [
+    # opposite quadrants meet only at 0: sections are pairs of polynomials
+    # agreeing there, so S_1 has dimension 2 + 2 and x S_1 + y S_1 is all
+    # of S_2, h = (1, 4 - 2, 0)
+    ([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)], (1, 2, 0)),
+    # a bowtie of two octants sharing only the ray e1: S_1 has dimension
+    # 3 + 3 - 1 = 5, so h_1 = 5 - 3, and the products fill S_2 and S_3
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 0, -1)],
+     [(0, 1, 2), (0, 3, 4)], (1, 2, 0, 0)),
+], ids=["opposite-quadrants", "bowtie"])
+def test_cones_meeting_in_a_face_no_wall_reaches(rays, cones, h):
+    # no chain of walls joins the cones' columns on their common face, so
+    # the wall joins leave the constants apart; the face-supported
+    # monomials join them, as continuity there demands
+    fan = build_fan(len(rays[0]), [[rays[i] for i in c] for c in cones])
+    pair = build_distinguished_pair(fan)
+    cols = ihsheaf._section_spaces(pair, [0])[0].cols
+    assert len(ihsheaf._classes(fan, cols)) == 1
+    assert len(classes_by_wall_joins(pair, cols)) == 2
+    assert GradedIH(pair).h_vector() == h
 
 
 # -- serialization ---------------------------------------------------------
