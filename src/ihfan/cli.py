@@ -68,6 +68,10 @@ def load_input(path):
             if not verts[0]:
                 raise InputError("dim must be at least 1, got a vertex "
                                  "with no coordinates")
+            for i, v in enumerate(verts):
+                if len(v) != len(verts[0]):
+                    raise InputError(f"vertex {i} has {len(v)} coordinates, "
+                                     f"vertex 0 has {len(verts[0])}")
             kind = obj.get("fan", "face")
             if kind == "face":
                 fan, support = face_fan_with_support(verts, field=field)

@@ -175,10 +175,11 @@ class _ConeGeometry:
         self.dim = len(basis)
         self.duals = tuple(cols[:self.dim])
         self.equations = list(zip(comp, cols[self.dim:]))
-        forms = {canonical_direction(y): on
-                 for y, on in _dd(rays, basis, self.duals)}
-        self.facet_forms = tuple(sorted(forms))
-        self.facet_rows = tuple(forms[w] for w in self.facet_forms)
+        # _dd returns distinct rays, so the pairs sort by their forms
+        facets = sorted((canonical_direction(y), on)
+                        for y, on in _dd(rays, basis, self.duals))
+        self.facet_forms = tuple(w for w, _ in facets)
+        self.facet_rows = tuple(on for _, on in facets)
         self.facet_ray_keys = tuple(tuple(rays[i] for i in on)
                                     for on in self.facet_rows)
 
@@ -551,7 +552,7 @@ def is_complete(fan: Fan):
 
 class PLFunction:
     """Conewise linear function: one exact linear form per maximal cone,
-    agreeing on shared faces (checked on shared rays)."""
+    agreeing on shared faces (with check, checked on shared rays)."""
 
     __slots__ = ("fan", "per_max")
 
@@ -587,7 +588,9 @@ class PLFunction:
         full-dimensional cone.  The rays outside the basis, only on a
         cone that is not simplicial, are checked against their values in
         one more product; a mismatch means that the cone admits no linear
-        form with those values, and raises ValueError."""
+        form with those values, and raises ValueError.  So each form takes
+        the one value of each of its rays, and the forms agree on shared
+        rays without PLFunction's check."""
         per_max = {}
         rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
         for m in fan.maximal_ids:
@@ -603,7 +606,7 @@ class PLFunction:
                 raise ValueError(
                     "no linear form matches the ray values on cone %r" % c)
             per_max[m] = form
-        return PLFunction(fan, per_max)
+        return PLFunction(fan, per_max, check=False)
 
 
 def is_strictly_convex(fan: Fan, l: PLFunction):
@@ -711,41 +714,55 @@ def face_fan_with_support(vertices, field=None):
     """Face fan plus its canonical strictly convex function: on the cone
     over a facet F, the unique linear form equal to 1 on F.  With the facet
     beta . x <= c, that form is beta / c, and the origin is interior iff
-    every c is positive."""
+    every c is positive.
+
+    The fan is read off the hull and goes to Fan unchecked, as is its
+    function.  Every c > 0 is checked first, so 0 is not in aff F, and the
+    cone over F is pointed, spanned by the vertices of F, each one extreme;
+    two of these cones meet in the cone over F & F' (the face fan of a
+    polytope with the origin inside is complete: Ziegler 1995, Lectures on
+    Polytopes, 7.1).  beta / c is 1 on every vertex of F, the hull's facet
+    rows, so the forms agree on shared rays."""
     vertices = [vec(v) for v in vertices]
     n = len(vertices[0])
     facets, forms = _lifted_hull_facets(vertices, n)
-    cone_forms = []
-    for beta, c in forms:
+    for _, c in forms:
         if not c:
             raise ValueError("origin is not interior (a facet hyperplane "
                              "passes through it)")
         if c.sign() < 0:
             raise ValueError("origin is not interior to the hull")
-        cone_forms.append(vscale(c.inverse(), beta))
     rays = [canonical_direction(v) for v in vertices]
-    gen_sets = [[rays[i] for i in idxs] for idxs in facets]
-    fan = build_fan(n, gen_sets, field=field)
-    per_max = {fan.id_by_key[tuple(sorted(gens))]: alpha
-               for gens, alpha in zip(gen_sets, cone_forms)}
-    return fan, PLFunction(fan, per_max)
+    keys = [tuple(sorted(rays[i] for i in idxs)) for idxs in facets]
+    fan = Fan(n, field, keys, check=False)
+    per_max = {fan.id_by_key[k]: vscale(c.inverse(), beta)
+               for k, (beta, c) in zip(keys, forms)}
+    return fan, PLFunction(fan, per_max, check=False)
 
 
 def normal_fan(vertices, field=None):
     """Normal fan of conv(vertices) (one maximal cone per vertex) together
     with its support function max_x <x, v>, stored per maximal cone as the
-    maximizing vertex."""
+    maximizing vertex.
+
+    The fan is read off the hull and goes to Fan unchecked, as is its
+    function: each vertex's cone is its normal cone, full-dimensional and
+    pointed, with every incident facet normal extreme, and the normal cones
+    of a full-dimensional polytope form a complete fan (Ziegler 1995, 7.1).
+    For vertices v, w on a facet with normal beta, beta . v = beta . w, so
+    the forms agree on shared rays."""
     vertices = [vec(v) for v in vertices]
     n = len(vertices[0])
     facets, forms = _lifted_hull_facets(vertices, n)
     hull_vertices = sorted({i for idxs in facets for i in idxs})
     normals = [canonical_direction(beta) for beta, _ in forms]
-    gen_sets = [[normals[k] for k, idxs in enumerate(facets) if vi in idxs]
-                for vi in hull_vertices]
-    fan = build_fan(n, gen_sets, field=field)
-    per_max = {fan.id_by_key[tuple(sorted(gens))]: vertices[vi]
-               for gens, vi in zip(gen_sets, hull_vertices)}
-    return fan, PLFunction(fan, per_max)
+    keys = [tuple(sorted(normals[k] for k, idxs in enumerate(facets)
+                         if vi in idxs))
+            for vi in hull_vertices]
+    fan = Fan(n, field, keys, check=False)
+    per_max = {fan.id_by_key[k]: vertices[vi]
+               for k, vi in zip(keys, hull_vertices)}
+    return fan, PLFunction(fan, per_max, check=False)
 
 
 # -- products --------------------------------------------------------------

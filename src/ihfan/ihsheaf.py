@@ -293,12 +293,14 @@ def _section_spaces(pair, gradings):
 def _classes(fan, cols):
     """The classes of the columns (see _Sections), each in ascending order,
     in the order of their largest members."""
+    # the ray ids of each simplicial carrier, looked up once; a ray has one
+    # id, so equal monomials get equal keys
+    ids = {m: [fan.id_by_key[(r,)] for r in fan.cones[m].rays]
+           for m in fan.maximal_ids if len(fan.cones[m].rays) == fan.n}
     members = {}
     for c, (mid, _, e) in enumerate(cols):
-        rays = fan.cones[mid].rays
-        # each cone's rays are sorted, so equal monomials get equal keys
-        key = tuple((rays[r], x) for r, x in enumerate(e) if x) \
-            if len(rays) == fan.n else c
+        key = tuple((ids[mid][r], x) for r, x in enumerate(e) if x) \
+            if mid in ids else c
         members.setdefault(key, []).append(c)
     return sorted(members.values(), key=lambda ms: ms[-1])
 
@@ -318,10 +320,10 @@ class _Sections:
     S on every simplicial carrier holding S: Billera's face-supported
     monomials ("The algebra of continuous piecewise polynomials", 1989).
     Each column of a simplicial carrier is keyed by its monomial, the pairs
-    (ray, exponent) with a positive exponent; equal keys form one class, and
-    every other column is a class of its own.  Two simplicial sides of a
-    wall agree on it exactly when these classes do, so such a wall gives no
-    rows.
+    (fan ray id, exponent) with a positive exponent; equal keys form one
+    class, and every other column is a class of its own.  Two simplicial
+    sides of a wall agree on it exactly when these classes do, so such a
+    wall gives no rows.
 
     Every wall that touches a nonsimplicial carrier keeps one block of
     rows: each row is one coefficient of the difference of the two sides'

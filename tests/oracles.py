@@ -65,6 +65,11 @@ road.
   carriers joining the columns of its sides with equal monomials in the
   wall's rays.  The package keys each simplicial carrier's column by its
   face-supported monomial (ihsheaf._classes).
+- Polytope fans by the checked route (checked_polytope_fan): build_fan on
+  each maximal cone's generators, which rebuilds every cone and checks
+  the fan axioms, and a PLFunction that checks its forms on shared rays.
+  The package hands the hull's cones and forms to Fan and PLFunction
+  unchecked (fans.face_fan_with_support, fans.normal_fan).
 - Fans as canonical JSON strings (canonical_json), equal exactly for
   equal fans.  The package keys its profile cache by the fan itself
   (fans.Fan.__eq__ and __hash__).
@@ -543,6 +548,31 @@ def tagged_inverse(m):
     inv = Matrix([[ech[c].get(n + j, ZERO) for j in range(n)]
                   for c in range(n)], ncols=n)
     return inv, d
+
+
+def checked_polytope_fan(vertices, kind, field=None):
+    """(fan, support function) of conv(vertices), kind "face" or "normal",
+    as fans.face_fan_with_support and fans.normal_fan give them, built from
+    the same hull by build_fan and a checked PLFunction."""
+    vertices = [vec(v) for v in vertices]
+    n = len(vertices[0])
+    facets, forms = fans._lifted_hull_facets(vertices, n)
+    if kind == "face":
+        if any(c.sign() <= 0 for _, c in forms):
+            raise ValueError("origin is not interior")
+        rays = [canonical_direction(v) for v in vertices]
+        gen_sets = [[rays[i] for i in idxs] for idxs in facets]
+        values = [vscale(c.inverse(), beta) for beta, c in forms]
+    else:
+        hull_vertices = sorted({i for idxs in facets for i in idxs})
+        normals = [canonical_direction(beta) for beta, _ in forms]
+        gen_sets = [[normals[k] for k, idxs in enumerate(facets)
+                     if vi in idxs] for vi in hull_vertices]
+        values = [vertices[vi] for vi in hull_vertices]
+    fan = build_fan(n, gen_sets, field=field)
+    per_max = {fan.id_by_key[tuple(sorted(gens))]: v
+               for gens, v in zip(gen_sets, values)}
+    return fan, PLFunction(fan, per_max)
 
 
 def canonical_json(fan):

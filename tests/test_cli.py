@@ -142,6 +142,9 @@ MALFORMED = {
         ["hvector"], _triangle_fan([[0, 1], [1, -1], [-1, 0]])),
     "no-vertices": (
         ["hvector"], {"field": "Q", "vertices": [], "fan": "face"}),
+    "ragged-vertices": (
+        ["hvector"], {"field": "Q", "fan": "face",
+                      "vertices": [[1, 0], [0, 1, 2], [-1, -1]]}),
     "ray-value-not-a-literal": (
         ["report"], _with_l(quadrant_dict(),
                             {"ray_values": ["1", "one", "1", "1"]})),
@@ -290,6 +293,7 @@ MALFORMED = {
 # what the error line must say, where a case names the culprit
 MALFORMED_MESSAGES = {
     "ray-zero": "ray 3 is the zero vector",
+    "ragged-vertices": "vertex 1 has 3 coordinates, vertex 0 has 2",
     "point-not-a-vertex": "point (1, 0) is not a vertex of the polytope",
     "origin-on-facet-hyperplane":
         "origin is not interior (a facet hyperplane passes through it)",

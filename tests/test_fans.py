@@ -15,9 +15,10 @@ from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import (dodecahedron_vertices, fan_cold_fans,
                       icosahedron_vertices)
-from oracles import (barycenter_sum_scaled, canonical_json, forms_by_solve,
-                     meet_id, pointed_by_rank, polytope_face_lattice,
-                     skew_product, star_link, tagged_inverse, toric_h_oracle)
+from oracles import (barycenter_sum_scaled, canonical_json,
+                     checked_polytope_fan, forms_by_solve, meet_id,
+                     pointed_by_rank, polytope_face_lattice, skew_product,
+                     star_link, tagged_inverse, toric_h_oracle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
@@ -525,6 +526,17 @@ def random_cone(rng, d, field):
             for p in convex_points(rng, d - 1, coord)]
 
 
+def facets_by_dict(geom):
+    """(facet forms, facet rows, facet ray keys) of the cone geometry geom
+    by a dict from each canonical form to its rows, whose sorted keys are
+    the forms."""
+    rows = {fans.canonical_direction(y): on
+            for y, on in fans._dd(geom.rays, geom.basis, geom.duals)}
+    forms = tuple(sorted(rows))
+    return (forms, tuple(rows[w] for w in forms),
+            tuple(tuple(geom.rays[i] for i in rows[w]) for w in forms))
+
+
 @pytest.mark.parametrize("d", (3, 4, 5))
 @pytest.mark.parametrize("m", (None, 2))
 def test_hull_matches_brute_force_facets(d, m):
@@ -536,6 +548,8 @@ def test_hull_matches_brute_force_facets(d, m):
         geom = fans.cone_geometry(c.rays, d)
         assert dict(zip(geom.facet_forms, geom.facet_ray_keys)) == \
             brute_facets(gens, d)
+        assert (geom.facet_forms, geom.facet_rows, geom.facet_ray_keys) == \
+            facets_by_dict(geom)
         # the sum of the generators of a face lies in its relative interior:
         # two random generators, then an edge (a face of dimension 2), a
         # 2-face of the cross-section (dimension 3) and the interior
@@ -869,6 +883,13 @@ def test_from_ray_values_is_the_solved_form():
     assert checked > 600
 
 
+def test_from_ray_values_forms_agree_on_shared_rays():
+    # PLFunction.from_ray_values skips the agreement check: each form takes
+    # the one value of each of its rays
+    for fan, values in fan_cold_fans(1):
+        fans.PLFunction.from_ray_values(fan, values)._check_agreement()
+
+
 def test_from_ray_values_rejects_inconsistent_values_on_a_square_cone():
     fan = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (1, -1, 1),
                               (-1, -1, 1)]])
@@ -1199,6 +1220,72 @@ def test_golden_ratio_polytopes(vertices, f):
     ff, l = fans.face_fan_with_support(vertices(), field=ScalarField(5))
     assert len(ff.maximal_ids) == f[2]
     assert fans.is_complete(ff) and fans.is_strictly_convex(ff, l)
+
+
+# -- polytope fans read off the hull ------------------------------------------
+
+
+def check_axioms(fan):
+    """Fan._check_axioms on a built fan: the rays sorted as Fan sorts them
+    and each cone's ray mask over them, by id."""
+    rays = sorted({r for c in fan.cones.values() for r in c.rays})
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    fan._check_axioms([sum(bit[r] for r in fan.cones[cid].rays)
+                       for cid in sorted(fan.cones)], rays)
+
+
+def assert_read_off_the_hull(vertices, field=None):
+    """The face and normal fans of conv(vertices) and their support
+    functions, unchecked, are those of the checked route, and pass the
+    checks they skip."""
+    for kind, build in (("face", fans.face_fan_with_support),
+                        ("normal", fans.normal_fan)):
+        fan, l = build(vertices, field=field)
+        ref, ref_l = checked_polytope_fan(vertices, kind, field)
+        assert fan == ref
+        assert fan.id_by_key == ref.id_by_key
+        assert fan.faces_of == ref.faces_of
+        assert fan.cofaces_of == ref.cofaces_of
+        assert fan.maximal_ids == ref.maximal_ids
+        assert l.per_max == ref_l.per_max
+        check_axioms(fan)
+        l._check_agreement()
+
+
+def _sqrt2_pentagon():
+    r2 = ScalarField(2).parse("0+1r2")
+    return [(r2, sc(0)), (sc(1), sc(1)), (sc(0), sc(1)), (sc(-1), sc(0)),
+            (sc(0), -r2)]
+
+
+HULL_POLYTOPES = {
+    "segment": lambda: ([(-1,), (2,)], None),
+    "square": lambda: ([(1, 1), (-1, 1), (-1, -1), (1, -1)], None),
+    "sqrt2-pentagon": lambda: (_sqrt2_pentagon(), ScalarField(2)),
+    "cube": lambda: (cube_vertices(), None),
+    "octahedron": lambda: ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                            (0, 0, 1), (0, 0, -1)], None),
+    "icosahedron": lambda: (icosahedron_vertices(), ScalarField(5)),
+    "dodecahedron": lambda: (dodecahedron_vertices(), ScalarField(5)),
+    "4-cube": lambda: (list(itertools.product((1, -1), repeat=4)), None),
+}
+
+
+@pytest.mark.parametrize("name", HULL_POLYTOPES)
+def test_polytope_fans_are_read_off_the_hull(name):
+    assert_read_off_the_hull(*HULL_POLYTOPES[name]())
+
+
+@pytest.mark.parametrize("spec", sorted(set(gen.POLYTOPE_CYCLE)),
+                         ids="{0[0]}-{0[1]}".format)
+def test_benchmark_polytope_fans_are_read_off_the_hull(spec):
+    # 20 seeds of each polytope-sqrt2 family
+    field = ScalarField(2)
+    for seed in range(1, 21):
+        doc = gen.polytope_job(gen.make_rng("shape", "hull", seed),
+                               gen.make_rng(seed, "hull"), spec)["doc"]
+        assert_read_off_the_hull(
+            [fans.parse_vector(v, field) for v in doc["vertices"]], field)
 
 
 def test_barycentric_icosahedron_flag_counts():
