@@ -2,8 +2,8 @@
 checks, emit reports.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 input or usage
-error.  A nonsimplicial fan is subdivided at the sup-norm barycenters
-(fans.barycenter); a pair dump brings its own centers."""
+error.  The nonsimplicial cones of a fan are subdivided at their sup-norm
+barycenters (fans.barycenter); a pair dump brings its own centers."""
 
 import argparse
 import functools

@@ -14,7 +14,8 @@ import functools
 import operator
 from math import prod
 
-from .exactlin import ONE, ZERO, format_scalar, sc, vdot
+from .exactlin import (ONE, ZERO, _ints, _reduced, format_scalar, radicand,
+                       sc, vdot)
 
 
 # -- polynomials -----------------------------------------------------------
@@ -97,21 +98,24 @@ class Polynomial:
         return Polynomial._clean(self.n, out)
 
     def mul(self, other):
-        """The product: each coefficient is the inner product of the
-        coefficient pairs whose exponents add up to its own."""
-        pairs = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                left, right = pairs.setdefault(
-                    tuple(map(operator.add, e1, e2)), ([], []))
-                left.append(c1)
-                right.append(c2)
-        out = {}
-        for e, (left, right) in pairs.items():
-            c = vdot(left, right)
-            if c:
-                out[e] = c
-        return Polynomial._clean(self.n, out)
+        """The product: both factors' coefficients cleared to ints once
+        (exactlin._ints), the products summed per exponent as ints and each
+        sum reduced once (exactlin._reduced), so every coefficient is the
+        canonical Scalar."""
+        a, b, da, ma = _ints(self.coeffs.values())
+        c, e, dc, mc = _ints(other.coeffs.values())
+        m = ma if ma == mc else radicand((ma, mc))
+        r = m or 0
+        sums = {}
+        for e1, x, u in zip(self.coeffs, a, b or [0] * len(a)):
+            for e2, y, v in zip(other.coeffs, c, e or [0] * len(c)):
+                k = tuple(map(operator.add, e1, e2))
+                p, q = sums.get(k, (0, 0))
+                sums[k] = (p + x * y + r * u * v, q + x * v + u * y)
+        den = da * dc
+        return Polynomial._clean(self.n, {
+            k: _reduced(p, q, den, m) for k, (p, q) in sums.items()
+            if p or q})
 
     def evaluate(self, point):
         """The value at point: the inner product of the coefficients with

@@ -1,6 +1,6 @@
 """Pointed polyhedral cones, fans with explicit face lattices, barycentric
-subdivision (the flag complex), polytope ingestion (face fan and normal
-fan), and products.
+subdivision of the nonsimplicial cones, polytope ingestion (face fan and
+normal fan), and products.
 
 Conventions.  A ray is stored by its canonical generator: the vector scaled
 so its first nonzero coordinate has absolute value 1 (positive rescaling
@@ -646,21 +646,22 @@ def barycenter(cone: Cone):
 
 
 def barycentric_subdivision(fan: Fan, barycenter_choice=None):
-    """Full barycentric subdivision: the flag complex of the fan.
+    """Barycentric subdivision of the nonsimplicial cones.
 
     A center (barycenter_choice, default barycenter) is chosen in the
-    relative interior of every cone of dim >= 2, by decreasing dimension
-    and then by id.  The subdivided fan has one maximal cone per flag
-    rho < tau_2 < ... < sigma, each cone a facet of the next and sigma
-    maximal, spanned by the ray rho and the centers of tau_2, ..., sigma.
-    Returns (subdivided fan, steps); each step is (center vector, ray key
-    of its cone), in the order the centers were chosen.  The result is
-    simplicial; it is the fan itself when no cone has dim >= 2.
+    relative interior of every nonsimplicial cone, by decreasing dimension
+    and then by id.  A cone without a center is its own only flag, and a
+    cone with one ends each flag of its facets with it: it is the cone from
+    its center over its subdivided boundary, and each maximal cone of the
+    subdivision is spanned by one flag of a maximal cone.  Returns
+    (subdivided fan, steps); each step is (center vector, ray key of its
+    cone), in the order the centers were chosen.  The result is simplicial;
+    it is the fan itself when every cone is simplicial.
     """
     choice = barycenter_choice or barycenter
     steps = []
     center_ray = {}
-    for c in sorted((c for c in fan.cones.values() if c.dim >= 2),
+    for c in sorted((c for c in fan.cones.values() if not c.is_simplicial()),
                     key=lambda c: (-c.dim, c.id)):
         v = vec(choice(c))
         # the last coface has the largest dim, so it is maximal
@@ -675,7 +676,7 @@ def barycentric_subdivision(fan: Fan, barycenter_choice=None):
     # so a cone's facets come before it
     flags = {}
     for cid, c in fan.cones.items():
-        if c.dim <= 1:
+        if cid not in center_ray:
             flags[cid] = [c.rays]
         else:
             flags[cid] = [flag + (center_ray[cid],)

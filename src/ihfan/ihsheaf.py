@@ -1,23 +1,23 @@
 """Stalks and graded section spaces of the minimal conewise sheaf.
 
 The pipeline: a complete (or quasi-convex) fan gets a distinguished
-simplicial subdivision (identity for simplicial input, full barycentric
-otherwise).  A stalk is a tuple of (grading, sections) generators.  Stalks
-are built by increasing cone dimension: a simplicial cone's is the
-constant, and a nonsimplicial cone's comes from one flattening of its
-boundary along its subdivision center over the pair's face lattice
-(flatten_boundary): the facets, their pieces and their stalks go down to a
-complete pair one dimension lower, on which hard Lefschetz and
-Hodge-Riemann are checked and whose primitive classes are pulled back to
-the cone's pieces (flattened_stalk).  Global sections of any grading
-are then read off per-carrier columns (_Sections): the monomials in the
-carrier's frame variables times its stalk generators, the frame (_frame)
-being the dual forms of the rays on a simplicial carrier and the ambient
-coordinates elsewhere.  Sections are absolute: each wall the builder
-reads lies between two pieces, and a boundary piece constrains nothing.
-A simplicial carrier's columns are keyed by their face-supported
-monomials, one class per key; only walls that touch a nonsimplicial
-carrier give rows, a sparse linear system built in integer arithmetic.
+simplicial subdivision, the barycentric subdivision of its nonsimplicial
+cones (the fan itself when it is simplicial).  A stalk is a tuple of
+(grading, sections) generators.  Stalks are built by increasing cone
+dimension: a simplicial cone's is the constant, and a nonsimplicial cone's
+comes from one flattening of its boundary along its subdivision center over
+the pair's face lattice (flatten_boundary): the facets, their pieces and
+their stalks go down to a complete pair one dimension lower, on which hard
+Lefschetz and Hodge-Riemann are checked and whose primitive classes are
+pulled back to the cone's pieces (flattened_stalk).  Global sections of any
+grading are then read off per-carrier columns (_Sections): the monomials in
+the carrier's frame variables times its stalk generators, the frame
+(_frame) being the dual forms of the rays on a simplicial carrier and the
+ambient coordinates elsewhere.  Sections are absolute: each wall the
+builder reads lies between two pieces, and a boundary piece constrains
+nothing.  A simplicial carrier's columns are keyed by their face-supported
+monomials, one class per key; only walls that touch a nonsimplicial carrier
+give rows, a sparse linear system built in integer arithmetic.
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
@@ -498,15 +498,12 @@ def build_distinguished_pair(fan: Fan):
     """Distinguished pair of a fan whose maximal cones have full dimension:
     a complete fan, or an incomplete one such as a single cone with its
     faces, whose sections are absolute all the same (see _section_spaces).
-    Simplicial fans keep their own cone structure; everything else gets the
-    full barycentric subdivision.
+    The subdivision cuts up only the nonsimplicial cones, so a simplicial
+    fan is its own (fans.barycentric_subdivision).
     Stalks are built by increasing cone dimension (ids go up with it): the
     constant on a simplicial cone, the pulled-back primitives of the
     flattened boundary on any other (flattened_stalk)."""
-    if fan.is_simplicial():
-        subdivided, steps = fan, ()
-    else:
-        subdivided, steps = fans.barycentric_subdivision(fan)
+    subdivided, steps = fans.barycentric_subdivision(fan)
     pair = DistinguishedPair(fan, subdivided, steps)
     centers = {key: center for center, key in steps}
     for cid, c in fan.cones.items():
@@ -935,8 +932,8 @@ def pair_from_json_dict(obj):
     subdivision is rebuilt from the recorded centers (ids are
     deterministic), and the stored generator sections are attached without
     recomputation.  The recorded steps are either empty, when the fan is
-    simplicial and so its own subdivision, or one center per cone of
-    dim >= 2 in the order ``fans.barycentric_subdivision`` takes the cones,
+    simplicial and so its own subdivision, or one center per nonsimplicial
+    cone in the order ``fans.barycentric_subdivision`` takes the cones,
     each of length n and in the relative interior of its cone; they fix
     the subdivision, so a "rule" key, which earlier versions wrote, is
     ignored.  Steps that are not such a list raise ValueError, and so does
@@ -957,11 +954,11 @@ def pair_from_json_dict(obj):
                              "'steps', but its fan is not simplicial")
         subdivided, steps = fan, ()
     else:
-        wanted = sum(1 for c in fan.cones.values() if c.dim >= 2)
+        wanted = sum(1 for c in fan.cones.values() if not c.is_simplicial())
         if len(centers) != wanted:
             raise ValueError(f"pair dump lists {len(centers)} subdivision "
-                             f"centers, but its fan has {wanted} cones of "
-                             "dim >= 2")
+                             f"centers, but its fan has {wanted} "
+                             "nonsimplicial cones")
         if any(len(v) != n for v in centers):
             raise ValueError("a subdivision center's length does not match "
                              "dim")

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from ihfan.exactlin import ScalarField, parse_scalar, residue_map, sc
-from ihfan.fans import build_fan, face_fan_with_support, fan_from_json_dict
+from ihfan.fans import (build_fan, face_fan_with_support, fan_from_json_dict,
+                        parse_vector)
 from ihfan.ihsheaf import build_distinguished_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -114,6 +115,38 @@ def dodecahedron_vertices():
     return cube + [v[i:] + v[:i] for a in (1, -1) for b in (1, -1)
                    for v in [(sc(0), a * (phi - 1), b * phi)]
                    for i in range(3)]
+
+
+def sqrt2_triangular_prism():
+    """The face fan of a prism over a triangle with an irrational vertex,
+    over Q(sqrt 2), and its support function: two triangular cones and
+    three square ones."""
+    field = ScalarField(2)
+    r2 = field.parse("0+1r2")
+    tri = [(sc(2), sc(0)), (sc(-1), r2), (sc(-1), sc(-1) - r2)]
+    return face_fan_with_support([(x, y, sc(z)) for x, y in tri
+                                  for z in (1, -1)], field=field)
+
+
+# a Q(sqrt 2)-sheared triangular prism, as the vertex literals of an input
+SQRT2_PRISM = (("2", "0", "1+2r2"), ("2", "0", "-1+2r2"),
+               ("-1", "1", "1-1r2"), ("-1", "1", "-1-1r2"),
+               ("-1", "-1", "1-1r2"), ("-1", "-1", "-1-1r2"))
+
+
+def pyramid(vertices):
+    """The vertex literals of the pyramid over a polytope: its vertices at
+    x_n = -1 and the apex (0, ..., 0, 3)."""
+    vertices = [list(v) for v in vertices]
+    return [v + ["-1"] for v in vertices] + [["0"] * len(vertices[0]) + ["3"]]
+
+
+def sqrt2_prism_pyramid():
+    """The face fan of the pyramid over SQRT2_PRISM, over Q(sqrt 2), and its
+    support function."""
+    field = ScalarField(2)
+    return face_fan_with_support(
+        [parse_vector(v, field) for v in pyramid(SQRT2_PRISM)], field=field)
 
 
 @pytest.fixture(scope="session")

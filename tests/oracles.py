@@ -22,12 +22,16 @@ road.
   selection keeps.  The package reads its selection off the pivots of the
   multiples on the free columns, and Lefschetz maps off a Gram matrix.
 - Sums of products as loops of Scalar products and sums (vdot_loop,
-  mul_loop, gram_loop), one reduction per operation.  The package clears
-  each row to ints, sums the products as Python ints and reduces once
-  (exactlin.vdot, Matrix.mul, exactlin.gram).
-- A second subdivision rule (barycenter_sum_scaled, profile_with_centers):
-  each generator scaled to coordinate-sum 1 where that sum is positive.
-  The package subdivides at the sup-norm barycenters (fans.barycenter);
+  poly_mul_loop, mul_loop, gram_loop), one reduction per operation.  The
+  package clears each row, or each polynomial's coefficients, to ints,
+  sums the products as Python ints and reduces once (exactlin.vdot,
+  conewise.Polynomial.mul, Matrix.mul, exactlin.gram).
+- Other subdivisions: a second center rule (barycenter_sum_scaled,
+  profile_with_centers), each generator scaled to coordinate-sum 1 where
+  that sum is positive, and the full flag complex (flag_subdivision,
+  flag_pair), which centers every cone of dim >= 2, simplicial ones too.
+  The package centers only the nonsimplicial cones, at the sup-norm
+  barycenters (fans.barycentric_subdivision, fans.barycenter);
   intersection cohomology does not depend on the subdivision.
 - The face-lattice recursion (f_to_h, polytope_face_lattice,
   toric_h_oracle): the toric h-vector of a polytope from its vertex sets
@@ -397,6 +401,17 @@ def vdot_loop(u, v):
     return acc
 
 
+def poly_mul_loop(p, q):
+    """The product of two Polynomials, one Scalar product and sum per pair
+    of terms."""
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return Polynomial(p.n, out)
+
+
 def mul_loop(a, b):
     """The Matrix product a . b, row by column in Scalar loops."""
     rows = []
@@ -583,7 +598,7 @@ def canonical_json(fan):
                       separators=(",", ":"))
 
 
-# -- a second subdivision rule ---------------------------------------------
+# -- other subdivisions -----------------------------------------------------
 
 
 def barycenter_sum_scaled(cone):
@@ -596,6 +611,53 @@ def barycenter_sum_scaled(cone):
         g = vscale(m.inverse(), g)
         total = g if total is None else vadd(total, g)
     return total
+
+
+def flag_subdivision(fan, choice=None):
+    """The full barycentric subdivision, the flag complex of the fan: a
+    center (choice, default fans.barycenter) in the relative interior of
+    every cone of dim >= 2, simplicial or not, by decreasing dimension and
+    then id, and one maximal cone per flag rho < tau_2 < ... < sigma, each
+    cone a facet of the next and sigma maximal, spanned by the ray rho and
+    the centers of tau_2, ..., sigma.  Returns (subdivided fan, steps) in
+    the form of fans.barycentric_subdivision, which centers only the
+    nonsimplicial cones."""
+    choice = choice or fans.barycenter
+    steps = []
+    center_ray = {}
+    for c in sorted((c for c in fan.cones.values() if c.dim >= 2),
+                    key=lambda c: (-c.dim, c.id)):
+        v = vec(choice(c))
+        if fan.face_at(fan.star_ids(c.id)[-1], v) != c.id:
+            raise ValueError("a subdivision center is not in the relative "
+                             "interior of its cone")
+        steps.append((v, c.rays))
+        center_ray[c.id] = canonical_direction(v)
+    if not steps:
+        return fan, ()
+    flags = {}
+    for cid, c in fan.cones.items():
+        if c.dim <= 1:
+            flags[cid] = [c.rays]
+        else:
+            flags[cid] = [flag + (center_ray[cid],)
+                          for f in fan.faces_of[cid]
+                          if fan.cones[f].dim == c.dim - 1
+                          for flag in flags[f]]
+    keys = [tuple(sorted(flag)) for m in fan.maximal_ids for flag in flags[m]]
+    return Fan(fan.n, fan.field, keys, check=False), tuple(steps)
+
+
+def flag_pair(fan):
+    """The fan's distinguished pair built (build_distinguished_pair) on its
+    flag complex (flag_subdivision) in place of the package's subdivision,
+    so its flattened boundaries carry the flag complex's pieces too."""
+    kept = fans.barycentric_subdivision
+    fans.barycentric_subdivision = flag_subdivision
+    try:
+        return build_distinguished_pair(fan)
+    finally:
+        fans.barycentric_subdivision = kept
 
 
 def profile_with_centers(fan, barycenter):

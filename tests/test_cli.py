@@ -13,8 +13,8 @@ from ihfan.cli import main
 from ihfan.fans import fan_from_json_dict, format_scalar
 from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
-from conftest import (cached_pair, dodecahedron_vertices, icosahedron_vertices,
-                      prism_vertices)
+from conftest import (SQRT2_PRISM, cached_pair, dodecahedron_vertices,
+                      icosahedron_vertices, prism_vertices, pyramid)
 from oracles import barycenter_sum_scaled, canonical_json, profile_with_centers
 
 
@@ -476,12 +476,9 @@ def test_report_pyramid_over_sqrt2_prism(tmp_path, capsys):
     # flattens to a 3D fan with a square cone, whose stalk needs a second
     # flattening.  Stanley's g(Pyr P) = g(P) gives h = (1, v-3, v-3, v-3, 1),
     # HRM signatures (1, 0), (1, v-4), (1, v-4) and primitive dims 1, v-4, 0
-    prism = [["2", "0", "1+2r2"], ["2", "0", "-1+2r2"],
-             ["-1", "1", "1-1r2"], ["-1", "1", "-1-1r2"],
-             ["-1", "-1", "1-1r2"], ["-1", "-1", "-1-1r2"]]
     path = write(tmp_path, "pyramid.json", {
         "field": {"sqrt": 2}, "fan": "face",
-        "vertices": [v + ["-1"] for v in prism] + [["0", "0", "0", "3"]]})
+        "vertices": pyramid(SQRT2_PRISM)})
     before = exactlin.modp_fallbacks
     assert main(["report", path, "--l", "support"]) == 0
     assert exactlin.modp_fallbacks == before
@@ -582,7 +579,10 @@ def test_subdivide_cube_counts(tmp_path, capsys):
     path = write(tmp_path, "cube.json", cube_face_dict())
     assert main(["subdivide", path]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert len(obj["maximal_cones"]) == 48
+    # each of the 6 square cones is coned from its center over its 4 edge
+    # cones, which stay whole: 6 * 4 maximal cones, on 8 + 6 rays
+    assert len(obj["maximal_cones"]) == 6 * 4
+    assert len(obj["rays"]) == 8 + 6
 
 
 def test_subdivide_simplicial_echo(tmp_path, capsys):
@@ -637,14 +637,15 @@ def test_pair_dump_with_a_section_of_the_wrong_degree_exits_2(tmp_path,
     assert "degree" in capsys.readouterr().err
 
 
-# a dump's steps must be the centers of the cones of dim >= 2, one each, in
-# the order the subdivision takes the cones (the cone first, then its four
-# facets); each case: how the steps are changed, what the error says
+# a dump's steps must be the centers of the nonsimplicial cones, one each,
+# in the order the subdivision takes the cones (the cube face fan's six
+# square cones, by id); each case: how the steps are changed, what the
+# error says
 OTHER_CENTERS = {
     "extra-center": (
-        lambda steps: steps + steps[-1:], "6 subdivision centers"),
+        lambda steps: steps + steps[-1:], "7 subdivision centers"),
     "missing-center": (
-        lambda steps: steps[:-1], "4 subdivision centers"),
+        lambda steps: steps[:-1], "5 subdivision centers"),
     "reversed-centers": (lambda steps: steps[::-1], "relative interior"),
     "center-outside-its-cone": (
         lambda steps: [["0", "0", "-1"]] + steps[1:], "relative interior"),
@@ -654,10 +655,10 @@ OTHER_CENTERS = {
 
 
 @pytest.mark.parametrize("case", sorted(OTHER_CENTERS))
-def test_pair_dump_with_other_centers_exits_2(tmp_path, capsys,
-                                              cone_square_fan, case):
-    good = pair_to_json_dict(cached_pair(cone_square_fan))
-    assert len(good["steps"]) == 5
+def test_pair_dump_with_other_centers_exits_2(tmp_path, capsys, cube_fan,
+                                              case):
+    good = pair_to_json_dict(cached_pair(cube_fan))
+    assert len(good["steps"]) == 6
     assert main(["hvector", write(tmp_path, "good.json", good)]) == 0
     capsys.readouterr()
     edit, message = OTHER_CENTERS[case]

@@ -14,10 +14,13 @@ from ihfan.cohomology import (EvaluationContext, ds_check, convolve_h,
                               kunneth_check, lefschetz_matrix,
                               pairing_matrix, profile_for_fan,
                               toric_h_of_fan)
-from conftest import cached_pair, cube_vertices, no_residue, prism_vertices
+from conftest import (cached_pair, cube_vertices, fan_cold_fans, no_residue,
+                      prism_vertices, sqrt2_prism_pyramid,
+                      sqrt2_triangular_prism)
 import oracles
 from oracles import (ConewiseFunction, FaceLattice, as_function, dual_forms,
-                     evaluate, exact_sequence_check, f_to_h, ideal_multiple,
+                     evaluate, exact_sequence_check, f_to_h, flag_pair,
+                     ideal_multiple,
                      module_step, polytope_face_lattice, primitive_basis,
                      restrict_to_link, skew_product, toric_h_oracle,
                      unit_vectors, validate)
@@ -117,6 +120,58 @@ def test_prism_oracle_agreement(prism_fan):
     verts, _ = prism_vertices()
     assert profile_for_fan(prism_fan).h_vector() == \
         toric_h_oracle(polytope_face_lattice(verts))
+
+
+# -- independence of the subdivision ------------------------------------------
+
+
+def lefschetz_answers(gih, l):
+    """What a report reads off a profile: h, the pairing's rank at every
+    grading, the hard Lefschetz ranks, and per grading up to the middle the
+    Hodge-Riemann signature, primitive dimension and definiteness."""
+    n = gih.pair.fan.n
+    return (gih.h_vector(),
+            [rank(pairing_matrix(gih, d)) for d in range(0, 2 * n + 1, 2)],
+            hl_rank_report(gih, l),
+            [(r["signature"], r["primitive_dim"], r["definite"])
+             for r in hrm_check(gih, l).rows])
+
+
+def fan_cold_prism(i):
+    """The i-th nonsimplicial fan of one seed-1 fan-cold cycle (a rational
+    prism or its twin) with its inline l."""
+    fan, values = [(f, v) for f, v in fan_cold_fans(1)
+                   if not f.is_simplicial()][i]
+    return fan, PLFunction.from_ray_values(fan, values)
+
+
+SUBDIVISION_FANS = {
+    "cube-face": lambda: face_fan_with_support(cube_vertices()),
+    "sqrt2-triangular-prism": sqrt2_triangular_prism,
+    "fan-cold-prism": lambda: fan_cold_prism(0),
+    "fan-cold-prism-twin": lambda: fan_cold_prism(1),
+    "sqrt2-prism-pyramid": sqrt2_prism_pyramid,
+}
+
+
+@pytest.mark.parametrize("name", SUBDIVISION_FANS)
+def test_answers_do_not_depend_on_the_subdivision(name):
+    # intersection cohomology is defined on the fan itself: the package's
+    # subdivision, which cones only the nonsimplicial cones from centers,
+    # and the full flag complex, which also cuts up every simplicial cone,
+    # give the same answers, Karu's induction on each flattened boundary
+    # included
+    fan, l = SUBDIVISION_FANS[name]()
+    ours = GradedIH(build_distinguished_pair(fan))
+    flags = GradedIH(flag_pair(fan))
+    assert len(ours.pair.subdivided.maximal_ids) < \
+        len(flags.pair.subdivided.maximal_ids)
+    answers = lefschetz_answers(ours, l)
+    assert answers == lefschetz_answers(flags, l)
+    h = answers[0]
+    assert answers[1] == list(h)
+    assert all(r == want for r, want in answers[2].values())
+    assert all(definite for _, _, definite in answers[3])
 
 
 # -- evaluation ------------------------------------------------------------

@@ -3,12 +3,12 @@ from math import comb
 
 import pytest
 
-from ihfan.conewise import Polynomial
-from ihfan.exactlin import sc
+from ihfan.conewise import Polynomial, monomials
+from ihfan.exactlin import ZERO, ScalarField, sc
 from ihfan.fans import face_fan_with_support
 from conftest import cached_pair, golden_field, icosahedron_vertices
 from oracles import (ConewiseFunction, divide_by_linear, global_sections,
-                     validate)
+                     poly_mul_loop, validate)
 
 
 def product(f, g):
@@ -27,6 +27,56 @@ def test_polynomial_arithmetic():
     assert p.degree() == 2
     with pytest.raises(ValueError):
         Polynomial(2, {(1, 0): 1, (2, 0): 1}).degree()
+
+
+def _random_poly(rng, n, k, root):
+    """A homogeneous polynomial of degree k in n variables whose nonzero
+    coefficients are a + b * root for small random rationals a and b (b = 0
+    when root is None), about a third of them zero."""
+    coeffs = {}
+    for e in monomials(n, k):
+        if rng.random() < 1 / 3:
+            continue
+        c = sc(rng.randint(-9, 9)) / sc(rng.randint(1, 12))
+        if root is not None:
+            c = c + root * sc(rng.randint(-5, 5)) / sc(rng.randint(1, 8))
+        coeffs[e] = c
+    return Polynomial(n, coeffs)
+
+
+@pytest.mark.parametrize("m", (None, 2))
+@pytest.mark.parametrize("seed", range(3))
+def test_polynomial_product_is_the_scalar_loop(m, seed):
+    # the product of two factors cleared to ints once against one Scalar
+    # product and sum per pair of terms: the same canonical coefficients,
+    # as Scalar equality compares the fields p, q, d and m, and no zero
+    # coefficient kept; the factors of one product may be rational and
+    # quadratic, or have no term at all
+    rng = random.Random(f"poly-mul-{m}-{seed}")
+    root = None if m is None else ScalarField(m).parse(f"0+1r{m}")
+    for n, k1, k2 in ((1, 0, 3), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 3, 1)):
+        p, q = _random_poly(rng, n, k1, root), _random_poly(rng, n, k2, None)
+        r = _random_poly(rng, n, k2, root)
+        for a, b in ((p, q), (q, p), (p, r), (p, Polynomial(n))):
+            got = a.mul(b)
+            assert got.coeffs == poly_mul_loop(a, b).coeffs
+            assert ZERO not in got.coeffs.values()
+    # (x + y)(x - y): the mixed terms cancel
+    s = Polynomial(2, {(1, 0): 1, (0, 1): 1})
+    d = Polynomial(2, {(1, 0): 1, (0, 1): -1})
+    assert s.mul(d).coeffs == {(2, 0): sc(1), (0, 2): sc(-1)}
+
+
+def test_polynomial_product_rejects_mixed_radicands():
+    r2 = ScalarField(2).parse("0+1r2")
+    r3 = ScalarField(3).parse("0+1r3")
+    x2 = Polynomial(1, {(1,): r2})
+    x3 = Polynomial(1, {(1,): r3})
+    with pytest.raises(ValueError, match="radicand"):
+        x2.mul(x3)
+    with pytest.raises(ValueError, match="radicand"):
+        Polynomial(2, {(1, 0): r2, (0, 1): r3}).mul(
+            Polynomial(2, {(1, 0): 1}))
 
 
 def test_divide_by_linear():

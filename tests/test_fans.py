@@ -14,11 +14,12 @@ from ihfan.exactlin import (ONE, ZERO, Matrix, ScalarField, kernel_basis,
 from ihfan.ihsheaf import build_distinguished_pair
 
 from conftest import (dodecahedron_vertices, fan_cold_fans,
-                      icosahedron_vertices)
+                      icosahedron_vertices, pyramid, sqrt2_prism_pyramid,
+                      sqrt2_triangular_prism)
 from oracles import (barycenter_sum_scaled, canonical_json,
-                     checked_polytope_fan, forms_by_solve, meet_id,
-                     pointed_by_rank, polytope_face_lattice, skew_product,
-                     star_link, tagged_inverse, toric_h_oracle)
+                     checked_polytope_fan, flag_subdivision, forms_by_solve,
+                     meet_id, pointed_by_rank, polytope_face_lattice,
+                     skew_product, star_link, tagged_inverse, toric_h_oracle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
@@ -127,10 +128,15 @@ def test_is_complete():
 def test_barycentric_cone_over_square():
     cs = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]])
     sub, steps = fans.barycentric_subdivision(cs)
-    # one piece per flag: 4 edges of the square, 2 rays on each
-    assert len(sub.maximal_ids) == 8
-    assert len(steps) == 5
+    # only the square cone is not simplicial: one piece per edge of the
+    # square, the cone from the center over the edge's 2-cone, which stays
+    # whole; 4 rays and the center
+    assert len(sub.maximal_ids) == 4
+    assert len(sub.rays()) == 4 + 1
+    assert len(steps) == 1 and steps[0][1] == cs.cones[cs.maximal_ids[0]].rays
     assert sub.is_simplicial()
+    assert all(c.rays in sub.id_by_key for c in cs.cones.values()
+               if c.dim < 3)
     # every piece is contained in the original cone: each of its rays
     # lies in the relative interior of a face of that cone
     old_max = cs.maximal_ids[0]
@@ -140,40 +146,49 @@ def test_barycentric_cone_over_square():
 
 
 def test_barycentric_orthant():
-    # a simplicial cone is subdivided too: one piece per ordering of its
-    # 3 rays, and one new ray per face of dim >= 2
+    # a simplicial cone stays whole: no center is chosen, and the fan is
+    # its own subdivision; the full flag complex has one piece per ordering
+    # of its 3 rays and one new ray per face of dim >= 2
     o = fans.build_fan(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     sub, steps = fans.barycentric_subdivision(o)
-    assert len(sub.maximal_ids) == 6
-    assert len(sub.rays()) == 3 + 3 + 1
-    assert len(steps) == 4
+    assert sub is o and steps == ()
+    flags, flag_steps = flag_subdivision(o)
+    assert len(flags.maximal_ids) == 6
+    assert len(flags.rays()) == 3 + 3 + 1
+    assert len(flag_steps) == 4
 
 
 def test_barycentric_rejects_a_center_outside_its_cone():
-    o = fans.build_fan(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    for center in ((0, 0, 0), (-1, -1, -7), (1, 1, 0)):
+    # the origin, a point outside the cone and a point on its facet
+    # between (1, 1, 1) and (1, -1, 1)
+    cs = fans.build_fan(3, [[(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]])
+    for center in ((0, 0, 0), (-1, -1, -7), (1, 0, 1)):
         with pytest.raises(ValueError, match="relative interior"):
-            fans.barycentric_subdivision(o, lambda cone: center)
+            fans.barycentric_subdivision(cs, lambda cone: center)
 
 
 def test_barycentric_counts():
-    b, steps = fans.barycentric_subdivision(quadrant_fan())
-    assert len(b.maximal_ids) == 8
-    assert len(steps) == 4
-    assert b.is_simplicial()
-    one = one_dim_fan()
-    b1, st1 = fans.barycentric_subdivision(one)
-    assert b1 == one and st1 == ()
+    # every cone of a simplicial fan is simplicial, so it is its own
+    # subdivision, in any dimension; the quadrants' flag complex has 2
+    # pieces per quadrant and one center per quadrant
+    for fan in (quadrant_fan(), one_dim_fan(),
+                fans.product_fan(quadrant_fan(), quadrant_fan())):
+        b, steps = fans.barycentric_subdivision(fan)
+        assert b is fan and steps == ()
+    flags, flag_steps = flag_subdivision(quadrant_fan())
+    assert len(flags.maximal_ids) == 4 * 2
+    assert len(flag_steps) == 4
 
 
-def test_barycentric_cube_face_fan_48():
+def test_barycentric_cube_face_fan_24():
+    # 6 square cones, each coned from its center over its 4 edge cones
     ff = fans.face_fan_with_support(cube_vertices())[0]
     b, steps = fans.barycentric_subdivision(ff)
-    assert len(b.maximal_ids) == 48
-    assert len(steps) == 18
+    assert len(b.maximal_ids) == 6 * 4
+    assert len(steps) == 6
     assert b.is_simplicial()
     other, _ = fans.barycentric_subdivision(ff, barycenter_sum_scaled)
-    assert len(other.maximal_ids) == 48
+    assert len(other.maximal_ids) == 6 * 4
     assert other != b  # geometrically distinct centers
 
 
@@ -378,8 +393,10 @@ def test_sqrt2_prism_face_fan():
     assert len(pf.maximal_ids) == 6
     assert fans.is_complete(pf)
     assert fans.is_strictly_convex(pf, l)
+    # 6 quadrilateral cones, each coned from its center over its 4 edge
+    # cones
     b, steps = fans.barycentric_subdivision(pf)
-    assert len(b.maximal_ids) == 48 and len(steps) == 18
+    assert len(b.maximal_ids) == 6 * 4 and len(steps) == 6
 
 
 def test_fan_json_round_trip():
@@ -1172,11 +1189,12 @@ def test_distinguished_pair_builds_one_geometry_per_listed_cone(monkeypatch):
     # the cube face fan's pair: its subdivision and the flattened pairs of
     # its nonsimplicial cones compute a geometry for their listed cones
     # only, once per distinct (key, n); locating a point and checking a
-    # subdivision center read the maximal cones.  The 48 chambers of the
+    # subdivision center read the maximal cones.  The 6 * 4 chambers of the
     # subdivision are listed in dimension 3.  The six flattened pairs list
-    # 12 keys each in dimension 2 (four facet images and their eight
-    # pieces); the sup-norm centers are symmetric under the cube's
-    # signed permutations, so the six land on the same 12 keys: 60 in all
+    # 4 keys each in dimension 2, the four facet images, which are their
+    # own pieces as the edge cones stay whole; the sup-norm centers are
+    # symmetric under the cube's signed permutations, so the six land on
+    # the same 4 keys: 24 + 4 in all
     fan = fans.face_fan_with_support(cube_vertices())[0]
     listed = set()
     init = fans.Fan.__init__
@@ -1188,7 +1206,7 @@ def test_distinguished_pair_builds_one_geometry_per_listed_cone(monkeypatch):
     monkeypatch.setattr(fans.Fan, "__init__", recording_init)
     fans.cone_geometry.cache_clear()
     build_distinguished_pair(fan)
-    assert fans.cone_geometry.cache_info().misses == len(listed) == 60
+    assert fans.cone_geometry.cache_info().misses == len(listed) == 24 + 4
 
 
 def test_axiom_check_rejects_overlapping_4d_cones():
@@ -1291,7 +1309,11 @@ def test_benchmark_polytope_fans_are_read_off_the_hull(spec):
 def test_barycentric_icosahedron_flag_counts():
     ff = fans.face_fan_with_support(icosahedron_vertices(),
                                     field=ScalarField(5))[0]
+    # the icosahedron's faces are triangles, so its face fan is its own
+    # subdivision
     b, steps = fans.barycentric_subdivision(ff)
+    assert b is ff and steps == ()
+    b, steps = flag_subdivision(ff)
     # flags of the icosahedron: 20 triangles, 3 edges each, 2 vertices
     # each; one ray per face; one cone per chain of faces, the empty chain
     # included: 1 + 62 + (60 + 60 + 60) + 120
@@ -1306,10 +1328,79 @@ def test_barycentric_icosahedron_pyramid_flag_counts():
     verts = [v + (sc(-1),) for v in icosahedron_vertices()]
     verts.append((sc(0), sc(0), sc(0), sc(3)))
     ff = fans.face_fan_with_support(verts, field=ScalarField(5))[0]
+    # only the base is not simplicial: the cone from its center over its
+    # 20 triangles, beside the 20 tetrahedra, on 13 rays and the center
     b, steps = fans.barycentric_subdivision(ff)
+    assert len(b.maximal_ids) == 20 + 20
+    assert len(b.rays()) == 13 + 1
+    assert len(steps) == 1
+    assert b.is_simplicial()
+    b, steps = flag_subdivision(ff)
     # flags of the pyramid: 4! through each of the 20 tetrahedra and the
     # 120 of the base; one ray per face, f = (13, 42, 50, 21)
     assert len(b.maximal_ids) == 20 * 24 + 120
     assert len(b.rays()) == 13 + 42 + 50 + 21
     assert len(steps) == 42 + 50 + 21
     assert b.is_simplicial()
+
+
+def _pyramid_fan(vertices, field):
+    """The face fan of the pyramid over a polytope: its vertices at
+    x_n = -1 and the apex (0, ..., 0, 3)."""
+    return fans.face_fan_with_support(
+        [fans.parse_vector(v, field) for v in pyramid(vertices)],
+        field=field)[0]
+
+
+def _literals(vertices):
+    return [[fans.format_scalar(x) for x in v] for v in vertices]
+
+
+# (fan, maximal cones of the subdivision, steps): the pieces of a
+# nonsimplicial cone are the cones from its center over the pieces of its
+# facets, a simplicial cone is its own one piece, and each nonsimplicial
+# cone takes one step
+SUBDIVISION_COUNTS = {
+    # 6 squares x 4 edges; the 6 square cones
+    "cube-face": (lambda: fans.face_fan_with_support(cube_vertices())[0],
+                  6 * 4, 6),
+    # 3 squares x 4 edges, and the 2 triangle cones whole; 3 square cones
+    "sqrt2-triangular-prism": (lambda: sqrt2_triangular_prism()[0],
+                               3 * 4 + 2, 3),
+    # 8 cubes x 6 squares x 4 edges; 8 cube cones and 24 square cones
+    "4-cube-face": (lambda: fans.face_fan_with_support(
+        list(itertools.product((1, -1), repeat=4)))[0], 8 * 6 * 4, 8 + 24),
+    # the base over its 20 triangles, and the 20 tetrahedra whole; the base
+    "icosahedron-pyramid": (lambda: _pyramid_fan(
+        _literals(icosahedron_vertices()), ScalarField(5)), 20 + 20, 1),
+    # each of the 12 pentagon pyramids over its pentagon (5 pieces) and its
+    # 5 triangles, the base over the 12 pentagons' 5 pieces each; the 12
+    # pentagon cones, the 12 pentagon pyramids and the base
+    "dodecahedron-pyramid": (lambda: _pyramid_fan(
+        _literals(dodecahedron_vertices()), ScalarField(5)),
+        12 * (5 + 5) + 12 * 5, 12 + 12 + 1),
+    # the base over the prism's 3 * 4 + 2 pieces, each of the 3 square
+    # pyramids over its square (4 pieces) and its 4 triangles, and the 2
+    # tetrahedra whole; the base, the 3 square cones and the 3 square
+    # pyramids
+    "sqrt2-prism-pyramid": (lambda: sqrt2_prism_pyramid()[0],
+                            (3 * 4 + 2) + 3 * (4 + 4) + 2, 1 + 3 + 3),
+}
+
+
+@pytest.mark.parametrize("name", SUBDIVISION_COUNTS)
+def test_subdivision_centers_the_nonsimplicial_cones_only(name):
+    build, maximal, centers = SUBDIVISION_COUNTS[name]
+    fan = build()
+    sub, steps = fans.barycentric_subdivision(fan)
+    assert sub.is_simplicial()
+    assert len(sub.maximal_ids) == maximal
+    # one step per nonsimplicial cone, by decreasing dimension, then id
+    assert [key for _, key in steps] == [
+        c.rays for c in sorted(fan.cones.values(),
+                               key=lambda c: (-c.dim, c.id))
+        if not c.is_simplicial()]
+    assert len(steps) == centers
+    # every simplicial cone stays whole
+    assert all(c.rays in sub.id_by_key for c in fan.cones.values()
+               if c.is_simplicial())

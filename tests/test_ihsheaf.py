@@ -19,10 +19,11 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            pair_from_json_dict, pair_to_json_dict,
                            projection_along)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
-                      fan_cold_fans, golden_field, no_residue)
+                      fan_cold_fans, golden_field, no_residue,
+                      sqrt2_triangular_prism)
 from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
                      carriers_by_star_scan, classes_by_wall_joins,
-                     full_greedy, global_sections, gram_loop,
+                     flag_subdivision, full_greedy, global_sections, gram_loop,
                      lift_over_span, materialized_values, profile_with_centers,
                      reduce_mod, relative_ih, relative_sections, star_link,
                      unit_vectors, validate, vdot_loop)
@@ -31,12 +32,13 @@ from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
 # -- boundary flattening ---------------------------------------------------
 
 
-def flattened(generators):
-    """The fan of one cone, subdivided barycentrically, with
+def flattened(generators, subdivide=barycentric_subdivision):
+    """The fan of one cone, subdivided barycentrically (subdivide), with
     the constant stalk on each proper face, and flatten_boundary of the cone
-    along its subdivision center: (pair, cone id, center, flattening)."""
+    along its subdivision center: (pair, cone id, center, flattening).  A
+    simplicial cone gets a center from the full flag complex only."""
     fan = build_fan(len(generators[0]), [generators])
-    sub, steps = barycentric_subdivision(fan)
+    sub, steps = subdivide(fan)
     pair = DistinguishedPair(fan, sub, steps)
     top = fan.maximal_ids[0]
     for cid in fan.faces_of[top]:
@@ -49,7 +51,7 @@ def flattened(generators):
 
 def test_flatten_orthant():
     _, _, _, (lam_pair, lam_l, _, _) = flattened(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], flag_subdivision)
     lam = lam_pair.fan
     assert lam.n == 2
     assert len(lam.maximal_ids) == 3
@@ -58,7 +60,8 @@ def test_flatten_orthant():
 
 
 def test_flatten_two_dim_cone():
-    _, _, _, (lam_pair, lam_l, _, _) = flattened([(1, 0), (1, 2)])
+    _, _, _, (lam_pair, lam_l, _, _) = flattened([(1, 0), (1, 2)],
+                                                  flag_subdivision)
     lam = lam_pair.fan
     assert lam.n == 1
     assert len(lam.maximal_ids) == 2
@@ -236,9 +239,13 @@ def test_simplicial_pair_is_identity(quadrant_fan):
 
 
 def test_nonsimplicial_pair_subdivides(cube_fan):
+    # each of the 6 square cones is coned from its center over its 4 edge
+    # cones, and every simplicial cone stays whole
     p = cached_pair(cube_fan)
-    assert len(p.subdivided.maximal_ids) == 48
+    assert len(p.subdivided.maximal_ids) == 6 * 4
     assert p.subdivided.is_simplicial()
+    assert all(c.rays in p.subdivided.id_by_key
+               for c in p.fan.cones.values() if c.is_simplicial())
     # stalks of the square-based cones gain a grading-2 generator
     for m in p.fan.maximal_ids:
         assert stalk_gradings(p.stalks[m]) == (0, 2)
@@ -247,11 +254,15 @@ def test_nonsimplicial_pair_subdivides(cube_fan):
 
 
 def test_pair_pieces_and_carriers(cube_fan):
+    # a square cone has one piece per edge of its square; an edge cone is
+    # its own only piece
     p = cached_pair(cube_fan)
     for m in p.fan.maximal_ids:
-        assert len(p.pieces[m]) == 8
+        assert len(p.pieces[m]) == 4
         for pid in p.pieces[m]:
             assert p.carrier[pid] == m
+    for c in p.fan.cones_of_dim(2):
+        assert p.pieces[c.id] == (p.subdivided.id_by_key[c.rays],)
     total = sum(len(p.pieces[m]) for m in p.fan.maximal_ids)
     assert total == len(p.subdivided.maximal_ids)
 
@@ -265,8 +276,11 @@ def test_carriers_are_the_star_scan(orthant_fan, quadrant_fan, prism_fan):
     pairs = [cached_pair(orthant_fan),
              cached_pair(product_fan(quadrant_fan, quadrant_fan)),
              cached_pair(prism_fan)]
-    for fan in (cube_normal, product_fan(prism_fan, line)):
+    prism_line = product_fan(prism_fan, line)
+    for fan in (cube_normal, prism_line):
         pairs.append(DistinguishedPair(fan, *barycentric_subdivision(fan)))
+    # the full flag complex of the 4D product, a finer subdivision
+    pairs.append(DistinguishedPair(prism_line, *flag_subdivision(prism_line)))
     prism = pairs[2]
     centers = {key: v for v, key in prism.steps}
     pairs += [flatten_boundary(prism, cid, centers[c.rays])[0]
@@ -279,9 +293,9 @@ def test_carriers_are_the_star_scan(orthant_fan, quadrant_fan, prism_fan):
                    for t, c in pair.subdivided.cones.items())
         for cid in pair.fan.cones:
             assert all(want[t] == cid for t in pair.pieces[cid])
-    # the 4D product's subdivision has 1,697 cones; the simplicial pairs
+    # the 4D product's flag complex has 1,697 cones; the simplicial pairs
     # give over a hundred cones their own carrier
-    assert len(pairs[4].subdivided.cones) > 1000 and own > 100
+    assert len(pairs[5].subdivided.cones) > 1000 and own > 100
 
 
 def test_subdivided_cone_outside_the_coarse_fan_is_rejected():
@@ -574,7 +588,10 @@ def test_subdivision_can_only_grow(cube_fan):
     p = cached_pair(cube_fan)
     coarse = GradedIH(p).h_vector()
     fine = GradedIH(cached_pair(p.subdivided)).h_vector()
-    assert fine == (1, 23, 23, 1)
+    # the subdivision is simplicial, on the cube's 8 vertices and the 6
+    # square centers, and a complete simplicial 3-fan with f0 rays has
+    # h = (1, f0 - 3, f0 - 3, 1)
+    assert fine == (1, 8 + 6 - 3, 8 + 6 - 3, 1)
     assert all(a <= b for a, b in zip(coarse, fine))
 
 
@@ -668,18 +685,23 @@ def _validate_space(sp):
 
 def test_face_ring_sections_from_combinatorics(cube_fan):
     # f-vectors from the polytopes: the octahedron and the sheared square
-    # bipyramid have 6 vertices, 12 edges and 8 triangles; the barycentric
-    # subdivision of the cube's boundary has a vertex per face (8 + 12 + 6),
-    # an edge per pair of nested faces (3 * 24) and a triangle per flag
-    # (48); the product of two triangle fans has 3 + 3 rays, 3 + 3 + 9
-    # 2-cones, 9 + 9 3-cones and 9 4-cones.  The cube's own face fan is not
-    # simplicial, so its subdivision stands in for it; its 48 cones make the
-    # pairwise continuity check slow, so it checks gradings up to 4 only.
+    # bipyramid have 6 vertices, 12 edges and 8 triangles; the cube's
+    # boundary with each square coned from its center has 8 + 6 vertices,
+    # 12 + 6 * 4 edges and 6 * 4 triangles, and its barycentric
+    # subdivision has a vertex per face (8 + 12 + 6), an edge per pair of
+    # nested faces (3 * 24) and a triangle per flag (48); the product of
+    # two triangle fans has 3 + 3 rays, 3 + 3 + 9 2-cones, 9 + 9 3-cones
+    # and 9 4-cones.  The cube's own face fan is not simplicial, so its
+    # subdivision and its flag complex stand in for it; the flag complex's
+    # 48 cones make the pairwise continuity check slow, so it checks
+    # gradings up to 4 only.
     cube_sub = cached_pair(cube_fan).subdivided
+    cube_flags = flag_subdivision(cube_fan)[0]
     before = exactlin.modp_fallbacks
     for fan, f, top in ((_octahedron(), (6, 12, 8), 3),
                         (_sheared_bipyramid(), (6, 12, 8), 3),
-                        (cube_sub, (26, 72, 48), 2),
+                        (cube_sub, (14, 36, 24), 3),
+                        (cube_flags, (26, 72, 48), 2),
                         (product_fan(_triangle(), _triangle()),
                          (6, 15, 18, 9), 4)):
         pair = build_distinguished_pair(fan)
@@ -692,23 +714,12 @@ def test_face_ring_sections_from_combinatorics(cube_fan):
     assert exactlin.modp_fallbacks == before
 
 
-def _triangular_prism():
-    """The face fan of a prism over a triangle with an irrational vertex,
-    over Q(sqrt 2), and its support function: two triangular cones and
-    three square ones."""
-    field = ScalarField(2)
-    r2 = field.parse("0+1r2")
-    tri = [(sc(2), sc(0)), (sc(-1), r2), (sc(-1), sc(-1) - r2)]
-    return face_fan_with_support([(x, y, sc(z)) for x, y in tri
-                                  for z in (1, -1)], field=field)
-
-
 def test_mixed_walls_sections_validate():
     # the face fan of a prism over a triangle: every wall between a
     # triangle and a square is a mixed wall.  f0 = 6, so h = (1, 3, 3, 1),
     # and the sections are free over the ambient polynomials on h_j
     # generators of grading 2j
-    fan = _triangular_prism()[0]
+    fan = sqrt2_triangular_prism()[0]
     kinds = sorted(len(fan.cones[m].rays) for m in fan.maximal_ids)
     assert kinds == [3, 3, 4, 4, 4]
     pair = build_distinguished_pair(fan)
@@ -749,7 +760,7 @@ def _nonsimplicial_profiles(cube_fan_support):
     cube's face fans, both with nonsimplicial carriers whose stalks have
     generators above grading 0."""
     return [(cached_pair(fan), support)
-            for fan, support in (_triangular_prism(), cube_fan_support)]
+            for fan, support in (sqrt2_triangular_prism(), cube_fan_support)]
 
 
 def test_evaluation_materializes_no_section(monkeypatch, cube_fan_support):
@@ -862,7 +873,7 @@ def test_wall_joins_give_the_same_section_spaces(monkeypatch, cube_fan):
     # octahedron, the cube (square carriers only), the Q(sqrt 2)
     # triangular prism (triangles and squares), the 4-cube, the product of
     # two triangle fans and one cycle of the fan-cold workload
-    fans_ = [_sheared_bipyramid(), cube_fan, _triangular_prism()[0],
+    fans_ = [_sheared_bipyramid(), cube_fan, sqrt2_triangular_prism()[0],
              four_cube_fan(), product_fan(_triangle(), _triangle())]
     fans_ += [fan for fan, _ in fan_cold_fans()]
     coarser = set()
@@ -886,7 +897,7 @@ def test_wall_joins_give_the_same_section_spaces(monkeypatch, cube_fan):
             assert by_walls[d].cols == spaces[d].cols
             assert by_walls[d].basis == spaces[d].basis
             assert by_walls[d].free == spaces[d].free
-    assert _triangular_prism()[0] in coarser
+    assert sqrt2_triangular_prism()[0] in coarser
 
 
 @pytest.mark.parametrize("rays, cones, h", [
