@@ -20,8 +20,9 @@ Independent generators span a simplicial cone, which is pointed with every
 generator extreme, so only dependent generator sets are checked for both,
 on the facets of their hull.
 
-Only a fan's listed cones get a hull: points are located and faces tested
-on the maximal cones' facets and the fan's lattice (``Fan.face_at``).
+Only a fan's listed cones get a hull: subdivision centers are checked and
+faces tested on the maximal cones' facets and the fan's lattice
+(``Fan.face_at``).
 
 Fan cone ids are assigned by sorting all cones by (dimension, ray key), so
 ids are stable across runs and across re-parsing of emitted JSON.
@@ -420,12 +421,6 @@ class Fan:
         on = set(g.rays).intersection(
             *(k for s, k in zip(signs, g.facet_ray_keys) if not s))
         return self.id_by_key[tuple(r for r in g.rays if r in on)]
-
-    def locate(self, x):
-        """Id of the cone whose relative interior holds x, or None outside
-        the support, read off the first maximal cone holding x (face_at)."""
-        found = (self.face_at(m, x) for m in self.maximal_ids)
-        return next((cid for cid in found if cid is not None), None)
 
     def is_simplicial(self):
         return all(self.cones[i].is_simplicial() for i in self.maximal_ids)

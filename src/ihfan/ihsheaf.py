@@ -44,6 +44,7 @@ from .exactlin import (
     ZERO,
     cleared,
     dual_basis,
+    echelon_insert,
     format_scalar,
     gram,
     inverse,
@@ -445,7 +446,9 @@ class DistinguishedPair:
     generators, each a (grading, sections) pair where sections maps the
     cone's pieces (subdivided-cone ids) to homogeneous polynomials of degree
     grading/2; a simplicial cone's stalk is the constant 1, which its
-    section columns presume (_Sections).  carrier maps each subdivided cone
+    section columns presume (_Sections).  subdivided must be fan subdivided
+    at the steps' centers (fans.barycentric_subdivision), each step a
+    (center, ray key of its cone) pair.  carrier maps each subdivided cone
     to the smallest coarse cone containing it, pieces each coarse cone to
     the subdivided cones of its dimension that it carries, and
     facet_piece_ids lists the subdivided (n-1)-cones, whose owners are
@@ -462,26 +465,21 @@ class DistinguishedPair:
             if fan.cones[m].dim != fan.n:
                 raise ValueError("maximal cones must have full dimension")
         # the carrier of a subdivided cone is the smallest coarse cone
-        # containing it.  A subdivided cone with a coarse cone's ray key is
-        # that cone, so it is its own carrier: every cone of a simplicial
-        # fan, its own subdivision, costs one lookup.  Another ray is
-        # located once.  Another cone's carrier has each of its rays'
-        # carriers as a face, so it is the smallest coarse cone that does.
-        # Ids go up with dimension, so rays come before the cones they
-        # span, and the smallest cone has the smallest id.
+        # containing it.  Each subdivided cone is a face of one flag: the
+        # rays of a simplicial coarse cone and the centers of a chain of
+        # coarse cones above it.  With a center it lies in the relative
+        # interior of its top center's cone, which has the largest id of
+        # them (ids go up with dimension); without one it is a face of the
+        # simplicial cone, so a coarse cone with its ray key, and every
+        # cone of a simplicial fan, its own subdivision, costs one lookup.
+        centered = {canonical_direction(v): fan.id_by_key[key]
+                    for v, key in self.steps}
         self.carrier = {}
         self.pieces = {cid: [] for cid in fan.cones}
-        for tid in sorted(subdivided.cones):
-            tc = subdivided.cones[tid]
+        for tid, tc in subdivided.cones.items():
             car = fan.id_by_key.get(tc.rays)
-            if car is None and tc.dim == 1:
-                car = fan.locate(tc.rays[0])
-            elif car is None and tc.dim > 1:
-                ray_cars = {self.carrier[f] for f in subdivided.faces_of[tid]
-                            if subdivided.cones[f].dim == 1}
-                first = min(ray_cars)
-                car = min((c for c in fan.star_ids(first)
-                           if ray_cars.issubset(fan.faces_of[c] + (c,))),
+            if car is None:
+                car = max((centered[r] for r in tc.rays if r in centered),
                           default=None)
             if car is None:
                 raise ValueError("subdivided cone escapes the coarse fan")
@@ -522,6 +520,11 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     boundary and the stalks of the cone's facets go along with it.  The
     subdivision has checked that v is interior to the cone.
 
+    The flattened fan is subdivided by the pair's rule one dimension down
+    (fans.barycentric_subdivision) at the projected centers of the cone's
+    proper faces, so its pieces are the facets' pieces projected (the
+    projection is one-to-one on each facet) and its pair carries the steps.
+
     The lift of a facet F, the section of the projection over span F, is
     lift_F(y) = b^T y + t(y) v with t(y) = -eta_F(b^T y) / eta_F(v), for b
     the basis of projection_along and eta_F the cone's facet form through
@@ -556,8 +559,10 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
 
     lam = Fan(m, fan.field, [key(fan.cones[f].rays) for f in facets],
               check=False)
-    lam_sub = Fan(m, fan.field, [key(sub.cones[pid].rays) for f in facets
-                                 for pid in pair.pieces[f]], check=False)
+    faces = {fan.cones[f].rays for f in fan.faces_of[cid]}
+    centers = {key(k): proj.apply(c) for c, k in pair.steps if k in faces}
+    lam_sub, steps = fans.barycentric_subdivision(
+        lam, lambda c: centers[c.rays])
     stalks, forms = {}, {}
     for f in facets:
         rays = fan.cones[f].rays
@@ -575,7 +580,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     pieces = {pid: lam_sub.id_by_key[key(
         r for r in sub.cones[pid].rays if r != vray)]
         for pid in pair.pieces[cid]}
-    return (DistinguishedPair(lam, lam_sub, (), stalks=stalks),
+    return (DistinguishedPair(lam, lam_sub, steps, stalks=stalks),
             fans.PLFunction(lam, forms, check=False), proj, pieces)
 
 
@@ -921,6 +926,29 @@ def pair_to_json_dict(pair: DistinguishedPair):
     }
 
 
+def _check_minimal(cid, stalk, n):
+    """Raise ValueError unless the stalk of a maximal cone is minimally
+    generated: at each grading g, each generator of grading g is
+    independent of those before it and of the multiples x^e * s_j of the
+    generators s_j of lower grading g_j, |e| = (g - g_j) / 2, all written
+    as rows keyed by (piece id, exponent) in one exact echelon.  Relations
+    that only hold in higher degrees are not checked."""
+    for g in sorted({g for g, _ in stalk}):
+        ech = {}
+        # the lower generators' multiples first, then those of grading g
+        for gj, sec in sorted((t for t in stalk if t[0] <= g),
+                              key=lambda t: t[0] == g):
+            for e in monomials(n, (g - gj) // 2):
+                if echelon_insert(ech, {
+                        (pid, tuple(map(sum, zip(e, f)))): c
+                        for pid, poly in sec.items()
+                        for f, c in poly.coeffs.items()}) is None and gj == g:
+                    raise ValueError(
+                        f"the stalk of cone {cid} is not minimally "
+                        f"generated: a grading-{g} generator depends on the "
+                        "other generators and their multiples")
+
+
 def _json_object(x, what):
     if not isinstance(x, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -929,44 +957,40 @@ def _json_object(x, what):
 
 def pair_from_json_dict(obj):
     """Rebuild a pair from a dump: the fan is reconstructed, its
-    subdivision is rebuilt from the recorded centers (ids are
-    deterministic), and the stored generator sections are attached without
-    recomputation.  The recorded steps are either empty, when the fan is
-    simplicial and so its own subdivision, or one center per nonsimplicial
-    cone in the order ``fans.barycentric_subdivision`` takes the cones,
-    each of length n and in the relative interior of its cone; they fix
-    the subdivision, so a "rule" key, which earlier versions wrote, is
-    ignored.  Steps that are not such a list raise ValueError, and so does
-    a stalk that is not a list of [grading, section map] pairs, a cone id
-    or an exponent that is not an integer, a section map that does not
-    name exactly its cone's pieces, a coefficient that is neither a JSON
-    integer nor a scalar literal, or a simplicial cone's stalk other than
-    the constant 1."""
+    subdivision is rebuilt from the recorded centers by
+    ``fans.barycentric_subdivision`` (ids are deterministic), and the
+    stored generator sections are attached without recomputation.  The
+    recorded steps are one center per nonsimplicial cone in the order
+    ``fans.barycentric_subdivision`` takes the cones, each of length n and
+    in the relative interior of its cone, so none for a simplicial fan;
+    they fix the subdivision, so a "rule" key, which earlier versions
+    wrote, is ignored.  Steps that are not such a list raise ValueError,
+    and so does a stalk that is not a list of [grading, section map]
+    pairs, a grading that is odd or negative, a cone id or an exponent
+    that is not an integer, a section map that does not name exactly its
+    cone's pieces, a coefficient that is neither a JSON integer nor a
+    scalar literal, a simplicial cone's stalk other than the constant 1,
+    or a maximal cone's stalk that is not minimally generated
+    (_check_minimal)."""
     fan = fans.fan_from_json_dict(_json_object(obj.get("fan"), "'fan'"))
     field = fan.field
     n = fan.n
     centers = [parse_vector(v, field, f"step {i} of the pair dump")
                for i, v in enumerate(json_list(obj.get("steps", []),
                                                "steps"))]
-    if not centers:
-        if not fan.is_simplicial():
-            raise ValueError("pair dump lists no subdivision centers in "
-                             "'steps', but its fan is not simplicial")
-        subdivided, steps = fan, ()
-    else:
-        wanted = sum(1 for c in fan.cones.values() if not c.is_simplicial())
-        if len(centers) != wanted:
-            raise ValueError(f"pair dump lists {len(centers)} subdivision "
-                             f"centers, but its fan has {wanted} "
-                             "nonsimplicial cones")
-        if any(len(v) != n for v in centers):
-            raise ValueError("a subdivision center's length does not match "
-                             "dim")
-        recorded = iter(centers)
-        subdivided, steps = fans.barycentric_subdivision(
-            fan, lambda cone: next(recorded))
+    wanted = sum(1 for c in fan.cones.values() if not c.is_simplicial())
+    if len(centers) != wanted:
+        raise ValueError(f"pair dump lists {len(centers)} subdivision "
+                         f"centers, but its fan has {wanted} "
+                         "nonsimplicial cones")
+    if any(len(v) != n for v in centers):
+        raise ValueError("a subdivision center's length does not match dim")
+    recorded = iter(centers)
+    subdivided, steps = fans.barycentric_subdivision(
+        fan, lambda cone: next(recorded))
     pair = DistinguishedPair(fan, subdivided, steps)
     one = Polynomial.constant(n, 1)
+    maximal = set(fan.maximal_ids)
     for cid_s, gens in _json_object(obj["stalks"], "'stalks'").items():
         cid = _json_key(cid_s, "a stalk's cone id")
         if cid not in fan.cones:
@@ -981,8 +1005,9 @@ def pair_from_json_dict(obj):
                                  f"[grading, section map] pair, got {gen!r}")
             g, sec = gen
             g = json_int(g, "a stalk generator grading")
-            if g % 2:
-                raise ValueError("stalk generator gradings must be even")
+            if g % 2 or g < 0:
+                raise ValueError("stalk generator gradings must be even and "
+                                 "nonnegative")
             entry = {}
             sec = _json_object(
                 sec, f"a section map of the stalk of cone {cid}")
@@ -1013,6 +1038,9 @@ def pair_from_json_dict(obj):
             # coordinates, which presumes this stalk (see _Sections)
             raise ValueError(f"the stalk of the simplicial cone {cid} must "
                              "be the constant 1")
+        if cid in maximal:
+            # the section spaces read only the maximal cones' stalks
+            _check_minimal(cid, parsed, n)
         pair.stalks[cid] = tuple(parsed)
     for cid in fan.cones:
         if cid not in pair.stalks:

@@ -51,19 +51,25 @@ road.
   absolute basis whose polynomial on every boundary piece's owner
   reduces to zero modulo the piece's equations.
 - Facts the package reads off data it holds, recomputed by elimination
-  (solve, forms_by_solve, pointed_by_rank, carriers_by_star_scan,
-  tagged_inverse, lift_over_span): a conewise linear function's form on
-  each maximal cone solved from its ray values, pointedness as the rank of
-  a cone's equations and facet forms, each subdivided cone's carrier found
-  in the star of its first ray's carrier, a square matrix's inverse and
-  determinant from a Gauss-Jordan pass on [m | 1] that stops at the first
-  dependent row, and a flattened facet's lift by inverting the projection
-  on the facet's span.  The package reads the forms off each cone's dual
-  basis (fans.PLFunction.from_ray_values), pointedness off the facet rows
-  of the hull (fans.Cone.from_generators), a carrier off the coarse fan's
-  key table where the keys agree (ihsheaf.DistinguishedPair), an inverse
-  off the dual basis of its rows (exactlin.inverse) and a lift off the
-  cone's facet form (ihsheaf.flatten_boundary).
+  or geometry (solve, forms_by_solve, pointed_by_rank, locate,
+  carriers_by_star_scan, projected_subdivision, tagged_inverse,
+  lift_over_span): a conewise linear function's form on each maximal cone
+  solved from its ray values, pointedness as the rank of a cone's
+  equations and facet forms, a point's cone read off the maximal cones,
+  each subdivided cone's carrier found in the star of its first ray's
+  located carrier, a flattened boundary's subdivision as the projected
+  keys of the pair's pieces, a square matrix's inverse and determinant
+  from a Gauss-Jordan pass on [m | 1] that stops at the first dependent
+  row, and a flattened facet's lift by inverting the projection on the
+  facet's span.  The package reads the forms off each cone's dual basis
+  (fans.PLFunction.from_ray_values), pointedness off the facet rows of
+  the hull (fans.Cone.from_generators), a carrier off the flags of the
+  subdivision, its coarse key or its top center's cone
+  (ihsheaf.DistinguishedPair), a flattened subdivision off the same rule
+  at the projected centers (fans.barycentric_subdivision in
+  ihsheaf.flatten_boundary), an inverse off the dual basis of its rows
+  (exactlin.inverse) and a lift off the cone's facet form
+  (ihsheaf.flatten_boundary).
 - Section columns joined across the actual walls (classes_by_wall_joins):
   a union-find over the columns, each wall between two simplicial
   carriers joining the columns of its sides with equal monomials in the
@@ -83,6 +89,7 @@ road.
   ray keys (fans.product_fan); along the zero map the two agree.
 """
 
+import contextlib
 import json
 from math import comb
 
@@ -480,6 +487,14 @@ def pointed_by_rank(gens, n):
     return rank(Matrix(rows, ncols=n)) == n
 
 
+def locate(fan, x):
+    """Id of the cone of the fan whose relative interior holds x, or None
+    outside the support, read off the first maximal cone holding x
+    (fans.Fan.face_at)."""
+    found = (fan.face_at(m, x) for m in fan.maximal_ids)
+    return next((cid for cid in found if cid is not None), None)
+
+
 def carriers_by_star_scan(pair):
     """{subdivided cone id: carrier} by the star rule alone: a ray's
     carrier is its own coarse cone or the located one, and any other
@@ -492,7 +507,7 @@ def carriers_by_star_scan(pair):
         if tc.dim <= 1:
             car = fan.id_by_key.get(tc.rays)
             if car is None:
-                car = fan.locate(tc.rays[0])
+                car = locate(fan, tc.rays[0])
         else:
             ray_cars = {out[f] for f in sub.faces_of[tid]
                         if sub.cones[f].dim == 1}
@@ -500,6 +515,24 @@ def carriers_by_star_scan(pair):
                       if ray_cars.issubset(fan.faces_of[c] + (c,)))
         out[tid] = car
     return out
+
+
+def projected_subdivision(pair, cid, v):
+    """The subdivision of the boundary of the nonsimplicial cone cid,
+    flattened along v, as the key projection of the pair's own: each piece
+    of a facet of the cone, its rays projected along v (projection_along),
+    spans one maximal cone.  The package subdivides the flattened fan at
+    the projected centers (ihsheaf.flatten_boundary)."""
+    fan, sub = pair.fan, pair.subdivided
+    cone = fan.cones[cid]
+    _, proj, _ = projection_along(
+        v, fan.n, [cone.rays[i] for i in cone.geometry().basis])
+    m = cone.dim - 1
+    return Fan(m, fan.field, [
+        tuple(sorted(canonical_direction(proj.apply(r))
+                     for r in sub.cones[pid].rays))
+        for f in fan.faces_of[cid] if fan.cones[f].dim == m
+        for pid in pair.pieces[f]], check=False)
 
 
 def classes_by_wall_joins(pair, cols):
@@ -648,16 +681,25 @@ def flag_subdivision(fan, choice=None):
     return Fan(fan.n, fan.field, keys, check=False), tuple(steps)
 
 
+@contextlib.contextmanager
+def flag_rule():
+    """flag_subdivision in place of fans.barycentric_subdivision while the
+    block runs, so every pair the package builds there, the flattened
+    boundaries included, is subdivided into its flag complex."""
+    kept = fans.barycentric_subdivision
+    fans.barycentric_subdivision = flag_subdivision
+    try:
+        yield
+    finally:
+        fans.barycentric_subdivision = kept
+
+
 def flag_pair(fan):
     """The fan's distinguished pair built (build_distinguished_pair) on its
     flag complex (flag_subdivision) in place of the package's subdivision,
     so its flattened boundaries carry the flag complex's pieces too."""
-    kept = fans.barycentric_subdivision
-    fans.barycentric_subdivision = flag_subdivision
-    try:
+    with flag_rule():
         return build_distinguished_pair(fan)
-    finally:
-        fans.barycentric_subdivision = kept
 
 
 def profile_with_centers(fan, barycenter):

@@ -10,11 +10,13 @@ import pytest
 import ihfan
 from ihfan import exactlin
 from ihfan.cli import main
-from ihfan.fans import fan_from_json_dict, format_scalar
+from ihfan.fans import (face_fan_with_support, fan_from_json_dict,
+                        format_scalar)
 from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
 
-from conftest import (SQRT2_PRISM, cached_pair, dodecahedron_vertices,
-                      icosahedron_vertices, prism_vertices, pyramid)
+from conftest import (SQRT2_PRISM, cached_pair, cube_vertices,
+                      dodecahedron_vertices, icosahedron_vertices,
+                      prism_vertices, pyramid)
 from oracles import barycenter_sum_scaled, canonical_json, profile_with_centers
 
 
@@ -131,6 +133,21 @@ def _stepless_square_cone_pair():
     return {"fan": fan, "steps": [], "stalks": stalks}
 
 
+_CUBE_PAIR = json.dumps(pair_to_json_dict(
+    cached_pair(face_fan_with_support(cube_vertices())[0])))
+
+
+def _cube_pair_with_square_generator(gen):
+    """The cube face fan's pair dump with one generator appended to the
+    stalk of the square cone 21, the constant and one grading-2 generator
+    on its four pieces: gen(pieces, stalk) is the new [grading, section
+    map] pair."""
+    obj = json.loads(_CUBE_PAIR)
+    stalk = obj["stalks"]["21"]
+    stalk.append(gen(list(stalk[0][1]), stalk))
+    return obj
+
+
 MALFORMED = {
     "cone-index-past-rays": (
         ["hvector"], _triangle_fan([[0, 1], [1, 2], [2, 3]])),
@@ -231,6 +248,21 @@ MALFORMED = {
         ["hvector"], _quadrant_pair_stalk(
             8, [[0, {"8": {"0,0": "1"}}], [2, {"8": {"1,0": "1"}}]])),
     "pair-stalk-not-a-list": (["hvector"], _quadrant_pair_stalk(8, 0)),
+    # a maximal cone's stalk is minimally generated: no generator is zero,
+    # repeated or a multiple of one of lower grading, and no grading is
+    # negative
+    "pair-square-stalk-zero-generator": (
+        ["hvector"], _cube_pair_with_square_generator(
+            lambda pieces, _: [2, {p: {} for p in pieces}])),
+    "pair-square-stalk-repeated-generator": (
+        ["hvector"], _cube_pair_with_square_generator(
+            lambda _, stalk: stalk[1])),
+    "pair-square-stalk-x1-generator": (
+        ["hvector"], _cube_pair_with_square_generator(
+            lambda pieces, _: [2, {p: {"1,0,0": "1"} for p in pieces}])),
+    "pair-square-stalk-negative-grading": (
+        ["hvector"], _cube_pair_with_square_generator(
+            lambda pieces, _: [-2, {p: {} for p in pieces}])),
     # an ambient dimension below 1, as a fan's dim or as vertices with no
     # coordinates
     "dim-zero": (["hvector"], {"field": "Q", "dim": 0, "rays": [],
@@ -273,8 +305,8 @@ MALFORMED = {
         ["report"], _with_l(quadrant_dict(), {"per_cone": "1111"})),
     "pair-steps-a-string": (
         ["hvector"], dict(_quadrant_pair(0), steps="10")),
-    # empty steps leave the fan as its own subdivision, which only a
-    # simplicial fan is
+    # a dump lists one center per nonsimplicial cone, so a nonsimplicial
+    # fan needs steps
     "pair-nonsimplicial-without-steps": (
         ["hvector"], _stepless_square_cone_pair()),
     # a pair dump's fan is an object, and a fan names each key it lacks
@@ -339,6 +371,15 @@ MALFORMED_MESSAGES = {
     "[grading, section map] pair, got [0]",
     "pair-stalk-not-a-list":
         "the stalk of cone 8 must be a list of generators, got 0",
+    "pair-square-stalk-zero-generator": "the stalk of cone 21 is not "
+    "minimally generated: a grading-2 generator depends on the other "
+    "generators and their multiples",
+    "pair-square-stalk-repeated-generator":
+        "the stalk of cone 21 is not minimally generated",
+    "pair-square-stalk-x1-generator":
+        "the stalk of cone 21 is not minimally generated",
+    "pair-square-stalk-negative-grading":
+        "stalk generator gradings must be even and nonnegative",
     "dim-zero": "dim must be at least 1, got 0",
     "dim-negative": "dim must be at least 1, got -1",
     "vertices-without-coordinates": "dim must be at least 1",
@@ -357,8 +398,8 @@ MALFORMED_MESSAGES = {
     "maximal-cone-a-string": "maximal cone 1 must be a list, got '12'",
     "per-cone-a-string": "per_cone must be a list, got '1111'",
     "pair-steps-a-string": "steps must be a list, got '10'",
-    "pair-nonsimplicial-without-steps": "pair dump lists no subdivision "
-    "centers in 'steps', but its fan is not simplicial",
+    "pair-nonsimplicial-without-steps": "pair dump lists 0 subdivision "
+    "centers, but its fan has 1 nonsimplicial cones",
     "pair-fan-a-list": "'fan' must be a JSON object",
     "pair-without-fan": "'fan' must be a JSON object",
     "fan-without-field": "a fan needs the key 'field'",
@@ -611,10 +652,14 @@ def test_verify_corrupted_pair_dump(tmp_path, capsys):
     assert main(["subdivide", src, "--emit-pair", "--out", out]) == 0
     capsys.readouterr()
     dump = json.loads((tmp_path / "pair.json").read_text())
+    # a grading-2 generator zeroed on one piece where it is not zero stays
+    # independent of the constant's multiples, so the dump loads, but the
+    # sections it gives are not the stalk's (zeroed on every piece, it is
+    # a dependent generator and an input error)
     for gens in dump["stalks"].values():
         hit = next((g for g in gens if g[0] == 2), None)
         if hit is not None:
-            hit[1] = {pid: {} for pid in hit[1]}
+            hit[1][next(pid for pid, c in hit[1].items() if c)] = {}
             break
     bad = write(tmp_path, "pair_bad.json", dump)
     assert main(["verify", bad]) == 1

@@ -18,7 +18,7 @@ from conftest import (dodecahedron_vertices, fan_cold_fans,
                       sqrt2_triangular_prism)
 from oracles import (barycenter_sum_scaled, canonical_json,
                      checked_polytope_fan, flag_subdivision, forms_by_solve,
-                     meet_id, pointed_by_rank, polytope_face_lattice,
+                     locate, meet_id, pointed_by_rank, polytope_face_lattice,
                      skew_product, star_link, tagged_inverse, toric_h_oracle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -142,7 +142,7 @@ def test_barycentric_cone_over_square():
     old_max = cs.maximal_ids[0]
     for nid in sub.maximal_ids:
         for r in sub.cones[nid].rays:
-            assert cs.locate(r) in (old_max,) + cs.faces_of[old_max]
+            assert locate(cs, r) in (old_max,) + cs.faces_of[old_max]
 
 
 def test_barycentric_orthant():
@@ -199,8 +199,8 @@ def test_subdivision_preserves_support():
     rng = random.Random(5)
     for _ in range(20):
         x = tuple(sc(rng.randint(-9, 9)) for _ in range(3))
-        inside_old = ff.locate(x) is not None
-        inside_new = b.locate(x) is not None
+        inside_old = locate(ff, x) is not None
+        inside_new = locate(b, x) is not None
         assert inside_old == inside_new
 
 
@@ -259,7 +259,7 @@ def test_repeated_vertex_counts_once():
 def value_at(l, x):
     """l(x) from a maximal cone containing x."""
     fan = l.fan
-    star = fan.star_ids(fan.locate(x))
+    star = fan.star_ids(locate(fan, x))
     m = next(m for m in fan.maximal_ids if m in star)
     return vdot(l.per_max[m], x)
 
@@ -459,9 +459,9 @@ def test_meet_and_locate():
     a, b = f.maximal_ids[0], f.maximal_ids[1]
     meet = meet_id(f, a, b)
     assert f.cones[meet].dim in (0, 1)
-    assert f.locate((sc(2), sc(3))) in f.maximal_ids
-    assert f.locate((sc(1), sc(0))) in f.ray_ids()
-    assert f.locate((sc(0), sc(0))) == f.id_by_key[()]
+    assert locate(f, (sc(2), sc(3))) in f.maximal_ids
+    assert locate(f, (sc(1), sc(0))) in f.ray_ids()
+    assert locate(f, (sc(0), sc(0))) == f.id_by_key[()]
 
 
 def test_subdivision_lattice_still_valid():
@@ -1155,7 +1155,7 @@ def test_fan_from_json_builds_one_geometry_per_maximal_cone():
 
 
 def locate_by_each_face(fan, x):
-    """The earlier rule for Fan.locate, one geometry per face: the first
+    """The earlier rule for locate, one geometry per face: the first
     cone in id order whose equations vanish on x and whose facet forms are
     all > 0 on x."""
     for cid, c in fan.cones.items():
@@ -1177,11 +1177,11 @@ def test_locate_reads_the_maximal_cones(name):
     sums = {cid: functools.reduce(fans.vadd, c.rays, zero)
             for cid, c in fan.cones.items()}
     for cid, x in sums.items():
-        assert fan.locate(x) == cid == locate_by_each_face(fan, x)
+        assert locate(fan, x) == cid == locate_by_each_face(fan, x)
     outside = [fans.vneg(sums[m]) for m in fan.maximal_ids]
     for x in outside:
-        assert fan.locate(x) == locate_by_each_face(fan, x)
-    assert any(fan.locate(x) is None for x in outside) == \
+        assert locate(fan, x) == locate_by_each_face(fan, x)
+    assert any(locate(fan, x) is None for x in outside) == \
         (name == "cube-closed-star")
 
 

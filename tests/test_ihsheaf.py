@@ -1,3 +1,4 @@
+import contextlib
 import json
 import itertools
 import random
@@ -20,38 +21,41 @@ from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            projection_along)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       fan_cold_fans, golden_field, no_residue,
-                      sqrt2_triangular_prism)
+                      sqrt2_prism_pyramid, sqrt2_triangular_prism)
 from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
-                     carriers_by_star_scan, classes_by_wall_joins,
-                     flag_subdivision, full_greedy, global_sections, gram_loop,
-                     lift_over_span, materialized_values, profile_with_centers,
-                     reduce_mod, relative_ih, relative_sections, star_link,
-                     unit_vectors, validate, vdot_loop)
+                     carriers_by_star_scan, classes_by_wall_joins, flag_rule,
+                     flag_subdivision, full_greedy, global_sections,
+                     gram_loop, lift_over_span, materialized_values,
+                     profile_with_centers, projected_subdivision, reduce_mod,
+                     relative_ih, relative_sections, star_link, unit_vectors,
+                     validate, vdot_loop)
 
 
 # -- boundary flattening ---------------------------------------------------
 
 
-def flattened(generators, subdivide=barycentric_subdivision):
-    """The fan of one cone, subdivided barycentrically (subdivide), with
-    the constant stalk on each proper face, and flatten_boundary of the cone
-    along its subdivision center: (pair, cone id, center, flattening).  A
-    simplicial cone gets a center from the full flag complex only."""
+def flattened(generators, flags=False):
+    """The fan of one cone, subdivided by the package's rule or, with
+    flags, into its flag complex (flag_rule), with the constant stalk on
+    each proper face, and flatten_boundary of the cone along its
+    subdivision center under the same rule: (pair, cone id, center,
+    flattening).  A simplicial cone gets a center from the flag complex
+    only."""
     fan = build_fan(len(generators[0]), [generators])
-    sub, steps = subdivide(fan)
-    pair = DistinguishedPair(fan, sub, steps)
-    top = fan.maximal_ids[0]
-    for cid in fan.faces_of[top]:
-        pair.stalks[cid] = ((0, {pid: Polynomial.constant(fan.n, 1)
-                                 for pid in pair.pieces[cid]}),)
-    # the cone's center is chosen first
-    v = steps[0][0]
-    return pair, top, v, flatten_boundary(pair, top, v)
+    with flag_rule() if flags else contextlib.nullcontext():
+        pair = DistinguishedPair(fan, *fans.barycentric_subdivision(fan))
+        top = fan.maximal_ids[0]
+        for cid in fan.faces_of[top]:
+            pair.stalks[cid] = ((0, {pid: Polynomial.constant(fan.n, 1)
+                                     for pid in pair.pieces[cid]}),)
+        # the cone's center is chosen first
+        v = pair.steps[0][0]
+        return pair, top, v, flatten_boundary(pair, top, v)
 
 
 def test_flatten_orthant():
     _, _, _, (lam_pair, lam_l, _, _) = flattened(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], flag_subdivision)
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], flags=True)
     lam = lam_pair.fan
     assert lam.n == 2
     assert len(lam.maximal_ids) == 3
@@ -61,7 +65,7 @@ def test_flatten_orthant():
 
 def test_flatten_two_dim_cone():
     _, _, _, (lam_pair, lam_l, _, _) = flattened([(1, 0), (1, 2)],
-                                                  flag_subdivision)
+                                                  flags=True)
     lam = lam_pair.fan
     assert lam.n == 1
     assert len(lam.maximal_ids) == 2
@@ -281,10 +285,35 @@ def test_carriers_are_the_star_scan(orthant_fan, quadrant_fan, prism_fan):
         pairs.append(DistinguishedPair(fan, *barycentric_subdivision(fan)))
     # the full flag complex of the 4D product, a finer subdivision
     pairs.append(DistinguishedPair(prism_line, *flag_subdivision(prism_line)))
+    # the flattened pairs: the prism's squares flatten to simplicial fans,
+    # their own subdivisions; the 4-cube's cubic cones and the Q(sqrt 2)
+    # prism pyramid's 4-dimensional nonsimplicial cones, its base cone
+    # among them, flatten to fans with square cones, which get centers,
+    # and so do those of their dumps read back
     prism = pairs[2]
-    centers = {key: v for v, key in prism.steps}
-    pairs += [flatten_boundary(prism, cid, centers[c.rays])[0]
-              for cid, c in prism_fan.cones.items() if not c.is_simplicial()]
+    for cid, v in nonsimplicial_centers(prism):
+        lam_pair = flatten_boundary(prism, cid, v)[0]
+        assert lam_pair.subdivided is lam_pair.fan and not lam_pair.steps
+        assert lam_pair.subdivided == projected_subdivision(prism, cid, v)
+        pairs.append(lam_pair)
+    four_cube = cached_pair(four_cube_fan())
+    prism_pyramid = cached_pair(sqrt2_prism_pyramid()[0])
+    centered = 0
+    for pair in (four_cube, prism_pyramid):
+        back = pair_from_json_dict(json.loads(json.dumps(
+            pair_to_json_dict(pair))))
+        for p in (pair, back):
+            for cid, v in nonsimplicial_centers(p):
+                if p.fan.cones[cid].dim < 4:
+                    continue
+                lam_pair = flatten_boundary(p, cid, v)[0]
+                assert lam_pair.subdivided == projected_subdivision(p, cid, v)
+                centered += bool(lam_pair.steps)
+                pairs.append(lam_pair)
+            pairs.append(p)
+    # each twice: the 4-cube's 8 cubic cones, and the pyramid's base cone
+    # over the prism and its 3 cones over square pyramids
+    assert centered == 2 * (8 + 1 + 3)
     own = 0
     for pair in pairs:
         want = carriers_by_star_scan(pair)
