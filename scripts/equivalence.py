@@ -8,7 +8,15 @@ package under DIR (default: this checkout's ``src/``) and writes one JSON
 object: for each command, the sha256 of its standard output and of its
 standard error, its exit code and how many systems it sent to the exact
 path (the growth of ``exactlin.modp_fallbacks``).  The profile cache is
-emptied before every command, so no command reads another's profile.
+emptied before every command, so no command reads another's profile.  The
+caches keyed by the labeled face lattice (``ihsheaf._columns``, which
+holds the section columns, and ``cohomology._toric_h``, the fan
+recursion) are not: they stay warm across the commands, as they do in a
+long-lived process and in the CI step that runs this digest, so a
+command may read columns or an h-vector that an
+earlier command's fan left there, and ``compare`` against a digest of a
+version without these caches also checks that sharing them changes no
+output.
 ``compare`` prints every command whose record differs between two digest
 files, or that only one of them has, and the fallbacks each file counts;
 it exits 0 when the files agree and no command fell back, 1 otherwise.

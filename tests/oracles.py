@@ -366,7 +366,7 @@ def full_greedy(gih, d):
     low = gih.spaces.get(d - 2)
     multiples = [ideal_multiple(low, b, i) for b in (low.basis if low else ())
                  for i in range(gih.pair.fan.n)]
-    cands = multiples + gih.spaces[d].basis
+    cands = [*multiples, *gih.spaces[d].basis]
     kept = independent_modp(cands)
     return ([cands[i] for i in kept],
             [cands[i] for i in kept if i >= len(multiples)])

@@ -5,9 +5,10 @@ benchmark too; every module-level import of a package or test module is
 used by that module, and every import of a package module is at module
 level;
 every slot of a package class is read somewhere; every function of the
-tests' oracle module has a caller in the tests.  A method counts as
-called only through an attribute or an identifier string: a bare name of
-the same spelling is some local variable."""
+tests' oracle module has a caller in the tests; every process-wide cache of
+the package is bounded.  A method counts as called only through an
+attribute or an identifier string: a bare name of the same spelling is
+some local variable."""
 
 import ast
 from collections import Counter
@@ -186,6 +187,48 @@ def unread_slots(root):
     return out
 
 
+def _decorator_name(node):
+    """The last name of a decorator expression (lru_cache for
+    functools.lru_cache(maxsize=64)), None for anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _int_maxsize(call):
+    """Whether an lru_cache(...) call gives maxsize as an int literal."""
+    args = list(call.args[:1]) + [k.value for k in call.keywords
+                                  if k.arg == "maxsize"]
+    return len(args) == 1 and isinstance(args[0], ast.Constant) and \
+        type(args[0].value) is int
+
+
+def unbounded_caches(root):
+    """module:function of each function under root/src/ihfan whose cache
+    can grow for the life of the process: an lru_cache without an int
+    literal maxsize (bare, maxsize=None or a name), or functools.cache on
+    a function that takes parameters, each call of which may add an
+    entry."""
+    out = []
+    for p in sorted((root / "src" / "ihfan").glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            takes = a.posonlyargs + a.args + a.kwonlyargs + \
+                [x for x in (a.vararg, a.kwarg) if x]
+            for dec in node.decorator_list:
+                name = _decorator_name(dec)
+                if name == "lru_cache" and not (
+                        isinstance(dec, ast.Call) and _int_maxsize(dec)) or \
+                        name == "cache" and takes:
+                    out.append(f"{p.stem}:{node.name}")
+    return out
+
+
 def test_every_function_has_a_caller():
     assert uncalled_functions(ROOT) == []
 
@@ -208,3 +251,7 @@ def test_imports_are_at_module_level():
 
 def test_every_slot_is_read():
     assert unread_slots(ROOT) == []
+
+
+def test_every_cache_is_bounded():
+    assert unbounded_caches(ROOT) == []

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from ihfan.conewise import Polynomial
-from ihfan import exactlin
+from ihfan import cohomology, exactlin, ihsheaf
 from ihfan.exactlin import ZERO, Matrix, ScalarField, rank, sc
 from ihfan.fans import (PLFunction, build_fan, face_fan_with_support,
                         is_strictly_convex, normal_fan, product_fan)
 from ihfan.ihsheaf import (GradedIH, _section_spaces, build_distinguished_pair,
+                           pair_from_json_dict, pair_to_json_dict,
                            projection_along)
 from ihfan.cohomology import (EvaluationContext, ds_check, convolve_h,
                               evaluate_fast, hl_rank_report, hrm_check,
@@ -734,3 +735,124 @@ def test_equal_fans_share_one_profile():
                       [(-1, 0), (0, -1)], [(0, -1), (1, 0)]],
                   field=ScalarField(2))
     assert c != a and profile_for_fan(c) is not profile_for_fan(a)
+
+
+# -- caches keyed by the labeled face lattice --------------------------------
+
+
+def _prism_face_fan(triangle, axes=(0, 1, 2)):
+    """The face fan of the prism over a triangle with z = +-1, its
+    coordinates taken in the order axes, and its support function."""
+    pts = [(sc(x), sc(y), sc(z)) for x, y in triangle for z in (1, -1)]
+    return face_fan_with_support([tuple(v[i] for i in axes) for v in pts])
+
+
+def _clear_shared_caches():
+    ihsheaf._columns.cache_clear()
+    cohomology._toric_h.cache_clear()
+
+
+def _answers(profile, l):
+    """Everything a report reads off a profile: h, the fan recursion,
+    every pairing matrix, the HL ranks, the HRM rows and every
+    representative's polynomials (None for l gives the last only)."""
+    n = profile.pair.fan.n
+    out = {"h": profile.h_vector(),
+           "rep_polys": {d: profile.rep_polys(d)
+                         for d in range(0, 2 * n + 1, 2)},
+           "spaces": {d: (sp.cols, sp.basis, sp.free)
+                      for d, sp in profile.spaces.items()}}
+    if l is not None:
+        out["oracle"] = toric_h_of_fan(profile.pair.fan)
+        out["pairing"] = {d: pairing_matrix(profile, d)
+                          for d in range(0, 2 * n + 1, 2)}
+        out["hl"] = hl_rank_report(profile, l)
+        out["hrm"] = [(r["matrix"], r["signature"], r["primitive_dim"],
+                       r["definite"]) for r in hrm_check(profile, l).rows]
+    return out
+
+
+def test_one_labeled_face_lattice_shares_its_columns():
+    # Prisms a and b share a labeled face lattice but not their coordinates
+    # (b is over Q(sqrt 2)); c has six rays and its square cones at the same
+    # ids, but other rays on its triangles; d is read from a dump with the
+    # square cones' grading-2 generators left out, a's fan under other
+    # stalk gradings.  The octahedra e and f (sheared over Q(sqrt 2))
+    # share one too, and being simplicial, their whole section bases; g,
+    # a triangular bipyramid with one face capped, has six rays and eight
+    # triangles too, but not on the same rays.  Shared or cold, every
+    # answer is the same.
+    a = _prism_face_fan([(2, 0), (-1, 1), (-1, -1)])
+    b = sqrt2_triangular_prism()
+    c = _prism_face_fan([(1, 1), (-1, 2), (-1, -3)], axes=(1, 2, 0))
+    dump = pair_to_json_dict(build_distinguished_pair(a[0]))
+    for cid, gens in dump["stalks"].items():
+        dump["stalks"][cid] = gens[:1]
+    field = ScalarField(2)
+    r2 = field.parse("0+1r2")
+    e = face_fan_with_support(octahedron_vertices())
+    f = face_fan_with_support([(sc(x), sc(y), z + r2 * x)
+                               for x, y, z in octahedron_vertices()],
+                              field=field)
+    g = face_fan_with_support([(2, 0, 0), (-1, 2, 0), (-1, -2, 0),
+                               (0, 0, 2), (0, 0, -2), (1, 1, 1)])
+    inputs = [(lambda fan=fan: build_distinguished_pair(fan), l)
+              for fan, l in (a, b, c, e, f, g)]
+    inputs.insert(3, (lambda: pair_from_json_dict(dump), None))
+    cold = []
+    for make, l in inputs:
+        _clear_shared_caches()
+        cold.append(_answers(GradedIH(make()), l))
+    _clear_shared_caches()
+    profiles = [GradedIH(make()) for make, _ in inputs]
+    pa, pb, pc, pd, pe, pf, pg = profiles
+    assert [len(ihsheaf._carriers(p.pair)) for p in profiles] == \
+        [5, 5, 5, 5, 8, 8, 8]
+    for d, sp in pa.spaces.items():
+        assert pb.spaces[d].cols is sp.cols
+        assert pc.spaces[d].cols is not sp.cols
+        assert pd.spaces[d].cols is not sp.cols
+        assert pf.spaces[d].cols is pe.spaces[d].cols
+        assert pf.spaces[d].basis is pe.spaces[d].basis
+        assert pg.spaces[d].cols is not pe.spaces[d].cols
+    assert pd.h_vector() != pa.h_vector()
+    for p, (_, l), want in zip(profiles, inputs, cold):
+        assert _answers(p, l) == want
+    _clear_shared_caches()
+
+
+def _bounded(cache, keys):
+    """Fill an lru_cache through calls on keys, one more than its maxsize:
+    the first stays while in use, the second is evicted as the least
+    recently used, and the size never passes maxsize."""
+    info = cache.cache_info
+    size = info().maxsize
+    assert len(keys) == size + 2
+    cache.cache_clear()
+    first = cache(*keys[0])
+    second = cache(*keys[1])
+    for key in keys[2:]:
+        cache(*key)
+        hits = info().hits
+        assert cache(*keys[0]) is first   # kept while in use
+        assert info().hits == hits + 1
+        assert info().currsize <= size
+    assert info().currsize == size
+    misses = info().misses
+    again = cache(*keys[1])   # least recently used: rebuilt
+    assert info().misses == misses + 1 and again is not second
+    assert again == second
+    cache.cache_clear()
+
+
+def test_column_cache_is_bounded():
+    assert ihsheaf._columns.cache_info().maxsize == 256
+    # one simplicial carrier in dimension 1, a new id for each key
+    _bounded(ihsheaf._columns,
+             [(1, 2, ((mid, (1,), (0,)),)) for mid in range(258)])
+
+
+def test_fan_recursion_cache_is_bounded():
+    assert cohomology._toric_h.cache_info().maxsize == 64
+    # the lattice of the zero cone alone, in each dimension
+    _bounded(cohomology._toric_h, [(n, ((0, ()),)) for n in range(66)])
