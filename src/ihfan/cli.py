@@ -97,13 +97,12 @@ def _l_from_desc(fan, desc):
     if not isinstance(desc, dict):
         raise InputError("l descriptor must be a JSON object")
     if "ray_values" in desc:
-        order = fan.rays()
+        order = fan.ray_ids()
         vals = json_list(desc["ray_values"], "ray_values")
         if len(vals) != len(order):
             raise InputError("ray_values length does not match the ray count")
-        rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
-        values = {rid[r]: json_scalar(v, fan.field, "ray value")
-                  for r, v in zip(order, vals)}
+        values = {rid: json_scalar(v, fan.field, "ray value")
+                  for rid, v in zip(order, vals)}
         return PLFunction.from_ray_values(fan, values)
     if "per_cone" in desc:
         rows = json_list(desc["per_cone"], "per_cone")
@@ -374,11 +373,6 @@ def make_parser():
                          "cap caps nothing)")
     ve = sub.add_parser("verify", help="run verification checks")
     ve.add_argument("input")
-    ve.add_argument("--l", dest="l_source", default=None,
-                    help="l source: support or file=PATH")
-    ve.add_argument("--checks", default=None,
-                    help="comma-separated subset of "
-                         + ",".join(ALL_CHECKS))
     sd = sub.add_parser("subdivide", help="emit the simplicial subdivision")
     sd.add_argument("input")
     sd.add_argument("--emit-pair", action="store_true",
@@ -388,8 +382,15 @@ def make_parser():
     rp.add_argument("input")
     rp.add_argument("--format", dest="fmt", choices=("json", "md"),
                     default="json")
-    rp.add_argument("--l", dest="l_source", default=None)
-    rp.add_argument("--checks", default=None)
+    for cmd in (ve, rp):
+        cmd.add_argument("--l", dest="l_source", default=None,
+                         help="l source: support, inline or file=PATH "
+                              "(default: the input's inline l, else a "
+                              "polytope's support function)")
+        cmd.add_argument("--checks", default=None,
+                         help="comma-separated subset of "
+                              + ",".join(ALL_CHECKS) + " (default: ds,pd,"
+                              "oracle, plus hl,hrm when an l is available)")
     # main reads both for every command
     p.set_defaults(cap=None, checks=None)
     return p

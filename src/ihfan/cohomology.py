@@ -37,11 +37,9 @@ def convolve_h(h1, h2):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=64)
 def _tminus1_pow(k):
-    """The coefficients of (t - 1)^k, from a process-wide cache of the 64
-    most recently used k (a fan of dimension n reads k <= n), as a tuple
-    that every caller shares."""
+    """The coefficients of (t - 1)^k, read only when the fan recursion's
+    cache (_toric_h) misses."""
     return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
 
 
@@ -164,14 +162,10 @@ class QuadraticReport:
 
 
 def _expected_signature(h, d):
-    p = q = 0
-    for j in range(0, d + 1, 2):
-        step = h[j // 2] - (h[j // 2 - 1] if j >= 2 else 0)
-        if j % 4 == 0:
-            p += step
-        else:
-            q += step
-    return (p, q)
+    """The signature the h-vector h predicts on IH^d: (sum of g_k over
+    even k, sum over odd k), k <= d/2 (_g_from_h)."""
+    g = _g_from_h(h, d)
+    return (sum(g[0::2]), sum(g[1::2]))
 
 
 def hrm_check(profile: GradedIH, l: PLFunction):

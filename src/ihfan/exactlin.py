@@ -32,8 +32,8 @@ The pivot of a row is its smallest key, so reduced echelons, bases and
 pivots are the same for any insertion order and from run to run.
 
 Sums of products.  Every dense sum of products of the package is one
-integer inner product: vdot, Matrix.apply, Matrix.mul and the weighted
-product gram (the matrix of sum_k left[i][k] * weights[k] * right[j][k])
+integer inner product: vdot, Matrix.apply, Matrix.mul, gram and the one
+weighted product cleared_gram (sum_k left[i][k] * weights[k] * right[j][k])
 clear each row once to ints A + B*sqrt(m) over one denominator, sum the
 products as Python ints and reduce each result once, to the canonical
 Scalar that a loop of Scalar products and sums would give.
@@ -489,18 +489,18 @@ class Matrix:
         return Matrix(self.columns(), ncols=self.nrows)
 
     def mul(self, other):
-        """The product self . other: the weighted product (gram) of the
-        rows of self and the columns of other, without weights."""
+        """The product self . other: the gram of the rows of self and the
+        columns of other."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        return gram(self.entries, None, other.columns())
+        return gram(self.entries, other.columns())
 
     def apply(self, vec):
         """The vector self . vec: the inner product of each row with vec."""
         if self.ncols != len(vec):
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(r[0] for r in
-                     gram(self.entries, None, [tuple(map(sc, vec))]).entries)
+                     gram(self.entries, [tuple(map(sc, vec))]).entries)
 
     def is_symmetric(self):
         if self.nrows != self.ncols:
@@ -586,11 +586,11 @@ def vdot(u, v):
                   mu if mu == mv else radicand((mu, mv)))
 
 
-def gram(left, weights, right):
-    """Matrix of sum_k left[i][k] * weights[k] * right[j][k], one row per
-    row of left and one column per row of right (rows of Scalars), with no
-    weights when weights is None: cleared_gram of the cleared rows."""
-    return cleared_gram(clear_rows(left), weights, clear_rows(right))
+def gram(left, right):
+    """Matrix of sum_k left[i][k] * right[j][k], one row per row of left
+    and one column per row of right (rows of Scalars): cleared_gram of the
+    cleared rows, without weights."""
+    return cleared_gram(clear_rows(left), None, clear_rows(right))
 
 
 def clear_rows(rows):
@@ -600,7 +600,8 @@ def clear_rows(rows):
 
 
 def cleared_gram(lefts, weights, rights):
-    """gram of rows cleared by clear_rows, which it does not write.  The
+    """Matrix of sum_k left[i][k] * weights[k] * right[j][k] (no weights
+    when None) of rows cleared by clear_rows, which it does not write.  The
     weights are cleared once and multiplied into the left rows as ints, and
     each entry is one integer inner product, reduced once."""
     ms = [r[3] for r in lefts + rights]

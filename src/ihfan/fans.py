@@ -42,6 +42,7 @@ from .exactlin import (
     json_int,
     json_list,
     json_scalar,
+    radicand,
     sc,
 )
 
@@ -118,7 +119,7 @@ def _dd(rows, basis, duals):
             continue
         bit = 1 << i
         pos, neg, kept = [], [], []
-        values = gram((a,), None, [r for r, _ in rays]).entries[0]
+        values = gram((a,), [r for r, _ in rays]).entries[0]
         for (r, z), v in zip(rays, values):
             if v.sign() < 0:
                 neg.append((r, z, v))
@@ -302,6 +303,8 @@ class Fan:
 
     cones: id -> Cone, ids assigned by sorting all cones by (dim, ray key).
     maximal_ids: ids of cones that are not proper faces of another cone.
+    field: the one given, else the field of the rays' coordinates (Q when
+    all are rational); rays over two quadratic fields raise ValueError.
     """
 
     __slots__ = ("n", "field", "cones", "maximal_ids", "id_by_key",
@@ -309,9 +312,10 @@ class Fan:
 
     def __init__(self, n, field, cone_keys, check=True):
         self.n = n
-        self.field = field or ScalarField()
         listed = {k: cone_geometry(k, n) for k in cone_keys}
         rays = sorted({r for k in listed for r in k})
+        self.field = field or ScalarField(
+            radicand(x.m for r in rays for x in r))
         bit = {r: 1 << i for i, r in enumerate(rays)}
         # the lattice as bit masks over the rays, each listed cone's read
         # off its facets: a face's proper faces are the listed cone's faces
@@ -368,7 +372,7 @@ class Fan:
             full = order[a]
             outside = [i for i in range(len(rays)) if not full >> i & 1]
             g = self.cones[a].geometry()
-            values = gram(g.facet_forms, None, [rays[i] for i in outside])
+            values = gram(g.facet_forms, [rays[i] for i in outside])
             for row, on in zip(values.entries, g.facet_rows):
                 zero = sum(bit[g.rays[i]] for i in on)
                 pos = full & ~zero
@@ -413,9 +417,9 @@ class Fan:
         whose forms vanish on x (every face of a pointed cone is the
         intersection of the facets containing it)."""
         g = self.cones[m].geometry()
-        if any(gram((x,), None, [e for _, e in g.equations]).entries[0]):
+        if any(gram((x,), [e for _, e in g.equations]).entries[0]):
             return None
-        signs = [v.sign() for v in gram((x,), None, g.facet_forms).entries[0]]
+        signs = [v.sign() for v in gram((x,), g.facet_forms).entries[0]]
         if min(signs, default=0) < 0:
             return None
         on = set(g.rays).intersection(
@@ -485,6 +489,7 @@ def build_fan(ambient_dim, max_generator_sets, field=None):
 
     Validates pointedness, that the listed generators are extreme and the
     pairwise common-face axiom, and reports the offending pair on failure.
+    With no field, the fan takes its rays' field (Fan).
     """
     keys = []
     for gens in max_generator_sets:
@@ -567,7 +572,7 @@ class PLFunction:
         value = {}
         for m in self.fan.maximal_ids:
             rays = self.fan.cones[m].rays
-            values = gram((self.per_max[m],), None, rays).entries[0]
+            values = gram((self.per_max[m],), rays).entries[0]
             for r, v in zip(rays, values):
                 if value.setdefault(r, v) != v:
                     raise ValueError(
@@ -587,16 +592,15 @@ class PLFunction:
         the one value of each of its rays, and the forms agree on shared
         rays without PLFunction's check."""
         per_max = {}
-        rid = {fan.cones[i].rays[0]: i for i in fan.ray_ids()}
         for m in fan.maximal_ids:
             c = fan.cones[m]
             g = c.geometry()
-            v = [sc(values[rid[r]]) for r in c.rays]
+            v = [sc(values[fan.id_by_key[(r,)]]) for r in c.rays]
             # the zero cone has no duals, and its form is zero
-            form = gram(([v[i] for i in g.basis],), None,
+            form = gram(([v[i] for i in g.basis],),
                         list(zip(*g.duals)) or [()] * fan.n).entries[0]
             rest = [i for i in range(len(v)) if i not in g.basis]
-            if rest and gram((form,), None, [c.rays[i] for i in rest]
+            if rest and gram((form,), [c.rays[i] for i in rest]
                              ).entries[0] != tuple(v[i] for i in rest):
                 raise ValueError(
                     "no linear form matches the ray values on cone %r" % c)
@@ -616,8 +620,7 @@ def is_strictly_convex(fan: Fan, l: PLFunction):
         for u in fan.cones[m].rays:
             first.setdefault(u, m)
     rays = list(first)
-    values = dict(zip(mx, gram([l.per_max[m] for m in mx], None,
-                               rays).entries))
+    values = dict(zip(mx, gram([l.per_max[m] for m in mx], rays).entries))
     value = [values[m][i] for i, m in enumerate(first.values())]
     for m in mx:
         c = fan.cones[m]

@@ -18,19 +18,19 @@ builder reads lies between two pieces, and a boundary piece constrains
 nothing.  A simplicial carrier's columns are keyed by their face-supported
 monomials, one class per key; only walls that touch a nonsimplicial carrier
 give rows, a sparse linear system built in integer arithmetic.  The
-columns, their classes and the basis when no wall gives a row depend on
-the labeled face lattice and the stalk gradings alone (_carriers), so
-pairs that share them share one cached copy (_columns).
+columns, their classes and, on a pair whose carriers are all simplicial,
+the basis depend on the labeled face lattice and the stalk gradings alone
+(_carriers), so pairs that share them share one cached copy (_columns).
 
 GradedIH is the cohomology of a pair.  It picks representatives of the
 classes, certifies a complete pair's mod-p choice by Poincare duality, and
 reads every Lefschetz quantity (pairing, hard Lefschetz ranks,
 Hodge-Riemann forms, primitives, Lefschetz matrices) off one Gram matrix
 of their values at a generic point (EvaluationContext,
-GradedIH.lefschetz_gram), each grading's values cleared to integers once
-per profile.  The stalk generators of a nonsimplicial cone
-are the primitives of its flattened boundary, read off the same Gram one
-dimension down.
+GradedIH.lefschetz_gram), each grading's values evaluated and cleared to
+integers once per profile, with no Matrix built for them.  The stalk
+generators of a nonsimplicial cone are the primitives of its flattened
+boundary, read off the same Gram one dimension down.
 
 All generator sections live on the subdivided fan; scalars stay exact.
 """
@@ -202,14 +202,13 @@ def _primitive(a, b):
     return a, b
 
 
-@functools.lru_cache(maxsize=4096)
 def _frame(rays, n):
     """The column frame of the carrier with these rays, the one place the
     column convention of _Sections lives: (forms, vectors), the column
     variables being y_r = forms[r] . x, so that x = sum_r y_r vectors[r].
-    On a simplicial carrier the forms are the dual forms of its rays and the
-    vectors the rays; on any other both are the unit vectors.  From a
-    process-wide cache of the 4096 most recently used."""
+    On a simplicial carrier the forms are the dual forms of its rays, read
+    off the cached cone geometry (fans.cone_geometry), and the vectors the
+    rays; on any other both are the unit vectors."""
     if len(rays) == n:
         return fans.cone_geometry(rays, n).duals, rays
     units = tuple(tuple(ONE if j == i else ZERO for j in range(n))
@@ -339,9 +338,9 @@ def _columns(n, grading, carriers):
     cols lists the columns (see _Sections) and start[(mid, j)] is the
     index of the first of carrier mid's generator j; classes are those of
     _classes and slot[c] is the class of column c; basis and free are the
-    section basis and its free columns when no wall gives a row, one basis
-    vector per class.  Everything is a tuple but start and the basis
-    vectors, which no code writes."""
+    section basis, one vector per class, and its free columns when every
+    carrier is simplicial (no wall gives a row), else None.  Everything is
+    a tuple but start and the basis vectors, which no code writes."""
     cols = []
     start = {}
     for mid, _, gradings in carriers:
@@ -356,6 +355,8 @@ def _columns(n, grading, carriers):
     for v, ms in enumerate(classes):
         for c in ms:
             slot[c] = v
+    if any(rids is None for _, rids, _ in carriers):
+        return cols, start, classes, tuple(slot), None, None
     basis = tuple({cols[i]: ONE for i in ms} for ms in classes)
     return (cols, start, classes, tuple(slot), basis,
             tuple(ms[-1] for ms in classes))
@@ -401,9 +402,10 @@ class _Sections:
     spread over its members: basis[k] is 1 at its free column
     cols[free[k]], free[k] being its largest index, and 0 at every other
     free column, so restriction to the free columns is one-to-one on
-    sections.  When no wall gives a row every variable is free, no kernel
-    is solved, and the basis is the shared one of _columns.  Each wall's
-    owners and radicand in walls are shared by the gradings of one
+    sections.  When every carrier is simplicial no wall gives a row, every
+    variable is free, and the basis is the shared one of _columns; any
+    other pair solves its kernel, which is the identity with no rows.  Each
+    wall's owners and radicand in walls are shared by the gradings of one
     _section_spaces call, and neither depends on d: the radicand is that of
     the frame forms and all generators of both sides and of the equations,
     and rational data has no sqrt(m) parts whatever m is.  Its images are
@@ -457,7 +459,7 @@ class _Sections:
                         # every scalar of a pair lies in its fan's field,
                         # so the walls share one radicand
                         rows_m = m
-        if rows:
+        if self.basis is None:
             kern = sparse_kernel(rows, len(classes), rows_m)
             self.free = tuple(classes[max(v)][-1] for v in kern)
             self.basis = tuple({cols[i]: c for v, c in w.items()
@@ -477,8 +479,8 @@ class _Sections:
         out = {hat: Polynomial(fan.n) for hat in pair.subdivided.maximal_ids}
         for (mid, j), (cs, monos) in blocks.items():
             fs = list(dict.fromkeys(f for mono in monos for f in mono))
-            coeffs = gram((cs,), None, [[mono.get(f, ZERO) for mono in monos]
-                                        for f in fs]).entries[0]
+            coeffs = gram((cs,), [[mono.get(f, ZERO) for mono in monos]
+                                  for f in fs]).entries[0]
             q = Polynomial(fan.n, dict(zip(fs, coeffs)))
             for hat, g in pair.stalks[mid][j][1].items():
                 out[hat] = out[hat].add(q if g == one else q.mul(g))
@@ -613,7 +615,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
         rays = fan.cones[f].rays
         eta = geom.facet_forms[geom.facet_ray_keys.index(rays)]
         s = -vdot(eta, v).inverse()
-        t = [s * e for e in gram((eta,), None, b).entries[0]]
+        t = [s * e for e in gram((eta,), b).entries[0]]
         lift = [[bi[j] + ti * v[j] for bi, ti in zip(b, t)] for j in range(n)]
         lid = lam.id_by_key[key(rays)]
         forms[lid] = t
@@ -635,7 +637,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
 def _at(z, forms):
     """{key: the values at z of its forms} for {key: forms}, off one
     product (exactlin.gram) of z with all the forms."""
-    values = iter(gram((z,), None, [f for fs in forms.values() for f in fs])
+    values = iter(gram((z,), [f for fs in forms.values() for f in fs])
                   .entries[0])
     return {key: tuple(itertools.islice(values, len(fs)))
             for key, fs in forms.items()}
@@ -812,20 +814,17 @@ class GradedIH:
             self._rep_polys[d] = got
         return got
 
-    def values(self, d):
-        """The grading-d representatives evaluated at the generic point: a
-        Matrix with one row per representative and one column per
-        subdivided maximal cone, in the order of the context's inv_phi_z."""
-        ctx = self.context()
-        return Matrix([self._evaluate(v, ctx) for v in self.comps[d]],
-                      ncols=len(ctx.inv_phi_z))
-
     def _cleared_values(self, d):
-        """The rows of values(d), each cleared once (exactlin.clear_rows)
-        and kept for every Gram that reads them."""
+        """The grading-d representatives evaluated at the generic point
+        (_evaluate), one row per representative and one entry per
+        subdivided maximal cone in the order of the context's inv_phi_z,
+        each row cleared once (exactlin.clear_rows) and kept for every
+        Gram that reads them."""
         got = self._cleared.get(d)
         if got is None:
-            got = self._cleared[d] = clear_rows(self.values(d).entries)
+            ctx = self.context()
+            got = self._cleared[d] = clear_rows(
+                self._evaluate(v, ctx) for v in self.comps[d])
         return got
 
     def _evaluate(self, vecm, ctx):
@@ -868,7 +867,7 @@ class GradedIH:
         k = self.pair.fan.n - (d + e) // 2
         weights = list(ctx.inv_phi_z.values())
         if k:
-            at_z = gram(l.per_max.values(), None, (ctx.z,)).entries
+            at_z = gram(l.per_max.values(), (ctx.z,)).entries
             power = {mid: v ** k for mid, (v,) in zip(l.per_max, at_z)}
             carrier = self.pair.carrier
             weights = [power[carrier[m]] * w
@@ -891,7 +890,7 @@ class GradedIH:
         prim = kernel_basis(self.lefschetz_gram(l, d - 2, d)) if d \
             else [(ONE,)]
         # P B P^T, B being symmetric
-        form = gram(gram(prim, None, bmat.entries).entries, None, prim)
+        form = gram(gram(prim, bmat.entries).entries, prim)
         pdim = len(prim)
         definite = signature(form) == ((pdim, 0) if d % 4 == 0 else (0, pdim))
         return bmat, prim, definite
@@ -926,8 +925,7 @@ def flattened_stalk(pair: DistinguishedPair, cid, v):
         # representatives' vectors
         comps = gih.comps[d]
         keys = list(dict.fromkeys(k for comp in comps for k in comp))
-        mat = gram(prim, None,
-                   [[comp.get(k, ZERO) for comp in comps] for k in keys])
+        mat = gram(prim, [[comp.get(k, ZERO) for comp in comps] for k in keys])
         for row in mat.entries:
             sec = gih.spaces[d].materialize(
                 {k: x for k, x in zip(keys, row) if x})

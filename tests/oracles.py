@@ -14,7 +14,7 @@ road.
   representative materialized as one polynomial per piece and evaluated
   at the generic point.  The package reads a section's values off the
   frame coordinates of the point and the stalk generators' values there
-  (ihsheaf.GradedIH.values).
+  (ihsheaf.GradedIH._evaluate, as values_matrix collects them).
 - The selection on full-length vectors (full_greedy, which offers the
   ideal multiples and then the basis vectors to independent_modp) and the
   module route of multiplication by a conewise linear function
@@ -37,6 +37,11 @@ road.
   toric_h_oracle): the toric h-vector of a polytope from its vertex sets
   alone.  The package's command line compares against the fan recursion
   (cohomology.toric_h_of_fan), which walks ray keys.
+- The signature an h-vector predicts, as one loop over the gradings
+  (expected_signature_loop), each step h_k - h_(k-1) added to the
+  positive or negative count by k mod 2.  The package sums the even and
+  odd entries of the g-vector (cohomology._expected_signature, through
+  _g_from_h).
 - Sections as conewise functions (ConewiseFunction, as_function,
   global_sections, primitive_basis), the form the continuity oracle and
   the symbolic route read.  The package keeps sections as coefficient
@@ -97,8 +102,8 @@ from ihfan import exactlin, fans
 from ihfan.cohomology import (_g_from_h, _tminus1_pow, convolve_h,
                               profile_for_fan)
 from ihfan.conewise import Polynomial, monomials
-from ihfan.exactlin import (ONE, ZERO, Matrix, echelon_insert, gram, rank,
-                            sc, sparse_eliminate)
+from ihfan.exactlin import (ONE, ZERO, Matrix, clear_rows, cleared_gram,
+                            echelon_insert, gram, rank, sc, sparse_eliminate)
 from ihfan.fans import (Fan, PLFunction, build_fan, canonical_direction, vadd,
                         vec, vscale)
 from ihfan.ihsheaf import (GradedIH, _coordinate_forms, _frame,
@@ -285,6 +290,17 @@ def evaluate(pair, f):
 
 
 # -- the polynomial route of evaluation -------------------------------------
+
+
+def values_matrix(gih, d):
+    """The values of the grading-d representatives of gih at the evaluation
+    point as the package computes them (GradedIH._evaluate), as a Matrix
+    with a row per representative and a column per subdivided maximal cone
+    in the order of the context's inv_phi_z: the rows GradedIH clears once
+    for its Grams."""
+    ctx = gih.context()
+    return Matrix([gih._evaluate(v, ctx) for v in gih.comps[d]],
+                  ncols=len(ctx.inv_phi_z))
 
 
 def materialized_values(gih, d):
@@ -815,6 +831,20 @@ def toric_h_oracle(lattice):
     return tuple(h)
 
 
+def expected_signature_loop(h, d):
+    """The signature (p, q) the h-vector h predicts on IH^d for an even d:
+    each step h_(j/2) - h_(j/2 - 1) over the even j <= d counts to p when
+    4 divides j, to q otherwise."""
+    p = q = 0
+    for j in range(0, d + 1, 2):
+        step = h[j // 2] - (h[j // 2 - 1] if j >= 2 else 0)
+        if j % 4 == 0:
+            p += step
+        else:
+            q += step
+    return (p, q)
+
+
 # -- sections as conewise functions ------------------------------------------
 
 
@@ -1008,7 +1038,7 @@ def _mul_pl(vecm, l):
     for mid, form in l.per_max.items():
         _, vectors = _frame(l.fan.cones[mid].rays, l.fan.n)
         forms[mid] = [[(0, x)] if x else []
-                      for x in gram((form,), None, vectors).entries[0]]
+                      for x in gram((form,), vectors).entries[0]]
     return _times(vecm, forms, 1, EVERY_COLUMN)[0]
 
 
@@ -1082,7 +1112,7 @@ def restrict_to_link(profile, ray_cid):
     # plus rho composed with b^T, so its value at the link's generic point
     # z is that polynomial's value at b^T z
     lam_ctx = lam_profile.context()
-    z = gram((lam_ctx.z,), None, zip(*b)).entries[0]
+    z = gram((lam_ctx.z,), zip(*b)).entries[0]
     star_of = {lam_fan.id_by_key[pk]:
                fan.id_by_key[tuple(sorted(set(rays) | {vrho}))]
                for rays, pk in key_to_lam.items()}
@@ -1096,7 +1126,8 @@ def restrict_to_link(profile, ray_cid):
     reduct_ok = True
     for d in range(0, m2 + 1, 2):
         lhs = profile.lefschetz_gram(hat, d, m2 - d)
-        rhs = gram(restricted[d], weights, restricted[m2 - d])
+        rhs = cleared_gram(clear_rows(restricted[d]), weights,
+                           clear_rows(restricted[m2 - d]))
         for lrow, rrow in zip(lhs.entries, rhs.entries):
             for x, y in zip(lrow, rrow):
                 if not y:
@@ -1188,14 +1219,14 @@ def skew_product(f1, f2, phi=None):
             for b in mx[i + 1:]:
                 common = set(f1.cones[a].rays) & set(f1.cones[b].rays)
                 for r in common:
-                    if gram((r,), None, phi[a]) != gram((r,), None, phi[b]):
+                    if gram((r,), phi[a]) != gram((r,), phi[b]):
                         raise ValueError("phi is incompatible on a shared face")
 
     def graph_gens(m):
         rows = phi[m]
         out = []
         for r in f1.cones[m].rays:
-            out.append(r + gram((r,), None, rows).entries[0])
+            out.append(r + gram((r,), rows).entries[0])
         return out
 
     gen_sets = []

@@ -6,12 +6,13 @@ used by that module, and every import of a package module is at module
 level;
 every slot of a package class is read somewhere; every function of the
 tests' oracle module has a caller in the tests; every process-wide cache of
-the package is bounded.  A method counts as called only through an
-attribute or an identifier string: a bare name of the same spelling is
-some local variable."""
+the package is bounded; no parameter of a package function is passed only
+as None.  A method counts as called only through an attribute or an
+identifier string: a bare name of the same spelling is some local
+variable."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import ihfan
@@ -229,6 +230,78 @@ def unbounded_caches(root):
     return out
 
 
+def _passed(call, index, name):
+    """The expression a call passes for the parameter at this position
+    with this name (index None for a keyword-only one); None when the call
+    passes nothing for it."""
+    if index is not None and index < len(call.args):
+        return call.args[index]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def none_only_parameters(root):
+    """module:function(parameter) of each parameter of a module-level
+    function or method under root/src/ihfan that every call in
+    root/src/ihfan or root/perfbench outside the function's own body
+    passes as the literal None, positionally or by keyword, with at least
+    one such call: a parameter that only the tests set.  Calls are matched
+    by name, a method's only through an attribute; a name defined twice in
+    the package is skipped, and so is a function that is referred to
+    outside its body other than by being called (map(f, ...)), or called
+    with *args or **kwargs, since those calls pass what the rule cannot
+    read."""
+    package = sorted((root / "src" / "ihfan").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in package + sorted((root / "perfbench").glob("*.py"))}
+    # by name: the calls through an attribute (True) or a bare name
+    # (False), and every other reference of either kind
+    calls = {True: defaultdict(list), False: defaultdict(list)}
+    refs = {True: defaultdict(list), False: defaultdict(list)}
+    for tree in trees.values():
+        funcs = set()
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                funcs.add(id(sub.func))
+                if isinstance(sub.func, ast.Attribute):
+                    calls[True][sub.func.attr].append(sub)
+                elif isinstance(sub.func, ast.Name):
+                    calls[False][sub.func.id].append(sub)
+        for sub in ast.walk(tree):
+            if id(sub) in funcs:
+                continue
+            if isinstance(sub, ast.Attribute):
+                refs[True][sub.attr].append(sub)
+            elif isinstance(sub, ast.Name):
+                refs[False][sub.id].append(sub)
+    defs = [(p, qualname, node) for p in package
+            for qualname, node in _defs(trees[p])]
+    defined = Counter(node.name for _, _, node in defs)
+    out = []
+    for p, qualname, node in defs:
+        kinds = (True,) if "." in qualname else (True, False)
+        own = {id(sub) for sub in ast.walk(node)}
+        outside = [c for k in kinds for c in calls[k][node.name]
+                   if id(c) not in own]
+        if defined[node.name] > 1 or not outside or any(
+                id(r) not in own for k in kinds for r in refs[k][node.name]) \
+                or any(isinstance(a, ast.Starred) for c in outside
+                       for a in c.args) \
+                or any(k.arg is None for c in outside for k in c.keywords):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        if "." in qualname and "staticmethod" not in map(
+                _decorator_name, node.decorator_list):
+            positional = positional[1:]
+        params = [(i, x.arg) for i, x in enumerate(positional)] + \
+            [(None, x.arg) for x in a.kwonlyargs]
+        for index, name in params:
+            if all(isinstance(x, ast.Constant) and x.value is None
+                   for x in (_passed(c, index, name) for c in outside)):
+                out.append(f"{p.stem}:{qualname}({name})")
+    return out
+
+
 def test_every_function_has_a_caller():
     assert uncalled_functions(ROOT) == []
 
@@ -255,3 +328,7 @@ def test_every_slot_is_read():
 
 def test_every_cache_is_bounded():
     assert unbounded_caches(ROOT) == []
+
+
+def test_no_parameter_is_passed_only_none():
+    assert none_only_parameters(ROOT) == []

@@ -9,7 +9,7 @@ import pytest
 
 import ihfan
 from ihfan import exactlin
-from ihfan.cli import main
+from ihfan.cli import ALL_CHECKS, main
 from ihfan.fans import (face_fan_with_support, fan_from_json_dict,
                         format_scalar)
 from ihfan.ihsheaf import pair_from_json_dict, pair_to_json_dict
@@ -541,6 +541,35 @@ def test_verify_inline_l(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in ("ds", "pd", "oracle", "hl", "hrm"):
         assert f"{name}: pass" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_l_inline_is_the_inputs_own_l(tmp_path, capsys, command):
+    # --l inline reads the input's "l", as no --l does when it has one;
+    # on an input without one it is an input error
+    obj = quadrant_dict()
+    obj["l"] = {"ray_values": [1, 1, 1, 1]}
+    path = write(tmp_path, "quad_l.json", obj)
+    assert main([command, path]) == 0
+    default = capsys.readouterr().out
+    assert main([command, path, "--l", "inline"]) == 0
+    assert capsys.readouterr().out == default
+    path = write(tmp_path, "quad.json", quadrant_dict())
+    assert main([command, path, "--l", "inline"]) == 2
+    assert capsys.readouterr().err == "error: no inline l in the input\n"
+
+
+def test_verify_and_report_share_the_help_of_l_and_checks(capsys):
+    # the same words, wrapped to each command's column width
+    helps = []
+    for command in ("verify", "report"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        helps.append(" ".join(out[out.index("--l L_SOURCE "):].split()))
+        for value in ("support", "inline", "file=PATH",
+                      ",".join(ALL_CHECKS)):
+            assert value in helps[-1]
+    assert helps[0] == helps[1]
 
 
 def test_verify_global_linear_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from conftest import (cached_pair, cube_vertices, fan_cold_fans, no_residue,
                       sqrt2_triangular_prism)
 import oracles
 from oracles import (ConewiseFunction, FaceLattice, as_function, dual_forms,
-                     evaluate, exact_sequence_check, f_to_h, flag_pair,
+                     evaluate, exact_sequence_check,
+                     expected_signature_loop, f_to_h, flag_pair,
                      ideal_multiple,
                      module_step, polytope_face_lattice, primitive_basis,
                      restrict_to_link, skew_product, toric_h_oracle,
@@ -416,6 +418,17 @@ def test_primitive_dimensions(quadrant_fan, orthant_fan, cube_fan):
 
 
 # -- signatures ------------------------------------------------------------
+
+
+def test_expected_signature_sums_the_g_vector():
+    # the sums of the even and odd entries of g = (h_0, h_1 - h_0, ...)
+    # against the loop over the gradings, on every h of length <= 6 with
+    # entries 0-3, at every even d that h reaches
+    for length in range(1, 7):
+        for h in itertools.product(range(4), repeat=length):
+            for d in range(0, 2 * length - 1, 2):
+                assert cohomology._expected_signature(h, d) == \
+                    expected_signature_loop(h, d)
 
 
 def test_hrm_one_dim(onedim_fan):

@@ -11,7 +11,7 @@ import pytest
 from ihfan import cli, exactlin, fans
 from ihfan.exactlin import (ONE, ZERO, Matrix, ScalarField, kernel_basis,
                             rank, sc, sparse_eliminate, vdot)
-from ihfan.ihsheaf import build_distinguished_pair
+from ihfan.ihsheaf import GradedIH, build_distinguished_pair
 
 from conftest import (dodecahedron_vertices, fan_cold_fans,
                       icosahedron_vertices, pyramid, sqrt2_prism_pyramid,
@@ -406,6 +406,37 @@ def test_fan_json_round_trip():
     pf2 = fans.fan_from_json_dict(json.loads(j))
     assert pf2 == pf and hash(pf2) == hash(pf)
     assert canonical_json(pf2) == j
+
+
+def sheared_square(m):
+    """The vertices of the square [-1, 1]^2 under (x, y) -> (x + sqrt(m) y,
+    y)."""
+    s = ScalarField(m).parse(f"0+1r{m}")
+    return [(x + s * y, sc(y)) for x in (1, -1) for y in (1, -1)]
+
+
+def test_a_fan_without_a_field_takes_its_rays_field():
+    # no field given: a Q(sqrt 2) fan is labeled Q(sqrt 2), so its JSON
+    # reads back and its profile certifies mod p; a rational fan stays Q;
+    # cones over two quadratic fields raise
+    square = sheared_square(2)
+    cones = [[square[i], square[j]] for i, j in ((0, 1), (1, 3), (3, 2),
+                                                 (2, 0))]
+    built = [fans.build_fan(2, cones),
+             fans.face_fan_with_support(square)[0],
+             fans.normal_fan(square)[0]]
+    for fan in built:
+        assert fan.field == ScalarField(2)
+        back = fans.fan_from_json_dict(json.loads(canonical_json(fan)))
+        assert back == fan
+    before = exactlin.modp_fallbacks
+    assert GradedIH(build_distinguished_pair(built[0])).h_vector() == \
+        (1, 2, 1)
+    assert exactlin.modp_fallbacks == before
+    assert fans.build_fan(2, [[(1, 0), (0, 1)]]).field == ScalarField()
+    r2, r5 = ScalarField(2).parse("0+1r2"), ScalarField(5).parse("0+1r5")
+    with pytest.raises(ValueError, match="mixed radicands"):
+        fans.build_fan(2, [[(1, r2), (0, 1)], [(0, -1), (1, -r5)]])
 
 
 def test_fan_equality_is_canonical_json_equality():

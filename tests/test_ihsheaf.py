@@ -10,7 +10,7 @@ import pytest
 from ihfan import exactlin, fans, ihsheaf
 from ihfan.conewise import Polynomial, monomials
 from ihfan.exactlin import (ONE, ZERO, Matrix, Scalar, ScalarField,
-                            echelon_insert, gram, sc, signature,
+                            clear_rows, echelon_insert, gram, sc, signature,
                             sparse_eliminate)
 from ihfan.fans import (barycentric_subdivision, build_fan,
                         canonical_direction, face_fan_with_support,
@@ -28,7 +28,7 @@ from oracles import (as_function, barycenter_sum_scaled, boundary_piece_ids,
                      gram_loop, lift_over_span, materialized_values,
                      profile_with_centers, projected_subdivision, reduce_mod,
                      relative_ih, relative_sections, star_link, unit_vectors,
-                     validate, vdot_loop)
+                     validate, values_matrix, vdot_loop)
 
 
 # -- boundary flattening ---------------------------------------------------
@@ -164,7 +164,7 @@ def test_flattened_lifts_match_the_projection_inverse():
                     assert g == 2
                     assert set(sec.values()) == {Polynomial.from_linear(row)}
                 assert lam_l.per_max[lid] == \
-                    gram((x,), None, zip(*lift)).entries[0]
+                    gram((x,), zip(*lift)).entries[0]
                 facets += 1
     # 6 * 4 on the cube, 3 * 4 on the prism, 24 * 4 + 8 * 6 on the 4-cube
     # (its square cones and cubic cones), and 3 * 4 + 5 + 3 * 5 on the
@@ -595,12 +595,12 @@ def test_prime_dividing_a_denominator_selects_exactly():
 
 
 def test_scalar_outside_the_field_selects_exactly():
-    # a fan over Q (no field given) with a ray over Q(sqrt 2): its
-    # coefficients have no residue in Q's prime, so the profile takes the
-    # exact pass, counted once; f0 = 4 rays, h = (1, f0 - 2, 1)
+    # a fan labeled Q with a ray over Q(sqrt 2): its coefficients have no
+    # residue in Q's prime, so the profile takes the exact pass, counted
+    # once; f0 = 4 rays, h = (1, f0 - 2, 1)
     ray = (1, ScalarField(2).parse("0+1r2"))
     fan = build_fan(2, [[ray, (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
-                        [(0, -1), ray]])
+                        [(0, -1), ray]], field=ScalarField())
     before = exactlin.modp_fallbacks
     gih = GradedIH(cached_pair(fan))
     assert exactlin.modp_fallbacks == before + 1
@@ -821,7 +821,9 @@ def test_values_are_the_materialized_sections_at_z(cube_fan_support):
     for pair, _ in _nonsimplicial_profiles(cube_fan_support):
         gih = GradedIH(pair)
         for d in range(0, 2 * pair.fan.n + 1, 2):
-            assert gih.values(d).entries == materialized_values(gih, d)
+            values = values_matrix(gih, d)
+            assert values.entries == materialized_values(gih, d)
+            assert gih._cleared_values(d) == clear_rows(values.entries)
 
 
 def test_lefschetz_gram_is_the_per_piece_gram(cube_fan_support):
@@ -841,7 +843,8 @@ def test_lefschetz_gram_is_the_per_piece_gram(cube_fan_support):
             weights = [vdot_loop(l.per_max[carrier[m]], ctx.z) ** k * w
                        for m, w in ctx.inv_phi_z.items()]
             assert gih.lefschetz_gram(l, d, e) == \
-                gram_loop(gih.values(d), weights, gih.values(e))
+                gram_loop(values_matrix(gih, d), weights,
+                          values_matrix(gih, e))
 
 
 def test_simplicial_pair_solves_no_kernel(monkeypatch):
@@ -854,6 +857,26 @@ def test_simplicial_pair_solves_no_kernel(monkeypatch):
     gih = GradedIH(build_distinguished_pair(_octahedron()))
     assert gih.h_vector() == (1, 3, 3, 1)
     assert calls == []
+
+
+def test_a_lone_nonsimplicial_cone_solves_an_empty_system(monkeypatch):
+    # the cone over a square meets no other cone, so no wall gives a row;
+    # its kernel is solved on zero rows anyway, which gives the identity
+    # basis: every column is its own class and its own free column
+    calls = []
+    kernel = ihsheaf.sparse_kernel
+    monkeypatch.setattr(ihsheaf, "sparse_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    fan = build_fan(3, [[(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]])
+    spaces = ihsheaf._section_spaces(build_distinguished_pair(fan),
+                                     range(0, 7, 2))
+    # the stalk's generators have gradings 0 and 2: 1, 4, 9 and 16 columns
+    assert [len(sp.cols) for sp in spaces.values()] == [1, 4, 9, 16]
+    for sp in spaces.values():
+        assert sp.basis == tuple({c: ONE} for c in sp.cols)
+        assert sp.free == tuple(range(len(sp.cols)))
+    assert [(rows, ncols) for rows, ncols, _ in calls] == \
+        [([], len(sp.cols)) for sp in spaces.values()]
 
 
 def test_walls_between_simplicial_carriers_give_no_rows(monkeypatch):
