@@ -106,10 +106,10 @@ def _l_from_desc(fan, desc):
         return PLFunction.from_ray_values(fan, values)
     if "per_cone" in desc:
         rows = json_list(desc["per_cone"], "per_cone")
-        index = {r: i for i, r in enumerate(fan.rays())}
-        mx = sorted(fan.maximal_ids,
-                    key=lambda m: sorted(index[r]
-                                         for r in fan.cones[m].rays))
+        # the maximal cones in the order of the fan's JSON, as ray indices
+        rays = fan.rays()
+        mx = [fan.id_by_key[tuple(rays[i] for i in cone)]
+              for cone in fan.to_json_dict()["maximal_cones"]]
         if len(rows) != len(mx):
             raise InputError("per_cone length does not match the maximal "
                              "cone count")

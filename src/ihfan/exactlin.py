@@ -42,7 +42,9 @@ Integer rows.  sparse_kernel takes its rows in integers: a pair (A, B) of
 dicts {col: int} for the row A + B*sqrt(m), with B empty over Q, and the
 radicand m (None over Q).  Scaling a row leaves the kernel alone, so a
 caller builds its rows in integers from the start, as ihsheaf's section
-systems do.
+systems do.  _ints, the inner product's clearing, is the one routine that
+clears Scalars to ints: a caller with keyed Scalars zips its lists with
+the keys.
 
 Elimination mod p.  echelon_insert_modp is the same step with Python ints
 modulo a 61-bit prime p = 3 mod 4 from one endless sequence (_embedding);
@@ -882,16 +884,6 @@ def _embeddings(m):
     square, without end: as -m is not a square, infinitely many serve."""
     return filter(None, map(_embedding, itertools.repeat(m),
                             itertools.count()))
-
-
-def cleared(vec):
-    """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0,
-    without their zero entries; B is empty over Q.  _ints on vec's values.
-    Scaling a vector changes neither its independence nor the kernel of a
-    row system, and no denominator is left for p to divide."""
-    a, b, den, _ = _ints(vec.values())
-    return ({k: x for k, x in zip(vec, a) if x},
-            {k: x for k, x in zip(vec, b or ()) if x}, den)
 
 
 def _image(a_part, b_part, t, p):

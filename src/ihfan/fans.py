@@ -304,7 +304,8 @@ class Fan:
     cones: id -> Cone, ids assigned by sorting all cones by (dim, ray key).
     maximal_ids: ids of cones that are not proper faces of another cone.
     field: the one given, else the field of the rays' coordinates (Q when
-    all are rational); rays over two quadratic fields raise ValueError.
+    all are rational); rays over two quadratic fields, or over one that is
+    not the given field, raise ValueError.
     """
 
     __slots__ = ("n", "field", "cones", "maximal_ids", "id_by_key",
@@ -314,8 +315,10 @@ class Fan:
         self.n = n
         listed = {k: cone_geometry(k, n) for k in cone_keys}
         rays = sorted({r for k in listed for r in k})
-        self.field = field or ScalarField(
-            radicand(x.m for r in rays for x in r))
+        m = radicand(x.m for r in rays for x in r)
+        if field is not None and m not in (None, field.m):
+            raise ValueError(f"rays over Q(sqrt({m})) do not lie in {field!r}")
+        self.field = field or ScalarField(m)
         bit = {r: 1 << i for i, r in enumerate(rays)}
         # the lattice as bit masks over the rays, each listed cone's read
         # off its facets: a face's proper faces are the listed cone's faces
@@ -445,6 +448,9 @@ class Fan:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
+        """The fan as JSON: its field, dim, rays (Fan.rays) and maximal
+        cones, each the ascending indices of its rays, in ascending order,
+        the order a per_cone l lists its forms in."""
         ray_list = self.rays()
         index = {r: i for i, r in enumerate(ray_list)}
         mx = sorted(sorted(index[r] for r in self.cones[m].rays)

@@ -46,8 +46,8 @@ from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    _ints,
     clear_rows,
-    cleared,
     cleared_gram,
     dual_basis,
     echelon_insert,
@@ -80,8 +80,9 @@ from .conewise import Polynomial, monomials
 
 def projection_along(v, n, span_vectors):
     """Exact projection along the line through v onto a chosen complement
-    inside span(span_vectors): returns (x, proj, b) where x is a covector
-    with x(v) = 1, b is a basis of the kernel of x inside that span and
+    inside span(span_vectors): returns (proj, b) where, for the covector x
+    that is 1/v_i at the first nonzero coordinate v_i of v and 0 elsewhere
+    (so x(v) = 1), b is a basis of the kernel of x inside that span and
     proj is the projection Matrix onto coordinates in b, so that b^T is a
     section of proj with image ker x."""
     v = fans.vec(v)
@@ -97,7 +98,7 @@ def projection_along(v, n, span_vectors):
     cv = c.apply(v)
     proj = Matrix([[c.entries[i][j] - cv[i] * x[j] for j in range(n)]
                    for i in range(len(basis))], ncols=n)
-    return x, proj, basis
+    return proj, basis
 
 
 # -- section spaces and distinguished pairs --------------------------------
@@ -110,11 +111,6 @@ def _pack(e):
     """An exponent tuple as one int with a 16-bit digit per variable, so
     that multiplying monomials adds their packed exponents."""
     return sum(x << (_EXP_BITS * i) for i, x in enumerate(e))
-
-
-@functools.lru_cache(maxsize=64)
-def _packed_monomials(n, k):
-    return tuple(_pack(e) for e in monomials(n, k))
 
 
 def _int_mul(p, q, m):
@@ -141,14 +137,15 @@ def _wall_images(eqs, n, m):
     NF is a ring map, so each image is one of a degree lower times some
     D * NF(x_i): each degree is built from the one before, which the
     generator then lets go."""
-    a, b, den = cleared({(p, j): x for p, row in eqs
-                         for j, x in enumerate(row) if x and j != p})
+    terms = [(p, j, x) for p, row in eqs
+             for j, x in enumerate(row) if x and j != p]
+    a, b, den, _ = _ints([x for _, _, x in terms])
     units = [1 << (_EXP_BITS * i) for i in range(n)]
     forms = {p: ({}, {}) for p, _ in eqs}
-    for (p, j), x in a.items():
-        forms[p][0][units[j]] = -x
-    for (p, j), x in b.items():
-        forms[p][1][units[j]] = -x
+    for (p, j, _), x, y in zip(terms, a, b or itertools.repeat(0)):
+        for part, c in zip(forms[p], (x, y)):
+            if c:
+                part[units[j]] = -c
     level = {0: ({0: 1}, {})}
     while True:
         yield level
@@ -412,11 +409,10 @@ class _Sections:
     those of degree d/2, the only ones grading d reads, built degree by
     degree as the gradings go up."""
 
-    __slots__ = ("pair", "grading", "cols", "basis", "free")
+    __slots__ = ("pair", "cols", "basis", "free")
 
     def __init__(self, pair, grading, carriers, walls):
         self.pair = pair
-        self.grading = grading
         fan = pair.fan
         n = fan.n
         k = grading // 2
@@ -425,6 +421,9 @@ class _Sections:
         self.cols = cols
         rows = []
         rows_m = None   # the radicand of the rows' sqrt(m) parts
+        # the packed exponents (_pack) of each degree's monomials
+        packed = [[_pack(e) for e in monomials(n, j)]
+                  for j in range(k + 1)] if walls else ()
         for owners, m, images in walls:
             # the polynomials' coefficients keyed by (first column, degree
             # of the monomials they multiply, packed exponent)
@@ -445,12 +444,12 @@ class _Sections:
                         for f, c in sec[hat].coeffs.items():
                             coeffs[key + (_pack(f),)] = c if sign > 0 else -c
             block = ({}, {})
-            a, b, _ = cleared(coeffs)
-            for key in coeffs:
-                col0, kk, f = key
-                monos = _packed_monomials(n, kk)
+            a, b, _, _ = _ints(coeffs.values())
+            for (col0, kk, f), x, y in zip(coeffs, a,
+                                           b or itertools.repeat(0)):
+                monos = packed[kk]
                 _add_images(block, images, slot[col0:col0 + len(monos)],
-                            monos, f, (a.get(key, 0), b.get(key, 0)), m)
+                            monos, f, (x, y), m)
             for r in dict.fromkeys(block[0]) | dict.fromkeys(block[1]):
                 row = _primitive(block[0].get(r, {}), block[1].get(r, {}))
                 if row is not None:
@@ -590,7 +589,7 @@ def flatten_boundary(pair: DistinguishedPair, cid, v):
     cone = fan.cones[cid]
     geom = cone.geometry()
     n, m = fan.n, cone.dim - 1
-    _, proj, b = projection_along(v, n, [cone.rays[i] for i in geom.basis])
+    proj, b = projection_along(v, n, [cone.rays[i] for i in geom.basis])
     facets = [f for f in fan.faces_of[cid] if fan.cones[f].dim == m]
     # the image of each ray of the facets' pieces, which include the
     # facets' own rays, projected once
@@ -721,14 +720,13 @@ class GradedIH:
     evaluation context's generic point."""
 
     __slots__ = ("pair", "cap", "spaces", "comps", "h", "grams", "_ctx",
-                 "_mono_z", "_rep_polys", "_cleared")
+                 "_rep_polys", "_cleared")
 
     def __init__(self, pair: DistinguishedPair, cap=None):
         self.pair = pair
         self.cap = 2 * pair.fan.n if cap is None else cap
         self.spaces = _section_spaces(pair, range(0, self.cap + 1, 2))
         self._ctx = None
-        self._mono_z = {}   # (carrier, exponent) -> y(z)^exponent
         cofaces = pair.subdivided.cofaces_of
         complete = cap is None and all(
             len(cofaces[t]) == 2 for t in pair.facet_piece_ids)
@@ -831,15 +829,12 @@ class GradedIH:
         """The values at z of the section vecm on the subdivided maximal
         cones, in the order of ctx.inv_phi_z: on a piece m of mid, the sum
         over its columns (mid, j, e) of c * y(z)^e * g_j[m](z), with no
-        Polynomial built and no product by a generator value of 1.  The
-        monomials' values are kept per carrier."""
+        Polynomial built and no product by a generator value of 1.  Each
+        y(z)^e is computed where it is read, as few recur in a profile."""
         sums = {}   # (carrier, generator) -> sum_e c * y(z)^e
         for (mid, j, e), c in vecm.items():
-            y = self._mono_z.get((mid, e))
-            if y is None:
-                y = prod((x ** p for x, p in zip(ctx.frame_z[mid], e) if p),
-                         start=ONE)
-                self._mono_z[(mid, e)] = y
+            y = prod((x ** p for x, p in zip(ctx.frame_z[mid], e) if p),
+                     start=ONE)
             sums[(mid, j)] = sums.get((mid, j), ZERO) + c * y
         out = []
         for m, gens in ctx.gens_z.items():

@@ -25,7 +25,10 @@ road.
   poly_mul_loop, mul_loop, gram_loop), one reduction per operation.  The
   package clears each row, or each polynomial's coefficients, to ints,
   sums the products as Python ints and reduces once (exactlin.vdot,
-  conewise.Polynomial.mul, Matrix.mul, exactlin.gram).
+  conewise.Polynomial.mul, Matrix.mul, exactlin.gram).  Keyed Scalars
+  cleared to integer dicts (cleared) are exactlin._ints on a dict's
+  values; the package zips _ints' lists with their keys where it reads
+  them.
 - Other subdivisions: a second center rule (barycenter_sum_scaled,
   profile_with_centers), each generator scaled to coordinate-sum 1 where
   that sum is positive, and the full flag complex (flag_subdivision,
@@ -357,6 +360,16 @@ def ideal_multiple(sp, b, i):
     return multiple(sp, b, {mid: unit for mid in sp.pair.fan.maximal_ids})
 
 
+def cleared(vec):
+    """(A, B, den): integer dicts with vec = (A + B*sqrt(m)) / den, den > 0,
+    without their zero entries; B is empty over Q: exactlin._ints on vec's
+    values.  Scaling a vector changes neither its independence nor the kernel of a
+    row system, and no denominator is left for p to divide."""
+    a, b, den, _ = exactlin._ints(vec.values())
+    return ({k: x for k, x in zip(vec, a) if x},
+            {k: x for k, x in zip(vec, b or ()) if x}, den)
+
+
 def independent_modp(vectors):
     """Indices of the sparse vectors independent of those before them modulo
     the first prime for their field, each cleared of denominators first.
@@ -368,7 +381,7 @@ def independent_modp(vectors):
     ech = {}
     out = []
     for i, v in enumerate(vectors):
-        a_part, b_part, _ = exactlin.cleared(v) if v else ({}, {}, 1)
+        a_part, b_part, _ = cleared(v) if v else ({}, {}, 1)
         r = exactlin._image(a_part, b_part, ts[0], p)
         if r and exactlin.echelon_insert_modp(ech, r, p) is not None:
             out.append(i)
@@ -541,7 +554,7 @@ def projected_subdivision(pair, cid, v):
     the projected centers (ihsheaf.flatten_boundary)."""
     fan, sub = pair.fan, pair.subdivided
     cone = fan.cones[cid]
-    _, proj, _ = projection_along(
+    proj, _ = projection_along(
         v, fan.n, [cone.rays[i] for i in cone.geometry().basis])
     m = cone.dim - 1
     return Fan(m, fan.field, [
@@ -865,8 +878,12 @@ class ConewiseFunction:
 
 def as_function(sp, vecm):
     """The coefficient vector vecm of the section space sp as a conewise
-    function on its pair's subdivision."""
-    return ConewiseFunction(sp.pair.subdivided, sp.grading,
+    function on its pair's subdivision.  The grading is read off the
+    space's first column (mid, j, e), y^e times the j-th stalk generator
+    of the carrier mid: that generator's grading plus 2|e|."""
+    mid, j, e = sp.cols[0]
+    return ConewiseFunction(sp.pair.subdivided,
+                            sp.pair.stalks[mid][j][0] + 2 * sum(e),
                             sp.materialize(vecm))
 
 
@@ -1063,9 +1080,9 @@ def restrict_to_link(profile, ray_cid):
     relative cohomology of the star has full rank (each image is a relative
     section, and the images independent of the relative ideal multiples
     number h_d of the star, which is h_(d+2) of the relative star).
-    Classes restrict along b^T, for (x, proj, b) from projection_along: the
-    one section of proj with image ker x, so that the terms with x vanish
-    in cohomology.
+    Classes restrict along b^T, for (proj, b) from projection_along: the
+    one section of proj with image ker x, x the covector it projects along,
+    so that the terms with x vanish in cohomology.
 
     Implemented for simplicial fans (the hat function needs free ray
     values)."""
@@ -1087,7 +1104,7 @@ def restrict_to_link(profile, ray_cid):
               for rid in fan.ray_ids()}
     hat = PLFunction.from_ray_values(fan, values)
     _, closed, link = star_link(fan, ray_cid)
-    _, proj, b = projection_along(vrho, n, unit_vectors(n))
+    proj, b = projection_along(vrho, n, unit_vectors(n))
     key_to_lam = {c.rays: tuple(sorted(canonical_direction(proj.apply(r))
                                        for r in c.rays))
                   for c in link.cones.values() if c.dim == n - 1}

@@ -4,10 +4,12 @@ ihfan.__all__); every public name has a caller in the package or the
 benchmark too; every module-level import of a package or test module is
 used by that module, and every import of a package module is at module
 level;
-every slot of a package class is read somewhere; every function of the
-tests' oracle module has a caller in the tests; every process-wide cache of
-the package is bounded; no parameter of a package function is passed only
-as None.  A method counts as called only through an attribute or an
+every slot of a package class is read in the package or the benchmark;
+every function of the tests' oracle module has a caller in the tests; every
+process-wide cache of the package is bounded, and none calls another with
+exactly its own parameters; no parameter of a package function is passed
+only as None; every position of a tuple a package function returns is read
+by some call.  A method counts as called only through an attribute or an
 identifier string: a bare name of the same spelling is some local
 variable."""
 
@@ -161,13 +163,13 @@ def local_imports(root):
 
 def unread_slots(root):
     """module:Class.slot of each __slots__ entry of a module-level class
-    under root/src/ihfan that no attribute load in src/ihfan, perfbench or
-    tests reads.  Like uncalled_functions it matches by name alone, so a
-    slot whose name another object's attribute shares (``basis``,
-    ``field``) counts as read even when nothing reads it."""
+    under root/src/ihfan that no attribute load in src/ihfan or perfbench
+    reads: state that only the tests read belongs in tests/oracles.py.
+    Like uncalled_functions it matches by name alone, so a slot whose name
+    another object's attribute shares (``basis``, ``field``) counts as
+    read even when nothing reads it."""
     package = sorted((root / "src" / "ihfan").glob("*.py"))
-    others = sorted((root / "perfbench").glob("*.py")) + \
-        sorted((root / "tests").glob("*.py"))
+    others = sorted((root / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in package + others}
     loads = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
              if isinstance(sub, ast.Attribute) and
@@ -239,25 +241,12 @@ def _passed(call, index, name):
     return next((k.value for k in call.keywords if k.arg == name), None)
 
 
-def none_only_parameters(root):
-    """module:function(parameter) of each parameter of a module-level
-    function or method under root/src/ihfan that every call in
-    root/src/ihfan or root/perfbench outside the function's own body
-    passes as the literal None, positionally or by keyword, with at least
-    one such call: a parameter that only the tests set.  Calls are matched
-    by name, a method's only through an attribute; a name defined twice in
-    the package is skipped, and so is a function that is referred to
-    outside its body other than by being called (map(f, ...)), or called
-    with *args or **kwargs, since those calls pass what the rule cannot
-    read."""
-    package = sorted((root / "src" / "ihfan").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(), str(p))
-             for p in package + sorted((root / "perfbench").glob("*.py"))}
-    # by name: the calls through an attribute (True) or a bare name
-    # (False), and every other reference of either kind
+def _calls_and_refs(trees):
+    """By name, the calls through an attribute (True) or a bare name
+    (False) in the trees, and every other reference of either kind."""
     calls = {True: defaultdict(list), False: defaultdict(list)}
     refs = {True: defaultdict(list), False: defaultdict(list)}
-    for tree in trees.values():
+    for tree in trees:
         funcs = set()
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Call):
@@ -273,17 +262,43 @@ def none_only_parameters(root):
                 refs[True][sub.attr].append(sub)
             elif isinstance(sub, ast.Name):
                 refs[False][sub.id].append(sub)
+    return calls, refs
+
+
+def _outside_calls(qualname, node, calls, refs):
+    """The calls of the def node (qualname from _defs) outside its own
+    body, matched by name, a method's only through an attribute; None
+    when the def is referred to outside its body other than by a call."""
+    kinds = (True,) if "." in qualname else (True, False)
+    own = {id(sub) for sub in ast.walk(node)}
+    if any(id(r) not in own for k in kinds for r in refs[k][node.name]):
+        return None
+    return [c for k in kinds for c in calls[k][node.name]
+            if id(c) not in own]
+
+
+def none_only_parameters(root):
+    """module:function(parameter) of each parameter of a module-level
+    function or method under root/src/ihfan that every call in
+    root/src/ihfan or root/perfbench outside the function's own body
+    passes as the literal None, positionally or by keyword, with at least
+    one such call: a parameter that only the tests set.  Calls are matched
+    by name, a method's only through an attribute; a name defined twice in
+    the package is skipped, and so is a function that is referred to
+    outside its body other than by being called (map(f, ...)), or called
+    with *args or **kwargs, since those calls pass what the rule cannot
+    read."""
+    package = sorted((root / "src" / "ihfan").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in package + sorted((root / "perfbench").glob("*.py"))}
+    calls, refs = _calls_and_refs(trees.values())
     defs = [(p, qualname, node) for p in package
             for qualname, node in _defs(trees[p])]
     defined = Counter(node.name for _, _, node in defs)
     out = []
     for p, qualname, node in defs:
-        kinds = (True,) if "." in qualname else (True, False)
-        own = {id(sub) for sub in ast.walk(node)}
-        outside = [c for k in kinds for c in calls[k][node.name]
-                   if id(c) not in own]
-        if defined[node.name] > 1 or not outside or any(
-                id(r) not in own for k in kinds for r in refs[k][node.name]) \
+        outside = _outside_calls(qualname, node, calls, refs)
+        if defined[node.name] > 1 or not outside \
                 or any(isinstance(a, ast.Starred) for c in outside
                        for a in c.args) \
                 or any(k.arg is None for c in outside for k in c.keywords):
@@ -299,6 +314,118 @@ def none_only_parameters(root):
             if all(isinstance(x, ast.Constant) and x.value is None
                    for x in (_passed(c, index, name) for c in outside)):
                 out.append(f"{p.stem}:{qualname}({name})")
+    return out
+
+
+def _own_returns(node):
+    """The return statements of the def node, not of the functions,
+    lambdas and classes nested in it."""
+    stack = list(node.body)
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Return):
+            yield sub
+        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(sub))
+
+
+def _tuple_width(node):
+    """The length of the tuple display that every return of the def node
+    gives, None when one returns anything else or there is none."""
+    widths = set()
+    for ret in _own_returns(node):
+        if not isinstance(ret.value, ast.Tuple) or any(
+                isinstance(e, ast.Starred) for e in ret.value.elts):
+            return None
+        widths.add(len(ret.value.elts))
+    return widths.pop() if len(widths) == 1 else None
+
+
+def _positions_read(call, parent, width):
+    """The positions of a returned tuple of this width that the call site
+    reads: the names other than _ it unpacks to, or a constant subscript;
+    None when it uses the result whole."""
+    up = parent.get(id(call))
+    if isinstance(up, ast.Assign) and up.value is call and \
+            len(up.targets) == 1 and \
+            isinstance(up.targets[0], (ast.Tuple, ast.List)):
+        elts = up.targets[0].elts
+        if len(elts) == width and not any(isinstance(e, ast.Starred)
+                                          for e in elts):
+            return {i for i, e in enumerate(elts)
+                    if not (isinstance(e, ast.Name) and e.id == "_")}
+    if isinstance(up, ast.Subscript) and up.value is call and \
+            isinstance(up.slice, ast.Constant) and \
+            type(up.slice.value) is int:
+        return {up.slice.value % width}
+    return None
+
+
+def unread_tuple_positions(root):
+    """module:function[i] of each position i of the tuple a module-level
+    function or method under root/src/ihfan returns (every return a tuple
+    display of one length) that no call in root/src/ihfan or
+    root/perfbench outside its own body reads, by unpacking it to a name
+    other than _ or by a constant subscript.  Calls are matched as in
+    none_only_parameters; a name defined twice in the package is skipped,
+    and so is a function referred to other than by a call or whose result
+    some call uses whole."""
+    package = sorted((root / "src" / "ihfan").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in package + sorted((root / "perfbench").glob("*.py"))}
+    calls, refs = _calls_and_refs(trees.values())
+    parent = {id(child): sub for tree in trees.values()
+              for sub in ast.walk(tree) for child in ast.iter_child_nodes(sub)}
+    defs = [(p, qualname, node) for p in package
+            for qualname, node in _defs(trees[p])]
+    defined = Counter(node.name for _, _, node in defs)
+    out = []
+    for p, qualname, node in defs:
+        width = _tuple_width(node)
+        outside = _outside_calls(qualname, node, calls, refs)
+        if width is None or not outside or defined[node.name] > 1:
+            continue
+        read = [_positions_read(c, parent, width) for c in outside]
+        if None in read:
+            continue
+        out += [f"{p.stem}:{qualname}[{i}]" for i in range(width)
+                if not any(i in r for r in read)]
+    return out
+
+
+def _passes_itself(call, params):
+    """Whether the call passes exactly the parameter names params, each as
+    itself: the first ones positionally in order, the rest by keyword."""
+    pos = [x.id if isinstance(x, ast.Name) else None for x in call.args]
+    rest = params[len(pos):]
+    return pos == params[:len(pos)] and len(call.keywords) == len(rest) \
+        and all(isinstance(k.value, ast.Name) and k.value.id == k.arg
+                for k in call.keywords) \
+        and sorted(k.arg for k in call.keywords) == sorted(rest)
+
+
+def passthrough_caches(root):
+    """module:function of each lru_cache or cache function under
+    root/src/ihfan whose body calls another such function of the package
+    with exactly its own parameters, each passed as itself: one cache
+    stacked on another under the same key."""
+    cached = {}   # def node -> its module
+    for p in sorted((root / "src" / "ihfan").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and {"lru_cache", "cache"} & set(
+                        map(_decorator_name, node.decorator_list)):
+                cached[node] = p.stem
+    names = {node.name for node in cached}
+    out = []
+    for node, module in cached.items():
+        a = node.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+        if any(isinstance(sub, ast.Call) and _passes_itself(sub, params) and
+               getattr(sub.func, "attr", getattr(sub.func, "id", None))
+               in names - {node.name} for sub in ast.walk(node)):
+            out.append(f"{module}:{node.name}")
     return out
 
 
@@ -332,3 +459,11 @@ def test_every_cache_is_bounded():
 
 def test_no_parameter_is_passed_only_none():
     assert none_only_parameters(ROOT) == []
+
+
+def test_every_returned_position_is_read():
+    assert unread_tuple_positions(ROOT) == []
+
+
+def test_no_cache_sits_behind_another_with_its_key():
+    assert passthrough_caches(ROOT) == []

@@ -463,6 +463,56 @@ def test_report_new_l_on_cached_fan(tmp_path, capsys):
                                             (2, [1, 3], 3, True)]
 
 
+def _readme_input_blocks():
+    """The JSON code blocks of the README's "Input formats" section."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("### Input formats", 1)[1].split("\n### ", 1)[0]
+    return [block.split("```", 1)[0]
+            for block in section.split("```json\n")[1:]]
+
+
+def test_readme_input_examples_run(tmp_path, capsys):
+    # every JSON block under "Input formats": the fan and the polytope are
+    # complete 2D fans with f0 = 4 rays, so h = (1, f0 - 2, 1) = (1, 2, 1);
+    # each l line is a strictly convex function on that fan
+    inputs, ls = [], []
+    for block in _readme_input_blocks():
+        try:
+            inputs.append(json.loads(block))
+        except json.JSONDecodeError:
+            ls += [json.loads(line) for line in block.splitlines() if line]
+    assert [sorted(f) for f in inputs] == [
+        ["dim", "field", "maximal_cones", "rays"], ["fan", "field", "vertices"]]
+    assert len(ls) == 2
+    for i, obj in enumerate(inputs):
+        path = write(tmp_path, f"input{i}.json", obj)
+        assert main(["hvector", "--oracle", path]) == 0
+        assert capsys.readouterr().out == \
+            "h = [1,2,1]\noracle h = [1,2,1]\noracle match = true\n"
+    for i, l in enumerate(ls):
+        path = write(tmp_path, f"l{i}.json", dict(inputs[0], **l))
+        assert main(["report", path]) == 0, capsys.readouterr().err
+
+
+def test_per_cone_l_is_its_ray_values(tmp_path, capsys):
+    # on the quadrant fan, whose rays sort to (-1, 0), (0, -1), (0, 1),
+    # (1, 0), the cones in the order of its JSON carry the forms of
+    # |x| + |y|: (-x - y, -x + y, x - y, x + y), which the ray values
+    # (1, 1, 1, 1) give too, so the reports are byte-identical
+    outs = []
+    for l in ({"per_cone": [["-1", "-1"], ["-1", "1"], ["1", "-1"],
+                            ["1", "1"]]},
+              {"ray_values": [1, 1, 1, 1]}):
+        path = write(tmp_path, "quadrants.json", _with_l(quadrant_dict(), l))
+        assert main(["report", path]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0].out)["hl_ranks"] == {"0": [1, 1], "2": [2, 2]}
+
+
 def test_report_icosahedron_face_fan(tmp_path, capsys):
     # the paper's case: a polytope over Q(sqrt 5) with no rational model.
     # f0 = 12 vertices: h = (1, f0-3, f0-3, 1), HL ranks equal to h, and

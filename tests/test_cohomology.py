@@ -650,7 +650,7 @@ def test_restrict_to_link_every_ray():
             rep = restrict_to_link(p, rid)
             got[v] = (rep.loc_prod_ok, rep.reduct_ok, rep.deg2_ok,
                       rep.constant)
-            b = projection_along(v, fan.n, unit_vectors(fan.n))[2]
+            b = projection_along(v, fan.n, unit_vectors(fan.n))[1]
             want[v] = (True, True, True, abs(_det([v] + b)).inverse())
     assert len(got) == 10
     assert got == want

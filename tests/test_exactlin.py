@@ -30,7 +30,7 @@ from ihfan.exactlin import (
     sparse_kernel,
     vdot,
 )
-from oracles import (gram_loop, independent_modp, mul_loop, solve,
+from oracles import (cleared, gram_loop, independent_modp, mul_loop, solve,
                      tagged_inverse, vdot_loop)
 
 
@@ -40,7 +40,7 @@ def S(text):
 
 def scalar_kernel(rows, ncols):
     """sparse_kernel on sparse Scalar rows, given to it as integer rows."""
-    return sparse_kernel([exactlin.cleared(r)[:2] for r in rows], ncols,
+    return sparse_kernel([cleared(r)[:2] for r in rows], ncols,
                          exactlin.radicand(
                              x.m for r in rows for x in r.values()))
 

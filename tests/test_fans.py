@@ -439,6 +439,25 @@ def test_a_fan_without_a_field_takes_its_rays_field():
         fans.build_fan(2, [[(1, r2), (0, 1)], [(0, -1), (1, -r5)]])
 
 
+def test_a_given_field_must_hold_the_rays():
+    # a ray over Q(sqrt 2) in a fan given Q, or Q(sqrt 3), would label the
+    # fan with a field its JSON cannot be read back in, so it is refused;
+    # a rational fan given Q(sqrt 2) keeps that field
+    ray = (1, ScalarField(2).parse("0+1r2"))
+    cones = [[ray, (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+             [(0, -1), ray]]
+    for field in (ScalarField(), ScalarField(3)):
+        with pytest.raises(ValueError,
+                           match=rf"do not lie in {re.escape(repr(field))}"):
+            fans.build_fan(2, cones, field=field)
+    assert fans.build_fan(2, cones, field=ScalarField(2)).field == \
+        ScalarField(2)
+    quadrants = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                 [(0, -1), (1, 0)]]
+    assert fans.build_fan(2, quadrants, field=ScalarField(2)).field == \
+        ScalarField(2)
+
+
 def test_fan_equality_is_canonical_json_equality():
     # a fan is equal to another, with the same hash, exactly when their
     # canonical JSON strings agree: the same rays given in another order or

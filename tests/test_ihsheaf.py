@@ -17,8 +17,7 @@ from ihfan.fans import (barycentric_subdivision, build_fan,
                         is_complete, is_strictly_convex, product_fan)
 from ihfan.ihsheaf import (DistinguishedPair, GradedIH,
                            build_distinguished_pair, flatten_boundary,
-                           pair_from_json_dict, pair_to_json_dict,
-                           projection_along)
+                           pair_from_json_dict, pair_to_json_dict)
 from conftest import (cached_pair, cube_vertices, dodecahedron_vertices,
                       fan_cold_fans, golden_field, no_residue,
                       sqrt2_prism_pyramid, sqrt2_triangular_prism)
@@ -151,7 +150,10 @@ def test_flattened_lifts_match_the_projection_inverse():
             for cid in fan.cones})
         for cid, v in nonsimplicial_centers(pair):
             lam_pair, lam_l, proj, _ = flatten_boundary(probe, cid, v)
-            x = projection_along(v, n, unit_vectors(n))[0]
+            # the covector projection_along projects along: 1/v_i at the
+            # first nonzero coordinate v_i of v, so x(v) = 1
+            i0 = next(i for i, c in enumerate(v) if c)
+            x = tuple(v[i0].inverse() if i == i0 else ZERO for i in range(n))
             for f in fan.faces_of[cid]:
                 if fan.cones[f].dim != fan.cones[cid].dim - 1:
                     continue
@@ -595,12 +597,14 @@ def test_prime_dividing_a_denominator_selects_exactly():
 
 
 def test_scalar_outside_the_field_selects_exactly():
-    # a fan labeled Q with a ray over Q(sqrt 2): its coefficients have no
-    # residue in Q's prime, so the profile takes the exact pass, counted
-    # once; f0 = 4 rays, h = (1, f0 - 2, 1)
-    ray = (1, ScalarField(2).parse("0+1r2"))
+    # a Q fan with the ray (1, 1/P), P the prime of Q's residues: 1/P, a
+    # coefficient of the ray's carriers' frames, has no residue mod P, so
+    # the profile takes the exact pass, counted once; f0 = 4 rays,
+    # h = (1, f0 - 2, 1)
+    ray = (1, sc(1) / exactlin.residue_map(None)[0])
     fan = build_fan(2, [[ray, (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
-                        [(0, -1), ray]], field=ScalarField())
+                        [(0, -1), ray]])
+    assert fan.field == ScalarField()
     before = exactlin.modp_fallbacks
     gih = GradedIH(cached_pair(fan))
     assert exactlin.modp_fallbacks == before + 1
